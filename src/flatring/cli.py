@@ -1,7 +1,10 @@
 """Command-line interface: eigen | coords | green | verify | dirichlet.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
-All output goes to stdout as JSON (default) or CSV.
+Exit codes: 0 success, 1 verification failure, 2 usage or domain error
+(including malformed points and unreadable files), 3 numerical
+non-convergence (ConvergenceError, BracketError).  Errors print one
+"error: ..." line on stderr.  All output goes to stdout as JSON (default)
+or CSV.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from . import __version__
 from .coords import CartesianPoint, FlatRingPoint, Variant, cartesian_to_flatring, flatring_to_cartesian
 from .dirichlet import BoundaryData, FlatRingDomain, coefficients, solve_interior, solve_point_source
 from .elliptic import Modulus
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .harmonics import (
     HarmonicIndex,
     HarmonicKind,
@@ -49,9 +52,13 @@ def _emit(rows: list[dict], fmt: str) -> None:
 
 def _parse_point(text: str) -> CartesianPoint:
     parts = text.split(",")
-    if len(parts) != 3:
-        raise DomainError(f"point must be 'x,y,z', got {text!r}")
-    return CartesianPoint(*(float(p) for p in parts))
+    try:
+        coords = [float(p) for p in parts]
+    except ValueError:
+        coords = []
+    if len(coords) != 3 or not all(map(math.isfinite, coords)):
+        raise DomainError(f"point must be 'x,y,z' with three finite numbers, got {text!r}")
+    return CartesianPoint(*coords)
 
 
 def _parse_range(text: str) -> list[int]:
@@ -315,12 +322,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DomainError as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3
 
 
 if __name__ == "__main__":

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
-from .elliptic import Modulus, _sncndn, jacobi_imag, jacobi_real
-from .errors import DomainError, PoleError
+from .elliptic import Modulus, _sncndn, jacobi_imag
+from .errors import DomainError
 
 CUT_GUARD = 1e-10  # distance to a chart cut below which inversion refuses
 

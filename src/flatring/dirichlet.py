@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -21,7 +21,7 @@ import numpy as np
 from .coords import CartesianPoint, FlatRingPoint, Variant, cartesian_to_flatring, flatring_to_cartesian
 from .elliptic import Modulus, jacobi_imag
 from .errors import DomainError, QuadratureWarning
-from .harmonics import HarmonicIndex, HarmonicKind, Truncation, external_harmonic, warm_cache
+from .harmonics import HarmonicIndex, Truncation
 from .lame import (
     eigenpair,
     eval_e_imag,

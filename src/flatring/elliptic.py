@@ -177,6 +177,34 @@ def glaisher(t: float, kp: float, code: str) -> float:
     return values[num_c] / den
 
 
+def sn2_fourier_coeffs(m: Modulus, count: int) -> np.ndarray:
+    """Cosine coefficients of sn(s, k)**2 = sum a[n] cos(n pi s / K), n < count.
+
+    DLMF 22.11.13: a[0] = (1 - E/K)/k**2 and, for n >= 1,
+    a[n] = -(2 pi**2 / (k**2 K**2)) n q**n / (1 - q**(2n)) with nome
+    q = exp(-pi K'/K).  1 - E/K is the AGM sum of 2**(j-1) c_j**2
+    (DLMF 19.8.6), which has no cancellation at small k.
+    """
+    k, k_big = m.k, m.quarter_K
+    a, b, c = 1.0, m.k_prime, k
+    deficit = 0.5 * c * c
+    weight = 0.5
+    for _ in range(_MAX_AGM):
+        if abs(c) <= _EPS * a:
+            break
+        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
+        weight *= 2.0
+        deficit += weight * c * c
+    # K' = pi / (2 agm(1, k)); m.quarter_Kp, from complete_k(k'), has lost
+    # the digits of 1 - k' at small k
+    q = math.exp(-math.pi * math.pi / (2.0 * agm(1.0, k) * k_big))
+    n = np.arange(1, count)
+    out = np.empty(count)
+    out[0] = deficit / (k * k)
+    out[1:] = -(2.0 * math.pi ** 2 / (k * k * k_big * k_big)) * n * q ** n / (1.0 - q ** (2 * n))
+    return out
+
+
 _NS2_MAX_ORDER = 64
 
 

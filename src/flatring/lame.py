@@ -1,23 +1,26 @@
 """Simply-periodic Lame functions of the first and second kind.
 
 The eigenproblem E'' + (h - nu(nu+1) k^2 sn^2(s,k)) E = 0 on [0, K] splits
-into four Sturm-Liouville families by boundary conditions.  Eigenvalues are
-located by shooting: bisection on the Pruefer phase (monotone in h, its
-target encodes the zero count), then a secant polish on the high-accuracy
-boundary residual.  Eigenfunctions are stored as Chebyshev interpolants on
-[0, K] and extended everywhere by parity and (anti)periodicity.
-
-Integrations use a fixed-step RK8 kernel (DOP853 tableau) with the potential
-precomputed at every stage abscissa, vectorized across a whole batch of
-eigenvalues at once; step counts are chosen from the largest local frequency
-so each sweep lands near machine accuracy.
+into four Sturm-Liouville families by boundary conditions.  Each family is
+solved by a Fourier-Galerkin method in its natural orthonormal basis on
+[0, K]: cos(j pi s/K), sin((j+1/2) pi s/K), cos((j+1/2) pi s/K) and
+sin((j+1) pi s/K).  The cosine series of sn^2 (DLMF 22.11.13) is exact, so
+the operator is a diagonal plus a Toeplitz plus a Hankel matrix with
+closed-form entries, and one symmetric eigensolve gives every mode of a
+family; by Sturm-Liouville ordering the n-th eigenvalue has n zeros in
+(0, K).  The basis size starts at 64 and doubles until the trailing
+coefficients of every requested mode fall below 1e-15 of the mode's
+largest; that tail ratio is kept as the mode's certificate.  Because the
+basis functions already carry the family's parity and (anti)periodicity,
+E(s) at any real s is a plain trigonometric sum.
 
 On the imaginary axis the equation becomes W'' = (h + nu(nu+1) k^2 sc^2(t,k')) W.
 Solutions grow roughly like exp(int sqrt(q)), so they are represented by
-growth-limited piecewise Chebyshev panels.  Odd-parity values are stored as
-the real representative W(t) = E(it)/i with W'(0) = E'(0); downstream
-products always pair matching representatives, which reproduces the
-complex-convention results exactly.
+growth-limited piecewise Chebyshev panels, integrated with a fixed-step RK8
+kernel (DOP853 tableau) from the exact E(0), E'(0) of the Fourier sum.
+Odd-parity values are stored as the real representative W(t) = E(it)/i with
+W'(0) = E'(0); downstream products always pair matching representatives,
+which reproduces the complex-convention results exactly.
 
 The second-kind function belongs to the exponent nu+1 at the regular
 singular point t = K' (tau = K' - t = 0).  It is built from the even
@@ -28,29 +31,36 @@ F(it) dE(it)/dt - E(it) dF(it)/dt = 1 in real-representative form.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
-from scipy.integrate._ivp.rk import DOP853 as _DOP853
 
-from .elliptic import Modulus, _sncndn, ns2_series_coeffs
+from .elliptic import Modulus, _sncndn, ns2_series_coeffs, sn2_fourier_coeffs
 from .errors import BracketError, ConvergenceError, DomainError, PoleError
 
-_C = _DOP853.C[:12].copy()
-_A = _DOP853.A[:12, :12].copy()
-_B = _DOP853.B.copy()
-_A_ROWS = [np.ascontiguousarray(_A[i, :i]) for i in range(12)]
-
-_STEPS_PER_RAD = 12.0       # high-accuracy sweeps: lambda * h <= 1/12
-_STEPS_PER_RAD_PHASE = 4.0  # Pruefer sweeps only need ~1e-9
-_CHEB_NODES = 161
+_GALERKIN_START = 64
+_GALERKIN_CAP = 1024
+_GALERKIN_TAIL = 1e-15  # trailing quarter of each mode's coefficients, relative
+_TRIM = 1e-17           # coefficients below this share of a mode's largest are dropped
+_STEPS_PER_RAD = 12.0   # RK8 sweeps: lambda * h <= 1/12
 _PANEL_DEG = 32
 _PANEL_LOG_GROWTH = 4.0
 _IMAG_T_CAP = 1.0 - 2e-6    # fraction of K' where imaginary-axis values give up
 _OVERFLOW = 1e250
 _FROBENIUS_TERMS = 64
+
+
+@functools.cache
+def _dop853():
+    """DOP853 stage abscissae, stage rows and weights, loaded on first use so
+    that importing this module does not import scipy.integrate."""
+    from scipy.integrate._ivp.rk import DOP853
+
+    rows = [np.ascontiguousarray(DOP853.A[i, :i]) for i in range(12)]
+    return DOP853.C[:12].copy(), rows, DOP853.B.copy()
 
 
 class LameFamily(enum.Enum):
@@ -71,14 +81,12 @@ class LameFamily(enum.Enum):
         return self in (LameFamily.EC_EVEN, LameFamily.ES_ODD)
 
     @property
-    def vanishes_at_k(self) -> bool:
-        """True when the boundary condition at s = K is E(K) = 0."""
-        return self.kind == "s"
-
-    @property
-    def reflect_k_sign(self) -> float:
-        """Sign in E(2K - s) = sign * E(s): + for Ec, - for Es."""
-        return 1.0 if self.kind == "c" else -1.0
+    def basis_offset(self) -> float:
+        """Offset a of the Galerkin basis cos or sin((j + a) pi s / K), j >= 0;
+        cosines for the families even at zero, sines for the others."""
+        if self is LameFamily.EC_EVEN:
+            return 0.0
+        return 1.0 if self is LameFamily.ES_EVEN else 0.5
 
     def superscript(self, n: int) -> int:
         """Paper-style superscript for zero count n in (0, K)."""
@@ -115,26 +123,7 @@ def eigenvalue_bracket(family: LameFamily, nu: float, n: int, m: Modulus) -> tup
     return lo, hi
 
 
-# --- potential caches ------------------------------------------------------
-
-_SN2_CACHE: dict[float, np.ndarray] = {}
-
-
-def _sn2_coeffs(m: Modulus) -> np.ndarray:
-    """Chebyshev coefficients of sn(s,k)^2 on [0, K]; cached per modulus."""
-    c = _SN2_CACHE.get(m.k)
-    if c is None:
-        deg = 128
-        x = 0.5 * m.quarter_K * (1.0 - np.cos(np.pi * np.arange(deg + 1) / deg))
-        vals = np.array([_sncndn(float(s), m.k)[0] ** 2 for s in x])
-        c = _cheb.chebfit(2.0 * x / m.quarter_K - 1.0, vals, deg)
-        _SN2_CACHE[m.k] = c
-    return c
-
-
-def _sn2_on(m: Modulus, s: np.ndarray) -> np.ndarray:
-    return _cheb.chebval(2.0 * s / m.quarter_K - 1.0, _sn2_coeffs(m))
-
+# --- imaginary-axis potential --------------------------------------------
 
 _SC2_CACHE: dict[float, tuple[np.ndarray, list[np.ndarray]]] = {}
 
@@ -176,57 +165,6 @@ def _sc2_on(m: Modulus, t: np.ndarray) -> np.ndarray:
     return out
 
 
-# --- fixed-step RK8 kernels ------------------------------------------------
-
-
-def _rk_sweep(q_stages: np.ndarray, h_steps: np.ndarray, y0: np.ndarray, deriv, record_at=None):
-    """March y' = deriv(q, y) across steps of size h_steps[j].
-
-    q_stages[j, i] holds the precomputed potential at stage i of step j.
-    When record_at is given (sorted step indices), returns the list of states
-    after those steps; otherwise returns the final state.
-    """
-    y = y0.copy()
-    nsteps = len(h_steps)
-    stages = np.empty((12, y.size))
-    records = []
-    rec = set(record_at.tolist()) if record_at is not None else None
-    for j in range(nsteps):
-        h = h_steps[j]
-        qrow = q_stages[j]
-        stages[0] = deriv(qrow[0], y)
-        for i in range(1, 12):
-            tmp = y + h * (_A_ROWS[i] @ stages[:i])
-            stages[i] = deriv(qrow[i], tmp)
-        y = y + h * (_B @ stages)
-        if rec is not None and j in rec:
-            records.append(y.copy())
-    return records if rec is not None else y
-
-
-@dataclass
-class _RealGrid:
-    """Uniform step grid on [0, K] with stage-point sn^2 precomputed."""
-
-    h: float
-    q_stages: np.ndarray  # (nsteps, 12) of sn^2 values
-
-
-_REAL_GRID_CACHE: dict[tuple, _RealGrid] = {}
-
-
-def _real_grid(m: Modulus, nsteps: int) -> _RealGrid:
-    key = (m.k, nsteps)
-    g = _REAL_GRID_CACHE.get(key)
-    if g is None:
-        h = m.quarter_K / nsteps
-        t0 = np.arange(nsteps) * h
-        stage_t = t0[:, None] + h * _C[None, :]
-        g = _RealGrid(h=h, q_stages=_sn2_on(m, stage_t))
-        _REAL_GRID_CACHE[key] = g
-    return g
-
-
 # --- eigenpair objects ------------------------------------------------------
 
 
@@ -248,19 +186,6 @@ class _ImagPanels:
     def _lambda(self, t: float) -> float:
         q = float(np.max(np.abs(self.h))) + abs(self.coef) * float(_sc2_on(self.m, np.array([t]))[0])
         return math.sqrt(max(q, 1.0))
-
-    def _deriv_factory(self):
-        mlen = self.h.size
-        h_vec = self.h
-        coef = self.coef
-
-        def deriv(q, y):
-            out = np.empty_like(y)
-            out[:mlen] = y[mlen:]
-            out[mlen:] = (h_vec + coef * q) * y[:mlen]
-            return out
-
-        return deriv
 
     def _build_panel(self, t_from: float, t_to: float) -> None:
         mlen = self.h.size
@@ -288,12 +213,26 @@ class _ImagPanels:
                 t_list.append(a + j * hh)
                 h_list.append(hh)
             seg_ends.append(len(t_list) - 1)
+        # fixed-step RK8 sweep of y = [W, W'], y' = [W', (h + c sc^2) W], with
+        # the potential precomputed at every stage abscissa
+        c_stage, a_rows, b_weights = _dop853()
         t_arr = np.asarray(t_list)
         h_arr = np.asarray(h_list)
-        q_stages = _sc2_on(self.m, t_arr[:, None] + h_arr[:, None] * _C[None, :])
-        states = _rk_sweep(q_stages, h_arr, self.state, self._deriv_factory(),
-                           record_at=np.asarray(seg_ends))
-        ys = np.vstack([self.state[None, :], np.array(states)])  # (deg+1, 2M)
+        qc = self.coef * _sc2_on(self.m, t_arr[:, None] + h_arr[:, None] * c_stage[None, :])
+        y = self.state.copy()
+        stages = np.empty((12, y.size))
+        ys = [y]
+        rec = set(seg_ends)
+        for j in range(len(h_arr)):
+            hh = h_arr[j]
+            for i in range(12):
+                tmp = y + hh * (a_rows[i] @ stages[:i]) if i else y
+                stages[i, :mlen] = tmp[mlen:]
+                stages[i, mlen:] = (self.h + qc[j, i]) * tmp[:mlen]
+            y = y + hh * (b_weights @ stages)
+            if j in rec:
+                ys.append(y)
+        ys = np.array(ys)  # (deg+1, 2M)
         lo, hi = (t_from, t_to) if t_to > t_from else (t_to, t_from)
         x = (2.0 * nodes - (lo + hi)) / (hi - lo)
         fit = _cheb.chebfit(x, ys, deg)  # (deg+1, 2M)
@@ -354,7 +293,12 @@ class _ImagPanels:
 
 @dataclass(frozen=True)
 class LameEigenpair:
-    """One simply-periodic Lame eigenfunction, normalized on [0, K]."""
+    """One simply-periodic Lame eigenfunction, normalized on [0, K].
+
+    E(s) = sum_j coef[j] cos(freq[j] s) for the families even at zero and
+    sum_j coef[j] sin(freq[j] s) for the others; tail is the Galerkin
+    certificate (largest trailing coefficient over the largest).
+    """
 
     family: LameFamily
     nu: float
@@ -364,8 +308,9 @@ class LameEigenpair:
     norm_scale: float
     boundary_data: tuple[float, float]  # (E(0), E'(0)) after normalization
     bracket: tuple[float, float]
-    _cheb_e: np.ndarray = field(repr=False, compare=False)
-    _cheb_de: np.ndarray = field(repr=False, compare=False)
+    tail: float
+    _freq: np.ndarray = field(repr=False, compare=False)
+    _coef: np.ndarray = field(repr=False, compare=False)
     _imag: _ImagPanels = field(repr=False, compare=False)
     _imag_col: int = field(repr=False, compare=False, default=0)
 
@@ -381,214 +326,101 @@ class LameEigenpair:
         )
 
 
-def _phase_setup(family: LameFamily, n: int) -> tuple[float, float]:
-    theta0 = 0.5 * math.pi if family.even_at_zero else 0.0
-    if family.vanishes_at_k:
-        target = (n + 1.0) * math.pi
-    else:
-        target = 0.5 * math.pi + n * math.pi
-    return theta0, target
+def _galerkin_operator(family: LameFamily, nu: float, m: Modulus, size: int):
+    """-d^2/ds^2 + nu(nu+1) k^2 sn^2 in the family's orthonormal basis on [0, K].
+
+    With f_j = (j + a) pi/K and sn^2 = sum a_n cos(n pi s/K), the integral of
+    two basis functions against cos(n pi s/K) is nonzero only for
+    n = |i - j| (Toeplitz) and n = i + j + 2a (Hankel, + for cosines and
+    - for sines).  Returns the matrix, the frequencies f_j and the factors
+    that make cos(f_j s) or sin(f_j s) orthonormal on [0, K].
+    """
+    a = family.basis_offset
+    coef = nu * (nu + 1.0) * m.k * m.k
+    sn2 = sn2_fourier_coeffs(m, 2 * size + 1)
+    cosines = sn2.copy()
+    cosines[0] = 0.0  # the constant term enters the diagonal once, below
+    j = np.arange(size)
+    hankel = 1.0 if family.even_at_zero else -1.0
+    op = 0.5 * coef * (cosines[np.abs(j[:, None] - j[None, :])]
+                       + hankel * cosines[j[:, None] + j[None, :] + int(2 * a)])
+    norm = np.full(size, math.sqrt(2.0 / m.quarter_K))
+    if a == 0.0:
+        # the constant basis function is 1/sqrt(K), not sqrt(2/K)
+        norm[0] = math.sqrt(1.0 / m.quarter_K)
+        op[0, :] *= math.sqrt(0.5)
+        op[:, 0] *= math.sqrt(0.5)
+    freq = (j + a) * (math.pi / m.quarter_K)
+    op[j, j] += freq * freq + coef * sn2[0]
+    return op, freq, norm
+
+
+def _galerkin_modes(family: LameFamily, nu: float, m: Modulus, count: int):
+    """Lowest count eigenvalues of one family, their normalized coefficient
+    columns on cos(f_j s) or sin(f_j s), the frequencies f_j and each mode's
+    tail."""
+    size = _GALERKIN_START
+    while size < 2 * count:
+        size *= 2
+    while True:
+        op, freq, norm = _galerkin_operator(family, nu, m, size)
+        h, vecs = np.linalg.eigh(op)
+        vecs = vecs[:, :count]
+        tail = np.max(np.abs(vecs[-(size // 4):]), axis=0) / np.max(np.abs(vecs), axis=0)
+        if np.all(tail <= _GALERKIN_TAIL):
+            return h[:count], norm[:, None] * vecs, freq, tail
+        if size >= _GALERKIN_CAP:
+            i = int(np.argmax(tail))
+            raise ConvergenceError(
+                f"{family} nu={nu} n={i}: Galerkin tail {float(tail[i])!r} "
+                f"at basis size {size}", attained=float(tail[i]))
+        size *= 2
 
 
 def _solve_mixed(specs: list[tuple[LameFamily, int]], nu: float, m: Modulus) -> list[LameEigenpair]:
     """Solve a mixed batch of eigenpairs (possibly several families) at one
-    (nu, k); every integration sweep is shared across the whole batch."""
+    (nu, k): one Galerkin eigensolve per family, one set of imaginary-axis
+    panels for the whole batch."""
     if nu < -0.5:
         raise DomainError(f"nu must be >= -1/2, got {nu!r}")
     if any(n < 0 for _, n in specs):
         raise DomainError("zero counts must be non-negative")
     specs = sorted(set((fam, int(n)) for fam, n in specs),
                    key=lambda fn: (fn[0].value, fn[1]))
-    k_big = m.quarter_K
-    coef = nu * (nu + 1.0) * m.k * m.k
-    mlen = len(specs)
+    solved = {fam: _galerkin_modes(fam, nu, m, 1 + max(n for f, n in specs if f is fam))
+              for fam in {fam for fam, _ in specs}}
 
-    even0 = np.array([fam.even_at_zero for fam, _ in specs])
-    vanish = np.array([fam.vanishes_at_k for fam, _ in specs])
-    theta0 = np.where(even0, 0.5 * math.pi, 0.0)
-    targets = np.array([_phase_setup(fam, n)[1] for fam, n in specs])
-    brackets = [eigenvalue_bracket(fam, nu, n, m) for fam, n in specs]
-    pad = np.array([1e-7 * (1.0 + abs(lo) + abs(hi)) + 1e-9 for lo, hi in brackets])
-    lo = np.array([b[0] for b in brackets]) - pad
-    hi = np.array([b[1] for b in brackets]) + pad
+    rows = []
+    for fam, n in specs:
+        h_all, vecs, freq, tail = solved[fam]
+        h = float(h_all[n])
+        lo, hi = eigenvalue_bracket(fam, nu, n, m)
+        pad = 1e-12 * (1.0 + abs(lo) + abs(hi))
+        if not lo - pad <= h <= hi + pad:
+            raise BracketError(f"{fam} nu={nu} n={n}: eigenvalue {h!r} outside its bracket",
+                               lo=lo, hi=hi)
+        coef = vecs[:, n]
+        # E(0) (cosines) or E'(0) (sines) has the sign of E(K) (Ec) or of
+        # -E'(K) (Es) times (-1)^n, so this orients Ec(K) > 0 and Es'(K) < 0
+        # from the well at s = 0, where the mode is never small
+        at_zero = float(coef.sum()) if fam.even_at_zero else float(coef @ freq)
+        if at_zero * (-1.0) ** n < 0.0:
+            coef, at_zero = -coef, -at_zero
+        keep = 1 + int(np.flatnonzero(np.abs(coef) > _TRIM * np.max(np.abs(coef)))[-1])
+        rows.append((fam, n, h, at_zero, (lo, hi), float(tail[n]),
+                     freq[:keep], coef[:keep].copy()))
 
-    lam_max = math.sqrt(max(float(np.max(hi)) + max(-coef, 0.0), 1.0))
-    n_phase = max(96, int(math.ceil(k_big * lam_max * _STEPS_PER_RAD_PHASE)))
-    n_fine = max(224, int(math.ceil(k_big * lam_max * _STEPS_PER_RAD)))
-    grid_phase = _real_grid(m, n_phase)
-    grid_fine = _real_grid(m, n_fine)
-    qc_phase = coef * grid_phase.q_stages
-    qc_fine = coef * grid_fine.q_stages
-
-    def theta_at_k(h_vec: np.ndarray) -> np.ndarray:
-        # scaled Pruefer angle: E = r sin(theta), E' = r w cos(theta) with
-        # w = sqrt(max(h, 1)); keeps the derivative Lipschitz scale at w
-        w = np.sqrt(np.maximum(h_vec, 1.0))
-        hw = h_vec / w
-
-        def deriv(qc, th):
-            st = np.sin(th)
-            ct = np.cos(th)
-            return w * ct * ct + (hw - qc / w) * st * st
-
-        return _rk_sweep(qc_phase, np.full(n_phase, grid_phase.h), theta0.copy(), deriv)
-
-    y0_shoot = np.zeros(2 * mlen)
-    y0_shoot[:mlen] = np.where(even0, 1.0, 0.0)
-    y0_shoot[mlen:] = np.where(even0, 0.0, 1.0)
-
-    def residual(h_vec: np.ndarray) -> np.ndarray:
-        def deriv(qc, y):
-            out = np.empty_like(y)
-            out[:mlen] = y[mlen:]
-            out[mlen:] = (qc - h_vec) * y[:mlen]
-            return out
-
-        end = _rk_sweep(qc_fine, np.full(n_fine, grid_fine.h), y0_shoot, deriv)
-        return np.where(vanish, end[:mlen], end[mlen:])
-
-    g_lo = theta_at_k(lo) - targets
-    g_hi = theta_at_k(hi) - targets
-    bad = (g_lo > 0.0) | (g_hi < 0.0)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise BracketError(
-            f"{specs[i][0]} nu={nu} n={specs[i][1]}: no sign change on the bracket",
-            lo=float(lo[i]), hi=float(hi[i]),
-        )
-
-    # bisection on the monotone phase isolates each eigenvalue well inside
-    # its family gap (the deep-well phase profile is steep near eigenvalues,
-    # so derivative-free bracketing is the robust choice here)
-    blo, bhi = lo.copy(), hi.copy()
-    for _ in range(12):
-        mid = 0.5 * (blo + bhi)
-        below = (theta_at_k(mid) - targets) < 0.0
-        blo = np.where(below, mid, blo)
-        bhi = np.where(below, bhi, mid)
-
-    # Illinois iteration on the machine-accuracy boundary residual inside a
-    # widened window around the phase bracket (residual roots are the family
-    # eigenvalues; the window is far narrower than the eigenvalue gap)
-    wid = bhi - blo
-    wa = blo - 4.0 * wid
-    wb = bhi + 4.0 * wid
-    ra = residual(wa)
-    rb = residual(wb)
-    for _ in range(4):
-        bad = ra * rb > 0.0
-        if not np.any(bad):
-            break
-        grow = 8.0 * (wb - wa)
-        wa = np.where(bad, wa - grow, wa)
-        wb = np.where(bad, wb + grow, wb)
-        ra = np.where(bad, residual(wa), ra)
-        rb = np.where(bad, residual(wb), rb)
-    if np.any(ra * rb > 0.0):
-        i = int(np.argmax(ra * rb > 0.0))
-        raise BracketError(
-            f"{specs[i][0]} nu={nu} n={specs[i][1]}: no residual sign change",
-            lo=float(wa[i]), hi=float(wb[i]),
-        )
-    scale_h = 1.0 + np.abs(wb)
-    # secant steps from the two most recent evaluations, kept honest by the
-    # sign bracket (fall back to false position when secant leaves it)
-    x_prev, r_prev = wa.copy(), ra.copy()
-    x_cur, r_cur = wb.copy(), rb.copy()
-    for _ in range(14):
-        if np.all(wb - wa <= 4e-15 * scale_h):
-            break
-        denom = r_cur - r_prev
-        ok = np.abs(denom) > 0.0
-        hc = np.where(ok, x_cur - r_cur * (x_cur - x_prev) / np.where(ok, denom, 1.0),
-                      0.5 * (wa + wb))
-        fp_den = rb - ra
-        fp = np.where(np.abs(fp_den) > 0.0, wb - rb * (wb - wa) / np.where(np.abs(fp_den) > 0.0, fp_den, 1.0), 0.5 * (wa + wb))
-        inside = (hc > wa) & (hc < wb)
-        hc = np.where(inside, hc, fp)
-        inside = (hc > wa) & (hc < wb)
-        hc = np.where(inside, hc, 0.5 * (wa + wb))
-        rc = residual(hc)
-        c_replaces_b = rc * rb > 0.0
-        wa = np.where(c_replaces_b, wa, hc)
-        ra = np.where(c_replaces_b, ra, rc)
-        wb = np.where(c_replaces_b, hc, wb)
-        rb = np.where(c_replaces_b, rc, rb)
-        x_prev, r_prev = x_cur, r_cur
-        x_cur, r_cur = hc, rc
-    h_final = np.where(np.abs(ra) < np.abs(rb), wa, wb)
-
-    # a wrong zero count would put theta off by a multiple of pi; for deeply
-    # localized states d(theta)/dh is exponentially large at the eigenvalue,
-    # so only gross deviations are meaningful here
-    theta_err = np.abs(theta_at_k(h_final) - targets)
-    if np.any(theta_err > 1e-2):
-        i = int(np.argmax(theta_err))
-        raise ConvergenceError(
-            f"{specs[i][0]} nu={nu} n={specs[i][1]}: Pruefer phase check failed "
-            f"(|theta - target| = {float(theta_err[i])!r})"
-        )
-
-    # final sweep on a Chebyshev-node-aligned grid, recording E, E', int E^2
-    nodes = 0.5 * k_big * (1.0 - np.cos(np.pi * np.arange(_CHEB_NODES) / (_CHEB_NODES - 1)))
-    t_list = []
-    h_list = []
-    seg_end_steps = []
-    for a, b in zip(nodes[:-1], nodes[1:]):
-        gap = b - a
-        sub = max(1, int(math.ceil(gap * lam_max * _STEPS_PER_RAD)))
-        hh = gap / sub
-        for j in range(sub):
-            t_list.append(a + j * hh)
-            h_list.append(hh)
-        seg_end_steps.append(len(t_list) - 1)
-    t_arr = np.array(t_list)
-    h_arr = np.array(h_list)
-    q_stages = _sn2_on(m, t_arr[:, None] + h_arr[:, None] * _C[None, :])
-
-    def deriv_full(q, y):
-        out = np.empty_like(y)
-        e = y[:mlen]
-        out[:mlen] = y[mlen:2 * mlen]
-        out[mlen:2 * mlen] = (coef * q - h_final) * e
-        out[2 * mlen:] = e * e
-        return out
-
-    y0 = np.zeros(3 * mlen)
-    y0[:mlen] = np.where(even0, 1.0, 0.0)
-    y0[mlen:2 * mlen] = np.where(even0, 0.0, 1.0)
-    recs = _rk_sweep(q_stages, h_arr, y0, deriv_full, record_at=np.array(seg_end_steps))
-    ys = np.vstack([y0[None, :], np.array(recs)])  # (n_nodes, 3M)
-    end = ys[-1]
-
-    x_cheb = 2.0 * nodes / k_big - 1.0
-    sigmas = end[2 * mlen:]
-    scales = 1.0 / np.sqrt(sigmas)
-    edges = np.where(vanish, end[mlen:2 * mlen], end[:mlen])
-    # orient so E(K) > 0 (Ec) or E'(K) < 0 (Es), matching the k -> 0 limits
-    flip = np.where(vanish, edges * scales > 0.0, edges * scales < 0.0)
-    scales = np.where(flip, -scales, scales)
-
-    e0_vec = np.where(even0, scales, 0.0)
-    de0_vec = np.where(even0, 0.0, scales)
-    imag_state = np.concatenate([e0_vec, de0_vec])
-    imag = _ImagPanels(m, coef, h_final, 0.0, imag_state)
-
-    # one least-squares Chebyshev fit for the whole batch
-    fit_e = _cheb.chebfit(x_cheb, ys[:, :mlen] * scales[None, :], _CHEB_NODES - 1)
-    fit_de = _cheb.chebfit(x_cheb, ys[:, mlen:2 * mlen] * scales[None, :], _CHEB_NODES - 1)
-
-    pairs = []
-    for i, (fam, n) in enumerate(specs):
-        pairs.append(LameEigenpair(
-            family=fam, nu=nu, n=n, h=float(h_final[i]), modulus=m,
-            norm_scale=float(scales[i]),
-            boundary_data=(float(e0_vec[i]), float(de0_vec[i])),
-            bracket=brackets[i], _cheb_e=np.ascontiguousarray(fit_e[:, i]),
-            _cheb_de=np.ascontiguousarray(fit_de[:, i]),
-            _imag=imag, _imag_col=i,
-        ))
-    return pairs
+    even = np.array([fam.even_at_zero for fam, _ in specs])
+    scales = np.array([r[3] for r in rows])
+    imag = _ImagPanels(m, nu * (nu + 1.0) * m.k * m.k, np.array([r[2] for r in rows]), 0.0,
+                       np.concatenate([np.where(even, scales, 0.0), np.where(even, 0.0, scales)]))
+    return [
+        LameEigenpair(family=fam, nu=nu, n=n, h=h, modulus=m, norm_scale=scale,
+                      boundary_data=(scale, 0.0) if fam.even_at_zero else (0.0, scale),
+                      bracket=bracket, tail=tail, _freq=freq, _coef=coef,
+                      _imag=imag, _imag_col=i)
+        for i, (fam, n, h, scale, bracket, tail, freq, coef) in enumerate(rows)
+    ]
 
 
 def solve_eigenpairs(family: LameFamily, nu: float, ns: list[int], m: Modulus) -> list[LameEigenpair]:
@@ -615,11 +447,6 @@ def eigenpair(family: LameFamily, nu: float, n: int, m: Modulus) -> LameEigenpai
     return pair
 
 
-def warm_eigenpairs(family: LameFamily, nu: float, ns: list[int], m: Modulus) -> None:
-    """Batch-solve and memoize all missing eigenpairs of one (family, nu, k)."""
-    warm_mixed([(family, n) for n in ns], nu, m)
-
-
 def warm_mixed(specs: list[tuple[LameFamily, int]], nu: float, m: Modulus) -> None:
     """Batch-solve and memoize a mixed-family batch at one (nu, k)."""
     missing = [fn for fn in set(specs)
@@ -631,31 +458,24 @@ def warm_mixed(specs: list[tuple[LameFamily, int]], nu: float, m: Modulus) -> No
 
 
 def clear_caches() -> None:
+    """Empty every memo in this module: eigenpairs, second kinds, sc^2
+    panels and ns^2 series."""
     _EIGEN_CACHE.clear()
     _SECOND_CACHE.clear()
+    _SC2_CACHE.clear()
+    _NS2_SERIES_CACHE.clear()
 
 
 def eval_e_real(p: LameEigenpair, s: float, derivative: bool = False) -> float:
-    """E(s) (or E'(s)) at any real s via parity and (anti)periodicity."""
-    k_big = p.modulus.quarter_K
-    period = 4.0 * k_big
-    s1 = s - period * round(s / period)
-    sign = 1.0
-    dsign = 1.0
-    if s1 < 0.0:
-        p0 = 1.0 if p.family.even_at_zero else -1.0
-        s1 = -s1
-        sign *= p0
-        dsign *= -p0
-    if s1 > k_big:
-        rk = p.family.reflect_k_sign
-        s1 = 2.0 * k_big - s1
-        sign *= rk
-        dsign *= -rk
-    x = 2.0 * s1 / k_big - 1.0
+    """E(s) (or E'(s)) at any real s; the basis carries parity and periodicity."""
+    x = s * p._freq
+    if p.family.even_at_zero:
+        if derivative:
+            return -float((p._coef * p._freq) @ np.sin(x))
+        return float(p._coef @ np.cos(x))
     if derivative:
-        return sign * dsign * float(_cheb.chebval(x, p._cheb_de))
-    return sign * float(_cheb.chebval(x, p._cheb_e))
+        return float((p._coef * p._freq) @ np.cos(x))
+    return float(p._coef @ np.sin(x))
 
 
 def eval_e_imag(p: LameEigenpair, t: float, derivative: bool = False) -> float:
@@ -736,88 +556,63 @@ def _series_eval(coeffs: np.ndarray, nu: float, tau: float) -> tuple[float, floa
     return f, df
 
 
-def second_kind(p: LameEigenpair) -> LameSecondKind:
-    """Build the Wronskian-normalized second-kind companion of an eigenpair."""
-    m = p.modulus
-    nu = p.nu
-    kp = m.quarter_Kp
-    radius = 2.0 * min(m.quarter_K, kp)
-    tau0 = min(0.1 * kp, 0.45 * radius)
-
-    b = _frobenius_coeffs(nu, p.h, m, _FROBENIUS_TERMS)
-    tail = abs(b[-1]) * tau0 ** (2 * (_FROBENIUS_TERMS - 1))
-    f0, _ = _series_eval(b, nu, tau0)
-    if not (math.isfinite(tail) and tail <= 1e-12 * abs(f0)):
-        raise ConvergenceError(
-            f"Frobenius series not converged at handoff radius {tau0!r}",
-            attained=tail,
-        )
-
-    t1 = kp - tau0
-    w_val = eval_e_imag(p, t1)
-    w_der = eval_e_imag(p, t1, derivative=True)
-    f_tau, df_tau = _series_eval(b, nu, tau0)
-    f_t = -df_tau  # d/dt = -d/dtau
-    omega = f_tau * w_der - w_val * f_t
-    scale = 1.0 / omega
-
-    coef = nu * (nu + 1.0) * m.k * m.k
-    cont = _ImagPanels(m, coef, np.array([p.h]), t1,
-                       np.array([scale * f_tau, scale * f_t]))
-    return LameSecondKind(
-        base=p,
-        frobenius_coeffs=scale * b,
-        wronskian_scale=scale,
-        tau0=tau0,
-        indicial_degenerate=abs(2.0 * nu + 1.0) < 1e-12,
-        _cont=cont,
-    )
-
-
-def warm_second_kind(pairs: list[LameEigenpair]) -> None:
-    """Build second-kind companions for a batch of eigenpairs sharing
+def _second_kinds(pairs: list[LameEigenpair]) -> list[LameSecondKind]:
+    """Wronskian-normalized second-kind companions of eigenpairs sharing
     (nu, modulus); the continuation panels are shared across the batch."""
-    pairs = [p for p in pairs
-             if (p.family, float(p.nu), int(p.n), p.modulus.k) not in _SECOND_CACHE]
-    if not pairs:
-        return
     m = pairs[0].modulus
     nu = pairs[0].nu
     if any(q.modulus.k != m.k or q.nu != nu for q in pairs):
-        raise DomainError("warm_second_kind requires a common (nu, modulus) batch")
+        raise DomainError("second-kind batches require a common (nu, modulus)")
     kp = m.quarter_Kp
     radius = 2.0 * min(m.quarter_K, kp)
     tau0 = min(0.1 * kp, 0.45 * radius)
     t1 = kp - tau0
-    coef = nu * (nu + 1.0) * m.k * m.k
 
-    states = np.zeros(2 * len(pairs))
-    h_vec = np.zeros(len(pairs))
-    entries = []
-    for i, p in enumerate(pairs):
+    rows = []
+    for p in pairs:
         b = _frobenius_coeffs(nu, p.h, m, _FROBENIUS_TERMS)
+        tail = abs(b[-1]) * tau0 ** (2 * (_FROBENIUS_TERMS - 1))
         f_tau, df_tau = _series_eval(b, nu, tau0)
-        w_val = eval_e_imag(p, t1)
-        w_der = eval_e_imag(p, t1, derivative=True)
-        f_t = -df_tau
-        omega = f_tau * w_der - w_val * f_t
-        scale = 1.0 / omega
-        states[i] = scale * f_tau
-        states[len(pairs) + i] = scale * f_t
-        h_vec[i] = p.h
-        entries.append((p, b, scale))
-    cont = _ImagPanels(m, coef, h_vec, t1, states)
-    for i, (p, b, scale) in enumerate(entries):
-        sk = LameSecondKind(
-            base=p, frobenius_coeffs=scale * b, wronskian_scale=scale,
-            tau0=tau0, indicial_degenerate=abs(2.0 * nu + 1.0) < 1e-12,
-            _cont=cont, _cont_col=i,
-        )
-        _SECOND_CACHE[(p.family, float(p.nu), int(p.n), p.modulus.k)] = sk
+        if not (math.isfinite(tail) and tail <= 1e-12 * abs(f_tau)):
+            raise ConvergenceError(
+                f"Frobenius series not converged at handoff radius {tau0!r}",
+                attained=tail,
+            )
+        f_t = -df_tau  # d/dt = -d/dtau
+        omega = f_tau * eval_e_imag(p, t1, derivative=True) - eval_e_imag(p, t1) * f_t
+        rows.append((p, b, 1.0 / omega, f_tau, f_t))
+
+    coef = nu * (nu + 1.0) * m.k * m.k
+    cont = _ImagPanels(m, coef, np.array([r[0].h for r in rows]), t1,
+                       np.array([r[2] * r[3] for r in rows] + [r[2] * r[4] for r in rows]))
+    return [
+        LameSecondKind(base=p, frobenius_coeffs=scale * b, wronskian_scale=scale,
+                       tau0=tau0, indicial_degenerate=abs(2.0 * nu + 1.0) < 1e-12,
+                       _cont=cont, _cont_col=i)
+        for i, (p, b, scale, _, _) in enumerate(rows)
+    ]
+
+
+def second_kind(p: LameEigenpair) -> LameSecondKind:
+    """Build the Wronskian-normalized second-kind companion of an eigenpair."""
+    return _second_kinds([p])[0]
+
+
+def _second_key(p: LameEigenpair) -> tuple:
+    return (p.family, float(p.nu), int(p.n), p.modulus.k)
+
+
+def warm_second_kind(pairs: list[LameEigenpair]) -> None:
+    """Build and memoize second-kind companions for a batch of eigenpairs
+    sharing (nu, modulus); the continuation panels are shared across the batch."""
+    pairs = [p for p in pairs if _second_key(p) not in _SECOND_CACHE]
+    if pairs:
+        for sk in _second_kinds(pairs):
+            _SECOND_CACHE[_second_key(sk.base)] = sk
 
 
 def second_kind_cached(p: LameEigenpair) -> LameSecondKind:
-    key = (p.family, float(p.nu), int(p.n), p.modulus.k)
+    key = _second_key(p)
     sk = _SECOND_CACHE.get(key)
     if sk is None:
         sk = second_kind(p)

@@ -155,3 +155,49 @@ def test_csv_output_format(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("family,")
     assert len(lines) == 4
+
+
+def test_eigen_deep_well_solves(capsys):
+    # k = 0.9, nu = 19.5 raised ConvergenceError under the shooting solver
+    code, out, _ = run_cli(capsys, "eigen", "--k", "0.9", "--nu", "19.5",
+                           "--n-range", "0:2")
+    assert code == 0
+    rows = json.loads(out)
+    assert rows[0]["eigenvalue"] == pytest.approx(17.54736442, abs=1e-8)
+    assert rows[2]["eigenvalue"] == pytest.approx(84.11215824, abs=1e-8)
+
+
+def test_green_k09_solves(capsys):
+    # shooting raised ConvergenceError at nu = 11.5 for this modulus
+    code, out, _ = run_cli(capsys, "green", "--k", "0.9")
+    assert code == 0
+    assert json.loads(out)["relative_error"] <= 1e-6
+
+
+def test_eigen_near_unit_modulus_solves(capsys):
+    code, out, _ = run_cli(capsys, "eigen", "--k", "0.99", "--nu", "30.5",
+                           "--family", "Es", "--n-range", "1:21")
+    assert code == 0
+    for r in json.loads(out):
+        assert r["bracket_lo"] <= r["eigenvalue"] <= r["bracket_hi"]
+
+
+def test_convergence_failure_exits_3(capsys):
+    code, out, err = run_cli(capsys, "eigen", "--k", "0.999999", "--nu", "2000.5",
+                             "--n-range", "0:0")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and "Galerkin tail" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("green", "--point=a,b,c"),
+    ("green", "--point-star=1,2"),
+    ("coords", "inverse", "--point", "0.5,nan,0.3"),
+    ("dirichlet", "--probes", "0.5,0.0,0.1;x"),
+    ("dirichlet", "--source", "1,,2"),
+])
+def test_malformed_point_exits_2(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: point must be 'x,y,z'")
