@@ -32,7 +32,7 @@ from .harmonics import (
     toroidal_green_expansion,
     warm_cache,
 )
-from .lame import eigenvalue_bracket, family_of_superscript, eigenpair
+from .lame import family_of_superscript, warm_mixed
 from .verify import SUITES, run_suites
 
 
@@ -62,20 +62,23 @@ def _parse_point(text: str) -> CartesianPoint:
 
 
 def _parse_range(text: str) -> list[int]:
-    if ":" in text:
-        a, b = text.split(":")
-        return list(range(int(a), int(b) + 1))
-    return [int(text)]
+    try:
+        bounds = [int(part) for part in text.split(":")]
+    except ValueError:
+        bounds = []
+    if not 1 <= len(bounds) <= 2:
+        raise DomainError(f"range must be 'a:b' or 'n' with integers, got {text!r}")
+    return list(range(bounds[0], bounds[-1] + 1))
 
 
 def cmd_eigen(args) -> int:
     m = Modulus.from_k(args.k)
     kind = "c" if args.family.lower() in ("ec", "c") else "s"
+    sups = _parse_range(args.n_range)
     rows = []
-    for sup in _parse_range(args.n_range):
-        fam, nz = family_of_superscript(kind, sup)
-        pair = eigenpair(fam, args.nu, nz, m)
-        lo, hi = eigenvalue_bracket(fam, args.nu, nz, m)
+    pairs = warm_mixed([family_of_superscript(kind, n) for n in sups], args.nu, m)
+    for sup, pair in zip(sups, pairs):
+        lo, hi = pair.bracket
         rows.append({
             "family": "Ec" if kind == "c" else "Es",
             "nu": args.nu,
@@ -91,21 +94,15 @@ def cmd_eigen(args) -> int:
 
 def _figure_lines(m: Modulus, n_samples: int) -> list[dict]:
     k_big, kp = m.quarter_K, m.quarter_Kp
+    t_line = np.linspace(1e-3 * kp, kp * (1.0 - 1e-3), n_samples)
+    s_line = np.linspace(-2.0 * k_big * (1.0 - 1e-4), 2.0 * k_big * (1.0 - 1e-4), n_samples)
+    curves = [("s", s_mult * k_big, s_mult * k_big, t_line)
+              for s_mult in (-1.5, -1.0, -0.5, 0.5, 1.0, 1.5)]
+    curves += [("t", t_mult * kp, s_line, t_mult * kp) for t_mult in (0.3, 0.5, 0.7)]
     rows = []
-    for s_mult in (-1.5, -1.0, -0.5, 0.5, 1.0, 1.5):
-        pts = []
-        for t in np.linspace(1e-3 * kp, kp * (1.0 - 1e-3), n_samples):
-            c = flatring_to_cartesian(FlatRingPoint(
-                s=s_mult * k_big, t=float(t), phi=0.0, modulus=m))
-            pts.append([c.x, c.z])
-        rows.append({"kind": "s", "value": s_mult * k_big, "points": pts})
-    for t_mult in (0.3, 0.5, 0.7):
-        pts = []
-        for s in np.linspace(-2.0 * k_big * (1.0 - 1e-4), 2.0 * k_big * (1.0 - 1e-4), n_samples):
-            c = flatring_to_cartesian(FlatRingPoint(
-                s=float(s), t=t_mult * kp, phi=0.0, modulus=m))
-            pts.append([c.x, c.z])
-        rows.append({"kind": "t", "value": t_mult * kp, "points": pts})
+    for kind, value, s, t in curves:
+        c = flatring_to_cartesian(FlatRingPoint(s=s, t=t, phi=0.0, modulus=m))
+        rows.append({"kind": kind, "value": value, "points": np.column_stack([c.x, c.z]).tolist()})
     return rows
 
 
@@ -168,7 +165,8 @@ def cmd_verify(args) -> int:
 
 
 def _read_boundary_grid(path: str):
-    """CSV with header s,phi,g on a full tensor grid."""
+    """CSV with header s,phi,g on a full tensor grid; the returned sampler
+    takes (s, phi) arrays."""
     from scipy.interpolate import RegularGridInterpolator
 
     rows = []
@@ -182,18 +180,16 @@ def _read_boundary_grid(path: str):
                 rows.append((float(row[0]), float(row[1]), float(row[2])))
             except (ValueError, IndexError) as exc:
                 raise DomainError(f"{path}:{lineno}: malformed row {row!r}") from exc
-    s_vals = np.array(sorted({r[0] for r in rows}))
-    p_vals = np.array(sorted({r[1] for r in rows}))
+    table = np.array(rows).reshape(-1, 3)
+    s_vals, si = np.unique(table[:, 0], return_inverse=True)
+    p_vals, pi = np.unique(table[:, 1], return_inverse=True)
     grid = np.full((s_vals.size, p_vals.size), np.nan)
-    si = {v: i for i, v in enumerate(s_vals)}
-    pi = {v: i for i, v in enumerate(p_vals)}
-    for s, p, g in rows:
-        grid[si[s], pi[p]] = g
+    grid[si, pi] = table[:, 2]
     if np.any(np.isnan(grid)):
         raise DomainError(f"{path}: grid is not a full (s, phi) tensor product")
     interp = RegularGridInterpolator((s_vals, p_vals), grid,
                                      bounds_error=False, fill_value=None)
-    return lambda s, phi: float(interp((s, phi)))
+    return lambda s, phi: interp((s, phi))
 
 
 def cmd_dirichlet(args) -> int:
@@ -208,9 +204,6 @@ def cmd_dirichlet(args) -> int:
         r_star = _parse_point(args.source) if args.source else flatring_to_cartesian(
             FlatRingPoint(s=1.2 * m.quarter_K, t=0.8 * kp, phi=-0.7, modulus=m))
         coeffs = solve_point_source(dom, r_star, tr, n_s=args.n_s, n_phi=args.n_phi)
-    elif args.boundary == "constant":
-        coeffs = coefficients(dom, BoundaryData(
-            g=lambda s, phi: 1.0, n_s=args.n_s, n_phi=args.n_phi), tr)
     elif args.boundary == "single-mode":
         idx = HarmonicIndex(m=1, n=2, kind=HarmonicKind.GC)
         data = BoundaryData.from_function(
@@ -218,31 +211,26 @@ def cmd_dirichlet(args) -> int:
             n_s=args.n_s, n_phi=args.n_phi)
         coeffs = coefficients(dom, data, tr)
     else:
-        sampler = _read_boundary_grid(args.boundary)
-        coeffs = coefficients(dom, BoundaryData(
-            g=sampler, n_s=args.n_s, n_phi=args.n_phi), tr)
+        g = (lambda s, phi: 1.0) if args.boundary == "constant" else _read_boundary_grid(args.boundary)
+        data = BoundaryData(g=g, n_s=args.n_s, n_phi=args.n_phi, on_mesh=True)
+        coeffs = coefficients(dom, data, tr)
 
-    rng = np.random.default_rng(args.seed)
-    probes = []
     if args.probes:
-        for chunk in args.probes.split(";"):
-            probes.append(_parse_point(chunk))
+        probes = [_parse_point(chunk) for chunk in args.probes.split(";")]
     else:
-        for _ in range(args.n_probes):
-            p = FlatRingPoint(
-                s=float(rng.uniform(-2 * m.quarter_K + 0.2, 2 * m.quarter_K - 0.2)),
-                t=float(rng.uniform(0.05 * kp, 0.6 * dom.t0)),
-                phi=float(rng.uniform(-math.pi, math.pi)), modulus=m)
-            probes.append(flatring_to_cartesian(p))
+        rng = np.random.default_rng(args.seed)
+        probes = [flatring_to_cartesian(FlatRingPoint(
+            s=float(rng.uniform(-2 * m.quarter_K + 0.2, 2 * m.quarter_K - 0.2)),
+            t=float(rng.uniform(0.05 * kp, 0.6 * dom.t0)),
+            phi=float(rng.uniform(-math.pi, math.pi)), modulus=m)) for _ in range(args.n_probes)]
     rows = []
-    for q in probes:
-        row = {"x": q.x, "y": q.y, "z": q.z,
-               "value": solve_interior(dom, coeffs, q)}
+    for q, value in zip(probes, solve_interior(dom, coeffs, probes)):
+        row = {"x": q.x, "y": q.y, "z": q.z, "value": float(value)}
         if r_star is not None:
             row["direct"] = 1.0 / math.dist(q, r_star)
         rows.append(row)
     _emit(rows, args.format)
-    print(f"# parseval_residual={coeffs.parseval_residual!r}", file=sys.stderr)
+    print(f"# parseval_residual={float(coeffs.parseval_residual)!r}", file=sys.stderr)
     return 0
 
 
@@ -260,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=["Ec", "Es", "ec", "es"], default="Ec")
     p.add_argument("--nu", type=float, default=0.5)
     p.add_argument("--n-range", default="0:4", help="superscript range a:b")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=cmd_eigen)
 
     p = sub.add_parser("coords", help="coordinate conversions and figure data")
@@ -273,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", type=float, default=0.0)
     p.add_argument("--point", default="0.5,0.0,0.3", help="x,y,z for inverse")
     p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=cmd_coords)
 
     p = sub.add_parser("green", help="fundamental-solution expansion report")
@@ -288,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=20)
     p.add_argument("--toroidal", action="store_true",
                    help="use the toroidal-harmonic expansion instead")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=cmd_green)
 
     p = sub.add_parser("verify", help="run property suites")
@@ -296,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1.0,
                    help="scale factor applied to every tolerance")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("dirichlet", help="interior Dirichlet solve")
@@ -312,8 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-s", type=int, default=64)
     p.add_argument("--n-phi", type=int, default=48)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=cmd_dirichlet)
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=["json", "csv"], default="json")
     return parser
 
 

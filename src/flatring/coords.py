@@ -15,7 +15,9 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .elliptic import Modulus, _sncndn, jacobi_imag
+import numpy as np
+
+from .elliptic import JacobiImag, Modulus, _sncndn, jacobi_imag
 from .errors import DomainError
 
 CUT_GUARD = 1e-10  # distance to a chart cut below which inversion refuses
@@ -55,7 +57,8 @@ class AlgebraicFlatRing:
 
 @dataclass(frozen=True)
 class FlatRingPoint:
-    """Transcendental coordinates (s, t, phi) at a fixed modulus."""
+    """Transcendental coordinates (s, t, phi) at a fixed modulus; the fields
+    may be arrays of broadcastable shapes, one point per element."""
 
     s: float
     t: float
@@ -68,12 +71,12 @@ class FlatRingPoint:
         kp = self.modulus.quarter_Kp
         s, t = self.s, self.t
         if self.variant is Variant.V1:
-            ok = -2.0 * k_big < s < 2.0 * k_big and 0.0 < t < kp
+            ok = (-2.0 * k_big < s) & (s < 2.0 * k_big) & (0.0 < t) & (t < kp)
         elif self.variant is Variant.V2:
-            ok = 0.0 < s < 2.0 * k_big and -kp < t < kp
+            ok = (0.0 < s) & (s < 2.0 * k_big) & (-kp < t) & (t < kp)
         else:
-            ok = 0.0 < s < 4.0 * k_big and 0.0 < t < kp
-        if not ok:
+            ok = (0.0 < s) & (s < 4.0 * k_big) & (0.0 < t) & (t < kp)
+        if not np.all(ok):
             raise DomainError(
                 f"(s, t) = ({s!r}, {t!r}) outside the {self.variant.name} ranges"
             )
@@ -144,22 +147,22 @@ def cartesian_to_algebraic(q: CartesianPoint, a: float) -> AlgebraicFlatRing:
     return AlgebraicFlatRing(mu=mu, rho=rho, phi=math.atan2(q.y, q.x), a=a)
 
 
-def _t_factor(s: float, t: float, m: Modulus) -> float:
+def _t_factor(cn_s, dn_s, im: JacobiImag, m: Modulus):
     """T = dn(s) dn(it)/k' + k cn(s) cn(it)/k', all factors real."""
-    _, cn_s, dn_s = _sncndn(s, m.k)
-    im = jacobi_imag(t, m)
     return (dn_s * im.dn + m.k * cn_s * im.cn) / m.k_prime
 
 
 def flatring_to_cartesian(p: FlatRingPoint) -> CartesianPoint:
-    """Forward transcendental map; valid for every variant."""
+    """Forward transcendental map; valid for every variant.  A point of
+    arrays maps to a CartesianPoint of arrays in one pass."""
     m = p.modulus
     sn_s, cn_s, dn_s = _sncndn(p.s, m.k)
     im = jacobi_imag(p.t, m)
-    t_big = (dn_s * im.dn + m.k * cn_s * im.cn) / m.k_prime
-    r = 1.0 / t_big
+    r = 1.0 / _t_factor(cn_s, dn_s, im, m)
     z = m.k * sn_s * im.sn_im * r
-    return CartesianPoint(r * math.cos(p.phi), r * math.sin(p.phi), z)
+    if isinstance(p.phi, (int, float)):
+        return CartesianPoint(r * math.cos(p.phi), r * math.sin(p.phi), z)
+    return CartesianPoint(*np.broadcast_arrays(r * np.cos(p.phi), r * np.sin(p.phi), z))
 
 
 def _invert_rho_to_s(rho: float, m: Modulus) -> float:
@@ -329,9 +332,9 @@ def coordinate_surface_residual(
 def metric_h(p: FlatRingPoint) -> tuple[float, float, float]:
     """Metric coefficients (h_s, h_t, h_phi); h_s and h_t coincide."""
     m = p.modulus
-    sn_s, _, _ = _sncndn(p.s, m.k)
+    sn_s, cn_s, dn_s = _sncndn(p.s, m.k)
     im = jacobi_imag(p.t, m)
-    t_big = _t_factor(p.s, p.t, m)
+    t_big = _t_factor(cn_s, dn_s, im, m)
     # sn(it)^2 = -sn_im^2 <= 0, so the radicand never goes negative
     h_st = m.k / t_big * math.sqrt(sn_s * sn_s + im.sn_im * im.sn_im)
     return h_st, h_st, 1.0 / t_big
@@ -372,23 +375,25 @@ def chi_cylindrical(r1: float, z1: float, r2: float, z2: float) -> float:
     return (r1 * r1 + r2 * r2 + (z1 - z2) ** 2) / (2.0 * r1 * r2)
 
 
-def chi_flatring(p: FlatRingPoint, q: FlatRingPoint) -> float:
-    """chi expressed through elliptic-function products of both coordinate pairs.
-
-    Stable when the two cylindrical radii nearly coincide; agrees with
-    chi_cylindrical to roundoff.
-    """
-    m = p.modulus
-    if q.modulus != m:
-        raise DomainError("chi_flatring requires a common modulus")
+def flatring_chi(s, t, s_star, t_star, m: Modulus):
+    """chi of two flat-ring coordinate pairs (any of them arrays) via the elliptic
+    product form: stable when the two cylindrical radii nearly coincide, and equal
+    to chi_cylindrical to roundoff."""
     k2 = m.k * m.k
     kp2 = m.k_prime * m.k_prime
-    sn1, cn1, dn1 = _sncndn(p.s, m.k)
-    sn2, cn2, dn2 = _sncndn(q.s, m.k)
-    i1 = jacobi_imag(p.t, m)
-    i2 = jacobi_imag(q.t, m)
+    sn1, cn1, dn1 = _sncndn(s, m.k)
+    sn2, cn2, dn2 = _sncndn(s_star, m.k)
+    i1 = jacobi_imag(t, m)
+    i2 = jacobi_imag(t_star, m)
     return (
         -k2 * sn1 * sn2 * i1.sn_im * i2.sn_im
         - k2 / kp2 * cn1 * cn2 * i1.cn * i2.cn
         + dn1 * dn2 * i1.dn * i2.dn / kp2
     )
+
+
+def chi_flatring(p: FlatRingPoint, q: FlatRingPoint) -> float:
+    """chi of two flat-ring points (see flatring_chi)."""
+    if q.modulus != p.modulus:
+        raise DomainError("chi_flatring requires a common modulus")
+    return flatring_chi(p.s, p.t, q.s, q.t, p.modulus)

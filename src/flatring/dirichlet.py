@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -22,12 +22,7 @@ from .coords import CartesianPoint, FlatRingPoint, Variant, cartesian_to_flatrin
 from .elliptic import Modulus, jacobi_imag
 from .errors import DomainError, QuadratureWarning
 from .harmonics import HarmonicIndex, Truncation
-from .lame import (
-    eigenpair,
-    eval_e_imag,
-    eval_e_real,
-    family_of_superscript,
-)
+from .lame import LameBatch, lame_batch, shell_specs
 
 _INTERIOR_MARGIN = 1e-3  # in units of K': probes must satisfy t <= t0 - margin
 
@@ -58,30 +53,61 @@ class FlatRingDomain:
     def contains(self, q: CartesianPoint) -> bool:
         return self.membership(q) > 0.0
 
-    def surface_point(self, s: float, phi: float) -> CartesianPoint:
+    def surface_point(self, s, phi) -> CartesianPoint:
+        """Point (s, t0, phi) of the surface; s and phi may be arrays."""
         return flatring_to_cartesian(
             FlatRingPoint(s=s, t=self.t0, phi=phi, modulus=self.modulus)
         )
 
 
+def _inverse_distance(q: CartesianPoint, r_star: CartesianPoint):
+    return 1.0 / np.sqrt((q.x - r_star.x) ** 2 + (q.y - r_star.y) ** 2 + (q.z - r_star.z) ** 2)
+
+
+def _surface_quadrature(m: Modulus, n_s: int, n_phi: int):
+    """Gauss-Legendre nodes and weights on s in (-2K, 2K), trapezoid nodes
+    and step in phi."""
+    x, w = np.polynomial.legendre.leggauss(n_s)
+    dphi = 2.0 * math.pi / n_phi
+    return 2.0 * m.quarter_K * x, 2.0 * m.quarter_K * w, -math.pi + dphi * np.arange(n_phi), dphi
+
+
+def _bases(m: Modulus, tr: Truncation) -> list[LameBatch]:
+    """The first-kind basis of each order |m| <= m_max, columns as in shell_specs."""
+    specs = shell_specs(tr.n_max)
+    return [lame_batch(specs, order - 0.5, m) for order in range(tr.m_max + 1)]
+
+
 @dataclass
 class BoundaryData:
-    """Callable boundary sample g(s, phi) = (x^2+y^2)^(1/4) f on t = t0."""
+    """Callable boundary sample g(s, phi) = (x^2+y^2)^(1/4) f on t = t0.
+
+    g is called once per quadrature node with floats, or, with on_mesh=True,
+    once with the whole (s, phi) mesh as broadcastable arrays.
+    """
 
     g: Callable[[float, float], float]
     n_s: int = 96
     n_phi: int = 64
+    on_mesh: bool = False
 
     @classmethod
     def from_function(cls, dom: FlatRingDomain, f: Callable[[CartesianPoint], float],
-                      n_s: int = 96, n_phi: int = 64) -> "BoundaryData":
-        """Wrap a Cartesian boundary function f into parameter form."""
+                      n_s: int = 96, n_phi: int = 64, on_mesh: bool = False) -> "BoundaryData":
+        """Wrap a Cartesian boundary function f into parameter form; with
+        on_mesh=True f receives one CartesianPoint of arrays."""
 
-        def g(s: float, phi: float) -> float:
+        def g(s, phi):
             q = dom.surface_point(s, phi)
             return (q.x * q.x + q.y * q.y) ** 0.25 * f(q)
 
-        return cls(g=g, n_s=n_s, n_phi=n_phi)
+        return cls(g=g, n_s=n_s, n_phi=n_phi, on_mesh=on_mesh)
+
+    def sample(self, s: np.ndarray, phi: np.ndarray) -> np.ndarray:
+        """g on the tensor mesh s x phi: (len(s), len(phi))."""
+        if self.on_mesh:
+            return np.broadcast_to(self.g(s[:, None], phi[None, :]), (s.size, phi.size))
+        return np.array([[self.g(float(a), float(b)) for b in phi] for a in s])
 
 
 @dataclass
@@ -96,6 +122,8 @@ class CoefficientTable:
     c: np.ndarray  # complex, (2*m_max+1, n_max+1)
     d: np.ndarray  # complex, (2*m_max+1, n_max+1)
     parseval_residual: float
+    # the first-kind basis per |m| that the data were projected on (see _bases)
+    bases: list[LameBatch] | None = field(default=None, repr=False, compare=False)
 
     def c_of(self, m: int, n: int) -> complex:
         return self.c[self.m_max + m, n]
@@ -108,87 +136,61 @@ def coefficients(dom: FlatRingDomain, data: BoundaryData, tr: Truncation) -> Coe
     """Project boundary data onto the surface harmonics.
 
     c_m^n = (1 / (8 pi Ec(i t0))) integral of g(s, phi) Ec(s) e^{-i m phi};
-    d_m^(n+1) likewise with Es and the Es(i t0) normalizer.
+    d_m^(n+1) likewise with Es and the Es(i t0) normalizer.  Each |m| takes
+    one E(s_nodes) matrix and one W(t0) row, shared by +m and -m.
     """
-    m = dom.modulus
-    k_big = m.quarter_K
-    x, w = np.polynomial.legendre.leggauss(data.n_s)
-    s_nodes = 2.0 * k_big * x
-    s_weights = 2.0 * k_big * w
-    phi_nodes = -math.pi + 2.0 * math.pi * np.arange(data.n_phi) / data.n_phi
-    dphi = 2.0 * math.pi / data.n_phi
-
-    gvals = np.array([[data.g(float(s), float(p)) for p in phi_nodes] for s in s_nodes])
+    s_nodes, s_weights, phi_nodes, dphi = _surface_quadrature(dom.modulus, data.n_s, data.n_phi)
+    gvals = data.sample(s_nodes, phi_nodes)
 
     orders = np.arange(-tr.m_max, tr.m_max + 1)
     phase = np.exp(-1j * np.outer(orders, phi_nodes)) * dphi  # (2M+1, n_phi)
-    g_hat = phase @ gvals.T  # (2M+1, n_s)
+    g_hat = (phase @ gvals.T) * s_weights  # (2M+1, n_s), quadrature-weighted
 
-    c = np.zeros((2 * tr.m_max + 1, tr.n_max + 1), dtype=complex)
-    d = np.zeros((2 * tr.m_max + 1, tr.n_max + 1), dtype=complex)
-    for j, morder in enumerate(orders):
-        nu = abs(int(morder)) - 0.5
-        for sup in range(tr.n_max + 1):
-            fam, nz = family_of_superscript("c", sup)
-            pair = eigenpair(fam, nu, nz, m)
-            e_s = np.array([eval_e_real(pair, float(s)) for s in s_nodes])
-            raw = np.sum(s_weights * e_s * g_hat[j])
-            c[j, sup] = raw / (8.0 * math.pi * eval_e_imag(pair, dom.t0))
-        for sup in range(1, tr.n_max + 2):
-            fam, nz = family_of_superscript("s", sup)
-            pair = eigenpair(fam, nu, nz, m)
-            e_s = np.array([eval_e_real(pair, float(s)) for s in s_nodes])
-            raw = np.sum(s_weights * e_s * g_hat[j])
-            d[j, sup - 1] = raw / (8.0 * math.pi * eval_e_imag(pair, dom.t0))
+    # columns: Ec^0..Ec^N, then Es^1..Es^(N+1)
+    cd = np.zeros((2 * tr.m_max + 1, 2 * (tr.n_max + 1)), dtype=complex)
+    bases = _bases(dom.modulus, tr)
+    captured = 0.0
+    for order, batch in enumerate(bases):
+        edge = batch.imag(dom.t0)[0]
+        rows = sorted({tr.m_max + order, tr.m_max - order})
+        cd[rows] = (g_hat[rows] @ batch.real(s_nodes)) / (8.0 * math.pi * edge)
+        captured += 8.0 * math.pi * float(np.sum(np.abs(cd[rows] * edge) ** 2))
 
     # Parseval check against the sampled norm of g
     norm_g2 = float(np.sum(s_weights[:, None] * gvals ** 2) * dphi)
-    captured = 0.0
-    for j, morder in enumerate(orders):
-        nu = abs(int(morder)) - 0.5
-        for sup in range(tr.n_max + 1):
-            fam, nz = family_of_superscript("c", sup)
-            pair = eigenpair(fam, nu, nz, m)
-            captured += 8.0 * math.pi * abs(c[j, sup] * eval_e_imag(pair, dom.t0)) ** 2
-        for sup in range(1, tr.n_max + 2):
-            fam, nz = family_of_superscript("s", sup)
-            pair = eigenpair(fam, nu, nz, m)
-            captured += 8.0 * math.pi * abs(d[j, sup - 1] * eval_e_imag(pair, dom.t0)) ** 2
     residual = abs(norm_g2 - captured) / norm_g2 if norm_g2 > 0.0 else 0.0
     if residual > 1e-6:
         warnings.warn(
             f"boundary data may be under-resolved: Parseval residual {residual:.3e}",
             QuadratureWarning,
         )
-    return CoefficientTable(m_max=tr.m_max, n_max=tr.n_max, c=c, d=d,
-                            parseval_residual=residual)
+    return CoefficientTable(m_max=tr.m_max, n_max=tr.n_max, c=cd[:, :tr.n_max + 1],
+                            d=cd[:, tr.n_max + 1:], parseval_residual=residual, bases=bases)
 
 
-def solve_interior(dom: FlatRingDomain, coeffs: CoefficientTable, q: CartesianPoint) -> float:
-    """Evaluate the harmonic interior solution at a point of D1."""
+def solve_interior(dom: FlatRingDomain, coeffs: CoefficientTable,
+                   q: CartesianPoint | Sequence[CartesianPoint]):
+    """Evaluate the harmonic interior solution at a point of D1 (a float), or
+    at every point of a sequence of them (an array).  Any point past the
+    interior margin raises DomainError."""
     m = dom.modulus
-    p = cartesian_to_flatring(q, m, Variant.V1)
-    if p.t > dom.t0 - _INTERIOR_MARGIN * m.quarter_Kp:
+    points = [q] if isinstance(q, CartesianPoint) else list(q)
+    flat = [cartesian_to_flatring(pt, m, Variant.V1) for pt in points]
+    s, t, phi = (np.array([getattr(p, f) for p in flat], dtype=float) for f in ("s", "t", "phi"))
+    if np.any(t > dom.t0 - _INTERIOR_MARGIN * m.quarter_Kp):
         raise DomainError(
-            f"point with t = {p.t!r} is outside the interior margin t0 - "
+            f"point with t = {float(t.max())!r} is outside the interior margin t0 - "
             f"{_INTERIOR_MARGIN} K'"
         )
-    pref = (q.x * q.x + q.y * q.y) ** -0.25
-    total = 0.0 + 0.0j
-    for j in range(-coeffs.m_max, coeffs.m_max + 1):
-        nu = abs(j) - 0.5
-        az = complex(math.cos(j * p.phi), math.sin(j * p.phi))
-        for sup in range(coeffs.n_max + 1):
-            fam, nz = family_of_superscript("c", sup)
-            pair = eigenpair(fam, nu, nz, m)
-            base = pref * eval_e_real(pair, p.s) * eval_e_imag(pair, p.t)
-            total += coeffs.c_of(j, sup) * base * az
-        for sup in range(1, coeffs.n_max + 2):
-            fam, nz = family_of_superscript("s", sup)
-            pair = eigenpair(fam, nu, nz, m)
-            base = pref * eval_e_real(pair, p.s) * eval_e_imag(pair, p.t)
-            total += coeffs.d_of(j, sup) * base * az
-    return total.real
+    cd = np.hstack([coeffs.c, coeffs.d])
+    bases = coeffs.bases or _bases(m, Truncation(coeffs.m_max, coeffs.n_max))
+    total = np.zeros(len(points), dtype=complex)
+    for order, batch in enumerate(bases):
+        base = batch.real(s) * batch.imag(t)
+        for j in {order, -order}:
+            total += (base @ cd[coeffs.m_max + j]) * np.exp(1j * j * phi)
+    u = np.array([(pt.x * pt.x + pt.y * pt.y) ** -0.25 for pt in points]) * total.real
+    return float(u[0]) if isinstance(q, CartesianPoint) else u
 
 
 def solve_point_source(dom: FlatRingDomain, r_star: CartesianPoint, tr: Truncation,
@@ -197,7 +199,7 @@ def solve_point_source(dom: FlatRingDomain, r_star: CartesianPoint, tr: Truncati
     if dom.contains(r_star):
         raise DomainError("point source must lie outside the closed flat-ring")
     data = BoundaryData.from_function(
-        dom, lambda q: 1.0 / math.dist(q, r_star), n_s=n_s, n_phi=n_phi
+        dom, lambda q: _inverse_distance(q, r_star), n_s=n_s, n_phi=n_phi, on_mesh=True
     )
     return coefficients(dom, data, tr)
 
@@ -214,25 +216,10 @@ def external_from_boundary(dom: FlatRingDomain, idx: HarmonicIndex,
         raise DomainError("external_from_boundary expects an Hc or Hs index")
     if dom.contains(r_star):
         raise DomainError("r* must lie outside the closed flat-ring")
-    m = dom.modulus
-    k_big = m.quarter_K
-    pair = eigenpair(idx.family, idx.nu, idx.zero_count, m)
-    w_t0 = eval_e_imag(pair, dom.t0)
-
-    x, w = np.polynomial.legendre.leggauss(n_s)
-    s_nodes = 2.0 * k_big * x
-    s_weights = 2.0 * k_big * w
-    phi_nodes = -math.pi + 2.0 * math.pi * np.arange(n_phi) / n_phi
-    dphi = 2.0 * math.pi / n_phi
-
-    total = 0.0 + 0.0j
-    for s, ws in zip(s_nodes, s_weights):
-        e_s = eval_e_real(pair, float(s))
-        for phi in phi_nodes:
-            q = dom.surface_point(float(s), float(phi))
-            r_cyl = math.hypot(q.x, q.y)
-            integrand = math.sqrt(r_cyl) * e_s / math.dist(q, r_star)
-            total += ws * dphi * integrand * complex(
-                math.cos(idx.m * phi), math.sin(idx.m * phi)
-            )
-    return total / (4.0 * math.pi * w_t0)
+    batch = lame_batch([(idx.family, idx.zero_count)], idx.nu, dom.modulus)
+    s_nodes, s_weights, phi_nodes, dphi = _surface_quadrature(dom.modulus, n_s, n_phi)
+    q = dom.surface_point(s_nodes[:, None], phi_nodes[None, :])
+    integrand = (np.sqrt(np.hypot(q.x, q.y)) * batch.real(s_nodes)
+                 * _inverse_distance(q, r_star))  # (n_s, n_phi)
+    total = (s_weights @ integrand @ np.exp(1j * idx.m * phi_nodes)) * dphi
+    return complex(total / (4.0 * math.pi * batch.imag(dom.t0)[0, 0]))

@@ -58,7 +58,9 @@ class Modulus:
         if not 0.0 < k < 1.0:
             raise DomainError(f"modulus must satisfy 0 < k < 1, got {k!r}")
         kp = math.sqrt((1.0 - k) * (1.0 + k))
-        return cls(k=k, k_prime=kp, quarter_K=complete_k(k), quarter_Kp=complete_k(kp))
+        # K' = pi / (2 agm(1, k)); complete_k(k') loses the digits of 1 - k' at small k
+        return cls(k=k, k_prime=kp, quarter_K=complete_k(k),
+                   quarter_Kp=math.pi / (2.0 * agm(1.0, k)))
 
     @property
     def a(self) -> float:
@@ -94,10 +96,13 @@ class JacobiImag:
     dn: float
 
 
-def _sncndn(u: float, k: float) -> tuple[float, float, float]:
-    """Jacobi sn, cn, dn of real u at modulus k in [0, 1)."""
+def _sncndn(u, k: float):
+    """Jacobi sn, cn, dn of real u (a float or an array) at modulus k in [0, 1)."""
+    scalar = isinstance(u, (int, float))
+    xp, asin = (math, math.asin) if scalar else (np, np.arcsin)
+    u = u if scalar else np.asarray(u, dtype=float)
     if k == 0.0:
-        return math.sin(u), math.cos(u), 1.0
+        return xp.sin(u), xp.cos(u), 1.0 if scalar else np.ones_like(u)
     k2 = k * k
     kp2 = 1.0 - k2
 
@@ -115,17 +120,16 @@ def _sncndn(u: float, k: float) -> tuple[float, float, float]:
     # reduce by the full period 4K for phase accuracy at large |u|
     quarter = math.pi / (2.0 * a[n])
     period = 4.0 * quarter
-    u = u - period * round(u / period)
+    u = u - period * (round(u / period) if scalar else np.round(u / period))
 
     phi = (2.0 ** n) * a[n] * u
     for i in range(n, 0, -1):
-        arg = c[i] / a[i] * math.sin(phi)
-        arg = min(1.0, max(-1.0, arg))
-        phi = 0.5 * (phi + math.asin(arg))
-    sn = math.sin(phi)
-    cn = math.cos(phi)
+        # c[i] < a[i], so the argument never leaves [-1, 1]
+        phi = 0.5 * (phi + asin(c[i] / a[i] * xp.sin(phi)))
+    sn = xp.sin(phi)
+    cn = xp.cos(phi)
     # dn**2 = cn**2 + k'**2 sn**2 avoids cancellation in 1 - k**2 sn**2
-    dn = math.sqrt(cn * cn + kp2 * sn * sn)
+    dn = xp.sqrt(cn * cn + kp2 * sn * sn)
     return sn, cn, dn
 
 
@@ -137,15 +141,14 @@ def jacobi_real(u: float, m: Modulus) -> JacobiTriple:
     return JacobiTriple(sn=sn, cn=cn, dn=dn)
 
 
-def jacobi_imag(t: float, m: Modulus) -> JacobiImag:
-    """Real representatives of sn, cn, dn at the purely imaginary argument it.
-
-    Poles sit at t = +-K'; arguments inside the guard band raise PoleError.
-    """
-    if not math.isfinite(t):
+def jacobi_imag(t, m: Modulus) -> JacobiImag:
+    """Real representatives of sn, cn, dn at the purely imaginary argument it
+    (arrays for an array t).  Poles sit at t = +-K'; arguments inside the
+    guard band raise PoleError."""
+    if not np.all(np.isfinite(t)):
         raise DomainError("jacobi_imag requires finite t")
     kp = m.quarter_Kp
-    if abs(t) >= kp - POLE_GUARD:
+    if np.any(np.abs(t) >= kp - POLE_GUARD):
         raise PoleError(f"jacobi_imag pole at |t| = K' = {kp!r}, got t = {t!r}")
     sn, cn, dn = _sncndn(t, m.k_prime)
     return JacobiImag(sn_im=sn / cn, cn=1.0 / cn, dn=dn / cn)
@@ -195,9 +198,7 @@ def sn2_fourier_coeffs(m: Modulus, count: int) -> np.ndarray:
         a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
         weight *= 2.0
         deficit += weight * c * c
-    # K' = pi / (2 agm(1, k)); m.quarter_Kp, from complete_k(k'), has lost
-    # the digits of 1 - k' at small k
-    q = math.exp(-math.pi * math.pi / (2.0 * agm(1.0, k) * k_big))
+    q = math.exp(-math.pi * m.quarter_Kp / k_big)
     n = np.arange(1, count)
     out = np.empty(count)
     out[0] = deficit / (k * k)
@@ -219,10 +220,7 @@ def sn_series(kappa: float, count: int) -> np.ndarray:
     for i in range(count - 1):
         j = 2 * i + 1
         # coefficient of tau**j in sn**3 uses c[0..i-1] only
-        cube = 0.0
-        for p in range(i):
-            for q in range(i - p):
-                cube += c[p] * c[q] * c[i - 1 - p - q]
+        cube = np.convolve(np.convolve(c[:i], c[:i]), c[:i])[i - 1] if i else 0.0
         c[i + 1] = (-(1.0 + m) * c[i] + 2.0 * m * cube) / ((j + 2.0) * (j + 1.0))
     return c
 
@@ -238,13 +236,10 @@ def ns2_series_coeffs(m: Modulus, count: int) -> np.ndarray:
     if count > _NS2_MAX_ORDER:
         raise DomainError(f"ns2_series_coeffs supports at most {_NS2_MAX_ORDER} coefficients")
     s = sn_series(m.k_prime, count + 1)
-    # g = (sn/tau)**2, an even series with g[0] = 1
-    g = np.zeros(count)
-    for i in range(count):
-        g[i] = sum(s[p] * s[i - p] for p in range(i + 1))
+    g = np.convolve(s, s)[:count]  # (sn/tau)**2, an even series with g[0] = 1
     # r = 1/g by the reciprocal recurrence
     r = np.zeros(count)
     r[0] = 1.0
     for i in range(1, count):
-        r[i] = -sum(g[j] * r[i - j] for j in range(1, i + 1))
+        r[i] = -(g[1:i + 1] @ r[i - 1::-1])
     return r

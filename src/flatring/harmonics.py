@@ -23,20 +23,12 @@ from .coords import (
     Variant,
     cartesian_to_flatring,
     cartesian_to_toroidal,
+    flatring_chi,
 )
-from .elliptic import Modulus, _sncndn, jacobi_imag
+from .elliptic import Modulus, _sncndn
 from .errors import DomainError, OrderingError
-from .lame import (
-    LameFamily,
-    eigenpair,
-    eval_e_imag,
-    eval_e_real,
-    eval_f_imag,
-    family_of_superscript,
-    second_kind_cached,
-    warm_mixed,
-    warm_second_kind,
-)
+from .lame import (LameFamily, family_of_superscript, lame_batch, shell_specs, warm_mixed,
+                   warm_second_kind)
 from .legendre import gamma_ratio, legendre_p, legendre_q
 
 _AXIS_GUARD = 1e-28  # on x^2 + y^2; external harmonics stay bounded near the axis
@@ -107,13 +99,11 @@ def warm_cache(m: Modulus, m_max: int, n_max: int, second: bool = True) -> None:
     Builds per-(family, nu) batches; with second=True the second-kind
     companions are constructed as well.
     """
+    specs = shell_specs(n_max)
     for order in range(m_max + 1):
-        nu = order - 0.5
-        specs = [family_of_superscript("c", sup) for sup in range(n_max + 1)]
-        specs += [family_of_superscript("s", sup) for sup in range(1, n_max + 2)]
-        warm_mixed(specs, nu, m)
+        pairs = warm_mixed(specs, order - 0.5, m)
         if second:
-            warm_second_kind([eigenpair(fam, nu, nz, m) for fam, nz in specs])
+            warm_second_kind(pairs)
 
 
 def _flatring_of(q: CartesianPoint, m: Modulus) -> tuple[FlatRingPoint, float]:
@@ -122,6 +112,16 @@ def _flatring_of(q: CartesianPoint, m: Modulus) -> tuple[FlatRingPoint, float]:
         raise DomainError("harmonic undefined on the z-axis")
     p = cartesian_to_flatring(q, m, Variant.V1)
     return p, r2 ** -0.25
+
+
+def _harmonic(idx: HarmonicIndex, q: CartesianPoint, m: Modulus) -> complex:
+    """E(s) W(t) (internal) or E(s) F(t) (external) times (x^2+y^2)^(-1/4) e^{i m phi}."""
+    p, pref = _flatring_of(q, m)
+    internal = idx.kind.internal
+    batch = lame_batch([(idx.family, idx.zero_count)], idx.nu, m, second=not internal)
+    radial = batch.imag(p.t) if internal else batch.second(p.t)
+    val = pref * float(batch.real(p.s)[0, 0] * radial[0, 0])
+    return val * complex(math.cos(idx.m * p.phi), math.sin(idx.m * p.phi))
 
 
 def internal_harmonic(idx: HarmonicIndex, q: CartesianPoint, m: Modulus) -> complex:
@@ -133,10 +133,7 @@ def internal_harmonic(idx: HarmonicIndex, q: CartesianPoint, m: Modulus) -> comp
     """
     if not idx.kind.internal:
         raise DomainError("internal_harmonic requires a Gc or Gs index")
-    p, pref = _flatring_of(q, m)
-    pair = eigenpair(idx.family, idx.nu, idx.zero_count, m)
-    val = pref * eval_e_real(pair, p.s) * eval_e_imag(pair, p.t)
-    return val * complex(math.cos(idx.m * p.phi), math.sin(idx.m * p.phi))
+    return _harmonic(idx, q, m)
 
 
 def external_harmonic(idx: HarmonicIndex, q: CartesianPoint, m: Modulus) -> complex:
@@ -148,29 +145,15 @@ def external_harmonic(idx: HarmonicIndex, q: CartesianPoint, m: Modulus) -> comp
     b = m.b_ring
     if abs(q.z) < 1e-10 and b - 1e-10 <= r <= 1.0 / b + 1e-10:
         raise DomainError("external harmonic undefined on the focal annulus")
-    p, pref = _flatring_of(q, m)
-    pair = eigenpair(idx.family, idx.nu, idx.zero_count, m)
-    sk = second_kind_cached(pair)
-    val = pref * eval_e_real(pair, p.s) * eval_f_imag(sk, p.t)
-    return val * complex(math.cos(idx.m * p.phi), math.sin(idx.m * p.phi))
+    return _harmonic(idx, q, m)
 
 
-def _pair_values(m: Modulus, order: int, sup_c: int, s: float, s_star: float,
-                 t: float, t_star: float) -> float:
-    """One (|m|, n) block of the expansion summand:
-    Ec(s)Ec(s*)Wc(t)Fc(t*) + Es(s)Es(s*)Ws(t)Fs(t*) with superscripts n, n+1."""
-    nu = order - 0.5
-    fam_c, nz_c = family_of_superscript("c", sup_c)
-    pc = eigenpair(fam_c, nu, nz_c, m)
-    fc = second_kind_cached(pc)
-    total = (eval_e_real(pc, s) * eval_e_real(pc, s_star)
-             * eval_e_imag(pc, t) * eval_f_imag(fc, t_star))
-    fam_s, nz_s = family_of_superscript("s", sup_c + 1)
-    ps = eigenpair(fam_s, nu, nz_s, m)
-    fs = second_kind_cached(ps)
-    total += (eval_e_real(ps, s) * eval_e_real(ps, s_star)
-              * eval_e_imag(ps, t) * eval_f_imag(fs, t_star))
-    return total
+def _lame_products(m: Modulus, order: int, specs, s: float, s_star: float,
+                   t: float, t_star: float) -> np.ndarray:
+    """E(s) E(s*) W(t) F(t*) at nu = |order| - 1/2 for every (family, zero count) in specs."""
+    batch = lame_batch(specs, abs(order) - 0.5, m, second=True)
+    e = batch.real([s, s_star])
+    return e[0] * e[1] * batch.imag(t)[0] * batch.second(t_star)[0]
 
 
 def _tail_from_shells(shells: list[float]) -> float:
@@ -204,25 +187,24 @@ def green_expansion(
         raise OrderingError(
             f"expansion requires t < t*; got t = {p.t!r}, t* = {p_star.t!r}"
         )
-    dphi = p.phi - p_star.phi
-    shells = []
-    total = 0.0
+    specs = shell_specs(tr.n_max)
+    n1 = tr.n_max + 1
+    # terms[order, n]: the (|m|, n) block Ec^n Ec^n Wc Fc + Es^(n+1) Es^(n+1) Ws Fs
+    terms = np.array([_lame_products(m, order, specs, p.s, p_star.s, p.t, p_star.t)
+                      for order in range(tr.m_max + 1)])
+    terms = terms[:, :n1] + terms[:, n1:]
+    orders = np.arange(tr.m_max + 1)
+    weights = np.where(orders == 0, 1.0, 2.0) * np.cos(orders * (p.phi - p_star.phi))
+    scale = 0.5 * pref * pref_star
+    shells = (scale * (weights @ terms)).tolist()
+    total = sum(shells)
+    # azimuthal tail of each shell, extrapolated geometrically from its last two orders
     m_tail = 0.0
-    for sup in range(tr.n_max + 1):
-        shell = 0.0
-        last = prev = 0.0
-        for order in range(tr.m_max + 1):
-            w = 1.0 if order == 0 else 2.0
-            term = _pair_values(m, order, sup, p.s, p_star.s, p.t, p_star.t)
-            shell += w * math.cos(order * dphi) * term
-            prev, last = last, 2.0 * abs(term)
-        shell *= 0.5 * pref * pref_star
-        shells.append(shell)
-        total += shell
-        # azimuthal tail of this shell, extrapolated geometrically
-        if prev > 0.0 and last > 0.0:
-            rho = min(last / prev, 0.95)
-            m_tail += 0.5 * pref * pref_star * last * rho / (1.0 - rho)
+    if tr.m_max >= 1:
+        prev, last = 2.0 * np.abs(terms[-2]), 2.0 * np.abs(terms[-1])
+        live = (prev > 0.0) & (last > 0.0)
+        rho = np.minimum(last[live] / prev[live], 0.95)
+        m_tail = float(np.sum(scale * last[live] * rho / (1.0 - rho)))
     tail = _tail_from_shells(shells) + m_tail
     tr.tail_estimate = tail
     if return_shells:
@@ -306,25 +288,8 @@ def addition_theorem_rhs(
         raise DomainError("azimuthal order must be >= 0")
     if not 0.0 < t < t_star < m.quarter_Kp:
         raise OrderingError("addition theorem requires 0 < t < t* < K'")
-    total = 0.0
-    for sup in range(n_max + 1):
-        total += _pair_values(m, m_order, sup, s, s_star, t, t_star)
-    return 0.5 * math.pi * total
-
-
-def flatring_chi(s: float, t: float, s_star: float, t_star: float, m: Modulus) -> float:
-    """chi of two flat-ring coordinate pairs via the elliptic product form."""
-    k2 = m.k * m.k
-    kp2 = m.k_prime * m.k_prime
-    sn1, cn1, dn1 = _sncndn(s, m.k)
-    sn2, cn2, dn2 = _sncndn(s_star, m.k)
-    i1 = jacobi_imag(t, m)
-    i2 = jacobi_imag(t_star, m)
-    return (
-        -k2 * sn1 * sn2 * i1.sn_im * i2.sn_im
-        - k2 / kp2 * cn1 * cn2 * i1.cn * i2.cn
-        + dn1 * dn2 * i1.dn * i2.dn / kp2
-    )
+    terms = _lame_products(m, m_order, shell_specs(n_max), s, s_star, t, t_star)
+    return 0.5 * math.pi * float(np.sum(terms))
 
 
 def integral_relation_check(
@@ -346,18 +311,14 @@ def integral_relation_check(
     """
     if not 0.0 < t < t_star < m.quarter_Kp:
         raise OrderingError("integral relation requires 0 < t < t* < K'")
-    fam, nz = family_of_superscript(kind, superscript)
-    pair = eigenpair(fam, nu, nz, m)
-    sk = second_kind_cached(pair)
+    batch = lame_batch([family_of_superscript(kind, superscript)], nu, m, second=True)
     k_big = m.quarter_K
     x, w = np.polynomial.legendre.leggauss(n_quad)
     nodes = 2.0 * k_big * x
-    weights = 2.0 * k_big * w
-    lhs = 0.0
-    for sj, wj in zip(nodes, weights):
-        chi = flatring_chi(float(sj), t, s_star, t_star, m)
-        lhs += wj * legendre_q(nu, 0.0, chi) * eval_e_real(pair, float(sj))
-    rhs = 2.0 * math.pi * eval_e_real(pair, s_star) * eval_e_imag(pair, t) * eval_f_imag(sk, t_star)
+    q_chi = [legendre_q(nu, 0.0, chi) for chi in flatring_chi(nodes, t, s_star, t_star, m).tolist()]
+    lhs = float(np.dot(2.0 * k_big * w * batch.real(nodes)[:, 0], q_chi))
+    rhs = 2.0 * math.pi * float(batch.real(s_star)[0, 0] * batch.imag(t)[0, 0]
+                                * batch.second(t_star)[0, 0])
     return lhs, rhs
 
 
@@ -385,19 +346,8 @@ def flatring_summand(
         return (dn_p - cn_p * dn_t) / (m.k_prime * sn_t)
 
     pref = 0.5 * math.sqrt(t_factor(psi, tau) * t_factor(psi_star, tau_star))
-    nu = abs(m_order) - 0.5
-    fam_c, nz_c = family_of_superscript("c", n)
-    pc = eigenpair(fam_c, nu, nz_c, m)
-    fc = second_kind_cached(pc)
-    total = (eval_e_real(pc, s) * eval_e_real(pc, s_star)
-             * eval_e_imag(pc, t) * eval_f_imag(fc, t_star))
-    if n >= 1:
-        fam_s, nz_s = family_of_superscript("s", n)
-        ps = eigenpair(fam_s, nu, nz_s, m)
-        fs = second_kind_cached(ps)
-        total += (eval_e_real(ps, s) * eval_e_real(ps, s_star)
-                  * eval_e_imag(ps, t) * eval_f_imag(fs, t_star))
-    return pref * total
+    specs = [family_of_superscript("c", n)] + ([family_of_superscript("s", n)] if n >= 1 else [])
+    return pref * float(np.sum(_lame_products(m, m_order, specs, s, s_star, t, t_star)))
 
 
 def toroidal_limit_summand(

@@ -26,6 +26,10 @@ The second-kind function belongs to the exponent nu+1 at the regular
 singular point t = K' (tau = K' - t = 0).  It is built from the even
 Frobenius series there, continued by integration, and scaled so that
 F(it) dE(it)/dt - E(it) dF(it)/dt = 1 in real-representative form.
+
+LameBatch evaluates the eigenpairs of one (nu, k) on arrays of points, one
+matrix product per family or panel set; the scalar eval_* functions are its
+one-mode case.
 """
 
 from __future__ import annotations
@@ -123,13 +127,34 @@ def eigenvalue_bracket(family: LameFamily, nu: float, n: int, m: Modulus) -> tup
     return lo, hi
 
 
+# --- piecewise Chebyshev tables ---------------------------------------------
+
+
+def _panel_table(edges, coeffs: list[np.ndarray]) -> tuple:
+    """Panels [edges[i], edges[i+1]] (ascending), Chebyshev coefficients coeffs[i] (deg+1, M)."""
+    e = np.asarray(edges, dtype=float)
+    return coeffs, e[1:-1], e[1:] + e[:-1], e[1:] - e[:-1]
+
+
+def _panel_values(table: tuple, t: np.ndarray) -> np.ndarray:
+    """Every column of a panel table at an array t: t.shape + (M,), one
+    Clenshaw sum per panel that holds points."""
+    coeffs, inner, sums, widths = table
+    j = np.searchsorted(inner, t, side="right")
+    out = np.empty(t.shape + coeffs[0].shape[1:])
+    for i in np.unique(j):
+        sel = j == i
+        out[sel] = _cheb.chebval((2.0 * t[sel] - sums[i]) / widths[i], coeffs[i]).T
+    return out
+
+
 # --- imaginary-axis potential --------------------------------------------
 
-_SC2_CACHE: dict[float, tuple[np.ndarray, list[np.ndarray]]] = {}
+_SC2_CACHE: dict[float, tuple] = {}
 
 
-def _sc2_panels(m: Modulus) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Piecewise Chebyshev data for sc(t,k')^2 on [0, K'), refined toward K'."""
+def _sc2_panels(m: Modulus) -> tuple:
+    """Panel table for sc(t,k')^2 on [0, K'), refined toward K'."""
     cached = _SC2_CACHE.get(m.k)
     if cached is None:
         kp = m.quarter_Kp
@@ -137,32 +162,23 @@ def _sc2_panels(m: Modulus) -> tuple[np.ndarray, list[np.ndarray]]:
         while kp - edges[-1] > 5e-7 * kp:
             edges.append(kp - 0.5 * (kp - edges[-1]))
         deg = 40
-        coeff_list = []
+        nodes = 0.5 * (1.0 - np.cos(np.pi * np.arange(deg + 1) / deg))
+        coeffs = []
         for lo, hi in zip(edges[:-1], edges[1:]):
-            x = lo + 0.5 * (hi - lo) * (1.0 - np.cos(np.pi * np.arange(deg + 1) / deg))
-            vals = np.empty(deg + 1)
-            for i, t in enumerate(x):
-                sn, cn, _ = _sncndn(float(t), m.k_prime)
-                vals[i] = (sn / cn) ** 2
-            coeff_list.append(_cheb.chebfit((2.0 * x - (lo + hi)) / (hi - lo), vals, deg))
-        cached = (np.array(edges), coeff_list)
+            sn, cn, _ = _sncndn(lo + (hi - lo) * nodes, m.k_prime)
+            coeffs.append(_cheb.chebfit(2.0 * nodes - 1.0, (sn / cn) ** 2, deg)[:, None])
+        cached = _panel_table(edges, coeffs)
         _SC2_CACHE[m.k] = cached
     return cached
 
 
 def _sc2_on(m: Modulus, t: np.ndarray) -> np.ndarray:
     """sc(t,k')^2 on an array of |t| values below the panel cap."""
-    edges, coeffs = _sc2_panels(m)
+    table = _sc2_panels(m)
     t = np.abs(np.asarray(t, dtype=float))
-    if np.any(t > edges[-1]):
+    if np.any(2.0 * t > table[2][-1] + table[3][-1]):  # past the last panel edge
         raise PoleError("sc^2 evaluation too close to the pole at K'")
-    idx = np.clip(np.searchsorted(edges, t, side="right") - 1, 0, len(coeffs) - 1)
-    out = np.empty_like(t)
-    for j in np.unique(idx):
-        sel = idx == j
-        lo, hi = edges[j], edges[j + 1]
-        out[sel] = _cheb.chebval((2.0 * t[sel] - (lo + hi)) / (hi - lo), coeffs[j])
-    return out
+    return _panel_values(table, t)[..., 0]
 
 
 # --- eigenpair objects ------------------------------------------------------
@@ -180,8 +196,9 @@ class _ImagPanels:
         self.t_built = float(t0)
         self.state = np.asarray(state0, dtype=float)  # (2M,) = [W..., W'...]
         self.edges: list[float] = [float(t0)]
-        self.coeff_w: list[np.ndarray] = []   # per panel: (M, deg+1)
+        self.coeff_w: list[np.ndarray] = []   # per panel: (deg+1, M)
         self.coeff_wp: list[np.ndarray] = []
+        self._tables: tuple | None = None  # for values(), rebuilt as panels grow
 
     def _lambda(self, t: float) -> float:
         q = float(np.max(np.abs(self.h))) + abs(self.coef) * float(_sc2_on(self.m, np.array([t]))[0])
@@ -236,8 +253,8 @@ class _ImagPanels:
         lo, hi = (t_from, t_to) if t_to > t_from else (t_to, t_from)
         x = (2.0 * nodes - (lo + hi)) / (hi - lo)
         fit = _cheb.chebfit(x, ys, deg)  # (deg+1, 2M)
-        self.coeff_w.append(fit[:, :mlen].T.copy())
-        self.coeff_wp.append(fit[:, mlen:].T.copy())
+        self.coeff_w.append(fit[:, :mlen])
+        self.coeff_wp.append(fit[:, mlen:])
         self.edges.append(t_to)
         self.state = ys[-1]
         self.t_built = t_to
@@ -279,16 +296,15 @@ class _ImagPanels:
                     t_next = max(min(t_req, self.t_built - over), 0.0)
                 self._build_panel(self.t_built, t_next)
 
-    def eval(self, col: int, t: float, derivative: bool = False) -> float:
-        e = self.edges
-        ascending = e[-1] >= e[0]
-        for j in range(len(self.coeff_w)):
-            lo, hi = (e[j], e[j + 1]) if ascending else (e[j + 1], e[j])
-            if lo - 1e-13 <= t <= hi + 1e-13:
-                x = (2.0 * t - (lo + hi)) / (hi - lo)
-                c = self.coeff_wp[j][col] if derivative else self.coeff_w[j][col]
-                return float(_cheb.chebval(x, c))
-        raise DomainError(f"t = {t!r} outside the built panel range")
+    def values(self, t: np.ndarray, derivative: bool = False) -> np.ndarray:
+        """Every column at an array of t inside the built range: (len(t), M)."""
+        if self._tables is None or len(self._tables[0][0]) != len(self.coeff_w):
+            # panels in ascending t, however they were built
+            order = 1 if self.t_built >= self.t_start else -1
+            edges = self.edges[::order]
+            self._tables = (_panel_table(edges, self.coeff_w[::order]),
+                            _panel_table(edges, self.coeff_wp[::order]))
+        return _panel_values(self._tables[int(derivative)], t)
 
 
 @dataclass(frozen=True)
@@ -439,22 +455,18 @@ _SECOND_CACHE: dict[tuple, "LameSecondKind"] = {}
 
 def eigenpair(family: LameFamily, nu: float, n: int, m: Modulus) -> LameEigenpair:
     """Memoized eigenpair lookup; builds on miss."""
-    key = (family, float(nu), int(n), m.k)
-    pair = _EIGEN_CACHE.get(key)
-    if pair is None:
-        pair = solve_eigenpair(family, nu, n, m)
-        _EIGEN_CACHE[key] = pair
-    return pair
+    return warm_mixed([(family, n)], nu, m)[0]
 
 
-def warm_mixed(specs: list[tuple[LameFamily, int]], nu: float, m: Modulus) -> None:
-    """Batch-solve and memoize a mixed-family batch at one (nu, k)."""
-    missing = [fn for fn in set(specs)
-               if (fn[0], float(nu), int(fn[1]), m.k) not in _EIGEN_CACHE]
-    if not missing:
-        return
-    for pair in _solve_mixed(missing, nu, m):
-        _EIGEN_CACHE[(pair.family, float(nu), pair.n, m.k)] = pair
+def warm_mixed(specs: list[tuple[LameFamily, int]], nu: float, m: Modulus) -> list[LameEigenpair]:
+    """Batch-solve and memoize a mixed-family batch at one (nu, k); returns
+    the eigenpairs in spec order."""
+    keys = [(fam, float(nu), int(n), m.k) for fam, n in specs]
+    missing = [fn for fn, key in zip(specs, keys) if key not in _EIGEN_CACHE]
+    if missing:
+        for pair in _solve_mixed(missing, nu, m):
+            _EIGEN_CACHE[(pair.family, float(nu), pair.n, m.k)] = pair
+    return [_EIGEN_CACHE[key] for key in keys]
 
 
 def clear_caches() -> None:
@@ -466,36 +478,23 @@ def clear_caches() -> None:
     _NS2_SERIES_CACHE.clear()
 
 
-def eval_e_real(p: LameEigenpair, s: float, derivative: bool = False) -> float:
-    """E(s) (or E'(s)) at any real s; the basis carries parity and periodicity."""
-    x = s * p._freq
-    if p.family.even_at_zero:
-        if derivative:
-            return -float((p._coef * p._freq) @ np.sin(x))
-        return float(p._coef @ np.cos(x))
+def _trig_sum(even: bool, freq: np.ndarray, coef: np.ndarray, s, derivative: bool = False):
+    """sum_j coef[j] cos(freq[j] s) (sin for the families odd at zero), or
+    its s-derivative; coef may carry trailing mode columns."""
+    x = np.multiply.outer(s, freq)
     if derivative:
-        return float((p._coef * p._freq) @ np.cos(x))
-    return float(p._coef @ np.sin(x))
+        return (-np.sin(x) if even else np.cos(x)) @ (freq * coef.T).T
+    return (np.cos(x) if even else np.sin(x)) @ coef
+
+
+def eval_e_real(p: LameEigenpair, s: float, derivative: bool = False) -> float:
+    """E(s) (or E'(s)) at any real s: the one-mode case of LameBatch.real."""
+    return float(_trig_sum(p.family.even_at_zero, p._freq, p._coef, s, derivative))
 
 
 def eval_e_imag(p: LameEigenpair, t: float, derivative: bool = False) -> float:
-    """Real representative W(t) of E(it) (or its t-derivative).
-
-    Even-parity families store W = E(it); odd-parity families store
-    W = E(it)/i, so W(0) = 0 and W'(0) = E'(0).  Extended to t < 0 by parity.
-    """
-    sign = 1.0
-    dsign = 1.0
-    if t < 0.0:
-        p0 = 1.0 if p.family.even_at_zero else -1.0
-        t = -t
-        sign *= p0
-        dsign *= -p0
-    if t == 0.0:
-        return p.boundary_data[1] if derivative else p.boundary_data[0]
-    p._imag.extend_to(t)
-    val = p._imag.eval(p._imag_col, t, derivative=derivative)
-    return (sign * dsign if derivative else sign) * val
+    """W(t) = E(it) or E(it)/i (or W'(t)): the one-mode case of LameBatch.imag."""
+    return float(LameBatch([p]).imag(t, derivative)[0, 0])
 
 
 @dataclass(frozen=True)
@@ -540,56 +539,49 @@ def _frobenius_coeffs(nu: float, h: float, m: Modulus, count: int) -> np.ndarray
     return b
 
 
-def _series_eval(coeffs: np.ndarray, nu: float, tau: float) -> tuple[float, float]:
-    """Value and d/dtau of tau^(nu+1) * sum coeffs[p] tau^(2p)."""
-    t2 = tau * tau
-    u = 0.0
-    du = 0.0
-    for p in range(len(coeffs) - 1, 0, -1):
-        u = (u + coeffs[p]) * t2
-        du = (du + 2.0 * p * coeffs[p]) * t2
-    u += coeffs[0]
-    du /= tau
+def _series_eval(coeffs: np.ndarray, nu: float, tau):
+    """Value and d/dtau of tau^(nu+1) * sum coeffs[p] tau^(2p); for an array
+    tau and mode columns in coeffs, of shape tau.shape + coeffs.shape[1:]."""
+    p = np.arange(len(coeffs))
+    powers = np.power.outer(np.square(tau), p)
+    u = powers @ coeffs
+    du = powers @ (2.0 * p * coeffs.T).T
+    tau = np.reshape(tau, np.shape(tau) + (1,) * (np.ndim(coeffs) - 1))
     pw = tau ** (nu + 1.0)
-    f = pw * u
-    df = (nu + 1.0) * pw / tau * u + pw * du
-    return f, df
+    return pw * u, (nu + 1.0) * pw / tau * u + pw * du / tau
 
 
 def _second_kinds(pairs: list[LameEigenpair]) -> list[LameSecondKind]:
     """Wronskian-normalized second-kind companions of eigenpairs sharing
     (nu, modulus); the continuation panels are shared across the batch."""
+    first = LameBatch(pairs)  # checks for a common (nu, modulus)
     m = pairs[0].modulus
     nu = pairs[0].nu
-    if any(q.modulus.k != m.k or q.nu != nu for q in pairs):
-        raise DomainError("second-kind batches require a common (nu, modulus)")
     kp = m.quarter_Kp
     radius = 2.0 * min(m.quarter_K, kp)
     tau0 = min(0.1 * kp, 0.45 * radius)
     t1 = kp - tau0
 
-    rows = []
-    for p in pairs:
-        b = _frobenius_coeffs(nu, p.h, m, _FROBENIUS_TERMS)
-        tail = abs(b[-1]) * tau0 ** (2 * (_FROBENIUS_TERMS - 1))
-        f_tau, df_tau = _series_eval(b, nu, tau0)
-        if not (math.isfinite(tail) and tail <= 1e-12 * abs(f_tau)):
-            raise ConvergenceError(
-                f"Frobenius series not converged at handoff radius {tau0!r}",
-                attained=tail,
-            )
-        f_t = -df_tau  # d/dt = -d/dtau
-        omega = f_tau * eval_e_imag(p, t1, derivative=True) - eval_e_imag(p, t1) * f_t
-        rows.append((p, b, 1.0 / omega, f_tau, f_t))
+    b = np.column_stack([_frobenius_coeffs(nu, p.h, m, _FROBENIUS_TERMS) for p in pairs])
+    tail = np.abs(b[-1]) * tau0 ** (2 * (_FROBENIUS_TERMS - 1))
+    f_tau, df_tau = _series_eval(b, nu, tau0)
+    bad = ~(np.isfinite(tail) & (tail <= 1e-12 * np.abs(f_tau)))
+    if bad.any():
+        raise ConvergenceError(
+            f"Frobenius series not converged at handoff radius {tau0!r}",
+            attained=float(tail[bad][0]),
+        )
+    # unit Wronskian F W' - W dF/dt, with dF/dt = -dF/dtau
+    scale = 1.0 / (f_tau * first.imag(t1, derivative=True)[0] + first.imag(t1)[0] * df_tau)
 
     coef = nu * (nu + 1.0) * m.k * m.k
-    cont = _ImagPanels(m, coef, np.array([r[0].h for r in rows]), t1,
-                       np.array([r[2] * r[3] for r in rows] + [r[2] * r[4] for r in rows]))
+    cont = _ImagPanels(m, coef, np.array([p.h for p in pairs]), t1,
+                       np.concatenate([scale * f_tau, -scale * df_tau]))
     return [
-        LameSecondKind(base=p, frobenius_coeffs=scale * b, wronskian_scale=scale,
+        LameSecondKind(base=p, frobenius_coeffs=scale[i] * b[:, i], wronskian_scale=float(scale[i]),
                        tau0=tau0, indicial_degenerate=abs(2.0 * nu + 1.0) < 1e-12,
                        _cont=cont, _cont_col=i)
-        for i, (p, b, scale, _, _) in enumerate(rows)
+        for i, p in enumerate(pairs)
     ]
 
 
@@ -598,36 +590,135 @@ def second_kind(p: LameEigenpair) -> LameSecondKind:
     return _second_kinds([p])[0]
 
 
-def _second_key(p: LameEigenpair) -> tuple:
-    return (p.family, float(p.nu), int(p.n), p.modulus.k)
-
-
-def warm_second_kind(pairs: list[LameEigenpair]) -> None:
+def warm_second_kind(pairs: list[LameEigenpair]) -> list[LameSecondKind]:
     """Build and memoize second-kind companions for a batch of eigenpairs
-    sharing (nu, modulus); the continuation panels are shared across the batch."""
-    pairs = [p for p in pairs if _second_key(p) not in _SECOND_CACHE]
-    if pairs:
-        for sk in _second_kinds(pairs):
-            _SECOND_CACHE[_second_key(sk.base)] = sk
+    sharing (nu, modulus); the continuation panels are shared across the
+    batch.  Returns the companions in the order of pairs."""
+    keys = [(p.family, float(p.nu), p.n, p.modulus.k) for p in pairs]
+    missing = {key: p for p, key in zip(pairs, keys) if key not in _SECOND_CACHE}
+    if missing:
+        _SECOND_CACHE.update(zip(missing, _second_kinds(list(missing.values()))))
+    return [_SECOND_CACHE[key] for key in keys]
 
 
 def second_kind_cached(p: LameEigenpair) -> LameSecondKind:
-    key = _second_key(p)
-    sk = _SECOND_CACHE.get(key)
-    if sk is None:
-        sk = second_kind(p)
-        _SECOND_CACHE[key] = sk
-    return sk
+    """Memoized second-kind lookup; builds on miss."""
+    return warm_second_kind([p])[0]
 
 
 def eval_f_imag(f: LameSecondKind, t: float, derivative: bool = False) -> float:
-    """Normalized second-kind value F(t) (real representative) or dF/dt."""
-    kp = f.base.modulus.quarter_Kp
-    if not 0.0 < t < kp:
-        raise DomainError(f"eval_f_imag requires 0 < t < K', got {t!r}")
-    tau = kp - t
-    if tau <= f.tau0:
-        val, dtau = _series_eval(f.frobenius_coeffs, f.base.nu, tau)
-        return -dtau if derivative else val
-    f._cont.extend_to(t)
-    return f._cont.eval(f._cont_col, t, derivative=derivative)
+    """Second-kind F(t) (or dF/dt): the one-mode case of LameBatch.second."""
+    return float(LameBatch([f.base], [f]).second(t, derivative)[0, 0])
+
+
+def _group(keys) -> list[tuple[object, list[int]]]:
+    """Distinct keys (by identity), first seen first, with their positions."""
+    groups: dict[int, tuple[object, list[int]]] = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(id(key), (key, []))[1].append(i)
+    return list(groups.values())
+
+
+def _read_panels(groups, t: np.ndarray, derivative: bool, reach: float, width: int) -> np.ndarray:
+    """(len(t), width) values of each group's columns, its panels built out to reach."""
+    out = np.empty((t.size, width))
+    for panels, cols, panel_cols in groups:
+        panels.extend_to(reach)
+        out[:, cols] = panels.values(t, derivative)[:, panel_cols]
+    return out
+
+
+class LameBatch:
+    """Eigenpairs of one (nu, k), evaluated together on arrays of points.
+
+    real(s), imag(t) and second(t) return (points x modes) arrays, one column
+    per pair.  E(s) is one cosine or sine matrix product per family over
+    zero-padded coefficient columns; W and F read all columns of each shared
+    panel set at once.  second() needs the companions `seconds`.
+    """
+
+    def __init__(self, pairs: list[LameEigenpair], seconds: list[LameSecondKind] | None = None):
+        if any(p.nu != pairs[0].nu or p.modulus.k != pairs[0].modulus.k for p in pairs):
+            raise DomainError("a LameBatch requires a common (nu, modulus)")
+        self.pairs = pairs
+        self.seconds = seconds
+        self._families = []
+        for fam, cols in _group([p.family for p in pairs]):
+            coefs = [pairs[i]._coef for i in cols]
+            coef = np.zeros((max(c.size for c in coefs), len(cols)))
+            for j, c in enumerate(coefs):
+                coef[:c.size, j] = c
+            freq = max((pairs[i]._freq for i in cols), key=len)
+            self._families.append((fam.even_at_zero, freq, coef, cols))
+        self._even = np.array([p.family.even_at_zero for p in pairs])
+        self._at_zero = np.array([p.boundary_data for p in pairs]).reshape(-1, 2)
+        self._imag = [(panels, cols, [pairs[i]._imag_col for i in cols])
+                      for panels, cols in _group([p._imag for p in pairs])]
+        if seconds is not None:
+            self._frob = np.column_stack([f.frobenius_coeffs for f in seconds])
+            self._cont = [(panels, cols, [seconds[i]._cont_col for i in cols])
+                          for panels, cols in _group([f._cont for f in seconds])]
+
+    def real(self, s, derivative: bool = False) -> np.ndarray:
+        """E(s) (or E'(s)) at real s; the basis carries parity and periodicity."""
+        s = np.asarray(s, dtype=float).ravel()
+        out = np.empty((s.size, len(self.pairs)))
+        for even, freq, coef, cols in self._families:
+            out[:, cols] = _trig_sum(even, freq, coef, s, derivative)
+        return out
+
+    def imag(self, t, derivative: bool = False) -> np.ndarray:
+        """Real representative W(t) of E(it) (or its t-derivative).
+
+        Even-parity families store W = E(it); odd-parity families store
+        W = E(it)/i, so W(0) = 0 and W'(0) = E'(0).  Extended to t < 0 by
+        parity; t = 0 gives the exact boundary data.
+        """
+        t = np.asarray(t, dtype=float).ravel()
+        a = np.abs(t)
+        top = float(a.max(initial=0.0))
+        if not math.isfinite(top):
+            raise DomainError("imaginary-axis evaluation requires finite t")
+        width = len(self.pairs)
+        out = (_read_panels(self._imag, a, derivative, top, width) if top
+               else np.empty((t.size, width)))
+        out[t == 0.0] = self._at_zero[:, int(derivative)]
+        # W has the parity of its family, W' the opposite one
+        out[t < 0.0] *= np.where(self._even == derivative, -1.0, 1.0)
+        return out
+
+    def second(self, t, derivative: bool = False) -> np.ndarray:
+        """Second-kind F(t) (or dF/dt) for 0 < t < K': the Frobenius series
+        within tau0 of K', the continuation panels below it."""
+        t = np.asarray(t, dtype=float).ravel()
+        base = self.pairs[0]
+        kp = base.modulus.quarter_Kp
+        if not np.all((0.0 < t) & (t < kp)):
+            raise DomainError(f"second-kind evaluation requires 0 < t < K', got {t!r}")
+        out = np.empty((t.size, len(self.pairs)))
+        tau = kp - t
+        near = tau <= self.seconds[0].tau0
+        if near.any():
+            val, dtau = _series_eval(self._frob, base.nu, tau[near])
+            out[near] = -dtau if derivative else val
+        far = ~near
+        if far.any():
+            reach = float(t[far].min())
+            out[far] = _read_panels(self._cont, t[far], derivative, reach, out.shape[1])
+        return out
+
+
+def shell_specs(n_max: int) -> list[tuple[LameFamily, int]]:
+    """(family, zero count) of Ec^0 .. Ec^n_max, then Es^1 .. Es^(n_max+1):
+    the modes of one azimuthal order in an (m_max, n_max) series, where
+    Ec^n and Es^(n+1) share the shell n."""
+    return ([family_of_superscript("c", n) for n in range(n_max + 1)]
+            + [family_of_superscript("s", n + 1) for n in range(n_max + 1)])
+
+
+def lame_batch(specs: list[tuple[LameFamily, int]], nu: float, m: Modulus,
+               second: bool = False) -> LameBatch:
+    """The eigenpairs `specs` at one (nu, k) as a LameBatch, columns in spec order; those
+    (and with second=True their companions) missing from the memo are built as one batch."""
+    pairs = warm_mixed(specs, nu, m)
+    return LameBatch(pairs, warm_second_kind(pairs) if second else None)

@@ -76,24 +76,21 @@ def suite_elliptic(seed: int = 0, tol_scale: float = 1.0) -> list[dict]:
 def suite_lame(seed: int = 0, tol_scale: float = 1.0) -> list[dict]:
     out = []
     m = Modulus.from_k(_DEFAULT_K)
-    worst_bracket = 0.0
-    worst_wronskian = 0.0
-    worst_sup = 0.0
+    worst_bracket = worst_wronskian = worst_sup = 0.0
+    grid = np.linspace(0.0, 4.0 * m.quarter_K, 40)
+    ts = np.linspace(0.1, 0.9, 7) * m.quarter_Kp
     for nu in (-0.5, 0.5, 2.5):
         for fam in lame.LameFamily:
-            pairs = [lame.eigenpair(fam, nu, n, m) for n in range(5)]
-            for p in pairs:
+            batch = lame.lame_batch([(fam, n) for n in range(5)], nu, m)
+            for p in batch.pairs:
                 lo, hi = p.bracket
-                margin = max(lo - p.h, p.h - hi, 0.0)
-                worst_bracket = max(worst_bracket, margin)
-                grid = np.linspace(0.0, 4.0 * m.quarter_K, 40)
-                sup = max(lame.eval_e_real(p, float(s)) ** 2 for s in grid)
-                worst_sup = max(worst_sup, sup - p.sup_bound)
-            sk = lame.second_kind_cached(pairs[2])
-            for t in np.linspace(0.1, 0.9, 7) * m.quarter_Kp:
-                w = (lame.eval_f_imag(sk, t) * lame.eval_e_imag(pairs[2], t, derivative=True)
-                     - lame.eval_e_imag(pairs[2], t) * lame.eval_f_imag(sk, t, derivative=True))
-                worst_wronskian = max(worst_wronskian, abs(w - 1.0))
+                worst_bracket = max(worst_bracket, lo - p.h, p.h - hi)
+            sup = np.max(batch.real(grid) ** 2, axis=0) - [p.sup_bound for p in batch.pairs]
+            worst_sup = max(worst_sup, float(np.max(sup)))
+            third = lame.lame_batch([(fam, 2)], nu, m, second=True)
+            w = (third.second(ts) * third.imag(ts, derivative=True)
+                 - third.imag(ts) * third.second(ts, derivative=True))
+            worst_wronskian = max(worst_wronskian, float(np.max(np.abs(w - 1.0))))
     out.append(_check("lame.bracket", worst_bracket, 1e-8 * tol_scale))
     out.append(_check("lame.sup_bound", worst_sup, 0.0 + 1e-12))
     out.append(_check("lame.wronskian", worst_wronskian, 1e-9 * tol_scale))
@@ -101,8 +98,7 @@ def suite_lame(seed: int = 0, tol_scale: float = 1.0) -> list[dict]:
     x, w = np.polynomial.legendre.leggauss(192)
     s_nodes = 0.5 * m.quarter_K * (x + 1.0)
     s_w = 0.5 * m.quarter_K * w
-    pairs = [lame.eigenpair(lame.LameFamily.ES_ODD, 0.5, n, m) for n in range(6)]
-    vals = np.array([[lame.eval_e_real(p, float(s)) for s in s_nodes] for p in pairs])
+    vals = lame.lame_batch([(lame.LameFamily.ES_ODD, n) for n in range(6)], 0.5, m).real(s_nodes).T
     gram = (vals * s_w) @ vals.T
     out.append(_check("lame.orthonormal", float(np.max(np.abs(gram - np.eye(6)))),
                       1e-9 * tol_scale))
@@ -182,16 +178,11 @@ def suite_dirichlet(seed: int = 0, tol_scale: float = 1.0) -> list[dict]:
         s=1.2 * K, t=0.8 * Kp, phi=-0.7, modulus=m))
     coeffs = dirichlet.solve_point_source(dom, r_star, harmonics.Truncation(8, 8),
                                           n_s=64, n_phi=48)
-    worst = 0.0
-    for _ in range(5):
-        p = coords.FlatRingPoint(
-            s=rng.uniform(-2 * K + 0.3, 2 * K - 0.3),
-            t=rng.uniform(0.05 * Kp, 0.5 * dom.t0),
-            phi=rng.uniform(-3.0, 3.0), modulus=m)
-        q = coords.flatring_to_cartesian(p)
-        u = dirichlet.solve_interior(dom, coeffs, q)
-        f = 1.0 / math.dist(q, r_star)
-        worst = max(worst, abs(u - f) / abs(f))
+    probes = [coords.flatring_to_cartesian(coords.FlatRingPoint(
+        s=rng.uniform(-2 * K + 0.3, 2 * K - 0.3), t=rng.uniform(0.05 * Kp, 0.5 * dom.t0),
+        phi=rng.uniform(-3.0, 3.0), modulus=m)) for _ in range(5)]
+    f = np.array([1.0 / math.dist(q, r_star) for q in probes])
+    worst = float(np.max(np.abs(dirichlet.solve_interior(dom, coeffs, probes) - f) / f))
     out.append(_check("dirichlet.point_source", worst, 1e-6 * tol_scale))
     out.append(_check("dirichlet.parseval", coeffs.parseval_residual, 1e-6 * tol_scale))
 
@@ -208,18 +199,14 @@ def suite_dirichlet(seed: int = 0, tol_scale: float = 1.0) -> list[dict]:
 def suite_limits(seed: int = 0, tol_scale: float = 1.0) -> list[dict]:
     out = []
     mt = Modulus.from_k(1e-3)
-    worst = 0.0
-    for sup in range(5):
-        fam, nz = lame.family_of_superscript("c", sup)
-        p = lame.eigenpair(fam, 0.5, nz, mt)
-        worst = max(worst, abs(p.h - sup * sup))
+    pairs = lame.warm_mixed([lame.family_of_superscript("c", sup) for sup in range(5)], 0.5, mt)
+    worst = max(abs(p.h - p.superscript ** 2) for p in pairs)
     out.append(_check("limits.eigenvalue", worst, 5e-3 * tol_scale))
 
     fam, nz = lame.family_of_superscript("c", 2)
-    p = lame.eigenpair(fam, 1.5, nz, mt)
     grid = np.linspace(0.0, mt.quarter_K, 30)
     lim = math.sqrt(4.0 / math.pi) * np.cos(2.0 * (0.5 * math.pi - grid))
-    vals = np.array([lame.eval_e_real(p, float(s)) for s in grid])
+    vals = lame.lame_batch([(fam, nz)], 1.5, mt).real(grid)[:, 0]
     out.append(_check("limits.eigenfunction", float(np.max(np.abs(vals - lim))),
                       1e-2 * tol_scale))
 

@@ -201,3 +201,34 @@ def test_malformed_point_exits_2(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("error: point must be 'x,y,z'")
+
+
+@pytest.mark.parametrize("text", ["a:b", "1:2:3", "x", ""])
+def test_malformed_range_exits_2(capsys, text):
+    code, out, err = run_cli(capsys, "eigen", "--n-range", text)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: range must be")
+
+
+def test_dirichlet_prints_plain_parseval_residual(capsys, basis05):
+    code, _, err = run_cli(capsys, "dirichlet", "--n-probes", "1")
+    assert code == 0
+    line = [ln for ln in err.splitlines() if ln.startswith("# parseval_residual=")][0]
+    assert 0.0 <= float(line.split("=", 1)[1]) <= 1e-6
+
+
+def test_dirichlet_grid_file_matches_constant_boundary(capsys, tmp_path, basis05):
+    # a constant CSV grid is read on the whole quadrature mesh at once
+    grid = tmp_path / "grid.csv"
+    s_vals = np.linspace(-4.0, 4.0, 9)
+    phi_vals = np.linspace(-math.pi, math.pi, 7)
+    grid.write_text("s,phi,g\n" + "".join(f"{s!r},{p!r},1.0\n" for s in s_vals.tolist()
+                                           for p in phi_vals.tolist()))
+    runs = []
+    for boundary in (str(grid), "constant"):
+        code, out, _ = run_cli(capsys, "dirichlet", "--boundary", boundary,
+                               "--m-max", "2", "--n-max", "2", "--n-probes", "3")
+        assert code == 0
+        runs.append([row["value"] for row in json.loads(out)])
+    assert runs[0] == pytest.approx(runs[1], rel=1e-12)

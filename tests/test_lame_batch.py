@@ -1,0 +1,276 @@
+"""Array evaluation of Lame batches: agreement with the scalar one-mode
+calls, the panel read against Clenshaw summation, parity on the imaginary
+axis, the Frobenius hand-off, batched interior probes, and the array forms
+of the elliptic and coordinate maps they rest on."""
+
+import math
+
+import mpmath
+import numpy as np
+import pytest
+from numpy.polynomial import chebyshev
+
+from flatring import lame
+from flatring.coords import (
+    FlatRingPoint,
+    cartesian_to_flatring,
+    chi_flatring,
+    flatring_chi,
+    flatring_to_cartesian,
+)
+from flatring.dirichlet import FlatRingDomain, solve_interior, solve_point_source
+from flatring.elliptic import Modulus, _sncndn, jacobi_imag
+from flatring.errors import DomainError, QuadratureWarning
+from flatring.harmonics import Truncation, green_expansion
+from flatring.lame import (
+    LameBatch,
+    LameFamily,
+    eigenpair,
+    eval_e_imag,
+    eval_e_real,
+    eval_f_imag,
+    family_of_superscript,
+    lame_batch,
+    second_kind_cached,
+    shell_specs,
+)
+
+
+def _close(batch_values, scalar_values, rtol=1e-14):
+    """Elementwise agreement, relative to each column's largest magnitude."""
+    scale = np.max(np.abs(scalar_values), axis=0, keepdims=True)
+    assert np.all(np.abs(batch_values - scalar_values) <= rtol * scale)
+
+
+@pytest.fixture(scope="module")
+def mixed(m05):
+    """Order-5 modes from two separate solves, so the batch spans two panel
+    sets and all four families, with their second kinds."""
+    nu = 4.5
+    first = lame.warm_mixed(shell_specs(3), nu, m05)
+    extra = lame.warm_mixed([family_of_superscript("c", 27), family_of_superscript("s", 26)], nu, m05)
+    pairs = [first[5], extra[0], first[0], first[4], extra[1], first[7]]
+    seconds = [second_kind_cached(p) for p in pairs]
+    return m05, LameBatch(pairs, seconds)
+
+
+def test_batch_spans_families_and_panel_sets(mixed):
+    _, batch = mixed
+    assert {p.family for p in batch.pairs} == set(LameFamily)
+    assert len({id(p._imag) for p in batch.pairs}) == 2
+
+
+def test_real_axis_batch_matches_scalar(mixed):
+    m, batch = mixed
+    s = np.linspace(-3.0, 3.0, 41) * m.quarter_K
+    for derivative in (False, True):
+        scalar = np.array([[eval_e_real(p, float(x), derivative) for p in batch.pairs]
+                           for x in s])
+        _close(batch.real(s, derivative), scalar)
+
+
+def test_imaginary_axis_batch_matches_scalar(mixed):
+    m, batch = mixed
+    # several panels, t = 0 and negative t
+    t = np.concatenate([[0.0], np.linspace(-0.85, 0.85, 35) * m.quarter_Kp])
+    for derivative in (False, True):
+        values = batch.imag(t, derivative)
+        scalar = np.array([[eval_e_imag(p, float(x), derivative) for p in batch.pairs]
+                           for x in t])
+        _close(values, scalar)
+        assert np.array_equal(values[0], [p.boundary_data[int(derivative)] for p in batch.pairs])
+    assert len(batch.pairs[0]._imag.coeff_w) > 3
+
+
+def test_second_kind_batch_matches_scalar_across_handoff(mixed):
+    m, batch = mixed
+    kp, tau0 = m.quarter_Kp, batch.seconds[0].tau0
+    # panel zone, both sides of the Frobenius hand-off, and the series zone
+    t = np.concatenate([np.linspace(0.1, 0.85, 12) * kp,
+                        kp - tau0 * np.array([1.0 + 1e-3, 1.0 - 1e-3, 0.5, 1e-3])])
+    for derivative in (False, True):
+        scalar = np.array([[eval_f_imag(f, float(x), derivative) for f in batch.seconds]
+                           for x in t])
+        _close(batch.second(t, derivative), scalar)
+    # the two zones join continuously at the hand-off
+    across = batch.second(kp - tau0 * np.array([1.0 + 1e-9, 1.0 - 1e-9]))
+    assert np.all(np.abs(across[0] - across[1]) <= 1e-7 * np.abs(across[0]))
+
+
+def test_second_kind_domain(mixed):
+    m, batch = mixed
+    for bad in (0.0, m.quarter_Kp, -0.1, math.nan):
+        with pytest.raises(DomainError):
+            batch.second([0.3, bad])
+
+
+def test_imaginary_axis_parity_of_values_and_derivatives(mixed):
+    # W has its family's parity and W' the opposite one
+    m, batch = mixed
+    t = np.array([0.2, 0.45]) * m.quarter_Kp
+    even = np.array([p.family.even_at_zero for p in batch.pairs])
+    w, wm = batch.imag(t), batch.imag(-t)
+    d, dm = batch.imag(t, derivative=True), batch.imag(-t, derivative=True)
+    assert np.array_equal(wm, np.where(even, w, -w))
+    assert np.array_equal(dm, np.where(even, -d, d))
+    # W' at negative t against a central difference of W
+    h = 1e-5
+    fd = (batch.imag(-t + h) - batch.imag(-t - h)) / (2.0 * h)
+    assert np.all(np.abs(fd - dm) <= 1e-6 * np.abs(dm).max(axis=0))
+
+
+def test_panel_read_matches_clenshaw(mixed):
+    m, batch = mixed
+    for panels in (batch.pairs[0]._imag, batch.seconds[0]._cont):
+        lo, hi = sorted(panels.edges[:2])
+        t = lo + (hi - lo) * np.linspace(0.01, 0.99, 9)  # inside: edges belong to either side
+        x = (2.0 * t - (lo + hi)) / (hi - lo)
+        for derivative, coeffs in ((False, panels.coeff_w[0]), (True, panels.coeff_wp[0])):
+            reference = chebyshev.chebval(x, coeffs).T
+            _close(panels.values(t, derivative), reference, rtol=1e-14)
+
+
+def test_lame_batch_columns_follow_specs(m05):
+    specs = shell_specs(4)
+    batch = lame_batch(specs, 2.5, m05, second=True)
+    assert [(p.family, p.n) for p in batch.pairs] == specs
+    assert all(f.base is p for f, p in zip(batch.seconds, batch.pairs))
+
+
+def test_green_expansion_matches_per_mode_sum(basis05):
+    # shells and tail against the per-mode scalar products, summed in order
+    m = basis05
+    K, Kp = m.quarter_K, m.quarter_Kp
+    r = flatring_to_cartesian(FlatRingPoint(s=0.6 * K, t=0.25 * Kp, phi=0.4, modulus=m))
+    rs = flatring_to_cartesian(FlatRingPoint(s=-0.9 * K, t=0.7 * Kp, phi=-1.1, modulus=m))
+    tr = Truncation(5, 6)
+    val, tail, shells = green_expansion(r, rs, tr, m, return_shells=True)
+    a, b = cartesian_to_flatring(r, m), cartesian_to_flatring(rs, m)
+    pref = 0.5 * (r.x ** 2 + r.y ** 2) ** -0.25 * (rs.x ** 2 + rs.y ** 2) ** -0.25
+    expected, m_tail = [], 0.0
+    for sup in range(tr.n_max + 1):
+        shell, mags = 0.0, []
+        for order in range(tr.m_max + 1):
+            term = 0.0
+            for kind, n in (("c", sup), ("s", sup + 1)):
+                fam, nz = family_of_superscript(kind, n)
+                pair = eigenpair(fam, order - 0.5, nz, m)
+                term += (eval_e_real(pair, a.s) * eval_e_real(pair, b.s) * eval_e_imag(pair, a.t)
+                         * eval_f_imag(second_kind_cached(pair), b.t))
+            shell += (1.0 if order == 0 else 2.0) * math.cos(order * (a.phi - b.phi)) * term
+            mags.append(2.0 * abs(term))
+        expected.append(pref * shell)
+        rho = min(mags[-1] / mags[-2], 0.95)
+        m_tail += pref * mags[-1] * rho / (1.0 - rho)
+    assert shells == pytest.approx(expected, rel=1e-12, abs=1e-15)
+    assert val == pytest.approx(sum(expected), rel=1e-12)
+    last = [abs(x) for x in expected[-3:]]
+    ratio = min(max(last[1] / last[0], last[2] / last[1]), 0.95)
+    assert tail == pytest.approx(last[-1] * ratio / (1.0 - ratio) + m_tail, rel=1e-9)
+
+
+@pytest.fixture(scope="module")
+def interior(basis05):
+    m = basis05
+    dom = FlatRingDomain(t0=0.4 * m.quarter_Kp, modulus=m)
+    r_star = flatring_to_cartesian(FlatRingPoint(
+        s=1.2 * m.quarter_K, t=0.8 * m.quarter_Kp, phi=-0.7, modulus=m))
+    coeffs = solve_point_source(dom, r_star, Truncation(8, 8), n_s=64, n_phi=48)
+    rng = np.random.default_rng(21)
+    probes = [flatring_to_cartesian(FlatRingPoint(
+        s=rng.uniform(-1.9, 1.9) * m.quarter_K, t=rng.uniform(0.05, 0.5) * dom.t0,
+        phi=rng.uniform(-3.0, 3.0), modulus=m)) for _ in range(12)]
+    return m, dom, r_star, coeffs, probes
+
+
+def test_batched_probes_equal_single_calls(interior):
+    m, dom, r_star, coeffs, probes = interior
+    values = solve_interior(dom, coeffs, probes)
+    assert isinstance(values, np.ndarray) and values.shape == (len(probes),)
+    single = [solve_interior(dom, coeffs, q) for q in probes]
+    assert all(isinstance(v, float) for v in single)
+    assert values == pytest.approx(single, rel=1e-13)
+    assert values == pytest.approx([1.0 / math.dist(q, r_star) for q in probes], rel=1e-6)
+    assert solve_interior(dom, coeffs, []).shape == (0,)
+
+
+def test_batch_with_one_probe_past_margin_raises(interior):
+    m, dom, _, coeffs, probes = interior
+    outside = flatring_to_cartesian(FlatRingPoint(
+        s=0.5 * m.quarter_K, t=dom.t0 - 1e-6, phi=0.0, modulus=m))
+    with pytest.raises(DomainError):
+        solve_interior(dom, coeffs, probes[:5] + [outside] + probes[5:])
+
+
+def test_sncndn_array_matches_scalar():
+    u = np.linspace(-9.0, 9.0, 57)
+    for k in (0.0, 1e-3, 0.5, 0.9):
+        sn, cn, dn = _sncndn(u, k)
+        scalar = np.array([_sncndn(float(x), k) for x in u])
+        assert np.max(np.abs(np.stack([sn, cn, np.broadcast_to(dn, u.shape)], axis=1) - scalar)) <= 1e-15
+
+
+def test_forward_map_and_chi_on_arrays(m05):
+    m = m05
+    s = np.linspace(-1.9, 1.9, 7)[:, None] * m.quarter_K
+    phi = np.linspace(-3.0, 3.0, 5)[None, :]
+    t = 0.35 * m.quarter_Kp
+    c = flatring_to_cartesian(FlatRingPoint(s=s, t=t, phi=phi, modulus=m))
+    assert c.x.shape == (7, 5)
+    for i in range(7):
+        for j in range(5):
+            q = flatring_to_cartesian(FlatRingPoint(
+                s=float(s[i, 0]), t=t, phi=float(phi[0, j]), modulus=m))
+            assert np.allclose([c.x[i, j], c.y[i, j], c.z[i, j]], q, rtol=1e-15, atol=1e-15)
+    assert c.y.shape == c.z.shape == (7, 5)
+    with pytest.raises(DomainError):
+        FlatRingPoint(s=np.array([0.1, 9.0]), t=t, phi=0.0, modulus=m)
+    other = FlatRingPoint(s=0.3, t=0.7 * m.quarter_Kp, phi=0.0, modulus=m)
+    chi = flatring_chi(s[:, 0], t, other.s, other.t, m)
+    for i in range(7):
+        assert chi[i] == pytest.approx(chi_flatring(
+            FlatRingPoint(s=float(s[i, 0]), t=t, phi=0.0, modulus=m), other), rel=1e-15)
+    im = jacobi_imag(np.array([0.1, 0.2]), m)
+    assert im.cn.shape == (2,)
+
+
+@pytest.mark.parametrize("k", [1e-3, 1e-2, 0.5, 0.9])
+def test_quarter_period_kprime_against_mpmath(k):
+    with mpmath.workdps(40):
+        exact = mpmath.ellipk(1 - mpmath.mpf(k) ** 2)
+        kp = Modulus.from_k(k).quarter_Kp
+        assert abs(mpmath.mpf(kp) - exact) / exact <= 1e-15
+
+
+def test_coefficients_match_per_mode_projection(basis05):
+    # the projection against the per-mode scalar loop it replaced
+    from flatring.dirichlet import BoundaryData, coefficients
+
+    m = basis05
+    dom = FlatRingDomain(t0=0.4 * m.quarter_Kp, modulus=m)
+    data = BoundaryData(g=lambda s, phi: math.exp(0.3 * math.sin(s)) * (1.0 + 0.2 * math.cos(phi)),
+                        n_s=24, n_phi=16)
+    with pytest.warns(QuadratureWarning):  # (3, 3) does not capture all of g
+        table = coefficients(dom, data, Truncation(3, 3))
+    x, w = np.polynomial.legendre.leggauss(data.n_s)
+    s_nodes, s_weights = 2.0 * m.quarter_K * x, 2.0 * m.quarter_K * w
+    phi_nodes = -math.pi + 2.0 * math.pi * np.arange(data.n_phi) / data.n_phi
+    g = np.array([[data.g(float(s), float(p)) for p in phi_nodes] for s in s_nodes])
+    for order in range(-3, 4):
+        g_hat = (g * np.exp(-1j * order * phi_nodes)).sum(axis=1) * 2.0 * math.pi / data.n_phi
+        for kind, sups in (("c", range(4)), ("s", range(1, 5))):
+            for sup in sups:
+                fam, nz = family_of_superscript(kind, sup)
+                pair = eigenpair(fam, abs(order) - 0.5, nz, m)
+                e_s = np.array([eval_e_real(pair, float(s)) for s in s_nodes])
+                expected = np.sum(s_weights * e_s * g_hat) / (8.0 * math.pi * eval_e_imag(pair, dom.t0))
+                got = table.c_of(order, sup) if kind == "c" else table.d_of(order, sup)
+                assert abs(got - expected) <= 1e-13 * max(abs(expected), 1e-3)
+
+
+def test_batch_requires_common_nu_and_modulus(m05):
+    a = eigenpair(LameFamily.EC_EVEN, 0.5, 0, m05)
+    with pytest.raises(DomainError):
+        LameBatch([a, eigenpair(LameFamily.EC_EVEN, 1.5, 0, m05)])
+    with pytest.raises(DomainError):
+        LameBatch([a, eigenpair(LameFamily.EC_EVEN, 0.5, 0, Modulus.from_k(0.6))])
