@@ -17,7 +17,12 @@ E(s) at any real s is a plain trigonometric sum.
 On the imaginary axis the equation becomes W'' = (h + nu(nu+1) k^2 sc^2(t,k')) W.
 Solutions grow roughly like exp(int sqrt(q)), so they are represented by
 growth-limited piecewise Chebyshev panels, integrated with a fixed-step RK8
-kernel (DOP853 tableau) from the exact E(0), E'(0) of the Fourier sum.
+kernel (DOP853 tableau) from the exact E(0), E'(0) of the Fourier sum.  The
+equation is linear, so one RK8 step is a 2x2 propagator per mode that
+depends on the step and the potential alone: a panel computes the stages of
+all its steps at once on the two unit initial states, multiplies each
+Chebyshev-Lobatto segment's propagators pairwise, carries the state across
+the 32 segments and fits the node values with a fixed interpolation matrix.
 Odd-parity values are stored as the real representative W(t) = E(it)/i with
 W'(0) = E'(0); downstream products always pair matching representatives,
 which reproduces the complex-convention results exactly.
@@ -59,12 +64,34 @@ _FROBENIUS_TERMS = 64
 
 @functools.cache
 def _dop853():
-    """DOP853 stage abscissae, stage rows and weights, loaded on first use so
-    that importing this module does not import scipy.integrate."""
-    from scipy.integrate._ivp.rk import DOP853
+    """DOP853 stage abscissae, stage matrix and weights (Hairer, Norsett and
+    Wanner, Solving ODEs I, II.10), read on first use from scipy's coefficient
+    file run as a standalone module, so that neither importing this module
+    nor building panels imports scipy.integrate (and with it scipy.optimize)."""
+    import importlib.util
+    import pathlib
 
-    rows = [np.ascontiguousarray(DOP853.A[i, :i]) for i in range(12)]
-    return DOP853.C[:12].copy(), rows, DOP853.B.copy()
+    import scipy
+
+    path = pathlib.Path(scipy.__file__).parent / "integrate" / "_ivp" / "dop853_coefficients.py"
+    spec = importlib.util.spec_from_file_location("flatring_dop853_coefficients", path)
+    tableau = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tableau)
+    n = tableau.N_STAGES
+    arrays = tableau.C[:n].copy(), tableau.A[:n, :n].copy(), tableau.B.copy()
+    for x in arrays:
+        x.flags.writeable = False  # shared by every caller
+    return arrays
+
+
+@functools.cache
+def _lobatto_fit(deg: int) -> np.ndarray:
+    """(deg+1, deg+1) matrix from values at the Chebyshev-Lobatto points
+    x = -cos(pi j/deg), ascending, to the Chebyshev coefficients of their
+    interpolant."""
+    fit = np.linalg.inv(_cheb.chebvander(-np.cos(np.pi * np.arange(deg + 1) / deg), deg))
+    fit.flags.writeable = False  # shared by every caller
+    return fit
 
 
 class LameFamily(enum.Enum):
@@ -163,10 +190,9 @@ def _sc2_panels(m: Modulus) -> tuple:
             edges.append(kp - 0.5 * (kp - edges[-1]))
         deg = 40
         nodes = 0.5 * (1.0 - np.cos(np.pi * np.arange(deg + 1) / deg))
-        coeffs = []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            sn, cn, _ = _sncndn(lo + (hi - lo) * nodes, m.k_prime)
-            coeffs.append(_cheb.chebfit(2.0 * nodes - 1.0, (sn / cn) ** 2, deg)[:, None])
+        lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+        sn, cn, _ = _sncndn(lo[:, None] + (hi - lo)[:, None] * nodes, m.k_prime)
+        coeffs = [c[:, None] for c in (_lobatto_fit(deg) @ ((sn / cn) ** 2).T).T]
         cached = _panel_table(edges, coeffs)
         _SC2_CACHE[m.k] = cached
     return cached
@@ -179,6 +205,18 @@ def _sc2_on(m: Modulus, t: np.ndarray) -> np.ndarray:
     if np.any(2.0 * t > table[2][-1] + table[3][-1]):  # past the last panel edge
         raise PoleError("sc^2 evaluation too close to the pole at K'")
     return _panel_values(table, t)[..., 0]
+
+
+def _rk_steps(nodes: np.ndarray, lam: float):
+    """Fixed RK8 steps across the gaps between consecutive nodes, at least two
+    per gap and at most 1/_STEPS_PER_RAD radians of lam each: the steps'
+    start times and signed sizes, and each step's gap and place in it."""
+    gaps = np.diff(nodes)
+    sub = np.maximum(2, np.ceil(np.abs(gaps) * lam * _STEPS_PER_RAD).astype(int))
+    seg = np.repeat(np.arange(gaps.size), sub)
+    pos = np.arange(seg.size) - np.repeat(np.cumsum(sub) - sub, sub)
+    h = (gaps / sub)[seg]
+    return nodes[seg] + pos * h, h, seg, pos
 
 
 # --- eigenpair objects ------------------------------------------------------
@@ -204,6 +242,35 @@ class _ImagPanels:
         q = float(np.max(np.abs(self.h))) + abs(self.coef) * float(_sc2_on(self.m, np.array([t]))[0])
         return math.sqrt(max(q, 1.0))
 
+    def _step_propagators(self, t: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """One fixed RK8 step of y = [W, W'], y' = [W', (h + c sc^2) W] is a
+        linear map of y: a 2x2 propagator per step and mode, set by the step
+        size and the potential at its 12 stage abscissae alone.  The stages of
+        every step run at once on the two unit initial states; returns
+        (steps, M, 2, 2)."""
+        c_stage, a, b = _dop853()
+        n, mlen = t.size, self.h.size
+        # step size times the potential at every stage abscissa: (12, steps, M)
+        sc2 = _sc2_on(self.m, t[:, None] + h[:, None] * c_stage)
+        hq = h[:, None] * (self.coef * sc2.T[:, :, None] + self.h)
+        # hk[i, r, c]: step size times stage i's derivative of component r,
+        # from the unit initial state c; flat rows make each stage sum one
+        # matrix-vector product
+        hk = np.empty((12, 2, 2, n, mlen))
+        flat = hk.reshape(12, -1)
+
+        def from_identity(increment):  # the identity plus a flat increment, (2, 2, n, M)
+            y = increment.reshape(2, 2, n, mlen)
+            y[0, 0] += 1.0
+            y[1, 1] += 1.0
+            return y
+
+        for i in range(12):
+            y = from_identity(a[i, :i] @ flat[:i])
+            np.multiply(h[:, None], y[1], out=hk[i, 0])
+            np.multiply(hq[i], y[0], out=hk[i, 1])
+        return from_identity(b @ flat).transpose(2, 3, 0, 1)
+
     def _build_panel(self, t_from: float, t_to: float) -> None:
         mlen = self.h.size
         lam = self._lambda(max(abs(t_from), abs(t_to)))
@@ -219,40 +286,23 @@ class _ImagPanels:
         nodes = t_from + (t_to - t_from) * 0.5 * (
             1.0 - np.cos(np.pi * np.arange(deg + 1) / deg)
         )
-        t_list: list[float] = []
-        h_list: list[float] = []
-        seg_ends: list[int] = []
-        for a, b in zip(nodes[:-1], nodes[1:]):
-            gap = b - a
-            sub = max(2, int(math.ceil(abs(gap) * lam * _STEPS_PER_RAD)))
-            hh = gap / sub
-            for j in range(sub):
-                t_list.append(a + j * hh)
-                h_list.append(hh)
-            seg_ends.append(len(t_list) - 1)
-        # fixed-step RK8 sweep of y = [W, W'], y' = [W', (h + c sc^2) W], with
-        # the potential precomputed at every stage abscissa
-        c_stage, a_rows, b_weights = _dop853()
-        t_arr = np.asarray(t_list)
-        h_arr = np.asarray(h_list)
-        qc = self.coef * _sc2_on(self.m, t_arr[:, None] + h_arr[:, None] * c_stage[None, :])
-        y = self.state.copy()
-        stages = np.empty((12, y.size))
-        ys = [y]
-        rec = set(seg_ends)
-        for j in range(len(h_arr)):
-            hh = h_arr[j]
-            for i in range(12):
-                tmp = y + hh * (a_rows[i] @ stages[:i]) if i else y
-                stages[i, :mlen] = tmp[mlen:]
-                stages[i, mlen:] = (self.h + qc[j, i]) * tmp[:mlen]
-            y = y + hh * (b_weights @ stages)
-            if j in rec:
-                ys.append(y)
-        ys = np.array(ys)  # (deg+1, 2M)
-        lo, hi = (t_from, t_to) if t_to > t_from else (t_to, t_from)
-        x = (2.0 * nodes - (lo + hi)) / (hi - lo)
-        fit = _cheb.chebfit(x, ys, deg)  # (deg+1, 2M)
+        t, h, seg, pos = _rk_steps(nodes, lam)
+        # each segment's propagator: its steps padded with identities to a
+        # power of two, then multiplied pairwise, later steps on the left
+        width = 1 << int(pos.max()).bit_length()
+        prop = np.zeros((deg, width, mlen, 2, 2))
+        prop[..., [0, 1], [0, 1]] = 1.0
+        prop[seg, pos] = self._step_propagators(t, h)
+        while prop.shape[1] > 1:
+            prop = prop[:, 1::2] @ prop[:, 0::2]
+        # carry the state [W, W'] of each mode across the segments
+        ys = np.empty((deg + 1, mlen, 2, 1))
+        ys[0, :, :, 0] = self.state.reshape(2, mlen).T
+        for i in range(deg):
+            ys[i + 1] = prop[i, 0] @ ys[i]
+        ys = ys[..., 0].transpose(0, 2, 1).reshape(deg + 1, 2 * mlen)  # [W..., W'...]
+        # the fit reads the values in ascending t
+        fit = _lobatto_fit(deg) @ (ys if t_to > t_from else ys[::-1])  # (deg+1, 2M)
         self.coeff_w.append(fit[:, :mlen])
         self.coeff_wp.append(fit[:, mlen:])
         self.edges.append(t_to)
@@ -522,19 +572,18 @@ def _ns2_series(m: Modulus, count: int) -> np.ndarray:
     return r
 
 
-def _frobenius_coeffs(nu: float, h: float, m: Modulus, count: int) -> np.ndarray:
-    """Coefficients b_p of the exponent-(nu+1) Frobenius series in tau^(2p)."""
-    r = _ns2_series(m, count)
+def _frobenius_coeffs(nu: float, h, m: Modulus, count: int) -> np.ndarray:
+    """Coefficients b_p of the exponent-(nu+1) Frobenius series in tau^(2p),
+    of shape (count,) + shape(h): one column per eigenvalue h."""
+    h = np.asarray(h, dtype=float)
     nn1 = nu * (nu + 1.0)
-    a2 = nn1 * r
-    a2 = a2.copy()
-    a2[1] += h - nn1
-    b = np.zeros(count)
+    rev = (nn1 * _ns2_series(m, count))[::-1]
+    shift = h - nn1  # each eigenvalue adds h - nu(nu+1) to the tau^2 term
+    b = np.zeros((count,) + h.shape)
     b[0] = 1.0
-    rev = a2[::-1]
     for p in range(1, count):
         j = 2.0 * p
-        acc = float(rev[count - 1 - p:count - 1] @ b[:p])
+        acc = rev[count - 1 - p:count - 1] @ b[:p] + shift * b[p - 1]
         b[p] = acc / (j * (j + 2.0 * nu + 1.0))
     return b
 
@@ -562,7 +611,7 @@ def _second_kinds(pairs: list[LameEigenpair]) -> list[LameSecondKind]:
     tau0 = min(0.1 * kp, 0.45 * radius)
     t1 = kp - tau0
 
-    b = np.column_stack([_frobenius_coeffs(nu, p.h, m, _FROBENIUS_TERMS) for p in pairs])
+    b = _frobenius_coeffs(nu, np.array([p.h for p in pairs]), m, _FROBENIUS_TERMS)
     tail = np.abs(b[-1]) * tau0 ** (2 * (_FROBENIUS_TERMS - 1))
     f_tau, df_tau = _series_eval(b, nu, tau0)
     bad = ~(np.isfinite(tail) & (tail <= 1e-12 * np.abs(f_tau)))

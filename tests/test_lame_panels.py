@@ -1,0 +1,182 @@
+"""Imaginary-axis panels built from RK8 step propagators: the DOP853 tableau
+against scipy's, the Chebyshev-Lobatto fit against chebfit, the batched
+Frobenius coefficients against the one-eigenvalue call, and W, W', F, F'
+against a sequential DOP853 stepper and against scipy's solve_ivp."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from numpy.polynomial import chebyshev
+from scipy.integrate import solve_ivp
+from scipy.integrate._ivp.rk import DOP853
+from scipy.special import ellipj
+
+import flatring
+from flatring import lame
+from flatring.elliptic import Modulus
+from flatring.lame import LameBatch, shell_specs
+
+CASES = [(0.5, -0.5), (0.5, 19.5), (0.9, 9.5)]  # (k, nu)
+T_LO, T_HI = 0.05, 0.85  # fractions of K' checked on the panels
+
+
+def _colmax_err(got, ref):
+    """Largest difference relative to each column's largest reference value."""
+    return float(np.max(np.abs(got - ref) / np.max(np.abs(ref), axis=0)))
+
+
+def test_dop853_tableau_matches_scipy_bit_for_bit():
+    c_stage, a, b = lame._dop853()
+    for ours, theirs in ((c_stage, DOP853.C), (a, DOP853.A), (b, DOP853.B)):
+        assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+
+
+def test_panel_build_does_not_import_scipy_integrate():
+    code = (
+        "import sys\n"
+        "from flatring.elliptic import Modulus\n"
+        "from flatring.lame import lame_batch, shell_specs\n"
+        "m = Modulus.from_k(0.5)\n"
+        "batch = lame_batch(shell_specs(3), 2.5, m, second=True)\n"
+        "batch.imag([0.5 * m.quarter_Kp]); batch.second([0.2 * m.quarter_Kp])\n"
+        "assert 'scipy.integrate' not in sys.modules, 'scipy.integrate imported'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(flatring.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
+@pytest.mark.parametrize("deg", [32, 40])
+def test_lobatto_fit_matches_chebfit(deg):
+    x = -np.cos(np.pi * np.arange(deg + 1) / deg)
+    rng = np.random.default_rng(deg)
+    values = np.column_stack([np.exp(3.0 * x), 1.0 / (1.2 - x), rng.standard_normal(deg + 1)])
+    ours = lame._lobatto_fit(deg) @ values
+    reference = chebyshev.chebfit(x, values, deg)
+    assert _colmax_err(ours, reference) <= 1e-14
+
+
+def test_batched_frobenius_columns_match_single_calls():
+    m = Modulus.from_k(0.9)
+    nu = 9.5
+    h = np.array([p.h for p in lame._solve_mixed(shell_specs(4), nu, m)])
+    batched = lame._frobenius_coeffs(nu, h, m, 64)
+    single = np.column_stack([lame._frobenius_coeffs(nu, hi, m, 64) for hi in h])
+    assert batched.shape == (64, h.size)
+    assert _colmax_err(batched, single) <= 1e-15
+
+
+def _sequential_rk8(panels, state):
+    """The stage loop the propagators replaced: one DOP853 step at a time on
+    the state, over the same steps.  Returns each panel's Chebyshev-Lobatto
+    nodes after the first and the state [W..., W'...] there."""
+    c_stage, a, b = lame._dop853()
+    y, mlen = np.array(state, dtype=float), panels.h.size
+    ts, ys = [], []
+    for t_from, t_to in zip(panels.edges[:-1], panels.edges[1:]):
+        lam = panels._lambda(max(abs(t_from), abs(t_to)))
+        nodes = t_from + (t_to - t_from) * 0.5 * (
+            1.0 - np.cos(np.pi * np.arange(lame._PANEL_DEG + 1) / lame._PANEL_DEG))
+        t, h, seg, _ = lame._rk_steps(nodes, lam)
+        qc = panels.coef * lame._sc2_on(panels.m, t[:, None] + h[:, None] * c_stage)
+        stages = np.empty((12, y.size))
+        for j in range(t.size):
+            for i in range(12):
+                tmp = y + h[j] * (a[i, :i] @ stages[:i]) if i else y
+                stages[i, :mlen] = tmp[mlen:]
+                stages[i, mlen:] = (panels.h + qc[j, i]) * tmp[:mlen]
+            y = y + h[j] * (b @ stages)
+            if j + 1 == t.size or seg[j + 1] != seg[j]:
+                ts.append(nodes[seg[j] + 1])
+                ys.append(y)
+    return np.array(ts), np.array(ys)
+
+
+@pytest.fixture(scope="module", params=CASES, ids=lambda c: f"k{c[0]}-nu{c[1]}")
+def case(request):
+    """Fresh (unmemoized) modes of all four families and their second kinds,
+    panels built over the checked range."""
+    k, nu = request.param
+    m = Modulus.from_k(k)
+    pairs = lame._solve_mixed(shell_specs(4), nu, m)
+    seconds = lame._second_kinds(pairs)
+    batch = LameBatch(pairs, seconds)
+    kp = m.quarter_Kp
+    batch.imag([T_HI * kp])
+    batch.second([T_LO * kp])
+    return m, nu, batch
+
+
+def _in_range(t, kp):
+    return (t >= T_LO * kp) & (t <= T_HI * kp)
+
+
+def test_first_kind_panels_match_sequential_stepper(case):
+    m, _, batch = case
+    panels = batch.pairs[0]._imag
+    mlen = len(batch.pairs)
+    start = np.concatenate([batch.imag(0.0)[0], batch.imag(0.0, derivative=True)[0]])
+    t, ys = _sequential_rk8(panels, start)
+    keep = _in_range(t, m.quarter_Kp)
+    assert keep.sum() > 2 * lame._PANEL_DEG  # nodes of more than two panels
+    assert _colmax_err(batch.imag(t[keep]), ys[keep, :mlen]) <= 1e-13
+    assert _colmax_err(batch.imag(t[keep], derivative=True), ys[keep, mlen:]) <= 1e-13
+
+
+def test_second_kind_panels_match_sequential_stepper(case):
+    m, _, batch = case
+    panels = batch.seconds[0]._cont
+    mlen = len(batch.pairs)
+    t1 = panels.edges[0]  # K' - tau0, where the Frobenius series hands over
+    assert t1 == pytest.approx(m.quarter_Kp - batch.seconds[0].tau0)
+    start = np.concatenate([batch.second(t1)[0], batch.second(t1, derivative=True)[0]])
+    t, ys = _sequential_rk8(panels, start)
+    keep = _in_range(t, m.quarter_Kp)
+    assert keep.sum() > 2 * lame._PANEL_DEG  # nodes of more than two panels
+    assert _colmax_err(batch.second(t[keep]), ys[keep, :mlen]) <= 1e-13
+    assert _colmax_err(batch.second(t[keep], derivative=True), ys[keep, mlen:]) <= 1e-13
+
+
+def _reference(m, nu, batch, t_span, start, t_eval):
+    """W'' = (h + nu(nu+1) k^2 sc^2(t, k')) W by solve_ivp, sc from scipy's ellipj."""
+    h = np.array([p.h for p in batch.pairs])
+    coef = nu * (nu + 1.0) * m.k * m.k
+    mlen = h.size
+
+    def rhs(t, y):
+        sn, cn, _, _ = ellipj(t, m.k_prime ** 2)
+        return np.concatenate([y[mlen:], (h + coef * (sn / cn) ** 2) * y[:mlen]])
+
+    sol = solve_ivp(rhs, t_span, start, method="DOP853", t_eval=t_eval, rtol=1e-13,
+                    atol=1e-20 * np.max(np.abs(start)))  # F starts near 1e-24 at nu = 19.5
+    assert sol.success
+    return sol.y[:mlen].T, sol.y[mlen:].T
+
+
+def test_first_kind_matches_solve_ivp(case):
+    m, nu, batch = case
+    kp = m.quarter_Kp
+    t = np.linspace(T_LO, T_HI, 33) * kp
+    start = np.concatenate([batch.imag(0.0)[0], batch.imag(0.0, derivative=True)[0]])
+    w, wp = _reference(m, nu, batch, (0.0, t[-1]), start, t)
+    assert _colmax_err(batch.imag(t), w) <= 1e-10
+    assert _colmax_err(batch.imag(t, derivative=True), wp) <= 1e-10
+
+
+def test_second_kind_matches_solve_ivp_on_both_sides_of_tau0(case):
+    m, nu, batch = case
+    kp = m.quarter_Kp
+    tau0 = batch.seconds[0].tau0
+    # from tau0/2 (Frobenius series) down through the hand-off at tau0 and
+    # the continuation panels to T_LO K'
+    t_start = kp - 0.5 * tau0
+    series_side = kp - tau0 * np.linspace(0.55, 1.0, 6)
+    t = np.concatenate([series_side, np.linspace(T_HI, T_LO, 33) * kp])
+    start = np.concatenate([batch.second(t_start)[0], batch.second(t_start, derivative=True)[0]])
+    f, fp = _reference(m, nu, batch, (t_start, t[-1]), start, t)
+    assert _colmax_err(batch.second(t), f) <= 1e-10
+    assert _colmax_err(batch.second(t, derivative=True), fp) <= 1e-10
