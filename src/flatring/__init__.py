@@ -78,4 +78,4 @@ from .lame import (
     solve_eigenpair,
     solve_eigenpairs,
 )
-from .legendre import LegendreIndex, gamma_ratio, hyp2f1, legendre_p, legendre_q
+from .legendre import LegendreIndex, gamma_ratio, hyp2f1, legendre_p, legendre_q, toroidal_tables

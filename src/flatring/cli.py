@@ -3,8 +3,12 @@
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error
 (including malformed points and unreadable files), 3 numerical
 non-convergence (ConvergenceError, BracketError).  Errors print one
-"error: ..." line on stderr.  All output goes to stdout as JSON (default)
-or CSV.
+"error: ..." line on stderr.  When --format json is given explicitly, exits
+2 and 3 also print {"error": {"type": ..., "message": ..., "exit_code": ...}}
+on stdout; without it stdout stays empty on error.  Usage errors that
+argparse itself reports (unknown options, bad choices) exit 2 before the
+format is known and print no JSON.  All output goes to stdout as JSON
+(default) or CSV.
 """
 
 from __future__ import annotations
@@ -298,21 +302,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_dirichlet)
     for p in sub.choices.values():
-        p.add_argument("--format", choices=["json", "csv"], default="json")
+        p.add_argument("--format", choices=["json", "csv"], default=None,
+                       help="output format (default json); an explicit json also "
+                            "reports errors as a JSON object on stdout")
     return parser
+
+
+def _fail(exc: Exception, code: int, json_requested: bool) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    if json_requested:
+        print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc),
+                                    "exit_code": code}}, indent=2))
+    return code
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    json_requested = args.format == "json"
+    args.format = args.format or "json"
     try:
         return args.func(args)
     except (DomainError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc, 2, json_requested)
     except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _fail(exc, 3, json_requested)
 
 
 if __name__ == "__main__":

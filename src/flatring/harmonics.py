@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln, gammasgn
 
 from .coords import (
     CartesianPoint,
@@ -29,7 +30,7 @@ from .elliptic import Modulus, _sncndn
 from .errors import DomainError, OrderingError
 from .lame import (LameFamily, family_of_superscript, lame_batch, shell_specs, warm_mixed,
                    warm_second_kind)
-from .legendre import gamma_ratio, legendre_p, legendre_q
+from .legendre import gamma_ratio, legendre_q, toroidal_tables
 
 _AXIS_GUARD = 1e-28  # on x^2 + y^2; external harmonics stay bounded near the axis
 
@@ -216,20 +217,34 @@ def toroidal_harmonic(m_order: int, n: int, p: ToroidalPoint, external: bool = F
     """Toroidal harmonic sqrt(cosh tau - cos psi) X(cosh tau) e^{i n psi} e^{i m phi},
     with X = Q (internal) or P (external) of half-integer degree |n| - 1/2."""
     d = math.cosh(p.tau) - math.cos(p.psi)
-    nu = abs(n) - 0.5
-    z = math.cosh(p.tau)
-    x_val = legendre_p(nu, float(m_order), z) if external else legendre_q(nu, float(m_order), z)
+    mu, nn = abs(m_order), abs(n)
+    p_tab, q_tab = toroidal_tables(math.cosh(p.tau), mu, nn)
+    x_val = float((p_tab if external else q_tab)[mu, nn])
+    if m_order < 0:  # X^{-m}_nu = Gamma(nu - m + 1) / Gamma(nu + m + 1) X^m_nu
+        x_val *= gamma_ratio(nn - mu + 0.5, nn + mu + 0.5)
     phase = n * p.psi + m_order * p.phi
     return math.sqrt(d) * x_val * complex(math.cos(phase), math.sin(phase))
 
 
+def _toroidal_terms(tau: float, tau_star: float, m_max: int, n_max: int) -> np.ndarray:
+    """Gamma-weighted radial products (-1)^m Gamma(n-m+1/2) / Gamma(n+m+1/2)
+    Q^m_{n-1/2}(cosh tau) P^m_{n-1/2}(cosh tau*) for m <= m_max, n <= n_max.
+
+    The weight's sign and size come from gammasgn/gammaln; the product of the
+    three factors is of moderate size even where each factor is not.
+    """
+    p, q = toroidal_tables(np.cosh([tau, tau_star]), m_max, n_max)
+    m = np.arange(m_max + 1)[:, None]
+    diff = np.arange(n_max + 1) - m + 0.5
+    weights = (np.where(m % 2, -1.0, 1.0) * gammasgn(diff)
+               * np.exp(gammaln(diff) - gammaln(diff + 2 * m)))
+    return weights * q[..., 0] * p[..., 1]
+
+
 def toroidal_summand(m_order: int, n: int, tau: float, tau_star: float) -> float:
-    """Gamma-weighted radial product of one (m, n) toroidal expansion term."""
-    nu = abs(n) - 0.5
-    weight = (-1.0) ** abs(m_order) * gamma_ratio(n - m_order + 0.5, n + m_order + 0.5)
-    return weight * legendre_q(nu, float(m_order), math.cosh(tau)) * legendre_p(
-        nu, float(m_order), math.cosh(tau_star)
-    )
+    """Gamma-weighted radial product of one (m, n) toroidal expansion term;
+    the -m and m terms are equal, as are the -n and n terms."""
+    return float(_toroidal_terms(tau, tau_star, abs(m_order), abs(n))[-1, -1])
 
 
 def toroidal_green_expansion(
@@ -252,21 +267,13 @@ def toroidal_green_expansion(
     d = math.cosh(p.tau) - math.cos(p.psi)
     d_star = math.cosh(p_star.tau) - math.cos(p_star.psi)
     pref = math.sqrt(d * d_star) / math.pi
-    dpsi = p.psi - p_star.psi
-    dphi = p.phi - p_star.phi
-    shells = []
-    total = 0.0
-    for n in range(tr.n_max + 1):
-        eps_n = 1.0 if n == 0 else 2.0
-        inner = 0.0
-        for m_order in range(tr.m_max + 1):
-            eps_m = 1.0 if m_order == 0 else 2.0
-            inner += eps_m * math.cos(m_order * dphi) * toroidal_summand(
-                m_order, n, p.tau, p_star.tau
-            )
-        shell = pref * eps_n * math.cos(n * dpsi) * inner
-        shells.append(shell)
-        total += shell
+    orders = np.arange(tr.m_max + 1)
+    degrees = np.arange(tr.n_max + 1)
+    azimuthal = np.where(orders == 0, 1.0, 2.0) * np.cos(orders * (p.phi - p_star.phi))
+    poloidal = np.where(degrees == 0, 1.0, 2.0) * np.cos(degrees * (p.psi - p_star.psi))
+    terms = _toroidal_terms(p.tau, p_star.tau, tr.m_max, tr.n_max)
+    shells = (pref * poloidal * (azimuthal @ terms)).tolist()
+    total = sum(shells)
     tail = _tail_from_shells(shells)
     tr.tail_estimate = tail
     if return_shells:
@@ -307,7 +314,9 @@ def integral_relation_check(
     lhs = integral over (-2K, 2K) of Q_nu(chi(s)) E(s) ds by Gauss-Legendre;
     rhs = 2 pi E(s*) E(it) F(it*), all in real-representative form.  kind is
     'c' or 's'; nu may be any real >= -1/2 (half-integer nu = m - 1/2 gives
-    the azimuthal Fourier coefficients of the reciprocal distance).
+    the azimuthal Fourier coefficients of the reciprocal distance).  For
+    half-integer nu, Q_nu(chi) comes from `toroidal_tables`, which covers
+    every chi > 1; other nu use the `legendre_q` series (chi >= 1.05).
     """
     if not 0.0 < t < t_star < m.quarter_Kp:
         raise OrderingError("integral relation requires 0 < t < t* < K'")
@@ -315,7 +324,12 @@ def integral_relation_check(
     k_big = m.quarter_K
     x, w = np.polynomial.legendre.leggauss(n_quad)
     nodes = 2.0 * k_big * x
-    q_chi = [legendre_q(nu, 0.0, chi) for chi in flatring_chi(nodes, t, s_star, t_star, m).tolist()]
+    chi = flatring_chi(nodes, t, s_star, t_star, m)
+    n = nu + 0.5
+    if n >= 0.0 and n == round(n):  # half-integer degree: the toroidal table's m = 0 column
+        q_chi = toroidal_tables(chi, 0, int(n))[1][0, -1]
+    else:
+        q_chi = [legendre_q(nu, 0.0, c) for c in chi.tolist()]
     lhs = float(np.dot(2.0 * k_big * w * batch.real(nodes)[:, 0], q_chi))
     rhs = 2.0 * math.pi * float(batch.real(s_star)[0, 0] * batch.imag(t)[0, 0]
                                 * batch.second(t_star)[0, 0])

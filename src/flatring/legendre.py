@@ -4,6 +4,12 @@ P is evaluated through a Pfaff-transformed Gauss series in (z-1)/(z+1),
 which has positive terms and converges for every z > 1; Q through the
 hypergeometric series in 1/z**2 (DLMF 14.3.6/14.3.7 conventions).
 
+The toroidal functions P^m_{n-1/2}, Q^m_{n-1/2} (integer m, n >= 0) come as
+whole tables from recurrences seeded by complete elliptic integrals
+(`toroidal_tables`), after Gil & Segura, Comput. Phys. Commun. 124 (2000)
+104-122; they cover every z > 1, including the z < 1.05 band that the
+scalar Q series refuses.
+
 Phase convention: the defining formula for Q carries a factor e^{i mu pi}.
 For integer order m this equals (-1)**m and is kept inside the returned real
 value, so connection formulas and Wronskians hold literally with no external
@@ -16,7 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import gammaln, gammasgn
+import numpy as np
+from scipy.special import ellipe, ellipkm1, elliprd, gammaln, gammasgn
 
 from .errors import ConvergenceError, DomainError
 
@@ -169,3 +176,146 @@ def legendre_q(nu: float, mu: float, z: float) -> float:
         - (nu + m + 1.0) * math.log(z)
     )
     return sign * math.exp(log_pref + math.log(f))
+
+
+# A minimal solution is run forward where the dominant one outgrows it by
+# less than 1/_FORWARD_GROWTH over the requested range (up to a small
+# algebraic factor), else backward from where the dominant one is damped by
+# e^-_BACKWARD_DAMPING ~ 1e-17.
+_FORWARD_GROWTH = 0.1
+_BACKWARD_DAMPING = 39.0
+
+
+def _minimal_solution(y0, y1, slope, drag, d, rate, guess, top: int) -> np.ndarray:
+    """y_k, k = 0..top, of the minimal solution of the three-term recurrence
+    y_{k+1} = slope(k) (1 + d) y_k + drag(k) y_{k-1} with y_0 = y0.
+
+    slope and drag map an array of k to coefficients; d (per point) is held
+    apart from 1 because near 1 + d = 1 the forward recurrence is sensitive
+    to d itself (coth(tau) - 1 at large z loses its digits once rounded into
+    coth; 2e-14 against 1.2e-13 at order 40, z = 1e3).
+    The dominant/minimal ratio grows by about 1/rate per step (rate < 1 per
+    point).  Where rate**top >= _FORWARD_GROWTH the forward recurrence from
+    y0, y1 loses little; elsewhere the ratios y_{k+1}/y_k come from the
+    backward recurrence, started where the dominant solution has been damped
+    below rounding from guess(start) ~ y_{start+1}/y_start, and multiply y0.
+    """
+    col = np.empty((top + 1,) + np.shape(d))
+    col[0] = y0
+    if top == 0:
+        return col
+    col[1] = y1
+    backward = rate ** top < _FORWARD_GROWTH
+    if not np.all(backward):
+        k = np.arange(1.0, top)
+        gain, pull = slope(k).tolist(), drag(k).tolist()
+        for i in range(top - 1):
+            col[i + 2] = gain[i] * (col[i + 1] + d * col[i + 1]) + pull[i] * col[i]
+    if np.any(backward):
+        start = top + int(np.ceil(np.max(_BACKWARD_DAMPING / -np.log(rate[backward]))))
+        k = np.arange(start, 0, -1.0)
+        level = np.multiply.outer(slope(k), 1.0 + d)
+        pull = drag(k).tolist()
+        ratio = guess(start)
+        ratios = np.empty((top,) + np.shape(d))
+        for i in range(start):  # k = start - i; the new ratio is y_k / y_(k-1)
+            ratio = pull[i] / (ratio - level[i])
+            if i >= start - top:
+                ratios[start - 1 - i] = ratio
+        col[1:] = np.where(backward, y0 * np.cumprod(ratios, axis=0), col[1:])
+    return col
+
+
+def _degree_forward(table: np.ndarray, z, first_order: int = 0) -> None:
+    """Fill degrees 3/2.. of a P table (orders, degrees, ...) at z in place
+    from its degree -1/2 and 1/2 columns (DLMF 14.10.3; P is dominant in the
+    degree).  Row i holds order first_order + i."""
+    k = np.arange(1.0, table.shape[1] - 1.0)[:, None]
+    j = np.arange(first_order, first_order + table.shape[0] + 0.0)
+    scale = 1.0 / (k - j + 0.5)
+    gain = (2.0 * k * scale).reshape(k.shape[:1] + j.shape + (1,) * (table.ndim - 2))
+    pull = ((k + j - 0.5) * scale).reshape(gain.shape)
+    for i in range(table.shape[1] - 2):  # degree i + 3/2 from i + 1/2 and i - 1/2
+        table[:, i + 2] = gain[i] * z * table[:, i + 1] - pull[i] * table[:, i]
+
+
+def _order_forward(table: np.ndarray, coth) -> None:
+    """Fill orders 2.. of a Q table (orders, degrees, ...) in place from its
+    orders 0 and 1 (DLMF 14.10.6; Q is dominant in the order):
+    Q^{m+1} = -2 m coth(tau) Q^m + (n-m+1/2)(n+m-1/2) Q^{m-1} at degree n - 1/2."""
+    m = np.arange(1.0, table.shape[0] - 1.0)[:, None]
+    n = np.arange(table.shape[1] + 0.0)
+    pull = ((n - m + 0.5) * (n + m - 0.5)).reshape(m.shape[:1] + n.shape + (1,) * (table.ndim - 2))
+    for i in range(table.shape[0] - 2):  # order i + 2 from i + 1 and i
+        table[i + 2] = (-2.0 * (i + 1)) * coth * table[i + 1] + pull[i] * table[i]
+
+
+def toroidal_tables(z, m_max: int, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Toroidal functions P^m_{n-1/2}(z) and Q^m_{n-1/2}(z), m = 0..m_max,
+    n = 0..n_max, at every z = cosh(tau) > 1 (scalar or array).
+
+    Returns (p, q), each of shape (m_max + 1, n_max + 1) + np.shape(z); the
+    (-1)**m phase is folded into q as in `legendre_q`.  Raises
+    ConvergenceError when an entry leaves the double range.
+
+    Seeds are closed forms in complete elliptic integrals (DLMF 14.5(v), and
+    their z-derivatives for order 1), with a = 2/(z+1), b = (z-1)/(z+1) and
+    K(b) - E(b) = (b/3) R_D(0, a, 1) so that none cancels where it is used
+    (Q_{1/2} cancels for large z, but seeds only the forward branch near z = 1):
+    P_{-1/2} = (2/pi) sqrt(a) K(b),  P^1_{-1/2} = -(sqrt2/pi)(K(b) - E(b))/sqrt(z-1),
+    P_{1/2} = (2/pi) sqrt(a) ((z+1) E(b) - K(b)),
+    P^1_{1/2} = (sqrt2/pi) sqrt(z-1) (E(b) - R_D/(3 (z+1))),
+    Q_{-1/2} = sqrt(a) K(a),  Q_{1/2} = ((2-a) K(a) - 2 E(a)) / sqrt(a).
+    P runs forward in the degree and Q forward in the order, where each is
+    dominant.  The minimal directions (Q^0 in the degree, P_{-1/2} in the
+    order) use `_minimal_solution`; Q^1 follows from the order Casoratian
+    P^0 Q^1 - P^1 Q^0 = -1/sqrt(z^2-1), and P^m_{1/2} from the degree
+    Casoratian P^m_{-1/2} Q^m_{1/2} - P^m_{1/2} Q^m_{-1/2} = Gamma(m+1/2)^2 / (pi (m-1/2)).
+    After Gil & Segura, Comput. Phys. Commun. 124 (2000) 104-122.
+    """
+    if m_max < 0 or n_max < 0:
+        raise DomainError("toroidal_tables: m_max and n_max must be non-negative")
+    z = np.asarray(z, dtype=float)
+    if not (np.all(z > 1.0) and np.all(np.isfinite(z))):
+        raise DomainError("toroidal_tables requires finite z > 1")
+    zm1 = z - 1.0
+    zp1 = z + 1.0
+    root = np.sqrt(zm1 * zp1)  # sinh(tau)
+    e_tau = 1.0 / (z + root)  # e^-tau
+    cm1 = e_tau / root  # coth(tau) - 1
+    a = 2.0 / zp1
+    b = zm1 / zp1  # tanh(tau/2)^2
+    sqrt_a = np.sqrt(a)
+    k_b, k_a = ellipkm1(a), ellipkm1(b)
+    e_b, e_a = ellipe(b), ellipe(a)
+    r_d = elliprd(0.0, a, 1.0)
+    top_m, top_n = max(m_max, 1), max(n_max, 1)
+    p = np.empty((top_m + 1, top_n + 1) + z.shape)
+    q = np.empty_like(p)
+    # a branch of _minimal_solution may blow up on the points of the other; only
+    # the returned entries are checked
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        p[:2, :2] = [[(2.0 / math.pi) * sqrt_a * k_b, (2.0 / math.pi) * sqrt_a * (zp1 * e_b - k_b)],
+                     [-(math.sqrt(2.0) / (3.0 * math.pi)) * np.sqrt(zm1) / zp1 * r_d,
+                      (math.sqrt(2.0) / math.pi) * np.sqrt(zm1) * (e_b - r_d / (3.0 * zp1))]]
+        _degree_forward(p[:2], z)
+        q[0] = _minimal_solution(
+            sqrt_a * k_a, ((2.0 - a) * k_a - 2.0 * e_a) / sqrt_a,
+            lambda k: 2.0 * k / (k + 0.5), lambda k: -(k - 0.5) / (k + 0.5),
+            zm1, e_tau * e_tau, lambda k: e_tau, top_n)
+        q[1] = (p[1] * q[0] - 1.0 / root) / p[0]
+        _order_forward(q, 1.0 + cm1)
+        p[2:, 0] = _minimal_solution(
+            p[0, 0], p[1, 0], lambda k: -2.0 * k, lambda k: -(k - 0.5) ** 2,
+            cm1, b, lambda k: -k * np.sqrt(b), top_m)[2:]
+        m = np.arange(2, top_m + 1.0).reshape((-1,) + (1,) * z.ndim)
+        g = np.exp(gammaln(m + 0.5))
+        p[2:, 1] = p[2:, 0] * (q[2:, 1] / q[2:, 0]) - g * (g / q[2:, 0]) / (math.pi * (m - 0.5))
+        _degree_forward(p[2:], z, first_order=2)
+    p, q = p[:m_max + 1, :n_max + 1], q[:m_max + 1, :n_max + 1]
+    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
+        raise ConvergenceError(
+            f"toroidal tables up to (m, n) = ({m_max}, {n_max}) leave the double range",
+            attained=None,
+        )
+    return p, q

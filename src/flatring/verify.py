@@ -155,9 +155,18 @@ def suite_harmonics(seed: int = 0, tol_scale: float = 1.0) -> list[dict]:
     out.append(_check("harmonics.toroidal_green", abs(val - direct) / direct,
                       1e-6 * tol_scale))
 
+    # near the axis (tau < 0.3, cosh tau < 1.05), where the Q series does not reach
+    rt = coords.toroidal_to_cartesian(coords.ToroidalPoint(tau=0.25, psi=1.0, phi=0.2))
+    rts = coords.toroidal_to_cartesian(coords.ToroidalPoint(tau=0.1, psi=-1.0, phi=2.0))
+    direct = 1.0 / math.dist(rt, rts)
+    val, _ = harmonics.toroidal_green_expansion(rt, rts, harmonics.Truncation(30, 100))
+    out.append(_check("harmonics.toroidal_green_near_axis", abs(val - direct) / direct,
+                      1e-8 * tol_scale))
+
     rhs = harmonics.addition_theorem_rhs(1, 0.6 * K, 1.3 * K, 0.25 * Kp, 0.65 * Kp, 11, m)
-    lhs = legendre.legendre_q(0.5, 0.0, harmonics.flatring_chi(
-        0.6 * K, 0.25 * Kp, 1.3 * K, 0.65 * Kp, m))
+    _, q_half = legendre.toroidal_tables(harmonics.flatring_chi(
+        0.6 * K, 0.25 * Kp, 1.3 * K, 0.65 * Kp, m), 0, 1)
+    lhs = float(q_half[0, 1])
     out.append(_check("harmonics.addition", abs(rhs - lhs) / abs(lhs), 1e-4 * tol_scale))
 
     lhs_i, rhs_i = harmonics.integral_relation_check(
