@@ -61,21 +61,16 @@ from .harmonics import (
     toroidal_green_expansion,
     toroidal_harmonic,
     toroidal_limit_summand,
-    warm_cache,
 )
 from .lame import (
-    LameEigenpair,
+    LameBasis,
     LameFamily,
-    LameSecondKind,
-    eigenpair,
+    basis,
+    basis_for,
+    clear_caches,
     eigenvalue_bracket,
-    eval_e_imag,
-    eval_e_real,
-    eval_f_imag,
     family_of_superscript,
-    second_kind,
-    second_kind_cached,
-    solve_eigenpair,
-    solve_eigenpairs,
+    shell_depth,
+    shell_specs,
 )
 from .legendre import LegendreIndex, gamma_ratio, hyp2f1, legendre_p, legendre_q, toroidal_tables

@@ -34,9 +34,8 @@ from .harmonics import (
     green_expansion,
     internal_harmonic,
     toroidal_green_expansion,
-    warm_cache,
 )
-from .lame import family_of_superscript, warm_mixed
+from .lame import basis_for, family_of_superscript
 from .verify import SUITES, run_suites
 
 
@@ -80,23 +79,26 @@ def cmd_eigen(args) -> int:
     kind = "c" if args.family.lower() in ("ec", "c") else "s"
     sups = _parse_range(args.n_range)
     rows = []
-    pairs = warm_mixed([family_of_superscript(kind, n) for n in sups], args.nu, m)
-    for sup, pair in zip(sups, pairs):
-        lo, hi = pair.bracket
+    specs = [family_of_superscript(kind, n) for n in sups]
+    b, cols = basis_for(specs, args.nu, m)
+    for sup, (_, n), j in zip(sups, specs, cols):
+        lo, hi = b.bracket[j].tolist()
         rows.append({
             "family": "Ec" if kind == "c" else "Es",
             "nu": args.nu,
             "superscript": sup,
-            "eigenvalue": pair.h,
+            "eigenvalue": float(b.h[j]),
             "bracket_lo": lo,
             "bracket_hi": hi,
-            "zeros_in_0K": pair.n,
+            "zeros_in_0K": n,
         })
     _emit(rows, args.format)
     return 0
 
 
 def _figure_lines(m: Modulus, n_samples: int) -> list[dict]:
+    if n_samples < 1:
+        raise DomainError(f"--samples must be >= 1, got {n_samples!r}")
     k_big, kp = m.quarter_K, m.quarter_Kp
     t_line = np.linspace(1e-3 * kp, kp * (1.0 - 1e-3), n_samples)
     s_line = np.linspace(-2.0 * k_big * (1.0 - 1e-4), 2.0 * k_big * (1.0 - 1e-4), n_samples)
@@ -144,7 +146,6 @@ def cmd_green(args) -> int:
     if args.toroidal:
         val, tail, shells = toroidal_green_expansion(r, rs, tr, return_shells=True)
     else:
-        warm_cache(m, args.m_max, args.n_max)
         val, tail, shells = green_expansion(r, rs, tr, m, return_shells=True)
     report = {
         "value": val,
@@ -201,7 +202,8 @@ def cmd_dirichlet(args) -> int:
     kp = m.quarter_Kp
     dom = FlatRingDomain(t0=args.t0 * kp, modulus=m)
     tr = Truncation(args.m_max, args.n_max)
-    warm_cache(m, args.m_max, args.n_max, second=False)
+    if args.n_probes < 0:
+        raise DomainError(f"--n-probes must be >= 0, got {args.n_probes!r}")
 
     r_star = None
     if args.boundary == "point-source":
@@ -308,6 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()  # built once per process: ~45 add_argument calls
+
+
 def _fail(exc: Exception, code: int, json_requested: bool) -> int:
     print(f"error: {exc}", file=sys.stderr)
     if json_requested:
@@ -317,8 +322,7 @@ def _fail(exc: Exception, code: int, json_requested: bool) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     json_requested = args.format == "json"
     args.format = args.format or "json"
     try:

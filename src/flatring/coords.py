@@ -203,7 +203,7 @@ def _invert_mu_to_t(mu: float, m: Modulus) -> float:
     lo, hi = 0.0, m.quarter_Kp
     t = math.atan(x_t) / (0.5 * math.pi) * m.quarter_Kp
     for _ in range(80):
-        sn, cn, dn = _sncndn(t, kp)
+        sn, cn, dn = _sncndn(t, kp, m.k)
         f = x_t * cn - sn
         if f < 0.0:
             hi = t

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,7 +22,7 @@ from .coords import CartesianPoint, FlatRingPoint, Variant, cartesian_to_flatrin
 from .elliptic import Modulus, jacobi_imag
 from .errors import DomainError, QuadratureWarning
 from .harmonics import HarmonicIndex, Truncation
-from .lame import LameBatch, lame_batch, shell_specs
+from .lame import LameBasis, basis, basis_for
 
 _INTERIOR_MARGIN = 1e-3  # in units of K': probes must satisfy t <= t0 - margin
 
@@ -67,15 +67,17 @@ def _inverse_distance(q: CartesianPoint, r_star: CartesianPoint):
 def _surface_quadrature(m: Modulus, n_s: int, n_phi: int):
     """Gauss-Legendre nodes and weights on s in (-2K, 2K), trapezoid nodes
     and step in phi."""
+    if n_s < 1 or n_phi < 1:
+        raise DomainError(f"quadrature needs n_s >= 1 and n_phi >= 1, "
+                          f"got {n_s!r} and {n_phi!r}")
     x, w = np.polynomial.legendre.leggauss(n_s)
     dphi = 2.0 * math.pi / n_phi
     return 2.0 * m.quarter_K * x, 2.0 * m.quarter_K * w, -math.pi + dphi * np.arange(n_phi), dphi
 
 
-def _bases(m: Modulus, tr: Truncation) -> list[LameBatch]:
-    """The first-kind basis of each order |m| <= m_max, columns as in shell_specs."""
-    specs = shell_specs(tr.n_max)
-    return [lame_batch(specs, order - 0.5, m) for order in range(tr.m_max + 1)]
+def _bases(m: Modulus, tr: Truncation) -> list[LameBasis]:
+    """The basis of each order |m| <= m_max at shell depth n_max."""
+    return [basis(order - 0.5, m, tr.n_max) for order in range(tr.m_max + 1)]
 
 
 @dataclass
@@ -122,8 +124,6 @@ class CoefficientTable:
     c: np.ndarray  # complex, (2*m_max+1, n_max+1)
     d: np.ndarray  # complex, (2*m_max+1, n_max+1)
     parseval_residual: float
-    # the first-kind basis per |m| that the data were projected on (see _bases)
-    bases: list[LameBatch] | None = field(default=None, repr=False, compare=False)
 
     def c_of(self, m: int, n: int) -> complex:
         return self.c[self.m_max + m, n]
@@ -148,12 +148,11 @@ def coefficients(dom: FlatRingDomain, data: BoundaryData, tr: Truncation) -> Coe
 
     # columns: Ec^0..Ec^N, then Es^1..Es^(N+1)
     cd = np.zeros((2 * tr.m_max + 1, 2 * (tr.n_max + 1)), dtype=complex)
-    bases = _bases(dom.modulus, tr)
     captured = 0.0
-    for order, batch in enumerate(bases):
-        edge = batch.imag(dom.t0)[0]
+    for order, b in enumerate(_bases(dom.modulus, tr)):
+        edge = b.imag(dom.t0)[0]
         rows = sorted({tr.m_max + order, tr.m_max - order})
-        cd[rows] = (g_hat[rows] @ batch.real(s_nodes)) / (8.0 * math.pi * edge)
+        cd[rows] = (g_hat[rows] @ b.real(s_nodes)) / (8.0 * math.pi * edge)
         captured += 8.0 * math.pi * float(np.sum(np.abs(cd[rows] * edge) ** 2))
 
     # Parseval check against the sampled norm of g
@@ -165,7 +164,7 @@ def coefficients(dom: FlatRingDomain, data: BoundaryData, tr: Truncation) -> Coe
             QuadratureWarning,
         )
     return CoefficientTable(m_max=tr.m_max, n_max=tr.n_max, c=cd[:, :tr.n_max + 1],
-                            d=cd[:, tr.n_max + 1:], parseval_residual=residual, bases=bases)
+                            d=cd[:, tr.n_max + 1:], parseval_residual=residual)
 
 
 def solve_interior(dom: FlatRingDomain, coeffs: CoefficientTable,
@@ -183,10 +182,9 @@ def solve_interior(dom: FlatRingDomain, coeffs: CoefficientTable,
             f"{_INTERIOR_MARGIN} K'"
         )
     cd = np.hstack([coeffs.c, coeffs.d])
-    bases = coeffs.bases or _bases(m, Truncation(coeffs.m_max, coeffs.n_max))
     total = np.zeros(len(points), dtype=complex)
-    for order, batch in enumerate(bases):
-        base = batch.real(s) * batch.imag(t)
+    for order, b in enumerate(_bases(m, Truncation(coeffs.m_max, coeffs.n_max))):
+        base = b.real(s) * b.imag(t)
         for j in {order, -order}:
             total += (base @ cd[coeffs.m_max + j]) * np.exp(1j * j * phi)
     u = np.array([(pt.x * pt.x + pt.y * pt.y) ** -0.25 for pt in points]) * total.real
@@ -216,10 +214,10 @@ def external_from_boundary(dom: FlatRingDomain, idx: HarmonicIndex,
         raise DomainError("external_from_boundary expects an Hc or Hs index")
     if dom.contains(r_star):
         raise DomainError("r* must lie outside the closed flat-ring")
-    batch = lame_batch([(idx.family, idx.zero_count)], idx.nu, dom.modulus)
+    b, cols = basis_for([(idx.family, idx.zero_count)], idx.nu, dom.modulus)
     s_nodes, s_weights, phi_nodes, dphi = _surface_quadrature(dom.modulus, n_s, n_phi)
     q = dom.surface_point(s_nodes[:, None], phi_nodes[None, :])
-    integrand = (np.sqrt(np.hypot(q.x, q.y)) * batch.real(s_nodes)
+    integrand = (np.sqrt(np.hypot(q.x, q.y)) * b.real(s_nodes, cols=cols)
                  * _inverse_distance(q, r_star))  # (n_s, n_phi)
     total = (s_weights @ integrand @ np.exp(1j * idx.m * phi_nodes)) * dphi
-    return complex(total / (4.0 * math.pi * batch.imag(dom.t0)[0, 0]))
+    return complex(total / (4.0 * math.pi * b.imag(dom.t0, cols=cols)[0, 0]))

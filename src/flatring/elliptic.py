@@ -96,15 +96,19 @@ class JacobiImag:
     dn: float
 
 
-def _sncndn(u, k: float):
-    """Jacobi sn, cn, dn of real u (a float or an array) at modulus k in [0, 1)."""
+def _sncndn(u, k: float, kc: float | None = None):
+    """Jacobi sn, cn, dn of real u (a float or an array) at modulus k in [0, 1).
+
+    kc is the complementary modulus sqrt(1 - k**2).  Callers on the
+    imaginary axis, where k is the k' of a Modulus, pass its k: formed here
+    from k', 1 - k'**2 would lose the digits of k**2 at small k.
+    """
     scalar = isinstance(u, (int, float))
     xp, asin = (math, math.asin) if scalar else (np, np.arcsin)
     u = u if scalar else np.asarray(u, dtype=float)
     if k == 0.0:
         return xp.sin(u), xp.cos(u), 1.0 if scalar else np.ones_like(u)
-    k2 = k * k
-    kp2 = 1.0 - k2
+    kp2 = 1.0 - k * k if kc is None else kc * kc
 
     a = [1.0]
     b = math.sqrt(kp2)
@@ -145,13 +149,24 @@ def jacobi_imag(t, m: Modulus) -> JacobiImag:
     """Real representatives of sn, cn, dn at the purely imaginary argument it
     (arrays for an array t).  Poles sit at t = +-K'; arguments inside the
     guard band raise PoleError."""
-    if not np.all(np.isfinite(t)):
+    scalar = np.ndim(t) == 0
+    t = float(t) if scalar else np.asarray(t, dtype=float)
+    x = abs(t)
+    top = x if scalar else float(x.max(initial=0.0))
+    if not math.isfinite(top):
         raise DomainError("jacobi_imag requires finite t")
     kp = m.quarter_Kp
-    if np.any(np.abs(t) >= kp - POLE_GUARD):
+    if top >= kp - POLE_GUARD:
         raise PoleError(f"jacobi_imag pole at |t| = K' = {kp!r}, got t = {t!r}")
-    sn, cn, dn = _sncndn(t, m.k_prime)
-    return JacobiImag(sn_im=sn / cn, cn=1.0 / cn, dn=dn / cn)
+    where = (lambda c, a, b: a if c else b) if scalar else np.where  # floats stay floats
+    far = x > 0.5 * kp
+    # past K'/2, where cn(t, k') is small, read sn, cn, dn at tau = K' - |t|
+    # and use the reflections (DLMF 22.4.3): sc = cn/(k sn), nc = dn/(k sn), dc = ns
+    sn, cn, dn = _sncndn(where(far, kp - x, x), m.k_prime, m.k)
+    den = where(far, m.k * sn, cn)
+    sc = where(far, cn, sn) / den
+    return JacobiImag(sn_im=where(t < 0.0, -sc, sc), cn=where(far, dn, 1.0) / den,
+                      dn=where(far, m.k, dn) / den)
 
 
 def glaisher(t: float, kp: float, code: str) -> float:

@@ -28,8 +28,7 @@ from .coords import (
 )
 from .elliptic import Modulus, _sncndn
 from .errors import DomainError, OrderingError
-from .lame import (LameFamily, family_of_superscript, lame_batch, shell_specs, warm_mixed,
-                   warm_second_kind)
+from .lame import LameBasis, LameFamily, basis, basis_for, family_of_superscript
 from .legendre import gamma_ratio, legendre_q, toroidal_tables
 
 _AXIS_GUARD = 1e-28  # on x^2 + y^2; external harmonics stay bounded near the axis
@@ -94,19 +93,6 @@ class Truncation:
             raise DomainError("truncation limits must be non-negative")
 
 
-def warm_cache(m: Modulus, m_max: int, n_max: int, second: bool = True) -> None:
-    """Solve and memoize every eigenpair the (m_max, n_max) expansion needs.
-
-    Builds per-(family, nu) batches; with second=True the second-kind
-    companions are constructed as well.
-    """
-    specs = shell_specs(n_max)
-    for order in range(m_max + 1):
-        pairs = warm_mixed(specs, order - 0.5, m)
-        if second:
-            warm_second_kind(pairs)
-
-
 def _flatring_of(q: CartesianPoint, m: Modulus) -> tuple[FlatRingPoint, float]:
     r2 = q.x * q.x + q.y * q.y
     if r2 <= _AXIS_GUARD:
@@ -118,10 +104,9 @@ def _flatring_of(q: CartesianPoint, m: Modulus) -> tuple[FlatRingPoint, float]:
 def _harmonic(idx: HarmonicIndex, q: CartesianPoint, m: Modulus) -> complex:
     """E(s) W(t) (internal) or E(s) F(t) (external) times (x^2+y^2)^(-1/4) e^{i m phi}."""
     p, pref = _flatring_of(q, m)
-    internal = idx.kind.internal
-    batch = lame_batch([(idx.family, idx.zero_count)], idx.nu, m, second=not internal)
-    radial = batch.imag(p.t) if internal else batch.second(p.t)
-    val = pref * float(batch.real(p.s)[0, 0] * radial[0, 0])
+    b, cols = basis_for([(idx.family, idx.zero_count)], idx.nu, m)
+    radial = b.imag(p.t, cols=cols) if idx.kind.internal else b.second(p.t, cols=cols)
+    val = pref * float(b.real(p.s, cols=cols)[0, 0] * radial[0, 0])
     return val * complex(math.cos(idx.m * p.phi), math.sin(idx.m * p.phi))
 
 
@@ -149,12 +134,11 @@ def external_harmonic(idx: HarmonicIndex, q: CartesianPoint, m: Modulus) -> comp
     return _harmonic(idx, q, m)
 
 
-def _lame_products(m: Modulus, order: int, specs, s: float, s_star: float,
-                   t: float, t_star: float) -> np.ndarray:
-    """E(s) E(s*) W(t) F(t*) at nu = |order| - 1/2 for every (family, zero count) in specs."""
-    batch = lame_batch(specs, abs(order) - 0.5, m, second=True)
-    e = batch.real([s, s_star])
-    return e[0] * e[1] * batch.imag(t)[0] * batch.second(t_star)[0]
+def _lame_products(b: LameBasis, s: float, s_star: float, t: float, t_star: float,
+                   cols=slice(None)) -> np.ndarray:
+    """E(s) E(s*) W(t) F(t*) for the columns cols of a basis."""
+    e = b.real([s, s_star], cols=cols)
+    return e[0] * e[1] * b.imag(t, cols=cols)[0] * b.second(t_star, cols=cols)[0]
 
 
 def _tail_from_shells(shells: list[float]) -> float:
@@ -188,10 +172,10 @@ def green_expansion(
         raise OrderingError(
             f"expansion requires t < t*; got t = {p.t!r}, t* = {p_star.t!r}"
         )
-    specs = shell_specs(tr.n_max)
     n1 = tr.n_max + 1
     # terms[order, n]: the (|m|, n) block Ec^n Ec^n Wc Fc + Es^(n+1) Es^(n+1) Ws Fs
-    terms = np.array([_lame_products(m, order, specs, p.s, p_star.s, p.t, p_star.t)
+    terms = np.array([_lame_products(basis(order - 0.5, m, tr.n_max),
+                                     p.s, p_star.s, p.t, p_star.t)
                       for order in range(tr.m_max + 1)])
     terms = terms[:, :n1] + terms[:, n1:]
     orders = np.arange(tr.m_max + 1)
@@ -295,7 +279,7 @@ def addition_theorem_rhs(
         raise DomainError("azimuthal order must be >= 0")
     if not 0.0 < t < t_star < m.quarter_Kp:
         raise OrderingError("addition theorem requires 0 < t < t* < K'")
-    terms = _lame_products(m, m_order, shell_specs(n_max), s, s_star, t, t_star)
+    terms = _lame_products(basis(m_order - 0.5, m, n_max), s, s_star, t, t_star)
     return 0.5 * math.pi * float(np.sum(terms))
 
 
@@ -320,7 +304,7 @@ def integral_relation_check(
     """
     if not 0.0 < t < t_star < m.quarter_Kp:
         raise OrderingError("integral relation requires 0 < t < t* < K'")
-    batch = lame_batch([family_of_superscript(kind, superscript)], nu, m, second=True)
+    b, cols = basis_for([family_of_superscript(kind, superscript)], nu, m)
     k_big = m.quarter_K
     x, w = np.polynomial.legendre.leggauss(n_quad)
     nodes = 2.0 * k_big * x
@@ -330,9 +314,9 @@ def integral_relation_check(
         q_chi = toroidal_tables(chi, 0, int(n))[1][0, -1]
     else:
         q_chi = [legendre_q(nu, 0.0, c) for c in chi.tolist()]
-    lhs = float(np.dot(2.0 * k_big * w * batch.real(nodes)[:, 0], q_chi))
-    rhs = 2.0 * math.pi * float(batch.real(s_star)[0, 0] * batch.imag(t)[0, 0]
-                                * batch.second(t_star)[0, 0])
+    lhs = float(np.dot(2.0 * k_big * w * b.real(nodes, cols=cols)[:, 0], q_chi))
+    rhs = 2.0 * math.pi * float(b.real(s_star, cols=cols)[0, 0] * b.imag(t, cols=cols)[0, 0]
+                                * b.second(t_star, cols=cols)[0, 0])
     return lhs, rhs
 
 
@@ -356,12 +340,13 @@ def flatring_summand(
 
     def t_factor(psi_v, tau_v):
         _, cn_p, dn_p = _sncndn(psi_v, m.k)
-        sn_t, cn_t, dn_t = _sncndn(tau_v, m.k_prime)
+        sn_t, cn_t, dn_t = _sncndn(tau_v, m.k_prime, m.k)
         return (dn_p - cn_p * dn_t) / (m.k_prime * sn_t)
 
     pref = 0.5 * math.sqrt(t_factor(psi, tau) * t_factor(psi_star, tau_star))
     specs = [family_of_superscript("c", n)] + ([family_of_superscript("s", n)] if n >= 1 else [])
-    return pref * float(np.sum(_lame_products(m, m_order, specs, s, s_star, t, t_star)))
+    b, cols = basis_for(specs, abs(m_order) - 0.5, m)
+    return pref * float(np.sum(_lame_products(b, s, s_star, t, t_star, cols)))
 
 
 def toroidal_limit_summand(

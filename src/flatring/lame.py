@@ -32,9 +32,11 @@ singular point t = K' (tau = K' - t = 0).  It is built from the even
 Frobenius series there, continued by integration, and scaled so that
 F(it) dE(it)/dt - E(it) dF(it)/dt = 1 in real-representative form.
 
-LameBatch evaluates the eigenpairs of one (nu, k) on arrays of points, one
-matrix product per family or panel set; the scalar eval_* functions are its
-one-mode case.
+LameBasis holds everything of one (nu, k) at a shell depth N: the modes
+Ec^0..Ec^N, Es^1..Es^(N+1), their coefficients, certificates and panels,
+read on arrays of points one matrix product per axis.  basis(nu, m, N)
+serves them from one bounded LRU cache; a caller that needs a few modes
+takes the basis of least depth that holds them (basis_for).
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
@@ -163,15 +164,15 @@ def _panel_table(edges, coeffs: list[np.ndarray]) -> tuple:
     return coeffs, e[1:-1], e[1:] + e[:-1], e[1:] - e[:-1]
 
 
-def _panel_values(table: tuple, t: np.ndarray) -> np.ndarray:
-    """Every column of a panel table at an array t: t.shape + (M,), one
-    Clenshaw sum per panel that holds points."""
+def _panel_values(table: tuple, t: np.ndarray, cols=slice(None)) -> np.ndarray:
+    """Columns cols of a panel table at an array t: t.shape + (len(cols),),
+    one Clenshaw sum per panel that holds points."""
     coeffs, inner, sums, widths = table
     j = np.searchsorted(inner, t, side="right")
-    out = np.empty(t.shape + coeffs[0].shape[1:])
+    out = np.empty(t.shape + coeffs[0][:, cols].shape[1:])
     for i in np.unique(j):
         sel = j == i
-        out[sel] = _cheb.chebval((2.0 * t[sel] - sums[i]) / widths[i], coeffs[i]).T
+        out[sel] = _cheb.chebval((2.0 * t[sel] - sums[i]) / widths[i], coeffs[i][:, cols]).T
     return out
 
 
@@ -191,7 +192,7 @@ def _sc2_panels(m: Modulus) -> tuple:
         deg = 40
         nodes = 0.5 * (1.0 - np.cos(np.pi * np.arange(deg + 1) / deg))
         lo, hi = np.array(edges[:-1]), np.array(edges[1:])
-        sn, cn, _ = _sncndn(lo[:, None] + (hi - lo)[:, None] * nodes, m.k_prime)
+        sn, cn, _ = _sncndn(lo[:, None] + (hi - lo)[:, None] * nodes, m.k_prime, m.k)
         coeffs = [c[:, None] for c in (_lobatto_fit(deg) @ ((sn / cn) ** 2).T).T]
         cached = _panel_table(edges, coeffs)
         _SC2_CACHE[m.k] = cached
@@ -219,18 +220,22 @@ def _rk_steps(nodes: np.ndarray, lam: float):
     return nodes[seg] + pos * h, h, seg, pos
 
 
-# --- eigenpair objects ------------------------------------------------------
+# --- imaginary-axis panels --------------------------------------------------
 
 
 class _ImagPanels:
     """Growth-limited piecewise Chebyshev panels for a batch of solutions of
-    W'' = (h + c sc^2(t,k')) W, one column per eigenvalue."""
+    W'' = (h + c sc^2(t,k')) W, one column per eigenvalue, built from t_start
+    toward t_end as far as requests reach."""
 
-    def __init__(self, m: Modulus, coef: float, h: np.ndarray, t0: float, state0: np.ndarray):
+    def __init__(self, m: Modulus, coef: float, h: np.ndarray, t0: float, state0: np.ndarray,
+                 t_end: float):
         self.m = m
         self.coef = coef
         self.h = np.asarray(h, dtype=float)
+        self._h_max = float(np.max(np.abs(self.h)))
         self.t_start = float(t0)
+        self.t_end = float(t_end)
         self.t_built = float(t0)
         self.state = np.asarray(state0, dtype=float)  # (2M,) = [W..., W'...]
         self.edges: list[float] = [float(t0)]
@@ -239,7 +244,7 @@ class _ImagPanels:
         self._tables: tuple | None = None  # for values(), rebuilt as panels grow
 
     def _lambda(self, t: float) -> float:
-        q = float(np.max(np.abs(self.h))) + abs(self.coef) * float(_sc2_on(self.m, np.array([t]))[0])
+        q = self._h_max + abs(self.coef) * float(_sc2_on(self.m, np.array([t]))[0])
         return math.sqrt(max(q, 1.0))
 
     def _step_propagators(self, t: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -312,84 +317,38 @@ class _ImagPanels:
             raise PoleError("imaginary-axis solution overflow approaching K'")
 
     def extend_to(self, t_req: float) -> None:
+        """Build panels until they cover t_req.  Where a panel ends depends
+        only on where it starts, so the panels, and every value read from
+        them, do not depend on the order or reach of earlier requests."""
         cap = self.m.quarter_Kp * _IMAG_T_CAP
         if t_req < 0.0 or t_req > cap:
             raise PoleError(f"imaginary-axis argument t = {t_req!r} outside [0, {cap!r}]")
-        lo_cov = min(self.t_start, self.t_built)
-        hi_cov = max(self.t_start, self.t_built)
-        if lo_cov - 1e-15 <= t_req <= hi_cov + 1e-15:
-            return
-        # the final panel overshoots the request rather than being cut short,
-        # so repeated nearby requests cannot spawn degenerate slivers
-        kp = self.m.quarter_Kp
-        if t_req > hi_cov:
+        if self.t_end > self.t_start:
             while t_req > self.t_built + 1e-15:
-                probe = min(self.t_built + _PANEL_LOG_GROWTH / self._lambda(self.t_built), t_req)
-                lam = self._lambda(probe)
-                step = _PANEL_LOG_GROWTH / lam
-                if self.t_built + step < t_req:
-                    t_next = self.t_built + step
-                else:
-                    # overshoot just enough to avoid sliver panels, never far
-                    # past the request (the frequency explodes toward K')
-                    over = min(0.25 * step, 0.02 * kp, 0.5 * max(cap - t_req, 0.0))
-                    t_next = min(max(t_req, self.t_built + over), cap)
-                self._build_panel(self.t_built, t_next)
+                # size the panel by the potential at its far end, where it is
+                # largest; no panel reaches past halfway to the end, so none
+                # runs into the pole at K'
+                probe = min(self.t_built + _PANEL_LOG_GROWTH / self._lambda(self.t_built),
+                            0.5 * (self.t_built + self.t_end))
+                self._build_panel(self.t_built, min(
+                    self.t_built + _PANEL_LOG_GROWTH / self._lambda(probe), probe))
         else:
             while t_req < self.t_built - 1e-15:
-                lam = self._lambda(self.t_built)
-                step = _PANEL_LOG_GROWTH / lam
-                if self.t_built - step > t_req:
-                    t_next = self.t_built - step
-                else:
-                    over = min(0.25 * step, 0.02 * kp)
-                    t_next = max(min(t_req, self.t_built - over), 0.0)
-                self._build_panel(self.t_built, t_next)
+                self._build_panel(self.t_built, max(
+                    self.t_built - _PANEL_LOG_GROWTH / self._lambda(self.t_built), self.t_end))
 
-    def values(self, t: np.ndarray, derivative: bool = False) -> np.ndarray:
-        """Every column at an array of t inside the built range: (len(t), M)."""
+    def values(self, t: np.ndarray, derivative: bool = False, cols=slice(None)) -> np.ndarray:
+        """Columns cols at an array of t inside the built range: (len(t), len(cols))."""
         if self._tables is None or len(self._tables[0][0]) != len(self.coeff_w):
             # panels in ascending t, however they were built
-            order = 1 if self.t_built >= self.t_start else -1
+            order = 1 if self.t_end > self.t_start else -1
             edges = self.edges[::order]
             self._tables = (_panel_table(edges, self.coeff_w[::order]),
                             _panel_table(edges, self.coeff_wp[::order]))
-        return _panel_values(self._tables[int(derivative)], t)
+        return _panel_values(self._tables[int(derivative)], t, cols)
 
 
-@dataclass(frozen=True)
-class LameEigenpair:
-    """One simply-periodic Lame eigenfunction, normalized on [0, K].
-
-    E(s) = sum_j coef[j] cos(freq[j] s) for the families even at zero and
-    sum_j coef[j] sin(freq[j] s) for the others; tail is the Galerkin
-    certificate (largest trailing coefficient over the largest).
-    """
-
-    family: LameFamily
-    nu: float
-    n: int  # zeros in (0, K)
-    h: float
-    modulus: Modulus
-    norm_scale: float
-    boundary_data: tuple[float, float]  # (E(0), E'(0)) after normalization
-    bracket: tuple[float, float]
-    tail: float
-    _freq: np.ndarray = field(repr=False, compare=False)
-    _coef: np.ndarray = field(repr=False, compare=False)
-    _imag: _ImagPanels = field(repr=False, compare=False)
-    _imag_col: int = field(repr=False, compare=False, default=0)
-
-    @property
-    def superscript(self) -> int:
-        return self.family.superscript(self.n)
-
-    @property
-    def sup_bound(self) -> float:
-        """Uniform bound: E(s)^2 <= 2/K + 2 k |nu|^(1/2) (nu+1)^(1/2)."""
-        return 2.0 / self.modulus.quarter_K + 2.0 * self.modulus.k * math.sqrt(
-            abs(self.nu) * (self.nu + 1.0)
-        )
+# --- eigensolver -------------------------------------------------------------
 
 
 def _galerkin_operator(family: LameFamily, nu: float, m: Modulus, size: int):
@@ -443,133 +402,7 @@ def _galerkin_modes(family: LameFamily, nu: float, m: Modulus, count: int):
         size *= 2
 
 
-def _solve_mixed(specs: list[tuple[LameFamily, int]], nu: float, m: Modulus) -> list[LameEigenpair]:
-    """Solve a mixed batch of eigenpairs (possibly several families) at one
-    (nu, k): one Galerkin eigensolve per family, one set of imaginary-axis
-    panels for the whole batch."""
-    if nu < -0.5:
-        raise DomainError(f"nu must be >= -1/2, got {nu!r}")
-    if any(n < 0 for _, n in specs):
-        raise DomainError("zero counts must be non-negative")
-    specs = sorted(set((fam, int(n)) for fam, n in specs),
-                   key=lambda fn: (fn[0].value, fn[1]))
-    solved = {fam: _galerkin_modes(fam, nu, m, 1 + max(n for f, n in specs if f is fam))
-              for fam in {fam for fam, _ in specs}}
-
-    rows = []
-    for fam, n in specs:
-        h_all, vecs, freq, tail = solved[fam]
-        h = float(h_all[n])
-        lo, hi = eigenvalue_bracket(fam, nu, n, m)
-        pad = 1e-12 * (1.0 + abs(lo) + abs(hi))
-        if not lo - pad <= h <= hi + pad:
-            raise BracketError(f"{fam} nu={nu} n={n}: eigenvalue {h!r} outside its bracket",
-                               lo=lo, hi=hi)
-        coef = vecs[:, n]
-        # E(0) (cosines) or E'(0) (sines) has the sign of E(K) (Ec) or of
-        # -E'(K) (Es) times (-1)^n, so this orients Ec(K) > 0 and Es'(K) < 0
-        # from the well at s = 0, where the mode is never small
-        at_zero = float(coef.sum()) if fam.even_at_zero else float(coef @ freq)
-        if at_zero * (-1.0) ** n < 0.0:
-            coef, at_zero = -coef, -at_zero
-        keep = 1 + int(np.flatnonzero(np.abs(coef) > _TRIM * np.max(np.abs(coef)))[-1])
-        rows.append((fam, n, h, at_zero, (lo, hi), float(tail[n]),
-                     freq[:keep], coef[:keep].copy()))
-
-    even = np.array([fam.even_at_zero for fam, _ in specs])
-    scales = np.array([r[3] for r in rows])
-    imag = _ImagPanels(m, nu * (nu + 1.0) * m.k * m.k, np.array([r[2] for r in rows]), 0.0,
-                       np.concatenate([np.where(even, scales, 0.0), np.where(even, 0.0, scales)]))
-    return [
-        LameEigenpair(family=fam, nu=nu, n=n, h=h, modulus=m, norm_scale=scale,
-                      boundary_data=(scale, 0.0) if fam.even_at_zero else (0.0, scale),
-                      bracket=bracket, tail=tail, _freq=freq, _coef=coef,
-                      _imag=imag, _imag_col=i)
-        for i, (fam, n, h, scale, bracket, tail, freq, coef) in enumerate(rows)
-    ]
-
-
-def solve_eigenpairs(family: LameFamily, nu: float, ns: list[int], m: Modulus) -> list[LameEigenpair]:
-    """Solve a batch of eigenpairs of one family at common (nu, k)."""
-    return _solve_mixed([(family, n) for n in ns], nu, m)
-
-
-def solve_eigenpair(family: LameFamily, nu: float, n: int, m: Modulus) -> LameEigenpair:
-    """Solve a single eigenpair (see solve_eigenpairs)."""
-    return _solve_mixed([(family, n)], nu, m)[0]
-
-
-_EIGEN_CACHE: dict[tuple, LameEigenpair] = {}
-_SECOND_CACHE: dict[tuple, "LameSecondKind"] = {}
-
-
-def eigenpair(family: LameFamily, nu: float, n: int, m: Modulus) -> LameEigenpair:
-    """Memoized eigenpair lookup; builds on miss."""
-    return warm_mixed([(family, n)], nu, m)[0]
-
-
-def warm_mixed(specs: list[tuple[LameFamily, int]], nu: float, m: Modulus) -> list[LameEigenpair]:
-    """Batch-solve and memoize a mixed-family batch at one (nu, k); returns
-    the eigenpairs in spec order."""
-    keys = [(fam, float(nu), int(n), m.k) for fam, n in specs]
-    missing = [fn for fn, key in zip(specs, keys) if key not in _EIGEN_CACHE]
-    if missing:
-        for pair in _solve_mixed(missing, nu, m):
-            _EIGEN_CACHE[(pair.family, float(nu), pair.n, m.k)] = pair
-    return [_EIGEN_CACHE[key] for key in keys]
-
-
-def clear_caches() -> None:
-    """Empty every memo in this module: eigenpairs, second kinds, sc^2
-    panels and ns^2 series."""
-    _EIGEN_CACHE.clear()
-    _SECOND_CACHE.clear()
-    _SC2_CACHE.clear()
-    _NS2_SERIES_CACHE.clear()
-
-
-def _trig_sum(even: bool, freq: np.ndarray, coef: np.ndarray, s, derivative: bool = False):
-    """sum_j coef[j] cos(freq[j] s) (sin for the families odd at zero), or
-    its s-derivative; coef may carry trailing mode columns."""
-    x = np.multiply.outer(s, freq)
-    if derivative:
-        return (-np.sin(x) if even else np.cos(x)) @ (freq * coef.T).T
-    return (np.cos(x) if even else np.sin(x)) @ coef
-
-
-def eval_e_real(p: LameEigenpair, s: float, derivative: bool = False) -> float:
-    """E(s) (or E'(s)) at any real s: the one-mode case of LameBatch.real."""
-    return float(_trig_sum(p.family.even_at_zero, p._freq, p._coef, s, derivative))
-
-
-def eval_e_imag(p: LameEigenpair, t: float, derivative: bool = False) -> float:
-    """W(t) = E(it) or E(it)/i (or W'(t)): the one-mode case of LameBatch.imag."""
-    return float(LameBatch([p]).imag(t, derivative)[0, 0])
-
-
-@dataclass(frozen=True)
-class LameSecondKind:
-    """Second-kind companion with unit Wronskian against the first kind."""
-
-    base: LameEigenpair
-    frobenius_coeffs: np.ndarray  # of tau^(2p), scaled by wronskian_scale
-    wronskian_scale: float
-    tau0: float
-    indicial_degenerate: bool
-    _cont: _ImagPanels = field(repr=False, compare=False)
-    _cont_col: int = field(repr=False, compare=False, default=0)
-
-
-_NS2_SERIES_CACHE: dict[tuple, np.ndarray] = {}
-
-
-def _ns2_series(m: Modulus, count: int) -> np.ndarray:
-    key = (m.k, count)
-    r = _NS2_SERIES_CACHE.get(key)
-    if r is None:
-        r = ns2_series_coeffs(m, count)
-        _NS2_SERIES_CACHE[key] = r
-    return r
+# --- second kind --------------------------------------------------------------
 
 
 def _frobenius_coeffs(nu: float, h, m: Modulus, count: int) -> np.ndarray:
@@ -577,7 +410,7 @@ def _frobenius_coeffs(nu: float, h, m: Modulus, count: int) -> np.ndarray:
     of shape (count,) + shape(h): one column per eigenvalue h."""
     h = np.asarray(h, dtype=float)
     nn1 = nu * (nu + 1.0)
-    rev = (nn1 * _ns2_series(m, count))[::-1]
+    rev = (nn1 * ns2_series_coeffs(m, count))[::-1]
     shift = h - nn1  # each eigenvalue adds h - nu(nu+1) to the tau^2 term
     b = np.zeros((count,) + h.shape)
     b[0] = 1.0
@@ -600,123 +433,116 @@ def _series_eval(coeffs: np.ndarray, nu: float, tau):
     return pw * u, (nu + 1.0) * pw / tau * u + pw * du / tau
 
 
-def _second_kinds(pairs: list[LameEigenpair]) -> list[LameSecondKind]:
-    """Wronskian-normalized second-kind companions of eigenpairs sharing
-    (nu, modulus); the continuation panels are shared across the batch."""
-    first = LameBatch(pairs)  # checks for a common (nu, modulus)
-    m = pairs[0].modulus
-    nu = pairs[0].nu
-    kp = m.quarter_Kp
-    radius = 2.0 * min(m.quarter_K, kp)
-    tau0 = min(0.1 * kp, 0.45 * radius)
-    t1 = kp - tau0
-
-    b = _frobenius_coeffs(nu, np.array([p.h for p in pairs]), m, _FROBENIUS_TERMS)
-    tail = np.abs(b[-1]) * tau0 ** (2 * (_FROBENIUS_TERMS - 1))
-    f_tau, df_tau = _series_eval(b, nu, tau0)
-    bad = ~(np.isfinite(tail) & (tail <= 1e-12 * np.abs(f_tau)))
-    if bad.any():
-        raise ConvergenceError(
-            f"Frobenius series not converged at handoff radius {tau0!r}",
-            attained=float(tail[bad][0]),
-        )
-    # unit Wronskian F W' - W dF/dt, with dF/dt = -dF/dtau
-    scale = 1.0 / (f_tau * first.imag(t1, derivative=True)[0] + first.imag(t1)[0] * df_tau)
-
-    coef = nu * (nu + 1.0) * m.k * m.k
-    cont = _ImagPanels(m, coef, np.array([p.h for p in pairs]), t1,
-                       np.concatenate([scale * f_tau, -scale * df_tau]))
-    return [
-        LameSecondKind(base=p, frobenius_coeffs=scale[i] * b[:, i], wronskian_scale=float(scale[i]),
-                       tau0=tau0, indicial_degenerate=abs(2.0 * nu + 1.0) < 1e-12,
-                       _cont=cont, _cont_col=i)
-        for i, p in enumerate(pairs)
-    ]
+# --- the basis of one (nu, k) ---------------------------------------------------
 
 
-def second_kind(p: LameEigenpair) -> LameSecondKind:
-    """Build the Wronskian-normalized second-kind companion of an eigenpair."""
-    return _second_kinds([p])[0]
+def shell_specs(n_max: int) -> list[tuple[LameFamily, int]]:
+    """(family, zero count) of Ec^0 .. Ec^n_max, then Es^1 .. Es^(n_max+1):
+    the modes of one azimuthal order in an (m_max, n_max) series, where
+    Ec^n and Es^(n+1) share the shell n."""
+    return ([family_of_superscript("c", n) for n in range(n_max + 1)]
+            + [family_of_superscript("s", n + 1) for n in range(n_max + 1)])
 
 
-def warm_second_kind(pairs: list[LameEigenpair]) -> list[LameSecondKind]:
-    """Build and memoize second-kind companions for a batch of eigenpairs
-    sharing (nu, modulus); the continuation panels are shared across the
-    batch.  Returns the companions in the order of pairs."""
-    keys = [(p.family, float(p.nu), p.n, p.modulus.k) for p in pairs]
-    missing = {key: p for p, key in zip(pairs, keys) if key not in _SECOND_CACHE}
-    if missing:
-        _SECOND_CACHE.update(zip(missing, _second_kinds(list(missing.values()))))
-    return [_SECOND_CACHE[key] for key in keys]
+def shell_depth(family: LameFamily, n: int) -> int:
+    """Least shell depth whose layout (see shell_specs) holds the
+    zero-count-n mode of family."""
+    if n < 0:
+        raise DomainError("zero counts must be non-negative")
+    sup = family.superscript(n)
+    return sup if family.kind == "c" else sup - 1
 
 
-def second_kind_cached(p: LameEigenpair) -> LameSecondKind:
-    """Memoized second-kind lookup; builds on miss."""
-    return warm_second_kind([p])[0]
+class LameBasis:
+    """The simply-periodic Lame functions of one (nu, k) at shell depth
+    n_max: columns Ec^0 .. Ec^n_max, then Es^1 .. Es^(n_max+1), as listed
+    by shell_specs.
 
-
-def eval_f_imag(f: LameSecondKind, t: float, derivative: bool = False) -> float:
-    """Second-kind F(t) (or dF/dt): the one-mode case of LameBatch.second."""
-    return float(LameBatch([f.base], [f]).second(t, derivative)[0, 0])
-
-
-def _group(keys) -> list[tuple[object, list[int]]]:
-    """Distinct keys (by identity), first seen first, with their positions."""
-    groups: dict[int, tuple[object, list[int]]] = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(id(key), (key, []))[1].append(i)
-    return list(groups.values())
-
-
-def _read_panels(groups, t: np.ndarray, derivative: bool, reach: float, width: int) -> np.ndarray:
-    """(len(t), width) values of each group's columns, its panels built out to reach."""
-    out = np.empty((t.size, width))
-    for panels, cols, panel_cols in groups:
-        panels.extend_to(reach)
-        out[:, cols] = panels.values(t, derivative)[:, panel_cols]
-    return out
-
-
-class LameBatch:
-    """Eigenpairs of one (nu, k), evaluated together on arrays of points.
-
-    real(s), imag(t) and second(t) return (points x modes) arrays, one column
-    per pair.  E(s) is one cosine or sine matrix product per family over
-    zero-padded coefficient columns; W and F read all columns of each shared
-    panel set at once.  second() needs the companions `seconds`.
+    real(s), imag(t) and second(t) return (points x modes) arrays, or the
+    columns cols only.  E(s) is one cosine and one sine matrix product over
+    the frequencies j pi/(2K), which hold the Galerkin basis of every
+    family.  W(t) reads one first-kind panel set; F(t) reads the Frobenius
+    series within tau0 of K' and one continuation panel set below it.  Both
+    panel sets grow toward the t requested, and the second kind is built on
+    the first second() call.  Per mode the basis keeps the eigenvalue h,
+    its bracket, the Galerkin tail and the boundary data (E(0), E'(0)).
     """
 
-    def __init__(self, pairs: list[LameEigenpair], seconds: list[LameSecondKind] | None = None):
-        if any(p.nu != pairs[0].nu or p.modulus.k != pairs[0].modulus.k for p in pairs):
-            raise DomainError("a LameBatch requires a common (nu, modulus)")
-        self.pairs = pairs
-        self.seconds = seconds
-        self._families = []
-        for fam, cols in _group([p.family for p in pairs]):
-            coefs = [pairs[i]._coef for i in cols]
-            coef = np.zeros((max(c.size for c in coefs), len(cols)))
-            for j, c in enumerate(coefs):
-                coef[:c.size, j] = c
-            freq = max((pairs[i]._freq for i in cols), key=len)
-            self._families.append((fam.even_at_zero, freq, coef, cols))
-        self._even = np.array([p.family.even_at_zero for p in pairs])
-        self._at_zero = np.array([p.boundary_data for p in pairs]).reshape(-1, 2)
-        self._imag = [(panels, cols, [pairs[i]._imag_col for i in cols])
-                      for panels, cols in _group([p._imag for p in pairs])]
-        if seconds is not None:
-            self._frob = np.column_stack([f.frobenius_coeffs for f in seconds])
-            self._cont = [(panels, cols, [seconds[i]._cont_col for i in cols])
-                          for panels, cols in _group([f._cont for f in seconds])]
+    def __init__(self, nu: float, m: Modulus, n_max: int):
+        if nu < -0.5:
+            raise DomainError(f"nu must be >= -1/2, got {nu!r}")
+        if n_max < 0:
+            raise DomainError(f"shell depth must be >= 0, got {n_max!r}")
+        self.nu, self.modulus, self.n_max = float(nu), m, int(n_max)
+        self.specs = shell_specs(self.n_max)
+        counts = {fam: n + 1 for fam, n in self.specs}  # zero counts ascend within a family
+        solved = {fam: _galerkin_modes(fam, self.nu, m, count) for fam, count in counts.items()}
 
-    def real(self, s, derivative: bool = False) -> np.ndarray:
+        width = len(self.specs)
+        self.h = np.empty(width)
+        self.bracket = np.empty((width, 2))
+        self.tail = np.empty(width)
+        self.boundary_data = np.zeros((width, 2))  # (E(0), E'(0)) per mode
+        self._even = np.array([fam.even_at_zero for fam, _ in self.specs])
+        placed = []
+        for j, (fam, n) in enumerate(self.specs):
+            h_all, vecs, freq, tail = solved[fam]
+            lo, hi = eigenvalue_bracket(fam, self.nu, n, m)
+            pad = 1e-12 * (1.0 + abs(lo) + abs(hi))
+            if not lo - pad <= h_all[n] <= hi + pad:
+                raise BracketError(f"{fam} nu={nu} n={n}: eigenvalue {float(h_all[n])!r} "
+                                   f"outside its bracket", lo=lo, hi=hi)
+            coef = vecs[:, n]
+            # E(0) (cosines) or E'(0) (sines) has the sign of E(K) (Ec) or of
+            # -E'(K) (Es) times (-1)^n, so this orients Ec(K) > 0 and Es'(K) < 0
+            # from the well at s = 0, where the mode is never small
+            at_zero = float(coef.sum()) if fam.even_at_zero else float(coef @ freq)
+            if at_zero * (-1.0) ** n < 0.0:
+                coef, at_zero = -coef, -at_zero
+            keep = 1 + int(np.flatnonzero(np.abs(coef) > _TRIM * np.max(np.abs(coef)))[-1])
+            self.h[j], self.bracket[j], self.tail[j] = h_all[n], (lo, hi), tail[n]
+            self.boundary_data[j, int(not fam.even_at_zero)] = at_zero
+            # the family's frequency (i + a) pi/K is row 2i + 2a of the grid j pi/(2K)
+            placed.append((2 * np.arange(keep) + int(2 * fam.basis_offset), coef[:keep]))
+        rows = 1 + max(r[-1] for r, _ in placed)
+        self._freq = 0.5 * np.arange(rows) * (math.pi / m.quarter_K)
+        self._coef = np.zeros((2, rows, width))  # cosine, then sine coefficients
+        for j, (r, c) in enumerate(placed):
+            self._coef[int(not self._even[j]), r, j] = c
+        for x in (self.h, self.bracket, self.tail, self.boundary_data, self._even,
+                  self._freq, self._coef):
+            x.flags.writeable = False  # the cache hands the basis to every caller
+        self._first = _ImagPanels(m, self.nu * (self.nu + 1.0) * m.k * m.k, self.h, 0.0,
+                                  self.boundary_data.T.ravel(), m.quarter_Kp * _IMAG_T_CAP)
+
+    @property
+    def sup_bound(self) -> float:
+        """Uniform bound of every mode: E(s)^2 <= 2/K + 2 k |nu|^(1/2) (nu+1)^(1/2)."""
+        return 2.0 / self.modulus.quarter_K + 2.0 * self.modulus.k * math.sqrt(
+            abs(self.nu) * (self.nu + 1.0))
+
+    @property
+    def indicial_degenerate(self) -> bool:
+        """True at nu = -1/2, where the exponents at K' coincide."""
+        return abs(2.0 * self.nu + 1.0) < 1e-12
+
+    def column(self, family: LameFamily, n: int) -> int:
+        """Column of the zero-count-n mode of family."""
+        if shell_depth(family, n) > self.n_max:
+            raise DomainError(f"{family} n={n} lies past shell depth {self.n_max}")
+        sup = family.superscript(n)
+        return sup if family.kind == "c" else self.n_max + sup
+
+    def real(self, s, derivative: bool = False, cols=slice(None)) -> np.ndarray:
         """E(s) (or E'(s)) at real s; the basis carries parity and periodicity."""
-        s = np.asarray(s, dtype=float).ravel()
-        out = np.empty((s.size, len(self.pairs)))
-        for even, freq, coef, cols in self._families:
-            out[:, cols] = _trig_sum(even, freq, coef, s, derivative)
-        return out
+        x = np.multiply.outer(np.asarray(s, dtype=float).ravel(), self._freq)
+        cos_c, sin_c = self._coef[:, :, cols]
+        if derivative:
+            f = self._freq[:, None]
+            return np.cos(x) @ (f * sin_c) - np.sin(x) @ (f * cos_c)
+        return np.cos(x) @ cos_c + np.sin(x) @ sin_c
 
-    def imag(self, t, derivative: bool = False) -> np.ndarray:
+    def imag(self, t, derivative: bool = False, cols=slice(None)) -> np.ndarray:
         """Real representative W(t) of E(it) (or its t-derivative).
 
         Even-parity families store W = E(it); odd-parity families store
@@ -728,46 +554,92 @@ class LameBatch:
         top = float(a.max(initial=0.0))
         if not math.isfinite(top):
             raise DomainError("imaginary-axis evaluation requires finite t")
-        width = len(self.pairs)
-        out = (_read_panels(self._imag, a, derivative, top, width) if top
-               else np.empty((t.size, width)))
-        out[t == 0.0] = self._at_zero[:, int(derivative)]
+        even = self._even[cols]
+        if top:
+            self._first.extend_to(top)
+            out = self._first.values(a, derivative, cols)
+        else:
+            out = np.empty((t.size, even.size))
+        out[t == 0.0] = self.boundary_data[cols, int(derivative)]
         # W has the parity of its family, W' the opposite one
-        out[t < 0.0] *= np.where(self._even == derivative, -1.0, 1.0)
+        out[t < 0.0] *= np.where(even == derivative, -1.0, 1.0)
         return out
 
-    def second(self, t, derivative: bool = False) -> np.ndarray:
-        """Second-kind F(t) (or dF/dt) for 0 < t < K': the Frobenius series
-        within tau0 of K', the continuation panels below it."""
+    def second(self, t, derivative: bool = False, cols=slice(None)) -> np.ndarray:
+        """Second-kind F(t) (or dF/dt) for 0 < t < K', with unit Wronskian
+        F W' - W F' = 1: the Frobenius series within tau0 of K', the
+        continuation panels below it."""
         t = np.asarray(t, dtype=float).ravel()
-        base = self.pairs[0]
-        kp = base.modulus.quarter_Kp
+        kp = self.modulus.quarter_Kp
         if not np.all((0.0 < t) & (t < kp)):
             raise DomainError(f"second-kind evaluation requires 0 < t < K', got {t!r}")
-        out = np.empty((t.size, len(self.pairs)))
+        frobenius, tau0, cont = self._second_kind
+        out = np.empty((t.size, self._even[cols].size))
         tau = kp - t
-        near = tau <= self.seconds[0].tau0
+        near = tau <= tau0
         if near.any():
-            val, dtau = _series_eval(self._frob, base.nu, tau[near])
+            val, dtau = _series_eval(frobenius[:, cols], self.nu, tau[near])
             out[near] = -dtau if derivative else val
         far = ~near
         if far.any():
-            reach = float(t[far].min())
-            out[far] = _read_panels(self._cont, t[far], derivative, reach, out.shape[1])
+            cont.extend_to(float(t[far].min()))
+            out[far] = cont.values(t[far], derivative, cols)
         return out
 
+    @functools.cached_property
+    def _second_kind(self) -> tuple[np.ndarray, float, _ImagPanels]:
+        """The second kind, built on first use: the exponent-(nu+1) Frobenius
+        coefficients at K' scaled to unit Wronskian (terms x modes), the
+        hand-off distance tau0, and the continuation panels below it."""
+        m, nu = self.modulus, self.nu
+        kp = m.quarter_Kp
+        radius = 2.0 * min(m.quarter_K, kp)
+        tau0 = min(0.1 * kp, 0.45 * radius)
+        t1 = kp - tau0
 
-def shell_specs(n_max: int) -> list[tuple[LameFamily, int]]:
-    """(family, zero count) of Ec^0 .. Ec^n_max, then Es^1 .. Es^(n_max+1):
-    the modes of one azimuthal order in an (m_max, n_max) series, where
-    Ec^n and Es^(n+1) share the shell n."""
-    return ([family_of_superscript("c", n) for n in range(n_max + 1)]
-            + [family_of_superscript("s", n + 1) for n in range(n_max + 1)])
+        b = _frobenius_coeffs(nu, self.h, m, _FROBENIUS_TERMS)
+        tail = np.abs(b[-1]) * tau0 ** (2 * (_FROBENIUS_TERMS - 1))
+        f_tau, df_tau = _series_eval(b, nu, tau0)
+        bad = ~(np.isfinite(tail) & (tail <= 1e-12 * np.abs(f_tau)))
+        if bad.any():
+            raise ConvergenceError(
+                f"Frobenius series not converged at handoff radius {tau0!r}",
+                attained=float(tail[bad][0]),
+            )
+        # unit Wronskian F W' - W dF/dt, with dF/dt = -dF/dtau
+        scale = 1.0 / (f_tau * self.imag(t1, derivative=True)[0] + self.imag(t1)[0] * df_tau)
+        cont = _ImagPanels(m, self._first.coef, self.h, t1,
+                           np.concatenate([scale * f_tau, -scale * df_tau]), 0.0)
+        frobenius = scale * b
+        frobenius.flags.writeable = False
+        return frobenius, tau0, cont
 
 
-def lame_batch(specs: list[tuple[LameFamily, int]], nu: float, m: Modulus,
-               second: bool = False) -> LameBatch:
-    """The eigenpairs `specs` at one (nu, k) as a LameBatch, columns in spec order; those
-    (and with second=True their companions) missing from the memo are built as one batch."""
-    pairs = warm_mixed(specs, nu, m)
-    return LameBatch(pairs, warm_second_kind(pairs) if second else None)
+_BASIS_CACHE_SIZE = 32
+"""Bases kept by `basis`.  A (20, 20) expansion reads 21 bases, one per
+order at depth 20, and a single-mode caller adds one small basis per mode;
+32 keeps a full expansion resident with that room to spare.  A depth-20
+basis with both panel sets built takes 0.4-0.6 MB, so the bound also caps
+what a long run can hold at about 20 MB."""
+
+
+@functools.lru_cache(maxsize=_BASIS_CACHE_SIZE)
+def basis(nu: float, m: Modulus, n_max: int, /) -> LameBasis:
+    """The LameBasis of (nu, k) at shell depth n_max, from a bounded LRU
+    cache: one key gives one object until it is evicted, and a rebuild is
+    bit-identical."""
+    return LameBasis(nu, m, n_max)
+
+
+def basis_for(specs: list[tuple[LameFamily, int]], nu: float,
+              m: Modulus) -> tuple[LameBasis, list[int]]:
+    """The cached basis of least depth that holds every (family, zero count)
+    in specs, and their columns in spec order."""
+    b = basis(nu, m, max((shell_depth(fam, n) for fam, n in specs), default=0))
+    return b, [b.column(fam, n) for fam, n in specs]
+
+
+def clear_caches() -> None:
+    """Empty the basis cache and the sc^2 table."""
+    basis.cache_clear()
+    _SC2_CACHE.clear()

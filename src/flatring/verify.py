@@ -81,15 +81,15 @@ def suite_lame(seed: int = 0, tol_scale: float = 1.0) -> list[dict]:
     ts = np.linspace(0.1, 0.9, 7) * m.quarter_Kp
     for nu in (-0.5, 0.5, 2.5):
         for fam in lame.LameFamily:
-            batch = lame.lame_batch([(fam, n) for n in range(5)], nu, m)
-            for p in batch.pairs:
-                lo, hi = p.bracket
-                worst_bracket = max(worst_bracket, lo - p.h, p.h - hi)
-            sup = np.max(batch.real(grid) ** 2, axis=0) - [p.sup_bound for p in batch.pairs]
+            b, cols = lame.basis_for([(fam, n) for n in range(5)], nu, m)
+            lo, hi = b.bracket[cols].T
+            worst_bracket = max(worst_bracket, float(np.max(lo - b.h[cols])),
+                                float(np.max(b.h[cols] - hi)))
+            sup = np.max(b.real(grid, cols=cols) ** 2, axis=0) - b.sup_bound
             worst_sup = max(worst_sup, float(np.max(sup)))
-            third = lame.lame_batch([(fam, 2)], nu, m, second=True)
-            w = (third.second(ts) * third.imag(ts, derivative=True)
-                 - third.imag(ts) * third.second(ts, derivative=True))
+            third = cols[2:3]
+            w = (b.second(ts, cols=third) * b.imag(ts, derivative=True, cols=third)
+                 - b.imag(ts, cols=third) * b.second(ts, derivative=True, cols=third))
             worst_wronskian = max(worst_wronskian, float(np.max(np.abs(w - 1.0))))
     out.append(_check("lame.bracket", worst_bracket, 1e-8 * tol_scale))
     out.append(_check("lame.sup_bound", worst_sup, 0.0 + 1e-12))
@@ -98,7 +98,8 @@ def suite_lame(seed: int = 0, tol_scale: float = 1.0) -> list[dict]:
     x, w = np.polynomial.legendre.leggauss(192)
     s_nodes = 0.5 * m.quarter_K * (x + 1.0)
     s_w = 0.5 * m.quarter_K * w
-    vals = lame.lame_batch([(lame.LameFamily.ES_ODD, n) for n in range(6)], 0.5, m).real(s_nodes).T
+    b, cols = lame.basis_for([(lame.LameFamily.ES_ODD, n) for n in range(6)], 0.5, m)
+    vals = b.real(s_nodes, cols=cols).T
     gram = (vals * s_w) @ vals.T
     out.append(_check("lame.orthonormal", float(np.max(np.abs(gram - np.eye(6)))),
                       1e-9 * tol_scale))
@@ -109,7 +110,6 @@ def suite_harmonics(seed: int = 0, tol_scale: float = 1.0) -> list[dict]:
     rng = np.random.default_rng(seed)
     out = []
     m = Modulus.from_k(_DEFAULT_K)
-    harmonics.warm_cache(m, 10, 10)
 
     idx = harmonics.HarmonicIndex(m=1, n=2, kind=harmonics.HarmonicKind.GC)
     worst = 0.0
@@ -181,7 +181,6 @@ def suite_dirichlet(seed: int = 0, tol_scale: float = 1.0) -> list[dict]:
     out = []
     m = Modulus.from_k(_DEFAULT_K)
     K, Kp = m.quarter_K, m.quarter_Kp
-    harmonics.warm_cache(m, 8, 8)
     dom = dirichlet.FlatRingDomain(t0=0.4 * Kp, modulus=m)
     r_star = coords.flatring_to_cartesian(coords.FlatRingPoint(
         s=1.2 * K, t=0.8 * Kp, phi=-0.7, modulus=m))
@@ -208,14 +207,15 @@ def suite_dirichlet(seed: int = 0, tol_scale: float = 1.0) -> list[dict]:
 def suite_limits(seed: int = 0, tol_scale: float = 1.0) -> list[dict]:
     out = []
     mt = Modulus.from_k(1e-3)
-    pairs = lame.warm_mixed([lame.family_of_superscript("c", sup) for sup in range(5)], 0.5, mt)
-    worst = max(abs(p.h - p.superscript ** 2) for p in pairs)
+    b, cols = lame.basis_for([lame.family_of_superscript("c", sup) for sup in range(5)], 0.5, mt)
+    worst = float(np.max(np.abs(b.h[cols] - np.arange(5) ** 2)))
     out.append(_check("limits.eigenvalue", worst, 5e-3 * tol_scale))
 
     fam, nz = lame.family_of_superscript("c", 2)
     grid = np.linspace(0.0, mt.quarter_K, 30)
     lim = math.sqrt(4.0 / math.pi) * np.cos(2.0 * (0.5 * math.pi - grid))
-    vals = lame.lame_batch([(fam, nz)], 1.5, mt).real(grid)[:, 0]
+    b, cols = lame.basis_for([(fam, nz)], 1.5, mt)
+    vals = b.real(grid, cols=cols)[:, 0]
     out.append(_check("limits.eigenfunction", float(np.max(np.abs(vals - lim))),
                       1e-2 * tol_scale))
 
@@ -238,6 +238,8 @@ SUITES = {
 
 
 def run_suites(names: list[str], seed: int = 0, tol_scale: float = 1.0) -> list[dict]:
+    if not 0.0 < tol_scale < math.inf:
+        raise DomainError(f"tolerance scale must be positive and finite, got {tol_scale!r}")
     checks = []
     for name in names:
         if name not in SUITES:

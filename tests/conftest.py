@@ -1,23 +1,8 @@
 import pytest
 
 from flatring.elliptic import Modulus
-from flatring.harmonics import warm_cache
 
 
 @pytest.fixture(scope="session")
 def m05():
     return Modulus.from_k(0.5)
-
-
-@pytest.fixture(scope="session")
-def basis05(m05):
-    """Moderate eigenpair cache shared by the harmonic/dirichlet tests."""
-    warm_cache(m05, 12, 12)
-    return m05
-
-
-@pytest.fixture(scope="session")
-def green_cache(m05):
-    """Full (20, 20) cache used by the expansion tests and acceptance gate."""
-    warm_cache(m05, 20, 20)
-    return m05

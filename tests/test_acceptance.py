@@ -40,19 +40,8 @@ from flatring.harmonics import (
     internal_harmonic,
     limit_comparison,
     toroidal_green_expansion,
-    warm_cache,
 )
-from flatring.lame import (
-    LameFamily,
-    eigenpair,
-    eval_e_imag,
-    eval_e_real,
-    eval_f_imag,
-    family_of_superscript,
-    second_kind_cached,
-    solve_eigenpair,
-    solve_eigenpairs,
-)
+from flatring.lame import LameFamily, basis_for, family_of_superscript
 from flatring.legendre import legendre_q
 
 
@@ -136,18 +125,17 @@ def test_criterion_02_lame_eigen_suite():
         s_nodes = 0.5 * m.quarter_K * (x + 1.0)
         s_w = 0.5 * m.quarter_K * w
         for nu in nus:
-            lame.warm_mixed([(fam, n) for fam in LameFamily for n in range(13)], nu, m)
-            for fam in LameFamily:
-                pairs = [eigenpair(fam, nu, n, m) for n in range(13)]
+            b, cols = basis_for([(fam, n) for fam in LameFamily for n in range(13)], nu, m)
+            for f, fam in enumerate(LameFamily):
+                fam_cols = cols[13 * f:13 * (f + 1)]
                 ref = spectral_eigenvalues(fam, nu, m)
-                for i, p in enumerate(pairs):
-                    lo, hi = p.bracket
-                    if not (lo - 1e-8 <= p.h <= hi + 1e-8):
+                for i, j in enumerate(fam_cols):
+                    lo, hi = b.bracket[j]
+                    if not (lo - 1e-8 <= b.h[j] <= hi + 1e-8):
                         bracket_ok = False
                     worst_spec = max(
-                        worst_spec, abs(p.h - ref[i]) / max(1.0, abs(ref[i])))
-                vals = np.array([[eval_e_real(p, float(si)) for si in s_nodes]
-                                 for p in pairs])
+                        worst_spec, abs(b.h[j] - ref[i]) / max(1.0, abs(ref[i])))
+                vals = b.real(s_nodes, cols=fam_cols).T
                 gram = (vals * s_w) @ vals.T
                 worst_gram = max(worst_gram, float(np.max(np.abs(gram - np.eye(13)))))
     elapsed = time.time() - start
@@ -167,15 +155,12 @@ def test_criterion_03_wronskian_normalization():
     count = 0
     ts = np.linspace(0.05, 0.95, 20) * m.quarter_Kp
     for nu in (-0.5, 0.5, 1.5, 2.5):
-        for fam in LameFamily:
-            for n in range(4):
-                p = eigenpair(fam, nu, n, m)
-                sk = second_kind_cached(p)
-                count += 1
-                for t in ts:
-                    wr = (eval_f_imag(sk, float(t)) * eval_e_imag(p, float(t), derivative=True)
-                          - eval_e_imag(p, float(t)) * eval_f_imag(sk, float(t), derivative=True))
-                    worst = max(worst, abs(wr - 1.0))
+        b, cols = basis_for([(fam, n) for fam in LameFamily for n in range(4)], nu, m)
+        count += len(cols)
+        for t in ts:
+            wr = (b.second(float(t), cols=cols) * b.imag(float(t), derivative=True, cols=cols)
+                  - b.imag(float(t), cols=cols) * b.second(float(t), derivative=True, cols=cols))
+            worst = max(worst, float(np.max(np.abs(wr - 1.0))))
     ok = worst <= 1e-9
     _report("criterion 3 (Wronskian normalization)", ok,
             f"{count} second-kind objects x 20 samples, worst {worst:.2e}")
@@ -186,7 +171,6 @@ def test_criterion_04_flatring_green_expansion():
     lame.clear_caches()
     start = time.time()
     m = Modulus.from_k(0.5)
-    warm_cache(m, 20, 20)
     K, Kp = m.quarter_K, m.quarter_Kp
     configs = [
         (0.7 * K, 0.20 * Kp, 0.3, 1.1 * K, 0.65 * Kp, -0.5),
@@ -284,15 +268,13 @@ def test_criterion_08_toroidal_limits():
     for nu in (0.5, 1.5):
         for kind in ("c", "s"):
             for sup in range(0 if kind == "c" else 1, 5):
-                fam, nz = family_of_superscript(kind, sup)
-                p = eigenpair(fam, nu, nz, m)
-                worst_h = max(worst_h, abs(p.h - sup * sup))
-    fam, nz = family_of_superscript("c", 2)
-    p = eigenpair(fam, 1.5, nz, m)
+                b, cols = basis_for([family_of_superscript(kind, sup)], nu, m)
+                worst_h = max(worst_h, abs(b.h[cols[0]] - sup * sup))
+    b, cols = basis_for([family_of_superscript("c", 2)], 1.5, m)
     grid = np.linspace(0.0, m.quarter_K, 40)
     limit = math.sqrt(4.0 / math.pi) * np.cos(2.0 * (0.5 * math.pi - grid))
     sup_dist = float(np.max(np.abs(
-        [eval_e_real(p, float(s)) for s in grid] - limit)))
+        [b.real(float(s), cols=cols)[0, 0] for s in grid] - limit)))
     monotone_ok = True
     for mm, n in ((1, 2), (0, 1), (2, 0), (1, 3)):
         rows = limit_comparison(mm, n, 1.2, 0.5, 0.4, 5.38, [0.1, 0.03, 0.01])
@@ -310,7 +292,6 @@ def test_criterion_08_toroidal_limits():
 
 def test_criterion_09_dirichlet_solver():
     m = Modulus.from_k(0.5)
-    warm_cache(m, 12, 12)
     K, Kp = m.quarter_K, m.quarter_Kp
     dom = FlatRingDomain(t0=0.4 * Kp, modulus=m)
     r_star = flatring_to_cartesian(FlatRingPoint(
@@ -342,7 +323,6 @@ def test_criterion_09_dirichlet_solver():
 
 def test_criterion_10_harmonicity():
     m = Modulus.from_k(0.5)
-    warm_cache(m, 4, 4, second=True)
     rng = np.random.default_rng(1010)
     h = 1e-3
     worst = {}

@@ -68,7 +68,7 @@ def test_coords_cut_point_reports_error(capsys):
     assert "cut" in err
 
 
-def test_green_default_reproduces_example(capsys, green_cache):
+def test_green_default_reproduces_example(capsys, m05):
     code, out, _ = run_cli(capsys, "green")
     assert code == 0
     rep = json.loads(out)
@@ -88,7 +88,7 @@ def test_green_toroidal_switch(capsys):
     assert rep["relative_error"] <= 1e-7
 
 
-def test_green_ordering_violation_exit_code(capsys, green_cache):
+def test_green_ordering_violation_exit_code(capsys, m05):
     code, _, err = run_cli(
         capsys, "green",
         "--point-star", "0.72011603046361605,0.22275799214738415,0.15279435659577331",
@@ -120,7 +120,7 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
-def test_dirichlet_point_source_command(capsys, basis05):
+def test_dirichlet_point_source_command(capsys, m05):
     code, out, err = run_cli(
         capsys, "dirichlet", "--boundary", "point-source", "--n-probes", "3")
     assert code == 0
@@ -131,7 +131,7 @@ def test_dirichlet_point_source_command(capsys, basis05):
     assert "parseval_residual" in err
 
 
-def test_dirichlet_single_mode_command(capsys, basis05):
+def test_dirichlet_single_mode_command(capsys, m05):
     code, out, _ = run_cli(
         capsys, "dirichlet", "--boundary", "single-mode",
         "--m-max", "4", "--n-max", "4", "--n-probes", "2")
@@ -203,6 +203,22 @@ def test_malformed_point_exits_2(capsys, argv):
     assert err.startswith("error: point must be 'x,y,z'")
 
 
+@pytest.mark.parametrize("argv", [
+    ("dirichlet", "--n-s", "0"),
+    ("dirichlet", "--n-s", "-3"),
+    ("dirichlet", "--n-phi", "0"),
+    ("coords", "lines", "--samples", "-1"),
+    ("dirichlet", "--n-probes", "-2"),
+    ("verify", "--tol", "-1"),
+])
+def test_bad_count_or_scale_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert code == 2
+    assert err.startswith("error: ")
+    assert json.loads(out) == {"error": {"type": "DomainError", "message": err[7:].strip(),
+                                         "exit_code": 2}}
+
+
 @pytest.mark.parametrize("text", ["a:b", "1:2:3", "x", ""])
 def test_malformed_range_exits_2(capsys, text):
     code, out, err = run_cli(capsys, "eigen", "--n-range", text)
@@ -211,14 +227,14 @@ def test_malformed_range_exits_2(capsys, text):
     assert err.startswith("error: range must be")
 
 
-def test_dirichlet_prints_plain_parseval_residual(capsys, basis05):
+def test_dirichlet_prints_plain_parseval_residual(capsys, m05):
     code, _, err = run_cli(capsys, "dirichlet", "--n-probes", "1")
     assert code == 0
     line = [ln for ln in err.splitlines() if ln.startswith("# parseval_residual=")][0]
     assert 0.0 <= float(line.split("=", 1)[1]) <= 1e-6
 
 
-def test_dirichlet_grid_file_matches_constant_boundary(capsys, tmp_path, basis05):
+def test_dirichlet_grid_file_matches_constant_boundary(capsys, tmp_path, m05):
     # a constant CSV grid is read on the whole quadrature mesh at once
     grid = tmp_path / "grid.csv"
     s_vals = np.linspace(-4.0, 4.0, 9)

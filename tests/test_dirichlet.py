@@ -17,8 +17,8 @@ from flatring.harmonics import HarmonicIndex, HarmonicKind, Truncation, external
 
 
 @pytest.fixture(scope="module")
-def setup(basis05):
-    m = basis05
+def setup(m05):
+    m = m05
     dom = FlatRingDomain(t0=0.4 * m.quarter_Kp, modulus=m)
     r_star = flatring_to_cartesian(FlatRingPoint(
         s=1.2 * m.quarter_K, t=0.8 * m.quarter_Kp, phi=-0.7, modulus=m))
@@ -26,8 +26,8 @@ def setup(basis05):
     return m, dom, r_star, coeffs
 
 
-def test_domain_membership(basis05):
-    m = basis05
+def test_domain_membership(m05):
+    m = m05
     dom = FlatRingDomain(t0=0.4 * m.quarter_Kp, modulus=m)
     inner = flatring_to_cartesian(FlatRingPoint(
         s=0.5 * m.quarter_K, t=0.2 * m.quarter_Kp, phi=0.3, modulus=m))
@@ -39,8 +39,8 @@ def test_domain_membership(basis05):
         FlatRingDomain(t0=1.5 * m.quarter_Kp, modulus=m)
 
 
-def test_constant_boundary_only_symmetric_modes(basis05):
-    m = basis05
+def test_constant_boundary_only_symmetric_modes(m05):
+    m = m05
     dom = FlatRingDomain(t0=0.4 * m.quarter_Kp, modulus=m)
     table = coefficients(dom, BoundaryData(g=lambda s, phi: 1.0), Truncation(3, 3))
     for j, order in enumerate(range(-3, 4)):
@@ -50,8 +50,8 @@ def test_constant_boundary_only_symmetric_modes(basis05):
     assert np.max(np.abs(table.d)) < 1e-12
 
 
-def test_single_mode_recovery(basis05):
-    m = basis05
+def test_single_mode_recovery(m05):
+    m = m05
     dom = FlatRingDomain(t0=0.4 * m.quarter_Kp, modulus=m)
     idx = HarmonicIndex(m=1, n=2, kind=HarmonicKind.GC)
     data = BoundaryData.from_function(dom, lambda q: internal_harmonic(idx, q, m).real)
@@ -97,9 +97,9 @@ def test_interior_point_source_reproduction(setup):
         assert u == pytest.approx(f, rel=1e-6)
 
 
-def test_basis_reproduction(basis05):
+def test_basis_reproduction(m05):
     # boundary data pulled from one internal harmonic reproduces it exactly
-    m = basis05
+    m = m05
     dom = FlatRingDomain(t0=0.4 * m.quarter_Kp, modulus=m)
     idx = HarmonicIndex(m=2, n=1, kind=HarmonicKind.GC)
     data = BoundaryData.from_function(dom, lambda q: internal_harmonic(idx, q, m).real)
@@ -150,8 +150,8 @@ def test_weak_boundary_attainment(setup):
     assert dists[0] > dists[1] > dists[2]
 
 
-def test_under_resolved_data_warns(basis05):
-    m = basis05
+def test_under_resolved_data_warns(m05):
+    m = m05
     dom = FlatRingDomain(t0=0.4 * m.quarter_Kp, modulus=m)
     rough = BoundaryData(g=lambda s, phi: math.copysign(1.0, math.sin(9.0 * s + 5.0 * phi)),
                          n_s=24, n_phi=16)
@@ -160,8 +160,8 @@ def test_under_resolved_data_warns(basis05):
         coefficients(dom, rough, Truncation(2, 2))
 
 
-def test_quadrature_resolution_stability(basis05):
-    m = basis05
+def test_quadrature_resolution_stability(m05):
+    m = m05
     dom = FlatRingDomain(t0=0.4 * m.quarter_Kp, modulus=m)
     r_star = flatring_to_cartesian(FlatRingPoint(
         s=1.2 * m.quarter_K, t=0.8 * m.quarter_Kp, phi=-0.7, modulus=m))
@@ -181,8 +181,8 @@ def test_interior_margin_enforced(setup):
         solve_interior(dom, coeffs, q)
 
 
-def test_point_source_must_be_outside(basis05):
-    m = basis05
+def test_point_source_must_be_outside(m05):
+    m = m05
     dom = FlatRingDomain(t0=0.4 * m.quarter_Kp, modulus=m)
     inside = flatring_to_cartesian(FlatRingPoint(
         s=0.5 * m.quarter_K, t=0.1 * m.quarter_Kp, phi=0.0, modulus=m))

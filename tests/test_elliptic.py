@@ -141,6 +141,22 @@ def test_jacobi_imag_against_complex_oracle():
     assert abs(val.dn - float(dn_c.real)) / abs(val.dn) < 1e-11
 
 
+@pytest.mark.parametrize("k", [1e-3, 1e-2, 0.5, 0.99])
+def test_jacobi_imag_full_precision_at_every_k(k):
+    # sc, nc and dc at modulus k' against mpmath with the parameter 1 - k^2
+    # formed exactly; 1 - k'^2 formed in double loses the digits of k^2
+    mpmath = pytest.importorskip("mpmath")
+    m = Modulus.from_k(k)
+    ts = np.linspace(0.05, 0.95, 37) * m.quarter_Kp
+    got = jacobi_imag(ts, m)
+    with mpmath.workdps(40):
+        par = 1 - mpmath.mpf(k) ** 2
+        for i, t in enumerate(ts.tolist()):
+            sn, cn, dn = (mpmath.ellipfun(name, t, m=par) for name in ("sn", "cn", "dn"))
+            for value, ref in ((got.sn_im[i], sn / cn), (got.cn[i], 1 / cn), (got.dn[i], dn / cn)):
+                assert abs(value - ref) <= 1e-13 * abs(ref), (t, value)
+
+
 def test_jacobi_imag_pole_guard():
     m = Modulus.from_k(0.5)
     with pytest.raises(PoleError):

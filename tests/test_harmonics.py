@@ -31,9 +31,8 @@ from flatring.harmonics import (
     toroidal_harmonic,
     toroidal_limit_summand,
     toroidal_summand,
-    warm_cache,
 )
-from flatring.lame import eigenpair, eval_e_real
+from flatring.lame import basis_for
 from flatring.legendre import gamma_ratio, legendre_q
 
 
@@ -69,8 +68,8 @@ def test_harmonic_index_validation():
         Truncation(-1, 5)
 
 
-def test_kelvin_symmetry_internal(basis05):
-    m = basis05
+def test_kelvin_symmetry_internal(m05):
+    m = m05
     rng = np.random.default_rng(2)
     idx_c = HarmonicIndex(m=1, n=2, kind=HarmonicKind.GC)
     idx_s = HarmonicIndex(m=2, n=3, kind=HarmonicKind.GS)
@@ -83,10 +82,10 @@ def test_kelvin_symmetry_internal(basis05):
         assert abs(gss + nrm * gs) <= 1e-10 * max(abs(gs) * nrm, 1.0)
 
 
-def test_z_reflection_parity(basis05):
+def test_z_reflection_parity(m05):
     # Gc^N picks (-1)^N under z -> -z; Gs^N picks (-1)^(N-1), since the
     # sine families are indexed one above their reflection exponent
-    m = basis05
+    m = m05
     q = CartesianPoint(0.8, 0.3, 0.45)
     qr = CartesianPoint(0.8, 0.3, -0.45)
     for sup in (1, 2, 3):
@@ -98,8 +97,8 @@ def test_z_reflection_parity(basis05):
         assert gsr == pytest.approx((-1.0) ** (sup - 1) * gs, rel=1e-11)
 
 
-def test_internal_harmonicity(basis05):
-    m = basis05
+def test_internal_harmonicity(m05):
+    m = m05
     rng = np.random.default_rng(4)
     for kind, mm, sup in ((HarmonicKind.GC, 1, 2), (HarmonicKind.GS, 2, 2)):
         idx = HarmonicIndex(m=mm, n=sup, kind=kind)
@@ -108,8 +107,8 @@ def test_internal_harmonicity(basis05):
             assert res < 1e-5
 
 
-def test_external_harmonicity_and_decay(basis05):
-    m = basis05
+def test_external_harmonicity_and_decay(m05):
+    m = m05
     rng = np.random.default_rng(6)
     idx = HarmonicIndex(m=1, n=2, kind=HarmonicKind.HC)
     for q in random_offaxis_points(rng, 10, zmin=0.2):
@@ -129,8 +128,8 @@ def test_external_harmonicity_and_decay(basis05):
     assert external_harmonic(idx_s, sig, m) == pytest.approx(-nrm * hs, rel=1e-10)
 
 
-def test_external_bounded_near_axis(basis05):
-    m = basis05
+def test_external_bounded_near_axis(m05):
+    m = m05
     idx = HarmonicIndex(m=1, n=0, kind=HarmonicKind.HC)
     v8 = external_harmonic(idx, CartesianPoint(1e-8, 0.0, 0.5), m)
     v6 = external_harmonic(idx, CartesianPoint(1e-6, 0.0, 0.5), m)
@@ -139,15 +138,15 @@ def test_external_bounded_near_axis(basis05):
     assert abs(v8) == pytest.approx(abs(v6) * 1e-2, rel=1e-3)
 
 
-def test_external_annulus_error(basis05):
-    m = basis05
+def test_external_annulus_error(m05):
+    m = m05
     idx = HarmonicIndex(m=0, n=0, kind=HarmonicKind.HC)
     with pytest.raises(DomainError):
         external_harmonic(idx, CartesianPoint(1.0, 0.0, 0.0), m)
 
 
-def test_green_expansion_canonical_config(green_cache):
-    m = green_cache
+def test_green_expansion_canonical_config(m05):
+    m = m05
     K, Kp = m.quarter_K, m.quarter_Kp
     r = flatring_to_cartesian(FlatRingPoint(s=0.7 * K, t=0.2 * Kp, phi=0.3, modulus=m))
     rs = flatring_to_cartesian(FlatRingPoint(s=1.1 * K, t=0.6 * Kp, phi=-0.5, modulus=m))
@@ -161,8 +160,8 @@ def test_green_expansion_canonical_config(green_cache):
     assert math.exp(slope) < 1.0
 
 
-def test_green_expansion_ordering_violation(green_cache):
-    m = green_cache
+def test_green_expansion_ordering_violation(m05):
+    m = m05
     K, Kp = m.quarter_K, m.quarter_Kp
     r = flatring_to_cartesian(FlatRingPoint(s=0.7 * K, t=0.2 * Kp, phi=0.3, modulus=m))
     rs = flatring_to_cartesian(FlatRingPoint(s=1.1 * K, t=0.6 * Kp, phi=-0.5, modulus=m))
@@ -170,10 +169,10 @@ def test_green_expansion_ordering_violation(green_cache):
         green_expansion(rs, r, Truncation(6, 6), m)
 
 
-def test_green_matches_complex_pairing(basis05):
+def test_green_matches_complex_pairing(m05):
     # the folded real evaluation agrees with the literal complex pairing
     # (1/2) sum G_m(r) H_{-m}(r*) of internal/external harmonics
-    m = basis05
+    m = m05
     K, Kp = m.quarter_K, m.quarter_Kp
     r = flatring_to_cartesian(FlatRingPoint(s=0.6 * K, t=0.25 * Kp, phi=0.4, modulus=m))
     rs = flatring_to_cartesian(FlatRingPoint(s=-0.9 * K, t=0.7 * Kp, phi=-1.1, modulus=m))
@@ -191,9 +190,9 @@ def test_green_matches_complex_pairing(basis05):
     assert total.real == pytest.approx(val, rel=1e-12)
 
 
-def test_real_valued_combination(basis05):
+def test_real_valued_combination(m05):
     # conjugate-symmetric coefficient pairs produce real values
-    m = basis05
+    m = m05
     q = CartesianPoint(0.7, -0.2, 0.4)
     coeff = 0.8 + 0.3j
     val = (coeff * internal_harmonic(HarmonicIndex(m=2, n=1, kind=HarmonicKind.GC), q, m)
@@ -251,8 +250,8 @@ def test_toroidal_harmonic_values():
     assert g == pytest.approx(expected, rel=1e-12)
 
 
-def test_addition_theorem(green_cache):
-    m = green_cache
+def test_addition_theorem(m05):
+    m = m05
     K, Kp = m.quarter_K, m.quarter_Kp
     s, ss, t, ts = 0.6 * K, 1.3 * K, 0.25 * Kp, 0.65 * Kp
     chi = flatring_chi(s, t, ss, ts, m)
@@ -264,8 +263,8 @@ def test_addition_theorem(green_cache):
         addition_theorem_rhs(1, s, ss, ts, t, 10, m)
 
 
-def test_addition_theorem_term_decay(green_cache):
-    m = green_cache
+def test_addition_theorem_term_decay(m05):
+    m = m05
     K, Kp = m.quarter_K, m.quarter_Kp
     s, ss, t, ts = 0.6 * K, 1.3 * K, 0.25 * Kp, 0.65 * Kp
     partials = [addition_theorem_rhs(1, s, ss, t, ts, n, m) for n in range(4, 22, 3)]
@@ -275,8 +274,8 @@ def test_addition_theorem_term_decay(green_cache):
     assert math.exp(slope) < 1.0
 
 
-def test_integral_relations(green_cache):
-    m = green_cache
+def test_integral_relations(m05):
+    m = m05
     K, Kp = m.quarter_K, m.quarter_Kp
     lhs, rhs = integral_relation_check(0.5, 0, "c", 0.8 * K, 0.2 * Kp, 0.7 * Kp, m)
     assert abs(lhs - rhs) / abs(rhs) <= 1e-7
@@ -296,8 +295,8 @@ def test_normalization_constant_on_full_interval(m05):
     w = 2.0 * m05.quarter_K * w
     from flatring.lame import LameFamily
     for fam in LameFamily:
-        p = eigenpair(fam, 0.5, 1, m05)
-        total = sum(wi * eval_e_real(p, float(si)) ** 2 for si, wi in zip(s, w))
+        b, cols = basis_for([(fam, 1)], 0.5, m05)
+        total = sum(wi * b.real(float(si), cols=cols)[0, 0] ** 2 for si, wi in zip(s, w))
         assert total == pytest.approx(4.0, abs=1e-10)
 
 

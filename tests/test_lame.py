@@ -7,17 +7,11 @@ from scipy.special import ellipj
 from flatring.elliptic import Modulus, jacobi_imag
 from flatring.errors import DomainError
 from flatring.lame import (
+    LameBasis,
     LameFamily,
-    eigenpair,
+    basis_for,
     eigenvalue_bracket,
-    eval_e_imag,
-    eval_e_real,
-    eval_f_imag,
     family_of_superscript,
-    second_kind,
-    second_kind_cached,
-    solve_eigenpair,
-    solve_eigenpairs,
     _frobenius_coeffs,
     _series_eval,
 )
@@ -62,62 +56,67 @@ def test_brackets_for_negative_nu():
     # nu = -1/2: -k^2/4 + (pi n / 2K)^2 <= h <= (pi n / 2K)^2
     m = Modulus.from_k(0.5)
     for fam in (LameFamily.EC_EVEN, LameFamily.ES_ODD):
-        for n in range(9):
-            p = eigenpair(fam, -0.5, n, m)
+        b, cols = basis_for([(fam, n) for n in range(9)], -0.5, m)
+        for n, h in enumerate(b.h[cols]):
             big_n = fam.superscript(n)
             base = (math.pi * big_n / (2.0 * m.quarter_K)) ** 2
-            assert base - m.k ** 2 / 4.0 - 1e-9 <= p.h <= base + 1e-9
+            assert base - m.k ** 2 / 4.0 - 1e-9 <= h <= base + 1e-9
 
 
 def test_small_k_limit_eigenvalue_and_eigenfunction():
     m = Modulus.from_k(1e-3)
     fam, nz = family_of_superscript("c", 2)
-    p = solve_eigenpair(fam, 1.5, nz, m)
-    assert abs(p.h - 4.0) < 5e-3
+    b, cols = basis_for([(fam, nz)], 1.5, m)
+    assert abs(b.h[cols[0]] - 4.0) < 5e-3
     grid = np.linspace(0.0, m.quarter_K, 40)
     limit = math.sqrt(4.0 / math.pi) * np.cos(2.0 * (0.5 * math.pi - grid))
-    vals = np.array([eval_e_real(p, float(s)) for s in grid])
+    vals = np.array([b.real(float(s), cols=cols)[0, 0] for s in grid])
     assert np.max(np.abs(vals - limit)) < 1e-2
 
 
 def test_eigenvalue_against_spectral_oracle():
     m = Modulus.from_k(0.5)
-    pairs = solve_eigenpairs(LameFamily.EC_EVEN, 0.5, list(range(5)), m)
+    b, cols = basis_for([(LameFamily.EC_EVEN, n) for n in range(5)], 0.5, m)
     ref = spectral_eigenvalues(LameFamily.EC_EVEN, 0.5, m)
-    for i, p in enumerate(pairs):
-        assert abs(p.h - ref[i]) / max(1.0, abs(ref[i])) < 1e-8
+    for i, h in enumerate(b.h[cols]):
+        assert abs(h - ref[i]) / max(1.0, abs(ref[i])) < 1e-8
 
 
 def test_eigenvalues_increase_with_n(m05):
     for fam in LameFamily:
-        hs = [eigenpair(fam, 1.5, n, m05).h for n in range(6)]
+        b, cols = basis_for([(fam, n) for n in range(6)], 1.5, m05)
+        hs = b.h[cols].tolist()
         assert all(b > a for a, b in zip(hs, hs[1:]))
 
 
 def test_real_axis_parity_and_periodicity(m05):
-    p = eigenpair(LameFamily.EC_EVEN, 0.5, 2, m05)  # superscript 4
+    b, cols = basis_for([(LameFamily.EC_EVEN, 2)], 0.5, m05)  # superscript 4
+
+    def e(s):
+        return b.real(s, cols=cols)[0, 0]
+
     for s in (0.3, 1.1, 2.2):
-        assert abs(eval_e_real(p, s + 2 * m05.quarter_K) - eval_e_real(p, s)) < 1e-12
-        assert abs(eval_e_real(p, -s) - eval_e_real(p, s)) < 1e-12
-    po = eigenpair(LameFamily.EC_ODD, 0.5, 1, m05)  # superscript 3, antiperiodic
+        assert abs(e(s + 2 * m05.quarter_K) - e(s)) < 1e-12
+        assert abs(e(-s) - e(s)) < 1e-12
+    b, cols = basis_for([(LameFamily.EC_ODD, 1)], 0.5, m05)  # superscript 3, antiperiodic
     for s in (0.3, 1.1):
-        assert abs(eval_e_real(po, s + 2 * m05.quarter_K) + eval_e_real(po, s)) < 1e-12
+        assert abs(e(s + 2 * m05.quarter_K) + e(s)) < 1e-12
 
 
 def test_es_even_boundary_zeros(m05):
-    p = eigenpair(LameFamily.ES_EVEN, 0.5, 1, m05)
-    assert abs(eval_e_real(p, 0.0)) < 1e-12
-    assert abs(eval_e_real(p, m05.quarter_K)) < 1e-12
+    b, cols = basis_for([(LameFamily.ES_EVEN, 1)], 0.5, m05)
+    assert abs(b.real(0.0, cols=cols)[0, 0]) < 1e-12
+    assert abs(b.real(m05.quarter_K, cols=cols)[0, 0]) < 1e-12
 
 
 def test_sup_bound_uniform(m05):
     grid = np.linspace(-2.0, 2.0, 60) * m05.quarter_K
     for nu in (-0.5, 0.5, 2.5):
         for fam in LameFamily:
-            for n in range(4):
-                p = eigenpair(fam, nu, n, m05)
-                sup = max(eval_e_real(p, float(s)) ** 2 for s in grid)
-                assert sup <= p.sup_bound + 1e-10
+            b, cols = basis_for([(fam, n) for n in range(4)], nu, m05)
+            for j in cols:
+                sup = max(b.real(float(s), cols=[j])[0, 0] ** 2 for s in grid)
+                assert sup <= b.sup_bound + 1e-10
 
 
 def test_orthonormality_within_family(m05):
@@ -125,8 +124,8 @@ def test_orthonormality_within_family(m05):
     s = 0.5 * m05.quarter_K * (x + 1.0)
     w = 0.5 * m05.quarter_K * w
     for fam in (LameFamily.EC_EVEN, LameFamily.ES_EVEN):
-        pairs = [eigenpair(fam, 1.5, n, m05) for n in range(6)]
-        vals = np.array([[eval_e_real(p, float(si)) for si in s] for p in pairs])
+        b, cols = basis_for([(fam, n) for n in range(6)], 1.5, m05)
+        vals = b.real(s, cols=cols).T
         gram = (vals * w) @ vals.T
         assert np.max(np.abs(gram - np.eye(6))) < 1e-9
 
@@ -136,32 +135,30 @@ def test_combined_four_family_basis(m05):
     x, w = np.polynomial.legendre.leggauss(512)
     s = 2.0 * m05.quarter_K * x
     w = 2.0 * m05.quarter_K * w
-    pairs = []
-    for fam in LameFamily:
-        pairs.extend(eigenpair(fam, 0.5, n, m05) for n in range(3))
-    vals = np.array([[0.5 * eval_e_real(p, float(si)) for si in s] for p in pairs])
+    b, cols = basis_for([(fam, n) for fam in LameFamily for n in range(3)], 0.5, m05)
+    vals = 0.5 * b.real(s, cols=cols).T
     gram = (vals * w) @ vals.T
-    assert np.max(np.abs(gram - np.eye(len(pairs)))) < 1e-8
+    assert np.max(np.abs(gram - np.eye(len(cols)))) < 1e-8
 
 
 def test_imag_axis_continuity_at_zero(m05):
     for fam in (LameFamily.EC_EVEN, LameFamily.EC_ODD):
-        p = eigenpair(fam, 2.5, 1, m05)
-        assert eval_e_imag(p, 0.0) == p.boundary_data[0]
+        b, cols = basis_for([(fam, 1)], 2.5, m05)
+        e0, d0 = b.boundary_data[cols[0]]
+        assert b.imag(0.0, cols=cols)[0, 0] == e0
         # approach from t > 0
-        assert eval_e_imag(p, 1e-8) == pytest.approx(
-            p.boundary_data[0] + 1e-8 * p.boundary_data[1], abs=1e-12)
+        assert b.imag(1e-8, cols=cols)[0, 0] == pytest.approx(e0 + 1e-8 * d0, abs=1e-12)
 
 
 def test_imag_axis_monotonicity(m05):
     ts = np.linspace(0.02, 0.9, 50) * m05.quarter_Kp
     for nu in (0.5, 2.5):
-        p = eigenpair(LameFamily.EC_EVEN, nu, 1, m05)
-        vals = [abs(eval_e_imag(p, float(t))) for t in ts]
+        b, cols = basis_for([(LameFamily.EC_EVEN, 1)], nu, m05)
+        vals = [abs(b.imag(float(t), cols=cols)[0, 0]) for t in ts]
         assert all(b > a for a, b in zip(vals, vals[1:]))
     # nu = -1/2 needs the dc^(1/2) weight
-    p = eigenpair(LameFamily.EC_EVEN, -0.5, 1, m05)
-    vals = [math.sqrt(jacobi_imag(float(t), m05).dn) * abs(eval_e_imag(p, float(t)))
+    lb, cols = basis_for([(LameFamily.EC_EVEN, 1)], -0.5, m05)
+    vals = [math.sqrt(jacobi_imag(float(t), m05).dn) * abs(lb.imag(float(t), cols=cols)[0, 0])
             for t in ts]
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
@@ -169,51 +166,54 @@ def test_imag_axis_monotonicity(m05):
 def test_imag_ratio_matches_legendre_q_at_small_k():
     m = Modulus.from_k(1e-3)
     fam, nz = family_of_superscript("c", 2)
-    p = solve_eigenpair(fam, 0.5, nz, m)  # order nu + 1/2 = 1
+    b, cols = basis_for([(fam, nz)], 0.5, m)  # order nu + 1/2 = 1
     tau0 = 1.0
     for tau in (0.5, 1.0, 1.5):
-        num = eval_e_imag(p, m.quarter_Kp - tau) / eval_e_imag(p, m.quarter_Kp - tau0)
+        num = (b.imag(m.quarter_Kp - tau, cols=cols)[0, 0]
+               / b.imag(m.quarter_Kp - tau0, cols=cols)[0, 0])
         den = (math.sinh(tau) ** 0.5 * legendre_q(1.5, 1.0, math.cosh(tau))) / (
             math.sinh(tau0) ** 0.5 * legendre_q(1.5, 1.0, math.cosh(tau0)))
         assert num == pytest.approx(den, rel=1e-2)
 
 
+def _wronskian(b, cols, t):
+    """F W' - W F' of the columns cols at one t."""
+    return (b.second(t, cols=cols) * b.imag(t, derivative=True, cols=cols)
+            - b.imag(t, cols=cols) * b.second(t, derivative=True, cols=cols))[0, 0]
+
+
 def test_second_kind_wronskian_normalization(m05):
-    p = eigenpair(LameFamily.EC_EVEN, 2.5, 2, m05)
-    sk = second_kind_cached(p)
+    b, cols = basis_for([(LameFamily.EC_EVEN, 2)], 2.5, m05)
     for frac in (0.2, 0.5, 0.8):
         t = frac * m05.quarter_Kp
-        w = (eval_f_imag(sk, t) * eval_e_imag(p, t, derivative=True)
-             - eval_e_imag(p, t) * eval_f_imag(sk, t, derivative=True))
+        w = _wronskian(b, cols, t)
         assert abs(w - 1.0) < 1e-9
 
 
 def test_second_kind_leading_coefficient(m05):
-    p = eigenpair(LameFamily.EC_EVEN, 2.5, 2, m05)
-    sk = second_kind_cached(p)
+    b, cols = basis_for([(LameFamily.EC_EVEN, 2)], 2.5, m05)
     tau = 1e-4 * m05.quarter_Kp
-    lead = eval_f_imag(sk, m05.quarter_Kp - tau) / tau ** (p.nu + 1.0)
-    assert lead == pytest.approx(sk.wronskian_scale, rel=1e-6)
+    lead = b.second(m05.quarter_Kp - tau, cols=cols)[0, 0] / tau ** (b.nu + 1.0)
+    frobenius = b._second_kind[0]  # scaled to unit Wronskian, leading term first
+    assert lead == pytest.approx(frobenius[0, cols[0]], rel=1e-6)
 
 
 def test_second_kind_decay_exponent(m05):
-    p = eigenpair(LameFamily.ES_ODD, 1.5, 1, m05)
-    sk = second_kind_cached(p)
+    b, cols = basis_for([(LameFamily.ES_ODD, 1)], 1.5, m05)
     taus = np.array([1e-3, 1e-2]) * m05.quarter_Kp
-    fv = [eval_f_imag(sk, m05.quarter_Kp - float(t)) for t in taus]
+    fv = [b.second(m05.quarter_Kp - float(t), cols=cols)[0, 0] for t in taus]
     slope = math.log(fv[1] / fv[0]) / math.log(taus[1] / taus[0])
-    assert abs(slope - (p.nu + 1.0)) / (p.nu + 1.0) < 0.05
+    assert abs(slope - (b.nu + 1.0)) / (b.nu + 1.0) < 0.05
 
 
 def test_second_kind_linear_independence(m05):
-    p = eigenpair(LameFamily.EC_ODD, 0.5, 1, m05)
-    sk = second_kind_cached(p)
+    b, cols = basis_for([(LameFamily.EC_ODD, 1)], 0.5, m05)
     t = 0.4 * m05.quarter_Kp
     alpha, beta = 0.7, -1.3
-    comb = alpha * eval_e_imag(p, t) + beta * eval_f_imag(sk, t)
-    comb_d = alpha * eval_e_imag(p, t, derivative=True) + beta * eval_f_imag(
-        sk, t, derivative=True)
-    wr = comb * eval_e_imag(p, t, derivative=True) - eval_e_imag(p, t) * comb_d
+    w, wd = b.imag(t, cols=cols)[0, 0], b.imag(t, derivative=True, cols=cols)[0, 0]
+    comb = alpha * w + beta * b.second(t, cols=cols)[0, 0]
+    comb_d = alpha * wd + beta * b.second(t, derivative=True, cols=cols)[0, 0]
+    wr = comb * wd - w * comb_d
     assert abs(wr - beta) < 1e-9  # equals -beta * W[E, F] = beta
 
 
@@ -222,8 +222,8 @@ def test_frobenius_series_matches_legendre_p_at_small_k():
     for order, sup in ((1, 0), (1, 2), (2, 1)):
         nu = order - 0.5
         fam, nz = family_of_superscript("c", sup)
-        p = solve_eigenpair(fam, nu, nz, m)
-        b = _frobenius_coeffs(nu, p.h, m, 64)
+        lb, cols = basis_for([(fam, nz)], nu, m)
+        b = _frobenius_coeffs(nu, lb.h[cols[0]], m, 64)
         for tau in (0.3, 0.8):
             val, _ = _series_eval(b, nu, tau)
             limit = (2.0 ** (nu + 0.5) * math.gamma(nu + 1.5)
@@ -233,22 +233,19 @@ def test_frobenius_series_matches_legendre_p_at_small_k():
 
 
 def test_second_kind_degenerate_indicial_flag(m05):
-    p = eigenpair(LameFamily.EC_EVEN, -0.5, 1, m05)
-    sk = second_kind(p)
-    assert sk.indicial_degenerate
+    b, cols = basis_for([(LameFamily.EC_EVEN, 1)], -0.5, m05)
+    assert b.indicial_degenerate
     # the constructed branch still has unit Wronskian
-    t = 0.5 * m05.quarter_Kp
-    w = (eval_f_imag(sk, t) * eval_e_imag(p, t, derivative=True)
-         - eval_e_imag(p, t) * eval_f_imag(sk, t, derivative=True))
+    w = _wronskian(b, cols, 0.5 * m05.quarter_Kp)
     assert abs(w - 1.0) < 1e-9
 
 
 def test_invalid_arguments():
     m = Modulus.from_k(0.5)
     with pytest.raises(DomainError):
-        solve_eigenpair(LameFamily.EC_EVEN, -0.6, 0, m)
+        LameBasis(-0.6, m, 0)
     with pytest.raises(DomainError):
-        solve_eigenpair(LameFamily.EC_EVEN, 0.5, -1, m)
+        basis_for([(LameFamily.EC_EVEN, -1)], 0.5, m)
     with pytest.raises(DomainError):
         family_of_superscript("s", 0)
     with pytest.raises(DomainError):

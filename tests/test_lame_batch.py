@@ -1,5 +1,5 @@
-"""Array evaluation of Lame batches: agreement with the scalar one-mode
-calls, the panel read against Clenshaw summation, parity on the imaginary
+"""Array evaluation of Lame bases: agreement with one-point, one-column
+reads, the panel read against Clenshaw summation, parity on the imaginary
 axis, the Frobenius hand-off, batched interior probes, and the array forms
 of the elliptic and coordinate maps they rest on."""
 
@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 from numpy.polynomial import chebyshev
 
-from flatring import lame
 from flatring.coords import (
     FlatRingPoint,
     cartesian_to_flatring,
@@ -22,18 +21,7 @@ from flatring.dirichlet import FlatRingDomain, solve_interior, solve_point_sourc
 from flatring.elliptic import Modulus, _sncndn, jacobi_imag
 from flatring.errors import DomainError, QuadratureWarning
 from flatring.harmonics import Truncation, green_expansion
-from flatring.lame import (
-    LameBatch,
-    LameFamily,
-    eigenpair,
-    eval_e_imag,
-    eval_e_real,
-    eval_f_imag,
-    family_of_superscript,
-    lame_batch,
-    second_kind_cached,
-    shell_specs,
-)
+from flatring.lame import LameFamily, basis, basis_for, family_of_superscript, shell_specs
 
 
 def _close(batch_values, scalar_values, rtol=1e-14):
@@ -44,84 +32,87 @@ def _close(batch_values, scalar_values, rtol=1e-14):
 
 @pytest.fixture(scope="module")
 def mixed(m05):
-    """Order-5 modes from two separate solves, so the batch spans two panel
-    sets and all four families, with their second kinds."""
-    nu = 4.5
-    first = lame.warm_mixed(shell_specs(3), nu, m05)
-    extra = lame.warm_mixed([family_of_superscript("c", 27), family_of_superscript("s", 26)], nu, m05)
-    pairs = [first[5], extra[0], first[0], first[4], extra[1], first[7]]
-    seconds = [second_kind_cached(p) for p in pairs]
-    return m05, LameBatch(pairs, seconds)
+    """Order-5 modes of all four families, low (Es^2, Ec^0, Es^1, Es^4) and
+    high (Ec^27, Es^26), as a scrambled column subset of the basis that
+    holds them, with their second kinds."""
+    specs = [family_of_superscript(kind, sup) for kind, sup in
+             (("s", 2), ("c", 27), ("c", 0), ("s", 1), ("s", 26), ("s", 4))]
+    b, cols = basis_for(specs, 4.5, m05)
+    return m05, b, cols
 
 
 def test_batch_spans_families_and_panel_sets(mixed):
-    _, batch = mixed
-    assert {p.family for p in batch.pairs} == set(LameFamily)
-    assert len({id(p._imag) for p in batch.pairs}) == 2
+    _, b, cols = mixed
+    assert {b.specs[j][0] for j in cols} == set(LameFamily)
+    # the high modes set the depth; one panel set serves low and high columns
+    assert b.n_max == 27 and sorted(cols) == [0, 27, 28, 29, 31, 53]
 
 
 def test_real_axis_batch_matches_scalar(mixed):
-    m, batch = mixed
+    m, b, cols = mixed
     s = np.linspace(-3.0, 3.0, 41) * m.quarter_K
     for derivative in (False, True):
-        scalar = np.array([[eval_e_real(p, float(x), derivative) for p in batch.pairs]
+        scalar = np.array([[b.real(float(x), derivative, [j])[0, 0] for j in cols]
                            for x in s])
-        _close(batch.real(s, derivative), scalar)
+        _close(b.real(s, derivative, cols), scalar)
+        _close(b.real(s, derivative)[:, cols], scalar)
 
 
 def test_imaginary_axis_batch_matches_scalar(mixed):
-    m, batch = mixed
+    m, b, cols = mixed
     # several panels, t = 0 and negative t
     t = np.concatenate([[0.0], np.linspace(-0.85, 0.85, 35) * m.quarter_Kp])
     for derivative in (False, True):
-        values = batch.imag(t, derivative)
-        scalar = np.array([[eval_e_imag(p, float(x), derivative) for p in batch.pairs]
+        values = b.imag(t, derivative, cols)
+        scalar = np.array([[b.imag(float(x), derivative, [j])[0, 0] for j in cols]
                            for x in t])
         _close(values, scalar)
-        assert np.array_equal(values[0], [p.boundary_data[int(derivative)] for p in batch.pairs])
-    assert len(batch.pairs[0]._imag.coeff_w) > 3
+        _close(b.imag(t, derivative)[:, cols], scalar)
+        assert np.array_equal(values[0], b.boundary_data[cols, int(derivative)])
+    assert len(b._first.coeff_w) > 3
 
 
 def test_second_kind_batch_matches_scalar_across_handoff(mixed):
-    m, batch = mixed
-    kp, tau0 = m.quarter_Kp, batch.seconds[0].tau0
+    m, b, cols = mixed
+    kp, tau0 = m.quarter_Kp, b._second_kind[1]
     # panel zone, both sides of the Frobenius hand-off, and the series zone
     t = np.concatenate([np.linspace(0.1, 0.85, 12) * kp,
                         kp - tau0 * np.array([1.0 + 1e-3, 1.0 - 1e-3, 0.5, 1e-3])])
     for derivative in (False, True):
-        scalar = np.array([[eval_f_imag(f, float(x), derivative) for f in batch.seconds]
+        scalar = np.array([[b.second(float(x), derivative, [j])[0, 0] for j in cols]
                            for x in t])
-        _close(batch.second(t, derivative), scalar)
+        _close(b.second(t, derivative, cols), scalar)
+        _close(b.second(t, derivative)[:, cols], scalar)
     # the two zones join continuously at the hand-off
-    across = batch.second(kp - tau0 * np.array([1.0 + 1e-9, 1.0 - 1e-9]))
+    across = b.second(kp - tau0 * np.array([1.0 + 1e-9, 1.0 - 1e-9]), cols=cols)
     assert np.all(np.abs(across[0] - across[1]) <= 1e-7 * np.abs(across[0]))
 
 
 def test_second_kind_domain(mixed):
-    m, batch = mixed
+    m, b, cols = mixed
     for bad in (0.0, m.quarter_Kp, -0.1, math.nan):
         with pytest.raises(DomainError):
-            batch.second([0.3, bad])
+            b.second([0.3, bad], cols=cols)
 
 
 def test_imaginary_axis_parity_of_values_and_derivatives(mixed):
     # W has its family's parity and W' the opposite one
-    m, batch = mixed
+    m, b, cols = mixed
     t = np.array([0.2, 0.45]) * m.quarter_Kp
-    even = np.array([p.family.even_at_zero for p in batch.pairs])
-    w, wm = batch.imag(t), batch.imag(-t)
-    d, dm = batch.imag(t, derivative=True), batch.imag(-t, derivative=True)
+    even = np.array([b.specs[j][0].even_at_zero for j in cols])
+    w, wm = b.imag(t, cols=cols), b.imag(-t, cols=cols)
+    d, dm = b.imag(t, True, cols), b.imag(-t, True, cols)
     assert np.array_equal(wm, np.where(even, w, -w))
     assert np.array_equal(dm, np.where(even, -d, d))
     # W' at negative t against a central difference of W
     h = 1e-5
-    fd = (batch.imag(-t + h) - batch.imag(-t - h)) / (2.0 * h)
+    fd = (b.imag(-t + h, cols=cols) - b.imag(-t - h, cols=cols)) / (2.0 * h)
     assert np.all(np.abs(fd - dm) <= 1e-6 * np.abs(dm).max(axis=0))
 
 
 def test_panel_read_matches_clenshaw(mixed):
-    m, batch = mixed
-    for panels in (batch.pairs[0]._imag, batch.seconds[0]._cont):
+    m, b, _ = mixed
+    for panels in (b._first, b._second_kind[2]):
         lo, hi = sorted(panels.edges[:2])
         t = lo + (hi - lo) * np.linspace(0.01, 0.99, 9)  # inside: edges belong to either side
         x = (2.0 * t - (lo + hi)) / (hi - lo)
@@ -132,20 +123,25 @@ def test_panel_read_matches_clenshaw(mixed):
 
 def test_lame_batch_columns_follow_specs(m05):
     specs = shell_specs(4)
-    batch = lame_batch(specs, 2.5, m05, second=True)
-    assert [(p.family, p.n) for p in batch.pairs] == specs
-    assert all(f.base is p for f, p in zip(batch.seconds, batch.pairs))
+    b = basis(2.5, m05, 4)
+    assert b.specs == specs
+    assert [b.column(fam, n) for fam, n in specs] == list(range(len(specs)))
+    # each second-kind column is the companion of the first-kind one
+    t = 0.5 * m05.quarter_Kp
+    w = b.second(t) * b.imag(t, derivative=True) - b.imag(t) * b.second(t, derivative=True)
+    assert np.all(np.abs(w - 1.0) <= 1e-9)
 
 
-def test_green_expansion_matches_per_mode_sum(basis05):
+def test_green_expansion_matches_per_mode_sum(m05):
     # shells and tail against the per-mode scalar products, summed in order
-    m = basis05
+    m = m05
     K, Kp = m.quarter_K, m.quarter_Kp
     r = flatring_to_cartesian(FlatRingPoint(s=0.6 * K, t=0.25 * Kp, phi=0.4, modulus=m))
     rs = flatring_to_cartesian(FlatRingPoint(s=-0.9 * K, t=0.7 * Kp, phi=-1.1, modulus=m))
     tr = Truncation(5, 6)
     val, tail, shells = green_expansion(r, rs, tr, m, return_shells=True)
     a, b = cartesian_to_flatring(r, m), cartesian_to_flatring(rs, m)
+    bases = [basis(order - 0.5, m, tr.n_max) for order in range(tr.m_max + 1)]
     pref = 0.5 * (r.x ** 2 + r.y ** 2) ** -0.25 * (rs.x ** 2 + rs.y ** 2) ** -0.25
     expected, m_tail = [], 0.0
     for sup in range(tr.n_max + 1):
@@ -153,10 +149,10 @@ def test_green_expansion_matches_per_mode_sum(basis05):
         for order in range(tr.m_max + 1):
             term = 0.0
             for kind, n in (("c", sup), ("s", sup + 1)):
-                fam, nz = family_of_superscript(kind, n)
-                pair = eigenpair(fam, order - 0.5, nz, m)
-                term += (eval_e_real(pair, a.s) * eval_e_real(pair, b.s) * eval_e_imag(pair, a.t)
-                         * eval_f_imag(second_kind_cached(pair), b.t))
+                lb = bases[order]
+                col = [lb.column(*family_of_superscript(kind, n))]
+                term += (lb.real(a.s, cols=col)[0, 0] * lb.real(b.s, cols=col)[0, 0]
+                         * lb.imag(a.t, cols=col)[0, 0] * lb.second(b.t, cols=col)[0, 0])
             shell += (1.0 if order == 0 else 2.0) * math.cos(order * (a.phi - b.phi)) * term
             mags.append(2.0 * abs(term))
         expected.append(pref * shell)
@@ -170,8 +166,8 @@ def test_green_expansion_matches_per_mode_sum(basis05):
 
 
 @pytest.fixture(scope="module")
-def interior(basis05):
-    m = basis05
+def interior(m05):
+    m = m05
     dom = FlatRingDomain(t0=0.4 * m.quarter_Kp, modulus=m)
     r_star = flatring_to_cartesian(FlatRingPoint(
         s=1.2 * m.quarter_K, t=0.8 * m.quarter_Kp, phi=-0.7, modulus=m))
@@ -242,11 +238,11 @@ def test_quarter_period_kprime_against_mpmath(k):
         assert abs(mpmath.mpf(kp) - exact) / exact <= 1e-15
 
 
-def test_coefficients_match_per_mode_projection(basis05):
+def test_coefficients_match_per_mode_projection(m05):
     # the projection against the per-mode scalar loop it replaced
     from flatring.dirichlet import BoundaryData, coefficients
 
-    m = basis05
+    m = m05
     dom = FlatRingDomain(t0=0.4 * m.quarter_Kp, modulus=m)
     data = BoundaryData(g=lambda s, phi: math.exp(0.3 * math.sin(s)) * (1.0 + 0.2 * math.cos(phi)),
                         n_s=24, n_phi=16)
@@ -260,17 +256,11 @@ def test_coefficients_match_per_mode_projection(basis05):
         g_hat = (g * np.exp(-1j * order * phi_nodes)).sum(axis=1) * 2.0 * math.pi / data.n_phi
         for kind, sups in (("c", range(4)), ("s", range(1, 5))):
             for sup in sups:
-                fam, nz = family_of_superscript(kind, sup)
-                pair = eigenpair(fam, abs(order) - 0.5, nz, m)
-                e_s = np.array([eval_e_real(pair, float(s)) for s in s_nodes])
-                expected = np.sum(s_weights * e_s * g_hat) / (8.0 * math.pi * eval_e_imag(pair, dom.t0))
+                lb = basis(abs(order) - 0.5, m, 3)
+                col = [lb.column(*family_of_superscript(kind, sup))]
+                e_s = np.array([lb.real(float(s), cols=col)[0, 0] for s in s_nodes])
+                expected = (np.sum(s_weights * e_s * g_hat)
+                            / (8.0 * math.pi * lb.imag(dom.t0, cols=col)[0, 0]))
                 got = table.c_of(order, sup) if kind == "c" else table.d_of(order, sup)
                 assert abs(got - expected) <= 1e-13 * max(abs(expected), 1e-3)
 
-
-def test_batch_requires_common_nu_and_modulus(m05):
-    a = eigenpair(LameFamily.EC_EVEN, 0.5, 0, m05)
-    with pytest.raises(DomainError):
-        LameBatch([a, eigenpair(LameFamily.EC_EVEN, 1.5, 0, m05)])
-    with pytest.raises(DomainError):
-        LameBatch([a, eigenpair(LameFamily.EC_EVEN, 0.5, 0, Modulus.from_k(0.6))])

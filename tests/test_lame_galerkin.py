@@ -1,6 +1,7 @@
 """Fourier-Galerkin Lame eigensolver: eigenvalues pinned from the earlier
 shooting solver, an ODE-residual oracle through mpmath's sn, basis-size
-stability in a deep well, orientation, and cache rebuilds."""
+stability in a deep well, orientation, and the basis cache: rebuilds after
+clearing or eviction, object identity, and modes shared across depths."""
 
 import mpmath
 import numpy as np
@@ -9,13 +10,9 @@ from scipy.special import ellipe, ellipk
 
 from flatring import lame
 from flatring.elliptic import Modulus, sn2_fourier_coeffs
-from flatring.lame import (
-    LameFamily,
-    eval_e_imag,
-    eval_e_real,
-    eval_f_imag,
-    solve_eigenpairs,
-)
+from flatring.lame import LameFamily, basis_for
+
+ALL_11 = [(fam, n) for fam in LameFamily for n in range(11)]  # zero counts 0..10 of each family
 
 # Eigenvalues at k = 0.5 from the RK8 Pruefer-shooting solver this module
 # used before the Galerkin method: (nu, kind) -> superscripts 0..21 (Ec) or
@@ -91,9 +88,9 @@ SHOOTING_K05 = {
 @pytest.mark.parametrize("nu", [-0.5, 2.5, 9.5, 19.5])
 def test_eigenvalues_match_shooting_values(m05, nu):
     got = {}
-    for fam in LameFamily:
-        for p in solve_eigenpairs(fam, nu, list(range(11)), m05):
-            got[fam.kind, p.superscript] = p.h
+    b, cols = basis_for(ALL_11, nu, m05)
+    for (fam, n), j in zip(ALL_11, cols):
+        got[fam.kind, fam.superscript(n)] = b.h[j]
     for kind, first in (("c", 0), ("s", 1)):
         for sup, ref in enumerate(SHOOTING_K05[nu, kind], start=first):
             assert abs(got[kind, sup] - ref) <= 1e-12 * abs(ref), (kind, sup)
@@ -105,16 +102,18 @@ def test_ode_residual_against_mpmath_sn(k, nu):
     coef = nu * (nu + 1.0) * k * k
     s = np.linspace(-0.5 * m.quarter_K, 2.0 * m.quarter_K, 21)
     sn2 = np.array([float(mpmath.ellipfun("sn", float(x), m=k * k)) ** 2 for x in s])
-    for fam in LameFamily:
-        for p in solve_eigenpairs(fam, nu, list(range(11)), m):
-            basis = (np.cos if fam.even_at_zero else np.sin)(np.outer(s, p._freq))
-            e = basis @ p._coef
-            e_ss = -basis @ (p._coef * p._freq ** 2)
-            assert np.max(np.abs(e - [eval_e_real(p, float(x)) for x in s])) <= 1e-14
-            resid = -e_ss + (coef * sn2 - p.h) * e
-            scale = (abs(p.h) + coef) * np.max(np.abs(e))
-            assert np.max(np.abs(resid)) <= 1e-12 * scale, (fam, p.n)
-            assert p.tail <= 1e-15
+    b, cols = basis_for(ALL_11, nu, m)
+    for (fam, n), j in zip(ALL_11, cols):
+        # the mode's coefficients on cos or sin of the frequencies j pi/(2K)
+        trig_coef = b._coef[int(not fam.even_at_zero), :, j]
+        trig = (np.cos if fam.even_at_zero else np.sin)(np.outer(s, b._freq))
+        e = trig @ trig_coef
+        e_ss = -trig @ (trig_coef * b._freq ** 2)
+        assert np.max(np.abs(e - [b.real(float(x), cols=[j])[0, 0] for x in s])) <= 1e-14
+        resid = -e_ss + (coef * sn2 - b.h[j]) * e
+        scale = (abs(b.h[j]) + coef) * np.max(np.abs(e))
+        assert np.max(np.abs(resid)) <= 1e-12 * scale, (fam, n)
+        assert b.tail[j] <= 1e-15
 
 
 def test_sn2_fourier_coefficients_against_scipy():
@@ -141,12 +140,12 @@ def test_deep_well_eigenvalues_stable_across_basis_sizes():
 @pytest.mark.parametrize("k, nu", [(0.5, 2.5), (0.5, 19.5), (0.9, 9.5)])
 def test_orientation_convention(k, nu):
     m = Modulus.from_k(k)
-    for fam in LameFamily:
-        for p in solve_eigenpairs(fam, nu, list(range(11)), m):
-            if fam.kind == "c":
-                assert eval_e_real(p, m.quarter_K) > 0.0
-            else:
-                assert eval_e_real(p, m.quarter_K, derivative=True) < 0.0
+    b, cols = basis_for(ALL_11, nu, m)
+    for (fam, _), j in zip(ALL_11, cols):
+        if fam.kind == "c":
+            assert b.real(m.quarter_K, cols=[j])[0, 0] > 0.0
+        else:
+            assert b.real(m.quarter_K, derivative=True, cols=[j])[0, 0] < 0.0
 
 
 def test_clear_caches_rebuild_is_bit_identical(m05):
@@ -154,16 +153,50 @@ def test_clear_caches_rebuild_is_bit_identical(m05):
     ts = [0.1 * m05.quarter_Kp, 0.5 * m05.quarter_Kp, 0.9 * m05.quarter_Kp]
 
     def build():
-        lame.warm_mixed(specs, 2.5, m05)
-        pairs = [lame.eigenpair(fam, 2.5, n, m05) for fam, n in specs]
-        sk = lame.second_kind_cached(pairs[0])
-        return ([p.h for p in pairs],
-                [eval_e_imag(p, t) for p in pairs for t in ts],
-                [eval_f_imag(sk, t) for t in ts])
+        b, cols = basis_for(specs, 2.5, m05)
+        return (b.h[cols].tolist(),
+                [b.imag(t, cols=[j])[0, 0] for j in cols for t in ts],
+                [b.second(t, cols=cols[:1])[0, 0] for t in ts])
 
     lame.clear_caches()
     first = build()
     lame.clear_caches()
-    assert not (lame._EIGEN_CACHE or lame._SECOND_CACHE or lame._SC2_CACHE
-                or lame._NS2_SERIES_CACHE)
+    assert lame.basis.cache_info().currsize == 0 and not lame._SC2_CACHE
     assert build() == first
+
+
+def test_same_key_returns_same_basis(m05):
+    b = lame.basis(2.5, m05, 3)
+    assert lame.basis(2.5, m05, 3) is b
+    assert lame.basis(2.5, Modulus.from_k(0.5), 3) is b  # an equal modulus is the same key
+    assert basis_for([(LameFamily.ES_EVEN, 1)], 2.5, m05)[0] is b  # Es^4 needs depth 3
+    assert lame.basis(2.5, m05, 4) is not b
+
+
+def test_evicted_basis_rebuilds_bit_identical(m05):
+    kp, big_k = m05.quarter_Kp, m05.quarter_K
+    s = np.linspace(-2.0, 2.0, 9) * big_k
+    t = np.linspace(0.05, 0.95, 9) * kp
+    first = lame.basis(3.5, m05, 4)
+    values = [first.real(s), first.imag(t), first.second(t)]
+    for i in range(lame._BASIS_CACHE_SIZE):  # as many other keys as the cache holds
+        lame.basis(0.5 + i, m05, 0)
+    rebuilt = lame.basis(3.5, m05, 4)
+    assert rebuilt is not first
+    # read in the opposite order: the panels do not depend on the order of requests
+    again = [rebuilt.real(s), rebuilt.imag(t[::-1])[::-1], rebuilt.second(t[::-1])[::-1]]
+    assert all(np.array_equal(a, b) for a, b in zip(values, again))
+
+
+@pytest.mark.parametrize("nu", [-0.5, 2.5, 9.5])
+def test_shared_modes_agree_across_depths(m05, nu):
+    small, big = lame.basis(nu, m05, 3), lame.basis(nu, m05, 20)
+    cols = [big.column(fam, n) for fam, n in small.specs]
+    kp = m05.quarter_Kp
+    s = np.linspace(-2.0, 2.0, 17) * m05.quarter_K
+    t = np.linspace(0.05, 0.95, 19) * kp
+    for derivative in (False, True):
+        for read, x in (("real", s), ("imag", t), ("second", t)):
+            ref = getattr(big, read)(x, derivative, cols)
+            err = np.abs(getattr(small, read)(x, derivative) - ref) / np.max(np.abs(ref), axis=0)
+            assert np.max(err) <= 1e-12, (read, derivative)

@@ -18,7 +18,7 @@ from scipy.special import ellipj
 import flatring
 from flatring import lame
 from flatring.elliptic import Modulus
-from flatring.lame import LameBatch, shell_specs
+from flatring.lame import LameBasis
 
 CASES = [(0.5, -0.5), (0.5, 19.5), (0.9, 9.5)]  # (k, nu)
 T_LO, T_HI = 0.05, 0.85  # fractions of K' checked on the panels
@@ -39,10 +39,10 @@ def test_panel_build_does_not_import_scipy_integrate():
     code = (
         "import sys\n"
         "from flatring.elliptic import Modulus\n"
-        "from flatring.lame import lame_batch, shell_specs\n"
+        "from flatring.lame import basis\n"
         "m = Modulus.from_k(0.5)\n"
-        "batch = lame_batch(shell_specs(3), 2.5, m, second=True)\n"
-        "batch.imag([0.5 * m.quarter_Kp]); batch.second([0.2 * m.quarter_Kp])\n"
+        "b = basis(2.5, m, 3)\n"
+        "b.imag([0.5 * m.quarter_Kp]); b.second([0.2 * m.quarter_Kp])\n"
         "assert 'scipy.integrate' not in sys.modules, 'scipy.integrate imported'\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(flatring.__file__).parents[1]))
@@ -63,7 +63,7 @@ def test_lobatto_fit_matches_chebfit(deg):
 def test_batched_frobenius_columns_match_single_calls():
     m = Modulus.from_k(0.9)
     nu = 9.5
-    h = np.array([p.h for p in lame._solve_mixed(shell_specs(4), nu, m)])
+    h = LameBasis(nu, m, 4).h
     batched = lame._frobenius_coeffs(nu, h, m, 64)
     single = np.column_stack([lame._frobenius_coeffs(nu, hi, m, 64) for hi in h])
     assert batched.shape == (64, h.size)
@@ -98,17 +98,15 @@ def _sequential_rk8(panels, state):
 
 @pytest.fixture(scope="module", params=CASES, ids=lambda c: f"k{c[0]}-nu{c[1]}")
 def case(request):
-    """Fresh (unmemoized) modes of all four families and their second kinds,
-    panels built over the checked range."""
+    """A fresh (uncached) basis of depth 4, all four families, and its second
+    kind, panels built over the checked range."""
     k, nu = request.param
     m = Modulus.from_k(k)
-    pairs = lame._solve_mixed(shell_specs(4), nu, m)
-    seconds = lame._second_kinds(pairs)
-    batch = LameBatch(pairs, seconds)
+    b = LameBasis(nu, m, 4)
     kp = m.quarter_Kp
-    batch.imag([T_HI * kp])
-    batch.second([T_LO * kp])
-    return m, nu, batch
+    b.imag([T_HI * kp])
+    b.second([T_LO * kp])
+    return m, nu, b
 
 
 def _in_range(t, kp):
@@ -117,8 +115,8 @@ def _in_range(t, kp):
 
 def test_first_kind_panels_match_sequential_stepper(case):
     m, _, batch = case
-    panels = batch.pairs[0]._imag
-    mlen = len(batch.pairs)
+    panels = batch._first
+    mlen = len(batch.specs)
     start = np.concatenate([batch.imag(0.0)[0], batch.imag(0.0, derivative=True)[0]])
     t, ys = _sequential_rk8(panels, start)
     keep = _in_range(t, m.quarter_Kp)
@@ -129,10 +127,10 @@ def test_first_kind_panels_match_sequential_stepper(case):
 
 def test_second_kind_panels_match_sequential_stepper(case):
     m, _, batch = case
-    panels = batch.seconds[0]._cont
-    mlen = len(batch.pairs)
+    _, tau0, panels = batch._second_kind
+    mlen = len(batch.specs)
     t1 = panels.edges[0]  # K' - tau0, where the Frobenius series hands over
-    assert t1 == pytest.approx(m.quarter_Kp - batch.seconds[0].tau0)
+    assert t1 == pytest.approx(m.quarter_Kp - tau0)
     start = np.concatenate([batch.second(t1)[0], batch.second(t1, derivative=True)[0]])
     t, ys = _sequential_rk8(panels, start)
     keep = _in_range(t, m.quarter_Kp)
@@ -143,7 +141,7 @@ def test_second_kind_panels_match_sequential_stepper(case):
 
 def _reference(m, nu, batch, t_span, start, t_eval):
     """W'' = (h + nu(nu+1) k^2 sc^2(t, k')) W by solve_ivp, sc from scipy's ellipj."""
-    h = np.array([p.h for p in batch.pairs])
+    h = batch.h
     coef = nu * (nu + 1.0) * m.k * m.k
     mlen = h.size
 
@@ -170,7 +168,7 @@ def test_first_kind_matches_solve_ivp(case):
 def test_second_kind_matches_solve_ivp_on_both_sides_of_tau0(case):
     m, nu, batch = case
     kp = m.quarter_Kp
-    tau0 = batch.seconds[0].tau0
+    tau0 = batch._second_kind[1]
     # from tau0/2 (Frobenius series) down through the hand-off at tau0 and
     # the continuation panels to T_LO K'
     t_start = kp - 0.5 * tau0

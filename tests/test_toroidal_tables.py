@@ -202,9 +202,9 @@ def test_cli_near_axis_toroidal_green(capsys):
     assert report["relative_error"] <= 1e-8
 
 
-def test_integral_relation_below_series_edge(basis05):
+def test_integral_relation_below_series_edge(m05):
     # s* = 0.8K, t = 0.4K', t* = 0.5K': the quadrature reaches chi = 1.014
-    m = basis05
+    m = m05
     K, Kp = m.quarter_K, m.quarter_Kp
     x, _ = np.polynomial.legendre.leggauss(512)
     chi = flatring_chi(2.0 * K * x, 0.4 * Kp, 0.8 * K, 0.5 * Kp, m)
@@ -216,9 +216,9 @@ def test_integral_relation_below_series_edge(basis05):
         assert abs(lhs - rhs) / abs(rhs) <= 1e-10
 
 
-def test_integral_relation_table_matches_series(basis05):
+def test_integral_relation_table_matches_series(m05):
     # where the series converges, the table's m = 0 column gives the same left side
-    m = basis05
+    m = m05
     K, Kp = m.quarter_K, m.quarter_Kp
     x, w = np.polynomial.legendre.leggauss(512)
     chi = flatring_chi(2.0 * K * x, 0.2 * Kp, 0.8 * K, 0.7 * Kp, m)
