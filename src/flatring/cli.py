@@ -214,7 +214,7 @@ def cmd_dirichlet(args) -> int:
         idx = HarmonicIndex(m=1, n=2, kind=HarmonicKind.GC)
         data = BoundaryData.from_function(
             dom, lambda q: internal_harmonic(idx, q, m).real,
-            n_s=args.n_s, n_phi=args.n_phi)
+            n_s=args.n_s, n_phi=args.n_phi, on_mesh=True)
         coeffs = coefficients(dom, data, tr)
     else:
         g = (lambda s, phi: 1.0) if args.boundary == "constant" else _read_boundary_grid(args.boundary)

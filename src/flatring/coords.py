@@ -5,7 +5,10 @@ The transcendental coordinates (s, t, phi) use Jacobi elliptic functions of
 modulus k.  Three chart variants cover the half-plane x > 0 minus different
 cuts along the z = 0 axis; variant 1 is the default throughout the package.
 All imaginary-argument elliptic factors are reduced to real quantities, so
-every formula here is evaluated in real arithmetic.
+every formula here is evaluated in real arithmetic.  Both directions of the
+transcendental map are closed forms on arrays: the forward map is a product
+of Jacobi functions, the inverse takes the algebraic coordinates from the
+inversion quadratic and s, t from Carlson's R_F, with no iteration.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.special import elliprf
 
 from .elliptic import JacobiImag, Modulus, _sncndn, jacobi_imag
 from .errors import DomainError
@@ -24,6 +28,8 @@ CUT_GUARD = 1e-10  # distance to a chart cut below which inversion refuses
 
 
 class CartesianPoint(NamedTuple):
+    """Cartesian point; the fields may be arrays of broadcastable shapes."""
+
     x: float
     y: float
     z: float
@@ -112,25 +118,17 @@ def coordinate_line_residual(x: float, z: float, a: float, tau: float) -> float:
     return (u + 1.0) ** 2 / (tau - a) - (u - 1.0) ** 2 / (tau - 1.0) - 4.0 * z * z / tau
 
 
-def _quadratic_roots(x: float, z: float, a: float) -> tuple[float, float]:
-    """Roots (mu, rho) of the inversion quadratic for a planar point in Q."""
-    u = x * x + z * z
-    f0 = -4.0 * a * z * z
-    f1 = (a - 1.0) * (u - 1.0) ** 2
-    if not f0 < 0.0:
-        raise DomainError("inversion requires z != 0 (F(0) < 0 fails)")
-    if not f1 > 0.0:
-        raise DomainError("inversion requires x^2 + z^2 != 1 (F(1) > 0 fails)")
-    a2 = 4.0 * x * x
-    b = a * (u - 1.0) ** 2 - (u + 1.0) ** 2 + 4.0 * (1.0 + a) * z * z
-    c = f0
-    disc = b * b - 4.0 * a2 * c
-    if disc <= 0.0:
-        raise DomainError("inversion quadratic has no real roots")
-    root1 = (-b - math.copysign(math.sqrt(disc), b)) / (2.0 * a2)
-    root2 = c / (a2 * root1)
-    mu, rho = (root1, root2) if root1 < root2 else (root2, root1)
-    return mu, rho
+def _quadratic_roots(r, z, w, a: float):
+    """Roots mu <= 0 <= rho of the inversion quadratic
+    F(sigma) = 4r^2 sigma^2 + B sigma - 4a z^2 of a planar point (r, z) with
+    u = r^2 + z^2 = 1 + w <= 1; floats or arrays.  The root of larger size
+    comes from the formula, the other from the product -a z^2 / r^2."""
+    quad = 4.0 * r * r
+    lin = a * w * w - (w + 2.0) ** 2 + 4.0 * (1.0 + a) * z * z
+    const = -4.0 * a * z * z
+    big = -0.5 * (lin + np.copysign(np.sqrt(lin * lin - 4.0 * quad * const), lin)) / quad
+    small = const / (quad * big)
+    return np.minimum(big, small), np.maximum(big, small)
 
 
 def cartesian_to_algebraic(q: CartesianPoint, a: float) -> AlgebraicFlatRing:
@@ -141,7 +139,7 @@ def cartesian_to_algebraic(q: CartesianPoint, a: float) -> AlgebraicFlatRing:
     z = q.z
     if not (r > 0.0 and z > 0.0 and r * r + z * z < 1.0):
         raise DomainError(f"point (r, z) = ({r!r}, {z!r}) outside the quarter disc Q")
-    mu, rho = _quadratic_roots(r, z, a)
+    mu, rho = (float(v) for v in _quadratic_roots(r, z, r * r + z * z - 1.0, a))
     if not (mu < 0.0 < rho < 1.0):
         raise DomainError(f"inversion produced (mu, rho) = ({mu!r}, {rho!r}) outside A")
     return AlgebraicFlatRing(mu=mu, rho=rho, phi=math.atan2(q.y, q.x), a=a)
@@ -165,132 +163,69 @@ def flatring_to_cartesian(p: FlatRingPoint) -> CartesianPoint:
     return CartesianPoint(*np.broadcast_arrays(r * np.cos(p.phi), r * np.sin(p.phi), z))
 
 
-def _invert_rho_to_s(rho: float, m: Modulus) -> float:
-    """Solve sn(s, k)**2 = rho for s in [0, K]; monotone, safeguarded Newton."""
-    if rho <= 0.0:
-        return 0.0
-    target = math.sqrt(min(rho, 1.0))
-    lo, hi = 0.0, m.quarter_K
-    s = math.asin(target) / (0.5 * math.pi) * m.quarter_K
-    for _ in range(80):
-        sn, cn, dn = _sncndn(s, m.k)
-        f = sn - target
-        if f > 0.0:
-            hi = s
-        else:
-            lo = s
-        df = cn * dn
-        step = f / df if df > 1e-100 else math.inf
-        s_new = s - step
-        if not lo <= s_new <= hi:
-            s_new = 0.5 * (lo + hi)
-        if abs(s_new - s) <= 1e-16 * m.quarter_K:
-            return s_new
-        s = s_new
-    return s
-
-
-def _invert_mu_to_t(mu: float, m: Modulus) -> float:
-    """Solve sc(t, k')**2 = -mu for t in [0, K'); monotone, safeguarded Newton.
-
-    Uses the well-scaled form f(t) = X cn(t,k') - sn(t,k') with X = sqrt(-mu),
-    which decreases from X to -1 with no poles.
-    """
-    if mu >= 0.0:
-        return 0.0
-    x_t = math.sqrt(-mu)
-    kp = m.k_prime
-    lo, hi = 0.0, m.quarter_Kp
-    t = math.atan(x_t) / (0.5 * math.pi) * m.quarter_Kp
-    for _ in range(80):
-        sn, cn, dn = _sncndn(t, kp, m.k)
-        f = x_t * cn - sn
-        if f < 0.0:
-            hi = t
-        else:
-            lo = t
-        df = -dn * (x_t * sn + cn)
-        step = f / df if abs(df) > 1e-100 else math.inf
-        t_new = t - step
-        if not lo <= t_new <= hi:
-            t_new = 0.5 * (lo + hi)
-        if abs(t_new - t) <= 1e-16 * m.quarter_Kp:
-            return t_new
-        t = t_new
-    return t
-
-
-def _check_cut(r: float, z: float, m: Modulus, variant: Variant) -> None:
+def _check_cut(r, z, m: Modulus, variant: Variant) -> None:
     b = m.b_ring
-    if abs(z) >= CUT_GUARD:
-        return
-    on_cut = False
     if variant is Variant.V1:
         on_cut = r >= b - CUT_GUARD
     elif variant is Variant.V2:
-        on_cut = r <= b + CUT_GUARD or r >= 1.0 / b - CUT_GUARD
+        on_cut = (r <= b + CUT_GUARD) | (r >= 1.0 / b - CUT_GUARD)
     else:
         on_cut = r <= 1.0 / b + CUT_GUARD
-    if on_cut:
+    bad = np.flatnonzero(on_cut & (np.abs(z) < CUT_GUARD))
+    if bad.size:
+        i = bad[0]
         raise DomainError(
-            f"point (r, z) = ({r!r}, {z!r}) lies on (or within {CUT_GUARD} of) "
-            f"the {variant.name} cut"
+            f"point (r, z) = ({float(r.flat[i])!r}, {float(z.flat[i])!r}) lies on (or within "
+            f"{CUT_GUARD} of) the {variant.name} cut"
         )
 
 
 def cartesian_to_flatring(
     q: CartesianPoint, m: Modulus, variant: Variant = Variant.V1
 ) -> FlatRingPoint:
-    """Inverse transcendental map with quadrant and cut bookkeeping."""
-    r = math.hypot(q.x, q.y)
-    z = q.z
-    if r <= 0.0:
+    """Inverse transcendental map in closed form, with quadrant and cut
+    bookkeeping.  A point of arrays maps to a FlatRingPoint of arrays in one
+    pass; a point of floats gives floats.
+
+    Reflected to z >= 0 and inverted through the unit sphere into u = r^2 +
+    z^2 <= 1, a point has algebraic coordinates mu <= 0 <= rho <= 1, the roots
+    of F(sigma) = 4r^2 sigma^2 + B sigma - 4a z^2.  The root product
+    F(1) = (a - 1)(u - 1)^2 = 4r^2 (1 - mu)(1 - rho) gives 1 - rho without
+    cancellation next to the unit sphere.  With sn(s, k)^2 = rho and
+    sc(t, k')^2 = -mu = X^2, Carlson's R_F (DLMF 19.25.5) gives
+    s = sqrt(rho) R_F(1 - rho, 1 - k^2 rho, 1) and t = X R_F(1, 1 + k^2 X^2, 1 + X^2).
+    On z = 0 one root vanishes and on the unit sphere 1 - rho does, so
+    neither needs a branch of its own.
+    """
+    x, y, z = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in q))
+    r = np.hypot(x, y)
+    if not np.all(r > 0.0):
         raise DomainError("cartesian_to_flatring undefined on the z-axis")
-    phi = math.atan2(q.y, q.x)
     _check_cut(r, z, m, variant)
 
-    zeta = abs(z)
-    reflected = z < 0.0
-    u = r * r + zeta * zeta
+    u = r * r + z * z
     inverted = u > 1.0
-    if inverted:
-        r_b, zeta_b = r / u, zeta / u
-    else:
-        r_b, zeta_b = r, zeta
+    r_b = np.where(inverted, r / u, r)
+    zeta = np.abs(np.where(inverted, z / u, z))
+    w = np.where(inverted, (1.0 - u) / u, u - 1.0)  # u - 1 after the inversion
+    mu, rho = _quadratic_roots(r_b, zeta, w, m.a)
+    gap = (m.a - 1.0) * w * w / (4.0 * r_b * r_b * (1.0 - mu))  # 1 - rho
+    k2 = m.k * m.k
+    s = np.sqrt(rho) * elliprf(gap, m.k_prime * m.k_prime + k2 * gap, 1.0)
+    t = np.sqrt(-mu) * elliprf(1.0, 1.0 - k2 * mu, 1.0 - mu)
 
-    u_b = r_b * r_b + zeta_b * zeta_b
-    if zeta_b == 0.0:
-        # z = 0 segments: one quadratic root degenerates to 0; the other tells
-        # which segment we are on (rho = 0 for r < b, mu = 0 for b < r <= 1)
-        a2 = 4.0 * r_b * r_b
-        b_coef = m.a * (u_b - 1.0) ** 2 - (u_b + 1.0) ** 2
-        other = -b_coef / a2
-        if other < 0.0:
-            mu, rho = other, 0.0
-        elif 0.0 < other <= 1.0:
-            mu, rho = 0.0, other
-        else:
-            raise DomainError("z = 0 point outside the chart segments")
-    elif abs(u_b - 1.0) < 1e-14:
-        # on the unit sphere rho = 1 (s = K) and the product root gives mu
-        mu, rho = -m.a * zeta_b * zeta_b / (r_b * r_b), 1.0
-    else:
-        mu, rho = _quadratic_roots(r_b, zeta_b, m.a)
-
-    s0 = _invert_rho_to_s(rho, m)
-    t0 = _invert_mu_to_t(mu, m)
     k_big = m.quarter_K
-
-    s, t = (2.0 * k_big - s0, t0) if inverted else (s0, t0)
-    if reflected:
-        if variant is Variant.V1:
-            s = -s
-        elif variant is Variant.V2:
-            t = -t
-        else:
-            s = 4.0 * k_big - s
-    if variant is not Variant.V1 and s == 0.0:
-        raise DomainError("s = 0 is outside this variant's range")
+    s = np.where(inverted, 2.0 * k_big - s, s)
+    below = z < 0.0
+    if variant is Variant.V1:
+        s = np.where(below, -s, s)
+    elif variant is Variant.V2:
+        t = np.where(below, -t, t)
+    else:
+        s = np.where(below, 4.0 * k_big - s, s)
+    phi = np.arctan2(y, x)
+    if s.ndim == 0:
+        s, t, phi = float(s), float(t), float(phi)
     return FlatRingPoint(s=s, t=t, phi=phi, modulus=m, variant=variant)
 
 
@@ -330,13 +265,14 @@ def coordinate_surface_residual(
 
 
 def metric_h(p: FlatRingPoint) -> tuple[float, float, float]:
-    """Metric coefficients (h_s, h_t, h_phi); h_s and h_t coincide."""
+    """Metric coefficients (h_s, h_t, h_phi); h_s and h_t coincide.  A point
+    of arrays gives arrays."""
     m = p.modulus
     sn_s, cn_s, dn_s = _sncndn(p.s, m.k)
     im = jacobi_imag(p.t, m)
     t_big = _t_factor(cn_s, dn_s, im, m)
     # sn(it)^2 = -sn_im^2 <= 0, so the radicand never goes negative
-    h_st = m.k / t_big * math.sqrt(sn_s * sn_s + im.sn_im * im.sn_im)
+    h_st = m.k / t_big * (sn_s * sn_s + im.sn_im * im.sn_im) ** 0.5
     return h_st, h_st, 1.0 / t_big
 
 
@@ -363,9 +299,10 @@ def cartesian_to_toroidal(q: CartesianPoint) -> ToroidalPoint:
 
 
 def cylindrical_of(p: FlatRingPoint) -> tuple[float, float]:
-    """(R, z) of a flat-ring point."""
+    """(R, z) of a flat-ring point (arrays for a point of arrays)."""
     c = flatring_to_cartesian(p)
-    return math.hypot(c.x, c.y), c.z
+    r = np.hypot(c.x, c.y)
+    return (float(r) if r.ndim == 0 else r), c.z
 
 
 def chi_cylindrical(r1: float, z1: float, r2: float, z2: float) -> float:

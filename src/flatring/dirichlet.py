@@ -169,26 +169,29 @@ def coefficients(dom: FlatRingDomain, data: BoundaryData, tr: Truncation) -> Coe
 
 def solve_interior(dom: FlatRingDomain, coeffs: CoefficientTable,
                    q: CartesianPoint | Sequence[CartesianPoint]):
-    """Evaluate the harmonic interior solution at a point of D1 (a float), or
-    at every point of a sequence of them (an array).  Any point past the
-    interior margin raises DomainError."""
+    """Evaluate the harmonic interior solution at a point of D1 (a float), at
+    every point of a sequence of them, or at a CartesianPoint of arrays (an
+    array).  Any point past the interior margin raises DomainError."""
     m = dom.modulus
-    points = [q] if isinstance(q, CartesianPoint) else list(q)
-    flat = [cartesian_to_flatring(pt, m, Variant.V1) for pt in points]
-    s, t, phi = (np.array([getattr(p, f) for p in flat], dtype=float) for f in ("s", "t", "phi"))
+    if isinstance(q, CartesianPoint):
+        x, y, z = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in q))
+    else:
+        x, y, z = np.array(list(q), dtype=float).reshape(-1, 3).T
+    p = cartesian_to_flatring(CartesianPoint(x, y, z), m, Variant.V1)
+    s, t, phi = (np.ravel(v) for v in (p.s, p.t, p.phi))
     if np.any(t > dom.t0 - _INTERIOR_MARGIN * m.quarter_Kp):
         raise DomainError(
             f"point with t = {float(t.max())!r} is outside the interior margin t0 - "
             f"{_INTERIOR_MARGIN} K'"
         )
     cd = np.hstack([coeffs.c, coeffs.d])
-    total = np.zeros(len(points), dtype=complex)
+    total = np.zeros(t.size, dtype=complex)
     for order, b in enumerate(_bases(m, Truncation(coeffs.m_max, coeffs.n_max))):
         base = b.real(s) * b.imag(t)
         for j in {order, -order}:
             total += (base @ cd[coeffs.m_max + j]) * np.exp(1j * j * phi)
-    u = np.array([(pt.x * pt.x + pt.y * pt.y) ** -0.25 for pt in points]) * total.real
-    return float(u[0]) if isinstance(q, CartesianPoint) else u
+    u = (x * x + y * y) ** -0.25 * total.real.reshape(x.shape)
+    return float(u) if u.ndim == 0 else u
 
 
 def solve_point_source(dom: FlatRingDomain, r_star: CartesianPoint, tr: Truncation,

@@ -93,25 +93,28 @@ class Truncation:
             raise DomainError("truncation limits must be non-negative")
 
 
-def _flatring_of(q: CartesianPoint, m: Modulus) -> tuple[FlatRingPoint, float]:
-    r2 = q.x * q.x + q.y * q.y
-    if r2 <= _AXIS_GUARD:
+def _flatring_of(q: CartesianPoint, m: Modulus) -> tuple[FlatRingPoint, np.ndarray]:
+    """V1 coordinates of a point (or of arrays of points) and (x^2+y^2)^(-1/4)."""
+    x, y = np.asarray(q.x, dtype=float), np.asarray(q.y, dtype=float)
+    r2 = x * x + y * y
+    if np.any(r2 <= _AXIS_GUARD):
         raise DomainError("harmonic undefined on the z-axis")
-    p = cartesian_to_flatring(q, m, Variant.V1)
-    return p, r2 ** -0.25
+    return cartesian_to_flatring(q, m, Variant.V1), r2 ** -0.25
 
 
-def _harmonic(idx: HarmonicIndex, q: CartesianPoint, m: Modulus) -> complex:
+def _harmonic(idx: HarmonicIndex, q: CartesianPoint, m: Modulus):
     """E(s) W(t) (internal) or E(s) F(t) (external) times (x^2+y^2)^(-1/4) e^{i m phi}."""
     p, pref = _flatring_of(q, m)
     b, cols = basis_for([(idx.family, idx.zero_count)], idx.nu, m)
     radial = b.imag(p.t, cols=cols) if idx.kind.internal else b.second(p.t, cols=cols)
-    val = pref * float(b.real(p.s, cols=cols)[0, 0] * radial[0, 0])
-    return val * complex(math.cos(idx.m * p.phi), math.sin(idx.m * p.phi))
+    val = (b.real(p.s, cols=cols) * radial)[:, 0].reshape(np.shape(p.s))
+    val = pref * val * np.exp(1j * idx.m * np.asarray(p.phi))
+    return complex(val) if val.ndim == 0 else val
 
 
-def internal_harmonic(idx: HarmonicIndex, q: CartesianPoint, m: Modulus) -> complex:
-    """Internal flat-ring harmonic Gc/Gs at a Cartesian point.
+def internal_harmonic(idx: HarmonicIndex, q: CartesianPoint, m: Modulus):
+    """Internal flat-ring harmonic Gc/Gs at a Cartesian point (a complex), or
+    at a CartesianPoint of arrays (a complex array).
 
     Real-representative convention: for odd-parity Lame factors the returned
     value differs from the complex-convention one by a constant factor i,
@@ -122,34 +125,33 @@ def internal_harmonic(idx: HarmonicIndex, q: CartesianPoint, m: Modulus) -> comp
     return _harmonic(idx, q, m)
 
 
-def external_harmonic(idx: HarmonicIndex, q: CartesianPoint, m: Modulus) -> complex:
-    """External flat-ring harmonic Hc/Hs at a Cartesian point off the closed
-    focal annulus b^2 <= x^2 + y^2 <= 1/b^2, z = 0."""
+def external_harmonic(idx: HarmonicIndex, q: CartesianPoint, m: Modulus):
+    """External flat-ring harmonic Hc/Hs at a Cartesian point (or a
+    CartesianPoint of arrays) off the closed focal annulus
+    b^2 <= x^2 + y^2 <= 1/b^2, z = 0."""
     if idx.kind.internal:
         raise DomainError("external_harmonic requires an Hc or Hs index")
-    r = math.hypot(q.x, q.y)
+    r = np.hypot(q.x, q.y)
     b = m.b_ring
-    if abs(q.z) < 1e-10 and b - 1e-10 <= r <= 1.0 / b + 1e-10:
+    if np.any((np.abs(q.z) < 1e-10) & (b - 1e-10 <= r) & (r <= 1.0 / b + 1e-10)):
         raise DomainError("external harmonic undefined on the focal annulus")
     return _harmonic(idx, q, m)
 
 
-def _lame_products(b: LameBasis, s: float, s_star: float, t: float, t_star: float,
-                   cols=slice(None)) -> np.ndarray:
-    """E(s) E(s*) W(t) F(t*) for the columns cols of a basis."""
-    e = b.real([s, s_star], cols=cols)
-    return e[0] * e[1] * b.imag(t, cols=cols)[0] * b.second(t_star, cols=cols)[0]
+def _lame_products(b: LameBasis, s, s_star, t, t_star, cols=slice(None)) -> np.ndarray:
+    """E(s) E(s*) W(t) F(t*) for the columns cols of a basis, one row per
+    point pair: (pairs x columns)."""
+    n = np.size(s)
+    e = b.real(np.concatenate([np.ravel(s), np.ravel(s_star)]), cols=cols)
+    return e[:n] * e[n:] * b.imag(t, cols=cols) * b.second(t_star, cols=cols)
 
 
-def _tail_from_shells(shells: list[float]) -> float:
-    """Geometric extrapolation of the remaining tail from the last shells."""
-    mags = [abs(s) for s in shells[-3:]]
-    if len(mags) < 2 or mags[-1] == 0.0:
-        return 0.0
-    ratios = [mags[i + 1] / mags[i] for i in range(len(mags) - 1) if mags[i] > 0.0]
-    if not ratios:
-        return 0.0
-    p = min(max(ratios), 0.95)
+def _tail_from_shells(shells) -> np.ndarray:
+    """Geometric extrapolation of the remaining tail from the last shells
+    (shells first, then any pair axes): one estimate per pair."""
+    mags = np.abs(np.asarray(shells)[-3:])
+    ratios = np.divide(mags[1:], mags[:-1], out=np.zeros_like(mags[1:]), where=mags[:-1] > 0.0)
+    p = np.minimum(ratios.max(axis=0, initial=0.0), 0.95)
     return mags[-1] * p / (1.0 - p)
 
 
@@ -164,33 +166,39 @@ def green_expansion(
 
     Requires t(r) < t(r*) (the inner point first).  Returns (value,
     tail_estimate); with return_shells=True a list of per-n shell sums is
-    appended to the result tuple.
+    appended to the result tuple.  CartesianPoints of arrays give one pair
+    per broadcast element and arrays of values, tails and shell sums.
     """
     p, pref = _flatring_of(r, m)
     p_star, pref_star = _flatring_of(r_star, m)
-    if not p.t < p_star.t:
+    if not np.all(p.t < p_star.t):
         raise OrderingError(
             f"expansion requires t < t*; got t = {p.t!r}, t* = {p_star.t!r}"
         )
+    s, s_star, t, t_star, dphi, scale = (np.ravel(v) for v in np.broadcast_arrays(
+        p.s, p_star.s, p.t, p_star.t, p.phi - p_star.phi, 0.5 * pref * pref_star))
+    shape = np.broadcast_shapes(np.shape(p.s), np.shape(p_star.s))
     n1 = tr.n_max + 1
-    # terms[order, n]: the (|m|, n) block Ec^n Ec^n Wc Fc + Es^(n+1) Es^(n+1) Ws Fs
-    terms = np.array([_lame_products(basis(order - 0.5, m, tr.n_max),
-                                     p.s, p_star.s, p.t, p_star.t)
+    # terms[order, pair, n]: the (|m|, n) block Ec^n Ec^n Wc Fc + Es^(n+1) Es^(n+1) Ws Fs
+    terms = np.array([_lame_products(basis(order - 0.5, m, tr.n_max), s, s_star, t, t_star)
                       for order in range(tr.m_max + 1)])
-    terms = terms[:, :n1] + terms[:, n1:]
-    orders = np.arange(tr.m_max + 1)
-    weights = np.where(orders == 0, 1.0, 2.0) * np.cos(orders * (p.phi - p_star.phi))
-    scale = 0.5 * pref * pref_star
-    shells = (scale * (weights @ terms)).tolist()
-    total = sum(shells)
+    terms = terms[..., :n1] + terms[..., n1:]
+    orders = np.arange(tr.m_max + 1)[:, None]
+    weights = np.where(orders == 0, 1.0, 2.0) * np.cos(orders * dphi)
+    shells = scale * np.einsum("op,opn->np", weights, terms)  # (n, pairs)
+    total = shells.sum(axis=0)
     # azimuthal tail of each shell, extrapolated geometrically from its last two orders
     m_tail = 0.0
     if tr.m_max >= 1:
         prev, last = 2.0 * np.abs(terms[-2]), 2.0 * np.abs(terms[-1])
-        live = (prev > 0.0) & (last > 0.0)
-        rho = np.minimum(last[live] / prev[live], 0.95)
-        m_tail = float(np.sum(scale * last[live] * rho / (1.0 - rho)))
+        rho = np.minimum(np.divide(last, prev, out=np.zeros_like(last), where=prev > 0.0), 0.95)
+        m_tail = np.sum(scale[:, None] * last * rho / (1.0 - rho), axis=1)
     tail = _tail_from_shells(shells) + m_tail
+    if shape:
+        total, tail, shells = (total.reshape(shape), tail.reshape(shape),
+                               list(shells.reshape((n1,) + shape)))
+    else:
+        total, tail, shells = float(total[0]), float(tail[0]), shells[:, 0].tolist()
     tr.tail_estimate = tail
     if return_shells:
         return total, tail, shells
@@ -258,7 +266,7 @@ def toroidal_green_expansion(
     terms = _toroidal_terms(p.tau, p_star.tau, tr.m_max, tr.n_max)
     shells = (pref * poloidal * (azimuthal @ terms)).tolist()
     total = sum(shells)
-    tail = _tail_from_shells(shells)
+    tail = float(_tail_from_shells(shells))
     tr.tail_estimate = tail
     if return_shells:
         return total, tail, shells

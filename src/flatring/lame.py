@@ -15,6 +15,8 @@ basis functions already carry the family's parity and (anti)periodicity,
 E(s) at any real s is a plain trigonometric sum.
 
 On the imaginary axis the equation becomes W'' = (h + nu(nu+1) k^2 sc^2(t,k')) W.
+The potential is read from jacobi_imag at every stage abscissa, which keeps
+full precision up to the pole at K'.
 Solutions grow roughly like exp(int sqrt(q)), so they are represented by
 growth-limited piecewise Chebyshev panels, integrated with a fixed-step RK8
 kernel (DOP853 tableau) from the exact E(0), E'(0) of the Fourier sum.  The
@@ -48,7 +50,7 @@ import math
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
-from .elliptic import Modulus, _sncndn, ns2_series_coeffs, sn2_fourier_coeffs
+from .elliptic import Modulus, jacobi_imag, ns2_series_coeffs, sn2_fourier_coeffs
 from .errors import BracketError, ConvergenceError, DomainError, PoleError
 
 _GALERKIN_START = 64
@@ -176,38 +178,6 @@ def _panel_values(table: tuple, t: np.ndarray, cols=slice(None)) -> np.ndarray:
     return out
 
 
-# --- imaginary-axis potential --------------------------------------------
-
-_SC2_CACHE: dict[float, tuple] = {}
-
-
-def _sc2_panels(m: Modulus) -> tuple:
-    """Panel table for sc(t,k')^2 on [0, K'), refined toward K'."""
-    cached = _SC2_CACHE.get(m.k)
-    if cached is None:
-        kp = m.quarter_Kp
-        edges = [0.0, 0.5 * kp]
-        while kp - edges[-1] > 5e-7 * kp:
-            edges.append(kp - 0.5 * (kp - edges[-1]))
-        deg = 40
-        nodes = 0.5 * (1.0 - np.cos(np.pi * np.arange(deg + 1) / deg))
-        lo, hi = np.array(edges[:-1]), np.array(edges[1:])
-        sn, cn, _ = _sncndn(lo[:, None] + (hi - lo)[:, None] * nodes, m.k_prime, m.k)
-        coeffs = [c[:, None] for c in (_lobatto_fit(deg) @ ((sn / cn) ** 2).T).T]
-        cached = _panel_table(edges, coeffs)
-        _SC2_CACHE[m.k] = cached
-    return cached
-
-
-def _sc2_on(m: Modulus, t: np.ndarray) -> np.ndarray:
-    """sc(t,k')^2 on an array of |t| values below the panel cap."""
-    table = _sc2_panels(m)
-    t = np.abs(np.asarray(t, dtype=float))
-    if np.any(2.0 * t > table[2][-1] + table[3][-1]):  # past the last panel edge
-        raise PoleError("sc^2 evaluation too close to the pole at K'")
-    return _panel_values(table, t)[..., 0]
-
-
 def _rk_steps(nodes: np.ndarray, lam: float):
     """Fixed RK8 steps across the gaps between consecutive nodes, at least two
     per gap and at most 1/_STEPS_PER_RAD radians of lam each: the steps'
@@ -244,7 +214,7 @@ class _ImagPanels:
         self._tables: tuple | None = None  # for values(), rebuilt as panels grow
 
     def _lambda(self, t: float) -> float:
-        q = self._h_max + abs(self.coef) * float(_sc2_on(self.m, np.array([t]))[0])
+        q = self._h_max + abs(self.coef) * jacobi_imag(abs(t), self.m).sn_im ** 2
         return math.sqrt(max(q, 1.0))
 
     def _step_propagators(self, t: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -256,7 +226,7 @@ class _ImagPanels:
         c_stage, a, b = _dop853()
         n, mlen = t.size, self.h.size
         # step size times the potential at every stage abscissa: (12, steps, M)
-        sc2 = _sc2_on(self.m, t[:, None] + h[:, None] * c_stage)
+        sc2 = jacobi_imag(t[:, None] + h[:, None] * c_stage, self.m).sn_im ** 2
         hq = h[:, None] * (self.coef * sc2.T[:, :, None] + self.h)
         # hk[i, r, c]: step size times stage i's derivative of component r,
         # from the unit initial state c; flat rows make each stage sum one
@@ -640,6 +610,5 @@ def basis_for(specs: list[tuple[LameFamily, int]], nu: float,
 
 
 def clear_caches() -> None:
-    """Empty the basis cache and the sc^2 table."""
+    """Empty the basis cache."""
     basis.cache_clear()
-    _SC2_CACHE.clear()

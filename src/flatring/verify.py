@@ -70,6 +70,18 @@ def suite_elliptic(seed: int = 0, tol_scale: float = 1.0) -> list[dict]:
         abs(r[1] - (1.0 + m.k_prime ** 2) / 3.0),
         1e-13 * tol_scale,
     ))
+
+    # one array round trip over random V1 points and the corners next to the
+    # unit sphere (K - s = 1e-8, both sides and signs) and the axis (t = 0.99 K')
+    k_big, kp = m.quarter_K, m.quarter_Kp
+    near = k_big - 1e-8
+    s = np.append(rng.uniform(-1.99, 1.99, 200) * k_big, [near, -near, k_big + 1e-8, 0.3 * k_big])
+    t = np.append(rng.uniform(0.01, 0.99, 200) * kp, [0.5 * kp, 0.1 * kp, 0.99 * kp, 0.99 * kp])
+    p = coords.FlatRingPoint(s=s, t=t, phi=rng.uniform(-math.pi, math.pi, s.size), modulus=m)
+    back = coords.cartesian_to_flatring(coords.flatring_to_cartesian(p), m)
+    worst = max(np.max(np.abs(back.s - s)), np.max(np.abs(back.t - t)),
+                np.max(np.abs(back.phi - p.phi)))
+    out.append(_check("coords.inverse_roundtrip", worst, 1e-12 * tol_scale))
     return out
 
 
@@ -112,31 +124,20 @@ def suite_harmonics(seed: int = 0, tol_scale: float = 1.0) -> list[dict]:
     m = Modulus.from_k(_DEFAULT_K)
 
     idx = harmonics.HarmonicIndex(m=1, n=2, kind=harmonics.HarmonicKind.GC)
-    worst = 0.0
-    for _ in range(20):
-        q = coords.CartesianPoint(rng.uniform(0.3, 1.2), rng.uniform(-0.5, 0.5),
-                                  rng.uniform(0.1, 0.8))
-        nrm2 = q.x ** 2 + q.y ** 2 + q.z ** 2
-        sig = coords.CartesianPoint(q.x / nrm2, q.y / nrm2, q.z / nrm2)
-        gv = harmonics.internal_harmonic(idx, q, m)
-        gs = harmonics.internal_harmonic(idx, sig, m)
-        worst = max(worst, abs(gs - math.sqrt(nrm2) * gv) / max(abs(gv), 1e-30))
+    q = rng.uniform([0.3, -0.5, 0.1], [1.2, 0.5, 0.8], (20, 3)).T
+    nrm2 = np.sum(q * q, axis=0)
+    gv = harmonics.internal_harmonic(idx, coords.CartesianPoint(*q), m)
+    gs = harmonics.internal_harmonic(idx, coords.CartesianPoint(*(q / nrm2)), m)
+    worst = np.max(np.abs(gs - np.sqrt(nrm2) * gv) / np.maximum(np.abs(gv), 1e-30))
     out.append(_check("harmonics.kelvin", worst, 1e-10 * tol_scale))
 
-    worst = 0.0
+    # seven-point Laplacian: the centre, then +h and -h along each axis
     h = 1e-3
-    for _ in range(12):
-        q = coords.CartesianPoint(rng.uniform(0.35, 1.1), rng.uniform(-0.4, 0.4),
-                                  rng.uniform(0.15, 0.7))
-        c = harmonics.internal_harmonic(idx, q, m)
-        acc = -6.0 * c
-        mx = abs(c)
-        for d in ((h, 0, 0), (-h, 0, 0), (0, h, 0), (0, -h, 0), (0, 0, h), (0, 0, -h)):
-            v = harmonics.internal_harmonic(
-                idx, coords.CartesianPoint(q.x + d[0], q.y + d[1], q.z + d[2]), m)
-            acc += v
-            mx = max(mx, abs(v))
-        worst = max(worst, abs(acc) / mx)
+    centres = rng.uniform([0.35, -0.4, 0.15], [1.1, 0.4, 0.7], (12, 3))
+    steps = np.vstack([np.zeros(3), h * np.eye(3), -h * np.eye(3)])
+    v = harmonics.internal_harmonic(
+        idx, coords.CartesianPoint(*np.moveaxis(centres[:, None] + steps, -1, 0)), m)
+    worst = np.max(np.abs(v[:, 1:].sum(axis=1) - 6.0 * v[:, 0]) / np.abs(v).max(axis=1))
     out.append(_check("harmonics.laplacian", worst, 1e-5 * tol_scale))
 
     K, Kp = m.quarter_K, m.quarter_Kp
@@ -186,10 +187,10 @@ def suite_dirichlet(seed: int = 0, tol_scale: float = 1.0) -> list[dict]:
         s=1.2 * K, t=0.8 * Kp, phi=-0.7, modulus=m))
     coeffs = dirichlet.solve_point_source(dom, r_star, harmonics.Truncation(8, 8),
                                           n_s=64, n_phi=48)
-    probes = [coords.flatring_to_cartesian(coords.FlatRingPoint(
-        s=rng.uniform(-2 * K + 0.3, 2 * K - 0.3), t=rng.uniform(0.05 * Kp, 0.5 * dom.t0),
-        phi=rng.uniform(-3.0, 3.0), modulus=m)) for _ in range(5)]
-    f = np.array([1.0 / math.dist(q, r_star) for q in probes])
+    s, t, phi = rng.uniform([-2 * K + 0.3, 0.05 * Kp, -3.0],
+                            [2 * K - 0.3, 0.5 * dom.t0, 3.0], (5, 3)).T
+    probes = coords.flatring_to_cartesian(coords.FlatRingPoint(s=s, t=t, phi=phi, modulus=m))
+    f = 1.0 / np.sqrt(sum((a - b) ** 2 for a, b in zip(probes, r_star)))
     worst = float(np.max(np.abs(dirichlet.solve_interior(dom, coeffs, probes) - f) / f))
     out.append(_check("dirichlet.point_source", worst, 1e-6 * tol_scale))
     out.append(_check("dirichlet.parseval", coeffs.parseval_residual, 1e-6 * tol_scale))

@@ -173,6 +173,88 @@ def test_cut_guard():
     assert p.t == 0.0
 
 
+NEAR_K = (1e-9, 1e-8, 1e-7, 1e-5, 1e-3, 0.1)  # K - s, or s - K on the inverted side
+T_FRACTIONS = (1e-3, 0.1, 0.5, 0.99)  # of K'
+
+
+def _near_unit_sphere(m, variant):
+    """(s, t) pairs within NEAR_K of the unit sphere s = K (or s = 3K in
+    variant 3), on both sides of it and on both sides of z = 0."""
+    K, Kp = m.quarter_K, m.quarter_Kp
+    pairs = []
+    for d in NEAR_K:
+        for tf in T_FRACTIONS:
+            t = tf * Kp
+            if variant is Variant.V1:
+                pairs += [(sign * (K + side * d), t) for sign in (1, -1) for side in (1, -1)]
+            elif variant is Variant.V2:
+                pairs += [(K + side * d, sign * t) for sign in (1, -1) for side in (1, -1)]
+            else:
+                pairs += [(centre + side * d, t) for centre in (K, 3 * K) for side in (1, -1)]
+    return pairs
+
+
+@pytest.mark.parametrize("k", [0.05, 0.5, 0.95])
+@pytest.mark.parametrize("variant", list(Variant))
+def test_roundtrip_near_unit_sphere(variant, k):
+    # 1 - rho comes from the root product, not from rho: s keeps its digits at s -> K
+    m = Modulus.from_k(k)
+    worst = 0.0
+    for s, t in _near_unit_sphere(m, variant):
+        c = flatring_to_cartesian(FlatRingPoint(s=s, t=t, phi=0.7, modulus=m, variant=variant))
+        back = cartesian_to_flatring(c, m, variant)
+        worst = max(worst, abs(back.s - s), abs(back.t - t))
+    assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_inverse_on_arrays_matches_pointwise(variant):
+    m = Modulus.from_k(0.7)
+    rng = np.random.default_rng(41)
+    K, Kp = m.quarter_K, m.quarter_Kp
+    lo, hi = {Variant.V1: (-2 * K, 2 * K), Variant.V2: (0.0, 2 * K),
+              Variant.V3: (0.0, 4 * K)}[variant]
+    s = rng.uniform(lo + 1e-3, hi - 1e-3, (6, 7))
+    t = rng.uniform(1e-3, Kp - 1e-3, (6, 7))
+    if variant is Variant.V2:
+        t *= rng.choice([-1.0, 1.0], t.shape)
+    c = flatring_to_cartesian(FlatRingPoint(s=s, t=t, phi=rng.uniform(-3, 3, (6, 7)),
+                                            modulus=m, variant=variant))
+    whole = cartesian_to_flatring(c, m, variant)
+    assert whole.s.shape == whole.t.shape == whole.phi.shape == (6, 7)
+    for i in np.ndindex(6, 7):
+        one = cartesian_to_flatring(CartesianPoint(c.x[i], c.y[i], c.z[i]), m, variant)
+        assert all(type(v) is float for v in (one.s, one.t, one.phi))
+        assert (one.s, one.t, one.phi) == pytest.approx(
+            (whole.s[i], whole.t[i], whole.phi[i]), rel=0.0, abs=1e-15)
+    assert np.max(np.abs(whole.s - s)) < 1e-13 and np.max(np.abs(whole.t - t)) < 1e-13
+
+
+def test_inverse_on_arrays_refuses_any_cut_point():
+    m = M_A2
+    x = np.array([0.3, m.b_ring + 0.1, 0.4])
+    with pytest.raises(DomainError):
+        cartesian_to_flatring(CartesianPoint(x, 0.0, np.array([0.2, 0.0, -0.1])), m)
+    with pytest.raises(DomainError):
+        cartesian_to_flatring(CartesianPoint(np.array([0.3, 0.0]), 0.0, 0.2), m)
+
+
+def test_metric_and_cylindrical_on_arrays_match_pointwise():
+    m = M_A2
+    rng = np.random.default_rng(43)
+    s = rng.uniform(-1.9, 1.9, 25) * m.quarter_K
+    t = rng.uniform(0.02, 0.98, 25) * m.quarter_Kp
+    phi = rng.uniform(-3.0, 3.0, 25)
+    whole = FlatRingPoint(s=s, t=t, phi=phi, modulus=m)
+    h, (r, z) = metric_h(whole), cylindrical_of(whole)
+    for i in range(25):
+        one = FlatRingPoint(s=float(s[i]), t=float(t[i]), phi=float(phi[i]), modulus=m)
+        h1, (r1, z1) = metric_h(one), cylindrical_of(one)
+        assert all(type(v) is float for v in (*h1, r1, z1))
+        assert [v[i] for v in h] == pytest.approx(list(h1), rel=1e-14)
+        assert (r[i], z[i]) == pytest.approx((r1, z1), rel=1e-14)
+
+
 def test_coordinate_surface_membership():
     m = Modulus.from_k(0.5)
     p0 = FlatRingPoint(s=0.6 * m.quarter_K, t=0.4 * m.quarter_Kp, phi=1.0, modulus=m)

@@ -97,6 +97,31 @@ def test_interior_point_source_reproduction(setup):
         assert u == pytest.approx(f, rel=1e-6)
 
 
+def test_interior_on_arrays_matches_sequence(setup):
+    m, dom, r_star, coeffs = setup
+    rng = np.random.default_rng(10)
+    q = flatring_to_cartesian(FlatRingPoint(
+        s=rng.uniform(-1.8, 1.8, (2, 3)) * m.quarter_K,
+        t=rng.uniform(0.05 * m.quarter_Kp, 0.5 * dom.t0, (2, 3)),
+        phi=rng.uniform(-3.0, 3.0, (2, 3)), modulus=m))
+    whole = solve_interior(dom, coeffs, q)
+    seq = solve_interior(dom, coeffs, [CartesianPoint(*p) for p in zip(*(c.ravel() for c in q))])
+    assert whole.shape == (2, 3) and seq.shape == (6,)
+    np.testing.assert_allclose(whole.ravel(), seq, rtol=1e-13)
+    assert solve_interior(dom, coeffs, []).shape == (0,)
+
+
+def test_mesh_sampling_of_cartesian_data_matches_pointwise(m05):
+    m = m05
+    dom = FlatRingDomain(t0=0.4 * m.quarter_Kp, modulus=m)
+    idx = HarmonicIndex(m=1, n=2, kind=HarmonicKind.GC)
+    f = lambda q: internal_harmonic(idx, q, m).real  # noqa: E731
+    s, phi = np.linspace(-2.0, 2.0, 7), np.linspace(-3.0, 3.0, 5)
+    mesh = BoundaryData.from_function(dom, f, on_mesh=True).sample(s, phi)
+    np.testing.assert_allclose(mesh, BoundaryData.from_function(dom, f).sample(s, phi),
+                               rtol=1e-13, atol=1e-15)
+
+
 def test_basis_reproduction(m05):
     # boundary data pulled from one internal harmonic reproduces it exactly
     m = m05

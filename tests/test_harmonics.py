@@ -169,6 +169,41 @@ def test_green_expansion_ordering_violation(m05):
         green_expansion(rs, r, Truncation(6, 6), m)
 
 
+def test_harmonics_on_arrays_match_pointwise(m05):
+    m = m05
+    pts = random_offaxis_points(np.random.default_rng(47), 12)
+    grid = CartesianPoint(*np.array(pts).T.reshape(3, 3, 4))
+    for idx, f in ((HarmonicIndex(m=2, n=1, kind=HarmonicKind.GC), internal_harmonic),
+                   (HarmonicIndex(m=-1, n=2, kind=HarmonicKind.GS), internal_harmonic),
+                   (HarmonicIndex(m=1, n=0, kind=HarmonicKind.HC), external_harmonic),
+                   (HarmonicIndex(m=3, n=1, kind=HarmonicKind.HS), external_harmonic)):
+        whole = f(idx, grid, m)
+        assert whole.shape == (3, 4)
+        one = np.array([f(idx, q, m) for q in pts]).reshape(3, 4)
+        assert isinstance(f(idx, pts[0], m), complex)
+        np.testing.assert_allclose(whole, one, rtol=1e-13, atol=0.0)
+
+
+def test_green_expansion_on_arrays_matches_pointwise(m05):
+    m = m05
+    K, Kp = m.quarter_K, m.quarter_Kp
+    rng = np.random.default_rng(53)
+    r = flatring_to_cartesian(FlatRingPoint(s=rng.uniform(-1.8, 1.8, 5) * K,
+                                            t=rng.uniform(0.05, 0.3, 5) * Kp,
+                                            phi=rng.uniform(-3.0, 3.0, 5), modulus=m))
+    rs = flatring_to_cartesian(FlatRingPoint(s=1.1 * K, t=0.6 * Kp, phi=-0.5, modulus=m))
+    tr = Truncation(8, 8)
+    val, tail, shells = green_expansion(r, rs, tr, m, return_shells=True)
+    assert val.shape == tail.shape == (5,) and len(shells) == 9
+    assert tr.tail_estimate is tail
+    for i, q in enumerate(zip(*r)):
+        v1, t1, sh1 = green_expansion(CartesianPoint(*q), rs, tr, m, return_shells=True)
+        assert all(type(x) is float for x in (v1, t1, *sh1))
+        assert val[i] == pytest.approx(v1, rel=1e-13)
+        assert tail[i] == pytest.approx(t1, rel=1e-12)
+        assert [sh[i] for sh in shells] == pytest.approx(sh1, rel=1e-12, abs=1e-300)
+
+
 def test_green_matches_complex_pairing(m05):
     # the folded real evaluation agrees with the literal complex pairing
     # (1/2) sum G_m(r) H_{-m}(r*) of internal/external harmonics

@@ -17,7 +17,7 @@ from scipy.special import ellipj
 
 import flatring
 from flatring import lame
-from flatring.elliptic import Modulus
+from flatring.elliptic import Modulus, jacobi_imag
 from flatring.lame import LameBasis
 
 CASES = [(0.5, -0.5), (0.5, 19.5), (0.9, 9.5)]  # (k, nu)
@@ -82,7 +82,7 @@ def _sequential_rk8(panels, state):
         nodes = t_from + (t_to - t_from) * 0.5 * (
             1.0 - np.cos(np.pi * np.arange(lame._PANEL_DEG + 1) / lame._PANEL_DEG))
         t, h, seg, _ = lame._rk_steps(nodes, lam)
-        qc = panels.coef * lame._sc2_on(panels.m, t[:, None] + h[:, None] * c_stage)
+        qc = panels.coef * jacobi_imag(t[:, None] + h[:, None] * c_stage, panels.m).sn_im ** 2
         stages = np.empty((12, y.size))
         for j in range(t.size):
             for i in range(12):
