@@ -73,4 +73,4 @@ from .lame import (
     shell_depth,
     shell_specs,
 )
-from .legendre import LegendreIndex, gamma_ratio, hyp2f1, legendre_p, legendre_q, toroidal_tables
+from .legendre import gamma_ratio, legendre_p, legendre_q, toroidal_tables

@@ -142,11 +142,12 @@ def cmd_green(args) -> int:
     r = _parse_point(args.point)
     rs = _parse_point(args.point_star)
     tr = Truncation(args.m_max, args.n_max)
-    direct = 1.0 / math.dist(r, rs)
+    # the expansion refuses r = r* (OrderingError) before the distance is taken
     if args.toroidal:
         val, tail, shells = toroidal_green_expansion(r, rs, tr, return_shells=True)
     else:
         val, tail, shells = green_expansion(r, rs, tr, m, return_shells=True)
+    direct = 1.0 / math.dist(r, rs)
     report = {
         "value": val,
         "direct": direct,
@@ -170,8 +171,8 @@ def cmd_verify(args) -> int:
 
 
 def _read_boundary_grid(path: str):
-    """CSV with header s,phi,g on a full tensor grid; the returned sampler
-    takes (s, phi) arrays."""
+    """CSV with header s,phi,g of finite numbers on a full tensor grid; the
+    returned sampler takes (s, phi) arrays."""
     from scipy.interpolate import RegularGridInterpolator
 
     rows = []
@@ -185,6 +186,8 @@ def _read_boundary_grid(path: str):
                 rows.append((float(row[0]), float(row[1]), float(row[2])))
             except (ValueError, IndexError) as exc:
                 raise DomainError(f"{path}:{lineno}: malformed row {row!r}") from exc
+            if not all(map(math.isfinite, rows[-1])):
+                raise DomainError(f"{path}:{lineno}: non-finite value in row {row!r}")
     table = np.array(rows).reshape(-1, 3)
     s_vals, si = np.unique(table[:, 0], return_inverse=True)
     p_vals, pi = np.unique(table[:, 1], return_inverse=True)
@@ -212,13 +215,12 @@ def cmd_dirichlet(args) -> int:
         coeffs = solve_point_source(dom, r_star, tr, n_s=args.n_s, n_phi=args.n_phi)
     elif args.boundary == "single-mode":
         idx = HarmonicIndex(m=1, n=2, kind=HarmonicKind.GC)
-        data = BoundaryData.from_function(
-            dom, lambda q: internal_harmonic(idx, q, m).real,
-            n_s=args.n_s, n_phi=args.n_phi, on_mesh=True)
+        data = BoundaryData.from_function(dom, lambda q: internal_harmonic(idx, q, m).real,
+                                          n_s=args.n_s, n_phi=args.n_phi)
         coeffs = coefficients(dom, data, tr)
     else:
         g = (lambda s, phi: 1.0) if args.boundary == "constant" else _read_boundary_grid(args.boundary)
-        data = BoundaryData(g=g, n_s=args.n_s, n_phi=args.n_phi, on_mesh=True)
+        data = BoundaryData(g=g, n_s=args.n_s, n_phi=args.n_phi)
         coeffs = coefficients(dom, data, tr)
 
     if args.probes:

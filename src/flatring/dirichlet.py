@@ -19,9 +19,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .coords import CartesianPoint, FlatRingPoint, Variant, cartesian_to_flatring, flatring_to_cartesian
-from .elliptic import Modulus, jacobi_imag
+from .coords import coordinate_surface_residual
+from .elliptic import Modulus
 from .errors import DomainError, QuadratureWarning
-from .harmonics import HarmonicIndex, Truncation
+from .harmonics import HarmonicIndex, Truncation, _gauss_legendre
 from .lame import LameBasis, basis, basis_for
 
 _INTERIOR_MARGIN = 1e-3  # in units of K': probes must satisfy t <= t0 - margin
@@ -39,16 +40,9 @@ class FlatRingDomain:
             raise DomainError(f"t0 = {self.t0!r} outside (0, K')")
 
     def membership(self, q: CartesianPoint) -> float:
-        """Positive inside D1, negative outside, zero on the surface."""
-        m = self.modulus
-        im = jacobi_imag(self.t0, m)
-        u3 = q.x * q.x + q.y * q.y + q.z * q.z
-        k2 = m.k * m.k
-        return (
-            k2 * (u3 + 1.0) ** 2 / (im.dn * im.dn)
-            - (u3 - 1.0) ** 2 / (im.cn * im.cn)
-            - 4.0 * q.z * q.z / (im.sn_im * im.sn_im)
-        )
+        """Positive inside D1, negative outside, zero on the surface: the
+        scaled t-surface residual of coordinate_surface_residual."""
+        return coordinate_surface_residual(q, self.modulus, "t", self.t0)
 
     def contains(self, q: CartesianPoint) -> bool:
         return self.membership(q) > 0.0
@@ -70,7 +64,7 @@ def _surface_quadrature(m: Modulus, n_s: int, n_phi: int):
     if n_s < 1 or n_phi < 1:
         raise DomainError(f"quadrature needs n_s >= 1 and n_phi >= 1, "
                           f"got {n_s!r} and {n_phi!r}")
-    x, w = np.polynomial.legendre.leggauss(n_s)
+    x, w = _gauss_legendre(n_s)
     dphi = 2.0 * math.pi / n_phi
     return 2.0 * m.quarter_K * x, 2.0 * m.quarter_K * w, -math.pi + dphi * np.arange(n_phi), dphi
 
@@ -84,32 +78,29 @@ def _bases(m: Modulus, tr: Truncation) -> list[LameBasis]:
 class BoundaryData:
     """Callable boundary sample g(s, phi) = (x^2+y^2)^(1/4) f on t = t0.
 
-    g is called once per quadrature node with floats, or, with on_mesh=True,
-    once with the whole (s, phi) mesh as broadcastable arrays.
+    g is called once with the whole (s, phi) quadrature mesh as
+    broadcastable arrays.
     """
 
-    g: Callable[[float, float], float]
+    g: Callable[[np.ndarray, np.ndarray], np.ndarray]
     n_s: int = 96
     n_phi: int = 64
-    on_mesh: bool = False
 
     @classmethod
-    def from_function(cls, dom: FlatRingDomain, f: Callable[[CartesianPoint], float],
-                      n_s: int = 96, n_phi: int = 64, on_mesh: bool = False) -> "BoundaryData":
-        """Wrap a Cartesian boundary function f into parameter form; with
-        on_mesh=True f receives one CartesianPoint of arrays."""
+    def from_function(cls, dom: FlatRingDomain, f: Callable[[CartesianPoint], np.ndarray],
+                      n_s: int = 96, n_phi: int = 64) -> "BoundaryData":
+        """Wrap a Cartesian boundary function f, which receives one
+        CartesianPoint of arrays, into parameter form."""
 
         def g(s, phi):
             q = dom.surface_point(s, phi)
             return (q.x * q.x + q.y * q.y) ** 0.25 * f(q)
 
-        return cls(g=g, n_s=n_s, n_phi=n_phi, on_mesh=on_mesh)
+        return cls(g=g, n_s=n_s, n_phi=n_phi)
 
     def sample(self, s: np.ndarray, phi: np.ndarray) -> np.ndarray:
         """g on the tensor mesh s x phi: (len(s), len(phi))."""
-        if self.on_mesh:
-            return np.broadcast_to(self.g(s[:, None], phi[None, :]), (s.size, phi.size))
-        return np.array([[self.g(float(a), float(b)) for b in phi] for a in s])
+        return np.broadcast_to(self.g(s[:, None], phi[None, :]), (s.size, phi.size))
 
 
 @dataclass
@@ -141,6 +132,10 @@ def coefficients(dom: FlatRingDomain, data: BoundaryData, tr: Truncation) -> Coe
     """
     s_nodes, s_weights, phi_nodes, dphi = _surface_quadrature(dom.modulus, data.n_s, data.n_phi)
     gvals = data.sample(s_nodes, phi_nodes)
+    if not np.all(np.isfinite(gvals)):
+        i, j = np.argwhere(~np.isfinite(gvals))[0]
+        raise DomainError(f"non-finite boundary data g = {gvals[i, j]} at "
+                          f"(s, phi) = ({s_nodes[i]}, {phi_nodes[j]})")
 
     orders = np.arange(-tr.m_max, tr.m_max + 1)
     phase = np.exp(-1j * np.outer(orders, phi_nodes)) * dphi  # (2M+1, n_phi)
@@ -199,9 +194,8 @@ def solve_point_source(dom: FlatRingDomain, r_star: CartesianPoint, tr: Truncati
     """Coefficients for boundary data f = 1 / |. - r*| with r* outside D1."""
     if dom.contains(r_star):
         raise DomainError("point source must lie outside the closed flat-ring")
-    data = BoundaryData.from_function(
-        dom, lambda q: _inverse_distance(q, r_star), n_s=n_s, n_phi=n_phi, on_mesh=True
-    )
+    data = BoundaryData.from_function(dom, lambda q: _inverse_distance(q, r_star),
+                                      n_s=n_s, n_phi=n_phi)
     return coefficients(dom, data, tr)
 
 

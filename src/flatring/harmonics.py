@@ -11,6 +11,7 @@ is real; azimuthal pairing of +-m terms is folded into cosine sums.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,13 +26,23 @@ from .coords import (
     cartesian_to_flatring,
     cartesian_to_toroidal,
     flatring_chi,
+    metric_h,
 )
-from .elliptic import Modulus, _sncndn
+from .elliptic import Modulus
 from .errors import DomainError, OrderingError
 from .lame import LameBasis, LameFamily, basis, basis_for, family_of_superscript
 from .legendre import gamma_ratio, legendre_q, toroidal_tables
 
 _AXIS_GUARD = 1e-28  # on x^2 + y^2; external harmonics stay bounded near the axis
+
+
+@functools.cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre nodes and weights on (-1, 1), read-only:
+    computed once per n and shared by every caller."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 class HarmonicKind(enum.Enum):
@@ -314,7 +325,7 @@ def integral_relation_check(
         raise OrderingError("integral relation requires 0 < t < t* < K'")
     b, cols = basis_for([family_of_superscript(kind, superscript)], nu, m)
     k_big = m.quarter_K
-    x, w = np.polynomial.legendre.leggauss(n_quad)
+    x, w = _gauss_legendre(n_quad)
     nodes = 2.0 * k_big * x
     chi = flatring_chi(nodes, t, s_star, t_star, m)
     n = nu + 0.5
@@ -338,20 +349,17 @@ def flatring_summand(
     m: Modulus,
 ) -> float:
     """Flat-ring expansion term A_{m,n} in the toroidal-limit parametrization
-    s = 2K - psi, t = K' - tau; requires tau > tau* > 0."""
+    s = 2K - psi, t = K' - tau; requires tau > tau* > 0 and psi, psi* in
+    (0, 4K).  The prefactor (T T*)^(1/2) / 2 takes T = 1/h_phi from metric_h."""
     kp = m.quarter_Kp
     if not 0.0 < tau_star < tau < kp:
         raise OrderingError("flat-ring summand requires 0 < tau* < tau < K'")
     k_big = m.quarter_K
     s, s_star = 2.0 * k_big - psi, 2.0 * k_big - psi_star
     t, t_star = kp - tau, kp - tau_star
-
-    def t_factor(psi_v, tau_v):
-        _, cn_p, dn_p = _sncndn(psi_v, m.k)
-        sn_t, cn_t, dn_t = _sncndn(tau_v, m.k_prime, m.k)
-        return (dn_p - cn_p * dn_t) / (m.k_prime * sn_t)
-
-    pref = 0.5 * math.sqrt(t_factor(psi, tau) * t_factor(psi_star, tau_star))
+    h_phi = metric_h(FlatRingPoint(s=np.array([s, s_star]), t=np.array([t, t_star]),
+                                   phi=0.0, modulus=m))[2]
+    pref = 0.5 / math.sqrt(h_phi[0] * h_phi[1])
     specs = [family_of_superscript("c", n)] + ([family_of_superscript("s", n)] if n >= 1 else [])
     b, cols = basis_for(specs, abs(m_order) - 0.5, m)
     return pref * float(np.sum(_lame_products(b, s, s_star, t, t_star, cols)))

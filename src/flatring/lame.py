@@ -25,6 +25,9 @@ depends on the step and the potential alone: a panel computes the stages of
 all its steps at once on the two unit initial states, multiplies each
 Chebyshev-Lobatto segment's propagators pairwise, carries the state across
 the 32 segments and fits the node values with a fixed interpolation matrix.
+A panel set keeps one stacked coefficient array, the W and W' columns side
+by side; panels are fitted in build order, so panel j runs from edges[j]
+(x = -1) to edges[j+1] (x = +1) whichever way the set grows.
 Odd-parity values are stored as the real representative W(t) = E(it)/i with
 W'(0) = E'(0); downstream products always pair matching representatives,
 which reproduces the complex-convention results exactly.
@@ -157,27 +160,6 @@ def eigenvalue_bracket(family: LameFamily, nu: float, n: int, m: Modulus) -> tup
     return lo, hi
 
 
-# --- piecewise Chebyshev tables ---------------------------------------------
-
-
-def _panel_table(edges, coeffs: list[np.ndarray]) -> tuple:
-    """Panels [edges[i], edges[i+1]] (ascending), Chebyshev coefficients coeffs[i] (deg+1, M)."""
-    e = np.asarray(edges, dtype=float)
-    return coeffs, e[1:-1], e[1:] + e[:-1], e[1:] - e[:-1]
-
-
-def _panel_values(table: tuple, t: np.ndarray, cols=slice(None)) -> np.ndarray:
-    """Columns cols of a panel table at an array t: t.shape + (len(cols),),
-    one Clenshaw sum per panel that holds points."""
-    coeffs, inner, sums, widths = table
-    j = np.searchsorted(inner, t, side="right")
-    out = np.empty(t.shape + coeffs[0][:, cols].shape[1:])
-    for i in np.unique(j):
-        sel = j == i
-        out[sel] = _cheb.chebval((2.0 * t[sel] - sums[i]) / widths[i], coeffs[i][:, cols]).T
-    return out
-
-
 def _rk_steps(nodes: np.ndarray, lam: float):
     """Fixed RK8 steps across the gaps between consecutive nodes, at least two
     per gap and at most 1/_STEPS_PER_RAD radians of lam each: the steps'
@@ -209,9 +191,7 @@ class _ImagPanels:
         self.t_built = float(t0)
         self.state = np.asarray(state0, dtype=float)  # (2M,) = [W..., W'...]
         self.edges: list[float] = [float(t0)]
-        self.coeff_w: list[np.ndarray] = []   # per panel: (deg+1, M)
-        self.coeff_wp: list[np.ndarray] = []
-        self._tables: tuple | None = None  # for values(), rebuilt as panels grow
+        self.coeffs = np.empty((0, _PANEL_DEG + 1, 2 * self.h.size))  # per panel: [W..., W'...]
 
     def _lambda(self, t: float) -> float:
         q = self._h_max + abs(self.coef) * jacobi_imag(abs(t), self.m).sn_im ** 2
@@ -276,10 +256,7 @@ class _ImagPanels:
         for i in range(deg):
             ys[i + 1] = prop[i, 0] @ ys[i]
         ys = ys[..., 0].transpose(0, 2, 1).reshape(deg + 1, 2 * mlen)  # [W..., W'...]
-        # the fit reads the values in ascending t
-        fit = _lobatto_fit(deg) @ (ys if t_to > t_from else ys[::-1])  # (deg+1, 2M)
-        self.coeff_w.append(fit[:, :mlen])
-        self.coeff_wp.append(fit[:, mlen:])
+        self.coeffs = np.concatenate([self.coeffs, (_lobatto_fit(deg) @ ys)[None]])
         self.edges.append(t_to)
         self.state = ys[-1]
         self.t_built = t_to
@@ -308,14 +285,19 @@ class _ImagPanels:
                     self.t_built - _PANEL_LOG_GROWTH / self._lambda(self.t_built), self.t_end))
 
     def values(self, t: np.ndarray, derivative: bool = False, cols=slice(None)) -> np.ndarray:
-        """Columns cols at an array of t inside the built range: (len(t), len(cols))."""
-        if self._tables is None or len(self._tables[0][0]) != len(self.coeff_w):
-            # panels in ascending t, however they were built
-            order = 1 if self.t_end > self.t_start else -1
-            edges = self.edges[::order]
-            self._tables = (_panel_table(edges, self.coeff_w[::order]),
-                            _panel_table(edges, self.coeff_wp[::order]))
-        return _panel_values(self._tables[int(derivative)], t, cols)
+        """Columns cols of W (or W') at an array of t inside the built range:
+        (len(t), len(cols)), one Clenshaw sum per panel that holds points."""
+        e = np.asarray(self.edges)
+        sign = 1.0 if self.t_end > self.t_start else -1.0
+        j = np.searchsorted(sign * e[1:-1], sign * t, side="right")
+        mlen = self.h.size
+        block = self.coeffs[:, :, mlen:] if derivative else self.coeffs[:, :, :mlen]
+        out = np.empty((t.size, self.h[cols].size))
+        for i in np.unique(j):
+            sel = j == i
+            x = (2.0 * t[sel] - (e[i] + e[i + 1])) / (e[i + 1] - e[i])
+            out[sel] = _cheb.chebval(x, block[i][:, cols]).T
+        return out
 
 
 # --- eigensolver -------------------------------------------------------------

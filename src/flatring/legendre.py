@@ -20,14 +20,12 @@ complex and never arise here).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ellipe, ellipkm1, elliprd, gammaln, gammasgn
 
 from .errors import ConvergenceError, DomainError
 
-_MAX_TERMS_2F1 = 100_000
 _MAX_TERMS_P = 400_000
 _MAX_TERMS_Q = 200_000
 _Q_SLOW_Z = 1.05
@@ -57,25 +55,6 @@ def gamma_ratio(a: float, b: float) -> float:
     return gammasgn(a) * gammasgn(b) * math.exp(gammaln(a) - gammaln(b))
 
 
-def hyp2f1(a: float, b: float, c: float, x: float) -> float:
-    """Gauss hypergeometric series 2F1(a, b; c; x) for |x| < 1."""
-    if abs(x) >= 1.0:
-        raise DomainError(f"hyp2f1 series requires |x| < 1, got {x!r}")
-    if c <= 0.0 and _is_integer(c):
-        raise DomainError(f"hyp2f1: c = {c!r} is a non-positive integer")
-    total = 1.0
-    term = 1.0
-    for n in range(_MAX_TERMS_2F1):
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * x
-        total += term
-        if term == 0.0 or abs(term) <= 1e-17 * abs(total):
-            return total
-    raise ConvergenceError(
-        f"hyp2f1({a}, {b}; {c}; {x}) did not converge in {_MAX_TERMS_2F1} terms",
-        attained=abs(term),
-    )
-
-
 def _positive_series(a: float, b: float, c: float, x: float, max_terms: int, what: str) -> float:
     """Sum 2F1(a,b;c;x) for a,b,c > 0 and 0 <= x < 1 with compensated addition."""
     total = 1.0
@@ -93,27 +72,6 @@ def _positive_series(a: float, b: float, c: float, x: float, max_terms: int, wha
         f"{what} series did not converge in {max_terms} terms",
         attained=term / total,
     )
-
-
-@dataclass(frozen=True)
-class LegendreIndex:
-    """Degree/order pair with the Q-construction restriction recorded."""
-
-    degree: float
-    order: float = 0.0
-
-    def __post_init__(self):
-        s = self.degree + self.order
-        if s < 0.0 and _is_integer(s) and round(s) <= -1:
-            raise DomainError(
-                f"degree + order = {s!r} is a negative integer; Q is undefined there"
-            )
-
-    def p(self, z: float) -> float:
-        return legendre_p(self.degree, self.order, z)
-
-    def q(self, z: float) -> float:
-        return legendre_q(self.degree, self.order, z)
 
 
 def legendre_p(nu: float, mu: float, z: float) -> float:

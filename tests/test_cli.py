@@ -248,3 +248,25 @@ def test_dirichlet_grid_file_matches_constant_boundary(capsys, tmp_path, m05):
         assert code == 0
         runs.append([row["value"] for row in json.loads(out)])
     assert runs[0] == pytest.approx(runs[1], rel=1e-12)
+
+
+@pytest.mark.parametrize("extra", [(), ("--toroidal",)])
+def test_green_equal_points_exits_2(capsys, extra):
+    # r = r* fails the expansion's ordering check before any distance is taken
+    code, out, err = run_cli(capsys, "green", *extra, "--point=0.5,0,0.3",
+                             "--point-star=0.5,0,0.3", "--format", "json")
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert json.loads(out)["error"]["type"] == "OrderingError"
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_dirichlet_non_finite_grid_file_exits_2(capsys, tmp_path, value):
+    grid = tmp_path / "grid.csv"
+    grid.write_text(f"s,phi,g\n0.0,0.0,1.0\n0.0,1.0,{value}\n1.0,0.0,1.0\n1.0,1.0,1.0\n")
+    code, out, err = run_cli(capsys, "dirichlet", "--boundary", str(grid),
+                             "--m-max", "2", "--n-max", "2", "--format", "json")
+    assert code == 2
+    assert err.startswith("error: ") and ":3: non-finite" in err
+    assert json.loads(out)["error"] == {"type": "DomainError", "message": err[7:].strip(),
+                                        "exit_code": 2}

@@ -35,6 +35,10 @@ def test_domain_membership(m05):
         s=0.5 * m.quarter_K, t=0.7 * m.quarter_Kp, phi=0.3, modulus=m))
     assert dom.contains(inner)
     assert not dom.contains(outer)
+    # the scaled t-surface residual: positive inside, negative outside, zero on the surface
+    assert dom.membership(inner) > 0.0 > dom.membership(outer)
+    for s, phi in ((0.5 * m.quarter_K, 0.3), (-1.7 * m.quarter_K, -2.0), (0.0, 1.0)):
+        assert abs(dom.membership(dom.surface_point(s, phi))) <= 1e-12
     with pytest.raises(DomainError):
         FlatRingDomain(t0=1.5 * m.quarter_Kp, modulus=m)
 
@@ -117,8 +121,13 @@ def test_mesh_sampling_of_cartesian_data_matches_pointwise(m05):
     idx = HarmonicIndex(m=1, n=2, kind=HarmonicKind.GC)
     f = lambda q: internal_harmonic(idx, q, m).real  # noqa: E731
     s, phi = np.linspace(-2.0, 2.0, 7), np.linspace(-3.0, 3.0, 5)
-    mesh = BoundaryData.from_function(dom, f, on_mesh=True).sample(s, phi)
-    np.testing.assert_allclose(mesh, BoundaryData.from_function(dom, f).sample(s, phi),
+    mesh = BoundaryData.from_function(dom, f).sample(s, phi)
+
+    def node(a, b):  # g at one node, from a CartesianPoint of floats
+        q = dom.surface_point(float(a), float(b))
+        return (q.x * q.x + q.y * q.y) ** 0.25 * f(q)
+
+    np.testing.assert_allclose(mesh, [[node(a, b) for b in phi] for a in s],
                                rtol=1e-13, atol=1e-15)
 
 
@@ -178,7 +187,7 @@ def test_weak_boundary_attainment(setup):
 def test_under_resolved_data_warns(m05):
     m = m05
     dom = FlatRingDomain(t0=0.4 * m.quarter_Kp, modulus=m)
-    rough = BoundaryData(g=lambda s, phi: math.copysign(1.0, math.sin(9.0 * s + 5.0 * phi)),
+    rough = BoundaryData(g=lambda s, phi: np.copysign(1.0, np.sin(9.0 * s + 5.0 * phi)),
                          n_s=24, n_phi=16)
     from flatring.errors import QuadratureWarning
     with pytest.warns(QuadratureWarning):
@@ -255,3 +264,13 @@ def test_containment_violation(setup):
     idx = HarmonicIndex(m=1, n=0, kind=HarmonicKind.HC)
     with pytest.raises(DomainError):
         external_from_boundary(dom, idx, inside)
+
+
+def test_non_finite_boundary_data_is_refused(m05):
+    m = m05
+    dom = FlatRingDomain(t0=0.4 * m.quarter_Kp, modulus=m)
+    for bad in (math.inf, math.nan):
+        data = BoundaryData(g=lambda s, phi: np.where(s > 1.0, bad, 1.0) + 0.0 * phi,
+                            n_s=24, n_phi=16)
+        with pytest.raises(DomainError, match="non-finite boundary data"):
+            coefficients(dom, data, Truncation(2, 2))

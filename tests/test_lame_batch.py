@@ -21,7 +21,7 @@ from flatring.dirichlet import FlatRingDomain, solve_interior, solve_point_sourc
 from flatring.elliptic import Modulus, _sncndn, jacobi_imag
 from flatring.errors import DomainError, QuadratureWarning
 from flatring.harmonics import Truncation, green_expansion
-from flatring.lame import LameFamily, basis, basis_for, family_of_superscript, shell_specs
+from flatring.lame import LameFamily, _ImagPanels, basis, basis_for, family_of_superscript, shell_specs
 
 
 def _close(batch_values, scalar_values, rtol=1e-14):
@@ -69,7 +69,7 @@ def test_imaginary_axis_batch_matches_scalar(mixed):
         _close(values, scalar)
         _close(b.imag(t, derivative)[:, cols], scalar)
         assert np.array_equal(values[0], b.boundary_data[cols, int(derivative)])
-    assert len(b._first.coeff_w) > 3
+    assert len(b._first.coeffs) > 3
 
 
 def test_second_kind_batch_matches_scalar_across_handoff(mixed):
@@ -111,14 +111,29 @@ def test_imaginary_axis_parity_of_values_and_derivatives(mixed):
 
 
 def test_panel_read_matches_clenshaw(mixed):
+    # every panel of both sets, in build orientation: panel j runs from
+    # edges[j] (x = -1) to edges[j+1] (x = +1), upward for the first kind and
+    # downward for the continuation of the second
     m, b, _ = mixed
-    for panels in (b._first, b._second_kind[2]):
-        lo, hi = sorted(panels.edges[:2])
-        t = lo + (hi - lo) * np.linspace(0.01, 0.99, 9)  # inside: edges belong to either side
-        x = (2.0 * t - (lo + hi)) / (hi - lo)
-        for derivative, coeffs in ((False, panels.coeff_w[0]), (True, panels.coeff_wp[0])):
-            reference = chebyshev.chebval(x, coeffs).T
-            _close(panels.values(t, derivative), reference, rtol=1e-14)
+    mlen = b.h.size
+    b.imag(0.85 * m.quarter_Kp), b.second(0.1 * m.quarter_Kp)  # grow both sets
+    # and a downward set of two panels, whose one inner edge sets no direction
+    two = _ImagPanels(m, b._first.coef, b.h, 0.5 * m.quarter_Kp, b.boundary_data.T.ravel(), 0.0)
+    two.extend_to(0.5 * m.quarter_Kp - 1e-3)
+    two.extend_to(two.edges[1] - 1e-3)
+    assert len(two.coeffs) == 2
+    for panels in (b._first, b._second_kind[2], two):
+        edges = panels.edges
+        assert len(panels.coeffs) == len(edges) - 1 > 1
+        for j, (a, z) in enumerate(zip(edges[:-1], edges[1:])):
+            # both ends: an inner edge is read from either panel that meets there
+            t = np.concatenate([[a], a + (z - a) * np.linspace(0.01, 0.99, 9), [z]])
+            x = (2.0 * t - (a + z)) / (z - a)
+            for derivative in (False, True):
+                coeffs = panels.coeffs[j][:, mlen:] if derivative else panels.coeffs[j][:, :mlen]
+                reference = chebyshev.chebval(x, coeffs).T
+                _close(panels.values(t, derivative), reference, rtol=1e-13)
+                _close(panels.values(t[1:-1], derivative), reference[1:-1], rtol=1e-14)
 
 
 def test_lame_batch_columns_follow_specs(m05):
@@ -244,7 +259,7 @@ def test_coefficients_match_per_mode_projection(m05):
 
     m = m05
     dom = FlatRingDomain(t0=0.4 * m.quarter_Kp, modulus=m)
-    data = BoundaryData(g=lambda s, phi: math.exp(0.3 * math.sin(s)) * (1.0 + 0.2 * math.cos(phi)),
+    data = BoundaryData(g=lambda s, phi: np.exp(0.3 * np.sin(s)) * (1.0 + 0.2 * np.cos(phi)),
                         n_s=24, n_phi=16)
     with pytest.warns(QuadratureWarning):  # (3, 3) does not capture all of g
         table = coefficients(dom, data, Truncation(3, 3))

@@ -6,27 +6,7 @@ from scipy.integrate import quad
 
 from flatring.elliptic import complete_k
 from flatring.errors import ConvergenceError, DomainError
-from flatring.legendre import LegendreIndex, gamma_ratio, hyp2f1, legendre_p, legendre_q
-
-
-def test_hyp2f1_trivial_parameters():
-    assert hyp2f1(0.0, 1.3, 2.1, 0.7) == 1.0
-    assert hyp2f1(1.3, 0.0, 2.1, 0.7) == 1.0
-    assert hyp2f1(1.2, 3.4, 5.6, 0.0) == 1.0
-
-
-def test_hyp2f1_log_closed_form():
-    x = 0.5
-    assert hyp2f1(1.0, 1.0, 2.0, x) == pytest.approx(-math.log(1.0 - x) / x, rel=1e-13)
-
-
-def test_hyp2f1_domain_and_convergence_errors():
-    with pytest.raises(DomainError):
-        hyp2f1(1.0, 1.0, 2.0, 1.0)
-    with pytest.raises(DomainError):
-        hyp2f1(1.0, 1.0, -2.0, 0.5)
-    with pytest.raises(ConvergenceError):
-        hyp2f1(1.0, 1.0, 2.0, 0.999999)
+from flatring.legendre import gamma_ratio, legendre_p, legendre_q
 
 
 def test_legendre_p_degree_zero_is_one():
@@ -127,13 +107,7 @@ def test_domain_errors():
     with pytest.raises(DomainError):
         legendre_q(0.5, 0.25, 2.0)  # non-integer order is complex-valued
     with pytest.raises(DomainError):
-        LegendreIndex(degree=-2.5, order=0.5)  # degree + order in -N
-
-
-def test_legendre_index_delegates():
-    idx = LegendreIndex(degree=1.5, order=1.0)
-    assert idx.p(2.0) == legendre_p(1.5, 1.0, 2.0)
-    assert idx.q(2.0) == legendre_q(1.5, 1.0, 2.0)
+        legendre_q(-3.0, 1.0, 2.0)  # degree + order in -N
 
 
 def test_gamma_ratio_half_integers_and_poles():
