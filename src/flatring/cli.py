@@ -144,9 +144,9 @@ def cmd_green(args) -> int:
     tr = Truncation(args.m_max, args.n_max)
     # the expansion refuses r = r* (OrderingError) before the distance is taken
     if args.toroidal:
-        val, tail, shells = toroidal_green_expansion(r, rs, tr, return_shells=True)
+        val, tail, shells = toroidal_green_expansion(r, rs, tr)
     else:
-        val, tail, shells = green_expansion(r, rs, tr, m, return_shells=True)
+        val, tail, shells = green_expansion(r, rs, tr, m)
     direct = 1.0 / math.dist(r, rs)
     report = {
         "value": val,
@@ -188,6 +188,8 @@ def _read_boundary_grid(path: str):
                 raise DomainError(f"{path}:{lineno}: malformed row {row!r}") from exc
             if not all(map(math.isfinite, rows[-1])):
                 raise DomainError(f"{path}:{lineno}: non-finite value in row {row!r}")
+    if not rows:
+        raise DomainError(f"{path}: no grid rows after the header")
     table = np.array(rows).reshape(-1, 3)
     s_vals, si = np.unique(table[:, 0], return_inverse=True)
     p_vals, pi = np.unique(table[:, 1], return_inverse=True)

@@ -91,13 +91,12 @@ class HarmonicIndex:
         return family_of_superscript(self.kind.lame_kind, self.n)[1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Truncation:
-    """Double-series limits plus the tail estimate of the last run."""
+    """Double-series limits: orders |m| <= m_max and shells n <= n_max."""
 
     m_max: int
     n_max: int
-    tail_estimate: float = 0.0
 
     def __post_init__(self):
         if self.m_max < 0 or self.n_max < 0:
@@ -157,63 +156,56 @@ def _lame_products(b: LameBasis, s, s_star, t, t_star, cols=slice(None)) -> np.n
     return e[:n] * e[n:] * b.imag(t, cols=cols) * b.second(t_star, cols=cols)
 
 
-def _tail_from_shells(shells) -> np.ndarray:
-    """Geometric extrapolation of the remaining tail from the last shells
-    (shells first, then any pair axes): one estimate per pair."""
-    mags = np.abs(np.asarray(shells)[-3:])
+def _cosine_weights(count: int, angle) -> np.ndarray:
+    """eps_j cos(j angle), eps_0 = 1 and eps_j = 2, which fold the +-j terms of
+    a cosine series into one: one row per 0 <= j < count, then angle's axes."""
+    j = np.arange(count).reshape((-1,) + (1,) * np.ndim(angle))
+    return np.where(j == 0, 1.0, 2.0) * np.cos(j * angle)
+
+
+def _geometric_tail(mags: np.ndarray) -> np.ndarray:
+    """Geometric extrapolation past the last of mags (first axis) with the
+    largest ratio of consecutive entries, capped at 0.95."""
     ratios = np.divide(mags[1:], mags[:-1], out=np.zeros_like(mags[1:]), where=mags[:-1] > 0.0)
     p = np.minimum(ratios.max(axis=0, initial=0.0), 0.95)
     return mags[-1] * p / (1.0 - p)
 
 
-def green_expansion(
-    r: CartesianPoint,
-    r_star: CartesianPoint,
-    tr: Truncation,
-    m: Modulus,
-    return_shells: bool = False,
-):
-    """Partial double series for 1/|r - r*| in flat-ring harmonics.
+def _double_series(terms: np.ndarray, dphi: np.ndarray, scale: np.ndarray, shape: tuple):
+    """Sum of scale * eps_m cos(m dphi) * terms[m, pair, n] over m <= m_max and
+    n <= n_max: (value, tail, shells), floats and a list for shape (), else
+    arrays of that shape.  The tail estimate is a heuristic, not a bound:
+    the extrapolation of the last three shells plus, shell by shell, that of
+    the last two orders."""
+    m1, _, n1 = terms.shape
+    if m1 < 2 or n1 < 2:
+        raise DomainError("the tail estimate needs m_max >= 1 and n_max >= 1; "
+                          f"got m_max = {m1 - 1}, n_max = {n1 - 1}")
+    shells = scale * np.einsum("op,opn->np", _cosine_weights(m1, dphi), terms)  # (n, pairs)
+    total = shells.sum(axis=0)
+    tail = (_geometric_tail(np.abs(shells[-3:]))  # every order past m_max has eps_m = 2
+            + np.sum(scale[:, None] * 2.0 * _geometric_tail(np.abs(terms[-2:])), axis=1))
+    if shape:
+        return total.reshape(shape), tail.reshape(shape), list(shells.reshape((n1,) + shape))
+    return float(total[0]), float(tail[0]), shells[:, 0].tolist()
 
-    Requires t(r) < t(r*) (the inner point first).  Returns (value,
-    tail_estimate); with return_shells=True a list of per-n shell sums is
-    appended to the result tuple.  CartesianPoints of arrays give one pair
-    per broadcast element and arrays of values, tails and shell sums.
-    """
+
+def green_expansion(r: CartesianPoint, r_star: CartesianPoint, tr: Truncation, m: Modulus):
+    """Partial double series for 1/|r - r*| in flat-ring harmonics: (value,
+    tail, shells) as `_double_series` gives them.  Requires t(r) < t(r*) (the
+    inner point first); CartesianPoints of arrays give one pair per element."""
     p, pref = _flatring_of(r, m)
     p_star, pref_star = _flatring_of(r_star, m)
     if not np.all(p.t < p_star.t):
-        raise OrderingError(
-            f"expansion requires t < t*; got t = {p.t!r}, t* = {p_star.t!r}"
-        )
+        raise OrderingError(f"expansion requires t < t*; got t = {p.t!r}, t* = {p_star.t!r}")
     s, s_star, t, t_star, dphi, scale = (np.ravel(v) for v in np.broadcast_arrays(
         p.s, p_star.s, p.t, p_star.t, p.phi - p_star.phi, 0.5 * pref * pref_star))
-    shape = np.broadcast_shapes(np.shape(p.s), np.shape(p_star.s))
     n1 = tr.n_max + 1
     # terms[order, pair, n]: the (|m|, n) block Ec^n Ec^n Wc Fc + Es^(n+1) Es^(n+1) Ws Fs
     terms = np.array([_lame_products(basis(order - 0.5, m, tr.n_max), s, s_star, t, t_star)
                       for order in range(tr.m_max + 1)])
-    terms = terms[..., :n1] + terms[..., n1:]
-    orders = np.arange(tr.m_max + 1)[:, None]
-    weights = np.where(orders == 0, 1.0, 2.0) * np.cos(orders * dphi)
-    shells = scale * np.einsum("op,opn->np", weights, terms)  # (n, pairs)
-    total = shells.sum(axis=0)
-    # azimuthal tail of each shell, extrapolated geometrically from its last two orders
-    m_tail = 0.0
-    if tr.m_max >= 1:
-        prev, last = 2.0 * np.abs(terms[-2]), 2.0 * np.abs(terms[-1])
-        rho = np.minimum(np.divide(last, prev, out=np.zeros_like(last), where=prev > 0.0), 0.95)
-        m_tail = np.sum(scale[:, None] * last * rho / (1.0 - rho), axis=1)
-    tail = _tail_from_shells(shells) + m_tail
-    if shape:
-        total, tail, shells = (total.reshape(shape), tail.reshape(shape),
-                               list(shells.reshape((n1,) + shape)))
-    else:
-        total, tail, shells = float(total[0]), float(tail[0]), shells[:, 0].tolist()
-    tr.tail_estimate = tail
-    if return_shells:
-        return total, tail, shells
-    return total, tail
+    return _double_series(terms[..., :n1] + terms[..., n1:], dphi, scale,
+                          np.broadcast_shapes(np.shape(p.s), np.shape(p_star.s)))
 
 
 def toroidal_harmonic(m_order: int, n: int, p: ToroidalPoint, external: bool = False) -> complex:
@@ -250,38 +242,27 @@ def toroidal_summand(m_order: int, n: int, tau: float, tau_star: float) -> float
     return float(_toroidal_terms(tau, tau_star, abs(m_order), abs(n))[-1, -1])
 
 
-def toroidal_green_expansion(
-    r: CartesianPoint,
-    r_star: CartesianPoint,
-    tr: Truncation,
-    return_shells: bool = False,
-):
-    """Partial double series for 1/|r - r*| in toroidal harmonics.
+def _toroidal_table(tau: float, tau_star: float, psi: float, psi_star: float,
+                    m_max: int, n_max: int) -> np.ndarray:
+    """Toroidal expansion terms, +-n folded: sqrt(d d*) / pi * eps_n cos(n (psi - psi*))
+    * `_toroidal_terms`, d = cosh tau - cos psi; (m_max + 1, n_max + 1)."""
+    d, d_star = math.cosh(tau) - math.cos(psi), math.cosh(tau_star) - math.cos(psi_star)
+    return (math.sqrt(d * d_star) / math.pi * _cosine_weights(n_max + 1, psi - psi_star)
+            * _toroidal_terms(tau, tau_star, m_max, n_max))
 
-    Requires tau(r) > tau(r*).  The +-m and +-n quadrants are folded into
-    cosine sums; the Gamma-ratio weight makes the folding exact.
-    """
+
+def toroidal_green_expansion(r: CartesianPoint, r_star: CartesianPoint, tr: Truncation):
+    """Partial double series for 1/|r - r*| in toroidal harmonics: (value,
+    tail, shells) as `_double_series` gives them.  Requires tau(r) > tau(r*).
+    The +-m and +-n quadrants fold into cosine sums; the Gamma-ratio weight
+    makes the folding exact."""
     p = cartesian_to_toroidal(r)
     p_star = cartesian_to_toroidal(r_star)
     if not p.tau > p_star.tau:
         raise OrderingError(
-            f"toroidal expansion requires tau > tau*; got {p.tau!r} <= {p_star.tau!r}"
-        )
-    d = math.cosh(p.tau) - math.cos(p.psi)
-    d_star = math.cosh(p_star.tau) - math.cos(p_star.psi)
-    pref = math.sqrt(d * d_star) / math.pi
-    orders = np.arange(tr.m_max + 1)
-    degrees = np.arange(tr.n_max + 1)
-    azimuthal = np.where(orders == 0, 1.0, 2.0) * np.cos(orders * (p.phi - p_star.phi))
-    poloidal = np.where(degrees == 0, 1.0, 2.0) * np.cos(degrees * (p.psi - p_star.psi))
-    terms = _toroidal_terms(p.tau, p_star.tau, tr.m_max, tr.n_max)
-    shells = (pref * poloidal * (azimuthal @ terms)).tolist()
-    total = sum(shells)
-    tail = float(_tail_from_shells(shells))
-    tr.tail_estimate = tail
-    if return_shells:
-        return total, tail, shells
-    return total, tail
+            f"toroidal expansion requires tau > tau*; got {p.tau!r} <= {p_star.tau!r}")
+    table = _toroidal_table(p.tau, p_star.tau, p.psi, p_star.psi, tr.m_max, tr.n_max)
+    return _double_series(table[:, None, :], np.array([p.phi - p_star.phi]), np.ones(1), ())
 
 
 def addition_theorem_rhs(
@@ -369,10 +350,7 @@ def toroidal_limit_summand(
     m_order: int, n: int, tau: float, tau_star: float, psi: float, psi_star: float
 ) -> float:
     """Toroidal expansion term B_{m,n} (the k -> 0 limit of A_{m,n})."""
-    eps_n = 1.0 if n == 0 else 2.0
-    pref = math.sqrt((math.cosh(tau) - math.cos(psi)) * (math.cosh(tau_star) - math.cos(psi_star))) / math.pi
-    return (pref * eps_n * math.cos(n * (psi - psi_star))
-            * toroidal_summand(abs(m_order), n, tau, tau_star))
+    return float(_toroidal_table(tau, tau_star, psi, psi_star, abs(m_order), abs(n))[-1, -1])
 
 
 def limit_comparison(

@@ -229,12 +229,6 @@ class _ImagPanels:
     def _build_panel(self, t_from: float, t_to: float) -> None:
         mlen = self.h.size
         lam = self._lambda(max(abs(t_from), abs(t_to)))
-        if lam * abs(t_to - t_from) > 4.0 * _PANEL_LOG_GROWTH:
-            # too oscillatory for one Chebyshev panel; split
-            mid = 0.5 * (t_from + t_to)
-            self._build_panel(t_from, mid)
-            self._build_panel(mid, t_to)
-            return
         deg = _PANEL_DEG
         # integrate segment-by-segment between Chebyshev-Lobatto nodes so the
         # recorded states interpolate with perfect conditioning
@@ -266,7 +260,13 @@ class _ImagPanels:
     def extend_to(self, t_req: float) -> None:
         """Build panels until they cover t_req.  Where a panel ends depends
         only on where it starts, so the panels, and every value read from
-        them, do not depend on the order or reach of earlier requests."""
+        them, do not depend on the order or reach of earlier requests.
+
+        Every panel has lam * width <= _PANEL_LOG_GROWTH, with lam at its end
+        farther from t = 0 as `_build_panel` takes it: going up, the width is
+        at most _PANEL_LOG_GROWTH / lam(probe) and the panel ends at or before
+        the probe; going down, it is at most _PANEL_LOG_GROWTH / lam(start),
+        and lam is largest at the start."""
         cap = self.m.quarter_Kp * _IMAG_T_CAP
         if t_req < 0.0 or t_req > cap:
             raise PoleError(f"imaginary-axis argument t = {t_req!r} outside [0, {cap!r}]")

@@ -186,7 +186,7 @@ def test_criterion_04_flatring_green_expansion():
         r = flatring_to_cartesian(FlatRingPoint(s=s, t=t, phi=ph, modulus=m))
         rs = flatring_to_cartesian(FlatRingPoint(s=ss, t=ts, phi=ps, modulus=m))
         direct = 1.0 / math.dist(r, rs)
-        val, _, shells = green_expansion(r, rs, Truncation(20, 20), m, return_shells=True)
+        val, _, shells = green_expansion(r, rs, Truncation(20, 20), m)
         worst = max(worst, abs(val - direct) / direct)
         mags = np.maximum([abs(x) for x in shells[5:]], 1e-300)
         slope = np.polyfit(np.arange(len(mags)), np.log(mags), 1)[0]
@@ -216,7 +216,7 @@ def test_criterion_05_toroidal_expansion():
         r = toroidal_to_cartesian(ToroidalPoint(tau=tau, psi=psi, phi=phi))
         rs = toroidal_to_cartesian(ToroidalPoint(tau=tau_s, psi=psi_s, phi=phi_s))
         direct = 1.0 / math.dist(r, rs)
-        val, _ = toroidal_green_expansion(r, rs, Truncation(20, 20))
+        val, _, _ = toroidal_green_expansion(r, rs, Truncation(20, 20))
         worst = max(worst, abs(val - direct) / direct)
     elapsed = time.time() - start
     ok = worst <= 1e-9 and elapsed < 10.0

@@ -270,3 +270,35 @@ def test_dirichlet_non_finite_grid_file_exits_2(capsys, tmp_path, value):
     assert err.startswith("error: ") and ":3: non-finite" in err
     assert json.loads(out)["error"] == {"type": "DomainError", "message": err[7:].strip(),
                                         "exit_code": 2}
+
+
+@pytest.mark.parametrize("argv", [
+    ("--m-max", "0", "--n-max", "4"),
+    ("--m-max", "4", "--n-max", "0"),
+    ("--toroidal", "--n-max", "0"),
+    ("--toroidal", "--m-max", "0"),
+])
+def test_green_truncation_too_short_to_extrapolate_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, "green", *argv, "--format", "json")
+    assert code == 2
+    assert err.startswith("error: ") and "m_max >= 1 and n_max >= 1" in err
+    assert json.loads(out)["error"] == {"type": "DomainError", "message": err[7:].strip(),
+                                        "exit_code": 2}
+
+
+def test_dirichlet_accepts_zero_azimuthal_order(capsys):
+    # the expansions' minimum truncation does not apply to the Dirichlet solve
+    code, out, _ = run_cli(capsys, "dirichlet", "--boundary", "constant", "--m-max", "0",
+                           "--n-max", "2", "--n-probes", "2")
+    assert code == 0
+    assert all(math.isfinite(row["value"]) for row in json.loads(out))
+
+
+def test_dirichlet_header_only_grid_file_exits_2(capsys, tmp_path):
+    grid = tmp_path / "grid.csv"
+    grid.write_text("s,phi,g\n")
+    code, out, err = run_cli(capsys, "dirichlet", "--boundary", str(grid), "--format", "json")
+    assert code == 2
+    assert err.startswith("error: ") and "no grid rows" in err
+    assert json.loads(out)["error"] == {"type": "DomainError", "message": err[7:].strip(),
+                                        "exit_code": 2}

@@ -151,7 +151,7 @@ def test_green_expansion_canonical_config(m05):
     r = flatring_to_cartesian(FlatRingPoint(s=0.7 * K, t=0.2 * Kp, phi=0.3, modulus=m))
     rs = flatring_to_cartesian(FlatRingPoint(s=1.1 * K, t=0.6 * Kp, phi=-0.5, modulus=m))
     direct = 1.0 / math.dist(r, rs)
-    val, tail, shells = green_expansion(r, rs, Truncation(20, 20), m, return_shells=True)
+    val, tail, shells = green_expansion(r, rs, Truncation(20, 20), m)
     assert abs(val - direct) / direct <= 1e-8
     # geometric decay of the shell magnitudes: fitted ratio below 1
     mags = np.array([abs(s) for s in shells[5:]])
@@ -193,15 +193,33 @@ def test_green_expansion_on_arrays_matches_pointwise(m05):
                                             phi=rng.uniform(-3.0, 3.0, 5), modulus=m))
     rs = flatring_to_cartesian(FlatRingPoint(s=1.1 * K, t=0.6 * Kp, phi=-0.5, modulus=m))
     tr = Truncation(8, 8)
-    val, tail, shells = green_expansion(r, rs, tr, m, return_shells=True)
+    val, tail, shells = green_expansion(r, rs, tr, m)
     assert val.shape == tail.shape == (5,) and len(shells) == 9
-    assert tr.tail_estimate is tail
     for i, q in enumerate(zip(*r)):
-        v1, t1, sh1 = green_expansion(CartesianPoint(*q), rs, tr, m, return_shells=True)
+        v1, t1, sh1 = green_expansion(CartesianPoint(*q), rs, tr, m)
         assert all(type(x) is float for x in (v1, t1, *sh1))
         assert val[i] == pytest.approx(v1, rel=1e-13)
         assert tail[i] == pytest.approx(t1, rel=1e-12)
         assert [sh[i] for sh in shells] == pytest.approx(sh1, rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("limits", [(0, 6), (6, 0), (0, 0)])
+def test_expansions_refuse_truncations_too_short_to_extrapolate(m05, limits):
+    # the tail rule needs two orders and two shells; with one of either it
+    # reported a near-zero tail beside a large true error
+    m = m05
+    K, Kp = m.quarter_K, m.quarter_Kp
+    pairs = [(flatring_to_cartesian(FlatRingPoint(s=0.7 * K, t=0.2 * Kp, phi=0.3, modulus=m)),
+              flatring_to_cartesian(FlatRingPoint(s=1.1 * K, t=0.6 * Kp, phi=-0.5, modulus=m))),
+             (toroidal_to_cartesian(ToroidalPoint(tau=2.0, psi=0.4, phi=0.1)),
+              toroidal_to_cartesian(ToroidalPoint(tau=1.0, psi=-0.7, phi=0.9)))]
+    runs = [lambda tr: green_expansion(*pairs[0], tr, m),
+            lambda tr: toroidal_green_expansion(*pairs[1], tr)]
+    for run in runs:
+        with pytest.raises(DomainError, match="m_max >= 1 and n_max >= 1"):
+            run(Truncation(*limits))
+        val, tail, shells = run(Truncation(1, 1))  # the smallest legal truncation
+        assert len(shells) == 2 and math.isfinite(val) and tail > 0.0
 
 
 def test_green_matches_complex_pairing(m05):
@@ -212,7 +230,7 @@ def test_green_matches_complex_pairing(m05):
     r = flatring_to_cartesian(FlatRingPoint(s=0.6 * K, t=0.25 * Kp, phi=0.4, modulus=m))
     rs = flatring_to_cartesian(FlatRingPoint(s=-0.9 * K, t=0.7 * Kp, phi=-1.1, modulus=m))
     tr = Truncation(3, 3)
-    val, _ = green_expansion(r, rs, tr, m)
+    val, _, _ = green_expansion(r, rs, tr, m)
     total = 0.0 + 0.0j
     for mm in range(-3, 4):
         for sup in range(0, 4):
@@ -240,7 +258,7 @@ def test_toroidal_green_expansion():
     r = toroidal_to_cartesian(ToroidalPoint(tau=2.0, psi=0.4, phi=0.1))
     rs = toroidal_to_cartesian(ToroidalPoint(tau=1.0, psi=-0.7, phi=0.9))
     direct = 1.0 / math.dist(r, rs)
-    val, tail = toroidal_green_expansion(r, rs, Truncation(20, 20))
+    val, tail, _ = toroidal_green_expansion(r, rs, Truncation(20, 20))
     assert abs(val - direct) / direct <= 1e-9
     with pytest.raises(OrderingError):
         toroidal_green_expansion(rs, r, Truncation(6, 6))

@@ -154,7 +154,7 @@ def test_green_expansion_matches_per_mode_sum(m05):
     r = flatring_to_cartesian(FlatRingPoint(s=0.6 * K, t=0.25 * Kp, phi=0.4, modulus=m))
     rs = flatring_to_cartesian(FlatRingPoint(s=-0.9 * K, t=0.7 * Kp, phi=-1.1, modulus=m))
     tr = Truncation(5, 6)
-    val, tail, shells = green_expansion(r, rs, tr, m, return_shells=True)
+    val, tail, shells = green_expansion(r, rs, tr, m)
     a, b = cartesian_to_flatring(r, m), cartesian_to_flatring(rs, m)
     bases = [basis(order - 0.5, m, tr.n_max) for order in range(tr.m_max + 1)]
     pref = 0.5 * (r.x ** 2 + r.y ** 2) ** -0.25 * (rs.x ** 2 + rs.y ** 2) ** -0.25

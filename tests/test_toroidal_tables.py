@@ -153,10 +153,26 @@ def test_expansion_shells_match_per_term_loop():
         r, rs = (toroidal_to_cartesian(ToroidalPoint(tau=t, psi=rng.uniform(-3, 3),
                                                      phi=rng.uniform(-3, 3)))
                  for t in (tau, tau_s))
-        _, _, shells = toroidal_green_expansion(r, rs, Truncation(20, 20), return_shells=True)
+        _, _, shells = toroidal_green_expansion(r, rs, Truncation(20, 20))
         old, scale = _old_shells(r, rs, 20, 20)
         worst = max(worst, float(np.max(np.abs(np.array(shells) - old) / scale)))
     assert worst <= 1e-12
+
+
+def test_tail_estimate_covers_error_on_bench_region():
+    # the tail counts the azimuthal truncation as well as the last shells;
+    # from the shells alone it covered the error on 6.25% of these pairs
+    rng = np.random.default_rng(3)
+    covered, count = 0, 400
+    for _ in range(count):
+        tau_s = rng.uniform(0.3, 1.0)
+        tau = tau_s + rng.uniform(1.2, 2.5)
+        r, rs = (toroidal_to_cartesian(ToroidalPoint(tau=t, psi=rng.uniform(-math.pi, math.pi),
+                                                     phi=rng.uniform(-math.pi, math.pi)))
+                 for t in (tau, tau_s))
+        val, tail, _ = toroidal_green_expansion(r, rs, Truncation(20, 20))
+        covered += abs(val - 1.0 / math.dist(r, rs)) <= tail
+    assert covered >= 0.9 * count
 
 
 def test_one_element_cases():
@@ -185,8 +201,7 @@ def test_near_axis_expansion_matches_direct_distance():
     with pytest.raises(ConvergenceError):  # the scalar series refuses this tau
         legendre_q(-0.5, 0.0, math.cosh(cartesian_to_toroidal(r).tau))
     direct = 1.0 / math.dist(r, rs)
-    val, tail, shells = toroidal_green_expansion(r, rs, Truncation(*NEAR_AXIS_TRUNCATION),
-                                                 return_shells=True)
+    val, tail, shells = toroidal_green_expansion(r, rs, Truncation(*NEAR_AXIS_TRUNCATION))
     assert abs(val - direct) / direct <= 1e-8
     assert abs(shells[-1]) <= 1e-12 * direct  # the shells have converged
     assert tail <= 1e-8 * direct
