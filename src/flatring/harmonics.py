@@ -171,16 +171,21 @@ def _geometric_tail(mags: np.ndarray) -> np.ndarray:
     return mags[-1] * p / (1.0 - p)
 
 
+def _check_series_limits(tr: Truncation) -> None:
+    """Refuse a truncation too short for the tail estimate of `_double_series`;
+    each expansion calls this before it builds a basis or a table."""
+    if tr.m_max < 1 or tr.n_max < 1:
+        raise DomainError("the tail estimate needs m_max >= 1 and n_max >= 1; "
+                          f"got m_max = {tr.m_max}, n_max = {tr.n_max}")
+
+
 def _double_series(terms: np.ndarray, dphi: np.ndarray, scale: np.ndarray, shape: tuple):
     """Sum of scale * eps_m cos(m dphi) * terms[m, pair, n] over m <= m_max and
-    n <= n_max: (value, tail, shells), floats and a list for shape (), else
-    arrays of that shape.  The tail estimate is a heuristic, not a bound:
-    the extrapolation of the last three shells plus, shell by shell, that of
-    the last two orders."""
+    n <= n_max (both >= 1, see `_check_series_limits`): (value, tail, shells),
+    floats and a list for shape (), else arrays of that shape.  The tail
+    estimate is a heuristic, not a bound: the extrapolation of the last three
+    shells plus, shell by shell, that of the last two orders."""
     m1, _, n1 = terms.shape
-    if m1 < 2 or n1 < 2:
-        raise DomainError("the tail estimate needs m_max >= 1 and n_max >= 1; "
-                          f"got m_max = {m1 - 1}, n_max = {n1 - 1}")
     shells = scale * np.einsum("op,opn->np", _cosine_weights(m1, dphi), terms)  # (n, pairs)
     total = shells.sum(axis=0)
     tail = (_geometric_tail(np.abs(shells[-3:]))  # every order past m_max has eps_m = 2
@@ -194,6 +199,7 @@ def green_expansion(r: CartesianPoint, r_star: CartesianPoint, tr: Truncation, m
     """Partial double series for 1/|r - r*| in flat-ring harmonics: (value,
     tail, shells) as `_double_series` gives them.  Requires t(r) < t(r*) (the
     inner point first); CartesianPoints of arrays give one pair per element."""
+    _check_series_limits(tr)
     p, pref = _flatring_of(r, m)
     p_star, pref_star = _flatring_of(r_star, m)
     if not np.all(p.t < p_star.t):
@@ -256,6 +262,7 @@ def toroidal_green_expansion(r: CartesianPoint, r_star: CartesianPoint, tr: Trun
     tail, shells) as `_double_series` gives them.  Requires tau(r) > tau(r*).
     The +-m and +-n quadrants fold into cosine sums; the Gamma-ratio weight
     makes the folding exact."""
+    _check_series_limits(tr)
     p = cartesian_to_toroidal(r)
     p_star = cartesian_to_toroidal(r_star)
     if not p.tau > p_star.tau:
@@ -298,9 +305,8 @@ def integral_relation_check(
     lhs = integral over (-2K, 2K) of Q_nu(chi(s)) E(s) ds by Gauss-Legendre;
     rhs = 2 pi E(s*) E(it) F(it*), all in real-representative form.  kind is
     'c' or 's'; nu may be any real >= -1/2 (half-integer nu = m - 1/2 gives
-    the azimuthal Fourier coefficients of the reciprocal distance).  For
-    half-integer nu, Q_nu(chi) comes from `toroidal_tables`, which covers
-    every chi > 1; other nu use the `legendre_q` series (chi >= 1.05).
+    the azimuthal Fourier coefficients of the reciprocal distance).
+    Q_nu(chi) comes from one `legendre_q` call on every node, chi > 1.
     """
     if not 0.0 < t < t_star < m.quarter_Kp:
         raise OrderingError("integral relation requires 0 < t < t* < K'")
@@ -309,12 +315,8 @@ def integral_relation_check(
     x, w = _gauss_legendre(n_quad)
     nodes = 2.0 * k_big * x
     chi = flatring_chi(nodes, t, s_star, t_star, m)
-    n = nu + 0.5
-    if n >= 0.0 and n == round(n):  # half-integer degree: the toroidal table's m = 0 column
-        q_chi = toroidal_tables(chi, 0, int(n))[1][0, -1]
-    else:
-        q_chi = [legendre_q(nu, 0.0, c) for c in chi.tolist()]
-    lhs = float(np.dot(2.0 * k_big * w * b.real(nodes, cols=cols)[:, 0], q_chi))
+    lhs = float(np.dot(2.0 * k_big * w * b.real(nodes, cols=cols)[:, 0],
+                       legendre_q(nu, 0.0, chi)))
     rhs = 2.0 * math.pi * float(b.real(s_star, cols=cols)[0, 0] * b.imag(t, cols=cols)[0, 0]
                                 * b.second(t_star, cols=cols)[0, 0])
     return lhs, rhs

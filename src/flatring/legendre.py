@@ -1,14 +1,15 @@
 """Associated Legendre functions on (1, inf) for real degree.
 
-P is evaluated through a Pfaff-transformed Gauss series in (z-1)/(z+1),
-which has positive terms and converges for every z > 1; Q through the
-hypergeometric series in 1/z**2 (DLMF 14.3.6/14.3.7 conventions).
+`legendre_p` and `legendre_q` are closed forms over scipy's Gauss
+hypergeometric function hyp2f1 (DLMF 14.3), on scalars or arrays of z and
+with no cutoff near z = 1; Q of order m >= 1 comes from the order Casoratian
+and the order recurrence that the toroidal tables use too.
 
 The toroidal functions P^m_{n-1/2}, Q^m_{n-1/2} (integer m, n >= 0) come as
 whole tables from recurrences seeded by complete elliptic integrals
 (`toroidal_tables`), after Gil & Segura, Comput. Phys. Commun. 124 (2000)
-104-122; they cover every z > 1, including the z < 1.05 band that the
-scalar Q series refuses.
+104-122; they cover every z > 1 and share no code with hyp2f1, so each is an
+oracle for the other.
 
 Phase convention: the defining formula for Q carries a factor e^{i mu pi}.
 For integer order m this equals (-1)**m and is kept inside the returned real
@@ -22,17 +23,28 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ellipe, ellipkm1, elliprd, gammaln, gammasgn
+from scipy.special import ellipe, ellipkm1, elliprd, gammaln, gammasgn, hyp2f1
 
 from .errors import ConvergenceError, DomainError
-
-_MAX_TERMS_P = 400_000
-_MAX_TERMS_Q = 200_000
-_Q_SLOW_Z = 1.05
 
 
 def _is_integer(x: float, tol: float = 1e-12) -> bool:
     return abs(x - round(x)) <= tol
+
+
+def _finite_z(z, name: str) -> np.ndarray:
+    x = np.asarray(z, dtype=float)
+    if not (np.all(x > 1.0) and np.all(np.isfinite(x))):
+        raise DomainError(f"{name} requires finite z > 1")
+    return x
+
+
+def _result(val: np.ndarray, name: str):
+    """val as a float for a scalar z, else as an array; ConvergenceError where
+    an entry is not finite (overflow, or a Gamma pole of the closed form)."""
+    if not np.all(np.isfinite(val)):
+        raise ConvergenceError(f"{name} leaves the double range", attained=None)
+    return float(val) if val.ndim == 0 else val
 
 
 def gamma_ratio(a: float, b: float) -> float:
@@ -55,56 +67,39 @@ def gamma_ratio(a: float, b: float) -> float:
     return gammasgn(a) * gammasgn(b) * math.exp(gammaln(a) - gammaln(b))
 
 
-def _positive_series(a: float, b: float, c: float, x: float, max_terms: int, what: str) -> float:
-    """Sum 2F1(a,b;c;x) for a,b,c > 0 and 0 <= x < 1 with compensated addition."""
-    total = 1.0
-    comp = 0.0
-    term = 1.0
-    for n in range(max_terms):
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * x
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if term <= 1e-17 * total:
-            return total
-    raise ConvergenceError(
-        f"{what} series did not converge in {max_terms} terms",
-        attained=term / total,
-    )
+def legendre_p(nu: float, mu: float, z):
+    """Associated Legendre function of the first kind P_nu^mu(z) at z > 1, a
+    float for a scalar z and an array for an array z.
 
-
-def legendre_p(nu: float, mu: float, z: float) -> float:
-    """Associated Legendre function of the first kind P_nu^mu(z), z > 1."""
-    if not z > 1.0:
-        raise DomainError(f"legendre_p requires z > 1, got {z!r}")
+    Orders mu <= 0 from the defining series (DLMF 14.3.6),
+    P^{-mu}_nu = ((z-1)/(z+1))^{mu/2} F(nu+1, -nu; mu+1; (1-z)/2) / Gamma(mu+1);
+    positive integer orders m through P^m = Gamma(nu+m+1)/Gamma(nu-m+1) P^{-m}.
+    """
+    x = _finite_z(z, "legendre_p")
     if mu > 0.0:
         if not _is_integer(mu):
             raise DomainError("legendre_p: positive non-integer order is unsupported")
         m = int(round(mu))
-        ratio = gamma_ratio(nu + m + 1.0, nu - m + 1.0)
-        return ratio * legendre_p(nu, -float(m), z)
-    # mu <= 0: all series parameters are positive for nu >= -1/2
-    if nu < -0.5:
-        # degree symmetry P_{-nu-1} = P_nu
-        nu = -nu - 1.0
-    w = (z - 1.0) / (z + 1.0)
-    f = _positive_series(nu + 1.0 - mu, nu + 1.0, 1.0 - mu, w, _MAX_TERMS_P, "legendre_p")
-    log_pref = (
-        -gammaln(1.0 - mu)
-        + 0.5 * mu * (math.log(z + 1.0) - math.log(z - 1.0))
-        - (nu + 1.0) * math.log(0.5 * (z + 1.0))
-    )
-    return math.exp(log_pref + math.log(f))
+        return gamma_ratio(nu + m + 1.0, nu - m + 1.0) * legendre_p(nu, -float(m), z)
+    order = -mu
+    val = (np.exp(0.5 * order * np.log((x - 1.0) / (x + 1.0)) - gammaln(order + 1.0))
+           * hyp2f1(nu + 1.0, -nu, order + 1.0, 0.5 * (1.0 - x)))
+    return _result(val, "legendre_p")
 
 
-def legendre_q(nu: float, mu: float, z: float) -> float:
-    """Associated Legendre function of the second kind Q_nu^mu(z), z > 1.
+def legendre_q(nu: float, mu: float, z):
+    """Associated Legendre function of the second kind Q_nu^mu(z) at z > 1, a
+    float for a scalar z and an array for an array z.
 
     Integer order only; the (-1)**m phase is folded into the real value.
+    With zeta = z + sqrt(z^2-1) = e^tau,
+    Q^0_nu = sqrt(pi) Gamma(nu+1)/Gamma(nu+3/2) zeta^{-nu-1} F(1/2, nu+1; nu+3/2; zeta^-2)
+    (DLMF 14.3.7 after a quadratic transformation of its 2F1), which holds its
+    digits down to z = 1.  Q^1 follows from the order Casoratian
+    P^0 Q^1 - P^1 Q^0 = -1/sqrt(z^2-1), higher orders from `_order_forward`,
+    and negative orders through Q^{-m} = Gamma(nu-m+1)/Gamma(nu+m+1) Q^m.
     """
-    if not z > 1.0:
-        raise DomainError(f"legendre_q requires z > 1, got {z!r}")
+    x = _finite_z(z, "legendre_q")
     if not _is_integer(mu):
         raise DomainError("legendre_q: non-integer order is unsupported (complex-valued)")
     m = int(round(mu))
@@ -112,28 +107,16 @@ def legendre_q(nu: float, mu: float, z: float) -> float:
     if s < 0.0 and _is_integer(s) and round(s) <= -1:
         raise DomainError(f"legendre_q undefined: degree + order = {s!r} in -N")
     if m < 0:
-        ratio = gamma_ratio(nu + m + 1.0, nu - m + 1.0)
-        return ratio * legendre_q(nu, float(-m), z)
-    if z < _Q_SLOW_Z:
-        raise ConvergenceError(
-            f"legendre_q converges too slowly for z = {z!r} < {_Q_SLOW_Z}",
-            attained=None,
-        )
-    x = 1.0 / (z * z)
-    a = 0.5 * (nu + m + 1.0)
-    b = 0.5 * (nu + m + 2.0)
-    c = nu + 1.5
-    f = _positive_series(a, b, c, x, _MAX_TERMS_Q, "legendre_q")
-    sign = -1.0 if m % 2 else 1.0
-    log_pref = (
-        0.5 * math.log(math.pi)
-        + gammaln(nu + m + 1.0)
-        - gammaln(nu + 1.5)
-        + 0.5 * m * math.log((z - 1.0) * (z + 1.0))
-        - (nu + 1.0) * math.log(2.0)
-        - (nu + m + 1.0) * math.log(z)
-    )
-    return sign * math.exp(log_pref + math.log(f))
+        return gamma_ratio(nu + m + 1.0, nu - m + 1.0) * legendre_q(nu, float(-m), z)
+    root = np.sqrt((x - 1.0) * (x + 1.0))  # sinh(tau)
+    zeta = x + root
+    q = np.empty((m + 1, 1) + x.shape)
+    q[0, 0] = (math.sqrt(math.pi) * gamma_ratio(nu + 1.0, nu + 1.5) * zeta ** (-nu - 1.0)
+               * hyp2f1(0.5, nu + 1.0, nu + 1.5, zeta ** -2.0))
+    if m >= 1:
+        q[1, 0] = (legendre_p(nu, 1.0, x) * q[0, 0] - 1.0 / root) / legendre_p(nu, 0.0, x)
+        _order_forward(q, x / root, np.array([nu]))
+    return _result(q[m, 0], "legendre_q")
 
 
 # A minimal solution is run forward where the dominant one outgrows it by
@@ -197,13 +180,12 @@ def _degree_forward(table: np.ndarray, z, first_order: int = 0) -> None:
         table[:, i + 2] = gain[i] * z * table[:, i + 1] - pull[i] * table[:, i]
 
 
-def _order_forward(table: np.ndarray, coth) -> None:
+def _order_forward(table: np.ndarray, coth, nu: np.ndarray) -> None:
     """Fill orders 2.. of a Q table (orders, degrees, ...) in place from its
-    orders 0 and 1 (DLMF 14.10.6; Q is dominant in the order):
-    Q^{m+1} = -2 m coth(tau) Q^m + (n-m+1/2)(n+m-1/2) Q^{m-1} at degree n - 1/2."""
+    orders 0 and 1, column j at degree nu[j] (DLMF 14.10.6; Q is dominant in
+    the order): Q^{m+1} = -2 m coth(tau) Q^m + (nu-m+1)(nu+m) Q^{m-1}."""
     m = np.arange(1.0, table.shape[0] - 1.0)[:, None]
-    n = np.arange(table.shape[1] + 0.0)
-    pull = ((n - m + 0.5) * (n + m - 0.5)).reshape(m.shape[:1] + n.shape + (1,) * (table.ndim - 2))
+    pull = ((nu - m + 1.0) * (nu + m)).reshape(m.shape[:1] + nu.shape + (1,) * (table.ndim - 2))
     for i in range(table.shape[0] - 2):  # order i + 2 from i + 1 and i
         table[i + 2] = (-2.0 * (i + 1)) * coth * table[i + 1] + pull[i] * table[i]
 
@@ -233,9 +215,7 @@ def toroidal_tables(z, m_max: int, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if m_max < 0 or n_max < 0:
         raise DomainError("toroidal_tables: m_max and n_max must be non-negative")
-    z = np.asarray(z, dtype=float)
-    if not (np.all(z > 1.0) and np.all(np.isfinite(z))):
-        raise DomainError("toroidal_tables requires finite z > 1")
+    z = _finite_z(z, "toroidal_tables")
     zm1 = z - 1.0
     zp1 = z + 1.0
     root = np.sqrt(zm1 * zp1)  # sinh(tau)
@@ -262,7 +242,7 @@ def toroidal_tables(z, m_max: int, n_max: int) -> tuple[np.ndarray, np.ndarray]:
             lambda k: 2.0 * k / (k + 0.5), lambda k: -(k - 0.5) / (k + 0.5),
             zm1, e_tau * e_tau, lambda k: e_tau, top_n)
         q[1] = (p[1] * q[0] - 1.0 / root) / p[0]
-        _order_forward(q, 1.0 + cm1)
+        _order_forward(q, 1.0 + cm1, np.arange(top_n + 1) - 0.5)
         p[2:, 0] = _minimal_solution(
             p[0, 0], p[1, 0], lambda k: -2.0 * k, lambda k: -(k - 0.5) ** 2,
             cm1, b, lambda k: -k * np.sqrt(b), top_m)[2:]

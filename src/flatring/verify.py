@@ -156,7 +156,7 @@ def suite_harmonics(seed: int = 0, tol_scale: float = 1.0) -> list[dict]:
     out.append(_check("harmonics.toroidal_green", abs(val - direct) / direct,
                       1e-6 * tol_scale))
 
-    # near the axis (tau < 0.3, cosh tau < 1.05), where the Q series does not reach
+    # near the axis (tau < 0.3, cosh tau < 1.05), where the tables run closest to z = 1
     rt = coords.toroidal_to_cartesian(coords.ToroidalPoint(tau=0.25, psi=1.0, phi=0.2))
     rts = coords.toroidal_to_cartesian(coords.ToroidalPoint(tau=0.1, psi=-1.0, phi=2.0))
     direct = 1.0 / math.dist(rt, rts)

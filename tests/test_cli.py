@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from flatring import lame
 from flatring.cli import main
 
 
@@ -284,6 +285,14 @@ def test_green_truncation_too_short_to_extrapolate_exits_2(capsys, argv):
     assert err.startswith("error: ") and "m_max >= 1 and n_max >= 1" in err
     assert json.loads(out)["error"] == {"type": "DomainError", "message": err[7:].strip(),
                                         "exit_code": 2}
+
+
+@pytest.mark.parametrize("argv", [("--m-max", "0", "--n-max", "100"), ("--n-max", "0")])
+def test_green_truncation_refused_before_any_basis_is_built(capsys, argv):
+    before = lame.basis.cache_info()
+    assert main(["green", *argv]) == 2
+    assert lame.basis.cache_info().misses == before.misses
+    assert "m_max >= 1 and n_max >= 1" in capsys.readouterr().err
 
 
 def test_dirichlet_accepts_zero_azimuthal_order(capsys):

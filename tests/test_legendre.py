@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from flatring.elliptic import complete_k
-from flatring.errors import ConvergenceError, DomainError
+from flatring.errors import DomainError
 from flatring.legendre import gamma_ratio, legendre_p, legendre_q
 
 
@@ -102,8 +102,11 @@ def test_domain_errors():
         legendre_p(0.5, 0.0, 0.9)
     with pytest.raises(DomainError):
         legendre_q(0.5, 0.0, 1.0)
-    with pytest.raises(ConvergenceError):
-        legendre_q(0.5, 0.0, 1.01)  # below the slow-convergence cutoff
+    # z close to 1 is in range: a value, checked against mpmath
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        ref = float(mpmath.re(mpmath.legenq(0.5, 0, 1.01, type=3)))
+    assert legendre_q(0.5, 0.0, 1.01) == pytest.approx(ref, rel=1e-12)
     with pytest.raises(DomainError):
         legendre_q(0.5, 0.25, 2.0)  # non-integer order is complex-valued
     with pytest.raises(DomainError):
@@ -116,3 +119,37 @@ def test_gamma_ratio_half_integers_and_poles():
     assert gamma_ratio(2.0, -1.0) == 0.0
     assert gamma_ratio(0.5 - 21.0, 0.5 + 21.0) == pytest.approx(
         math.pi * (-1.0) ** 21 / math.gamma(21.5) ** 2, rel=1e-12)
+
+
+GRID_NUS = (-0.5, 0.5, 0.75, 2.5, 9.5, 19.5, 24.5)
+GRID_ORDERS = (0, 1, 2, 4, 10, 20)
+GRID_Z = (1 + 1e-8, 1 + 1e-6, 1 + 1e-4, 1.001, 1.01, 1.03, 1.05, 1.5, 3.0, 10.0, 1e3, 1e4)
+
+
+@pytest.mark.parametrize("nu", GRID_NUS)
+def test_p_and_q_against_mpmath_grid(nu):
+    # P^{-m} from its defining series (DLMF 14.3.6) at 40 digits, and P^m through
+    # mpmath's Gamma ratio: legenp spends seconds cancelling near z = 1.  Q^{+-m}
+    # from legenq, whose type-3 Q carries the e^{i m pi} phase as legendre_q does.
+    mp = pytest.importorskip("mpmath")
+    z_arr = np.array(GRID_Z)
+    with mp.workdps(40):
+        v = mp.mpf(nu)
+        for m in GRID_ORDERS:
+            for z in GRID_Z:
+                x = mp.mpf(z)
+                p_minus = (((x - 1) / (x + 1)) ** (mp.mpf(m) / 2)
+                           * mp.hyp2f1(v + 1, -v, m + 1, (1 - x) / 2) / mp.factorial(m))
+                refs = {(legendre_p, -m): p_minus,
+                        (legendre_p, m): mp.gamma(v + m + 1) / mp.gamma(v - m + 1) * p_minus,
+                        (legendre_q, m): mp.re(mp.legenq(v, m, x, type=3)),
+                        (legendre_q, -m): mp.re(mp.legenq(v, -m, x, type=3))}
+                for (f, order), ref in refs.items():
+                    assert abs(f(nu, float(order), z) / ref - 1) <= 1e-12, (f.__name__, order, z)
+            for f in (legendre_p, legendre_q):
+                for order in (m, -m):
+                    arr = f(nu, float(order), z_arr)
+                    assert arr.shape == z_arr.shape
+                    # numpy's vector loops may round a power one ulp apart from its scalar one
+                    np.testing.assert_allclose(arr, [f(nu, float(order), z) for z in GRID_Z],
+                                               rtol=1e-15, atol=0.0)

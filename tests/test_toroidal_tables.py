@@ -23,8 +23,7 @@ from flatring.harmonics import (
 from flatring.legendre import gamma_ratio, legendre_p, legendre_q, toroidal_tables
 
 M_MAX, N_MAX = 20, 40
-# z - 1 from 1e-8 (tau = 1.4e-4) to z = 1e4 (tau = 9.9), across the 1.05 edge
-# below which the scalar Q series refuses
+# z - 1 from 1e-8 (tau = 1.4e-4) to z = 1e4 (tau = 9.9)
 Z_MPMATH = [1 + 1e-8, 1 + 1e-6, 1 + 1e-4, 1.001, 1.01, 1.03, 1.05, 1.5, 3.0, 10.0, 1e3, 1e4]
 ORDERS = (0, 1, 7, 20)
 DEGREES = (0, 1, 13, 40)
@@ -78,21 +77,20 @@ def test_high_orders_far_from_axis():
 
 def test_tables_against_series():
     rng = np.random.default_rng(3)
-    # legendre_q converges from z = 1.05 on; legendre_p everywhere, but slowly
-    # and less accurately for large z, so it is compared up to z = 10
     z_q = np.concatenate([rng.uniform(1.05, 1.6, 6),
                           np.exp(rng.uniform(math.log(1.6), math.log(1e4), 6))])
     z_p = np.concatenate([1.0 + np.exp(rng.uniform(math.log(1e-8), math.log(0.05), 6)),
                           rng.uniform(1.05, 10.0, 6)])
+    # Q below z = 1.05 and P out to z = 1e4
+    z_q = np.concatenate([z_q, 1.0 + np.exp(rng.uniform(math.log(1e-8), math.log(0.05), 6))])
+    z_p = np.concatenate([z_p, np.exp(rng.uniform(math.log(10.0), math.log(1e4), 6))])
     _, q = toroidal_tables(z_q, M_MAX, N_MAX)
     p, _ = toroidal_tables(z_p, M_MAX, N_MAX)
     worst_q = worst_p = 0.0
     for m in range(0, M_MAX + 1, 4):
         for n in range(0, N_MAX + 1, 6):
-            for i, z in enumerate(z_q.tolist()):
-                worst_q = max(worst_q, abs(q[m, n, i] / legendre_q(n - 0.5, m, z) - 1.0))
-            for i, z in enumerate(z_p.tolist()):
-                worst_p = max(worst_p, abs(p[m, n, i] / legendre_p(n - 0.5, m, z) - 1.0))
+            worst_q = max(worst_q, np.max(np.abs(q[m, n] / legendre_q(n - 0.5, m, z_q) - 1.0)))
+            worst_p = max(worst_p, np.max(np.abs(p[m, n] / legendre_p(n - 0.5, m, z_p) - 1.0)))
     assert worst_q <= 1e-12
     assert worst_p <= 1e-12
 
@@ -197,9 +195,10 @@ def test_one_element_cases():
 
 def test_near_axis_expansion_matches_direct_distance():
     r, rs = (toroidal_to_cartesian(pt) for pt in NEAR_AXIS)
-    assert math.cosh(cartesian_to_toroidal(r).tau) < 1.05
-    with pytest.raises(ConvergenceError):  # the scalar series refuses this tau
-        legendre_q(-0.5, 0.0, math.cosh(cartesian_to_toroidal(r).tau))
+    z = math.cosh(cartesian_to_toroidal(r).tau)
+    assert z < 1.05
+    # the table is an oracle for legendre_q at this z < 1.05 too
+    assert legendre_q(-0.5, 0.0, z) == pytest.approx(toroidal_tables(z, 0, 0)[1][0, 0], rel=1e-12)
     direct = 1.0 / math.dist(r, rs)
     val, tail, shells = toroidal_green_expansion(r, rs, Truncation(*NEAR_AXIS_TRUNCATION))
     assert abs(val - direct) / direct <= 1e-8
@@ -224,9 +223,10 @@ def test_integral_relation_below_series_edge(m05):
     x, _ = np.polynomial.legendre.leggauss(512)
     chi = flatring_chi(2.0 * K * x, 0.4 * Kp, 0.8 * K, 0.5 * Kp, m)
     assert chi.min() < 1.05
-    with pytest.raises(ConvergenceError):
-        legendre_q(0.5, 0.0, float(chi.min()))
-    for nu, sup, kind in ((0.5, 0, "c"), (0.5, 1, "s"), (1.5, 2, "c")):
+    # the table is an oracle for legendre_q on every node, chi < 1.05 included
+    q = toroidal_tables(chi, 0, 1)[1][0, 1]
+    assert np.max(np.abs(legendre_q(0.5, 0.0, chi) / q - 1.0)) <= 1e-12
+    for nu, sup, kind in ((0.5, 0, "c"), (0.5, 1, "s"), (1.5, 2, "c"), (0.75, 0, "c")):
         lhs, rhs = integral_relation_check(nu, sup, kind, 0.8 * K, 0.4 * Kp, 0.5 * Kp, m)
         assert abs(lhs - rhs) / abs(rhs) <= 1e-10
 
