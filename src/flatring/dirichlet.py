@@ -23,7 +23,7 @@ from .coords import coordinate_surface_residual
 from .elliptic import Modulus
 from .errors import DomainError, QuadratureWarning
 from .harmonics import HarmonicIndex, Truncation, _gauss_legendre
-from .lame import LameBasis, basis, basis_for
+from .lame import LameBasis, basis, basis_for, imag_axis
 
 _INTERIOR_MARGIN = 1e-3  # in units of K': probes must satisfy t <= t0 - margin
 
@@ -144,8 +144,8 @@ def coefficients(dom: FlatRingDomain, data: BoundaryData, tr: Truncation) -> Coe
     # columns: Ec^0..Ec^N, then Es^1..Es^(N+1)
     cd = np.zeros((2 * tr.m_max + 1, 2 * (tr.n_max + 1)), dtype=complex)
     captured = 0.0
-    for order, b in enumerate(_bases(dom.modulus, tr)):
-        edge = b.imag(dom.t0)[0]
+    bases = _bases(dom.modulus, tr)
+    for order, (b, (edge,)) in enumerate(zip(bases, imag_axis(bases, dom.t0))):
         rows = sorted({tr.m_max + order, tr.m_max - order})
         cd[rows] = (g_hat[rows] @ b.real(s_nodes)) / (8.0 * math.pi * edge)
         captured += 8.0 * math.pi * float(np.sum(np.abs(cd[rows] * edge) ** 2))
@@ -181,8 +181,9 @@ def solve_interior(dom: FlatRingDomain, coeffs: CoefficientTable,
         )
     cd = np.hstack([coeffs.c, coeffs.d])
     total = np.zeros(t.size, dtype=complex)
-    for order, b in enumerate(_bases(m, Truncation(coeffs.m_max, coeffs.n_max))):
-        base = b.real(s) * b.imag(t)
+    bases = _bases(m, Truncation(coeffs.m_max, coeffs.n_max))
+    for order, (b, w) in enumerate(zip(bases, imag_axis(bases, t))):
+        base = b.real(s) * w
         for j in {order, -order}:
             total += (base @ cd[coeffs.m_max + j]) * np.exp(1j * j * phi)
     u = (x * x + y * y) ** -0.25 * total.real.reshape(x.shape)

@@ -30,7 +30,7 @@ from .coords import (
 )
 from .elliptic import Modulus
 from .errors import DomainError, OrderingError
-from .lame import LameBasis, LameFamily, basis, basis_for, family_of_superscript
+from .lame import LameBasis, LameFamily, basis, basis_for, family_of_superscript, imag_axis
 from .legendre import gamma_ratio, legendre_q, toroidal_tables
 
 _AXIS_GUARD = 1e-28  # on x^2 + y^2; external harmonics stay bounded near the axis
@@ -148,12 +148,19 @@ def external_harmonic(idx: HarmonicIndex, q: CartesianPoint, m: Modulus):
     return _harmonic(idx, q, m)
 
 
-def _lame_products(b: LameBasis, s, s_star, t, t_star, cols=slice(None)) -> np.ndarray:
-    """E(s) E(s*) W(t) F(t*) for the columns cols of a basis, one row per
-    point pair: (pairs x columns)."""
+def _lame_products(bases: list[LameBasis], s, s_star, t, t_star, cols=slice(None)) -> np.ndarray:
+    """E(s) E(s*) W(t) F(t*) for the columns cols of each basis, one row per
+    point pair: (bases x pairs x columns).  W of every basis comes from one
+    panel read, and F from another."""
     n = np.size(s)
-    e = b.real(np.concatenate([np.ravel(s), np.ravel(s_star)]), cols=cols)
-    return e[:n] * e[n:] * b.imag(t, cols=cols) * b.second(t_star, cols=cols)
+    both = np.concatenate([np.ravel(s), np.ravel(s_star)])
+    w = imag_axis(bases, t, cols=cols)
+    f = imag_axis(bases, t_star, cols=cols, second=True)
+    products = []
+    for b, wb, fb in zip(bases, w, f):
+        e = b.real(both, cols=cols)
+        products.append(e[:n] * e[n:] * wb * fb)
+    return np.array(products)
 
 
 def _cosine_weights(count: int, angle) -> np.ndarray:
@@ -208,8 +215,8 @@ def green_expansion(r: CartesianPoint, r_star: CartesianPoint, tr: Truncation, m
         p.s, p_star.s, p.t, p_star.t, p.phi - p_star.phi, 0.5 * pref * pref_star))
     n1 = tr.n_max + 1
     # terms[order, pair, n]: the (|m|, n) block Ec^n Ec^n Wc Fc + Es^(n+1) Es^(n+1) Ws Fs
-    terms = np.array([_lame_products(basis(order - 0.5, m, tr.n_max), s, s_star, t, t_star)
-                      for order in range(tr.m_max + 1)])
+    terms = _lame_products([basis(order - 0.5, m, tr.n_max) for order in range(tr.m_max + 1)],
+                           s, s_star, t, t_star)
     return _double_series(terms[..., :n1] + terms[..., n1:], dphi, scale,
                           np.broadcast_shapes(np.shape(p.s), np.shape(p_star.s)))
 
@@ -286,7 +293,7 @@ def addition_theorem_rhs(
         raise DomainError("azimuthal order must be >= 0")
     if not 0.0 < t < t_star < m.quarter_Kp:
         raise OrderingError("addition theorem requires 0 < t < t* < K'")
-    terms = _lame_products(basis(m_order - 0.5, m, n_max), s, s_star, t, t_star)
+    terms = _lame_products([basis(m_order - 0.5, m, n_max)], s, s_star, t, t_star)[0]
     return 0.5 * math.pi * float(np.sum(terms))
 
 
@@ -345,7 +352,7 @@ def flatring_summand(
     pref = 0.5 / math.sqrt(h_phi[0] * h_phi[1])
     specs = [family_of_superscript("c", n)] + ([family_of_superscript("s", n)] if n >= 1 else [])
     b, cols = basis_for(specs, abs(m_order) - 0.5, m)
-    return pref * float(np.sum(_lame_products(b, s, s_star, t, t_star, cols)))
+    return pref * float(np.sum(_lame_products([b], s, s_star, t, t_star, cols)[0]))
 
 
 def toroidal_limit_summand(

@@ -27,7 +27,11 @@ Chebyshev-Lobatto segment's propagators pairwise, carries the state across
 the 32 segments and fits the node values with a fixed interpolation matrix.
 A panel set keeps one stacked coefficient array, the W and W' columns side
 by side; panels are fitted in build order, so panel j runs from edges[j]
-(x = -1) to edges[j+1] (x = +1) whichever way the set grows.
+(x = -1) to edges[j+1] (x = +1) whichever way the set grows.  A read stacks
+the panels that hold its points and sums them by numpy's chebval recurrence,
+run elementwise with each point picking its own panel's coefficients, so the
+values equal chebval's bit for bit; imag_axis runs one such recurrence over
+the panel sets of many bases at once.
 Odd-parity values are stored as the real representative W(t) = E(it)/i with
 W'(0) = E'(0); downstream products always pair matching representatives,
 which reproduces the complex-convention results exactly.
@@ -35,17 +39,21 @@ which reproduces the complex-convention results exactly.
 The second-kind function belongs to the exponent nu+1 at the regular
 singular point t = K' (tau = K' - t = 0).  It is built from the even
 Frobenius series there, continued by integration, and scaled so that
-F(it) dE(it)/dt - E(it) dF(it)/dt = 1 in real-representative form.
+F(it) dE(it)/dt - E(it) dF(it)/dt = 1 in real-representative form.  The
+first-kind values at the hand-off come from a throwaway extension of its
+panels, so a basis keeps only the panels that its readers reach.
 
 LameBasis holds everything of one (nu, k) at a shell depth N: the modes
 Ec^0..Ec^N, Es^1..Es^(N+1), their coefficients, certificates and panels,
-read on arrays of points one matrix product per axis.  basis(nu, m, N)
+read on arrays of points: one matrix product on the real axis, one
+recurrence per read on the imaginary axis.  basis(nu, m, N)
 serves them from one bounded LRU cache; a caller that needs a few modes
 takes the basis of least depth that holds them (basis_for).
 """
 
 from __future__ import annotations
 
+import copy
 import enum
 import functools
 import math
@@ -190,7 +198,7 @@ class _ImagPanels:
         self.t_end = float(t_end)
         self.t_built = float(t0)
         self.state = np.asarray(state0, dtype=float)  # (2M,) = [W..., W'...]
-        self.edges: list[float] = [float(t0)]
+        self.edges = np.array([float(t0)])
         self.coeffs = np.empty((0, _PANEL_DEG + 1, 2 * self.h.size))  # per panel: [W..., W'...]
 
     def _lambda(self, t: float) -> float:
@@ -251,7 +259,7 @@ class _ImagPanels:
             ys[i + 1] = prop[i, 0] @ ys[i]
         ys = ys[..., 0].transpose(0, 2, 1).reshape(deg + 1, 2 * mlen)  # [W..., W'...]
         self.coeffs = np.concatenate([self.coeffs, (_lobatto_fit(deg) @ ys)[None]])
-        self.edges.append(t_to)
+        self.edges = np.append(self.edges, t_to)
         self.state = ys[-1]
         self.t_built = t_to
         if float(np.max(np.abs(self.state))) > _OVERFLOW:
@@ -285,19 +293,54 @@ class _ImagPanels:
                     self.t_built - _PANEL_LOG_GROWTH / self._lambda(self.t_built), self.t_end))
 
     def values(self, t: np.ndarray, derivative: bool = False, cols=slice(None)) -> np.ndarray:
-        """Columns cols of W (or W') at an array of t inside the built range:
-        (len(t), len(cols)), one Clenshaw sum per panel that holds points."""
-        e = np.asarray(self.edges)
-        sign = 1.0 if self.t_end > self.t_start else -1.0
-        j = np.searchsorted(sign * e[1:-1], sign * t, side="right")
-        mlen = self.h.size
-        block = self.coeffs[:, :, mlen:] if derivative else self.coeffs[:, :, :mlen]
-        out = np.empty((t.size, self.h[cols].size))
-        for i in np.unique(j):
-            sel = j == i
-            x = (2.0 * t[sel] - (e[i] + e[i + 1])) / (e[i + 1] - e[i])
-            out[sel] = _cheb.chebval(x, block[i][:, cols]).T
-        return out
+        """Columns cols of W (or W') at an array of t, growing the set to
+        reach them: (len(t), len(cols)), one Clenshaw recurrence over every
+        point's panel coefficients."""
+        return _panel_values([self], t, derivative, cols)
+
+
+def _clenshaw(c: np.ndarray, x: np.ndarray, where: np.ndarray) -> np.ndarray:
+    """sum_j c[j, where] T_j(x) over the first axis of c, elementwise in x:
+    numpy's chebval recurrence operation for operation, so each sum equals
+    chebval's bit for bit."""
+    x2 = 2 * x
+    c0 = c[-2][where]
+    c1 = c[-1][where]
+    for i in range(3, len(c) + 1):
+        tmp = c0
+        c0 = c[-i][where] - c1
+        c1 = tmp + c1 * x2
+    return c0 + c1 * x
+
+
+def _panel_values(sets: list[_ImagPanels], t: np.ndarray, derivative: bool, cols) -> np.ndarray:
+    """Columns cols of W (or W') of every panel set in sets, all of one
+    width, at the points t, side by side: (len(t), sets x columns).  Each
+    set first grows to reach every t.  The run of panels of every set that
+    holds the points is stacked once, and one recurrence sums the stack,
+    picking each point's panel at every step."""
+    width = len(sets) * sets[0].h[cols].size
+    if not t.size:
+        return np.empty((0, width))
+    lowest, highest = float(t.min()), float(t.max())
+    for panels in sets:
+        panels.extend_to(highest if panels.t_end > panels.t_start else lowest)
+    # each point's panel in each set, an inner edge in the panel that starts
+    # there; then its place x in [-1, 1] on that panel
+    j = np.stack([np.searchsorted(p.edges[1:-1], t, side="right") if p.t_end > p.t_start
+                  else np.searchsorted(-p.edges[1:-1], -t, side="right") for p in sets], axis=1)
+    edges = np.concatenate([p.edges for p in sets])
+    at = j + np.cumsum([0] + [p.edges.size for p in sets[:-1]])
+    lo, hi = edges[at], edges[at + 1]
+    x = (2.0 * t[:, None] - (lo + hi)) / (hi - lo)
+    first, stop = j.min(axis=0), j.max(axis=0) + 1
+    mlen = sets[0].h.size
+    half = slice(mlen, None) if derivative else slice(mlen)
+    stack = np.concatenate([p.coeffs[a:b, :, half][:, :, cols]
+                            for p, a, b in zip(sets, first.tolist(), stop.tolist())])
+    runs = stop - first
+    where = j - first + (np.cumsum(runs) - runs)  # each point's panel in the stack
+    return _clenshaw(stack.transpose(1, 0, 2), x[:, :, None], where).reshape(t.size, width)
 
 
 # --- eigensolver -------------------------------------------------------------
@@ -499,44 +542,16 @@ class LameBasis:
 
         Even-parity families store W = E(it); odd-parity families store
         W = E(it)/i, so W(0) = 0 and W'(0) = E'(0).  Extended to t < 0 by
-        parity; t = 0 gives the exact boundary data.
+        parity; t = 0 gives the exact boundary data.  The one-basis case of
+        `imag_axis`.
         """
-        t = np.asarray(t, dtype=float).ravel()
-        a = np.abs(t)
-        top = float(a.max(initial=0.0))
-        if not math.isfinite(top):
-            raise DomainError("imaginary-axis evaluation requires finite t")
-        even = self._even[cols]
-        if top:
-            self._first.extend_to(top)
-            out = self._first.values(a, derivative, cols)
-        else:
-            out = np.empty((t.size, even.size))
-        out[t == 0.0] = self.boundary_data[cols, int(derivative)]
-        # W has the parity of its family, W' the opposite one
-        out[t < 0.0] *= np.where(even == derivative, -1.0, 1.0)
-        return out
+        return imag_axis([self], t, derivative, cols)[0]
 
     def second(self, t, derivative: bool = False, cols=slice(None)) -> np.ndarray:
         """Second-kind F(t) (or dF/dt) for 0 < t < K', with unit Wronskian
         F W' - W F' = 1: the Frobenius series within tau0 of K', the
-        continuation panels below it."""
-        t = np.asarray(t, dtype=float).ravel()
-        kp = self.modulus.quarter_Kp
-        if not np.all((0.0 < t) & (t < kp)):
-            raise DomainError(f"second-kind evaluation requires 0 < t < K', got {t!r}")
-        frobenius, tau0, cont = self._second_kind
-        out = np.empty((t.size, self._even[cols].size))
-        tau = kp - t
-        near = tau <= tau0
-        if near.any():
-            val, dtau = _series_eval(frobenius[:, cols], self.nu, tau[near])
-            out[near] = -dtau if derivative else val
-        far = ~near
-        if far.any():
-            cont.extend_to(float(t[far].min()))
-            out[far] = cont.values(t[far], derivative, cols)
-        return out
+        continuation panels below it.  The one-basis case of `imag_axis`."""
+        return imag_axis([self], t, derivative, cols, second=True)[0]
 
     @functools.cached_property
     def _second_kind(self) -> tuple[np.ndarray, float, _ImagPanels]:
@@ -558,8 +573,12 @@ class LameBasis:
                 f"Frobenius series not converged at handoff radius {tau0!r}",
                 attained=float(tail[bad][0]),
             )
-        # unit Wronskian F W' - W dF/dt, with dF/dt = -dF/dtau
-        scale = 1.0 / (f_tau * self.imag(t1, derivative=True)[0] + self.imag(t1)[0] * df_tau)
+        # unit Wronskian F W' - W dF/dt, with dF/dt = -dF/dtau; W(t1) comes
+        # from a throwaway extension of the first-kind panels, so the basis
+        # keeps only the panels that its readers reach
+        reach = copy.copy(self._first)  # each build rebinds what it changes
+        w1, dw1 = (reach.values(np.array([t1]), derivative)[0] for derivative in (False, True))
+        scale = 1.0 / (f_tau * dw1 + w1 * df_tau)
         cont = _ImagPanels(m, self._first.coef, self.h, t1,
                            np.concatenate([scale * f_tau, -scale * df_tau]), 0.0)
         frobenius = scale * b
@@ -567,12 +586,57 @@ class LameBasis:
         return frobenius, tau0, cont
 
 
+def imag_axis(bases: list[LameBasis], t, derivative: bool = False, cols=slice(None),
+              second: bool = False) -> list[np.ndarray]:
+    """W(t), or with second F(t), or their t-derivatives, of the columns
+    cols of every basis in bases, all of one modulus and shell depth, at the
+    same points: one (points x columns) array per basis, as LameBasis.imag
+    and LameBasis.second give them.
+
+    The panel reads of all bases run as one Clenshaw recurrence; the
+    fix-ups follow on all columns at once: the exact boundary data at t = 0
+    and the parity at t < 0 for W, the Frobenius series within tau0 of K'
+    for F.
+    """
+    t = np.asarray(t, dtype=float).ravel()
+    m, depth = bases[0].modulus, bases[0].n_max
+    if any(b.modulus != m or b.n_max != depth for b in bases):
+        raise DomainError("imag_axis reads bases of one modulus and one shell depth")
+    if second:
+        if not np.all((0.0 < t) & (t < m.quarter_Kp)):
+            raise DomainError(f"second-kind evaluation requires 0 < t < K', got {t!r}")
+        kinds = [b._second_kind for b in bases]
+        sets, at = [cont for _, _, cont in kinds], t
+        # rows that the fix-ups fill; tau0 depends on the modulus alone
+        fixed = m.quarter_Kp - t <= kinds[0][1]
+    else:
+        at = np.abs(t)
+        if not np.all(np.isfinite(at)):
+            raise DomainError("imaginary-axis evaluation requires finite t")
+        sets, fixed = [b._first for b in bases], t == 0.0
+    read = _panel_values(sets, at[~fixed], derivative, cols)
+    out = np.empty((t.size, read.shape[1]))
+    out[~fixed] = read
+    if not second:
+        out[fixed] = np.concatenate([b.boundary_data[cols, int(derivative)] for b in bases])
+        # W has the parity of its family, W' the opposite one
+        even = np.concatenate([b._even[cols] for b in bases])
+        out[t < 0.0] *= np.where(even == derivative, -1.0, 1.0)
+    elif fixed.any():
+        series = [_series_eval(frobenius[:, cols], b.nu, m.quarter_Kp - t[fixed])
+                  for b, (frobenius, _, _) in zip(bases, kinds)]
+        out[fixed] = np.hstack([-dtau if derivative else val for val, dtau in series])
+    return np.split(out, len(bases), axis=1)
+
+
 _BASIS_CACHE_SIZE = 32
 """Bases kept by `basis`.  A (20, 20) expansion reads 21 bases, one per
 order at depth 20, and a single-mode caller adds one small basis per mode;
-32 keeps a full expansion resident with that room to spare.  A depth-20
-basis with both panel sets built takes 0.4-0.6 MB, so the bound also caps
-what a long run can hold at about 20 MB."""
+32 keeps a full expansion resident with that room to spare.  At k = 0.5 a
+depth-20 basis takes 0.20-0.32 MB with the panels that reads at t <= 0.3K'
+and t* >= 0.6K' build, and at most 0.74 MB with both panel sets grown to
+0.9K' and 0.05K', so the bound also caps what a long run can hold at about
+24 MB."""
 
 
 @functools.lru_cache(maxsize=_BASIS_CACHE_SIZE)

@@ -106,6 +106,9 @@ def legendre_q(nu: float, mu: float, z):
     s = nu + m
     if s < 0.0 and _is_integer(s) and round(s) <= -1:
         raise DomainError(f"legendre_q undefined: degree + order = {s!r} in -N")
+    if _is_integer(nu + 1.5) and round(nu + 1.5) <= 0:
+        raise DomainError(f"legendre_q: degree nu = {nu!r} is unsupported: the closed form's "
+                          "Gamma(nu + 3/2) has a pole at nu + 3/2 in {0, -1, ...}")
     if m < 0:
         return gamma_ratio(nu + m + 1.0, nu - m + 1.0) * legendre_q(nu, float(-m), z)
     root = np.sqrt((x - 1.0) * (x + 1.0))  # sinh(tau)

@@ -1,7 +1,8 @@
 """Array evaluation of Lame bases: agreement with one-point, one-column
-reads, the panel read against Clenshaw summation, parity on the imaginary
-axis, the Frobenius hand-off, batched interior probes, and the array forms
-of the elliptic and coordinate maps they rest on."""
+reads, the panel read against Clenshaw summation, the read over several
+bases against each basis's own, parity on the imaginary axis, the Frobenius
+hand-off, batched interior probes, and the array forms of the elliptic and
+coordinate maps they rest on."""
 
 import math
 
@@ -20,8 +21,17 @@ from flatring.coords import (
 from flatring.dirichlet import FlatRingDomain, solve_interior, solve_point_source
 from flatring.elliptic import Modulus, _sncndn, jacobi_imag
 from flatring.errors import DomainError, QuadratureWarning
-from flatring.harmonics import Truncation, green_expansion
-from flatring.lame import LameFamily, _ImagPanels, basis, basis_for, family_of_superscript, shell_specs
+from flatring.harmonics import Truncation, _double_series, _lame_products, green_expansion
+from flatring.lame import (
+    LameBasis,
+    LameFamily,
+    _ImagPanels,
+    basis,
+    basis_for,
+    family_of_superscript,
+    imag_axis,
+    shell_specs,
+)
 
 
 def _close(batch_values, scalar_values, rtol=1e-14):
@@ -113,7 +123,10 @@ def test_imaginary_axis_parity_of_values_and_derivatives(mixed):
 def test_panel_read_matches_clenshaw(mixed):
     # every panel of both sets, in build orientation: panel j runs from
     # edges[j] (x = -1) to edges[j+1] (x = +1), upward for the first kind and
-    # downward for the continuation of the second
+    # downward for the continuation of the second.  An inner edge is read
+    # from the panel that starts there, so each panel is read from its start
+    # up to its end, exclusive but for the set's last edge.  The read runs
+    # chebval's recurrence, so it equals chebval bit for bit.
     m, b, _ = mixed
     mlen = b.h.size
     b.imag(0.85 * m.quarter_Kp), b.second(0.1 * m.quarter_Kp)  # grow both sets
@@ -126,14 +139,60 @@ def test_panel_read_matches_clenshaw(mixed):
         edges = panels.edges
         assert len(panels.coeffs) == len(edges) - 1 > 1
         for j, (a, z) in enumerate(zip(edges[:-1], edges[1:])):
-            # both ends: an inner edge is read from either panel that meets there
-            t = np.concatenate([[a], a + (z - a) * np.linspace(0.01, 0.99, 9), [z]])
+            t = np.concatenate([[a], a + (z - a) * np.linspace(0.01, 0.99, 9),
+                                [z] if j == len(edges) - 2 else []])
             x = (2.0 * t - (a + z)) / (z - a)
             for derivative in (False, True):
                 coeffs = panels.coeffs[j][:, mlen:] if derivative else panels.coeffs[j][:, :mlen]
-                reference = chebyshev.chebval(x, coeffs).T
-                _close(panels.values(t, derivative), reference, rtol=1e-13)
-                _close(panels.values(t[1:-1], derivative), reference[1:-1], rtol=1e-14)
+                assert np.array_equal(panels.values(t, derivative), chebyshev.chebval(x, coeffs).T)
+
+
+def test_multi_basis_read_equals_each_basis_read(m05):
+    # one read over several bases against each basis's own read, on fresh
+    # bases built in different orders: both kinds, values and derivatives,
+    # column subsets, points across several panels, t = 0, t < 0, and both
+    # sides of the Frobenius hand-off
+    m = m05
+    kp = m.quarter_Kp
+    together = [LameBasis(order - 0.5, m, 6) for order in range(5)]
+    alone = [LameBasis(order - 0.5, m, 6) for order in range(5)]
+    tau0 = together[0]._second_kind[1]
+    t_first = np.concatenate([[0.0], np.linspace(-0.85, 0.85, 23) * kp, [0.0]])
+    t_second = np.concatenate([np.linspace(0.1, 0.85, 12) * kp,
+                               kp - tau0 * np.array([1.0 + 1e-3, 1.0 - 1e-3, 0.5, 1e-3])])
+    for cols in (slice(None), [13, 0, 7, 4]):
+        for derivative in (False, True):
+            for second, t in ((False, t_first), (True, t_second)):
+                read = imag_axis(together, t, derivative, cols, second)
+                assert len(read) == len(together)
+                for b, values in zip(alone, read):
+                    own = (b.second if second else b.imag)(t, derivative, cols)
+                    assert values.shape == own.shape and np.array_equal(values, own)
+    assert len(together[0]._first.coeffs) > 3
+    with pytest.raises(DomainError):
+        imag_axis([together[0], LameBasis(0.5, m, 5)], t_first)
+
+
+def test_second_kind_keeps_only_the_panels_read(m05):
+    # the hand-off reads W(K' - tau0) from a throwaway extension: the kept
+    # first-kind set still ends at the panel that covers the highest read,
+    # and later reads above it match a fresh basis bit for bit
+    m = m05
+    kp = m.quarter_Kp
+    b = LameBasis(4.5, m, 6)
+    b.imag(0.3 * kp)
+    edges = b._first.edges.copy()
+    assert edges[-2] < 0.3 * kp <= edges[-1]
+    b.second(0.7 * kp)
+    assert np.array_equal(b._first.edges, edges)
+    assert len(b._first.coeffs) == len(edges) - 1
+    fresh = LameBasis(4.5, m, 6)
+    fresh.second(0.7 * kp)
+    assert len(fresh._first.coeffs) == 0  # the second kind alone keeps no first-kind panel
+    high = np.array([0.5, 0.8, 0.85]) * kp
+    for derivative in (False, True):
+        assert np.array_equal(b.second(high, derivative), fresh.second(high, derivative))
+        assert np.array_equal(b.imag(high, derivative), fresh.imag(high, derivative))
 
 
 def test_lame_batch_columns_follow_specs(m05):
@@ -178,6 +237,31 @@ def test_green_expansion_matches_per_mode_sum(m05):
     last = [abs(x) for x in expected[-3:]]
     ratio = min(max(last[1] / last[0], last[2] / last[1]), 0.95)
     assert tail == pytest.approx(last[-1] * ratio / (1.0 - ratio) + m_tail, rel=1e-9)
+
+
+def test_green_expansion_matches_per_order_products(m05):
+    # the (20, 20) series on array pairs, with every order's W and F read
+    # together, against per-order reads: value, tail and shells exactly
+    m = m05
+    kp, big_k = m.quarter_Kp, m.quarter_K
+    rng = np.random.default_rng(13)
+    inner = FlatRingPoint(s=rng.uniform(-1.9, 1.9, 4) * big_k, t=rng.uniform(0.1, 0.3, 4) * kp,
+                          phi=rng.uniform(-3.0, 3.0, 4), modulus=m)
+    outer = FlatRingPoint(s=rng.uniform(-1.9, 1.9, 4) * big_k,
+                          t=np.array([0.6, 0.7, 0.8, 0.95]) * kp,  # the last in the Frobenius zone
+                          phi=rng.uniform(-3.0, 3.0, 4), modulus=m)
+    r, rs = flatring_to_cartesian(inner), flatring_to_cartesian(outer)
+    tr = Truncation(20, 20)
+    value, tail, shells = green_expansion(r, rs, tr, m)
+    a, b = cartesian_to_flatring(r, m), cartesian_to_flatring(rs, m)
+    terms = np.array([_lame_products([basis(order - 0.5, m, tr.n_max)], a.s, b.s, a.t, b.t)[0]
+                      for order in range(tr.m_max + 1)])
+    scale = 0.5 * (r.x ** 2 + r.y ** 2) ** -0.25 * (rs.x ** 2 + rs.y ** 2) ** -0.25
+    n1 = tr.n_max + 1
+    ref_value, ref_tail, ref_shells = _double_series(terms[..., :n1] + terms[..., n1:],
+                                                     a.phi - b.phi, scale, (4,))
+    assert np.array_equal(value, ref_value) and np.array_equal(tail, ref_tail)
+    assert len(shells) == n1 and all(map(np.array_equal, shells, ref_shells))
 
 
 @pytest.fixture(scope="module")

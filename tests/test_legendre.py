@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -111,6 +113,16 @@ def test_domain_errors():
         legendre_q(0.5, 0.25, 2.0)  # non-integer order is complex-valued
     with pytest.raises(DomainError):
         legendre_q(-3.0, 1.0, 2.0)  # degree + order in -N
+
+
+@pytest.mark.parametrize("nu, m", [(-1.5, 0.0), (-1.5, 2.0), (-3.5, 2.0)])
+def test_legendre_q_refuses_gamma_pole_degrees(nu, m):
+    # at nu + 3/2 in {0, -1, ...} the closed form would take 0 * inf; the
+    # degree is refused before anything is evaluated, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=re.escape(f"nu = {nu!r}")):
+            legendre_q(nu, m, 2.0)
 
 
 def test_gamma_ratio_half_integers_and_poles():
