@@ -1,8 +1,11 @@
 """Complete elliptic integrals and Jacobi elliptic functions.
 
-Real arguments are handled by the descending Landen (AGM) transformation,
-DLMF 22.20(ii); purely imaginary arguments go through the Jacobi imaginary
-transformation, DLMF 22.6(iv), so every returned quantity is real.
+One descending Landen sequence (DLMF 22.20(ii)) gives K = pi/(2 a_n), the
+deficit 1 - E/K of the cosine series of sn**2, and sn, cn, dn at real
+arguments; purely imaginary arguments go through the Jacobi imaginary
+transformation, DLMF 22.6(iv), so every returned quantity is real.  The
+Taylor series of tau**2 ns(tau, k')**2 comes from the Laurent recurrence of
+the Weierstrass function, ns**2 = P - e3 (DLMF 23.6(ii), 23.9.6-23.9.7).
 """
 
 from __future__ import annotations
@@ -19,21 +22,23 @@ POLE_GUARD = 1e-10  # arguments closer than this to a pole raise PoleError
 _MAX_AGM = 32
 
 
-def agm(a: float, b: float) -> float:
-    """Arithmetic-geometric mean of two positive numbers."""
-    for _ in range(_MAX_AGM):
-        if abs(a - b) <= 2 * _EPS * abs(a):
-            break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return 0.5 * (a + b)
+def _landen(k: float, kc: float) -> tuple[list[float], list[float]]:
+    """Descending Landen sequence of modulus k with complement kc: a_0 = 1,
+    b_0 = kc, c_0 = k, then a_(j+1) = (a_j + b_j)/2, b_(j+1) = sqrt(a_j b_j),
+    c_(j+1) = (a_j - b_j)/2 until c_n <= eps a_n.  Returns (a, c)."""
+    a, b, c = [1.0], kc, [k]
+    while abs(c[-1]) > _EPS * a[-1] and len(a) < _MAX_AGM:
+        c.append(0.5 * (a[-1] - b))
+        a.append(0.5 * (a[-1] + b))
+        b = math.sqrt(a[-2] * b)
+    return a, c
 
 
 def complete_k(k: float) -> float:
     """Complete elliptic integral of the first kind K(k), modulus convention."""
     if not 0.0 <= k < 1.0:
         raise DomainError(f"complete_k requires 0 <= k < 1, got {k!r}")
-    kp = math.sqrt((1.0 - k) * (1.0 + k))
-    return math.pi / (2.0 * agm(1.0, kp))
+    return math.pi / (2.0 * _landen(k, math.sqrt((1.0 - k) * (1.0 + k)))[0][-1])
 
 
 @dataclass(frozen=True)
@@ -58,9 +63,9 @@ class Modulus:
         if not 0.0 < k < 1.0:
             raise DomainError(f"modulus must satisfy 0 < k < 1, got {k!r}")
         kp = math.sqrt((1.0 - k) * (1.0 + k))
-        # K' = pi / (2 agm(1, k)); complete_k(k') loses the digits of 1 - k' at small k
+        # K' from the sequence of (k', k); complete_k(k') loses the digits of 1 - k' at small k
         return cls(k=k, k_prime=kp, quarter_K=complete_k(k),
-                   quarter_Kp=math.pi / (2.0 * agm(1.0, k)))
+                   quarter_Kp=math.pi / (2.0 * _landen(kp, k)[0][-1]))
 
     @property
     def a(self) -> float:
@@ -109,29 +114,18 @@ def _sncndn(u, k: float, kc: float | None = None):
     if k == 0.0:
         return xp.sin(u), xp.cos(u), 1.0 if scalar else np.ones_like(u)
     kp2 = 1.0 - k * k if kc is None else kc * kc
-
-    a = [1.0]
-    b = math.sqrt(kp2)
-    c = [k]
-    while abs(c[-1]) > _EPS * a[-1] and len(a) < _MAX_AGM:
-        an = 0.5 * (a[-1] + b)
-        bn = math.sqrt(a[-1] * b)
-        c.append(0.5 * (a[-1] - b))
-        a.append(an)
-        b = bn
+    a, c = _landen(k, math.sqrt(kp2))
     n = len(a) - 1
 
     # reduce by the full period 4K for phase accuracy at large |u|
-    quarter = math.pi / (2.0 * a[n])
-    period = 4.0 * quarter
+    period = 2.0 * math.pi / a[n]  # 4K
     u = u - period * (round(u / period) if scalar else np.round(u / period))
 
     phi = (2.0 ** n) * a[n] * u
     for i in range(n, 0, -1):
         # c[i] < a[i], so the argument never leaves [-1, 1]
         phi = 0.5 * (phi + asin(c[i] / a[i] * xp.sin(phi)))
-    sn = xp.sin(phi)
-    cn = xp.cos(phi)
+    sn, cn = xp.sin(phi), xp.cos(phi)
     # dn**2 = cn**2 + k'**2 sn**2 avoids cancellation in 1 - k**2 sn**2
     dn = xp.sqrt(cn * cn + kp2 * sn * sn)
     return sn, cn, dn
@@ -141,8 +135,7 @@ def jacobi_real(u: float, m: Modulus) -> JacobiTriple:
     """sn, cn, dn at real argument u and modulus m.k."""
     if not math.isfinite(u):
         raise DomainError("jacobi_real requires finite u")
-    sn, cn, dn = _sncndn(u, m.k)
-    return JacobiTriple(sn=sn, cn=cn, dn=dn)
+    return JacobiTriple(*_sncndn(u, m.k))
 
 
 def jacobi_imag(t, m: Modulus) -> JacobiImag:
@@ -182,7 +175,7 @@ def glaisher(t: float, kp: float, code: str) -> float:
         raise DomainError(f"glaisher requires modulus in [0, 1), got {kp!r}")
     num_c, den_c = code
     if den_c in "sc":
-        kq = complete_k(kp) if kp > 0.0 else 0.5 * math.pi
+        kq = complete_k(kp)
         y = t / kq
         nearest = 2.0 * round(0.5 * y) if den_c == "s" else 2.0 * round(0.5 * (y - 1.0)) + 1.0
         if abs(y - nearest) * kq < POLE_GUARD:
@@ -200,19 +193,13 @@ def sn2_fourier_coeffs(m: Modulus, count: int) -> np.ndarray:
 
     DLMF 22.11.13: a[0] = (1 - E/K)/k**2 and, for n >= 1,
     a[n] = -(2 pi**2 / (k**2 K**2)) n q**n / (1 - q**(2n)) with nome
-    q = exp(-pi K'/K).  1 - E/K is the AGM sum of 2**(j-1) c_j**2
-    (DLMF 19.8.6), which has no cancellation at small k.
+    q = exp(-pi K'/K).  1 - E/K is the sum of 2**(j-1) c_j**2 over the
+    Landen sequence (DLMF 19.8.6), which has no cancellation at small k.
     """
     k, k_big = m.k, m.quarter_K
-    a, b, c = 1.0, m.k_prime, k
-    deficit = 0.5 * c * c
-    weight = 0.5
-    for _ in range(_MAX_AGM):
-        if abs(c) <= _EPS * a:
-            break
-        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
-        weight *= 2.0
-        deficit += weight * c * c
+    deficit = 0.0
+    for j, c in enumerate(_landen(k, m.k_prime)[1]):
+        deficit += math.ldexp(c * c, j - 1)
     q = math.exp(-math.pi * m.quarter_Kp / k_big)
     n = np.arange(1, count)
     out = np.empty(count)
@@ -224,37 +211,25 @@ def sn2_fourier_coeffs(m: Modulus, count: int) -> np.ndarray:
 _NS2_MAX_ORDER = 64
 
 
-def sn_series(kappa: float, count: int) -> np.ndarray:
-    """Odd Maclaurin coefficients of sn(tau, kappa): sn = sum c[i] tau**(2i+1).
-
-    Generated from sn'' = -(1 + kappa**2) sn + 2 kappa**2 sn**3.
-    """
-    m = kappa * kappa
-    c = np.zeros(count)
-    c[0] = 1.0
-    for i in range(count - 1):
-        j = 2 * i + 1
-        # coefficient of tau**j in sn**3 uses c[0..i-1] only
-        cube = np.convolve(np.convolve(c[:i], c[:i]), c[:i])[i - 1] if i else 0.0
-        c[i + 1] = (-(1.0 + m) * c[i] + 2.0 * m * cube) / ((j + 2.0) * (j + 1.0))
-    return c
-
-
 def ns2_series_coeffs(m: Modulus, count: int) -> np.ndarray:
-    """Even Taylor coefficients of tau**2 * ns(tau, k')**2 about tau = 0.
+    """Taylor coefficients of tau**2 ns(tau, k')**2 = sum r[p] tau**(2p), p < count <= 64.
 
-    The function is analytic and even with constant term 1; coefficient p
-    multiplies tau**(2p).  At most 64 coefficients are supported.
+    With kappa = k', ns**2 = P - e3 for the Weierstrass P with roots
+    e1 = (2 - kappa**2)/3, e2 = (2 kappa**2 - 1)/3, e3 = -(1 + kappa**2)/3
+    (DLMF 23.6(ii)): r[0] = 1, r[1] = -e3, r[2] = g2/20, r[3] = g3/28 with
+    g2 = 2 sum e_i**2, g3 = 4 e1 e2 e3, and
+    r[n] = 3/((2n+1)(n-3)) sum_(j=2..n-2) r[j] r[n-j] (DLMF 23.9.6-23.9.7).
+    Against a 100-digit reference, each term r[p] R**(2p) at the radius
+    R = 2 min(K, K') is within 1.1e-14 of the largest (k sampled in
+    [1e-8, 1 - 1e-9]), and each r[p] within 1.1e-14 of itself except near
+    k = 1/sqrt(2), where g3 and every odd-p coefficient vanish.
     """
-    if count < 1:
-        raise DomainError("ns2_series_coeffs requires count >= 1")
-    if count > _NS2_MAX_ORDER:
-        raise DomainError(f"ns2_series_coeffs supports at most {_NS2_MAX_ORDER} coefficients")
-    s = sn_series(m.k_prime, count + 1)
-    g = np.convolve(s, s)[:count]  # (sn/tau)**2, an even series with g[0] = 1
-    # r = 1/g by the reciprocal recurrence
-    r = np.zeros(count)
-    r[0] = 1.0
-    for i in range(1, count):
-        r[i] = -(g[1:i + 1] @ r[i - 1::-1])
-    return r
+    if not 1 <= count <= _NS2_MAX_ORDER:
+        raise DomainError(f"ns2_series_coeffs takes 1 to {_NS2_MAX_ORDER} terms, got {count!r}")
+    kp2 = m.k_prime * m.k_prime
+    e1, e2, e3 = (2.0 - kp2) / 3.0, (2.0 * kp2 - 1.0) / 3.0, -(1.0 + kp2) / 3.0
+    r = np.zeros(max(count, 4))
+    r[:4] = 1.0, -e3, 0.1 * (e1 * e1 + e2 * e2 + e3 * e3), e1 * e2 * e3 / 7.0
+    for n in range(4, count):
+        r[n] = 3.0 / ((2 * n + 1) * (n - 3)) * (r[2:n - 1] @ r[n - 2:1:-1])
+    return r[:count]

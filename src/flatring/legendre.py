@@ -76,15 +76,24 @@ def legendre_p(nu: float, mu: float, z):
     positive integer orders m through P^m = Gamma(nu+m+1)/Gamma(nu-m+1) P^{-m}.
     """
     x = _finite_z(z, "legendre_p")
+    if mu > 0.0 and not _is_integer(mu):
+        raise DomainError("legendre_p: positive non-integer order is unsupported")
+    return _result(_p_closed(nu, mu, x), "legendre_p")
+
+
+def _p_closed(nu: float, mu: float, x: np.ndarray) -> np.ndarray:
+    """P^mu_nu(x) for mu <= 0 or a positive integer, as in `legendre_p`."""
     if mu > 0.0:
-        if not _is_integer(mu):
-            raise DomainError("legendre_p: positive non-integer order is unsupported")
         m = int(round(mu))
-        return gamma_ratio(nu + m + 1.0, nu - m + 1.0) * legendre_p(nu, -float(m), z)
+        return gamma_ratio(nu + m + 1.0, nu - m + 1.0) * _p_closed(nu, -float(m), x)
     order = -mu
-    val = (np.exp(0.5 * order * np.log((x - 1.0) / (x + 1.0)) - gammaln(order + 1.0))
-           * hyp2f1(nu + 1.0, -nu, order + 1.0, 0.5 * (1.0 - x)))
-    return _result(val, "legendre_p")
+    return (np.exp(0.5 * order * np.log((x - 1.0) / (x + 1.0)) - gammaln(order + 1.0))
+            * hyp2f1(nu + 1.0, -nu, order + 1.0, 0.5 * (1.0 - x)))
+
+
+def _casoratian_q1(p0, p1, q0, root):
+    """Q^1 from the order Casoratian P^0 Q^1 - P^1 Q^0 = -1/root, root = sinh(tau)."""
+    return (p1 * q0 - 1.0 / root) / p0
 
 
 def legendre_q(nu: float, mu: float, z):
@@ -109,17 +118,18 @@ def legendre_q(nu: float, mu: float, z):
     if _is_integer(nu + 1.5) and round(nu + 1.5) <= 0:
         raise DomainError(f"legendre_q: degree nu = {nu!r} is unsupported: the closed form's "
                           "Gamma(nu + 3/2) has a pole at nu + 3/2 in {0, -1, ...}")
+    scale = 1.0
     if m < 0:
-        return gamma_ratio(nu + m + 1.0, nu - m + 1.0) * legendre_q(nu, float(-m), z)
+        scale, m = gamma_ratio(nu + m + 1.0, nu - m + 1.0), -m
     root = np.sqrt((x - 1.0) * (x + 1.0))  # sinh(tau)
     zeta = x + root
     q = np.empty((m + 1, 1) + x.shape)
     q[0, 0] = (math.sqrt(math.pi) * gamma_ratio(nu + 1.0, nu + 1.5) * zeta ** (-nu - 1.0)
                * hyp2f1(0.5, nu + 1.0, nu + 1.5, zeta ** -2.0))
     if m >= 1:
-        q[1, 0] = (legendre_p(nu, 1.0, x) * q[0, 0] - 1.0 / root) / legendre_p(nu, 0.0, x)
+        q[1, 0] = _casoratian_q1(_p_closed(nu, 0.0, x), _p_closed(nu, 1.0, x), q[0, 0], root)
         _order_forward(q, x / root, np.array([nu]))
-    return _result(q[m, 0], "legendre_q")
+    return scale * _result(q[m, 0], "legendre_q")
 
 
 # A minimal solution is run forward where the dominant one outgrows it by
@@ -244,7 +254,7 @@ def toroidal_tables(z, m_max: int, n_max: int) -> tuple[np.ndarray, np.ndarray]:
             sqrt_a * k_a, ((2.0 - a) * k_a - 2.0 * e_a) / sqrt_a,
             lambda k: 2.0 * k / (k + 0.5), lambda k: -(k - 0.5) / (k + 0.5),
             zm1, e_tau * e_tau, lambda k: e_tau, top_n)
-        q[1] = (p[1] * q[0] - 1.0 / root) / p[0]
+        q[1] = _casoratian_q1(p[0], p[1], q[0], root)
         _order_forward(q, 1.0 + cm1, np.arange(top_n + 1) - 0.5)
         p[2:, 0] = _minimal_solution(
             p[0, 0], p[1, 0], lambda k: -2.0 * k, lambda k: -(k - 0.5) ** 2,

@@ -70,6 +70,11 @@ def suite_elliptic(seed: int = 0, tol_scale: float = 1.0) -> list[dict]:
         abs(r[1] - (1.0 + m.k_prime ** 2) / 3.0),
         1e-13 * tol_scale,
     ))
+    # the full 64-term sum at 0.6 of its radius 2 min(K, K')
+    tau = 1.2 * min(m.quarter_K, m.quarter_Kp)
+    direct = (tau / jacobi_real(tau, Modulus.from_k(m.k_prime)).sn) ** 2
+    series = np.polynomial.polynomial.polyval(tau * tau, ns2_series_coeffs(m, 64))
+    out.append(_check("ns2.series_sum", abs(series - direct) / direct, 1e-13 * tol_scale))
 
     # one array round trip over random V1 points and the corners next to the
     # unit sphere (K - s = 1e-8, both sides and signs) and the axis (t = 0.99 K')

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,7 @@ from flatring.elliptic import (
     jacobi_imag,
     jacobi_real,
     ns2_series_coeffs,
-    sn_series,
+    sn2_fourier_coeffs,
 )
 from flatring.errors import DomainError, PoleError
 
@@ -199,12 +200,6 @@ def test_glaisher_rejects_bad_code():
         glaisher(0.4, 0.8, "xy")
 
 
-def test_sn_series_leading_terms():
-    c = sn_series(0.6, 4)
-    assert c[0] == 1.0
-    assert c[1] == pytest.approx(-(1.0 + 0.36) / 6.0, rel=1e-15)
-
-
 def test_ns2_constant_term():
     m = Modulus.from_k(0.6)
     r = ns2_series_coeffs(m, 6)
@@ -245,3 +240,56 @@ def test_ns2_series_matches_direct_evaluation(k, tau):
     direct = tau * tau / (sn * sn)
     series = sum(float(r[p]) * tau ** (2 * p) for p in range(len(r)))
     assert abs(series - direct) < 1e-11 * direct
+
+
+def _ns2_reference(k: float, count: int) -> list:
+    """tau**2 ns(tau, k')**2 coefficients at 100 digits by an independent route:
+    the odd Maclaurin series of sn from sn'' = -(1 + kappa**2) sn + 2 kappa**2 sn**3,
+    its square, and the reciprocal of the square.  The reciprocal cancels about
+    40 digits, which 100 absorb."""
+    with mp.workdps(100):
+        kp2 = (1 - mp.mpf(k)) * (1 + mp.mpf(k))
+        s = [mp.mpf(1)]  # sn = sum s[i] tau**(2i+1)
+        sq = [mp.mpf(1)]  # (sn/tau)**2 = sum sq[i] tau**(2i)
+        for i in range(count):
+            cube = mp.fsum(sq[p] * s[i - 1 - p] for p in range(i))
+            s.append((-(1 + kp2) * s[i] + 2 * kp2 * cube) / ((2 * i + 3) * (2 * i + 2)))
+            sq.append(mp.fsum(s[p] * s[i + 1 - p] for p in range(i + 2)))
+        r = [mp.mpf(1)]
+        for i in range(1, count):
+            r.append(-mp.fsum(sq[p] * r[i - p] for p in range(1, i + 1)))
+        return r
+
+
+@pytest.mark.parametrize("k", [1e-6, 1e-3, 0.1, 0.5, 0.9, 0.99, 1.0 - 1e-6])
+def test_ns2_coefficients_against_high_precision_reference(k):
+    got = ns2_series_coeffs(Modulus.from_k(k), 64)
+    ref = np.array([float(x) for x in _ns2_reference(k, 64)])
+    keep = np.abs(ref) > 1e-290
+    assert keep.sum() > 40
+    assert np.max(np.abs(got - ref)[keep] / np.abs(ref[keep])) < 1e-13
+
+
+@pytest.mark.parametrize("k", [1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-6])
+@pytest.mark.parametrize("frac", [0.6, 0.7])
+def test_ns2_full_sum_near_radius(k, frac):
+    # the radius of convergence is 2 min(K, K'), the nearest zero of sn(tau, k')
+    m = Modulus.from_k(k)
+    tau = frac * 2.0 * min(m.quarter_K, m.quarter_Kp)
+    series = np.polynomial.polynomial.polyval(tau * tau, ns2_series_coeffs(m, 64))
+    with mp.workdps(40):
+        sn = mp.ellipfun("sn", tau, m=(1 - mp.mpf(k)) * (1 + mp.mpf(k)))
+        ref = float((mp.mpf(tau) / sn) ** 2)
+    assert abs(series - ref) < 1e-14 * ref
+
+
+@pytest.mark.parametrize("k", [1e-6, 1e-3, 0.5, 0.99, 1.0 - 1e-9])
+def test_landen_quantities_against_mpmath(k):
+    m = Modulus.from_k(k)
+    with mp.workdps(50):
+        k2 = mp.mpf(k) ** 2
+        big_k, big_kp = mp.ellipk(k2), mp.ellipk((1 - mp.mpf(k)) * (1 + mp.mpf(k)))
+        deficit = (1 - mp.ellipe(k2) / big_k) / k2
+    for got, ref in ((m.quarter_K, big_k), (m.quarter_Kp, big_kp), (complete_k(k), big_k),
+                     (sn2_fourier_coeffs(m, 3)[0], deficit)):
+        assert abs(got - float(ref)) < 5e-16 * float(ref)
