@@ -73,4 +73,11 @@ from .lame import (
     shell_depth,
     shell_specs,
 )
-from .legendre import gamma_ratio, legendre_p, legendre_q, toroidal_tables
+from .legendre import (
+    gamma_ratio,
+    legendre_p,
+    legendre_q,
+    toroidal_p_table,
+    toroidal_q_table,
+    toroidal_tables,
+)

@@ -203,6 +203,8 @@ def _read_boundary_grid(path: str):
 
 
 def cmd_dirichlet(args) -> int:
+    if not 0.0 < args.t0 < 1.0:
+        raise DomainError(f"--t0 = {args.t0!r} outside (0, 1); it is in units of K'")
     m = Modulus.from_k(args.k)
     kp = m.quarter_Kp
     dom = FlatRingDomain(t0=args.t0 * kp, modulus=m)

@@ -23,7 +23,7 @@ from .coords import coordinate_surface_residual
 from .elliptic import Modulus
 from .errors import DomainError, QuadratureWarning
 from .harmonics import HarmonicIndex, Truncation, _gauss_legendre
-from .lame import LameBasis, basis, basis_for, imag_axis
+from .lame import LameBasis, basis, basis_for, imag_axis, real_axis
 
 _INTERIOR_MARGIN = 1e-3  # in units of K': probes must satisfy t <= t0 - margin
 
@@ -128,7 +128,8 @@ def coefficients(dom: FlatRingDomain, data: BoundaryData, tr: Truncation) -> Coe
 
     c_m^n = (1 / (8 pi Ec(i t0))) integral of g(s, phi) Ec(s) e^{-i m phi};
     d_m^(n+1) likewise with Es and the Es(i t0) normalizer.  Each |m| takes
-    one E(s_nodes) matrix and one W(t0) row, shared by +m and -m.
+    one E(s_nodes) matrix and one W(t0) row, shared by +m and -m; the E
+    matrices of all orders come from one cos/sin table (`real_axis`).
     """
     s_nodes, s_weights, phi_nodes, dphi = _surface_quadrature(dom.modulus, data.n_s, data.n_phi)
     gvals = data.sample(s_nodes, phi_nodes)
@@ -145,9 +146,9 @@ def coefficients(dom: FlatRingDomain, data: BoundaryData, tr: Truncation) -> Coe
     cd = np.zeros((2 * tr.m_max + 1, 2 * (tr.n_max + 1)), dtype=complex)
     captured = 0.0
     bases = _bases(dom.modulus, tr)
-    for order, (b, (edge,)) in enumerate(zip(bases, imag_axis(bases, dom.t0))):
+    for order, (e, (edge,)) in enumerate(zip(real_axis(bases, s_nodes), imag_axis(bases, dom.t0))):
         rows = sorted({tr.m_max + order, tr.m_max - order})
-        cd[rows] = (g_hat[rows] @ b.real(s_nodes)) / (8.0 * math.pi * edge)
+        cd[rows] = (g_hat[rows] @ e) / (8.0 * math.pi * edge)
         captured += 8.0 * math.pi * float(np.sum(np.abs(cd[rows] * edge) ** 2))
 
     # Parseval check against the sampled norm of g
@@ -182,8 +183,8 @@ def solve_interior(dom: FlatRingDomain, coeffs: CoefficientTable,
     cd = np.hstack([coeffs.c, coeffs.d])
     total = np.zeros(t.size, dtype=complex)
     bases = _bases(m, Truncation(coeffs.m_max, coeffs.n_max))
-    for order, (b, w) in enumerate(zip(bases, imag_axis(bases, t))):
-        base = b.real(s) * w
+    for order, (e, w) in enumerate(zip(real_axis(bases, s), imag_axis(bases, t))):
+        base = e * w
         for j in {order, -order}:
             total += (base @ cd[coeffs.m_max + j]) * np.exp(1j * j * phi)
     u = (x * x + y * y) ** -0.25 * total.real.reshape(x.shape)

@@ -30,8 +30,16 @@ from .coords import (
 )
 from .elliptic import Modulus
 from .errors import DomainError, OrderingError
-from .lame import LameBasis, LameFamily, basis, basis_for, family_of_superscript, imag_axis
-from .legendre import gamma_ratio, legendre_q, toroidal_tables
+from .lame import (
+    LameBasis,
+    LameFamily,
+    basis,
+    basis_for,
+    family_of_superscript,
+    imag_axis,
+    real_axis,
+)
+from .legendre import gamma_ratio, legendre_q, toroidal_p_table, toroidal_q_table
 
 _AXIS_GUARD = 1e-28  # on x^2 + y^2; external harmonics stay bounded near the axis
 
@@ -150,17 +158,14 @@ def external_harmonic(idx: HarmonicIndex, q: CartesianPoint, m: Modulus):
 
 def _lame_products(bases: list[LameBasis], s, s_star, t, t_star, cols=slice(None)) -> np.ndarray:
     """E(s) E(s*) W(t) F(t*) for the columns cols of each basis, one row per
-    point pair: (bases x pairs x columns).  W of every basis comes from one
-    panel read, and F from another."""
+    point pair: (bases x pairs x columns).  E of every basis at s and s*
+    comes from one trigonometric table, W from one panel read, and F from
+    another."""
     n = np.size(s)
-    both = np.concatenate([np.ravel(s), np.ravel(s_star)])
+    e = real_axis(bases, np.concatenate([np.ravel(s), np.ravel(s_star)]), cols=cols)
     w = imag_axis(bases, t, cols=cols)
     f = imag_axis(bases, t_star, cols=cols, second=True)
-    products = []
-    for b, wb, fb in zip(bases, w, f):
-        e = b.real(both, cols=cols)
-        products.append(e[:n] * e[n:] * wb * fb)
-    return np.array(products)
+    return np.array([eb[:n] * eb[n:] * wb * fb for eb, wb, fb in zip(e, w, f)])
 
 
 def _cosine_weights(count: int, angle) -> np.ndarray:
@@ -226,8 +231,8 @@ def toroidal_harmonic(m_order: int, n: int, p: ToroidalPoint, external: bool = F
     with X = Q (internal) or P (external) of half-integer degree |n| - 1/2."""
     d = math.cosh(p.tau) - math.cos(p.psi)
     mu, nn = abs(m_order), abs(n)
-    p_tab, q_tab = toroidal_tables(math.cosh(p.tau), mu, nn)
-    x_val = float((p_tab if external else q_tab)[mu, nn])
+    table = toroidal_p_table if external else toroidal_q_table
+    x_val = float(table(math.cosh(p.tau), mu, nn)[mu, nn])
     if m_order < 0:  # X^{-m}_nu = Gamma(nu - m + 1) / Gamma(nu + m + 1) X^m_nu
         x_val *= gamma_ratio(nn - mu + 0.5, nn + mu + 0.5)
     phase = n * p.psi + m_order * p.phi
@@ -236,17 +241,19 @@ def toroidal_harmonic(m_order: int, n: int, p: ToroidalPoint, external: bool = F
 
 def _toroidal_terms(tau: float, tau_star: float, m_max: int, n_max: int) -> np.ndarray:
     """Gamma-weighted radial products (-1)^m Gamma(n-m+1/2) / Gamma(n+m+1/2)
-    Q^m_{n-1/2}(cosh tau) P^m_{n-1/2}(cosh tau*) for m <= m_max, n <= n_max.
+    Q^m_{n-1/2}(cosh tau) P^m_{n-1/2}(cosh tau*) for m <= m_max, n <= n_max,
+    from a Q table built at cosh tau alone and a P table at cosh tau* alone.
 
     The weight's sign and size come from gammasgn/gammaln; the product of the
     three factors is of moderate size even where each factor is not.
     """
-    p, q = toroidal_tables(np.cosh([tau, tau_star]), m_max, n_max)
+    z, z_star = np.cosh([tau, tau_star])
+    q, p = toroidal_q_table(z, m_max, n_max), toroidal_p_table(z_star, m_max, n_max)
     m = np.arange(m_max + 1)[:, None]
     diff = np.arange(n_max + 1) - m + 0.5
     weights = (np.where(m % 2, -1.0, 1.0) * gammasgn(diff)
                * np.exp(gammaln(diff) - gammaln(diff + 2 * m)))
-    return weights * q[..., 0] * p[..., 1]
+    return weights * q * p
 
 
 def toroidal_summand(m_order: int, n: int, tau: float, tau_star: float) -> float:

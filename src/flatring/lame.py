@@ -529,13 +529,9 @@ class LameBasis:
         return sup if family.kind == "c" else self.n_max + sup
 
     def real(self, s, derivative: bool = False, cols=slice(None)) -> np.ndarray:
-        """E(s) (or E'(s)) at real s; the basis carries parity and periodicity."""
-        x = np.multiply.outer(np.asarray(s, dtype=float).ravel(), self._freq)
-        cos_c, sin_c = self._coef[:, :, cols]
-        if derivative:
-            f = self._freq[:, None]
-            return np.cos(x) @ (f * sin_c) - np.sin(x) @ (f * cos_c)
-        return np.cos(x) @ cos_c + np.sin(x) @ sin_c
+        """E(s) (or E'(s)) at real s; the basis carries parity and periodicity.
+        The one-basis case of `real_axis`."""
+        return real_axis([self], s, derivative, cols)[0]
 
     def imag(self, t, derivative: bool = False, cols=slice(None)) -> np.ndarray:
         """Real representative W(t) of E(it) (or its t-derivative).
@@ -584,6 +580,34 @@ class LameBasis:
         frobenius = scale * b
         frobenius.flags.writeable = False
         return frobenius, tau0, cont
+
+
+def real_axis(bases: list[LameBasis], s, derivative: bool = False,
+              cols=slice(None)) -> list[np.ndarray]:
+    """E(s), or E'(s), of the columns cols of every basis in bases, all of one
+    modulus, at the same real points s: one (points x columns) array per
+    basis, as LameBasis.real gives it.
+
+    Every basis sums over a prefix of the frequency grid j pi/(2K), so cos
+    and sin are taken once on the longest grid, and each basis runs its own
+    cosine and sine matrix products on the leading columns it uses.
+    """
+    m = bases[0].modulus
+    if any(b.modulus != m for b in bases):
+        raise DomainError("real_axis reads bases of one modulus")
+    freq = max((b._freq for b in bases), key=len)
+    x = np.multiply.outer(np.asarray(s, dtype=float).ravel(), freq)
+    cos_x, sin_x = np.cos(x), np.sin(x)
+    out = []
+    for b in bases:
+        rows = b._freq.size
+        cos_c, sin_c = b._coef[:, :, cols]
+        if derivative:
+            f = b._freq[:, None]
+            out.append(cos_x[:, :rows] @ (f * sin_c) - sin_x[:, :rows] @ (f * cos_c))
+        else:
+            out.append(cos_x[:, :rows] @ cos_c + sin_x[:, :rows] @ sin_c)
+    return out
 
 
 def imag_axis(bases: list[LameBasis], t, derivative: bool = False, cols=slice(None),

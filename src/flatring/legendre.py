@@ -6,10 +6,12 @@ with no cutoff near z = 1; Q of order m >= 1 comes from the order Casoratian
 and the order recurrence that the toroidal tables use too.
 
 The toroidal functions P^m_{n-1/2}, Q^m_{n-1/2} (integer m, n >= 0) come as
-whole tables from recurrences seeded by complete elliptic integrals
-(`toroidal_tables`), after Gil & Segura, Comput. Phys. Commun. 124 (2000)
-104-122; they cover every z > 1 and share no code with hyp2f1, so each is an
-oracle for the other.
+whole tables from recurrences seeded by complete elliptic integrals, after
+Gil & Segura, Comput. Phys. Commun. 124 (2000) 104-122: `toroidal_p_table`
+and `toroidal_q_table` build one table each, so a caller that reads Q at one
+z and P at another (the toroidal expansion) builds each only where it is
+read, and `toroidal_tables` is the pair at one z.  They cover every z > 1
+and share no code with hyp2f1, so each is an oracle for the other.
 
 Phase convention: the defining formula for Q carries a factor e^{i mu pi}.
 For integer order m this equals (-1)**m and is kept inside the returned real
@@ -203,70 +205,134 @@ def _order_forward(table: np.ndarray, coth, nu: np.ndarray) -> None:
         table[i + 2] = (-2.0 * (i + 1)) * coth * table[i + 1] + pull[i] * table[i]
 
 
-def toroidal_tables(z, m_max: int, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Toroidal functions P^m_{n-1/2}(z) and Q^m_{n-1/2}(z), m = 0..m_max,
-    n = 0..n_max, at every z = cosh(tau) > 1 (scalar or array).
-
-    Returns (p, q), each of shape (m_max + 1, n_max + 1) + np.shape(z); the
-    (-1)**m phase is folded into q as in `legendre_q`.  Raises
-    ConvergenceError when an entry leaves the double range.
-
-    Seeds are closed forms in complete elliptic integrals (DLMF 14.5(v), and
-    their z-derivatives for order 1), with a = 2/(z+1), b = (z-1)/(z+1) and
-    K(b) - E(b) = (b/3) R_D(0, a, 1) so that none cancels where it is used
-    (Q_{1/2} cancels for large z, but seeds only the forward branch near z = 1):
-    P_{-1/2} = (2/pi) sqrt(a) K(b),  P^1_{-1/2} = -(sqrt2/pi)(K(b) - E(b))/sqrt(z-1),
-    P_{1/2} = (2/pi) sqrt(a) ((z+1) E(b) - K(b)),
-    P^1_{1/2} = (sqrt2/pi) sqrt(z-1) (E(b) - R_D/(3 (z+1))),
-    Q_{-1/2} = sqrt(a) K(a),  Q_{1/2} = ((2-a) K(a) - 2 E(a)) / sqrt(a).
-    P runs forward in the degree and Q forward in the order, where each is
-    dominant.  The minimal directions (Q^0 in the degree, P_{-1/2} in the
-    order) use `_minimal_solution`; Q^1 follows from the order Casoratian
-    P^0 Q^1 - P^1 Q^0 = -1/sqrt(z^2-1), and P^m_{1/2} from the degree
-    Casoratian P^m_{-1/2} Q^m_{1/2} - P^m_{1/2} Q^m_{-1/2} = Gamma(m+1/2)^2 / (pi (m-1/2)).
-    After Gil & Segura, Comput. Phys. Commun. 124 (2000) 104-122.
-    """
-    if m_max < 0 or n_max < 0:
-        raise DomainError("toroidal_tables: m_max and n_max must be non-negative")
-    z = _finite_z(z, "toroidal_tables")
+def _corners(z: np.ndarray):
+    """sinh(tau), e^-tau, coth(tau) - 1 and tanh(tau/2)^2 at z = cosh(tau),
+    the closed-form block P^m_{n-1/2}, m, n in {0, 1} (orders x degrees), and
+    Q_{-1/2}, Q_{1/2}: what both tables start from (see `toroidal_tables`)."""
     zm1 = z - 1.0
     zp1 = z + 1.0
     root = np.sqrt(zm1 * zp1)  # sinh(tau)
     e_tau = 1.0 / (z + root)  # e^-tau
-    cm1 = e_tau / root  # coth(tau) - 1
     a = 2.0 / zp1
     b = zm1 / zp1  # tanh(tau/2)^2
     sqrt_a = np.sqrt(a)
     k_b, k_a = ellipkm1(a), ellipkm1(b)
     e_b, e_a = ellipe(b), ellipe(a)
     r_d = elliprd(0.0, a, 1.0)
+    p = [[(2.0 / math.pi) * sqrt_a * k_b, (2.0 / math.pi) * sqrt_a * (zp1 * e_b - k_b)],
+         [-(math.sqrt(2.0) / (3.0 * math.pi)) * np.sqrt(zm1) / zp1 * r_d,
+          (math.sqrt(2.0) / math.pi) * np.sqrt(zm1) * (e_b - r_d / (3.0 * zp1))]]
+    q = [sqrt_a * k_a, ((2.0 - a) * k_a - 2.0 * e_a) / sqrt_a]
+    return root, e_tau, e_tau / root, b, p, q
+
+
+def _q_degrees(z, e_tau, q_seed, top: int) -> np.ndarray:
+    """Q_{n-1/2}, n = 0..top, the minimal solution in the degree (DLMF 14.10.3)
+    from the closed forms q_seed of Q_{-1/2} and Q_{1/2}."""
+    return _minimal_solution(
+        q_seed[0], q_seed[1], lambda k: 2.0 * k / (k + 0.5), lambda k: -(k - 0.5) / (k + 0.5),
+        z - 1.0, e_tau * e_tau, lambda k: e_tau, top)
+
+
+def _table_z(z, m_max: int, n_max: int, name: str) -> np.ndarray:
+    if m_max < 0 or n_max < 0:
+        raise DomainError(f"{name}: m_max and n_max must be non-negative")
+    return _finite_z(z, name)
+
+
+def _finite_table(table: np.ndarray, name: str) -> np.ndarray:
+    if not np.all(np.isfinite(table)):
+        m_max, n_max = table.shape[0] - 1, table.shape[1] - 1
+        raise ConvergenceError(
+            f"{name} up to (m, n) = ({m_max}, {n_max}) leaves the double range", attained=None)
+    return table
+
+
+def toroidal_q_table(z, m_max: int, n_max: int) -> np.ndarray:
+    """Q^m_{n-1/2}(z), m = 0..m_max, n = 0..n_max, at every z = cosh(tau) > 1
+    (scalar or array): shape (m_max + 1, n_max + 1) + np.shape(z), the (-1)**m
+    phase folded in as in `legendre_q`.
+
+    Q^0 is the minimal solution in the degree, from Q_{-1/2} and Q_{1/2}; Q^1
+    comes from the order Casoratian with P^0 and P^1, which run forward in the
+    degree; the higher orders run forward in the order (see `toroidal_tables`).
+    Raises ConvergenceError when an entry leaves the double range.
+    """
+    z = _table_z(z, m_max, n_max, "toroidal_q_table")
+    root, e_tau, cm1, _, p_seed, q_seed = _corners(z)
     top_m, top_n = max(m_max, 1), max(n_max, 1)
-    p = np.empty((top_m + 1, top_n + 1) + z.shape)
-    q = np.empty_like(p)
+    p = np.empty((2, top_n + 1) + z.shape)
+    q = np.empty((top_m + 1, top_n + 1) + z.shape)
     # a branch of _minimal_solution may blow up on the points of the other; only
     # the returned entries are checked
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        p[:2, :2] = [[(2.0 / math.pi) * sqrt_a * k_b, (2.0 / math.pi) * sqrt_a * (zp1 * e_b - k_b)],
-                     [-(math.sqrt(2.0) / (3.0 * math.pi)) * np.sqrt(zm1) / zp1 * r_d,
-                      (math.sqrt(2.0) / math.pi) * np.sqrt(zm1) * (e_b - r_d / (3.0 * zp1))]]
-        _degree_forward(p[:2], z)
-        q[0] = _minimal_solution(
-            sqrt_a * k_a, ((2.0 - a) * k_a - 2.0 * e_a) / sqrt_a,
-            lambda k: 2.0 * k / (k + 0.5), lambda k: -(k - 0.5) / (k + 0.5),
-            zm1, e_tau * e_tau, lambda k: e_tau, top_n)
+        p[:, :2] = p_seed
+        _degree_forward(p, z)
+        q[0] = _q_degrees(z, e_tau, q_seed, top_n)
         q[1] = _casoratian_q1(p[0], p[1], q[0], root)
         _order_forward(q, 1.0 + cm1, np.arange(top_n + 1) - 0.5)
+    return _finite_table(q[:m_max + 1, :n_max + 1], "toroidal_q_table")
+
+
+def toroidal_p_table(z, m_max: int, n_max: int) -> np.ndarray:
+    """P^m_{n-1/2}(z), m = 0..m_max, n = 0..n_max, at every z = cosh(tau) > 1
+    (scalar or array): shape (m_max + 1, n_max + 1) + np.shape(z).
+
+    Q_{-1/2} and Q_{1/2} (the first two degrees of the minimal solution) run
+    forward in the order from the order Casoratian; P_{-1/2} is the minimal
+    solution in the order, P^m_{1/2} comes from the degree Casoratian with
+    those two Q columns, and every order runs forward in the degree (see
+    `toroidal_tables`).  Raises ConvergenceError when an entry, or a Q entry
+    it is built from, leaves the double range.
+    """
+    z = _table_z(z, m_max, n_max, "toroidal_p_table")
+    root, e_tau, cm1, b, p_seed, q_seed = _corners(z)
+    top_m, top_n = max(m_max, 1), max(n_max, 1)
+    p = np.empty((top_m + 1, top_n + 1) + z.shape)
+    q = np.empty((top_m + 1, 2) + z.shape)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        p[:2, :2] = p_seed
+        q[0] = _q_degrees(z, e_tau, q_seed, 1)
+        q[1] = _casoratian_q1(p[0, :2], p[1, :2], q[0], root)
+        _order_forward(q, 1.0 + cm1, np.array([-0.5, 0.5]))
         p[2:, 0] = _minimal_solution(
             p[0, 0], p[1, 0], lambda k: -2.0 * k, lambda k: -(k - 0.5) ** 2,
             cm1, b, lambda k: -k * np.sqrt(b), top_m)[2:]
         m = np.arange(2, top_m + 1.0).reshape((-1,) + (1,) * z.ndim)
         g = np.exp(gammaln(m + 0.5))
         p[2:, 1] = p[2:, 0] * (q[2:, 1] / q[2:, 0]) - g * (g / q[2:, 0]) / (math.pi * (m - 0.5))
-        _degree_forward(p[2:], z, first_order=2)
-    p, q = p[:m_max + 1, :n_max + 1], q[:m_max + 1, :n_max + 1]
-    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
-        raise ConvergenceError(
-            f"toroidal tables up to (m, n) = ({m_max}, {n_max}) leave the double range",
-            attained=None,
-        )
-    return p, q
+        _degree_forward(p, z)
+    return _finite_table(p[:m_max + 1, :n_max + 1], "toroidal_p_table")
+
+
+def toroidal_tables(z, m_max: int, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Toroidal functions P^m_{n-1/2}(z) and Q^m_{n-1/2}(z), m = 0..m_max,
+    n = 0..n_max, at every z = cosh(tau) > 1 (scalar or array): the pair
+    (`toroidal_p_table`, `toroidal_q_table`), for a caller that needs both at
+    the same z.
+
+    Each has shape (m_max + 1, n_max + 1) + np.shape(z); the (-1)**m phase
+    is folded into q as in `legendre_q`.  Raises ConvergenceError when an
+    entry leaves the double range.
+
+    Seeds are closed forms in complete elliptic integrals (DLMF 14.5(v), and
+    their z-derivatives for order 1), with a = 2/(z+1), b = (z-1)/(z+1) and
+    K(b) - E(b) = (b/3) R_D(0, a, 1) so that none cancels where it is used:
+    P_{-1/2} = (2/pi) sqrt(a) K(b),  P^1_{-1/2} = -(sqrt2/pi)(K(b) - E(b))/sqrt(z-1),
+    P_{1/2} = (2/pi) sqrt(a) ((z+1) E(b) - K(b)),
+    P^1_{1/2} = (sqrt2/pi) sqrt(z-1) (E(b) - R_D/(3 (z+1))),
+    Q_{-1/2} = sqrt(a) K(a),  Q_{1/2} = ((2-a) K(a) - 2 E(a)) / sqrt(a)
+    (Q_{1/2} cancels for large z, but seeds only forward branches near z = 1).
+    P runs forward in the degree and Q forward in the order, where each is
+    dominant.  The minimal directions (Q^0 in the degree, P_{-1/2} in the
+    order) use `_minimal_solution`, whose backward start is set by the
+    slowest-damped z of the call; Q^1 follows from the order Casoratian
+    P^0 Q^1 - P^1 Q^0 = -1/sqrt(z^2-1), and P^m_{1/2} from the degree
+    Casoratian P^m_{-1/2} Q^m_{1/2} - P^m_{1/2} Q^m_{-1/2} = Gamma(m+1/2)^2 / (pi (m-1/2)).
+    So the Q table needs P only at orders 0 and 1, and the P table needs Q
+    only at degrees -1/2 and 1/2: each is built alone (`toroidal_q_table`,
+    `toroidal_p_table`), so each backward start is set by the table that a
+    caller reads at that z.
+    After Gil & Segura, Comput. Phys. Commun. 124 (2000) 104-122.
+    """
+    return toroidal_p_table(z, m_max, n_max), toroidal_q_table(z, m_max, n_max)

@@ -170,7 +170,7 @@ def suite_harmonics(seed: int = 0, tol_scale: float = 1.0) -> list[dict]:
                       1e-8 * tol_scale))
 
     rhs = harmonics.addition_theorem_rhs(1, 0.6 * K, 1.3 * K, 0.25 * Kp, 0.65 * Kp, 11, m)
-    _, q_half = legendre.toroidal_tables(harmonics.flatring_chi(
+    q_half = legendre.toroidal_q_table(harmonics.flatring_chi(
         0.6 * K, 0.25 * Kp, 1.3 * K, 0.65 * Kp, m), 0, 1)
     lhs = float(q_half[0, 1])
     out.append(_check("harmonics.addition", abs(rhs - lhs) / abs(lhs), 1e-4 * tol_scale))

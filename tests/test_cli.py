@@ -132,6 +132,15 @@ def test_dirichlet_point_source_command(capsys, m05):
     assert "parseval_residual" in err
 
 
+@pytest.mark.parametrize("t0", ["1.0", "0", "-0.2", "2.1565156474996434", "nan"])
+def test_dirichlet_t0_outside_unit_interval_exits_2(capsys, t0):
+    # --t0 is in units of K'; the error reports it as given
+    code, out, err = run_cli(capsys, "dirichlet", f"--t0={t0}", "--format", "json")
+    assert code == 2
+    assert err.startswith(f"error: --t0 = {float(t0)!r} outside (0, 1)")
+    assert json.loads(out)["error"]["type"] == "DomainError"
+
+
 def test_dirichlet_single_mode_command(capsys, m05):
     code, out, _ = run_cli(
         capsys, "dirichlet", "--boundary", "single-mode",

@@ -30,6 +30,7 @@ from flatring.lame import (
     basis_for,
     family_of_superscript,
     imag_axis,
+    real_axis,
     shell_specs,
 )
 
@@ -171,6 +172,31 @@ def test_multi_basis_read_equals_each_basis_read(m05):
     assert len(together[0]._first.coeffs) > 3
     with pytest.raises(DomainError):
         imag_axis([together[0], LameBasis(0.5, m, 5)], t_first)
+
+
+def test_multi_basis_real_read_equals_each_basis_read(m05):
+    # one cos/sin table over bases with frequency grids of different lengths
+    # (orders and depths differ) against each basis's own read and against
+    # the two matrix products on the basis's own grid, bit for bit
+    m = m05
+    bases = [basis(0.5, m, 3), basis(7.5, m, 6), basis(19.5, m, 6), basis(2.5, m, 10)]
+    assert len({b._freq.size for b in bases}) == len(bases)
+    s = np.concatenate([np.linspace(-2.0, 2.0, 37) * m.quarter_K, [0.0, 5.3, -9.1]])
+    for cols in (slice(None), [3, 0, 2]):
+        for derivative in (False, True):
+            read = real_axis(bases, s, derivative, cols)
+            assert len(read) == len(bases)
+            for b, values in zip(bases, read):
+                x = np.multiply.outer(s, b._freq)
+                cos_c, sin_c = b._coef[:, :, cols]
+                f = b._freq[:, None]
+                own = (np.cos(x) @ (f * sin_c) - np.sin(x) @ (f * cos_c) if derivative
+                       else np.cos(x) @ cos_c + np.sin(x) @ sin_c)
+                assert np.array_equal(values, own)
+                assert np.array_equal(values, b.real(s, derivative, cols))
+    assert real_axis(bases, 0.3)[1].shape == (1, bases[1].h.size)
+    with pytest.raises(DomainError):
+        real_axis([bases[0], basis(0.5, Modulus.from_k(0.3), 3)], s)
 
 
 def test_second_kind_keeps_only_the_panels_read(m05):

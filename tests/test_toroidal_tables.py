@@ -1,6 +1,7 @@
 """Toroidal tables P^m_{n-1/2}, Q^m_{n-1/2} from recurrences, and the
 expansions and checks built on them."""
 
+import functools
 import json
 import math
 
@@ -13,6 +14,7 @@ from flatring.coords import ToroidalPoint, cartesian_to_toroidal, toroidal_to_ca
 from flatring.errors import ConvergenceError, DomainError
 from flatring.harmonics import (
     Truncation,
+    _toroidal_terms,
     flatring_chi,
     integral_relation_check,
     toroidal_green_expansion,
@@ -20,7 +22,14 @@ from flatring.harmonics import (
     toroidal_limit_summand,
     toroidal_summand,
 )
-from flatring.legendre import gamma_ratio, legendre_p, legendre_q, toroidal_tables
+from flatring.legendre import (
+    gamma_ratio,
+    legendre_p,
+    legendre_q,
+    toroidal_p_table,
+    toroidal_q_table,
+    toroidal_tables,
+)
 
 M_MAX, N_MAX = 20, 40
 # z - 1 from 1e-8 (tau = 1.4e-4) to z = 1e4 (tau = 9.9)
@@ -33,6 +42,7 @@ NEAR_AXIS = (ToroidalPoint(tau=0.25, psi=1.0, phi=0.2), ToroidalPoint(tau=0.1, p
 NEAR_AXIS_TRUNCATION = (30, 100)
 
 
+@functools.cache  # shared by the tests that read the same grid
 def _p_reference(m, n, z):
     """mpmath P^m_{n-1/2}(z) at 40 digits.  Within 1e-3 of z = 1, legenp spends
     seconds cancelling, so the defining series (DLMF 14.3.6) with
@@ -46,6 +56,7 @@ def _p_reference(m, n, z):
     return mp.re(mp.legenp(nu, m, z, type=3))
 
 
+@functools.cache
 def _q_reference(m, n, z):
     # mpmath's type-3 Q carries the e^{i m pi} phase, as the tables do
     return mp.re(mp.legenq(mp.mpf(n) - mp.mpf(1) / 2, m, mp.mpf(z), type=3))
@@ -61,6 +72,53 @@ def test_tables_against_mpmath():
                     for table, ref in ((p, _p_reference(m, n, z)), (q, _q_reference(m, n, z))):
                         worst = max(worst, float(abs(table[m, n, i] - ref) / abs(ref)))
     assert worst <= 1e-13
+
+
+def test_single_tables_against_mpmath_and_the_pair():
+    # each table built alone at one z (its own backward starts) against
+    # mpmath, and the array calls against the pair at the same z
+    z = np.array(Z_MPMATH)
+    p_all, q_all = toroidal_p_table(z, M_MAX, N_MAX), toroidal_q_table(z, M_MAX, N_MAX)
+    p_pair, q_pair = toroidal_tables(z, M_MAX, N_MAX)
+    assert np.array_equal(p_all, p_pair) and np.array_equal(q_all, q_pair)
+    worst = 0.0
+    with mp.workdps(40):
+        for i, zi in enumerate(Z_MPMATH):
+            p, q = toroidal_p_table(zi, M_MAX, N_MAX), toroidal_q_table(zi, M_MAX, N_MAX)
+            assert p.shape == q.shape == (M_MAX + 1, N_MAX + 1)
+            assert np.allclose(p, p_all[..., i], rtol=1e-14, atol=0.0)
+            assert np.allclose(q, q_all[..., i], rtol=1e-14, atol=0.0)
+            for m in ORDERS:
+                for n in DEGREES:
+                    for table, ref in ((p, _p_reference(m, n, zi)), (q, _q_reference(m, n, zi))):
+                        worst = max(worst, float(abs(table[m, n] - ref) / abs(ref)))
+    assert worst <= 1e-13
+    for build in (toroidal_p_table, toroidal_q_table):
+        with pytest.raises(DomainError):
+            build(1.0, 2, 2)
+        with pytest.raises(DomainError):
+            build(2.0, 2, -1)
+        with pytest.raises(ConvergenceError):
+            build(1.5, 200, 4)
+
+
+def test_expansion_terms_match_the_pair_tables():
+    # Q at cosh tau and P at cosh tau* from their own tables against the
+    # joint tables at both points, over the bench region
+    rng = np.random.default_rng(17)
+    m = np.arange(21)[:, None]
+    diff = np.arange(21) - m + 0.5
+    weights = (-1.0) ** m * np.array([[gamma_ratio(d, d + 2 * mm) for d in row]
+                                      for mm, row in zip(range(21), diff)])
+    worst = 0.0
+    for _ in range(500):
+        tau_s = rng.uniform(0.3, 1.0)
+        tau = tau_s + rng.uniform(1.2, 2.5)
+        p, q = toroidal_tables(np.cosh([tau, tau_s]), 20, 20)
+        joint = weights * q[..., 0] * p[..., 1]
+        terms = _toroidal_terms(tau, tau_s, 20, 20)
+        worst = max(worst, float(np.max(np.abs(terms - joint)) / np.max(np.abs(joint))))
+    assert worst <= 1e-14
 
 
 def test_high_orders_far_from_axis():
@@ -247,6 +305,8 @@ def test_integral_relation_table_matches_series(m05):
     (["green", "--point=1,2", "--format", "json"], 2, "DomainError"),
     (["eigen", "--k", "0.999999", "--nu", "2000.5", "--n-range", "0:0", "--format", "json"],
      3, "ConvergenceError"),
+    # Q^200 and P^200 leave the double range
+    (["green", "--toroidal", "--m-max", "200", "--format", "json"], 3, "ConvergenceError"),
 ])
 def test_cli_json_error_object(capsys, argv, code, kind):
     assert main(argv) == code
