@@ -34,7 +34,6 @@ from .elliptic import (
     JacobiTriple,
     Modulus,
     complete_k,
-    glaisher,
     jacobi_imag,
     jacobi_real,
     ns2_series_coeffs,

@@ -162,32 +162,6 @@ def jacobi_imag(t, m: Modulus) -> JacobiImag:
                       dn=where(far, m.k, dn) / den)
 
 
-def glaisher(t: float, kp: float, code: str) -> float:
-    """Glaisher-notation quotient (sc, ns, nd, dc, cd, ds, cs, ...) at modulus kp.
-
-    Raises PoleError when t is within the guard band of a zero of the
-    denominator function: sn vanishes at even multiples of K(kp), cn at odd
-    multiples.
-    """
-    if len(code) != 2 or any(ch not in "scdn" for ch in code):
-        raise DomainError(f"unknown Glaisher code {code!r}")
-    if not 0.0 <= kp < 1.0:
-        raise DomainError(f"glaisher requires modulus in [0, 1), got {kp!r}")
-    num_c, den_c = code
-    if den_c in "sc":
-        kq = complete_k(kp)
-        y = t / kq
-        nearest = 2.0 * round(0.5 * y) if den_c == "s" else 2.0 * round(0.5 * (y - 1.0)) + 1.0
-        if abs(y - nearest) * kq < POLE_GUARD:
-            raise PoleError(f"glaisher {code} pole near t = {t!r}")
-    sn, cn, dn = _sncndn(t, kp)
-    values = {"s": sn, "c": cn, "d": dn, "n": 1.0}
-    den = values[den_c]
-    if den == 0.0:
-        raise PoleError(f"glaisher {code} pole at t = {t!r}")
-    return values[num_c] / den
-
-
 def sn2_fourier_coeffs(m: Modulus, count: int) -> np.ndarray:
     """Cosine coefficients of sn(s, k)**2 = sum a[n] cos(n pi s / K), n < count.
 

@@ -37,11 +37,13 @@ W'(0) = E'(0); downstream products always pair matching representatives,
 which reproduces the complex-convention results exactly.
 
 The second-kind function belongs to the exponent nu+1 at the regular
-singular point t = K' (tau = K' - t = 0).  It is built from the even
-Frobenius series there, continued by integration, and scaled so that
-F(it) dE(it)/dt - E(it) dF(it)/dt = 1 in real-representative form.  The
-first-kind values at the hand-off come from a throwaway extension of its
-panels, so a basis keeps only the panels that its readers reach.
+singular point t = K' (tau = K' - t = 0).  Each basis reads it from the even
+Frobenius series there out to its own hand-off tau0, at most 0.3 of the
+series' radius, one Horner recurrence in tau^2 for all bases of a read, and
+from panels built on demand below K' - tau0.  F is scaled so that
+F(it) dE(it)/dt - E(it) dF(it)/dt = 1 in real-representative form, with W
+at K' - tau0 from a throwaway extension of the first-kind panels, so a
+basis keeps only the panels that its readers reach.
 
 LameBasis holds everything of one (nu, k) at a shell depth N: the modes
 Ec^0..Ec^N, Es^1..Es^(N+1), their coefficients, certificates and panels,
@@ -73,7 +75,8 @@ _PANEL_DEG = 32
 _PANEL_LOG_GROWTH = 4.0
 _IMAG_T_CAP = 1.0 - 2e-6    # fraction of K' where imaginary-axis values give up
 _OVERFLOW = 1e250
-_FROBENIUS_TERMS = 64
+_FROBENIUS_TERMS = 64  # the most that ns2_series_coeffs gives
+_FROBENIUS_COND = 100.0  # the largest sum |b_p tau^(2p)| / |sum b_p tau^(2p)| at tau0
 
 
 @functools.cache
@@ -416,16 +419,27 @@ def _frobenius_coeffs(nu: float, h, m: Modulus, count: int) -> np.ndarray:
     return b
 
 
-def _series_eval(coeffs: np.ndarray, nu: float, tau):
-    """Value and d/dtau of tau^(nu+1) * sum coeffs[p] tau^(2p); for an array
-    tau and mode columns in coeffs, of shape tau.shape + coeffs.shape[1:]."""
-    p = np.arange(len(coeffs))
-    powers = np.power.outer(np.square(tau), p)
-    u = powers @ coeffs
-    du = powers @ (2.0 * p * coeffs.T).T
-    tau = np.reshape(tau, np.shape(tau) + (1,) * (np.ndim(coeffs) - 1))
-    pw = tau ** (nu + 1.0)
-    return pw * u, (nu + 1.0) * pw / tau * u + pw * du / tau
+def _frobenius_series(nus: list[float], coeffs: list[np.ndarray], tau: np.ndarray,
+                      derivative: bool) -> np.ndarray:
+    """F = tau^(nu+1) sum_p b_p tau^(2p), or dF/dtau = tau^nu sum (nu+1+2p)
+    b_p tau^(2p), of each nu in nus with its b in coeffs (terms x columns, one
+    width) at the points tau, side by side.  The columns, stacked under zero
+    rows to one length, are summed by one Horner recurrence in tau^2 run
+    elementwise, so a column's sum does not depend on what is stacked beside
+    it: a zero row on top changes no bit."""
+    stack = np.zeros((max(map(len, coeffs)), len(coeffs), coeffs[0].shape[1]))
+    for i, b in enumerate(coeffs):
+        stack[:len(b), i] = b
+    if derivative:
+        stack *= (np.add.outer(2.0 * np.arange(len(stack)), nus) + 1.0)[:, :, None]
+    x = np.square(tau)[:, None, None]
+    acc = np.zeros((tau.size,) + stack.shape[1:])
+    for row in stack[::-1]:
+        acc *= x
+        acc += row
+    # a power call per nu, as one basis makes it: numpy takes sqrt for a lone 1/2
+    acc *= np.stack([tau ** (nu + 1.0 - derivative) for nu in nus], axis=1)[:, :, None]
+    return acc.reshape(tau.size, -1)
 
 
 # --- the basis of one (nu, k) ---------------------------------------------------
@@ -553,25 +567,33 @@ class LameBasis:
     def _second_kind(self) -> tuple[np.ndarray, float, _ImagPanels]:
         """The second kind, built on first use: the exponent-(nu+1) Frobenius
         coefficients at K' scaled to unit Wronskian (terms x modes), the
-        hand-off distance tau0, and the continuation panels below it."""
+        hand-off distance tau0, and the continuation panels below it.  tau0 is
+        the largest 0.3 R (1 - j/64), R = 2 min(K, K') the series' radius (so
+        tau0 < 0.6 K'), where in every column the last of 64 terms b_p tau^(2p)
+        is below _TRIM of the sum of their magnitudes, and that sum is at most
+        _FROBENIUS_COND times the magnitude of theirs; only the terms that
+        reach _TRIM there are kept."""
         m, nu = self.modulus, self.nu
         kp = m.quarter_Kp
-        radius = 2.0 * min(m.quarter_K, kp)
-        tau0 = min(0.1 * kp, 0.45 * radius)
-        t1 = kp - tau0
-
         b = _frobenius_coeffs(nu, self.h, m, _FROBENIUS_TERMS)
-        tail = np.abs(b[-1]) * tau0 ** (2 * (_FROBENIUS_TERMS - 1))
-        f_tau, df_tau = _series_eval(b, nu, tau0)
-        bad = ~(np.isfinite(tail) & (tail <= 1e-12 * np.abs(f_tau)))
-        if bad.any():
-            raise ConvergenceError(
-                f"Frobenius series not converged at handoff radius {tau0!r}",
-                attained=float(tail[bad][0]),
-            )
-        # unit Wronskian F W' - W dF/dt, with dF/dt = -dF/dtau; W(t1) comes
-        # from a throwaway extension of the first-kind panels, so the basis
-        # keeps only the panels that its readers reach
+        for tau0 in 0.6 * min(m.quarter_K, kp) * (1.0 - np.arange(64) / 64):
+            terms = b * (tau0 * tau0) ** np.arange(_FROBENIUS_TERMS)[:, None]
+            size = np.abs(terms).sum(axis=0)
+            big = np.any(np.abs(terms) > _TRIM * size, axis=1)
+            count = _FROBENIUS_TERMS - int(np.argmax(big[::-1]))
+            if count < _FROBENIUS_TERMS and np.all(
+                    np.isfinite(size) & (size <= _FROBENIUS_COND * np.abs(terms.sum(axis=0)))):
+                break
+        else:
+            raise ConvergenceError(f"Frobenius series not converged or ill-conditioned "
+                                   f"within {tau0!r} of K'", attained=float(tau0))
+        tau0, b = float(tau0), b[:count]
+        f_tau, df_tau = (_frobenius_series([nu], [b], np.array([tau0]), d)[0]
+                         for d in (False, True))
+        # unit Wronskian F W' - W dF/dt, with dF/dt = -dF/dtau; W(K' - tau0)
+        # comes from a throwaway extension of the first-kind panels, so the
+        # basis keeps only the panels that its readers reach
+        t1 = kp - tau0
         reach = copy.copy(self._first)  # each build rebinds what it changes
         w1, dw1 = (reach.values(np.array([t1]), derivative)[0] for derivative in (False, True))
         scale = 1.0 / (f_tau * dw1 + w1 * df_tau)
@@ -617,50 +639,55 @@ def imag_axis(bases: list[LameBasis], t, derivative: bool = False, cols=slice(No
     same points: one (points x columns) array per basis, as LameBasis.imag
     and LameBasis.second give them.
 
-    The panel reads of all bases run as one Clenshaw recurrence; the
+    The panel reads of all bases run as one Clenshaw recurrence; for W the
     fix-ups follow on all columns at once: the exact boundary data at t = 0
-    and the parity at t < 0 for W, the Frobenius series within tau0 of K'
-    for F.
+    and the parity at t < 0.  Each basis reads F from its Frobenius series
+    within its own tau0 of K' and from its continuation panels below; the
+    bases of one tau0 share one Horner recurrence and one panel read.
     """
     t = np.asarray(t, dtype=float).ravel()
     m, depth = bases[0].modulus, bases[0].n_max
     if any(b.modulus != m or b.n_max != depth for b in bases):
         raise DomainError("imag_axis reads bases of one modulus and one shell depth")
+    width = bases[0].h[cols].size
     if second:
         if not np.all((0.0 < t) & (t < m.quarter_Kp)):
             raise DomainError(f"second-kind evaluation requires 0 < t < K', got {t!r}")
         kinds = [b._second_kind for b in bases]
-        sets, at = [cont for _, _, cont in kinds], t
-        # rows that the fix-ups fill; tau0 depends on the modulus alone
-        fixed = m.quarter_Kp - t <= kinds[0][1]
-    else:
-        at = np.abs(t)
-        if not np.all(np.isfinite(at)):
-            raise DomainError("imaginary-axis evaluation requires finite t")
-        sets, fixed = [b._first for b in bases], t == 0.0
-    read = _panel_values(sets, at[~fixed], derivative, cols)
-    out = np.empty((t.size, read.shape[1]))
-    out[~fixed] = read
-    if not second:
-        out[fixed] = np.concatenate([b.boundary_data[cols, int(derivative)] for b in bases])
-        # W has the parity of its family, W' the opposite one
-        even = np.concatenate([b._even[cols] for b in bases])
-        out[t < 0.0] *= np.where(even == derivative, -1.0, 1.0)
-    elif fixed.any():
-        series = [_series_eval(frobenius[:, cols], b.nu, m.quarter_Kp - t[fixed])
-                  for b, (frobenius, _, _) in zip(bases, kinds)]
-        out[fixed] = np.hstack([-dtau if derivative else val for val, dtau in series])
-    return np.split(out, len(bases), axis=1)
+        tau, out = m.quarter_Kp - t, [None] * len(bases)
+        for tau0 in {tau0 for _, tau0, _ in kinds}:
+            group = [i for i, kind in enumerate(kinds) if kind[1] == tau0]
+            near = tau <= tau0
+            values = np.empty((t.size, len(group) * width))
+            values[~near] = _panel_values([kinds[i][2] for i in group], t[~near], derivative, cols)
+            if near.any():
+                f = _frobenius_series([bases[i].nu for i in group],
+                                      [kinds[i][0][:, cols] for i in group], tau[near], derivative)
+                values[near] = -f if derivative else f
+            for j, i in enumerate(group):
+                out[i] = values[:, j * width:(j + 1) * width]
+        return out
+    at = np.abs(t)
+    if not np.all(np.isfinite(at)):
+        raise DomainError("imaginary-axis evaluation requires finite t")
+    fixed = t == 0.0
+    out = np.empty((t.size, len(bases) * width))
+    out[~fixed] = _panel_values([b._first for b in bases], at[~fixed], derivative, cols)
+    out[fixed] = np.concatenate([b.boundary_data[cols, int(derivative)] for b in bases])
+    # W has the parity of its family, W' the opposite one
+    even = np.concatenate([b._even[cols] for b in bases])
+    out[t < 0.0] *= np.where(even == derivative, -1.0, 1.0)
+    return [out[:, j * width:(j + 1) * width] for j in range(len(bases))]
 
 
 _BASIS_CACHE_SIZE = 32
 """Bases kept by `basis`.  A (20, 20) expansion reads 21 bases, one per
 order at depth 20, and a single-mode caller adds one small basis per mode;
 32 keeps a full expansion resident with that room to spare.  At k = 0.5 a
-depth-20 basis takes 0.20-0.32 MB with the panels that reads at t <= 0.3K'
-and t* >= 0.6K' build, and at most 0.74 MB with both panel sets grown to
-0.9K' and 0.05K', so the bound also caps what a long run can hold at about
-24 MB."""
+depth-20 basis takes 0.13 MB with the panels that reads at t <= 0.3K' and
+t* >= 0.6K' build (F there is read from its series alone), and at most
+0.53 MB with both panel sets grown to 0.9K' and 0.05K', so the bound also
+caps what a long run can hold at about 17 MB."""
 
 
 @functools.lru_cache(maxsize=_BASIS_CACHE_SIZE)

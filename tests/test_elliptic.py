@@ -10,7 +10,6 @@ from flatring.elliptic import (
     JacobiImag,
     Modulus,
     complete_k,
-    glaisher,
     jacobi_imag,
     jacobi_real,
     ns2_series_coeffs,
@@ -174,30 +173,6 @@ def test_jacobi_imag_parity():
         assert abs(a.sn_im + b.sn_im) < 1e-14 * max(1.0, abs(a.sn_im))
         assert abs(a.cn - b.cn) < 1e-14 * a.cn
         assert abs(a.dn - b.dn) < 1e-14 * a.dn
-
-
-def test_glaisher_special_values():
-    assert glaisher(0.0, 0.8, "sc") == 0.0
-    assert glaisher(0.0, 0.8, "nd") == 1.0
-
-
-def test_glaisher_pole():
-    kp = 0.8
-    kq = complete_k(kp)
-    with pytest.raises(PoleError):
-        glaisher(kq, kp, "dc")  # cn(K) = 0
-
-
-def test_glaisher_ratio_composition():
-    kp = 0.8
-    t = jacobi_real(0.4, Modulus.from_k(kp))
-    direct = t.dn / t.sn
-    assert glaisher(0.4, kp, "ds") == pytest.approx(direct, rel=5e-16)
-
-
-def test_glaisher_rejects_bad_code():
-    with pytest.raises(DomainError):
-        glaisher(0.4, 0.8, "xy")
 
 
 def test_ns2_constant_term():

@@ -13,7 +13,7 @@ from flatring.lame import (
     eigenvalue_bracket,
     family_of_superscript,
     _frobenius_coeffs,
-    _series_eval,
+    _frobenius_series,
 )
 from flatring.legendre import legendre_p, legendre_q
 
@@ -190,6 +190,19 @@ def test_second_kind_wronskian_normalization(m05):
         assert abs(w - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("k", [1e-3, 0.1, 0.5, 0.9, 0.99])
+@pytest.mark.parametrize("nu", [-0.5, 0.5, 9.5, 19.5, 40.5])
+def test_second_kind_unit_wronskian_across_the_handoff(k, nu):
+    # every column of a depth-20 basis, on both sides of its own tau0; at
+    # nu = 40.5 the hand-off 0.3 R would sum a series that cancels 3-5 digits
+    m = Modulus.from_k(k)
+    b = LameBasis(nu, m, 20)
+    t = np.linspace(0.3, 0.95, 27) * m.quarter_Kp
+    w = b.second(t) * b.imag(t, derivative=True) - b.imag(t) * b.second(t, derivative=True)
+    assert np.max(np.abs(w - 1.0)) <= 1e-13
+    assert t[0] < m.quarter_Kp - b._second_kind[1] < t[-1]
+
+
 def test_second_kind_leading_coefficient(m05):
     b, cols = basis_for([(LameFamily.EC_EVEN, 2)], 2.5, m05)
     tau = 1e-4 * m05.quarter_Kp
@@ -225,7 +238,7 @@ def test_frobenius_series_matches_legendre_p_at_small_k():
         lb, cols = basis_for([(fam, nz)], nu, m)
         b = _frobenius_coeffs(nu, lb.h[cols[0]], m, 64)
         for tau in (0.3, 0.8):
-            val, _ = _series_eval(b, nu, tau)
+            val = _frobenius_series([nu], [b[:, None]], np.array([tau]), False)[0, 0]
             limit = (2.0 ** (nu + 0.5) * math.gamma(nu + 1.5)
                      * math.sinh(tau) ** 0.5
                      * legendre_p(sup - 0.5, -nu - 0.5, math.cosh(tau)))

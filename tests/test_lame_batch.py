@@ -174,6 +174,44 @@ def test_multi_basis_read_equals_each_basis_read(m05):
         imag_axis([together[0], LameBasis(0.5, m, 5)], t_first)
 
 
+def test_multi_basis_second_kind_read_across_different_handoffs():
+    # at k = 0.9 the orders 9.5, 19.5 and 40.5 hand off at three distances
+    # tau0: one read over them takes, column block by column block, the
+    # series or the panels by each basis's own tau0, and equals each
+    # basis's own read bit for bit, also between the hand-offs
+    m = Modulus.from_k(0.9)
+    kp = m.quarter_Kp
+    nus = (40.5, 9.5, 19.5)
+    together = [LameBasis(nu, m, 6) for nu in nus]
+    alone = [LameBasis(nu, m, 6) for nu in reversed(nus)][::-1]
+    tau0 = sorted(b._second_kind[1] for b in together)
+    assert tau0[0] < tau0[1] < tau0[2] == 0.6 * kp  # 0.3 R with R = 2K' here
+    t = kp - np.concatenate([[0.5 * tau0[0], tau0[0]], np.linspace(tau0[0], tau0[2], 7)[1:],
+                             [1.001 * tau0[2]], np.linspace(0.65, 0.9, 4) * kp])
+    for cols in (slice(None), [9, 0, 4]):
+        for derivative in (False, True):
+            read = imag_axis(together, t, derivative, cols, second=True)
+            for b, values in zip(alone, read):
+                own = b.second(t, derivative, cols)
+                assert values.shape == own.shape and np.array_equal(values, own)
+
+
+def test_green_region_pair_builds_no_continuation_panel(m05):
+    # at k = 0.5 every order of a (20, 20) expansion hands off at 0.3 R, so a
+    # pair at t <= 0.3 K' and t* >= 0.6 K' reads F from the series alone, and
+    # the kept first-kind set still ends at the panel that covers t, though
+    # the hand-off read W at K' - tau0 = 0.53 K'
+    m = m05
+    kp = m.quarter_Kp
+    bases = [LameBasis(order - 0.5, m, 20) for order in range(21)]
+    _lame_products(bases, 0.0, 0.0, 0.3 * kp, 0.6 * kp)
+    for b in bases:
+        assert b._second_kind[1] == 0.6 * min(m.quarter_K, kp)
+        assert len(b._second_kind[2].coeffs) == 0
+        edges = b._first.edges
+        assert edges[-2] < 0.3 * kp <= edges[-1] < kp - b._second_kind[1]
+
+
 def test_multi_basis_real_read_equals_each_basis_read(m05):
     # one cos/sin table over bases with frequency grids of different lengths
     # (orders and depths differ) against each basis's own read and against

@@ -20,7 +20,8 @@ from flatring import lame
 from flatring.elliptic import Modulus, jacobi_imag
 from flatring.lame import LameBasis
 
-CASES = [(0.5, -0.5), (0.5, 19.5), (0.9, 9.5)]  # (k, nu)
+# (k, nu); at nu = 40.5 the second kind hands off inside 0.3 of the series radius
+CASES = [(0.5, -0.5), (0.5, 19.5), (0.9, 9.5), (0.5, 40.5), (0.9, 40.5)]
 T_LO, T_HI = 0.05, 0.85  # fractions of K' checked on the panels
 
 
@@ -126,14 +127,19 @@ def test_first_kind_panels_match_sequential_stepper(case):
 
 
 def test_second_kind_panels_match_sequential_stepper(case):
-    m, _, batch = case
+    # the continuation panels run from K' - tau0 down; at depth 4 two panels
+    # can span all of them, so a fresh depth-16 basis is checked from the
+    # hand-off down to T_LO K'
+    m, nu, _ = case
+    batch = LameBasis(nu, m, 16)
+    batch.second(T_LO * m.quarter_Kp)
     _, tau0, panels = batch._second_kind
     mlen = len(batch.specs)
     t1 = panels.edges[0]  # K' - tau0, where the Frobenius series hands over
     assert t1 == pytest.approx(m.quarter_Kp - tau0)
     start = np.concatenate([batch.second(t1)[0], batch.second(t1, derivative=True)[0]])
     t, ys = _sequential_rk8(panels, start)
-    keep = _in_range(t, m.quarter_Kp)
+    keep = t >= T_LO * m.quarter_Kp
     assert keep.sum() > 2 * lame._PANEL_DEG  # nodes of more than two panels
     assert _colmax_err(batch.second(t[keep]), ys[keep, :mlen]) <= 1e-13
     assert _colmax_err(batch.second(t[keep], derivative=True), ys[keep, mlen:]) <= 1e-13
@@ -173,7 +179,7 @@ def test_second_kind_matches_solve_ivp_on_both_sides_of_tau0(case):
     # the continuation panels to T_LO K'
     t_start = kp - 0.5 * tau0
     series_side = kp - tau0 * np.linspace(0.55, 1.0, 6)
-    t = np.concatenate([series_side, np.linspace(T_HI, T_LO, 33) * kp])
+    t = np.concatenate([series_side, np.linspace(kp - tau0, T_LO * kp, 34)[1:]])
     start = np.concatenate([batch.second(t_start)[0], batch.second(t_start, derivative=True)[0]])
     f, fp = _reference(m, nu, batch, (t_start, t[-1]), start, t)
     assert _colmax_err(batch.second(t), f) <= 1e-10
