@@ -64,11 +64,13 @@ from .harmonics import (
 from .lame import (
     LameBasis,
     LameFamily,
+    OrderSet,
     basis,
     basis_for,
     clear_caches,
     eigenvalue_bracket,
     family_of_superscript,
+    order_set,
     shell_depth,
     shell_specs,
 )

@@ -71,6 +71,8 @@ def _parse_range(text: str) -> list[int]:
         bounds = []
     if not 1 <= len(bounds) <= 2:
         raise DomainError(f"range must be 'a:b' or 'n' with integers, got {text!r}")
+    if bounds[-1] < bounds[0]:
+        raise DomainError(f"range {text!r} is reversed: b must be >= a")
     return list(range(bounds[0], bounds[-1] + 1))
 
 
@@ -138,7 +140,6 @@ def cmd_coords(args) -> int:
 
 
 def cmd_green(args) -> int:
-    m = Modulus.from_k(args.k)
     r = _parse_point(args.point)
     rs = _parse_point(args.point_star)
     tr = Truncation(args.m_max, args.n_max)
@@ -146,7 +147,7 @@ def cmd_green(args) -> int:
     if args.toroidal:
         val, tail, shells = toroidal_green_expansion(r, rs, tr)
     else:
-        val, tail, shells = green_expansion(r, rs, tr, m)
+        val, tail, shells = green_expansion(r, rs, tr, Modulus.from_k(args.k))
     direct = 1.0 / math.dist(r, rs)
     report = {
         "value": val,
@@ -275,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_coords)
 
     p = sub.add_parser("green", help="fundamental-solution expansion report")
-    p.add_argument("--k", type=float, default=0.5)
+    p.add_argument("--k", type=float, default=0.5,
+                   help="modulus of the flat-ring expansion; --toroidal ignores it")
     p.add_argument("--point",
                    default="0.72011603046361605,0.22275799214738415,0.15279435659577331",
                    help="inner point x,y,z (default: flat-ring (0.7K, 0.2K', 0.3) at k=0.5)")

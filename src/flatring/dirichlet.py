@@ -23,7 +23,7 @@ from .coords import coordinate_surface_residual
 from .elliptic import Modulus
 from .errors import DomainError, QuadratureWarning
 from .harmonics import HarmonicIndex, Truncation, _gauss_legendre
-from .lame import LameBasis, basis, basis_for, imag_axis, real_axis
+from .lame import basis_for, order_set
 
 _INTERIOR_MARGIN = 1e-3  # in units of K': probes must satisfy t <= t0 - margin
 
@@ -67,11 +67,6 @@ def _surface_quadrature(m: Modulus, n_s: int, n_phi: int):
     x, w = _gauss_legendre(n_s)
     dphi = 2.0 * math.pi / n_phi
     return 2.0 * m.quarter_K * x, 2.0 * m.quarter_K * w, -math.pi + dphi * np.arange(n_phi), dphi
-
-
-def _bases(m: Modulus, tr: Truncation) -> list[LameBasis]:
-    """The basis of each order |m| <= m_max at shell depth n_max."""
-    return [basis(order - 0.5, m, tr.n_max) for order in range(tr.m_max + 1)]
 
 
 @dataclass
@@ -128,8 +123,8 @@ def coefficients(dom: FlatRingDomain, data: BoundaryData, tr: Truncation) -> Coe
 
     c_m^n = (1 / (8 pi Ec(i t0))) integral of g(s, phi) Ec(s) e^{-i m phi};
     d_m^(n+1) likewise with Es and the Es(i t0) normalizer.  Each |m| takes
-    one E(s_nodes) matrix and one W(t0) row, shared by +m and -m; the E
-    matrices of all orders come from one cos/sin table (`real_axis`).
+    one E(s_nodes) matrix and one W(t0) row, shared by +m and -m, from one
+    read of every order's E and one of every order's W (`lame.order_set`).
     """
     s_nodes, s_weights, phi_nodes, dphi = _surface_quadrature(dom.modulus, data.n_s, data.n_phi)
     gvals = data.sample(s_nodes, phi_nodes)
@@ -145,8 +140,9 @@ def coefficients(dom: FlatRingDomain, data: BoundaryData, tr: Truncation) -> Coe
     # columns: Ec^0..Ec^N, then Es^1..Es^(N+1)
     cd = np.zeros((2 * tr.m_max + 1, 2 * (tr.n_max + 1)), dtype=complex)
     captured = 0.0
-    bases = _bases(dom.modulus, tr)
-    for order, (e, (edge,)) in enumerate(zip(real_axis(bases, s_nodes), imag_axis(bases, dom.t0))):
+    bases = order_set(dom.modulus, tr.m_max, tr.n_max)
+    e_all, (edges,) = bases.real(s_nodes).transpose(1, 0, 2), bases.imag(dom.t0)
+    for order, (e, edge) in enumerate(zip(e_all, edges)):
         rows = sorted({tr.m_max + order, tr.m_max - order})
         cd[rows] = (g_hat[rows] @ e) / (8.0 * math.pi * edge)
         captured += 8.0 * math.pi * float(np.sum(np.abs(cd[rows] * edge) ** 2))
@@ -182,9 +178,9 @@ def solve_interior(dom: FlatRingDomain, coeffs: CoefficientTable,
         )
     cd = np.hstack([coeffs.c, coeffs.d])
     total = np.zeros(t.size, dtype=complex)
-    bases = _bases(m, Truncation(coeffs.m_max, coeffs.n_max))
-    for order, (e, w) in enumerate(zip(real_axis(bases, s), imag_axis(bases, t))):
-        base = e * w
+    bases = order_set(m, coeffs.m_max, coeffs.n_max)
+    products = np.ascontiguousarray((bases.real(s) * bases.imag(t)).transpose(1, 0, 2))
+    for order, base in enumerate(products):
         for j in {order, -order}:
             total += (base @ cd[coeffs.m_max + j]) * np.exp(1j * j * phi)
     u = (x * x + y * y) ** -0.25 * total.real.reshape(x.shape)

@@ -30,15 +30,7 @@ from .coords import (
 )
 from .elliptic import Modulus
 from .errors import DomainError, OrderingError
-from .lame import (
-    LameBasis,
-    LameFamily,
-    basis,
-    basis_for,
-    family_of_superscript,
-    imag_axis,
-    real_axis,
-)
+from .lame import LameFamily, OrderSet, basis, basis_for, family_of_superscript, order_set
 from .legendre import gamma_ratio, legendre_q, toroidal_p_table, toroidal_q_table
 
 _AXIS_GUARD = 1e-28  # on x^2 + y^2; external harmonics stay bounded near the axis
@@ -156,16 +148,15 @@ def external_harmonic(idx: HarmonicIndex, q: CartesianPoint, m: Modulus):
     return _harmonic(idx, q, m)
 
 
-def _lame_products(bases: list[LameBasis], s, s_star, t, t_star, cols=slice(None)) -> np.ndarray:
-    """E(s) E(s*) W(t) F(t*) for the columns cols of each basis, one row per
-    point pair: (bases x pairs x columns).  E of every basis at s and s*
-    comes from one trigonometric table, W from one panel read, and F from
-    another."""
+def _lame_products(bases: OrderSet, s, s_star, t, t_star, cols=slice(None)) -> np.ndarray:
+    """E(s) E(s*) W(t) F(t*) for the columns cols of each basis of the set,
+    one row per point pair: (bases x pairs x columns), in one elementwise
+    product.  E at s and s* comes from one read, W from another and F from
+    a third."""
     n = np.size(s)
-    e = real_axis(bases, np.concatenate([np.ravel(s), np.ravel(s_star)]), cols=cols)
-    w = imag_axis(bases, t, cols=cols)
-    f = imag_axis(bases, t_star, cols=cols, second=True)
-    return np.array([eb[:n] * eb[n:] * wb * fb for eb, wb, fb in zip(e, w, f)])
+    e = bases.real(np.concatenate([np.ravel(s), np.ravel(s_star)]), cols=cols)
+    products = e[:n] * e[n:] * bases.imag(t, cols=cols) * bases.second(t_star, cols=cols)
+    return np.ascontiguousarray(products.transpose(1, 0, 2))
 
 
 def _cosine_weights(count: int, angle) -> np.ndarray:
@@ -220,8 +211,7 @@ def green_expansion(r: CartesianPoint, r_star: CartesianPoint, tr: Truncation, m
         p.s, p_star.s, p.t, p_star.t, p.phi - p_star.phi, 0.5 * pref * pref_star))
     n1 = tr.n_max + 1
     # terms[order, pair, n]: the (|m|, n) block Ec^n Ec^n Wc Fc + Es^(n+1) Es^(n+1) Ws Fs
-    terms = _lame_products([basis(order - 0.5, m, tr.n_max) for order in range(tr.m_max + 1)],
-                           s, s_star, t, t_star)
+    terms = _lame_products(order_set(m, tr.m_max, tr.n_max), s, s_star, t, t_star)
     return _double_series(terms[..., :n1] + terms[..., n1:], dphi, scale,
                           np.broadcast_shapes(np.shape(p.s), np.shape(p_star.s)))
 
@@ -300,7 +290,7 @@ def addition_theorem_rhs(
         raise DomainError("azimuthal order must be >= 0")
     if not 0.0 < t < t_star < m.quarter_Kp:
         raise OrderingError("addition theorem requires 0 < t < t* < K'")
-    terms = _lame_products([basis(m_order - 0.5, m, n_max)], s, s_star, t, t_star)[0]
+    terms = _lame_products(OrderSet([basis(m_order - 0.5, m, n_max)]), s, s_star, t, t_star)
     return 0.5 * math.pi * float(np.sum(terms))
 
 
@@ -359,7 +349,7 @@ def flatring_summand(
     pref = 0.5 / math.sqrt(h_phi[0] * h_phi[1])
     specs = [family_of_superscript("c", n)] + ([family_of_superscript("s", n)] if n >= 1 else [])
     b, cols = basis_for(specs, abs(m_order) - 0.5, m)
-    return pref * float(np.sum(_lame_products([b], s, s_star, t, t_star, cols)[0]))
+    return pref * float(np.sum(_lame_products(OrderSet([b]), s, s_star, t, t_star, cols)))
 
 
 def toroidal_limit_summand(

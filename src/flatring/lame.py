@@ -27,11 +27,13 @@ Chebyshev-Lobatto segment's propagators pairwise, carries the state across
 the 32 segments and fits the node values with a fixed interpolation matrix.
 A panel set keeps one stacked coefficient array, the W and W' columns side
 by side; panels are fitted in build order, so panel j runs from edges[j]
-(x = -1) to edges[j+1] (x = +1) whichever way the set grows.  A read stacks
-the panels that hold its points and sums them by numpy's chebval recurrence,
-run elementwise with each point picking its own panel's coefficients, so the
-values equal chebval's bit for bit; imag_axis runs one such recurrence over
-the panel sets of many bases at once.
+(x = -1) to edges[j+1] (x = +1) whichever way the set grows.  Reads go
+through a stack of panel sets (one set for one basis): the W or W' half of
+every panel of every set in one contiguous block, restacked only when a set
+has grown, and a padded table of edges.  A read finds every point's panel in
+every set at once, gathers those rows of the block once and sums them by
+numpy's chebval recurrence, run elementwise, so the values equal chebval's
+bit for bit.
 Odd-parity values are stored as the real representative W(t) = E(it)/i with
 W'(0) = E'(0); downstream products always pair matching representatives,
 which reproduces the complex-convention results exactly.
@@ -46,11 +48,16 @@ at K' - tau0 from a throwaway extension of the first-kind panels, so a
 basis keeps only the panels that its readers reach.
 
 LameBasis holds everything of one (nu, k) at a shell depth N: the modes
-Ec^0..Ec^N, Es^1..Es^(N+1), their coefficients, certificates and panels,
-read on arrays of points: one matrix product on the real axis, one
-recurrence per read on the imaginary axis.  basis(nu, m, N)
-serves them from one bounded LRU cache; a caller that needs a few modes
-takes the basis of least depth that holds them (basis_for).
+Ec^0..Ec^N, Es^1..Es^(N+1), their coefficients, certificates and panels.
+basis(nu, m, N) serves them from one bounded LRU cache; a caller that needs
+a few modes takes the basis of least depth that holds them (basis_for).
+OrderSet reads bases of one modulus and depth together, on arrays of
+points: E by one cos/sin table, W by one stacked panel read, and F by one
+Horner recurrence and one panel read per hand-off tau0; a LameBasis reads
+as the set of itself.  order_set(m, m_max, N) serves the orders 0..m_max of
+a flat-ring series from a small LRU cache of whole sets, which hold their
+bases, so an expansion with more orders than the basis cache holds builds
+each basis once.
 """
 
 from __future__ import annotations
@@ -191,6 +198,8 @@ class _ImagPanels:
     W'' = (h + c sc^2(t,k')) W, one column per eigenvalue, built from t_start
     toward t_end as far as requests reach."""
 
+    builds = 0  # panels built by every set so far: a stacked read restacks when it moves
+
     def __init__(self, m: Modulus, coef: float, h: np.ndarray, t0: float, state0: np.ndarray,
                  t_end: float):
         self.m = m
@@ -265,6 +274,7 @@ class _ImagPanels:
         self.edges = np.append(self.edges, t_to)
         self.state = ys[-1]
         self.t_built = t_to
+        _ImagPanels.builds += 1
         if float(np.max(np.abs(self.state))) > _OVERFLOW:
             raise PoleError("imaginary-axis solution overflow approaching K'")
 
@@ -295,55 +305,98 @@ class _ImagPanels:
                 self._build_panel(self.t_built, max(
                     self.t_built - _PANEL_LOG_GROWTH / self._lambda(self.t_built), self.t_end))
 
-    def values(self, t: np.ndarray, derivative: bool = False, cols=slice(None)) -> np.ndarray:
+    def values(self, t, derivative: bool = False, cols=slice(None)) -> np.ndarray:
         """Columns cols of W (or W') at an array of t, growing the set to
-        reach them: (len(t), len(cols)), one Clenshaw recurrence over every
-        point's panel coefficients."""
-        return _panel_values([self], t, derivative, cols)
+        reach them: (len(t), len(cols)); the one-set case of `_PanelStack`."""
+        return _PanelStack([self]).values(np.asarray(t, dtype=float), derivative, cols)[:, 0]
 
 
-def _clenshaw(c: np.ndarray, x: np.ndarray, where: np.ndarray) -> np.ndarray:
-    """sum_j c[j, where] T_j(x) over the first axis of c, elementwise in x:
-    numpy's chebval recurrence operation for operation, so each sum equals
-    chebval's bit for bit."""
+def _full(cols) -> bool:
+    """Whether cols is the default slice(None), every column."""
+    return isinstance(cols, slice) and cols == slice(None)
+
+
+def _clenshaw(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_j c[j] T_j(x) over the first axis of c, elementwise, with x of the
+    shape of c[0]: numpy's chebval recurrence operation for operation, so
+    each sum equals chebval's bit for bit.  Every step runs on contiguous
+    arrays of one shape, in place."""
     x2 = 2 * x
-    c0 = c[-2][where]
-    c1 = c[-1][where]
-    for i in range(3, len(c) + 1):
-        tmp = c0
-        c0 = c[-i][where] - c1
-        c1 = tmp + c1 * x2
+    c0, c1 = c[-2].copy(), c[-1].copy()
+    spare = np.empty_like(c0)
+    multiply, subtract = np.multiply, np.subtract
+    for row in c[-3::-1]:
+        # c0, c1 <- row - c1, c0 + c1 x2
+        multiply(c1, x2, spare)
+        spare += c0
+        subtract(row, c1, c0)
+        c1, spare = spare, c1
     return c0 + c1 * x
 
 
-def _panel_values(sets: list[_ImagPanels], t: np.ndarray, derivative: bool, cols) -> np.ndarray:
-    """Columns cols of W (or W') of every panel set in sets, all of one
-    width, at the points t, side by side: (len(t), sets x columns).  Each
-    set first grows to reach every t.  The run of panels of every set that
-    holds the points is stacked once, and one recurrence sums the stack,
-    picking each point's panel at every step."""
-    width = len(sets) * sets[0].h[cols].size
-    if not t.size:
-        return np.empty((0, width))
-    lowest, highest = float(t.min()), float(t.max())
-    for panels in sets:
-        panels.extend_to(highest if panels.t_end > panels.t_start else lowest)
-    # each point's panel in each set, an inner edge in the panel that starts
-    # there; then its place x in [-1, 1] on that panel
-    j = np.stack([np.searchsorted(p.edges[1:-1], t, side="right") if p.t_end > p.t_start
-                  else np.searchsorted(-p.edges[1:-1], -t, side="right") for p in sets], axis=1)
-    edges = np.concatenate([p.edges for p in sets])
-    at = j + np.cumsum([0] + [p.edges.size for p in sets[:-1]])
-    lo, hi = edges[at], edges[at + 1]
-    x = (2.0 * t[:, None] - (lo + hi)) / (hi - lo)
-    first, stop = j.min(axis=0), j.max(axis=0) + 1
-    mlen = sets[0].h.size
-    half = slice(mlen, None) if derivative else slice(mlen)
-    stack = np.concatenate([p.coeffs[a:b, :, half][:, :, cols]
-                            for p, a, b in zip(sets, first.tolist(), stop.tolist())])
-    runs = stop - first
-    where = j - first + (np.cumsum(runs) - runs)  # each point's panel in the stack
-    return _clenshaw(stack.transpose(1, 0, 2), x[:, :, None], where).reshape(t.size, width)
+class _PanelStack:
+    """Panel sets of one width and direction read together, at the same
+    points: (points x sets x columns).  The panels of every set are stacked
+    once, one contiguous (33, panels, modes) block per half (W or W') that
+    reads use, beside a padded table of each set's edges, and restacked only
+    when some set has grown.  A read finds every point's panel in every set
+    by one comparison with the table, gathers those panels' rows of the block
+    once and sums them by one Clenshaw recurrence."""
+
+    def __init__(self, sets: list[_ImagPanels]):
+        self.sets = sets
+        self.sign = 1.0 if sets[0].t_end > sets[0].t_start else -1.0
+        self._counts = None
+        self._restack()
+
+    def _restack(self) -> None:
+        self._builds = _ImagPanels.builds
+        counts = [len(p.coeffs) for p in self.sets]
+        if counts == self._counts:
+            return
+        self._counts, most = counts, max(counts)
+        # each set's edges in build order, and its inner edges times sign, so
+        # that they ascend; a set with fewer panels is padded past its end
+        self._edges = np.zeros((len(counts), most + 1))
+        self._inner = np.full((len(counts), max(most - 1, 0)), np.inf)
+        for i, p in enumerate(self.sets):
+            self._edges[i, :p.edges.size] = p.edges
+            self._inner[i, :max(p.edges.size - 2, 0)] = self.sign * p.edges[1:-1]
+        self._reach = min(self.sign * p.t_built for p in self.sets)  # all cover sign t <= reach
+        self._at = np.arange(len(counts)) * (most + 1)  # each set's row of the edge table
+        self._first = np.cumsum([0] + counts[:-1])  # each set's first panel in the block
+        self._blocks = {}
+
+    def _block(self, derivative: bool) -> np.ndarray:
+        """The W (or W') half of every panel of every set, (33, panels, modes)."""
+        if derivative not in self._blocks:
+            mlen = self.sets[0].h.size
+            half = slice(mlen, None) if derivative else slice(mlen)
+            self._blocks[derivative] = np.concatenate(
+                [p.coeffs[:, :, half].transpose(1, 0, 2) for p in self.sets], axis=1)
+        return self._blocks[derivative]
+
+    def values(self, t: np.ndarray, derivative: bool, cols) -> np.ndarray:
+        """Columns cols of W (or W') of every set at the points t, each set
+        first grown to reach every t: (len(t), sets, columns)."""
+        if not t.size:
+            return np.empty((0, len(self.sets), self.sets[0].h[cols].size))
+        key = self.sign * t
+        far = float(key.max())
+        if far > self._reach:
+            for panels in self.sets:
+                panels.extend_to(self.sign * far)
+        if _ImagPanels.builds != self._builds:
+            self._restack()
+        # each point's panel in each set, an inner edge in the panel that starts
+        # there; then its place x in [-1, 1] on that panel
+        j = np.count_nonzero(self._inner <= key[:, None, None], axis=2)
+        lo, hi = np.take(self._edges, self._at + j), np.take(self._edges, self._at + j + 1)
+        x = (2.0 * t[:, None] - (lo + hi)) / (hi - lo)
+        c = self._block(derivative)[:, self._first + j]  # (33, points, sets, modes)
+        if not _full(cols):
+            c = c[..., cols]
+        return _clenshaw(c, np.broadcast_to(x[:, :, None], c.shape[1:]).copy())
 
 
 # --- eigensolver -------------------------------------------------------------
@@ -419,27 +472,47 @@ def _frobenius_coeffs(nu: float, h, m: Modulus, count: int) -> np.ndarray:
     return b
 
 
-def _frobenius_series(nus: list[float], coeffs: list[np.ndarray], tau: np.ndarray,
-                      derivative: bool) -> np.ndarray:
-    """F = tau^(nu+1) sum_p b_p tau^(2p), or dF/dtau = tau^nu sum (nu+1+2p)
-    b_p tau^(2p), of each nu in nus with its b in coeffs (terms x columns, one
-    width) at the points tau, side by side.  The columns, stacked under zero
-    rows to one length, are summed by one Horner recurrence in tau^2 run
-    elementwise, so a column's sum does not depend on what is stacked beside
-    it: a zero row on top changes no bit."""
+def _frobenius_stack(nus, coeffs: list[np.ndarray], derivative: bool) -> np.ndarray:
+    """The coefficients of F = tau^(nu+1) sum_p b_p tau^(2p), or of dF/dtau =
+    tau^nu sum_p (nu+1+2p) b_p tau^(2p), of each nu in nus with its b in
+    coeffs (terms x columns, one width), stacked under zero rows to one
+    length: (terms, len(nus), columns)."""
     stack = np.zeros((max(map(len, coeffs)), len(coeffs), coeffs[0].shape[1]))
     for i, b in enumerate(coeffs):
         stack[:len(b), i] = b
     if derivative:
         stack *= (np.add.outer(2.0 * np.arange(len(stack)), nus) + 1.0)[:, :, None]
-    x = np.square(tau)[:, None, None]
-    acc = np.zeros((tau.size,) + stack.shape[1:])
+    return stack
+
+
+def _powers(tau: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """tau ** e of every e in exps, side by side: (len(tau), len(exps)).  For
+    a lone exponent 1/2 or 2 numpy takes sqrt or square, which can round
+    apart from its power of an array of exponents, so those columns take
+    them too: each equals its basis's power alone."""
+    out = np.power.outer(tau, exps)
+    for e, lone in ((0.5, np.sqrt), (2.0, np.square)):
+        hit = exps == e
+        if hit.any():
+            out[:, hit] = lone(tau)[:, None]
+    return out
+
+
+def _frobenius_series(stack: np.ndarray, exps: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """sum_p stack[p] tau^(2p) times tau^exps[i] in the block of stack[:, i],
+    at the points tau: (len(tau),) + stack.shape[1:], with stack from
+    `_frobenius_stack` and exps its nu + 1 (F) or nu (dF/dtau).  One Horner
+    recurrence in tau^2 runs elementwise, so a column's sum does not depend
+    on what is stacked beside it: a zero row on top changes no bit."""
+    shape = (tau.size,) + stack.shape[1:]
+    x = np.empty(shape)
+    x[...] = np.square(tau)[:, None, None]
+    acc = np.zeros(shape)
     for row in stack[::-1]:
         acc *= x
         acc += row
-    # a power call per nu, as one basis makes it: numpy takes sqrt for a lone 1/2
-    acc *= np.stack([tau ** (nu + 1.0 - derivative) for nu in nus], axis=1)[:, :, None]
-    return acc.reshape(tau.size, -1)
+    acc *= _powers(tau, exps)[:, :, None]
+    return acc
 
 
 # --- the basis of one (nu, k) ---------------------------------------------------
@@ -468,13 +541,14 @@ class LameBasis:
     by shell_specs.
 
     real(s), imag(t) and second(t) return (points x modes) arrays, or the
-    columns cols only.  E(s) is one cosine and one sine matrix product over
-    the frequencies j pi/(2K), which hold the Galerkin basis of every
-    family.  W(t) reads one first-kind panel set; F(t) reads the Frobenius
-    series within tau0 of K' and one continuation panel set below it.  Both
-    panel sets grow toward the t requested, and the second kind is built on
-    the first second() call.  Per mode the basis keeps the eigenvalue h,
-    its bracket, the Galerkin tail and the boundary data (E(0), E'(0)).
+    columns cols only: the one-basis case of OrderSet's reads.  E(s) is one
+    cosine and one sine matrix product over the frequencies j pi/(2K), which
+    hold the Galerkin basis of every family.  W(t) reads one first-kind
+    panel set; F(t) reads the Frobenius series within tau0 of K' and one
+    continuation panel set below it.  Both panel sets grow toward the t
+    requested, and the second kind is built on the first second() call.
+    Per mode the basis keeps the eigenvalue h, its bracket, the Galerkin
+    tail and the boundary data (E(0), E'(0)).
     """
 
     def __init__(self, nu: float, m: Modulus, n_max: int):
@@ -544,8 +618,8 @@ class LameBasis:
 
     def real(self, s, derivative: bool = False, cols=slice(None)) -> np.ndarray:
         """E(s) (or E'(s)) at real s; the basis carries parity and periodicity.
-        The one-basis case of `real_axis`."""
-        return real_axis([self], s, derivative, cols)[0]
+        The one-basis case of `OrderSet.real`."""
+        return OrderSet([self]).real(s, derivative, cols)[:, 0]
 
     def imag(self, t, derivative: bool = False, cols=slice(None)) -> np.ndarray:
         """Real representative W(t) of E(it) (or its t-derivative).
@@ -553,15 +627,15 @@ class LameBasis:
         Even-parity families store W = E(it); odd-parity families store
         W = E(it)/i, so W(0) = 0 and W'(0) = E'(0).  Extended to t < 0 by
         parity; t = 0 gives the exact boundary data.  The one-basis case of
-        `imag_axis`.
+        `OrderSet.imag`.
         """
-        return imag_axis([self], t, derivative, cols)[0]
+        return OrderSet([self]).imag(t, derivative, cols)[:, 0]
 
     def second(self, t, derivative: bool = False, cols=slice(None)) -> np.ndarray:
         """Second-kind F(t) (or dF/dt) for 0 < t < K', with unit Wronskian
         F W' - W F' = 1: the Frobenius series within tau0 of K', the
-        continuation panels below it.  The one-basis case of `imag_axis`."""
-        return imag_axis([self], t, derivative, cols, second=True)[0]
+        continuation panels below it.  The one-basis case of `OrderSet.second`."""
+        return OrderSet([self]).second(t, derivative, cols)[:, 0]
 
     @functools.cached_property
     def _second_kind(self) -> tuple[np.ndarray, float, _ImagPanels]:
@@ -588,8 +662,8 @@ class LameBasis:
             raise ConvergenceError(f"Frobenius series not converged or ill-conditioned "
                                    f"within {tau0!r} of K'", attained=float(tau0))
         tau0, b = float(tau0), b[:count]
-        f_tau, df_tau = (_frobenius_series([nu], [b], np.array([tau0]), d)[0]
-                         for d in (False, True))
+        f_tau, df_tau = (_frobenius_series(_frobenius_stack([nu], [b], d), np.array([nu + 1.0 - d]),
+                                           np.array([tau0]))[0, 0] for d in (False, True))
         # unit Wronskian F W' - W dF/dt, with dF/dt = -dF/dtau; W(K' - tau0)
         # comes from a throwaway extension of the first-kind panels, so the
         # basis keeps only the panels that its readers reach
@@ -604,90 +678,133 @@ class LameBasis:
         return frobenius, tau0, cont
 
 
-def real_axis(bases: list[LameBasis], s, derivative: bool = False,
-              cols=slice(None)) -> list[np.ndarray]:
-    """E(s), or E'(s), of the columns cols of every basis in bases, all of one
-    modulus, at the same real points s: one (points x columns) array per
-    basis, as LameBasis.real gives it.
-
-    Every basis sums over a prefix of the frequency grid j pi/(2K), so cos
-    and sin are taken once on the longest grid, and each basis runs its own
-    cosine and sine matrix products on the leading columns it uses.
+class OrderSet:
+    """Lame bases of one modulus and shell depth, checked once, here, read
+    together: the orders 0..m_max of a flat-ring series as `order_set`
+    serves them, or the one basis of LameBasis.real, .imag and .second.
+    Reads return (points x bases x modes) arrays, each basis's block bit for
+    bit its own read.  The set holds its bases and keeps their read arrays
+    stacked: the first-kind panels in one `_PanelStack`, and per hand-off
+    tau0 (`_Handoff`) the Frobenius block and the continuation panels.
     """
-    m = bases[0].modulus
-    if any(b.modulus != m for b in bases):
-        raise DomainError("real_axis reads bases of one modulus")
-    freq = max((b._freq for b in bases), key=len)
-    x = np.multiply.outer(np.asarray(s, dtype=float).ravel(), freq)
-    cos_x, sin_x = np.cos(x), np.sin(x)
-    out = []
-    for b in bases:
-        rows = b._freq.size
-        cos_c, sin_c = b._coef[:, :, cols]
-        if derivative:
-            f = b._freq[:, None]
-            out.append(cos_x[:, :rows] @ (f * sin_c) - sin_x[:, :rows] @ (f * cos_c))
+
+    def __init__(self, bases: list[LameBasis]):
+        self.bases = tuple(bases)
+        self.modulus, depth = self.bases[0].modulus, self.bases[0].n_max
+        if any(b.modulus != self.modulus or b.n_max != depth for b in self.bases):
+            raise DomainError("an OrderSet reads bases of one modulus and one shell depth")
+        self._freq = max((b._freq for b in self.bases), key=len)
+        self._first = _PanelStack([b._first for b in self.bases])
+
+    def _empty(self, points: int, cols) -> np.ndarray:
+        return np.empty((points, len(self.bases), self.bases[0].h[cols].size))
+
+    def real(self, s, derivative: bool = False, cols=slice(None)) -> np.ndarray:
+        """E(s) (or E'(s)) of every basis at real s.  Every basis sums over a
+        prefix of the frequency grid j pi/(2K), so cos and sin are taken once
+        on the longest grid; each basis runs its own cosine and sine matrix
+        products on its leading columns, since one product over the stacked
+        bases would sum in another order and change the last bit."""
+        x = np.multiply.outer(np.asarray(s, dtype=float).ravel(), self._freq)
+        cos_x, sin_x = np.cos(x), np.sin(x)
+        out = []
+        for b in self.bases:
+            rows = b._freq.size
+            cos_c, sin_c = b._coef[:, :, cols]
+            if derivative:
+                f = b._freq[:, None]
+                out.append(cos_x[:, :rows] @ (f * sin_c) - sin_x[:, :rows] @ (f * cos_c))
+            else:
+                out.append(cos_x[:, :rows] @ cos_c + sin_x[:, :rows] @ sin_c)
+        return np.stack(out, axis=1)
+
+    def imag(self, t, derivative: bool = False, cols=slice(None)) -> np.ndarray:
+        """W(t) (or W'(t)) of every basis, as LameBasis.imag gives it."""
+        t = np.asarray(t, dtype=float).ravel()
+        at = np.abs(t)
+        if not np.all(np.isfinite(at)):
+            raise DomainError("imaginary-axis evaluation requires finite t")
+        fixed = t == 0.0
+        if fixed.any():
+            out = self._empty(t.size, cols)
+            out[~fixed] = self._first.values(at[~fixed], derivative, cols)
+            out[fixed] = np.stack([b.boundary_data[cols, int(derivative)] for b in self.bases])
         else:
-            out.append(cos_x[:, :rows] @ cos_c + sin_x[:, :rows] @ sin_c)
-    return out
-
-
-def imag_axis(bases: list[LameBasis], t, derivative: bool = False, cols=slice(None),
-              second: bool = False) -> list[np.ndarray]:
-    """W(t), or with second F(t), or their t-derivatives, of the columns
-    cols of every basis in bases, all of one modulus and shell depth, at the
-    same points: one (points x columns) array per basis, as LameBasis.imag
-    and LameBasis.second give them.
-
-    The panel reads of all bases run as one Clenshaw recurrence; for W the
-    fix-ups follow on all columns at once: the exact boundary data at t = 0
-    and the parity at t < 0.  Each basis reads F from its Frobenius series
-    within its own tau0 of K' and from its continuation panels below; the
-    bases of one tau0 share one Horner recurrence and one panel read.
-    """
-    t = np.asarray(t, dtype=float).ravel()
-    m, depth = bases[0].modulus, bases[0].n_max
-    if any(b.modulus != m or b.n_max != depth for b in bases):
-        raise DomainError("imag_axis reads bases of one modulus and one shell depth")
-    width = bases[0].h[cols].size
-    if second:
-        if not np.all((0.0 < t) & (t < m.quarter_Kp)):
-            raise DomainError(f"second-kind evaluation requires 0 < t < K', got {t!r}")
-        kinds = [b._second_kind for b in bases]
-        tau, out = m.quarter_Kp - t, [None] * len(bases)
-        for tau0 in {tau0 for _, tau0, _ in kinds}:
-            group = [i for i, kind in enumerate(kinds) if kind[1] == tau0]
-            near = tau <= tau0
-            values = np.empty((t.size, len(group) * width))
-            values[~near] = _panel_values([kinds[i][2] for i in group], t[~near], derivative, cols)
-            if near.any():
-                f = _frobenius_series([bases[i].nu for i in group],
-                                      [kinds[i][0][:, cols] for i in group], tau[near], derivative)
-                values[near] = -f if derivative else f
-            for j, i in enumerate(group):
-                out[i] = values[:, j * width:(j + 1) * width]
+            out = self._first.values(at, derivative, cols)
+        below = t < 0.0
+        if below.any():
+            # W has the parity of its family, W' the opposite one
+            even = np.stack([b._even[cols] for b in self.bases])
+            out[below] *= np.where(even == derivative, -1.0, 1.0)
         return out
-    at = np.abs(t)
-    if not np.all(np.isfinite(at)):
-        raise DomainError("imaginary-axis evaluation requires finite t")
-    fixed = t == 0.0
-    out = np.empty((t.size, len(bases) * width))
-    out[~fixed] = _panel_values([b._first for b in bases], at[~fixed], derivative, cols)
-    out[fixed] = np.concatenate([b.boundary_data[cols, int(derivative)] for b in bases])
-    # W has the parity of its family, W' the opposite one
-    even = np.concatenate([b._even[cols] for b in bases])
-    out[t < 0.0] *= np.where(even == derivative, -1.0, 1.0)
-    return [out[:, j * width:(j + 1) * width] for j in range(len(bases))]
+
+    def second(self, t, derivative: bool = False, cols=slice(None)) -> np.ndarray:
+        """F(t) (or dF/dt) of every basis for 0 < t < K', as LameBasis.second
+        gives it."""
+        t = np.asarray(t, dtype=float).ravel()
+        kp = self.modulus.quarter_Kp
+        if not np.all((0.0 < t) & (t < kp)):
+            raise DomainError(f"second-kind evaluation requires 0 < t < K', got {t!r}")
+        tau = kp - t
+        if len(self._handoffs) == 1:
+            return self._handoffs[0].values(t, tau, derivative, cols)
+        out = self._empty(t.size, cols)
+        for group in self._handoffs:
+            out[:, group.members] = group.values(t, tau, derivative, cols)
+        return out
+
+    @functools.cached_property
+    def _handoffs(self) -> list[_Handoff]:
+        """The bases grouped by hand-off tau0, each second kind built here."""
+        tau0 = np.array([b._second_kind[1] for b in self.bases])
+        return [_Handoff([self.bases[i] for i in members], members)
+                for members in (np.flatnonzero(tau0 == x) for x in dict.fromkeys(tau0.tolist()))]
+
+
+class _Handoff:
+    """The bases of an OrderSet that hand off at one tau0, members its
+    indices of them: the Frobenius block of their series within tau0 of K',
+    per half read, and the stacked read of their continuation panels below
+    K' - tau0."""
+
+    def __init__(self, bases: list[LameBasis], members: np.ndarray):
+        kinds = [b._second_kind for b in bases]
+        self.members, self.tau0 = members, kinds[0][1]
+        self._nus = np.array([b.nu for b in bases])
+        self._coeffs = [frobenius for frobenius, _, _ in kinds]
+        self._stacks = {}
+        self._panels = _PanelStack([cont for _, _, cont in kinds])
+
+    def _series(self, tau: np.ndarray, derivative: bool, cols) -> np.ndarray:
+        if derivative not in self._stacks:
+            self._stacks[derivative] = _frobenius_stack(self._nus, self._coeffs, derivative)
+        stack = self._stacks[derivative]
+        f = _frobenius_series(stack if _full(cols) else stack[:, :, cols],
+                              self._nus + 1.0 - derivative, tau)
+        return -f if derivative else f  # dF/dt = -dF/dtau
+
+    def values(self, t: np.ndarray, tau: np.ndarray, derivative: bool, cols) -> np.ndarray:
+        """F (or dF/dt) of the group's bases at t, tau = K' - t: the series
+        where tau <= tau0, the panels elsewhere; (points, members, columns)."""
+        near = tau <= self.tau0
+        if near.all():
+            return self._series(tau, derivative, cols)
+        out = np.empty((t.size, len(self.members), self._coeffs[0][0, cols].size))
+        out[~near] = self._panels.values(t[~near], derivative, cols)
+        if near.any():
+            out[near] = self._series(tau[near], derivative, cols)
+        return out
 
 
 _BASIS_CACHE_SIZE = 32
-"""Bases kept by `basis`.  A (20, 20) expansion reads 21 bases, one per
-order at depth 20, and a single-mode caller adds one small basis per mode;
-32 keeps a full expansion resident with that room to spare.  At k = 0.5 a
-depth-20 basis takes 0.13 MB with the panels that reads at t <= 0.3K' and
-t* >= 0.6K' build (F there is read from its series alone), and at most
-0.53 MB with both panel sets grown to 0.9K' and 0.05K', so the bound also
-caps what a long run can hold at about 17 MB."""
+"""Bases kept by `basis`.  An expansion reads its orders through a cached
+OrderSet, which holds its own bases, so this cache need not hold a whole
+expansion: it serves the single-mode callers, one small basis per mode, and
+each basis of a set while the set is built.  At k = 0.5 a depth-20 basis
+takes 0.16 MB with the panels that reads at t <= 0.3K' and t* >= 0.6K'
+build (F there is read from its series alone), and at most 0.53 MB with
+both panel sets grown to 0.9K' and 0.05K', so the bound caps what this
+cache holds at about 17 MB."""
 
 
 @functools.lru_cache(maxsize=_BASIS_CACHE_SIZE)
@@ -706,6 +823,29 @@ def basis_for(specs: list[tuple[LameFamily, int]], nu: float,
     return b, [b.column(fam, n) for fam, n in specs]
 
 
+_SET_CACHE_SIZE = 4
+"""Sets kept by `order_set`: one per (modulus, m_max, n_max), so a run
+that alternates a few truncations, or an expansion and a Dirichlet solve,
+stays warm.  A set holds its bases and, for each half it has read, a
+stacked copy of their panels.  At k = 0.5 a (20, 20) set takes 4.4 MB after
+reads at t <= 0.3K' and t* >= 0.6K' (its bases 3.2 MB), and at most 20 MB
+with every panel set grown to 0.9K' and 0.05K' and both halves stacked, so
+four (20, 20) sets hold at most 80 MB.  The size grows about as
+(m_max + 1) n_max^2: a (40, 40) set takes 28 MB after the same reads."""
+
+
+@functools.lru_cache(maxsize=_SET_CACHE_SIZE)
+def order_set(m: Modulus, m_max: int, n_max: int, /) -> OrderSet:
+    """The OrderSet of the orders 0..m_max (nu = order - 1/2) at shell depth
+    n_max, from a small LRU cache of whole sets: its bases come from `basis`
+    once, when the set is built, so an expansion with more orders than the
+    basis cache holds stays warm."""
+    if m_max < 0:
+        raise DomainError(f"m_max must be >= 0, got {m_max!r}")
+    return OrderSet([basis(order - 0.5, m, n_max) for order in range(m_max + 1)])
+
+
 def clear_caches() -> None:
-    """Empty the basis cache."""
+    """Empty the set cache and the basis cache."""
+    order_set.cache_clear()
     basis.cache_clear()

@@ -89,6 +89,13 @@ def test_green_toroidal_switch(capsys):
     assert rep["relative_error"] <= 1e-7
 
 
+def test_green_toroidal_ignores_k(capsys):
+    # the toroidal expansion has no modulus: an invalid --k changes nothing
+    code, out, err = run_cli(capsys, "green", "--toroidal", "--k", "1.5")
+    assert (code, err) == (0, "")
+    assert out == run_cli(capsys, "green", "--toroidal")[1]
+
+
 def test_green_ordering_violation_exit_code(capsys, m05):
     code, _, err = run_cli(
         capsys, "green",
@@ -235,6 +242,24 @@ def test_malformed_range_exits_2(capsys, text):
     assert code == 2
     assert out == ""
     assert err.startswith("error: range must be")
+
+
+@pytest.mark.parametrize("text", ["3:1", "5:4"])
+def test_reversed_range_exits_2(capsys, text):
+    code, out, err = run_cli(capsys, "eigen", "--n-range", text)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: range") and "reversed" in err and err.count("\n") == 1
+
+
+def test_dirichlet_builds_each_basis_once(capsys):
+    # 33 orders, more than the basis cache holds: the projection and the
+    # probes read one cached set, and a second call builds nothing
+    argv = ("dirichlet", "--m-max", "32", "--n-max", "6", "--n-probes", "3")
+    lame.clear_caches()
+    code, first, _ = run_cli(capsys, *argv)
+    assert code == 0 and lame.basis.cache_info().misses == 33
+    assert run_cli(capsys, *argv)[1] == first
+    assert lame.basis.cache_info().misses == 33
 
 
 def test_dirichlet_prints_plain_parseval_residual(capsys, m05):

@@ -14,6 +14,7 @@ from flatring.lame import (
     family_of_superscript,
     _frobenius_coeffs,
     _frobenius_series,
+    _frobenius_stack,
 )
 from flatring.legendre import legendre_p, legendre_q
 
@@ -238,7 +239,8 @@ def test_frobenius_series_matches_legendre_p_at_small_k():
         lb, cols = basis_for([(fam, nz)], nu, m)
         b = _frobenius_coeffs(nu, lb.h[cols[0]], m, 64)
         for tau in (0.3, 0.8):
-            val = _frobenius_series([nu], [b[:, None]], np.array([tau]), False)[0, 0]
+            stack = _frobenius_stack([nu], [b[:, None]], False)
+            val = _frobenius_series(stack, np.array([nu + 1.0]), np.array([tau]))[0, 0, 0]
             limit = (2.0 ** (nu + 0.5) * math.gamma(nu + 1.5)
                      * math.sinh(tau) ** 0.5
                      * legendre_p(sup - 0.5, -nu - 0.5, math.cosh(tau)))
