@@ -25,15 +25,16 @@ depends on the step and the potential alone: a panel computes the stages of
 all its steps at once on the two unit initial states, multiplies each
 Chebyshev-Lobatto segment's propagators pairwise, carries the state across
 the 32 segments and fits the node values with a fixed interpolation matrix.
-A panel set keeps one stacked coefficient array, the W and W' columns side
-by side; panels are fitted in build order, so panel j runs from edges[j]
-(x = -1) to edges[j+1] (x = +1) whichever way the set grows.  Reads go
-through a stack of panel sets (one set for one basis): the W or W' half of
-every panel of every set in one contiguous block, restacked only when a set
-has grown, and a padded table of edges.  A read finds every point's panel in
-every set at once, gathers those rows of the block once and sums them by
-numpy's chebval recurrence, run elementwise, so the values equal chebval's
-bit for bit.
+A panel set keeps the coefficients of W and of W' as two (panels, 33,
+modes) arrays; panels are fitted in build order, so panel j runs from
+edges[j] (x = -1) to edges[j+1] (x = +1) whichever way the set grows.  Reads
+go through a stack of panel sets (one set for one basis): the W or W' half
+of every panel of every set in one contiguous block, restacked only when a
+set has grown, and a padded table of edges.  Each set then keeps that half
+as a view of the block, so a panel is held once.  A read finds every
+point's panel in every set at once, gathers those panels of the block once
+and sums them by numpy's chebval recurrence, run elementwise, so the values
+equal chebval's bit for bit.
 Odd-parity values are stored as the real representative W(t) = E(it)/i with
 W'(0) = E'(0); downstream products always pair matching representatives,
 which reproduces the complex-convention results exactly.
@@ -198,8 +199,6 @@ class _ImagPanels:
     W'' = (h + c sc^2(t,k')) W, one column per eigenvalue, built from t_start
     toward t_end as far as requests reach."""
 
-    builds = 0  # panels built by every set so far: a stacked read restacks when it moves
-
     def __init__(self, m: Modulus, coef: float, h: np.ndarray, t0: float, state0: np.ndarray,
                  t_end: float):
         self.m = m
@@ -211,7 +210,9 @@ class _ImagPanels:
         self.t_built = float(t0)
         self.state = np.asarray(state0, dtype=float)  # (2M,) = [W..., W'...]
         self.edges = np.array([float(t0)])
-        self.coeffs = np.empty((0, _PANEL_DEG + 1, 2 * self.h.size))  # per panel: [W..., W'...]
+        # the Chebyshev coefficients of W and of W', (panels, 33, modes) each:
+        # a stacked read gathers whole panels of one half
+        self.halves = [np.empty((0, _PANEL_DEG + 1, self.h.size)) for _ in range(2)]
 
     def _lambda(self, t: float) -> float:
         q = self._h_max + abs(self.coef) * jacobi_imag(abs(t), self.m).sn_im ** 2
@@ -270,11 +271,12 @@ class _ImagPanels:
         for i in range(deg):
             ys[i + 1] = prop[i, 0] @ ys[i]
         ys = ys[..., 0].transpose(0, 2, 1).reshape(deg + 1, 2 * mlen)  # [W..., W'...]
-        self.coeffs = np.concatenate([self.coeffs, (_lobatto_fit(deg) @ ys)[None]])
+        fit = _lobatto_fit(deg) @ ys
+        self.halves = [np.concatenate([half, fit[None, :, i * mlen:(i + 1) * mlen]])
+                       for i, half in enumerate(self.halves)]
         self.edges = np.append(self.edges, t_to)
         self.state = ys[-1]
         self.t_built = t_to
-        _ImagPanels.builds += 1
         if float(np.max(np.abs(self.state))) > _OVERFLOW:
             raise PoleError("imaginary-axis solution overflow approaching K'")
 
@@ -311,11 +313,6 @@ class _ImagPanels:
         return _PanelStack([self]).values(np.asarray(t, dtype=float), derivative, cols)[:, 0]
 
 
-def _full(cols) -> bool:
-    """Whether cols is the default slice(None), every column."""
-    return isinstance(cols, slice) and cols == slice(None)
-
-
 def _clenshaw(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_j c[j] T_j(x) over the first axis of c, elementwise, with x of the
     shape of c[0]: numpy's chebval recurrence operation for operation, so
@@ -336,12 +333,14 @@ def _clenshaw(c: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 class _PanelStack:
     """Panel sets of one width and direction read together, at the same
-    points: (points x sets x columns).  The panels of every set are stacked
-    once, one contiguous (33, panels, modes) block per half (W or W') that
-    reads use, beside a padded table of each set's edges, and restacked only
-    when some set has grown.  A read finds every point's panel in every set
-    by one comparison with the table, gathers those panels' rows of the block
-    once and sums them by one Clenshaw recurrence."""
+    points: (points x sets x columns).  The panels of every set are stacked,
+    one contiguous (panels, 33, modes) block per half (W or W') that reads
+    use, beside a padded table of each set's edges, and restacked only when
+    some set has grown.  Once a half is stacked, each set keeps its panels of
+    that half as a view of the block, so they are held once.  A read finds
+    every point's panel in every set by one comparison with the table,
+    gathers those panels of the block once and sums them by one Clenshaw
+    recurrence."""
 
     def __init__(self, sets: list[_ImagPanels]):
         self.sets = sets
@@ -350,8 +349,7 @@ class _PanelStack:
         self._restack()
 
     def _restack(self) -> None:
-        self._builds = _ImagPanels.builds
-        counts = [len(p.coeffs) for p in self.sets]
+        counts = [p.edges.size - 1 for p in self.sets]
         if counts == self._counts:
             return
         self._counts, most = counts, max(counts)
@@ -368,12 +366,15 @@ class _PanelStack:
         self._blocks = {}
 
     def _block(self, derivative: bool) -> np.ndarray:
-        """The W (or W') half of every panel of every set, (33, panels, modes)."""
+        """The W (or W') half of every panel of every set, (panels, 33, modes)."""
         if derivative not in self._blocks:
-            mlen = self.sets[0].h.size
-            half = slice(mlen, None) if derivative else slice(mlen)
-            self._blocks[derivative] = np.concatenate(
-                [p.coeffs[:, :, half].transpose(1, 0, 2) for p in self.sets], axis=1)
+            if len(self.sets) == 1:
+                block = self.sets[0].halves[derivative]
+            else:
+                block = np.concatenate([p.halves[derivative] for p in self.sets])
+                for p, first, count in zip(self.sets, self._first, self._counts):
+                    p.halves[derivative] = block[first:first + count]
+            self._blocks[derivative] = block
         return self._blocks[derivative]
 
     def values(self, t: np.ndarray, derivative: bool, cols) -> np.ndarray:
@@ -386,16 +387,14 @@ class _PanelStack:
         if far > self._reach:
             for panels in self.sets:
                 panels.extend_to(self.sign * far)
-        if _ImagPanels.builds != self._builds:
-            self._restack()
+        self._restack()
         # each point's panel in each set, an inner edge in the panel that starts
         # there; then its place x in [-1, 1] on that panel
         j = np.count_nonzero(self._inner <= key[:, None, None], axis=2)
         lo, hi = np.take(self._edges, self._at + j), np.take(self._edges, self._at + j + 1)
         x = (2.0 * t[:, None] - (lo + hi)) / (hi - lo)
-        c = self._block(derivative)[:, self._first + j]  # (33, points, sets, modes)
-        if not _full(cols):
-            c = c[..., cols]
+        # every point's panel in every set, coefficient rows first: (33, points, sets, modes)
+        c = self._block(derivative)[self._first + j].transpose(2, 0, 1, 3)[..., cols]
         return _clenshaw(c, np.broadcast_to(x[:, :, None], c.shape[1:]).copy())
 
 
@@ -694,7 +693,11 @@ class OrderSet:
         if any(b.modulus != self.modulus or b.n_max != depth for b in self.bases):
             raise DomainError("an OrderSet reads bases of one modulus and one shell depth")
         self._freq = max((b._freq for b in self.bases), key=len)
-        self._first = _PanelStack([b._first for b in self.bases])
+
+    @functools.cached_property
+    def _first(self) -> _PanelStack:
+        """The stacked read of the first-kind panels, built on the first W read."""
+        return _PanelStack([b._first for b in self.bases])
 
     def _empty(self, points: int, cols) -> np.ndarray:
         return np.empty((points, len(self.bases), self.bases[0].h[cols].size))
@@ -772,15 +775,20 @@ class _Handoff:
         self.members, self.tau0 = members, kinds[0][1]
         self._nus = np.array([b.nu for b in bases])
         self._coeffs = [frobenius for frobenius, _, _ in kinds]
+        self._conts = [cont for _, _, cont in kinds]
         self._stacks = {}
-        self._panels = _PanelStack([cont for _, _, cont in kinds])
+
+    @functools.cached_property
+    def _panels(self) -> _PanelStack:
+        """The stacked read of the continuation panels, built on the first
+        read below K' - tau0."""
+        return _PanelStack(self._conts)
 
     def _series(self, tau: np.ndarray, derivative: bool, cols) -> np.ndarray:
         if derivative not in self._stacks:
             self._stacks[derivative] = _frobenius_stack(self._nus, self._coeffs, derivative)
-        stack = self._stacks[derivative]
-        f = _frobenius_series(stack if _full(cols) else stack[:, :, cols],
-                              self._nus + 1.0 - derivative, tau)
+        f = _frobenius_series(self._stacks[derivative][:, :, cols], self._nus + 1.0 - derivative,
+                              tau)
         return -f if derivative else f  # dF/dt = -dF/dtau
 
     def values(self, t: np.ndarray, tau: np.ndarray, derivative: bool, cols) -> np.ndarray:
@@ -823,15 +831,17 @@ def basis_for(specs: list[tuple[LameFamily, int]], nu: float,
     return b, [b.column(fam, n) for fam, n in specs]
 
 
-_SET_CACHE_SIZE = 4
-"""Sets kept by `order_set`: one per (modulus, m_max, n_max), so a run
-that alternates a few truncations, or an expansion and a Dirichlet solve,
-stays warm.  A set holds its bases and, for each half it has read, a
-stacked copy of their panels.  At k = 0.5 a (20, 20) set takes 4.4 MB after
-reads at t <= 0.3K' and t* >= 0.6K' (its bases 3.2 MB), and at most 20 MB
-with every panel set grown to 0.9K' and 0.05K' and both halves stacked, so
-four (20, 20) sets hold at most 80 MB.  The size grows about as
-(m_max + 1) n_max^2: a (40, 40) set takes 28 MB after the same reads."""
+_SET_CACHE_SIZE = 2
+"""Sets kept by `order_set`: one per (modulus, m_max, n_max).  Each bench
+workload reads one set; two keep a run that reads two truncations in turn
+warm.  A set holds its bases and little else: once it has stacked a half of
+their panels, each basis keeps that half as a view of the set's block, so a
+panel is held once (twice only for a basis in two sets, one depth and two
+m_max).  At k = 0.5 a (20, 20) set takes at most 3.6 MB after reads at
+t <= 0.3K' and t* >= 0.6K', and 11.5 MB with every panel set grown to 0.9K'
+and 0.05K' and both halves read; a (40, 40) set, the largest that the tests
+read, takes 22 MB and 76 MB.  So the cache holds at most 23 MB of (20, 20)
+sets, and 152 MB of (40, 40) sets."""
 
 
 @functools.lru_cache(maxsize=_SET_CACHE_SIZE)

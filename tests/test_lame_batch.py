@@ -79,7 +79,7 @@ def test_imaginary_axis_batch_matches_scalar(mixed):
         _close(values, scalar)
         _close(b.imag(t, derivative)[:, cols], scalar)
         assert np.array_equal(values[0], b.boundary_data[cols, int(derivative)])
-    assert len(b._first.coeffs) > 3
+    assert len(b._first.edges) - 1 > 3
 
 
 def test_second_kind_batch_matches_scalar_across_handoff(mixed):
@@ -128,22 +128,21 @@ def test_panel_read_matches_clenshaw(mixed):
     # up to its end, exclusive but for the set's last edge.  The read runs
     # chebval's recurrence, so it equals chebval bit for bit.
     m, b, _ = mixed
-    mlen = b.h.size
     b.imag(0.85 * m.quarter_Kp), b.second(0.1 * m.quarter_Kp)  # grow both sets
     # and a downward set of two panels, whose one inner edge sets no direction
     two = _ImagPanels(m, b._first.coef, b.h, 0.5 * m.quarter_Kp, b.boundary_data.T.ravel(), 0.0)
     two.extend_to(0.5 * m.quarter_Kp - 1e-3)
     two.extend_to(two.edges[1] - 1e-3)
-    assert len(two.coeffs) == 2
+    assert len(two.edges) - 1 == 2
     for panels in (b._first, b._second_kind[2], two):
         edges = panels.edges
-        assert len(panels.coeffs) == len(edges) - 1 > 1
+        assert all(len(half) == len(edges) - 1 > 1 for half in panels.halves)
         for j, (a, z) in enumerate(zip(edges[:-1], edges[1:])):
             t = np.concatenate([[a], a + (z - a) * np.linspace(0.01, 0.99, 9),
                                 [z] if j == len(edges) - 2 else []])
             x = (2.0 * t - (a + z)) / (z - a)
             for derivative in (False, True):
-                coeffs = panels.coeffs[j][:, mlen:] if derivative else panels.coeffs[j][:, :mlen]
+                coeffs = panels.halves[derivative][j]
                 assert np.array_equal(panels.values(t, derivative), chebyshev.chebval(x, coeffs).T)
 
 
@@ -169,7 +168,7 @@ def test_multi_basis_read_equals_each_basis_read(m05):
                 for b, values in zip(alone, read.transpose(1, 0, 2)):
                     own = (b.second if second else b.imag)(t, derivative, cols)
                     assert values.shape == own.shape and np.array_equal(values, own)
-    assert len(together[0]._first.coeffs) > 3
+    assert len(together[0]._first.edges) - 1 > 3
     with pytest.raises(DomainError):
         OrderSet([together[0], LameBasis(0.5, m, 5)])
 
@@ -207,32 +206,35 @@ def test_green_region_pair_builds_no_continuation_panel(m05):
     _lame_products(OrderSet(bases), 0.0, 0.0, 0.3 * kp, 0.6 * kp)
     for b in bases:
         assert b._second_kind[1] == 0.6 * min(m.quarter_K, kp)
-        assert len(b._second_kind[2].coeffs) == 0
+        assert len(b._second_kind[2].edges) - 1 == 0
         edges = b._first.edges
         assert edges[-2] < 0.3 * kp <= edges[-1] < kp - b._second_kind[1]
 
 
 def test_multi_basis_real_read_equals_each_basis_read(m05):
-    # one cos/sin table over bases of one depth with frequency grids of
-    # different lengths (the orders differ) against each basis's own read and
-    # against the two matrix products on the basis's own grid, bit for bit
+    # one cos/sin table over bases with frequency grids of different lengths
+    # (orders and depths differ) against each basis's own read and against
+    # the two matrix products on the basis's own grid, bit for bit; a set
+    # holds one depth, so each depth is read through its own set
     m = m05
-    bases = [basis(0.5, m, 3), basis(7.5, m, 3), basis(19.5, m, 3), basis(2.5, m, 3)]
+    bases = [basis(0.5, m, 3), basis(7.5, m, 6), basis(19.5, m, 6), basis(2.5, m, 10)]
     assert len({b._freq.size for b in bases}) == len(bases)
+    groups = [bases[:1], bases[1:3], bases[3:]]
     s = np.concatenate([np.linspace(-2.0, 2.0, 37) * m.quarter_K, [0.0, 5.3, -9.1]])
     for cols in (slice(None), [3, 0, 2]):
         for derivative in (False, True):
-            read = OrderSet(bases).real(s, derivative, cols)
-            assert read.shape[1] == len(bases)
-            for b, values in zip(bases, read.transpose(1, 0, 2)):
-                x = np.multiply.outer(s, b._freq)
-                cos_c, sin_c = b._coef[:, :, cols]
-                f = b._freq[:, None]
-                own = (np.cos(x) @ (f * sin_c) - np.sin(x) @ (f * cos_c) if derivative
-                       else np.cos(x) @ cos_c + np.sin(x) @ sin_c)
-                assert np.array_equal(values, own)
-                assert np.array_equal(values, b.real(s, derivative, cols))
-    assert OrderSet(bases).real(0.3).shape == (1, len(bases), bases[1].h.size)
+            for group in groups:
+                read = OrderSet(group).real(s, derivative, cols)
+                assert read.shape[1] == len(group)
+                for b, values in zip(group, read.transpose(1, 0, 2)):
+                    x = np.multiply.outer(s, b._freq)
+                    cos_c, sin_c = b._coef[:, :, cols]
+                    f = b._freq[:, None]
+                    own = (np.cos(x) @ (f * sin_c) - np.sin(x) @ (f * cos_c) if derivative
+                           else np.cos(x) @ cos_c + np.sin(x) @ sin_c)
+                    assert np.array_equal(values, own)
+                    assert np.array_equal(values, b.real(s, derivative, cols))
+    assert OrderSet(groups[1]).real(0.3).shape == (1, 2, bases[1].h.size)
     with pytest.raises(DomainError):
         OrderSet([bases[0], basis(0.5, Modulus.from_k(0.3), 3)])
 
@@ -249,10 +251,10 @@ def test_second_kind_keeps_only_the_panels_read(m05):
     assert edges[-2] < 0.3 * kp <= edges[-1]
     b.second(0.7 * kp)
     assert np.array_equal(b._first.edges, edges)
-    assert len(b._first.coeffs) == len(edges) - 1
+    assert all(len(half) == len(edges) - 1 for half in b._first.halves)
     fresh = LameBasis(4.5, m, 6)
     fresh.second(0.7 * kp)
-    assert len(fresh._first.coeffs) == 0  # the second kind alone keeps no first-kind panel
+    assert len(fresh._first.edges) - 1 == 0  # the second kind alone keeps no first-kind panel
     high = np.array([0.5, 0.8, 0.85]) * kp
     for derivative in (False, True):
         assert np.array_equal(b.second(high, derivative), fresh.second(high, derivative))
