@@ -231,10 +231,17 @@ def cmd_dirichlet(args) -> int:
     if args.probes:
         probes = [_parse_point(chunk) for chunk in args.probes.split(";")]
     else:
+        # t in [0.05K', 0.6 t0]; below t0 = K'/12 that is empty, so [0.3 t0, 0.6 t0],
+        # and never past the interior margin
+        t_hi = min(0.6 * dom.t0, dom.t_inner)
+        if args.n_probes and t_hi <= 0.0:
+            raise DomainError(f"--t0 = {args.t0!r} leaves no room for random probes inside "
+                              f"the interior margin; give --probes")
+        t_lo = 0.05 * kp if 0.05 * kp <= t_hi else 0.5 * t_hi
         rng = np.random.default_rng(args.seed)
         probes = [flatring_to_cartesian(FlatRingPoint(
             s=float(rng.uniform(-2 * m.quarter_K + 0.2, 2 * m.quarter_K - 0.2)),
-            t=float(rng.uniform(0.05 * kp, 0.6 * dom.t0)),
+            t=float(rng.uniform(t_lo, t_hi)),
             phi=float(rng.uniform(-math.pi, math.pi)), modulus=m)) for _ in range(args.n_probes)]
     rows = []
     for q, value in zip(probes, solve_interior(dom, coeffs, probes)):

@@ -7,10 +7,21 @@ come from tensor-product quadrature (Gauss-Legendre in s, trapezoid in phi,
 which is spectrally accurate for periodic data), and the solution is summed
 from internal harmonics.  Sine-family coefficients are normalized by the
 sine-family edge value Es(i t0).
+
+Everything in a projection but the data depends only on the surface, the
+quadrature and the truncation: `_surface` builds it once per key (modulus,
+t0, n_s, n_phi, m_max, n_max) and keeps the last one (lru_cache of size 1),
+since a run of solves reads one surface.  It holds read-only arrays alone,
+no basis and no order set, so `lame.clear_caches` need not reach it: a
+rebuilt basis reads bit for bit what the arrays hold.  At the CLI defaults
+((10, 10), 64 x 48 nodes) it holds 0.33 MB, at (40, 40) and 96 x 64 nodes
+5.4 MB; nearly all of it is the projection, one (n_s, 2N+2) block per
+signed order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -46,6 +57,12 @@ class FlatRingDomain:
 
     def contains(self, q: CartesianPoint) -> bool:
         return self.membership(q) > 0.0
+
+    @property
+    def t_inner(self) -> float:
+        """The largest t at which solve_interior evaluates: t0 less the
+        interior margin."""
+        return self.t0 - _INTERIOR_MARGIN * self.modulus.quarter_Kp
 
     def surface_point(self, s, phi) -> CartesianPoint:
         """Point (s, t0, phi) of the surface; s and phi may be arrays."""
@@ -118,37 +135,69 @@ class CoefficientTable:
         return self.d[self.m_max + m, n - 1]
 
 
+@dataclass(frozen=True)
+class _Surface:
+    """The data-free half of a projection onto the surface harmonics, all
+    read-only; rows j run over the signed orders -m_max..m_max, columns over
+    Ec^0..Ec^N, then Es^1..Es^(N+1)."""
+
+    s_nodes: np.ndarray  # Gauss-Legendre in s, (n_s,)
+    s_weights: np.ndarray
+    phi_nodes: np.ndarray  # trapezoid in phi, (n_phi,), step dphi
+    dphi: float
+    mesh: CartesianPoint  # the surface at every (s, phi) node, (n_s, n_phi)
+    root_r: np.ndarray  # (x^2 + y^2)^(1/4) on the mesh
+    phase: np.ndarray  # Re and Im of e^{-i j phi} dphi, rows (j, part): (2(2M+1), n_phi)
+    edge: np.ndarray  # W_|j|(t0), (2M+1, 2N+2)
+    projection: np.ndarray  # w_s E_|j|(s_nodes) / (8 pi W_|j|(t0)), (2M+1, n_s, 2N+2)
+
+
+@functools.lru_cache(maxsize=1)
+def _surface(m: Modulus, t0: float, n_s: int, n_phi: int, m_max: int, n_max: int, /) -> _Surface:
+    """The _Surface of one key, from one E read at the s-nodes and one W read
+    at t0 of every order (`lame.order_set`)."""
+    s_nodes, s_weights, phi_nodes, dphi = _surface_quadrature(m, n_s, n_phi)
+    mesh = flatring_to_cartesian(FlatRingPoint(s=s_nodes[:, None], t=t0, phi=phi_nodes[None, :],
+                                               modulus=m))
+    orders = np.arange(-m_max, m_max + 1)
+    phase = np.exp(-1j * np.outer(orders, phi_nodes)) * dphi
+    bases = order_set(m, m_max, n_max)
+    (edge,) = bases.imag(t0)[:, np.abs(orders)]
+    e = bases.real(s_nodes)[:, np.abs(orders)].transpose(1, 0, 2)  # (2M+1, n_s, 2N+2)
+    surface = _Surface(
+        s_nodes=s_nodes, s_weights=s_weights, phi_nodes=phi_nodes, dphi=dphi, mesh=mesh,
+        root_r=(mesh.x * mesh.x + mesh.y * mesh.y) ** 0.25,
+        phase=np.stack([phase.real, phase.imag], axis=1).reshape(-1, n_phi), edge=edge,
+        projection=np.ascontiguousarray(s_weights[:, None] * e / (8.0 * math.pi * edge[:, None, :])))
+    for x in (s_nodes, s_weights, phi_nodes, *mesh, surface.root_r, surface.phase, edge,
+              surface.projection):
+        x.flags.writeable = False  # the cache hands the surface to every caller
+    return surface
+
+
 def coefficients(dom: FlatRingDomain, data: BoundaryData, tr: Truncation) -> CoefficientTable:
     """Project boundary data onto the surface harmonics.
 
     c_m^n = (1 / (8 pi Ec(i t0))) integral of g(s, phi) Ec(s) e^{-i m phi};
-    d_m^(n+1) likewise with Es and the Es(i t0) normalizer.  Each |m| takes
-    one E(s_nodes) matrix and one W(t0) row, shared by +m and -m, from one
-    read of every order's E and one of every order's W (`lame.order_set`).
+    d_m^(n+1) likewise with Es and the Es(i t0) normalizer.  The phi
+    quadrature of every signed order is one product with the cached phase
+    rows, and the s quadrature one stacked product with the cached
+    projection (`_surface`).
     """
-    s_nodes, s_weights, phi_nodes, dphi = _surface_quadrature(dom.modulus, data.n_s, data.n_phi)
-    gvals = data.sample(s_nodes, phi_nodes)
+    surface = _surface(dom.modulus, dom.t0, data.n_s, data.n_phi, tr.m_max, tr.n_max)
+    gvals = data.sample(surface.s_nodes, surface.phi_nodes)
     if not np.all(np.isfinite(gvals)):
         i, j = np.argwhere(~np.isfinite(gvals))[0]
         raise DomainError(f"non-finite boundary data g = {gvals[i, j]} at "
-                          f"(s, phi) = ({s_nodes[i]}, {phi_nodes[j]})")
+                          f"(s, phi) = ({surface.s_nodes[i]}, {surface.phi_nodes[j]})")
 
-    orders = np.arange(-tr.m_max, tr.m_max + 1)
-    phase = np.exp(-1j * np.outer(orders, phi_nodes)) * dphi  # (2M+1, n_phi)
-    g_hat = (phase @ gvals.T) * s_weights  # (2M+1, n_s), quadrature-weighted
-
-    # columns: Ec^0..Ec^N, then Es^1..Es^(N+1)
-    cd = np.zeros((2 * tr.m_max + 1, 2 * (tr.n_max + 1)), dtype=complex)
-    captured = 0.0
-    bases = order_set(dom.modulus, tr.m_max, tr.n_max)
-    e_all, (edges,) = bases.real(s_nodes).transpose(1, 0, 2), bases.imag(dom.t0)
-    for order, (e, edge) in enumerate(zip(e_all, edges)):
-        rows = sorted({tr.m_max + order, tr.m_max - order})
-        cd[rows] = (g_hat[rows] @ e) / (8.0 * math.pi * edge)
-        captured += 8.0 * math.pi * float(np.sum(np.abs(cd[rows] * edge) ** 2))
+    # columns: Ec^0..Ec^N, then Es^1..Es^(N+1); parts: the Re and Im rows of the phase
+    parts = (surface.phase @ gvals.T).reshape(-1, 2, data.n_s) @ surface.projection
+    cd = parts[:, 0] + 1j * parts[:, 1]
+    captured = 8.0 * math.pi * float(np.sum(np.abs(cd * surface.edge) ** 2))
 
     # Parseval check against the sampled norm of g
-    norm_g2 = float(np.sum(s_weights[:, None] * gvals ** 2) * dphi)
+    norm_g2 = float(np.sum(surface.s_weights[:, None] * gvals ** 2) * surface.dphi)
     residual = abs(norm_g2 - captured) / norm_g2 if norm_g2 > 0.0 else 0.0
     if residual > 1e-6:
         warnings.warn(
@@ -171,30 +220,31 @@ def solve_interior(dom: FlatRingDomain, coeffs: CoefficientTable,
         x, y, z = np.array(list(q), dtype=float).reshape(-1, 3).T
     p = cartesian_to_flatring(CartesianPoint(x, y, z), m, Variant.V1)
     s, t, phi = (np.ravel(v) for v in (p.s, p.t, p.phi))
-    if np.any(t > dom.t0 - _INTERIOR_MARGIN * m.quarter_Kp):
+    if np.any(t > dom.t_inner):
         raise DomainError(
             f"point with t = {float(t.max())!r} is outside the interior margin t0 - "
             f"{_INTERIOR_MARGIN} K'"
         )
     cd = np.hstack([coeffs.c, coeffs.d])
-    total = np.zeros(t.size, dtype=complex)
+    orders = np.arange(-coeffs.m_max, coeffs.m_max + 1)
     bases = order_set(m, coeffs.m_max, coeffs.n_max)
-    products = np.ascontiguousarray((bases.real(s) * bases.imag(t)).transpose(1, 0, 2))
-    for order, base in enumerate(products):
-        for j in {order, -order}:
-            total += (base @ cd[coeffs.m_max + j]) * np.exp(1j * j * phi)
+    products = (bases.real(s) * bases.imag(t)).transpose(1, 0, 2)  # (orders, points, modes)
+    # every signed order's sum at every point, then one phase product over the orders
+    terms = (products[np.abs(orders)] @ cd[:, :, None])[..., 0]
+    total = np.sum(terms * np.exp(1j * np.multiply.outer(orders, phi)), axis=0)
     u = (x * x + y * y) ** -0.25 * total.real.reshape(x.shape)
     return float(u) if u.ndim == 0 else u
 
 
 def solve_point_source(dom: FlatRingDomain, r_star: CartesianPoint, tr: Truncation,
                        n_s: int = 96, n_phi: int = 64) -> CoefficientTable:
-    """Coefficients for boundary data f = 1 / |. - r*| with r* outside D1."""
+    """Coefficients for boundary data f = 1 / |. - r*| with r* outside D1,
+    sampled on the cached surface mesh."""
     if dom.contains(r_star):
         raise DomainError("point source must lie outside the closed flat-ring")
-    data = BoundaryData.from_function(dom, lambda q: _inverse_distance(q, r_star),
-                                      n_s=n_s, n_phi=n_phi)
-    return coefficients(dom, data, tr)
+    surface = _surface(dom.modulus, dom.t0, n_s, n_phi, tr.m_max, tr.n_max)
+    samples = surface.root_r * _inverse_distance(surface.mesh, r_star)
+    return coefficients(dom, BoundaryData(g=lambda s, phi: samples, n_s=n_s, n_phi=n_phi), tr)
 
 
 def external_from_boundary(dom: FlatRingDomain, idx: HarmonicIndex,

@@ -55,10 +55,11 @@ a few modes takes the basis of least depth that holds them (basis_for).
 OrderSet reads bases of one modulus and depth together, on arrays of
 points: E by one cos/sin table, W by one stacked panel read, and F by one
 Horner recurrence and one panel read per hand-off tau0; a LameBasis reads
-as the set of itself.  order_set(m, m_max, N) serves the orders 0..m_max of
-a flat-ring series from a small LRU cache of whole sets, which hold their
-bases, so an expansion with more orders than the basis cache holds builds
-each basis once.
+through one set of itself, built on its first read and kept.
+order_set(m, m_max, N) serves the orders 0..m_max of a flat-ring series
+from a small LRU cache of whole sets, which hold their bases, so an
+expansion with more orders than the basis cache holds builds each basis
+once.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ import copy
 import enum
 import functools
 import math
+import weakref
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
@@ -366,14 +368,15 @@ class _PanelStack:
         self._blocks = {}
 
     def _block(self, derivative: bool) -> np.ndarray:
-        """The W (or W') half of every panel of every set, (panels, 33, modes)."""
+        """The W (or W') half of every panel of every set, (panels, 33, modes).
+        One set's half is read where the set keeps it, never held here: a
+        stack of several sets may re-point it to a view of their block."""
+        if len(self.sets) == 1:
+            return self.sets[0].halves[derivative]
         if derivative not in self._blocks:
-            if len(self.sets) == 1:
-                block = self.sets[0].halves[derivative]
-            else:
-                block = np.concatenate([p.halves[derivative] for p in self.sets])
-                for p, first, count in zip(self.sets, self._first, self._counts):
-                    p.halves[derivative] = block[first:first + count]
+            block = np.concatenate([p.halves[derivative] for p in self.sets])
+            for p, first, count in zip(self.sets, self._first, self._counts):
+                p.halves[derivative] = block[first:first + count]
             self._blocks[derivative] = block
         return self._blocks[derivative]
 
@@ -618,7 +621,7 @@ class LameBasis:
     def real(self, s, derivative: bool = False, cols=slice(None)) -> np.ndarray:
         """E(s) (or E'(s)) at real s; the basis carries parity and periodicity.
         The one-basis case of `OrderSet.real`."""
-        return OrderSet([self]).real(s, derivative, cols)[:, 0]
+        return self._alone.real(s, derivative, cols)[:, 0]
 
     def imag(self, t, derivative: bool = False, cols=slice(None)) -> np.ndarray:
         """Real representative W(t) of E(it) (or its t-derivative).
@@ -628,13 +631,21 @@ class LameBasis:
         parity; t = 0 gives the exact boundary data.  The one-basis case of
         `OrderSet.imag`.
         """
-        return OrderSet([self]).imag(t, derivative, cols)[:, 0]
+        return self._alone.imag(t, derivative, cols)[:, 0]
 
     def second(self, t, derivative: bool = False, cols=slice(None)) -> np.ndarray:
         """Second-kind F(t) (or dF/dt) for 0 < t < K', with unit Wronskian
         F W' - W F' = 1: the Frobenius series within tau0 of K', the
         continuation panels below it.  The one-basis case of `OrderSet.second`."""
-        return OrderSet([self]).second(t, derivative, cols)[:, 0]
+        return self._alone.second(t, derivative, cols)[:, 0]
+
+    @functools.cached_property
+    def _alone(self) -> OrderSet:
+        """The one-basis OrderSet that real, imag and second read through,
+        built on the first read and kept, with its stacked panels and
+        Frobenius block.  It holds the basis by a weak proxy, so the two form
+        no reference cycle: a basis is freed as soon as nothing else holds it."""
+        return OrderSet([weakref.proxy(self)])
 
     @functools.cached_property
     def _second_kind(self) -> tuple[np.ndarray, float, _ImagPanels]:
@@ -809,10 +820,11 @@ _BASIS_CACHE_SIZE = 32
 OrderSet, which holds its own bases, so this cache need not hold a whole
 expansion: it serves the single-mode callers, one small basis per mode, and
 each basis of a set while the set is built.  At k = 0.5 a depth-20 basis
-takes 0.16 MB with the panels that reads at t <= 0.3K' and t* >= 0.6K'
-build (F there is read from its series alone), and at most 0.53 MB with
-both panel sets grown to 0.9K' and 0.05K', so the bound caps what this
-cache holds at about 17 MB."""
+read alone takes 0.17 MB with the panels that reads at t <= 0.3K' and
+t* >= 0.6K' build (F there is read from its series alone), and at most
+0.6 MB with both panel sets grown to 0.9K' and 0.05K' (its own set's
+Frobenius block, 0.02 MB, included), so the bound caps what this cache
+holds at about 19 MB."""
 
 
 @functools.lru_cache(maxsize=_BASIS_CACHE_SIZE)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from flatring import lame
+from flatring.coords import CartesianPoint, cartesian_to_flatring
 from flatring.cli import main
 
 
@@ -137,6 +138,28 @@ def test_dirichlet_point_source_command(capsys, m05):
     for row in rows:
         assert row["value"] == pytest.approx(row["direct"], rel=1e-6)
     assert "parseval_residual" in err
+
+
+@pytest.mark.parametrize("t0", ["0.01", "0.05"])
+def test_dirichlet_small_t0_draws_probes_inside(capsys, m05, t0):
+    # below t0 = 1/12 the default probe range [0.05K', 0.6 t0] is empty;
+    # the probes are drawn from its upper half [0.3 t0, 0.6 t0] instead
+    code, out, _ = run_cli(capsys, "dirichlet", f"--t0={t0}", "--n-probes", "4")
+    assert code == 0
+    rows = json.loads(out)
+    q = CartesianPoint(*np.array([[row["x"], row["y"], row["z"]] for row in rows]).T)
+    t = cartesian_to_flatring(q, m05).t / (float(t0) * m05.quarter_Kp)
+    assert len(rows) == 4 and np.all((0.3 - 1e-9 <= t) & (t <= 0.6 + 1e-9))
+    for row in rows:
+        assert row["value"] == pytest.approx(row["direct"], rel=1e-6)
+
+
+def test_dirichlet_t0_within_the_interior_margin_exits_2(capsys):
+    # t0 = 0.001K' leaves no t inside t0 less the 0.001K' margin for a probe
+    code, out, err = run_cli(capsys, "dirichlet", "--t0=0.001", "--format", "json")
+    assert code == 2
+    assert err.startswith("error: --t0 = 0.001 leaves no room") and err.count("\n") == 1
+    assert json.loads(out)["error"]["type"] == "DomainError"
 
 
 @pytest.mark.parametrize("t0", ["1.0", "0", "-0.2", "2.1565156474996434", "nan"])

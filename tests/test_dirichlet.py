@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from flatring.coords import CartesianPoint, FlatRingPoint, flatring_to_cartesian
+from flatring import dirichlet
+from flatring.coords import CartesianPoint, FlatRingPoint, Variant, cartesian_to_flatring, flatring_to_cartesian
 from flatring.dirichlet import (
     BoundaryData,
     FlatRingDomain,
@@ -14,6 +15,7 @@ from flatring.dirichlet import (
 )
 from flatring.errors import DomainError
 from flatring.harmonics import HarmonicIndex, HarmonicKind, Truncation, external_harmonic, internal_harmonic
+from flatring.lame import OrderSet, order_set
 
 
 @pytest.fixture(scope="module")
@@ -274,3 +276,117 @@ def test_non_finite_boundary_data_is_refused(m05):
                             n_s=24, n_phi=16)
         with pytest.raises(DomainError, match="non-finite boundary data"):
             coefficients(dom, data, Truncation(2, 2))
+
+
+# --- the per-order loops that the stacked projection and fold replace -----------
+
+
+def _coefficients_by_order(dom, data, tr):
+    """c and d side by side, (2 m_max + 1, 2 n_max + 2): the phi quadrature
+    of every signed order, then one E product and one W(t0) per |m|, shared
+    by +m and -m."""
+    s_nodes, s_weights, phi_nodes, dphi = dirichlet._surface_quadrature(dom.modulus, data.n_s,
+                                                                        data.n_phi)
+    gvals = data.sample(s_nodes, phi_nodes)
+    orders = np.arange(-tr.m_max, tr.m_max + 1)
+    g_hat = (np.exp(-1j * np.outer(orders, phi_nodes)) * dphi @ gvals.T) * s_weights
+    cd = np.zeros((2 * tr.m_max + 1, 2 * (tr.n_max + 1)), dtype=complex)
+    bases = order_set(dom.modulus, tr.m_max, tr.n_max)
+    e_all, (edges,) = bases.real(s_nodes).transpose(1, 0, 2), bases.imag(dom.t0)
+    for order, (e, edge) in enumerate(zip(e_all, edges)):
+        rows = sorted({tr.m_max + order, tr.m_max - order})
+        cd[rows] = (g_hat[rows] @ e) / (8.0 * math.pi * edge)
+    return cd
+
+
+def _solve_interior_by_order(dom, coeffs, q):
+    """The interior sum at a CartesianPoint of arrays, order by order and
+    sign by sign."""
+    p = cartesian_to_flatring(q, dom.modulus, Variant.V1)
+    s, t, phi = (np.ravel(v) for v in (p.s, p.t, p.phi))
+    cd = np.hstack([coeffs.c, coeffs.d])
+    bases = order_set(dom.modulus, coeffs.m_max, coeffs.n_max)
+    products = (bases.real(s) * bases.imag(t)).transpose(1, 0, 2)
+    total = np.zeros(t.size, dtype=complex)
+    for order, base in enumerate(products):
+        for j in {order, -order}:
+            total += (base @ cd[coeffs.m_max + j]) * np.exp(1j * j * phi)
+    return (np.ravel(q.x) ** 2 + np.ravel(q.y) ** 2) ** -0.25 * total.real
+
+
+@pytest.mark.filterwarnings("ignore::flatring.errors.QuadratureWarning")
+@pytest.mark.parametrize("m_max", [0, 1, 12])
+def test_stacked_projection_and_fold_match_the_per_order_loops(m05, m_max):
+    # data odd in phi at |m| = 1 and 3, with an even part at m = 0 and a
+    # smaller one at |m| = 1: c_-m = conj(c_m) != c_m
+    m = m05
+    dom = FlatRingDomain(t0=0.4 * m.quarter_Kp, modulus=m)
+    data = BoundaryData(g=lambda s, phi: (np.exp(0.3 * s) * np.sin(phi) + 0.2 * s * np.sin(3.0 * phi)
+                                          + np.cos(0.5 * s) * (0.5 + 0.1 * np.cos(phi))),
+                        n_s=48, n_phi=40)
+    tr = Truncation(m_max, 6)
+    table = coefficients(dom, data, tr)
+    cd = np.hstack([table.c, table.d])
+    ref = _coefficients_by_order(dom, data, tr)
+    np.testing.assert_allclose(cd, ref, rtol=1e-13, atol=1e-13 * np.abs(ref).max())
+    if m_max:
+        assert np.abs(cd[m_max + 1] - cd[m_max - 1]).max() > 0.1 * np.abs(cd).max()
+    rng = np.random.default_rng(17)
+    q = flatring_to_cartesian(FlatRingPoint(
+        s=rng.uniform(-1.9, 1.9, 20) * m.quarter_K, t=rng.uniform(0.05, 0.9, 20) * dom.t0,
+        phi=rng.uniform(-math.pi, math.pi, 20), modulus=m))
+    ref = _solve_interior_by_order(dom, table, q)
+    np.testing.assert_allclose(solve_interior(dom, table, q), ref,
+                               rtol=1e-13, atol=1e-13 * np.abs(ref).max())
+
+
+def test_second_point_source_solve_reads_no_basis(m05, monkeypatch):
+    # the projection's E at the s-nodes and W at t0 are read once per surface
+    m = m05
+    dom = FlatRingDomain(t0=0.4 * m.quarter_Kp, modulus=m)
+    r_star = flatring_to_cartesian(FlatRingPoint(
+        s=1.2 * m.quarter_K, t=0.8 * m.quarter_Kp, phi=-0.7, modulus=m))
+    tr = Truncation(5, 5)
+    first = solve_point_source(dom, r_star, tr, n_s=40, n_phi=32)
+    reads = []
+    for name in ("real", "imag"):
+        read = getattr(OrderSet, name)
+        monkeypatch.setattr(OrderSet, name, lambda self, *a, read=read, name=name, **kw:
+                            reads.append(name) or read(self, *a, **kw))
+    second = solve_point_source(dom, r_star, tr, n_s=40, n_phi=32)
+    assert reads == []
+    assert np.array_equal(second.c, first.c) and np.array_equal(second.d, first.d)
+    # another r* on the same surface reads nothing either; another t0 reads both
+    solve_point_source(dom, CartesianPoint(0.1, 0.2, 1.5), tr, n_s=40, n_phi=32)
+    assert reads == []
+    solve_point_source(FlatRingDomain(t0=0.3 * m.quarter_Kp, modulus=m), r_star, tr,
+                       n_s=40, n_phi=32)
+    assert sorted(reads) == ["imag", "real"]
+
+
+def _surface_arrays(surface):
+    """Every array of a cached surface, the mesh's three among them."""
+    return [x for v in vars(surface).values() for x in (v if isinstance(v, tuple) else (v,))
+            if isinstance(x, np.ndarray)]
+
+
+def test_cached_surface_is_read_only(m05):
+    m = m05
+    surface = dirichlet._surface(m, 0.4 * m.quarter_Kp, 16, 12, 2, 2)
+    arrays = _surface_arrays(surface)
+    assert len(arrays) == 10
+    for x in arrays:
+        assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[(0,) * x.ndim] = 1.0
+
+
+def test_surface_cache_bound(m05):
+    # one surface, and at the CLI defaults ((10, 10), 64 x 48 nodes) 0.33 MB:
+    # the projection takes 0.24 MB of it
+    m = m05
+    assert dirichlet._surface.cache_info().maxsize == 1
+    surface = dirichlet._surface(m, 0.4 * m.quarter_Kp, 64, 48, 10, 10)
+    held = {id(x): x for x in (a if a.base is None else a.base for a in _surface_arrays(surface))}
+    assert 0.3e6 < sum(x.nbytes for x in held.values()) <= 0.35e6
+    assert surface.projection.shape == (21, 64, 22)

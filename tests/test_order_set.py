@@ -2,6 +2,9 @@
 reads stay equal to each basis's own read as panel sets grow, and an
 expansion with more orders than the basis cache holds stays warm."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -93,6 +96,31 @@ def test_read_exact_after_a_basis_grows_outside_the_set():
     alone = [LameBasis(order - 0.5, m, 6) for order in range(6)]
     alone[first].imag(0.6 * kp)
     _assert_reads_equal(together, alone, np.array([edge, 0.1 * kp]), second=False)
+
+
+def test_one_basis_reads_keep_one_set():
+    # LameBasis.real, .imag and .second read through one set of the basis,
+    # built on the first read: each read equals that of a set built for it,
+    # bit for bit, and the set holds the basis weakly, so a basis that no
+    # one holds is freed at once, without the cycle collector
+    m = Modulus.from_k(0.5)
+    t = np.array([0.2, 0.7, 0.05]) * m.quarter_Kp
+    b = LameBasis(1.5, m, 4)
+    for name in ("real", "imag", "second"):
+        for derivative in (False, True):
+            for cols in (slice(None), [3, 0]):
+                own = getattr(b, name)(t, derivative, cols)
+                assert np.array_equal(own, getattr(OrderSet([b]), name)(t, derivative, cols)[:, 0])
+    alone = b._alone
+    b.real(t), b.imag(t), b.second(t)
+    assert b._alone is alone
+    freed = weakref.ref(b)
+    gc.disable()
+    try:
+        del b, alone
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 def test_order_set_is_one_object_per_key():
