@@ -80,5 +80,4 @@ from .legendre import (
     legendre_q,
     toroidal_p_table,
     toroidal_q_table,
-    toroidal_tables,
 )

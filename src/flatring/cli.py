@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
-import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -39,18 +38,47 @@ from .lame import basis_for, family_of_superscript
 from .verify import SUITES, run_suites
 
 
+def _json(obj) -> str:
+    """json.dumps(obj, indent=2), byte for byte, for the dicts (str keys), lists, tuples,
+    str, int, float, bool and None that commands print; json encodes an indent in Python."""
+    out = []
+    _write_json(obj, "\n", out)
+    return "".join(out)
+
+
+def _write_json(o, indent: str, out: list) -> None:
+    # module level, not nested in _json: a nested recursive writer is a
+    # reference cycle that holds every call's text until the collector runs
+    if isinstance(o, float):  # not repr: numpy 2 prints np.float64(...)
+        out.append(float.__repr__(o) if math.isfinite(o) else
+                   "NaN" if o != o else "Infinity" if o > 0.0 else "-Infinity")
+    elif isinstance(o, dict):
+        for i, (k, v) in enumerate(o.items()):
+            out.append(("," if i else "{") + indent + "  " + encode_basestring_ascii(k) + ": ")
+            _write_json(v, indent + "  ", out)
+        out.append(indent + "}" if o else "{}")
+    elif isinstance(o, (list, tuple)):
+        for i, v in enumerate(o):
+            out.append(("," if i else "[") + indent + "  ")
+            _write_json(v, indent + "  ", out)
+        out.append(indent + "]" if o else "[]")
+    elif isinstance(o, str):
+        out.append(encode_basestring_ascii(o))
+    elif o is None or o is True or o is False:
+        out.append("null" if o is None else "true" if o else "false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
 def _emit(rows: list[dict], fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(rows, indent=2))
-    else:
-        if not rows:
-            return
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
+        print(_json(rows))
+    elif rows:
+        writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0].keys()))
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-        sys.stdout.write(buf.getvalue())
+        writer.writerows(rows)
 
 
 def _parse_point(text: str) -> CartesianPoint:
@@ -127,15 +155,10 @@ def cmd_coords(args) -> int:
         _emit([{"s": p.s, "t": p.t, "phi": p.phi}], args.format)
     else:  # lines
         rows = _figure_lines(m, args.samples)
-        if args.format == "json":
-            print(json.dumps(rows, indent=2))
-        else:
-            flat = []
-            for i, row in enumerate(rows):
-                for x, z in row["points"]:
-                    flat.append({"curve": i, "kind": row["kind"],
-                                 "value": row["value"], "x": x, "z": z})
-            _emit(flat, "csv")
+        if args.format == "csv":
+            rows = [{"curve": i, "kind": row["kind"], "value": row["value"], "x": x, "z": z}
+                    for i, row in enumerate(rows) for x, z in row["points"]]
+        _emit(rows, args.format)
     return 0
 
 
@@ -157,9 +180,9 @@ def cmd_green(args) -> int:
         "shells": [{"n": i, "magnitude": abs(s)} for i, s in enumerate(shells)],
     }
     if args.format == "json":
-        print(json.dumps(report, indent=2))
+        print(_json(report))
     else:
-        _emit([{"n": i, "magnitude": abs(s)} for i, s in enumerate(shells)], "csv")
+        _emit(report["shells"], "csv")
         print(f"# value={val!r} direct={direct!r} rel={report['relative_error']!r}")
     return 0
 
@@ -220,13 +243,11 @@ def cmd_dirichlet(args) -> int:
         coeffs = solve_point_source(dom, r_star, tr, n_s=args.n_s, n_phi=args.n_phi)
     elif args.boundary == "single-mode":
         idx = HarmonicIndex(m=1, n=2, kind=HarmonicKind.GC)
-        data = BoundaryData.from_function(dom, lambda q: internal_harmonic(idx, q, m).real,
-                                          n_s=args.n_s, n_phi=args.n_phi)
-        coeffs = coefficients(dom, data, tr)
+        coeffs = coefficients(dom, BoundaryData.from_function(
+            dom, lambda q: internal_harmonic(idx, q, m).real, n_s=args.n_s, n_phi=args.n_phi), tr)
     else:
         g = (lambda s, phi: 1.0) if args.boundary == "constant" else _read_boundary_grid(args.boundary)
-        data = BoundaryData(g=g, n_s=args.n_s, n_phi=args.n_phi)
-        coeffs = coefficients(dom, data, tr)
+        coeffs = coefficients(dom, BoundaryData(g=g, n_s=args.n_s, n_phi=args.n_phi), tr)
 
     if args.probes:
         probes = [_parse_point(chunk) for chunk in args.probes.split(";")]
@@ -331,8 +352,8 @@ _PARSER = build_parser()  # built once per process: ~45 add_argument calls
 def _fail(exc: Exception, code: int, json_requested: bool) -> int:
     print(f"error: {exc}", file=sys.stderr)
     if json_requested:
-        print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc),
-                                    "exit_code": code}}, indent=2))
+        print(_json({"error": {"type": type(exc).__name__, "message": str(exc),
+                               "exit_code": code}}))
     return code
 
 

@@ -91,12 +91,14 @@ class BoundaryData:
     """Callable boundary sample g(s, phi) = (x^2+y^2)^(1/4) f on t = t0.
 
     g is called once with the whole (s, phi) quadrature mesh as
-    broadcastable arrays.
+    broadcastable arrays.  f, set by `from_function`, is the Cartesian f
+    behind g, which `coefficients` hands the cached surface mesh.
     """
 
     g: Callable[[np.ndarray, np.ndarray], np.ndarray]
     n_s: int = 96
     n_phi: int = 64
+    f: Callable[[CartesianPoint], np.ndarray] | None = None
 
     @classmethod
     def from_function(cls, dom: FlatRingDomain, f: Callable[[CartesianPoint], np.ndarray],
@@ -108,7 +110,7 @@ class BoundaryData:
             q = dom.surface_point(s, phi)
             return (q.x * q.x + q.y * q.y) ** 0.25 * f(q)
 
-        return cls(g=g, n_s=n_s, n_phi=n_phi)
+        return cls(g=g, n_s=n_s, n_phi=n_phi, f=f)
 
     def sample(self, s: np.ndarray, phi: np.ndarray) -> np.ndarray:
         """g on the tensor mesh s x phi: (len(s), len(phi))."""
@@ -185,7 +187,8 @@ def coefficients(dom: FlatRingDomain, data: BoundaryData, tr: Truncation) -> Coe
     projection (`_surface`).
     """
     surface = _surface(dom.modulus, dom.t0, data.n_s, data.n_phi, tr.m_max, tr.n_max)
-    gvals = data.sample(surface.s_nodes, surface.phi_nodes)
+    gvals = (data.sample(surface.s_nodes, surface.phi_nodes) if data.f is None
+             else surface.root_r * data.f(surface.mesh))  # g, as from_function's g maps it
     if not np.all(np.isfinite(gvals)):
         i, j = np.argwhere(~np.isfinite(gvals))[0]
         raise DomainError(f"non-finite boundary data g = {gvals[i, j]} at "
@@ -242,9 +245,8 @@ def solve_point_source(dom: FlatRingDomain, r_star: CartesianPoint, tr: Truncati
     sampled on the cached surface mesh."""
     if dom.contains(r_star):
         raise DomainError("point source must lie outside the closed flat-ring")
-    surface = _surface(dom.modulus, dom.t0, n_s, n_phi, tr.m_max, tr.n_max)
-    samples = surface.root_r * _inverse_distance(surface.mesh, r_star)
-    return coefficients(dom, BoundaryData(g=lambda s, phi: samples, n_s=n_s, n_phi=n_phi), tr)
+    data = BoundaryData.from_function(dom, lambda q: _inverse_distance(q, r_star), n_s, n_phi)
+    return coefficients(dom, data, tr)
 
 
 def external_from_boundary(dom: FlatRingDomain, idx: HarmonicIndex,

@@ -229,21 +229,25 @@ def toroidal_harmonic(m_order: int, n: int, p: ToroidalPoint, external: bool = F
     return math.sqrt(d) * x_val * complex(math.cos(phase), math.sin(phase))
 
 
-def _toroidal_terms(tau: float, tau_star: float, m_max: int, n_max: int) -> np.ndarray:
-    """Gamma-weighted radial products (-1)^m Gamma(n-m+1/2) / Gamma(n+m+1/2)
-    Q^m_{n-1/2}(cosh tau) P^m_{n-1/2}(cosh tau*) for m <= m_max, n <= n_max,
-    from a Q table built at cosh tau alone and a P table at cosh tau* alone.
-
-    The weight's sign and size come from gammasgn/gammaln; the product of the
-    three factors is of moderate size even where each factor is not.
-    """
-    z, z_star = np.cosh([tau, tau_star])
-    q, p = toroidal_q_table(z, m_max, n_max), toroidal_p_table(z_star, m_max, n_max)
+@functools.lru_cache(maxsize=8)
+def _toroidal_weights(m_max: int, n_max: int) -> np.ndarray:
+    """(-1)^m Gamma(n-m+1/2) / Gamma(n+m+1/2), m <= m_max, n <= n_max, from
+    gammasgn/gammaln; read-only, since the cache hands it to every caller."""
     m = np.arange(m_max + 1)[:, None]
     diff = np.arange(n_max + 1) - m + 0.5
     weights = (np.where(m % 2, -1.0, 1.0) * gammasgn(diff)
                * np.exp(gammaln(diff) - gammaln(diff + 2 * m)))
-    return weights * q * p
+    weights.flags.writeable = False
+    return weights
+
+
+def _toroidal_terms(tau: float, tau_star: float, m_max: int, n_max: int) -> np.ndarray:
+    """`_toroidal_weights` * Q^m_{n-1/2}(cosh tau) P^m_{n-1/2}(cosh tau*), m <=
+    m_max, n <= n_max, from a Q table at cosh tau alone and a P table at cosh
+    tau* alone: of moderate size even where a factor is not."""
+    z, z_star = np.cosh([tau, tau_star])
+    q, p = toroidal_q_table(z, m_max, n_max), toroidal_p_table(z_star, m_max, n_max)
+    return _toroidal_weights(m_max, n_max) * q * p
 
 
 def toroidal_summand(m_order: int, n: int, tau: float, tau_star: float) -> float:

@@ -8,10 +8,27 @@ and the order recurrence that the toroidal tables use too.
 The toroidal functions P^m_{n-1/2}, Q^m_{n-1/2} (integer m, n >= 0) come as
 whole tables from recurrences seeded by complete elliptic integrals, after
 Gil & Segura, Comput. Phys. Commun. 124 (2000) 104-122: `toroidal_p_table`
-and `toroidal_q_table` build one table each, so a caller that reads Q at one
-z and P at another (the toroidal expansion) builds each only where it is
-read, and `toroidal_tables` is the pair at one z.  They cover every z > 1
-and share no code with hyp2f1, so each is an oracle for the other.
+and `toroidal_q_table` build one table each, for every z > 1, and share no
+code with hyp2f1, so each is an oracle for the other.  A table is built one
+z at a time from z-free coefficients cached per shape (`_steps`), in scalar
+floats but for the recurrences across all orders or degrees; an array z maps
+that build over its points, so each column equals its point's table exactly.
+
+Seeds are closed forms in complete elliptic integrals (DLMF 14.5(v), and
+their z-derivatives for order 1), with a = 2/(z+1), b = (z-1)/(z+1) and
+K(b) - E(b) = (b/3) R_D(0, a, 1) so that none cancels where it is used:
+P_{-1/2} = (2/pi) sqrt(a) K(b),  P^1_{-1/2} = -(sqrt2/pi)(K(b) - E(b))/sqrt(z-1),
+P_{1/2} = (2/pi) sqrt(a) ((z+1) E(b) - K(b)),
+P^1_{1/2} = (sqrt2/pi) sqrt(z-1) (E(b) - R_D/(3 (z+1))),
+Q_{-1/2} = sqrt(a) K(a),  Q_{1/2} = ((2-a) K(a) - 2 E(a)) / sqrt(a)
+(Q_{1/2} cancels for large z, but seeds only forward branches near z = 1).
+P runs forward in the degree and Q forward in the order, where each is
+dominant; the minimal directions, Q^0 in the degree and P_{-1/2} in the
+order, come from `_minimal_solution`.  Q^1 follows from the order Casoratian
+P^0 Q^1 - P^1 Q^0 = -1/sqrt(z^2-1), and P^m_{1/2} from the degree Casoratian
+P^m_{-1/2} Q^m_{1/2} - P^m_{1/2} Q^m_{-1/2} = Gamma(m+1/2)^2 / (pi (m-1/2)).
+So the Q table needs P only at orders 0 and 1, and the P table needs Q only
+at degrees -1/2 and 1/2.
 
 Phase convention: the defining formula for Q carries a factor e^{i mu pi}.
 For integer order m this equals (-1)**m and is kept inside the returned real
@@ -22,6 +39,7 @@ complex and never arise here).
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -130,7 +148,7 @@ def legendre_q(nu: float, mu: float, z):
                * hyp2f1(0.5, nu + 1.0, nu + 1.5, zeta ** -2.0))
     if m >= 1:
         q[1, 0] = _casoratian_q1(_p_closed(nu, 0.0, x), _p_closed(nu, 1.0, x), q[0, 0], root)
-        _order_forward(q, x / root, np.array([nu]))
+        _order_forward(q, x / root, _order_steps(np.array([nu]), m + 1))
     return scale * _result(q[m, 0], "legendre_q")
 
 
@@ -142,197 +160,153 @@ _FORWARD_GROWTH = 0.1
 _BACKWARD_DAMPING = 39.0
 
 
-def _minimal_solution(y0, y1, slope, drag, d, rate, guess, top: int) -> np.ndarray:
-    """y_k, k = 0..top, of the minimal solution of the three-term recurrence
-    y_{k+1} = slope(k) (1 + d) y_k + drag(k) y_{k-1} with y_0 = y0.
-
-    slope and drag map an array of k to coefficients; d (per point) is held
-    apart from 1 because near 1 + d = 1 the forward recurrence is sensitive
-    to d itself (coth(tau) - 1 at large z loses its digits once rounded into
-    coth; 2e-14 against 1.2e-13 at order 40, z = 1e3).
-    The dominant/minimal ratio grows by about 1/rate per step (rate < 1 per
-    point).  Where rate**top >= _FORWARD_GROWTH the forward recurrence from
-    y0, y1 loses little; elsewhere the ratios y_{k+1}/y_k come from the
-    backward recurrence, started where the dominant solution has been damped
-    below rounding from guess(start) ~ y_{start+1}/y_start, and multiply y0.
-    """
-    col = np.empty((top + 1,) + np.shape(d))
-    col[0] = y0
-    if top == 0:
+def _minimal_solution(y0, y1, slope, drag, d: float, rate: float, guess, top: int) -> list:
+    """y_k, k = 0..top, at one point, of the minimal solution of y_{k+1} =
+    slope(k) (1 + d) y_k + drag(k) y_{k-1}, y_0 = y0, for integer k.  d is
+    held apart from 1: near 1 + d = 1 the forward recurrence is sensitive to
+    d itself (rounding coth(tau) - 1 into coth at z = 1e3 takes order 40
+    from 2e-14 to 1.2e-13).  The dominant/minimal ratio grows by about
+    1/rate per step: where rate**top >= _FORWARD_GROWTH the forward
+    recurrence from y0, y1 loses little, else the ratios y_{k+1}/y_k come
+    from the backward recurrence, started from guess(start) ~
+    y_{start+1}/y_start where the dominant solution is damped below rounding."""
+    if rate ** top >= _FORWARD_GROWTH:
+        col = [y0, y1]
+        for k in range(1, top):
+            col.append(slope(k) * (col[-1] + d * col[-1]) + drag(k) * col[-2])
         return col
-    col[1] = y1
-    backward = rate ** top < _FORWARD_GROWTH
-    if not np.all(backward):
-        k = np.arange(1.0, top)
-        gain, pull = slope(k).tolist(), drag(k).tolist()
-        for i in range(top - 1):
-            col[i + 2] = gain[i] * (col[i + 1] + d * col[i + 1]) + pull[i] * col[i]
-    if np.any(backward):
-        start = top + int(np.ceil(np.max(_BACKWARD_DAMPING / -np.log(rate[backward]))))
-        k = np.arange(start, 0, -1.0)
-        level = np.multiply.outer(slope(k), 1.0 + d)
-        pull = drag(k).tolist()
-        ratio = guess(start)
-        ratios = np.empty((top,) + np.shape(d))
-        for i in range(start):  # k = start - i; the new ratio is y_k / y_(k-1)
-            ratio = pull[i] / (ratio - level[i])
-            if i >= start - top:
-                ratios[start - 1 - i] = ratio
-        col[1:] = np.where(backward, y0 * np.cumprod(ratios, axis=0), col[1:])
-    return col
+    start = top + math.ceil(_BACKWARD_DAMPING / -np.log(rate))
+    # a float64 scalar: a pole of the continued fraction gives inf (IEEE,
+    # under the caller's errstate) where a Python float would raise
+    ratio = np.float64(guess(start))
+    ratios = []
+    for k in range(start, 0, -1):
+        ratio = drag(k) / (ratio - slope(k) * (1.0 + d))  # y_k / y_(k-1)
+        ratios.append(ratio)
+    return [y0] + (y0 * np.cumprod(ratios[:-top - 1:-1])).tolist()
 
 
-def _degree_forward(table: np.ndarray, z, first_order: int = 0) -> None:
-    """Fill degrees 3/2.. of a P table (orders, degrees, ...) at z in place
-    from its degree -1/2 and 1/2 columns (DLMF 14.10.3; P is dominant in the
-    degree).  Row i holds order first_order + i."""
-    k = np.arange(1.0, table.shape[1] - 1.0)[:, None]
-    j = np.arange(first_order, first_order + table.shape[0] + 0.0)
-    scale = 1.0 / (k - j + 0.5)
-    gain = (2.0 * k * scale).reshape(k.shape[:1] + j.shape + (1,) * (table.ndim - 2))
-    pull = ((k + j - 0.5) * scale).reshape(gain.shape)
-    for i in range(table.shape[1] - 2):  # degree i + 3/2 from i + 1/2 and i - 1/2
-        table[:, i + 2] = gain[i] * z * table[:, i + 1] - pull[i] * table[:, i]
+def _order_steps(nu: np.ndarray, orders: int) -> np.ndarray:
+    """pull = (nu-m+1)(nu+m) of Q^{m+1} = -2 m coth(tau) Q^m + pull Q^{m-1}
+    (DLMF 14.10.6): rows m = 1..orders - 2, columns the degrees nu."""
+    m = np.arange(1.0, orders - 1.0)[:, None]
+    return (nu - m + 1.0) * (nu + m)
 
 
-def _order_forward(table: np.ndarray, coth, nu: np.ndarray) -> None:
-    """Fill orders 2.. of a Q table (orders, degrees, ...) in place from its
-    orders 0 and 1, column j at degree nu[j] (DLMF 14.10.6; Q is dominant in
-    the order): Q^{m+1} = -2 m coth(tau) Q^m + (nu-m+1)(nu+m) Q^{m-1}."""
-    m = np.arange(1.0, table.shape[0] - 1.0)[:, None]
-    pull = ((nu - m + 1.0) * (nu + m)).reshape(m.shape[:1] + nu.shape + (1,) * (table.ndim - 2))
-    for i in range(table.shape[0] - 2):  # order i + 2 from i + 1 and i
-        table[i + 2] = (-2.0 * (i + 1)) * coth * table[i + 1] + pull[i] * table[i]
+def _order_forward(table: np.ndarray, coth, pull: np.ndarray) -> None:
+    """Fill orders 2.. of a Q table (orders, degrees, ...) in place; pull from `_order_steps`."""
+    pull = pull.reshape(pull.shape + (1,) * (table.ndim - 2))
+    rows = list(table)
+    for i, (r0, r1, r2, h) in enumerate(zip(rows, rows[1:], rows[2:], pull)):
+        np.add((-2.0 * (i + 1)) * coth * r1, h * r0, out=r2)
 
 
-def _corners(z: np.ndarray):
-    """sinh(tau), e^-tau, coth(tau) - 1 and tanh(tau/2)^2 at z = cosh(tau),
-    the closed-form block P^m_{n-1/2}, m, n in {0, 1} (orders x degrees), and
-    Q_{-1/2}, Q_{1/2}: what both tables start from (see `toroidal_tables`)."""
-    zm1 = z - 1.0
-    zp1 = z + 1.0
-    root = np.sqrt(zm1 * zp1)  # sinh(tau)
+def _corners(z: float):
+    """sinh(tau), e^-tau, coth(tau) - 1 and tanh(tau/2)^2 at one z = cosh(tau), and
+    the seeds: P^m_{n-1/2}, m, n in {0, 1} (orders x degrees), Q_{-1/2}, Q_{1/2}."""
+    zm1, zp1 = z - 1.0, z + 1.0
+    root = math.sqrt(zm1 * zp1)  # sinh(tau)
     e_tau = 1.0 / (z + root)  # e^-tau
     a = 2.0 / zp1
     b = zm1 / zp1  # tanh(tau/2)^2
-    sqrt_a = np.sqrt(a)
-    k_b, k_a = ellipkm1(a), ellipkm1(b)
-    e_b, e_a = ellipe(b), ellipe(a)
-    r_d = elliprd(0.0, a, 1.0)
+    sqrt_a = math.sqrt(a)
+    k_b, k_a = ellipkm1([a, b]).tolist()
+    e_b, e_a = ellipe([b, a]).tolist()
+    r_d = float(elliprd(0.0, a, 1.0))
     p = [[(2.0 / math.pi) * sqrt_a * k_b, (2.0 / math.pi) * sqrt_a * (zp1 * e_b - k_b)],
-         [-(math.sqrt(2.0) / (3.0 * math.pi)) * np.sqrt(zm1) / zp1 * r_d,
-          (math.sqrt(2.0) / math.pi) * np.sqrt(zm1) * (e_b - r_d / (3.0 * zp1))]]
+         [-(math.sqrt(2.0) / (3.0 * math.pi)) * math.sqrt(zm1) / zp1 * r_d,
+          (math.sqrt(2.0) / math.pi) * math.sqrt(zm1) * (e_b - r_d / (3.0 * zp1))]]
     q = [sqrt_a * k_a, ((2.0 - a) * k_a - 2.0 * e_a) / sqrt_a]
     return root, e_tau, e_tau / root, b, p, q
 
 
-def _q_degrees(z, e_tau, q_seed, top: int) -> np.ndarray:
-    """Q_{n-1/2}, n = 0..top, the minimal solution in the degree (DLMF 14.10.3)
-    from the closed forms q_seed of Q_{-1/2} and Q_{1/2}."""
+@functools.lru_cache(maxsize=8)
+def _steps(top_m: int, top_n: int) -> tuple:
+    """The z-free coefficients of the tables of orders 0..top_m, degrees 0..top_n,
+    read-only: gain, pull of P^m_{k+1/2} = gain z P^m_{k-1/2} - pull P^m_{k-3/2}
+    (DLMF 14.10.3, k = 1..top_n - 1), `_order_steps`, Gamma(m+1/2), pi (m-1/2)."""
+    k = np.arange(1.0, top_n)[:, None]
+    j = np.arange(top_m + 1.0)
+    scale = 1.0 / (k - j + 0.5)
+    m = np.arange(2, top_m + 1.0)
+    steps = (2.0 * k * scale, (k + j - 0.5) * scale,
+             _order_steps(np.arange(top_n + 1) - 0.5, top_m + 1),
+             np.exp(gammaln(m + 0.5)), math.pi * (m - 0.5))
+    for x in steps:
+        x.flags.writeable = False
+    return steps
+
+
+def _q_degrees(z: float, e_tau: float, q_seed, top: int) -> list:
+    """Q_{n-1/2}, n = 0..top, the minimal solution in the degree."""
     return _minimal_solution(
         q_seed[0], q_seed[1], lambda k: 2.0 * k / (k + 0.5), lambda k: -(k - 0.5) / (k + 0.5),
         z - 1.0, e_tau * e_tau, lambda k: e_tau, top)
 
 
-def _table_z(z, m_max: int, n_max: int, name: str) -> np.ndarray:
+def _q_at(z: float, top_m: int, top_n: int) -> np.ndarray:
+    """The Q table at one z, orders 0..top_m >= 1 and degrees 0..top_n >= 1."""
+    root, e_tau, cm1, _, p_seed, q_seed = _corners(z)
+    gain, pull, across = _steps(top_m, top_n)[:3]
+    for row, gains, pulls in zip(p_seed, gain.T[:2].tolist(), pull.T[:2].tolist()):
+        for g, h in zip(gains, pulls):  # P^0 and P^1, forward in the degree
+            row.append(g * z * row[-1] - h * row[-2])
+    q = np.empty((top_m + 1, top_n + 1))
+    q[0] = _q_degrees(z, e_tau, q_seed, top_n)
+    q[1] = _casoratian_q1(np.array(p_seed[0]), np.array(p_seed[1]), q[0], root)
+    _order_forward(q, 1.0 + cm1, across)
+    return q
+
+
+def _p_at(z: float, top_m: int, top_n: int) -> np.ndarray:
+    """The P table at one z, orders 0..top_m >= 1 and degrees 0..top_n >= 1."""
+    root, e_tau, cm1, b, p_seed, q_seed = _corners(z)
+    gain, pull, across, g, den = _steps(top_m, top_n)
+    q = [[q_j] for q_j in _q_degrees(z, e_tau, q_seed, 1)]  # degrees -1/2 and 1/2
+    for j, (col, pulls) in enumerate(zip(q, across.T[:2].tolist())):
+        col.append(_casoratian_q1(p_seed[0][j], p_seed[1][j], col[0], root))
+        for i, h in enumerate(pulls):  # forward in the order from Q^0 and Q^1
+            col.append(-2.0 * (i + 1) * (1.0 + cm1) * col[-1] + h * col[-2])
+    p = np.empty((top_m + 1, top_n + 1))
+    p[:2, :2] = p_seed
+    p[2:, 0] = _minimal_solution(
+        p_seed[0][0], p_seed[1][0], lambda k: -2.0 * k, lambda k: -(k - 0.5) ** 2,
+        cm1, b, lambda k: -k * math.sqrt(b), top_m)[2:]
+    q_lo, q_hi = np.array(q[0][2:]), np.array(q[1][2:])
+    p[2:, 1] = p[2:, 0] * (q_hi / q_lo) - g * (g / q_lo) / den
+    cols = list(p.T)  # every order forward in the degree
+    for c0, c1, c2, gain_z, h in zip(cols, cols[1:], cols[2:], gain * z, pull):
+        np.subtract(gain_z * c1, h * c0, out=c2)
+    return p
+
+
+def _table(at, z, m_max: int, n_max: int, name: str) -> np.ndarray:
+    """The table that at builds at one point, at every point of z."""
     if m_max < 0 or n_max < 0:
         raise DomainError(f"{name}: m_max and n_max must be non-negative")
-    return _finite_z(z, name)
-
-
-def _finite_table(table: np.ndarray, name: str) -> np.ndarray:
+    z = _finite_z(z, name)
+    table = np.empty((m_max + 1, n_max + 1, z.size))
+    # an entry that overflows is refused below, not warned about
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for i, zi in enumerate(z.ravel().tolist()):
+            table[..., i] = at(zi, max(m_max, 1), max(n_max, 1))[:m_max + 1, :n_max + 1]
     if not np.all(np.isfinite(table)):
-        m_max, n_max = table.shape[0] - 1, table.shape[1] - 1
         raise ConvergenceError(
             f"{name} up to (m, n) = ({m_max}, {n_max}) leaves the double range", attained=None)
-    return table
+    return table.reshape(table.shape[:2] + z.shape)
 
 
 def toroidal_q_table(z, m_max: int, n_max: int) -> np.ndarray:
     """Q^m_{n-1/2}(z), m = 0..m_max, n = 0..n_max, at every z = cosh(tau) > 1
     (scalar or array): shape (m_max + 1, n_max + 1) + np.shape(z), the (-1)**m
-    phase folded in as in `legendre_q`.
-
-    Q^0 is the minimal solution in the degree, from Q_{-1/2} and Q_{1/2}; Q^1
-    comes from the order Casoratian with P^0 and P^1, which run forward in the
-    degree; the higher orders run forward in the order (see `toroidal_tables`).
-    Raises ConvergenceError when an entry leaves the double range.
-    """
-    z = _table_z(z, m_max, n_max, "toroidal_q_table")
-    root, e_tau, cm1, _, p_seed, q_seed = _corners(z)
-    top_m, top_n = max(m_max, 1), max(n_max, 1)
-    p = np.empty((2, top_n + 1) + z.shape)
-    q = np.empty((top_m + 1, top_n + 1) + z.shape)
-    # a branch of _minimal_solution may blow up on the points of the other; only
-    # the returned entries are checked
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        p[:, :2] = p_seed
-        _degree_forward(p, z)
-        q[0] = _q_degrees(z, e_tau, q_seed, top_n)
-        q[1] = _casoratian_q1(p[0], p[1], q[0], root)
-        _order_forward(q, 1.0 + cm1, np.arange(top_n + 1) - 0.5)
-    return _finite_table(q[:m_max + 1, :n_max + 1], "toroidal_q_table")
+    phase folded in as in `legendre_q`.  Raises ConvergenceError when an entry
+    leaves the double range."""
+    return _table(_q_at, z, m_max, n_max, "toroidal_q_table")
 
 
 def toroidal_p_table(z, m_max: int, n_max: int) -> np.ndarray:
     """P^m_{n-1/2}(z), m = 0..m_max, n = 0..n_max, at every z = cosh(tau) > 1
-    (scalar or array): shape (m_max + 1, n_max + 1) + np.shape(z).
-
-    Q_{-1/2} and Q_{1/2} (the first two degrees of the minimal solution) run
-    forward in the order from the order Casoratian; P_{-1/2} is the minimal
-    solution in the order, P^m_{1/2} comes from the degree Casoratian with
-    those two Q columns, and every order runs forward in the degree (see
-    `toroidal_tables`).  Raises ConvergenceError when an entry, or a Q entry
-    it is built from, leaves the double range.
-    """
-    z = _table_z(z, m_max, n_max, "toroidal_p_table")
-    root, e_tau, cm1, b, p_seed, q_seed = _corners(z)
-    top_m, top_n = max(m_max, 1), max(n_max, 1)
-    p = np.empty((top_m + 1, top_n + 1) + z.shape)
-    q = np.empty((top_m + 1, 2) + z.shape)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        p[:2, :2] = p_seed
-        q[0] = _q_degrees(z, e_tau, q_seed, 1)
-        q[1] = _casoratian_q1(p[0, :2], p[1, :2], q[0], root)
-        _order_forward(q, 1.0 + cm1, np.array([-0.5, 0.5]))
-        p[2:, 0] = _minimal_solution(
-            p[0, 0], p[1, 0], lambda k: -2.0 * k, lambda k: -(k - 0.5) ** 2,
-            cm1, b, lambda k: -k * np.sqrt(b), top_m)[2:]
-        m = np.arange(2, top_m + 1.0).reshape((-1,) + (1,) * z.ndim)
-        g = np.exp(gammaln(m + 0.5))
-        p[2:, 1] = p[2:, 0] * (q[2:, 1] / q[2:, 0]) - g * (g / q[2:, 0]) / (math.pi * (m - 0.5))
-        _degree_forward(p, z)
-    return _finite_table(p[:m_max + 1, :n_max + 1], "toroidal_p_table")
-
-
-def toroidal_tables(z, m_max: int, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Toroidal functions P^m_{n-1/2}(z) and Q^m_{n-1/2}(z), m = 0..m_max,
-    n = 0..n_max, at every z = cosh(tau) > 1 (scalar or array): the pair
-    (`toroidal_p_table`, `toroidal_q_table`), for a caller that needs both at
-    the same z.
-
-    Each has shape (m_max + 1, n_max + 1) + np.shape(z); the (-1)**m phase
-    is folded into q as in `legendre_q`.  Raises ConvergenceError when an
-    entry leaves the double range.
-
-    Seeds are closed forms in complete elliptic integrals (DLMF 14.5(v), and
-    their z-derivatives for order 1), with a = 2/(z+1), b = (z-1)/(z+1) and
-    K(b) - E(b) = (b/3) R_D(0, a, 1) so that none cancels where it is used:
-    P_{-1/2} = (2/pi) sqrt(a) K(b),  P^1_{-1/2} = -(sqrt2/pi)(K(b) - E(b))/sqrt(z-1),
-    P_{1/2} = (2/pi) sqrt(a) ((z+1) E(b) - K(b)),
-    P^1_{1/2} = (sqrt2/pi) sqrt(z-1) (E(b) - R_D/(3 (z+1))),
-    Q_{-1/2} = sqrt(a) K(a),  Q_{1/2} = ((2-a) K(a) - 2 E(a)) / sqrt(a)
-    (Q_{1/2} cancels for large z, but seeds only forward branches near z = 1).
-    P runs forward in the degree and Q forward in the order, where each is
-    dominant.  The minimal directions (Q^0 in the degree, P_{-1/2} in the
-    order) use `_minimal_solution`, whose backward start is set by the
-    slowest-damped z of the call; Q^1 follows from the order Casoratian
-    P^0 Q^1 - P^1 Q^0 = -1/sqrt(z^2-1), and P^m_{1/2} from the degree
-    Casoratian P^m_{-1/2} Q^m_{1/2} - P^m_{1/2} Q^m_{-1/2} = Gamma(m+1/2)^2 / (pi (m-1/2)).
-    So the Q table needs P only at orders 0 and 1, and the P table needs Q
-    only at degrees -1/2 and 1/2: each is built alone (`toroidal_q_table`,
-    `toroidal_p_table`), so each backward start is set by the table that a
-    caller reads at that z.
-    After Gil & Segura, Comput. Phys. Commun. 124 (2000) 104-122.
-    """
-    return toroidal_p_table(z, m_max, n_max), toroidal_q_table(z, m_max, n_max)
+    (scalar or array): shape (m_max + 1, n_max + 1) + np.shape(z).  Raises
+    ConvergenceError when an entry, or a Q entry it is built from, leaves the
+    double range."""
+    return _table(_p_at, z, m_max, n_max, "toroidal_p_table")

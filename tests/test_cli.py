@@ -1,10 +1,11 @@
+import gc
 import json
 import math
 
 import numpy as np
 import pytest
 
-from flatring import lame
+from flatring import cli, lame
 from flatring.coords import CartesianPoint, cartesian_to_flatring
 from flatring.cli import main
 
@@ -368,3 +369,57 @@ def test_dirichlet_header_only_grid_file_exits_2(capsys, tmp_path):
     assert err.startswith("error: ") and "no grid rows" in err
     assert json.loads(out)["error"] == {"type": "DomainError", "message": err[7:].strip(),
                                         "exit_code": 2}
+
+
+@pytest.mark.parametrize("argv", [
+    ["eigen", "--n-range", "0:2"],
+    ["coords", "forward"],
+    ["coords", "inverse"],
+    ["coords", "lines", "--samples", "7"],
+    ["green", "--m-max", "6", "--n-max", "6"],
+    ["green", "--toroidal"],
+    ["verify", "--suite", "all"],
+    ["dirichlet", "--n-probes", "3"],
+    ["green", "--point=1,2", "--format", "json"],  # the error object
+])
+def test_json_writer_matches_json_dumps(capsys, monkeypatch, argv):
+    # every object a command prints, through the writer and through json.dumps
+    write, printed = cli._json, []
+    monkeypatch.setattr(cli, "_json", lambda obj: printed.append(
+        (write(obj), json.dumps(obj, indent=2))) or printed[-1][0])
+    main(argv)
+    out = capsys.readouterr().out
+    assert printed and all(mine == theirs for mine, theirs in printed)
+    assert out == "".join(mine + "\n" for mine, _ in printed)
+
+
+def test_json_writer_on_hand_made_rows():
+    rows = [{"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "zero": -0.0, "empty": [],
+             "none": None, "flags": (True, False), "text": "é\t\"q\"", "int": -3},
+            {"value": np.float64(0.1), "bad": np.float64("nan"), "low": np.float64("-inf"),
+             "nested": [[np.float64(-0.0), 5e-324], {}], "tiny": 1e-300, "big": 1.7e308},
+            [], {}, [[]]]
+    for obj in (rows, *rows, 0.1, np.float64(2.5), "x", None):
+        assert cli._json(obj) == json.dumps(obj, indent=2)
+    with pytest.raises(TypeError):
+        cli._json([np.int64(1)])
+
+
+@pytest.mark.parametrize("argv", [
+    ["green", "--toroidal", "--m-max", "6", "--n-max", "6"],
+    ["dirichlet", "--n-probes", "3"],
+])
+def test_warm_commands_leave_no_reference_cycles(capsys, argv):
+    # json's indenting encoder, or a writer nested in _json that calls
+    # itself, leaves a reference cycle per report; the cycles hold every
+    # report's text until a full collection, ~2 MB of peak RSS in a bench run
+    main(argv)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(5):
+            main(argv)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    capsys.readouterr()

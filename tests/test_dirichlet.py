@@ -390,3 +390,30 @@ def test_surface_cache_bound(m05):
     held = {id(x): x for x in (a if a.base is None else a.base for a in _surface_arrays(surface))}
     assert 0.3e6 < sum(x.nbytes for x in held.values()) <= 0.35e6
     assert surface.projection.shape == (21, 64, 22)
+
+
+def test_cartesian_data_is_sampled_on_the_cached_mesh(m05, monkeypatch):
+    # from_function's data and the point source read the surface's mesh and
+    # root_r: no mapping once the surface is cached, and the coefficients of
+    # sampling g itself, bit for bit
+    m = m05
+    dom = FlatRingDomain(t0=0.4 * m.quarter_Kp, modulus=m)
+    idx = HarmonicIndex(m=1, n=2, kind=HarmonicKind.GC)
+    data = BoundaryData.from_function(dom, lambda q: internal_harmonic(idx, q, m).real,
+                                      n_s=40, n_phi=32)
+    tr = Truncation(4, 4)
+    through_g = coefficients(dom, BoundaryData(g=data.g, n_s=40, n_phi=32), tr)
+    maps = []
+    monkeypatch.setattr(dirichlet, "flatring_to_cartesian",
+                        lambda p, f=flatring_to_cartesian: maps.append(p) or f(p))
+    table = coefficients(dom, data, tr)
+    r_star = CartesianPoint(0.1, 0.2, 1.5)
+    solve_point_source(dom, r_star, tr, n_s=40, n_phi=32)
+    assert maps == []
+    assert np.array_equal(table.c, through_g.c) and np.array_equal(table.d, through_g.d)
+    assert table.parseval_residual == through_g.parseval_residual
+    source = BoundaryData.from_function(dom, lambda q: 1.0 / np.sqrt(
+        (q.x - r_star.x) ** 2 + (q.y - r_star.y) ** 2 + (q.z - r_star.z) ** 2), n_s=40, n_phi=32)
+    by_g = coefficients(dom, BoundaryData(g=source.g, n_s=40, n_phi=32), tr)
+    point = solve_point_source(dom, r_star, tr, n_s=40, n_phi=32)
+    assert np.array_equal(point.c, by_g.c) and np.array_equal(point.d, by_g.d)

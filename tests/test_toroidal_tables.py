@@ -15,6 +15,7 @@ from flatring.errors import ConvergenceError, DomainError
 from flatring.harmonics import (
     Truncation,
     _toroidal_terms,
+    _toroidal_weights,
     flatring_chi,
     integral_relation_check,
     toroidal_green_expansion,
@@ -23,12 +24,12 @@ from flatring.harmonics import (
     toroidal_summand,
 )
 from flatring.legendre import (
+    _steps,
     gamma_ratio,
     legendre_p,
     legendre_q,
     toroidal_p_table,
     toroidal_q_table,
-    toroidal_tables,
 )
 
 M_MAX, N_MAX = 20, 40
@@ -63,8 +64,9 @@ def _q_reference(m, n, z):
 
 
 def test_tables_against_mpmath():
+    z = np.array(Z_MPMATH)
     with mp.workdps(40):
-        p, q = toroidal_tables(np.array(Z_MPMATH), M_MAX, N_MAX)
+        p, q = toroidal_p_table(z, M_MAX, N_MAX), toroidal_q_table(z, M_MAX, N_MAX)
         worst = 0.0
         for i, z in enumerate(Z_MPMATH):
             for m in ORDERS:
@@ -75,19 +77,17 @@ def test_tables_against_mpmath():
 
 
 def test_single_tables_against_mpmath_and_the_pair():
-    # each table built alone at one z (its own backward starts) against
-    # mpmath, and the array calls against the pair at the same z
+    # each table built alone at one z against mpmath, and the pair of array
+    # calls against it: an array z maps the one-point build over its points
     z = np.array(Z_MPMATH)
     p_all, q_all = toroidal_p_table(z, M_MAX, N_MAX), toroidal_q_table(z, M_MAX, N_MAX)
-    p_pair, q_pair = toroidal_tables(z, M_MAX, N_MAX)
-    assert np.array_equal(p_all, p_pair) and np.array_equal(q_all, q_pair)
     worst = 0.0
     with mp.workdps(40):
         for i, zi in enumerate(Z_MPMATH):
             p, q = toroidal_p_table(zi, M_MAX, N_MAX), toroidal_q_table(zi, M_MAX, N_MAX)
             assert p.shape == q.shape == (M_MAX + 1, N_MAX + 1)
-            assert np.allclose(p, p_all[..., i], rtol=1e-14, atol=0.0)
-            assert np.allclose(q, q_all[..., i], rtol=1e-14, atol=0.0)
+            assert np.array_equal(p, p_all[..., i])
+            assert np.array_equal(q, q_all[..., i])
             for m in ORDERS:
                 for n in DEGREES:
                     for table, ref in ((p, _p_reference(m, n, zi)), (q, _q_reference(m, n, zi))):
@@ -102,6 +102,34 @@ def test_single_tables_against_mpmath_and_the_pair():
             build(1.5, 200, 4)
 
 
+def test_array_tables_equal_one_point_tables_bit_for_bit():
+    # over the bench region (tau* in [0.3, 1), tau = tau* + [1.2, 2.5]), where
+    # Q is read at cosh tau and P at cosh tau*; Z_MPMATH is covered by
+    # test_single_tables_against_mpmath_and_the_pair
+    rng = np.random.default_rng(5)
+    tau_s = rng.uniform(0.3, 1.0, 40)
+    z = np.cosh([tau_s + rng.uniform(1.2, 2.5, 40), tau_s])
+    for build in (toroidal_p_table, toroidal_q_table):
+        table = build(z, 20, 20)
+        assert table.shape == (21, 21, 2, 40)
+        for i, j in np.ndindex(z.shape):
+            assert np.array_equal(build(float(z[i, j]), 20, 20), table[..., i, j])
+
+
+def test_cached_weights_and_steps_are_read_only():
+    # the Gamma-ratio weights of the expansion and the z-free coefficients of
+    # the tables are cached, so every caller gets the same arrays
+    weights = _toroidal_weights(20, 20)
+    assert _toroidal_weights(20, 20) is weights
+    for x in (weights, *_steps(20, 20)):
+        assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[(0,) * x.ndim] = 2.0
+    reference = [[(-1.0) ** m * gamma_ratio(n - m + 0.5, n + m + 0.5) for n in range(21)]
+                 for m in range(21)]
+    np.testing.assert_allclose(weights, reference, rtol=1e-13, atol=0.0)
+
+
 def test_expansion_terms_match_the_pair_tables():
     # Q at cosh tau and P at cosh tau* from their own tables against the
     # joint tables at both points, over the bench region
@@ -114,7 +142,8 @@ def test_expansion_terms_match_the_pair_tables():
     for _ in range(500):
         tau_s = rng.uniform(0.3, 1.0)
         tau = tau_s + rng.uniform(1.2, 2.5)
-        p, q = toroidal_tables(np.cosh([tau, tau_s]), 20, 20)
+        z = np.cosh([tau, tau_s])
+        p, q = toroidal_p_table(z, 20, 20), toroidal_q_table(z, 20, 20)
         joint = weights * q[..., 0] * p[..., 1]
         terms = _toroidal_terms(tau, tau_s, 20, 20)
         worst = max(worst, float(np.max(np.abs(terms - joint)) / np.max(np.abs(joint))))
@@ -124,7 +153,7 @@ def test_expansion_terms_match_the_pair_tables():
 def test_high_orders_far_from_axis():
     # forty orders of P_{-1/2} run forward at large z, where coth(tau) - 1 ~ 1/(2 z^2)
     zs = [100.0, 1e3, 1e4]
-    p, _ = toroidal_tables(np.array(zs), 40, 1)
+    p = toroidal_p_table(np.array(zs), 40, 1)
     with mp.workdps(40):
         for i, z in enumerate(zs):
             for m in (30, 40):
@@ -142,8 +171,8 @@ def test_tables_against_series():
     # Q below z = 1.05 and P out to z = 1e4
     z_q = np.concatenate([z_q, 1.0 + np.exp(rng.uniform(math.log(1e-8), math.log(0.05), 6))])
     z_p = np.concatenate([z_p, np.exp(rng.uniform(math.log(10.0), math.log(1e4), 6))])
-    _, q = toroidal_tables(z_q, M_MAX, N_MAX)
-    p, _ = toroidal_tables(z_p, M_MAX, N_MAX)
+    q = toroidal_q_table(z_q, M_MAX, N_MAX)
+    p = toroidal_p_table(z_p, M_MAX, N_MAX)
     worst_q = worst_p = 0.0
     for m in range(0, M_MAX + 1, 4):
         for n in range(0, N_MAX + 1, 6):
@@ -153,27 +182,32 @@ def test_tables_against_series():
     assert worst_p <= 1e-12
 
 
+def _pair(z, m_max, n_max):
+    return toroidal_p_table(z, m_max, n_max), toroidal_q_table(z, m_max, n_max)
+
+
 def test_table_shapes_and_scalar_case():
-    p, q = toroidal_tables(1.7, 3, 5)
+    p, q = _pair(1.7, 3, 5)
     assert p.shape == q.shape == (4, 6)
-    p2, q2 = toroidal_tables(np.full((2, 3), 1.7), 3, 5)
+    p2, q2 = _pair(np.full((2, 3), 1.7), 3, 5)
     assert p2.shape == q2.shape == (4, 6, 2, 3)
     assert np.array_equal(p2[..., 1, 2], p) and np.array_equal(q2[..., 1, 2], q)
-    p0, q0 = toroidal_tables([1.7, 2.5], 0, 0)
+    p0, q0 = _pair([1.7, 2.5], 0, 0)
     assert p0.shape == q0.shape == (1, 1, 2)
     assert p0[0, 0, 0] == pytest.approx(p[0, 0], rel=1e-15)
     assert q0[0, 0, 0] == pytest.approx(q[0, 0], rel=1e-15)
 
 
 def test_table_domain_errors():
-    for bad in (1.0, 0.5, [2.0, 1.0], float("nan"), float("inf")):
+    for build in (toroidal_p_table, toroidal_q_table):
+        for bad in (1.0, 0.5, [2.0, 1.0], float("nan"), float("inf")):
+            with pytest.raises(DomainError):
+                build(bad, 2, 2)
         with pytest.raises(DomainError):
-            toroidal_tables(bad, 2, 2)
-    with pytest.raises(DomainError):
-        toroidal_tables(2.0, -1, 2)
-    # P^200 ~ Gamma(200)^2 leaves the double range: a typed error, not inf
-    with pytest.raises(ConvergenceError):
-        toroidal_tables(1.5, 200, 4)
+            build(2.0, -1, 2)
+        # P^200 ~ Gamma(200)^2 leaves the double range: a typed error, not inf
+        with pytest.raises(ConvergenceError):
+            build(1.5, 200, 4)
 
 
 def _old_shells(r, r_star, m_max, n_max):
@@ -256,7 +290,7 @@ def test_near_axis_expansion_matches_direct_distance():
     z = math.cosh(cartesian_to_toroidal(r).tau)
     assert z < 1.05
     # the table is an oracle for legendre_q at this z < 1.05 too
-    assert legendre_q(-0.5, 0.0, z) == pytest.approx(toroidal_tables(z, 0, 0)[1][0, 0], rel=1e-12)
+    assert legendre_q(-0.5, 0.0, z) == pytest.approx(toroidal_q_table(z, 0, 0)[0, 0], rel=1e-12)
     direct = 1.0 / math.dist(r, rs)
     val, tail, shells = toroidal_green_expansion(r, rs, Truncation(*NEAR_AXIS_TRUNCATION))
     assert abs(val - direct) / direct <= 1e-8
@@ -282,7 +316,7 @@ def test_integral_relation_below_series_edge(m05):
     chi = flatring_chi(2.0 * K * x, 0.4 * Kp, 0.8 * K, 0.5 * Kp, m)
     assert chi.min() < 1.05
     # the table is an oracle for legendre_q on every node, chi < 1.05 included
-    q = toroidal_tables(chi, 0, 1)[1][0, 1]
+    q = toroidal_q_table(chi, 0, 1)[0, 1]
     assert np.max(np.abs(legendre_q(0.5, 0.0, chi) / q - 1.0)) <= 1e-12
     for nu, sup, kind in ((0.5, 0, "c"), (0.5, 1, "s"), (1.5, 2, "c"), (0.75, 0, "c")):
         lhs, rhs = integral_relation_check(nu, sup, kind, 0.8 * K, 0.4 * Kp, 0.5 * Kp, m)
@@ -296,7 +330,7 @@ def test_integral_relation_table_matches_series(m05):
     x, w = np.polynomial.legendre.leggauss(512)
     chi = flatring_chi(2.0 * K * x, 0.2 * Kp, 0.8 * K, 0.7 * Kp, m)
     assert chi.min() >= 1.05
-    _, q = toroidal_tables(chi, 0, 1)
+    q = toroidal_q_table(chi, 0, 1)
     series = np.array([legendre_q(0.5, 0.0, c) for c in chi.tolist()])
     assert np.max(np.abs(q[0, 1] - series) / series) <= 1e-12
 
