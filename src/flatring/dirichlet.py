@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -91,26 +91,27 @@ class BoundaryData:
     """Callable boundary sample g(s, phi) = (x^2+y^2)^(1/4) f on t = t0.
 
     g is called once with the whole (s, phi) quadrature mesh as
-    broadcastable arrays.  f, set by `from_function`, is the Cartesian f
-    behind g, which `coefficients` hands the cached surface mesh.
+    broadcastable arrays.  Data from `from_function` also keep its domain and
+    Cartesian f, which `coefficients` hands that domain's cached surface mesh.
     """
 
     g: Callable[[np.ndarray, np.ndarray], np.ndarray]
     n_s: int = 96
     n_phi: int = 64
-    f: Callable[[CartesianPoint], np.ndarray] | None = None
+    dom: FlatRingDomain | None = field(default=None, init=False, repr=False)
+    f: Callable[[CartesianPoint], np.ndarray] | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def from_function(cls, dom: FlatRingDomain, f: Callable[[CartesianPoint], np.ndarray],
                       n_s: int = 96, n_phi: int = 64) -> "BoundaryData":
-        """Wrap a Cartesian boundary function f, which receives one
-        CartesianPoint of arrays, into parameter form."""
-
+        """Wrap a Cartesian f, called with one CartesianPoint of arrays, into parameter form."""
         def g(s, phi):
             q = dom.surface_point(s, phi)
             return (q.x * q.x + q.y * q.y) ** 0.25 * f(q)
 
-        return cls(g=g, n_s=n_s, n_phi=n_phi, f=f)
+        data = cls(g=g, n_s=n_s, n_phi=n_phi)
+        data.dom, data.f = dom, f
+        return data
 
     def sample(self, s: np.ndarray, phi: np.ndarray) -> np.ndarray:
         """g on the tensor mesh s x phi: (len(s), len(phi))."""
@@ -186,6 +187,8 @@ def coefficients(dom: FlatRingDomain, data: BoundaryData, tr: Truncation) -> Coe
     rows, and the s quadrature one stacked product with the cached
     projection (`_surface`).
     """
+    if data.f is not None and data.dom != dom:
+        raise DomainError("boundary data from from_function belong to another domain")
     surface = _surface(dom.modulus, dom.t0, data.n_s, data.n_phi, tr.m_max, tr.n_max)
     gvals = (data.sample(surface.s_nodes, surface.phi_nodes) if data.f is None
              else surface.root_r * data.f(surface.mesh))  # g, as from_function's g maps it

@@ -229,7 +229,7 @@ def toroidal_harmonic(m_order: int, n: int, p: ToroidalPoint, external: bool = F
     return math.sqrt(d) * x_val * complex(math.cos(phase), math.sin(phase))
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=1)  # one shape per op: an expansion's (m_max, n_max)
 def _toroidal_weights(m_max: int, n_max: int) -> np.ndarray:
     """(-1)^m Gamma(n-m+1/2) / Gamma(n+m+1/2), m <= m_max, n <= n_max, from
     gammasgn/gammaln; read-only, since the cache hands it to every caller."""

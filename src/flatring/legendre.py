@@ -10,9 +10,10 @@ whole tables from recurrences seeded by complete elliptic integrals, after
 Gil & Segura, Comput. Phys. Commun. 124 (2000) 104-122: `toroidal_p_table`
 and `toroidal_q_table` build one table each, for every z > 1, and share no
 code with hyp2f1, so each is an oracle for the other.  A table is built one
-z at a time from z-free coefficients cached per shape (`_steps`), in scalar
-floats but for the recurrences across all orders or degrees; an array z maps
-that build over its points, so each column equals its point's table exactly.
+z at a time, in scalar floats but for the recurrences across all orders or
+degrees, from z-free coefficients (`_steps`) computed once per call; an array
+z maps that build over its points, one build per point (N points cost N
+one-point builds), so each column equals its point's table exactly.
 
 Seeds are closed forms in complete elliptic integrals (DLMF 14.5(v), and
 their z-derivatives for order 1), with a = 2/(z+1), b = (z-1)/(z+1) and
@@ -39,7 +40,6 @@ complex and never arise here).
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -161,15 +161,13 @@ _BACKWARD_DAMPING = 39.0
 
 
 def _minimal_solution(y0, y1, slope, drag, d: float, rate: float, guess, top: int) -> list:
-    """y_k, k = 0..top, at one point, of the minimal solution of y_{k+1} =
-    slope(k) (1 + d) y_k + drag(k) y_{k-1}, y_0 = y0, for integer k.  d is
-    held apart from 1: near 1 + d = 1 the forward recurrence is sensitive to
-    d itself (rounding coth(tau) - 1 into coth at z = 1e3 takes order 40
-    from 2e-14 to 1.2e-13).  The dominant/minimal ratio grows by about
-    1/rate per step: where rate**top >= _FORWARD_GROWTH the forward
-    recurrence from y0, y1 loses little, else the ratios y_{k+1}/y_k come
-    from the backward recurrence, started from guess(start) ~
-    y_{start+1}/y_start where the dominant solution is damped below rounding."""
+    """y_k, k = 0..top, at one point, of the minimal solution of y_{k+1} = slope(k) (1 + d) y_k
+    + drag(k) y_{k-1}, y_0 = y0, for integer k.  d is held apart from 1: near 1 + d = 1 the
+    forward recurrence is sensitive to d itself (rounding coth(tau) - 1 into coth at z = 1e3
+    takes order 40 from 2e-14 to 1.2e-13).  The dominant/minimal ratio grows by about 1/rate
+    per step: where rate**top >= _FORWARD_GROWTH the forward recurrence from y0, y1 loses
+    little, else the ratios y_{k+1}/y_k come from the backward recurrence, started from
+    guess(start) ~ y_{start+1}/y_start where the dominant solution is damped below rounding."""
     if rate ** top >= _FORWARD_GROWTH:
         col = [y0, y1]
         for k in range(1, top):
@@ -220,21 +218,17 @@ def _corners(z: float):
     return root, e_tau, e_tau / root, b, p, q
 
 
-@functools.lru_cache(maxsize=8)
 def _steps(top_m: int, top_n: int) -> tuple:
-    """The z-free coefficients of the tables of orders 0..top_m, degrees 0..top_n,
-    read-only: gain, pull of P^m_{k+1/2} = gain z P^m_{k-1/2} - pull P^m_{k-3/2}
-    (DLMF 14.10.3, k = 1..top_n - 1), `_order_steps`, Gamma(m+1/2), pi (m-1/2)."""
+    """The z-free coefficients of the tables of orders 0..top_m, degrees 0..top_n:
+    gain, pull of P^m_{k+1/2} = gain z P^m_{k-1/2} - pull P^m_{k-3/2} (DLMF
+    14.10.3, k = 1..top_n - 1), `_order_steps`, Gamma(m+1/2), pi (m-1/2)."""
     k = np.arange(1.0, top_n)[:, None]
     j = np.arange(top_m + 1.0)
     scale = 1.0 / (k - j + 0.5)
     m = np.arange(2, top_m + 1.0)
-    steps = (2.0 * k * scale, (k + j - 0.5) * scale,
-             _order_steps(np.arange(top_n + 1) - 0.5, top_m + 1),
-             np.exp(gammaln(m + 0.5)), math.pi * (m - 0.5))
-    for x in steps:
-        x.flags.writeable = False
-    return steps
+    return (2.0 * k * scale, (k + j - 0.5) * scale,
+            _order_steps(np.arange(top_n + 1) - 0.5, top_m + 1),
+            np.exp(gammaln(m + 0.5)), math.pi * (m - 0.5))
 
 
 def _q_degrees(z: float, e_tau: float, q_seed, top: int) -> list:
@@ -244,10 +238,10 @@ def _q_degrees(z: float, e_tau: float, q_seed, top: int) -> list:
         z - 1.0, e_tau * e_tau, lambda k: e_tau, top)
 
 
-def _q_at(z: float, top_m: int, top_n: int) -> np.ndarray:
+def _q_at(z: float, top_m: int, top_n: int, steps: tuple) -> np.ndarray:
     """The Q table at one z, orders 0..top_m >= 1 and degrees 0..top_n >= 1."""
     root, e_tau, cm1, _, p_seed, q_seed = _corners(z)
-    gain, pull, across = _steps(top_m, top_n)[:3]
+    gain, pull, across = steps[:3]
     for row, gains, pulls in zip(p_seed, gain.T[:2].tolist(), pull.T[:2].tolist()):
         for g, h in zip(gains, pulls):  # P^0 and P^1, forward in the degree
             row.append(g * z * row[-1] - h * row[-2])
@@ -258,10 +252,10 @@ def _q_at(z: float, top_m: int, top_n: int) -> np.ndarray:
     return q
 
 
-def _p_at(z: float, top_m: int, top_n: int) -> np.ndarray:
+def _p_at(z: float, top_m: int, top_n: int, steps: tuple) -> np.ndarray:
     """The P table at one z, orders 0..top_m >= 1 and degrees 0..top_n >= 1."""
     root, e_tau, cm1, b, p_seed, q_seed = _corners(z)
-    gain, pull, across, g, den = _steps(top_m, top_n)
+    gain, pull, across, g, den = steps
     q = [[q_j] for q_j in _q_degrees(z, e_tau, q_seed, 1)]  # degrees -1/2 and 1/2
     for j, (col, pulls) in enumerate(zip(q, across.T[:2].tolist())):
         col.append(_casoratian_q1(p_seed[0][j], p_seed[1][j], col[0], root))
@@ -281,15 +275,17 @@ def _p_at(z: float, top_m: int, top_n: int) -> np.ndarray:
 
 
 def _table(at, z, m_max: int, n_max: int, name: str) -> np.ndarray:
-    """The table that at builds at one point, at every point of z."""
+    """The table that at builds at one point, at every point of z, from one `_steps`."""
     if m_max < 0 or n_max < 0:
         raise DomainError(f"{name}: m_max and n_max must be non-negative")
     z = _finite_z(z, name)
     table = np.empty((m_max + 1, n_max + 1, z.size))
+    top_m, top_n = max(m_max, 1), max(n_max, 1)
     # an entry that overflows is refused below, not warned about
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        steps = _steps(top_m, top_n)
         for i, zi in enumerate(z.ravel().tolist()):
-            table[..., i] = at(zi, max(m_max, 1), max(n_max, 1))[:m_max + 1, :n_max + 1]
+            table[..., i] = at(zi, top_m, top_n, steps)[:m_max + 1, :n_max + 1]
     if not np.all(np.isfinite(table)):
         raise ConvergenceError(
             f"{name} up to (m, n) = ({m_max}, {n_max}) leaves the double range", attained=None)

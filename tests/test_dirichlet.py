@@ -417,3 +417,25 @@ def test_cartesian_data_is_sampled_on_the_cached_mesh(m05, monkeypatch):
     by_g = coefficients(dom, BoundaryData(g=source.g, n_s=40, n_phi=32), tr)
     point = solve_point_source(dom, r_star, tr, n_s=40, n_phi=32)
     assert np.array_equal(point.c, by_g.c) and np.array_equal(point.d, by_g.d)
+
+
+def test_cartesian_data_belong_to_their_domain(m05):
+    # from_function's f and domain are not constructor fields, and its data
+    # projected for another domain are refused, not sampled on that surface
+    m = m05
+    dom = FlatRingDomain(t0=0.4 * m.quarter_Kp, modulus=m)
+    idx = HarmonicIndex(m=1, n=2, kind=HarmonicKind.GC)
+    data = BoundaryData.from_function(dom, lambda q: internal_harmonic(idx, q, m).real,
+                                      n_s=40, n_phi=32)
+    assert data.dom is dom and "f=" not in repr(data)
+    with pytest.raises(TypeError):
+        BoundaryData(g=data.g, f=data.f)
+    tr = Truncation(4, 4)
+    same = coefficients(FlatRingDomain(t0=0.4 * m.quarter_Kp, modulus=m), data, tr)
+    assert np.array_equal(same.c, coefficients(dom, data, tr).c)
+    with pytest.raises(DomainError, match="another domain"):
+        coefficients(FlatRingDomain(t0=0.5 * m.quarter_Kp, modulus=m), data, tr)
+    # hand-built data carry no f: g is sampled on the given domain's nodes
+    other = coefficients(FlatRingDomain(t0=0.5 * m.quarter_Kp, modulus=m),
+                         BoundaryData(g=data.g, n_s=40, n_phi=32), tr)
+    assert np.all(np.isfinite(other.c))
