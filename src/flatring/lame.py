@@ -15,16 +15,14 @@ basis functions already carry the family's parity and (anti)periodicity,
 E(s) at any real s is a plain trigonometric sum.
 
 On the imaginary axis the equation becomes W'' = (h + nu(nu+1) k^2 sc^2(t,k')) W.
-The potential is read from jacobi_imag at every stage abscissa, which keeps
+The potential is read from jacobi_imag at every panel node, which keeps
 full precision up to the pole at K'.
 Solutions grow roughly like exp(int sqrt(q)), so they are represented by
-growth-limited piecewise Chebyshev panels, integrated with a fixed-step RK8
-kernel (DOP853 tableau) from the exact E(0), E'(0) of the Fourier sum.  The
-equation is linear, so one RK8 step is a 2x2 propagator per mode that
-depends on the step and the potential alone: a panel computes the stages of
-all its steps at once on the two unit initial states, multiplies each
-Chebyshev-Lobatto segment's propagators pairwise, carries the state across
-the 32 segments and fits the node values with a fixed interpolation matrix.
+growth-limited piecewise Chebyshev panels, started from the exact E(0),
+E'(0) of the Fourier sum.  Each panel is one spectral integration
+(Greengard 1991) at its 33 Chebyshev-Lobatto nodes: the unknown W'' = qW
+solves one 33 x 33 linear system per mode, all modes in one batched solve,
+and the node values of W and W' follow from the integration matrices.
 A panel set keeps the coefficients of W and of W' as two (panels, 33,
 modes) arrays; panels are fitted in build order, so panel j runs from
 edges[j] (x = -1) to edges[j+1] (x = +1) whichever way the set grows.  Reads
@@ -80,7 +78,6 @@ _GALERKIN_START = 64
 _GALERKIN_CAP = 1024
 _GALERKIN_TAIL = 1e-15  # trailing quarter of each mode's coefficients, relative
 _TRIM = 1e-17           # coefficients below this share of a mode's largest are dropped
-_STEPS_PER_RAD = 12.0   # RK8 sweeps: lambda * h <= 1/12
 _PANEL_DEG = 32
 _PANEL_LOG_GROWTH = 4.0
 _IMAG_T_CAP = 1.0 - 2e-6    # fraction of K' where imaginary-axis values give up
@@ -90,35 +87,24 @@ _FROBENIUS_COND = 100.0  # the largest sum |b_p tau^(2p)| / |sum b_p tau^(2p)| a
 
 
 @functools.cache
-def _dop853():
-    """DOP853 stage abscissae, stage matrix and weights (Hairer, Norsett and
-    Wanner, Solving ODEs I, II.10), read on first use from scipy's coefficient
-    file run as a standalone module, so that neither importing this module
-    nor building panels imports scipy.integrate (and with it scipy.optimize)."""
-    import importlib.util
-    import pathlib
-
-    import scipy
-
-    path = pathlib.Path(scipy.__file__).parent / "integrate" / "_ivp" / "dop853_coefficients.py"
-    spec = importlib.util.spec_from_file_location("flatring_dop853_coefficients", path)
-    tableau = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tableau)
-    n = tableau.N_STAGES
-    arrays = tableau.C[:n].copy(), tableau.A[:n, :n].copy(), tableau.B.copy()
-    for x in arrays:
+def _lobatto(deg: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """At the Chebyshev-Lobatto points x_j = -cos(pi j/deg), ascending: the
+    (deg+1, deg+1) matrices from values to the Chebyshev coefficients of
+    their interpolant (the DCT-I), and from values to the values of the
+    interpolant's first (S1) and second (S2 = S1 S1) integrals from x = -1.
+    Every T_k(x_j) = cos(pi k (deg-j)/deg) is read from one table of
+    cos(pi i/deg), so no matrix is inverted."""
+    j = np.arange(deg + 1)
+    table = np.cos(np.pi * np.arange(2 * deg) / deg)
+    # T_k(x_j) for k <= deg + 1: the integrals reach degree deg + 1
+    vander = table[np.multiply.outer(deg - j, np.arange(deg + 2)) % (2 * deg)]
+    ends = np.where((j == 0) | (j == deg), 0.5, 1.0)
+    fit = (2.0 / deg) * ends[:, None] * vander[:, :-1].T * ends
+    s1 = vander @ _cheb.chebint(np.eye(deg + 1), lbnd=-1) @ fit
+    matrices = fit, s1, s1 @ s1
+    for x in matrices:
         x.flags.writeable = False  # shared by every caller
-    return arrays
-
-
-@functools.cache
-def _lobatto_fit(deg: int) -> np.ndarray:
-    """(deg+1, deg+1) matrix from values at the Chebyshev-Lobatto points
-    x = -cos(pi j/deg), ascending, to the Chebyshev coefficients of their
-    interpolant."""
-    fit = np.linalg.inv(_cheb.chebvander(-np.cos(np.pi * np.arange(deg + 1) / deg), deg))
-    fit.flags.writeable = False  # shared by every caller
-    return fit
+    return matrices
 
 
 class LameFamily(enum.Enum):
@@ -181,18 +167,6 @@ def eigenvalue_bracket(family: LameFamily, nu: float, n: int, m: Modulus) -> tup
     return lo, hi
 
 
-def _rk_steps(nodes: np.ndarray, lam: float):
-    """Fixed RK8 steps across the gaps between consecutive nodes, at least two
-    per gap and at most 1/_STEPS_PER_RAD radians of lam each: the steps'
-    start times and signed sizes, and each step's gap and place in it."""
-    gaps = np.diff(nodes)
-    sub = np.maximum(2, np.ceil(np.abs(gaps) * lam * _STEPS_PER_RAD).astype(int))
-    seg = np.repeat(np.arange(gaps.size), sub)
-    pos = np.arange(seg.size) - np.repeat(np.cumsum(sub) - sub, sub)
-    h = (gaps / sub)[seg]
-    return nodes[seg] + pos * h, h, seg, pos
-
-
 # --- imaginary-axis panels --------------------------------------------------
 
 
@@ -220,62 +194,24 @@ class _ImagPanels:
         q = self._h_max + abs(self.coef) * jacobi_imag(abs(t), self.m).sn_im ** 2
         return math.sqrt(max(q, 1.0))
 
-    def _step_propagators(self, t: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """One fixed RK8 step of y = [W, W'], y' = [W', (h + c sc^2) W] is a
-        linear map of y: a 2x2 propagator per step and mode, set by the step
-        size and the potential at its 12 stage abscissae alone.  The stages of
-        every step run at once on the two unit initial states; returns
-        (steps, M, 2, 2)."""
-        c_stage, a, b = _dop853()
-        n, mlen = t.size, self.h.size
-        # step size times the potential at every stage abscissa: (12, steps, M)
-        sc2 = jacobi_imag(t[:, None] + h[:, None] * c_stage, self.m).sn_im ** 2
-        hq = h[:, None] * (self.coef * sc2.T[:, :, None] + self.h)
-        # hk[i, r, c]: step size times stage i's derivative of component r,
-        # from the unit initial state c; flat rows make each stage sum one
-        # matrix-vector product
-        hk = np.empty((12, 2, 2, n, mlen))
-        flat = hk.reshape(12, -1)
-
-        def from_identity(increment):  # the identity plus a flat increment, (2, 2, n, M)
-            y = increment.reshape(2, 2, n, mlen)
-            y[0, 0] += 1.0
-            y[1, 1] += 1.0
-            return y
-
-        for i in range(12):
-            y = from_identity(a[i, :i] @ flat[:i])
-            np.multiply(h[:, None], y[1], out=hk[i, 0])
-            np.multiply(hq[i], y[0], out=hk[i, 1])
-        return from_identity(b @ flat).transpose(2, 3, 0, 1)
-
     def _build_panel(self, t_from: float, t_to: float) -> None:
+        """Spectral integration at the panel's Chebyshev-Lobatto nodes: with
+        half = (t_to - t_from)/2 and sigma = W'' = qW, W = W0 + W0'(t - t_from)
+        + half^2 S2 sigma and W' = W0' + half S1 sigma, so sigma solves
+        (I - half^2 q S2) sigma = q (W0 + W0'(t - t_from)), one solve per mode."""
         mlen = self.h.size
-        lam = self._lambda(max(abs(t_from), abs(t_to)))
-        deg = _PANEL_DEG
-        # integrate segment-by-segment between Chebyshev-Lobatto nodes so the
-        # recorded states interpolate with perfect conditioning
-        nodes = t_from + (t_to - t_from) * 0.5 * (
-            1.0 - np.cos(np.pi * np.arange(deg + 1) / deg)
-        )
-        t, h, seg, pos = _rk_steps(nodes, lam)
-        # each segment's propagator: its steps padded with identities to a
-        # power of two, then multiplied pairwise, later steps on the left
-        width = 1 << int(pos.max()).bit_length()
-        prop = np.zeros((deg, width, mlen, 2, 2))
-        prop[..., [0, 1], [0, 1]] = 1.0
-        prop[seg, pos] = self._step_propagators(t, h)
-        while prop.shape[1] > 1:
-            prop = prop[:, 1::2] @ prop[:, 0::2]
-        # carry the state [W, W'] of each mode across the segments
-        ys = np.empty((deg + 1, mlen, 2, 1))
-        ys[0, :, :, 0] = self.state.reshape(2, mlen).T
-        for i in range(deg):
-            ys[i + 1] = prop[i, 0] @ ys[i]
-        ys = ys[..., 0].transpose(0, 2, 1).reshape(deg + 1, 2 * mlen)  # [W..., W'...]
-        fit = _lobatto_fit(deg) @ ys
-        self.halves = [np.concatenate([half, fit[None, :, i * mlen:(i + 1) * mlen]])
-                       for i, half in enumerate(self.halves)]
+        fit, s1, s2 = _lobatto(_PANEL_DEG)
+        half = 0.5 * (t_to - t_from)
+        x = t_from + half * (1.0 - np.cos(np.pi * np.arange(_PANEL_DEG + 1) / _PANEL_DEG))
+        q = self.h + self.coef * jacobi_imag(x, self.m).sn_im[:, None] ** 2  # (nodes, M)
+        w0, dw0 = self.state[:mlen], self.state[mlen:]
+        line = w0 + np.multiply.outer(x - t_from, dw0)
+        system = np.eye(_PANEL_DEG + 1) - half * half * q.T[:, :, None] * s2
+        sigma = np.linalg.solve(system, (q * line).T[:, :, None])[..., 0].T
+        ys = np.concatenate([line + half * half * (s2 @ sigma), dw0 + half * (s1 @ sigma)], axis=1)
+        coeffs = fit @ ys  # [W..., W'...]
+        self.halves = [np.concatenate([part, coeffs[None, :, i * mlen:(i + 1) * mlen]])
+                       for i, part in enumerate(self.halves)]
         self.edges = np.append(self.edges, t_to)
         self.state = ys[-1]
         self.t_built = t_to
@@ -288,7 +224,7 @@ class _ImagPanels:
         them, do not depend on the order or reach of earlier requests.
 
         Every panel has lam * width <= _PANEL_LOG_GROWTH, with lam at its end
-        farther from t = 0 as `_build_panel` takes it: going up, the width is
+        farther from t = 0: going up, the width is
         at most _PANEL_LOG_GROWTH / lam(probe) and the panel ends at or before
         the probe; going down, it is at most _PANEL_LOG_GROWTH / lam(start),
         and lam is largest at the start."""
@@ -440,6 +376,9 @@ def _galerkin_modes(family: LameFamily, nu: float, m: Modulus, count: int):
     size = _GALERKIN_START
     while size < 2 * count:
         size *= 2
+    if size > _GALERKIN_CAP:
+        raise DomainError(f"{count} modes of {family.value} need a Galerkin basis of {size} "
+                          f"functions, over the cap of {_GALERKIN_CAP}")
     while True:
         op, freq, norm = _galerkin_operator(family, nu, m, size)
         h, vecs = np.linalg.eigh(op)
@@ -554,8 +493,8 @@ class LameBasis:
     """
 
     def __init__(self, nu: float, m: Modulus, n_max: int):
-        if nu < -0.5:
-            raise DomainError(f"nu must be >= -1/2, got {nu!r}")
+        if not (math.isfinite(nu) and nu >= -0.5):
+            raise DomainError(f"nu must be finite and >= -1/2, got {nu!r}")
         if n_max < 0:
             raise DomainError(f"shell depth must be >= 0, got {n_max!r}")
         self.nu, self.modulus, self.n_max = float(nu), m, int(n_max)

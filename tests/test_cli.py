@@ -231,6 +231,25 @@ def test_convergence_failure_exits_3(capsys):
     assert err.startswith("error: ") and "Galerkin tail" in err
 
 
+@pytest.mark.parametrize("n_range", ["0:100000", "1024"])
+def test_eigen_past_the_galerkin_cap_exits_2(capsys, n_range):
+    # Ec^1024 needs 513 Ec-even modes, so a basis of 2048 functions, over the
+    # cap of 1024: refused before any operator is built
+    code, out, err = run_cli(capsys, "eigen", "--n-range", n_range)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "over the cap of 1024" in err
+
+
+@pytest.mark.parametrize("nu", ["nan", "inf", "-inf"])
+def test_eigen_non_finite_nu_exits_2(capsys, nu):
+    code, out, err = run_cli(capsys, "eigen", f"--nu={nu}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: nu must be finite")
+
+
 @pytest.mark.parametrize("argv", [
     ("green", "--point=a,b,c"),
     ("green", "--point-star=1,2"),

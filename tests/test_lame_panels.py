@@ -1,13 +1,15 @@
-"""Imaginary-axis panels built from RK8 step propagators: the DOP853 tableau
-against scipy's, the Chebyshev-Lobatto fit against chebfit, the batched
-Frobenius coefficients against the one-eigenvalue call, and W, W', F, F'
-against a sequential DOP853 stepper and against scipy's solve_ivp."""
+"""Imaginary-axis panels built by spectral integration at Chebyshev-Lobatto
+nodes: the node-to-coefficient fit against chebfit, the integration
+matrices against 40-digit mpmath entries, the batched Frobenius
+coefficients against the one-eigenvalue call, and W, W', F, F' against a
+sequential fixed-step DOP853 stepper and against scipy's solve_ivp."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial import chebyshev
@@ -30,12 +32,6 @@ def _colmax_err(got, ref):
     return float(np.max(np.abs(got - ref) / np.max(np.abs(ref), axis=0)))
 
 
-def test_dop853_tableau_matches_scipy_bit_for_bit():
-    c_stage, a, b = lame._dop853()
-    for ours, theirs in ((c_stage, DOP853.C), (a, DOP853.A), (b, DOP853.B)):
-        assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
-
-
 def test_panel_build_does_not_import_scipy_integrate():
     code = (
         "import sys\n"
@@ -56,9 +52,39 @@ def test_lobatto_fit_matches_chebfit(deg):
     x = -np.cos(np.pi * np.arange(deg + 1) / deg)
     rng = np.random.default_rng(deg)
     values = np.column_stack([np.exp(3.0 * x), 1.0 / (1.2 - x), rng.standard_normal(deg + 1)])
-    ours = lame._lobatto_fit(deg) @ values
+    ours = lame._lobatto(deg)[0] @ values
     reference = chebyshev.chebfit(x, values, deg)
     assert _colmax_err(ours, reference) <= 1e-14
+
+
+@pytest.mark.parametrize("deg", [32, 40])
+def test_lobatto_integrals_match_mpmath(deg):
+    # S1[i, j] is the integral from -1 to x_i of the j-th Lagrange polynomial,
+    # here from 40-digit Chebyshev coefficients and the antiderivatives
+    # T_(k+1)/(2(k+1)) - T_(k-1)/(2(k-1)); S2 = S1 S1
+    with mpmath.workdps(40):
+        n = deg + 1
+        theta = [mpmath.pi * (deg - j) / deg for j in range(n)]  # x_j = cos(theta_j)
+
+        def antiderivative(k, th):
+            if k == 0:
+                return mpmath.cos(th)
+            if k == 1:
+                return mpmath.cos(2 * th) / 4
+            return (mpmath.cos((k + 1) * th) / (2 * (k + 1))
+                    - mpmath.cos((k - 1) * th) / (2 * (k - 1)))
+
+        weight = [mpmath.mpf(0.5) if j in (0, deg) else mpmath.mpf(1) for j in range(n)]
+        fit = mpmath.matrix([[2 * weight[k] * weight[j] * mpmath.cos(k * theta[j]) / deg
+                              for j in range(n)] for k in range(n)])
+        integral = mpmath.matrix([[antiderivative(k, theta[i]) - antiderivative(k, mpmath.pi)
+                                   for k in range(n)] for i in range(n)])
+        s1 = integral * fit
+        s2 = s1 * s1
+        for ours, reference in zip(lame._lobatto(deg)[1:], (s1, s2)):
+            err = max(abs(mpmath.mpf(float(ours[i, j])) - reference[i, j])
+                      for i in range(n) for j in range(n))
+            assert err <= 2e-16
 
 
 def test_batched_frobenius_columns_match_single_calls():
@@ -72,17 +98,24 @@ def test_batched_frobenius_columns_match_single_calls():
 
 
 def _sequential_rk8(panels, state):
-    """The stage loop the propagators replaced: one DOP853 step at a time on
-    the state, over the same steps.  Returns each panel's Chebyshev-Lobatto
-    nodes after the first and the state [W..., W'...] there."""
-    c_stage, a, b = lame._dop853()
+    """An independent reference on the panels' edges: scipy's DOP853 tableau
+    stepped one fixed step at a time on the state, at least two steps per
+    gap between Chebyshev-Lobatto nodes and lam h <= 1/12, with lam the
+    panel's growth rate.  Returns each panel's nodes after the first and
+    the state [W..., W'...] there."""
+    c_stage, a, b = DOP853.C, DOP853.A, DOP853.B
     y, mlen = np.array(state, dtype=float), panels.h.size
     ts, ys = [], []
     for t_from, t_to in zip(panels.edges[:-1], panels.edges[1:]):
         lam = panels._lambda(max(abs(t_from), abs(t_to)))
         nodes = t_from + (t_to - t_from) * 0.5 * (
             1.0 - np.cos(np.pi * np.arange(lame._PANEL_DEG + 1) / lame._PANEL_DEG))
-        t, h, seg, _ = lame._rk_steps(nodes, lam)
+        gaps = np.diff(nodes)
+        sub = np.maximum(2, np.ceil(np.abs(gaps) * lam * 12.0).astype(int))
+        seg = np.repeat(np.arange(gaps.size), sub)
+        pos = np.arange(seg.size) - np.repeat(np.cumsum(sub) - sub, sub)
+        h = (gaps / sub)[seg]
+        t = nodes[seg] + pos * h
         qc = panels.coef * jacobi_imag(t[:, None] + h[:, None] * c_stage, panels.m).sn_im ** 2
         stages = np.empty((12, y.size))
         for j in range(t.size):
