@@ -34,7 +34,7 @@ from .harmonics import (
     internal_harmonic,
     toroidal_green_expansion,
 )
-from .lame import basis_for, family_of_superscript
+from .lame import basis_for, check_shell_depth, family_of_superscript, shell_depth
 from .verify import SUITES, run_suites
 
 
@@ -108,6 +108,7 @@ def cmd_eigen(args) -> int:
     m = Modulus.from_k(args.k)
     kind = "c" if args.family.lower() in ("ec", "c") else "s"
     sups = _parse_range(args.n_range)
+    check_shell_depth(shell_depth(*family_of_superscript(kind, sups[-1])))
     rows = []
     specs = [family_of_superscript(kind, n) for n in sups]
     b, cols = basis_for(specs, args.nu, m)

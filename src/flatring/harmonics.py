@@ -112,6 +112,12 @@ def _flatring_of(q: CartesianPoint, m: Modulus) -> tuple[FlatRingPoint, np.ndarr
     return cartesian_to_flatring(q, m, Variant.V1), r2 ** -0.25
 
 
+def _stacked(r: CartesianPoint, r_star: CartesianPoint) -> CartesianPoint:
+    """r and r* broadcast to one shape and stacked on a new first axis."""
+    both = np.broadcast_arrays(*r, *r_star)  # x, y, z, x*, y*, z*
+    return CartesianPoint(*np.array([both[i::3] for i in range(3)], dtype=float))
+
+
 def _harmonic(idx: HarmonicIndex, q: CartesianPoint, m: Modulus):
     """E(s) W(t) (internal) or E(s) F(t) (external) times (x^2+y^2)^(-1/4) e^{i m phi}."""
     p, pref = _flatring_of(q, m)
@@ -203,17 +209,16 @@ def green_expansion(r: CartesianPoint, r_star: CartesianPoint, tr: Truncation, m
     tail, shells) as `_double_series` gives them.  Requires t(r) < t(r*) (the
     inner point first); CartesianPoints of arrays give one pair per element."""
     _check_series_limits(tr)
-    p, pref = _flatring_of(r, m)
-    p_star, pref_star = _flatring_of(r_star, m)
-    if not np.all(p.t < p_star.t):
-        raise OrderingError(f"expansion requires t < t*; got t = {p.t!r}, t* = {p_star.t!r}")
-    s, s_star, t, t_star, dphi, scale = (np.ravel(v) for v in np.broadcast_arrays(
-        p.s, p_star.s, p.t, p_star.t, p.phi - p_star.phi, 0.5 * pref * pref_star))
+    p, pref = _flatring_of(_stacked(r, r_star), m)  # [r, r*] on the first axis
+    if not np.all(p.t[0] < p.t[1]):
+        raise OrderingError(f"expansion requires t < t*; got [t, t*] = {p.t.tolist()!r}")
+    (s, s_star), (t, t_star), (phi, phi_star), (pref, pref_star) = (
+        v.reshape(2, -1) for v in (p.s, p.t, p.phi, pref))
     n1 = tr.n_max + 1
     # terms[order, pair, n]: the (|m|, n) block Ec^n Ec^n Wc Fc + Es^(n+1) Es^(n+1) Ws Fs
     terms = _lame_products(order_set(m, tr.m_max, tr.n_max), s, s_star, t, t_star)
-    return _double_series(terms[..., :n1] + terms[..., n1:], dphi, scale,
-                          np.broadcast_shapes(np.shape(p.s), np.shape(p_star.s)))
+    return _double_series(terms[..., :n1] + terms[..., n1:], phi - phi_star,
+                          0.5 * pref * pref_star, p.s.shape[1:])
 
 
 def toroidal_harmonic(m_order: int, n: int, p: ToroidalPoint, external: bool = False) -> complex:

@@ -31,8 +31,7 @@ of every panel of every set in one contiguous block, restacked only when a
 set has grown, and a padded table of edges.  Each set then keeps that half
 as a view of the block, so a panel is held once.  A read finds every
 point's panel in every set at once, gathers those panels of the block once
-and sums them by numpy's chebval recurrence, run elementwise, so the values
-equal chebval's bit for bit.
+and contracts them with one table of T_j(x): within 1e-14 of chebval.
 Odd-parity values are stored as the real representative W(t) = E(it)/i with
 W'(0) = E'(0); downstream products always pair matching representatives,
 which reproduces the complex-convention results exactly.
@@ -40,20 +39,19 @@ which reproduces the complex-convention results exactly.
 The second-kind function belongs to the exponent nu+1 at the regular
 singular point t = K' (tau = K' - t = 0).  Each basis reads it from the even
 Frobenius series there out to its own hand-off tau0, at most 0.3 of the
-series' radius, one Horner recurrence in tau^2 for all bases of a read, and
-from panels built on demand below K' - tau0.  F is scaled so that
-F(it) dE(it)/dt - E(it) dF(it)/dt = 1 in real-representative form, with W
-at K' - tau0 from a throwaway extension of the first-kind panels, so a
-basis keeps only the panels that its readers reach.
+series' radius, and from panels built on demand below K' - tau0.  F is
+scaled so that F(it) dE(it)/dt - E(it) dF(it)/dt = 1 in real-representative
+form, with W at K' - tau0 from a throwaway extension of the first-kind
+panels, so a basis keeps only the panels that its readers reach.
 
 LameBasis holds everything of one (nu, k) at a shell depth N: the modes
 Ec^0..Ec^N, Es^1..Es^(N+1), their coefficients, certificates and panels.
 basis(nu, m, N) serves them from one bounded LRU cache; a caller that needs
 a few modes takes the basis of least depth that holds them (basis_for).
 OrderSet reads bases of one modulus and depth together, on arrays of
-points: E by one cos/sin table, W by one stacked panel read, and F by one
-Horner recurrence and one panel read per hand-off tau0; a LameBasis reads
-through one set of itself, built on its first read and kept.
+points: E, W and F (per hand-off tau0) each by one contraction over all of
+them, which sums each value over its terms in order, so a set's read equals
+each basis's own bit for bit; a LameBasis reads through one set of itself.
 order_set(m, m_max, N) serves the orders 0..m_max of a flat-ring series
 from a small LRU cache of whole sets, which hold their bases, so an
 expansion with more orders than the basis cache holds builds each basis
@@ -219,9 +217,10 @@ class _ImagPanels:
             raise PoleError("imaginary-axis solution overflow approaching K'")
 
     def extend_to(self, t_req: float) -> None:
-        """Build panels until they cover t_req.  Where a panel ends depends
-        only on where it starts, so the panels, and every value read from
-        them, do not depend on the order or reach of earlier requests.
+        """Build at least one panel, and panels until they cover t_req.  Where a
+        panel ends depends only on where it starts, so the panels, and every
+        value read from them, do not depend on the order or reach of earlier
+        requests.
 
         Every panel has lam * width <= _PANEL_LOG_GROWTH, with lam at its end
         farther from t = 0: going up, the width is
@@ -232,7 +231,7 @@ class _ImagPanels:
         if t_req < 0.0 or t_req > cap:
             raise PoleError(f"imaginary-axis argument t = {t_req!r} outside [0, {cap!r}]")
         if self.t_end > self.t_start:
-            while t_req > self.t_built + 1e-15:
+            while t_req > self.t_built + 1e-15 or self.edges.size == 1:
                 # size the panel by the potential at its far end, where it is
                 # largest; no panel reaches past halfway to the end, so none
                 # runs into the pole at K'
@@ -241,7 +240,7 @@ class _ImagPanels:
                 self._build_panel(self.t_built, min(
                     self.t_built + _PANEL_LOG_GROWTH / self._lambda(probe), probe))
         else:
-            while t_req < self.t_built - 1e-15:
+            while t_req < self.t_built - 1e-15 or self.edges.size == 1:
                 self._build_panel(self.t_built, max(
                     self.t_built - _PANEL_LOG_GROWTH / self._lambda(self.t_built), self.t_end))
 
@@ -249,24 +248,6 @@ class _ImagPanels:
         """Columns cols of W (or W') at an array of t, growing the set to
         reach them: (len(t), len(cols)); the one-set case of `_PanelStack`."""
         return _PanelStack([self]).values(np.asarray(t, dtype=float), derivative, cols)[:, 0]
-
-
-def _clenshaw(c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_j c[j] T_j(x) over the first axis of c, elementwise, with x of the
-    shape of c[0]: numpy's chebval recurrence operation for operation, so
-    each sum equals chebval's bit for bit.  Every step runs on contiguous
-    arrays of one shape, in place."""
-    x2 = 2 * x
-    c0, c1 = c[-2].copy(), c[-1].copy()
-    spare = np.empty_like(c0)
-    multiply, subtract = np.multiply, np.subtract
-    for row in c[-3::-1]:
-        # c0, c1 <- row - c1, c0 + c1 x2
-        multiply(c1, x2, spare)
-        spare += c0
-        subtract(row, c1, c0)
-        c1, spare = spare, c1
-    return c0 + c1 * x
 
 
 class _PanelStack:
@@ -277,8 +258,10 @@ class _PanelStack:
     some set has grown.  Once a half is stacked, each set keeps its panels of
     that half as a view of the block, so they are held once.  A read finds
     every point's panel in every set by one comparison with the table,
-    gathers those panels of the block once and sums them by one Clenshaw
-    recurrence."""
+    gathers those panels of the block once and contracts them with one table
+    of T_j(x).  `np.einsum` sums each value over j in order, so it does not
+    depend on the sets or columns read beside it, and it agrees with
+    chebval to <= 1e-14 of each column's largest |value|."""
 
     def __init__(self, sets: list[_ImagPanels]):
         self.sets = sets
@@ -323,18 +306,20 @@ class _PanelStack:
             return np.empty((0, len(self.sets), self.sets[0].h[cols].size))
         key = self.sign * t
         far = float(key.max())
-        if far > self._reach:
+        if far > self._reach or not all(self._counts):
             for panels in self.sets:
                 panels.extend_to(self.sign * far)
         self._restack()
         # each point's panel in each set, an inner edge in the panel that starts
-        # there; then its place x in [-1, 1] on that panel
-        j = np.count_nonzero(self._inner <= key[:, None, None], axis=2)
-        lo, hi = np.take(self._edges, self._at + j), np.take(self._edges, self._at + j + 1)
-        x = (2.0 * t[:, None] - (lo + hi)) / (hi - lo)
-        # every point's panel in every set, coefficient rows first: (33, points, sets, modes)
-        c = self._block(derivative)[self._first + j].transpose(2, 0, 1, 3)[..., cols]
-        return _clenshaw(c, np.broadcast_to(x[:, :, None], c.shape[1:]).copy())
+        # there; then its place x on that panel, clipped to [-1, 1] where
+        # rounding puts it past an edge, and T_j(x) = cos(j arccos x)
+        j = (self._inner <= key[:, None, None]).sum(axis=2)
+        lo, hi = self._edges.take(self._at + j), self._edges.take(self._at + j + 1)
+        theta = np.arccos(np.clip((2.0 * t[:, None] - (lo + hi)) / (hi - lo), -1.0, 1.0))
+        table = np.cos(np.multiply.outer(theta, np.arange(_PANEL_DEG + 1.0)))
+        # every point's panel in every set, (points, sets, 33, modes), summed
+        c = self._block(derivative)[self._first + j]
+        return np.einsum("psj,psjm->psm", table, c)[..., cols]
 
 
 # --- eigensolver -------------------------------------------------------------
@@ -369,16 +354,25 @@ def _galerkin_operator(family: LameFamily, nu: float, m: Modulus, size: int):
     return op, freq, norm
 
 
+def _galerkin_start(count: int) -> int:
+    """The first Galerkin basis size for count modes: the least 64 * 2^i >= 2 count."""
+    return max(_GALERKIN_START, 1 << (2 * count - 1).bit_length())
+
+
+def check_shell_depth(n_max: int) -> None:
+    """Refuse a depth past the Galerkin cap, with no spec built: Ec-even, the
+    family that LameBasis solves first, holds the most modes."""
+    count = n_max // 2 + 1
+    if _galerkin_start(count) > _GALERKIN_CAP:
+        raise DomainError(f"{count} modes of {LameFamily.EC_EVEN.value} need a Galerkin basis "
+                          f"of {_galerkin_start(count)} functions, over the cap of {_GALERKIN_CAP}")
+
+
 def _galerkin_modes(family: LameFamily, nu: float, m: Modulus, count: int):
     """Lowest count eigenvalues of one family, their normalized coefficient
     columns on cos(f_j s) or sin(f_j s), the frequencies f_j and each mode's
-    tail."""
-    size = _GALERKIN_START
-    while size < 2 * count:
-        size *= 2
-    if size > _GALERKIN_CAP:
-        raise DomainError(f"{count} modes of {family.value} need a Galerkin basis of {size} "
-                          f"functions, over the cap of {_GALERKIN_CAP}")
+    tail; within the cap, which `check_shell_depth` has checked."""
+    size = _galerkin_start(count)
     while True:
         op, freq, norm = _galerkin_operator(family, nu, m, size)
         h, vecs = np.linalg.eigh(op)
@@ -442,16 +436,9 @@ def _powers(tau: np.ndarray, exps: np.ndarray) -> np.ndarray:
 def _frobenius_series(stack: np.ndarray, exps: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """sum_p stack[p] tau^(2p) times tau^exps[i] in the block of stack[:, i],
     at the points tau: (len(tau),) + stack.shape[1:], with stack from
-    `_frobenius_stack` and exps its nu + 1 (F) or nu (dF/dtau).  One Horner
-    recurrence in tau^2 runs elementwise, so a column's sum does not depend
-    on what is stacked beside it: a zero row on top changes no bit."""
-    shape = (tau.size,) + stack.shape[1:]
-    x = np.empty(shape)
-    x[...] = np.square(tau)[:, None, None]
-    acc = np.zeros(shape)
-    for row in stack[::-1]:
-        acc *= x
-        acc += row
+    `_frobenius_stack` and exps its nu + 1 (F) or nu (dF/dtau): one
+    contraction with the powers tau^(2p), within 1e-14 of Horner's rule."""
+    acc = np.einsum("pk,kbn->pbn", np.power.outer(tau, 2.0 * np.arange(len(stack))), stack)
     acc *= _powers(tau, exps)[:, :, None]
     return acc
 
@@ -483,11 +470,11 @@ class LameBasis:
 
     real(s), imag(t) and second(t) return (points x modes) arrays, or the
     columns cols only: the one-basis case of OrderSet's reads.  E(s) is one
-    cosine and one sine matrix product over the frequencies j pi/(2K), which
-    hold the Galerkin basis of every family.  W(t) reads one first-kind
-    panel set; F(t) reads the Frobenius series within tau0 of K' and one
-    continuation panel set below it.  Both panel sets grow toward the t
-    requested, and the second kind is built on the first second() call.
+    contraction of cos and sin over the frequencies j pi/(2K), which hold
+    the Galerkin basis of every family, with the coefficients.  W(t) reads
+    one first-kind panel set; F(t) reads the Frobenius series within tau0 of
+    K' and one continuation panel set below it.  Both panel sets grow toward
+    the t requested, and the second kind is built on the first second() call.
     Per mode the basis keeps the eigenvalue h, its bracket, the Galerkin
     tail and the boundary data (E(0), E'(0)).
     """
@@ -497,6 +484,7 @@ class LameBasis:
             raise DomainError(f"nu must be finite and >= -1/2, got {nu!r}")
         if n_max < 0:
             raise DomainError(f"shell depth must be >= 0, got {n_max!r}")
+        check_shell_depth(n_max)
         self.nu, self.modulus, self.n_max = float(nu), m, int(n_max)
         self.specs = shell_specs(self.n_max)
         counts = {fam: n + 1 for fam, n in self.specs}  # zero counts ascend within a family
@@ -652,24 +640,33 @@ class OrderSet:
     def _empty(self, points: int, cols) -> np.ndarray:
         return np.empty((points, len(self.bases), self.bases[0].h[cols].size))
 
+    @functools.cached_property
+    def _coef(self) -> np.ndarray:
+        """The cosine and sine coefficients of several bases on the longest
+        grid, (2, rows, bases x modes); each basis keeps its own as a view."""
+        width = self.bases[0].h.size
+        block = np.zeros((2, self._freq.size, len(self.bases) * width))
+        for i, b in enumerate(self.bases):
+            block[:, :b._freq.size, i * width:(i + 1) * width] = b._coef
+        block.flags.writeable = False
+        for i, b in enumerate(self.bases):
+            b._coef = block[:, :b._freq.size, i * width:(i + 1) * width]
+        return block
+
     def real(self, s, derivative: bool = False, cols=slice(None)) -> np.ndarray:
         """E(s) (or E'(s)) of every basis at real s.  Every basis sums over a
-        prefix of the frequency grid j pi/(2K), so cos and sin are taken once
-        on the longest grid; each basis runs its own cosine and sine matrix
-        products on its leading columns, since one product over the stacked
-        bases would sum in another order and change the last bit."""
+        prefix of the frequency grid j pi/(2K), so one table [cos | sin] (or
+        [-f sin | f cos] for E') on the longest grid is contracted with the
+        coefficients, each value summed over the cosine, then the sine rows
+        in order (see `_PanelStack`); it agrees with the two matrix products
+        of each basis to <= 1e-14 of each column's largest |value|."""
         x = np.multiply.outer(np.asarray(s, dtype=float).ravel(), self._freq)
         cos_x, sin_x = np.cos(x), np.sin(x)
-        out = []
-        for b in self.bases:
-            rows = b._freq.size
-            cos_c, sin_c = b._coef[:, :, cols]
-            if derivative:
-                f = b._freq[:, None]
-                out.append(cos_x[:, :rows] @ (f * sin_c) - sin_x[:, :rows] @ (f * cos_c))
-            else:
-                out.append(cos_x[:, :rows] @ cos_c + sin_x[:, :rows] @ sin_c)
-        return np.stack(out, axis=1)
+        table = (np.stack([-self._freq * sin_x, self._freq * cos_x], axis=1) if derivative
+                 else np.stack([cos_x, sin_x], axis=1))
+        e = np.einsum("ptk,tkn->pn", table,
+                      self.bases[0]._coef if len(self.bases) == 1 else self._coef)
+        return e.reshape(len(x), len(self.bases), self.bases[0].h.size)[..., cols]
 
     def imag(self, t, derivative: bool = False, cols=slice(None)) -> np.ndarray:
         """W(t) (or W'(t)) of every basis, as LameBasis.imag gives it."""
@@ -721,11 +718,9 @@ class _Handoff:
     K' - tau0."""
 
     def __init__(self, bases: list[LameBasis], members: np.ndarray):
-        kinds = [b._second_kind for b in bases]
-        self.members, self.tau0 = members, kinds[0][1]
+        self._coeffs, tau0, self._conts = zip(*(b._second_kind for b in bases))
+        self.members, self.tau0 = members, tau0[0]
         self._nus = np.array([b.nu for b in bases])
-        self._coeffs = [frobenius for frobenius, _, _ in kinds]
-        self._conts = [cont for _, _, cont in kinds]
         self._stacks = {}
 
     @functools.cached_property
@@ -737,8 +732,7 @@ class _Handoff:
     def _series(self, tau: np.ndarray, derivative: bool, cols) -> np.ndarray:
         if derivative not in self._stacks:
             self._stacks[derivative] = _frobenius_stack(self._nus, self._coeffs, derivative)
-        f = _frobenius_series(self._stacks[derivative][:, :, cols], self._nus + 1.0 - derivative,
-                              tau)
+        f = _frobenius_series(self._stacks[derivative], self._nus + 1.0 - derivative, tau)[..., cols]
         return -f if derivative else f  # dF/dt = -dF/dtau
 
     def values(self, t: np.ndarray, tau: np.ndarray, derivative: bool, cols) -> np.ndarray:
@@ -785,14 +779,14 @@ def basis_for(specs: list[tuple[LameFamily, int]], nu: float,
 _SET_CACHE_SIZE = 2
 """Sets kept by `order_set`: one per (modulus, m_max, n_max).  Each bench
 workload reads one set; two keep a run that reads two truncations in turn
-warm.  A set holds its bases and little else: once it has stacked a half of
-their panels, each basis keeps that half as a view of the set's block, so a
-panel is held once (twice only for a basis in two sets, one depth and two
-m_max).  At k = 0.5 a (20, 20) set takes at most 3.6 MB after reads at
-t <= 0.3K' and t* >= 0.6K', and 11.5 MB with every panel set grown to 0.9K'
-and 0.05K' and both halves read; a (40, 40) set, the largest that the tests
-read, takes 22 MB and 76 MB.  So the cache holds at most 23 MB of (20, 20)
-sets, and 152 MB of (40, 40) sets."""
+warm.  A set holds its bases and little else: once it has stacked their
+coefficients or a half of their panels, each basis keeps its part as a view
+of the set's block, so it is held once (twice only for a basis in two sets,
+one depth and two m_max).  At k = 0.5 a (20, 20) set takes at most 3.6 MB
+after reads at t <= 0.3K' and t* >= 0.6K', and 11.5 MB with every panel set
+grown to 0.9K' and 0.05K' and both halves read; a (40, 40) set, the largest
+that the tests read, takes 22 MB and 76 MB.  So the cache holds at most
+23 MB of (20, 20) sets, and 152 MB of (40, 40) sets."""
 
 
 @functools.lru_cache(maxsize=_SET_CACHE_SIZE)

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from flatring import cli, lame
-from flatring.coords import CartesianPoint, cartesian_to_flatring
 from flatring.cli import main
+from flatring.coords import CartesianPoint, cartesian_to_flatring
+from flatring.elliptic import Modulus
+from flatring.errors import DomainError
 
 
 def run_cli(capsys, *argv):
@@ -240,6 +242,32 @@ def test_eigen_past_the_galerkin_cap_exits_2(capsys, n_range):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "over the cap of 1024" in err
+
+
+@pytest.mark.parametrize("family", ["Ec", "Es"])
+def test_eigen_past_the_galerkin_cap_builds_no_spec(capsys, monkeypatch, family):
+    # the command and LameBasis both check the depth against the cap before
+    # they build a spec (the command used to build 100,000, and the basis
+    # 200,000 more, before the refusal)
+    calls = {"family_of_superscript": 0, "shell_specs": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(cli, "family_of_superscript")
+    counted(lame, "shell_specs")
+    code, out, err = run_cli(capsys, "eigen", "--family", family, "--n-range", "1:100000")
+    assert code == 2 and out == ""
+    assert "modes of Ec-even need a Galerkin basis of 131072 functions, over the cap" in err
+    assert calls == {"family_of_superscript": 1, "shell_specs": 0}
+    with pytest.raises(DomainError, match="over the cap of 1024"):
+        lame.LameBasis(0.5, Modulus.from_k(0.5), 100000)
+    assert calls["shell_specs"] == 0
 
 
 @pytest.mark.parametrize("nu", ["nan", "inf", "-inf"])

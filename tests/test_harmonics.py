@@ -378,3 +378,38 @@ def test_toroidal_limit_summand_identity():
     expected = pref * eps * explicit * toroidal_summand(1, n, tau, tau_s)
     assert toroidal_limit_summand(1, n, tau, tau_s, psi, psi_s) == pytest.approx(
         expected, rel=1e-14)
+
+
+def test_green_pair_takes_one_inverse_map(m05, monkeypatch):
+    # r and r* are converted by one cartesian_to_flatring call on the two
+    # points stacked, which gives the coordinates and prefactors of two
+    # separate calls bit for bit, for one pair and for arrays of pairs
+    from flatring import harmonics
+
+    m = m05
+    K, Kp = m.quarter_K, m.quarter_Kp
+    rng = np.random.default_rng(61)
+    r = flatring_to_cartesian(FlatRingPoint(s=rng.uniform(-1.8, 1.8, 5) * K,
+                                            t=rng.uniform(0.05, 0.3, 5) * Kp,
+                                            phi=rng.uniform(-3.0, 3.0, 5), modulus=m))
+    rs = flatring_to_cartesian(FlatRingPoint(s=-0.7 * K, t=0.6 * Kp, phi=2.5, modulus=m))
+    for inner in (CartesianPoint(*(c[0] for c in r)), r):
+        both, pref = harmonics._flatring_of(harmonics._stacked(inner, rs), m)
+        for i, q in enumerate((inner, rs)):
+            one, pref_one = harmonics._flatring_of(q, m)
+            for got, want in zip((both.s, both.t, both.phi, pref),
+                                 (one.s, one.t, one.phi, pref_one)):
+                assert np.array_equal(got[i], np.broadcast_to(want, got[i].shape))
+    calls, inverse = [], harmonics.cartesian_to_flatring
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inverse(*args, **kwargs)
+
+    monkeypatch.setattr(harmonics, "cartesian_to_flatring", counted)
+    green_expansion(r, rs, Truncation(4, 4), m)
+    assert len(calls) == 1
+    with pytest.raises(OrderingError):
+        green_expansion(rs, r, Truncation(4, 4), m)
+    with pytest.raises(DomainError):
+        green_expansion(CartesianPoint(0.0, 0.0, 0.5), rs, Truncation(4, 4), m)
