@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import sys
-from json.encoder import encode_basestring_ascii
+from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 
 import numpy as np
 
@@ -46,30 +47,36 @@ def _json(obj) -> str:
     return "".join(out)
 
 
+# exact types: a subclass member (np.float64, a NamedTuple) takes the member-by-member path
+_SCALARS = frozenset((float, int, str, bool, type(None)))
+
+
+@functools.cache
+def _flat_encoder(inner: str):
+    """json's C encoder with no indent and the item separator of one depth: a scalar, or
+    a container of scalars on the lines that json.dumps(indent=2) gives its members."""
+    return c_make_encoder(None, JSONEncoder().default, encode_basestring_ascii, None, ": ",
+                          "," + inner, False, False, True)
+
+
 def _write_json(o, indent: str, out: list) -> None:
     # module level, not nested in _json: a nested recursive writer is a
     # reference cycle that holds every call's text until the collector runs
-    if isinstance(o, float):  # not repr: numpy 2 prints np.float64(...)
-        out.append(float.__repr__(o) if math.isfinite(o) else
-                   "NaN" if o != o else "Infinity" if o > 0.0 else "-Infinity")
+    members = o.values() if isinstance(o, dict) else o if isinstance(o, (list, tuple)) else ()
+    inner = indent + "  "
+    if _SCALARS.issuperset(map(type, members)):  # a scalar, or every member one: one pass
+        text = "".join(_flat_encoder(inner)(o, 0))
+        out.append(text[0] + inner + text[1:-1] + indent + text[-1] if members else text)
     elif isinstance(o, dict):
         for i, (k, v) in enumerate(o.items()):
-            out.append(("," if i else "{") + indent + "  " + encode_basestring_ascii(k) + ": ")
-            _write_json(v, indent + "  ", out)
-        out.append(indent + "}" if o else "{}")
-    elif isinstance(o, (list, tuple)):
-        for i, v in enumerate(o):
-            out.append(("," if i else "[") + indent + "  ")
-            _write_json(v, indent + "  ", out)
-        out.append(indent + "]" if o else "[]")
-    elif isinstance(o, str):
-        out.append(encode_basestring_ascii(o))
-    elif o is None or o is True or o is False:
-        out.append("null" if o is None else "true" if o else "false")
-    elif isinstance(o, int):
-        out.append(int.__repr__(o))
+            out.append(("," if i else "{") + inner + encode_basestring_ascii(k) + ": ")
+            _write_json(v, inner, out)
+        out.append(indent + "}")
     else:
-        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        for i, v in enumerate(o):
+            out.append(("," if i else "[") + inner)
+            _write_json(v, inner, out)
+        out.append(indent + "]")
 
 
 def _emit(rows: list[dict], fmt: str) -> None:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -25,6 +24,9 @@ from .elliptic import JacobiImag, Modulus, _sncndn, jacobi_imag
 from .errors import DomainError
 
 CUT_GUARD = 1e-10  # distance to a chart cut below which inversion refuses
+# inversion refuses |q| >= FAR_GUARD k (toroidal: FAR_GUARD), past which its squares,
+# up to a |q|^2 = (|q| / k)^2 on the flat ring, near the double range
+FAR_GUARD = 1e150
 
 
 class CartesianPoint(NamedTuple):
@@ -43,62 +45,57 @@ class Variant(enum.Enum):
     V3 = 3  # s in (0, 4K),  t in (0, K');    cut {z=0, 0 < x <= 1/b}
 
 
-@dataclass(frozen=True)
-class AlgebraicFlatRing:
+class AlgebraicFlatRing(NamedTuple("AlgebraicFlatRing", [("mu", float), ("rho", float),
+                                                         ("phi", float), ("a", float)])):
     """Algebraic coordinates (mu, rho, phi) with parameter a > 1."""
 
-    mu: float
-    rho: float
-    phi: float
-    a: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace is checked too
 
-    def __post_init__(self):
-        if not self.a > 1.0:
-            raise DomainError(f"parameter a must exceed 1, got {self.a!r}")
-        if not self.mu < 0.0:
-            raise DomainError(f"mu must be negative, got {self.mu!r}")
-        if not 0.0 < self.rho < 1.0:
-            raise DomainError(f"rho must lie in (0, 1), got {self.rho!r}")
+    def __new__(cls, mu: float, rho: float, phi: float, a: float):
+        if not a > 1.0:
+            raise DomainError(f"parameter a must exceed 1, got {a!r}")
+        if not mu < 0.0:
+            raise DomainError(f"mu must be negative, got {mu!r}")
+        if not 0.0 < rho < 1.0:
+            raise DomainError(f"rho must lie in (0, 1), got {rho!r}")
+        return super().__new__(cls, mu, rho, phi, a)
 
 
-@dataclass(frozen=True)
-class FlatRingPoint:
+class FlatRingPoint(NamedTuple("FlatRingPoint", [("s", float), ("t", float), ("phi", float),
+                                                 ("modulus", Modulus), ("variant", Variant)])):
     """Transcendental coordinates (s, t, phi) at a fixed modulus; the fields
     may be arrays of broadcastable shapes, one point per element."""
 
-    s: float
-    t: float
-    phi: float
-    modulus: Modulus
-    variant: Variant = Variant.V1
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace is checked too
 
-    def __post_init__(self):
-        k_big = self.modulus.quarter_K
-        kp = self.modulus.quarter_Kp
-        s, t = self.s, self.t
-        if self.variant is Variant.V1:
+    def __new__(cls, s: float, t: float, phi: float, modulus: Modulus,
+                variant: Variant = Variant.V1):
+        k_big = modulus.quarter_K
+        kp = modulus.quarter_Kp
+        if variant is Variant.V1:
             ok = (-2.0 * k_big < s) & (s < 2.0 * k_big) & (0.0 < t) & (t < kp)
-        elif self.variant is Variant.V2:
+        elif variant is Variant.V2:
             ok = (0.0 < s) & (s < 2.0 * k_big) & (-kp < t) & (t < kp)
         else:
             ok = (0.0 < s) & (s < 4.0 * k_big) & (0.0 < t) & (t < kp)
         if not np.all(ok):
-            raise DomainError(
-                f"(s, t) = ({s!r}, {t!r}) outside the {self.variant.name} ranges"
-            )
+            raise DomainError(f"(s, t) = ({s!r}, {t!r}) outside the {variant.name} ranges")
+        return super().__new__(cls, s, t, phi, modulus, variant)
 
 
-@dataclass(frozen=True)
-class ToroidalPoint:
+class ToroidalPoint(NamedTuple("ToroidalPoint", [("tau", float), ("psi", float),
+                                                 ("phi", float)])):
     """Toroidal coordinates (tau, psi, phi), tau > 0."""
 
-    tau: float
-    psi: float
-    phi: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace is checked too
 
-    def __post_init__(self):
-        if not self.tau > 0.0:
-            raise DomainError(f"tau must be positive, got {self.tau!r}")
+    def __new__(cls, tau: float, psi: float, phi: float):
+        if not tau > 0.0:
+            raise DomainError(f"tau must be positive, got {tau!r}")
+        return super().__new__(cls, tau, psi, phi)
 
 
 def algebraic_to_cartesian(p: AlgebraicFlatRing) -> CartesianPoint:
@@ -163,6 +160,13 @@ def flatring_to_cartesian(p: FlatRingPoint) -> CartesianPoint:
     return CartesianPoint(*np.broadcast_arrays(r * np.cos(p.phi), r * np.sin(p.phi), z))
 
 
+def _check_far(dist: float, bound: float) -> None:
+    """Refuse a distance |q| from the origin (the largest of a point of arrays) past bound."""
+    if dist >= bound:
+        raise DomainError(f"point at |q| = {dist!r} is too far from the origin: "
+                          f"inversion needs |q| < {bound!r}")
+
+
 def _check_cut(r, z, m: Modulus, variant: Variant) -> None:
     b = m.b_ring
     if variant is Variant.V1:
@@ -201,6 +205,7 @@ def cartesian_to_flatring(
     r = np.hypot(x, y)
     if not np.all(r > 0.0):
         raise DomainError("cartesian_to_flatring undefined on the z-axis")
+    _check_far(float(np.max(np.hypot(r, z), initial=0.0)), FAR_GUARD * m.k)
     _check_cut(r, z, m, variant)
 
     u = r * r + z * z
@@ -287,6 +292,7 @@ def cartesian_to_toroidal(q: CartesianPoint) -> ToroidalPoint:
     z = q.z
     if r <= 0.0:
         raise DomainError("toroidal coordinates undefined on the z-axis (tau = 0)")
+    _check_far(math.hypot(r, z), FAR_GUARD)
     d_plus = (r + 1.0) ** 2 + z * z
     d_minus = (r - 1.0) ** 2 + z * z
     if d_minus <= 0.0:

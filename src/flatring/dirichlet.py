@@ -24,8 +24,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,16 +38,16 @@ from .lame import basis_for, order_set
 _INTERIOR_MARGIN = 1e-3  # in units of K': probes must satisfy t <= t0 - margin
 
 
-@dataclass(frozen=True)
-class FlatRingDomain:
+class FlatRingDomain(NamedTuple("FlatRingDomain", [("t0", float), ("modulus", Modulus)])):
     """Interior of the flat-ring coordinate surface t = t0."""
 
-    t0: float
-    modulus: Modulus
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace is checked too
 
-    def __post_init__(self):
-        if not 0.0 < self.t0 < self.modulus.quarter_Kp:
-            raise DomainError(f"t0 = {self.t0!r} outside (0, K')")
+    def __new__(cls, t0: float, modulus: Modulus):
+        if not 0.0 < t0 < modulus.quarter_Kp:
+            raise DomainError(f"t0 = {t0!r} outside (0, K')")
+        return super().__new__(cls, t0, modulus)
 
     def membership(self, q: CartesianPoint) -> float:
         """Positive inside D1, negative outside, zero on the surface: the
@@ -86,8 +85,21 @@ def _surface_quadrature(m: Modulus, n_s: int, n_phi: int):
     return 2.0 * m.quarter_K * x, 2.0 * m.quarter_K * w, -math.pi + dphi * np.arange(n_phi), dphi
 
 
-@dataclass
-class BoundaryData:
+class _Record:
+    """Keyword repr and value equality over the attributes of a plain class
+    (unhashable, since it defines __eq__); `_unshown` stay out of the repr."""
+
+    _unshown = ()
+
+    def __repr__(self) -> str:
+        shown = (f"{k}={v!r}" for k, v in vars(self).items() if k not in self._unshown)
+        return f"{type(self).__name__}({', '.join(shown)})"
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+
+class BoundaryData(_Record):
     """Callable boundary sample g(s, phi) = (x^2+y^2)^(1/4) f on t = t0.
 
     g is called once with the whole (s, phi) quadrature mesh as
@@ -95,11 +107,13 @@ class BoundaryData:
     Cartesian f, which `coefficients` hands that domain's cached surface mesh.
     """
 
-    g: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    n_s: int = 96
-    n_phi: int = 64
-    dom: FlatRingDomain | None = field(default=None, init=False, repr=False)
-    f: Callable[[CartesianPoint], np.ndarray] | None = field(default=None, init=False, repr=False)
+    _unshown = ("dom", "f")
+
+    def __init__(self, g: Callable[[np.ndarray, np.ndarray], np.ndarray], n_s: int = 96,
+                 n_phi: int = 64):
+        self.g, self.n_s, self.n_phi = g, n_s, n_phi
+        self.dom: FlatRingDomain | None = None
+        self.f: Callable[[CartesianPoint], np.ndarray] | None = None
 
     @classmethod
     def from_function(cls, dom: FlatRingDomain, f: Callable[[CartesianPoint], np.ndarray],
@@ -118,18 +132,17 @@ class BoundaryData:
         return np.broadcast_to(self.g(s[:, None], phi[None, :]), (s.size, phi.size))
 
 
-@dataclass
-class CoefficientTable:
+class CoefficientTable(_Record):
     """Expansion coefficients c (cosine family) and d (sine family).
 
     c[m_off + m, n] multiplies Gc_m^n, d[m_off + m, n-1] multiplies Gs_m^n.
     """
 
-    m_max: int
-    n_max: int
-    c: np.ndarray  # complex, (2*m_max+1, n_max+1)
-    d: np.ndarray  # complex, (2*m_max+1, n_max+1)
-    parseval_residual: float
+    def __init__(self, m_max: int, n_max: int, c: np.ndarray, d: np.ndarray,
+                 parseval_residual: float):
+        self.m_max, self.n_max = m_max, n_max
+        self.c, self.d = c, d  # complex, (2*m_max+1, n_max+1) each
+        self.parseval_residual = parseval_residual
 
     def c_of(self, m: int, n: int) -> complex:
         return self.c[self.m_max + m, n]
@@ -138,21 +151,27 @@ class CoefficientTable:
         return self.d[self.m_max + m, n - 1]
 
 
-@dataclass(frozen=True)
-class _Surface:
+class _Surface(_Record):
     """The data-free half of a projection onto the surface harmonics, all
-    read-only; rows j run over the signed orders -m_max..m_max, columns over
-    Ec^0..Ec^N, then Es^1..Es^(N+1)."""
+    read-only, the surface itself frozen; rows j run over the signed orders
+    -m_max..m_max, columns over Ec^0..Ec^N, then Es^1..Es^(N+1).
 
-    s_nodes: np.ndarray  # Gauss-Legendre in s, (n_s,)
-    s_weights: np.ndarray
-    phi_nodes: np.ndarray  # trapezoid in phi, (n_phi,), step dphi
-    dphi: float
-    mesh: CartesianPoint  # the surface at every (s, phi) node, (n_s, n_phi)
-    root_r: np.ndarray  # (x^2 + y^2)^(1/4) on the mesh
-    phase: np.ndarray  # Re and Im of e^{-i j phi} dphi, rows (j, part): (2(2M+1), n_phi)
-    edge: np.ndarray  # W_|j|(t0), (2M+1, 2N+2)
-    projection: np.ndarray  # w_s E_|j|(s_nodes) / (8 pi W_|j|(t0)), (2M+1, n_s, 2N+2)
+    s_nodes, s_weights: Gauss-Legendre in s, (n_s,)
+    phi_nodes, dphi: trapezoid in phi, (n_phi,), and its step
+    mesh: the surface at every (s, phi) node, a CartesianPoint of (n_s, n_phi)
+    root_r: (x^2 + y^2)^(1/4) on the mesh
+    phase: Re and Im of e^{-i j phi} dphi, rows (j, part): (2(2M+1), n_phi)
+    edge: W_|j|(t0), (2M+1, 2N+2)
+    projection: w_s E_|j|(s_nodes) / (8 pi W_|j|(t0)), (2M+1, n_s, 2N+2)
+    """
+
+    def __init__(self, **fields):
+        vars(self).update(fields)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to field {name!r} of a cached surface")
+
+    __delattr__ = __setattr__
 
 
 @functools.lru_cache(maxsize=1)

@@ -11,7 +11,7 @@ the Weierstrass function, ns**2 = P - e3 (DLMF 23.6(ii), 23.9.6-23.9.7).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,22 +41,21 @@ def complete_k(k: float) -> float:
     return math.pi / (2.0 * _landen(k, math.sqrt((1.0 - k) * (1.0 + k)))[0][-1])
 
 
-@dataclass(frozen=True)
-class Modulus:
+class Modulus(NamedTuple("Modulus", [("k", float), ("k_prime", float), ("quarter_K", float),
+                                     ("quarter_Kp", float)])):
     """Elliptic modulus k with the derived quantities k', K(k), K(k')."""
 
-    k: float
-    k_prime: float
-    quarter_K: float
-    quarter_Kp: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace is checked too
 
-    def __post_init__(self):
-        if not 0.0 < self.k < 1.0:
-            raise DomainError(f"modulus must satisfy 0 < k < 1, got {self.k!r}")
-        if abs(self.k * self.k + self.k_prime * self.k_prime - 1.0) > 1e-14:
+    def __new__(cls, k: float, k_prime: float, quarter_K: float, quarter_Kp: float):
+        if not 0.0 < k < 1.0:
+            raise DomainError(f"modulus must satisfy 0 < k < 1, got {k!r}")
+        if abs(k * k + k_prime * k_prime - 1.0) > 1e-14:
             raise DomainError("k and k_prime are inconsistent")
-        if not (self.quarter_K > 0.0 and self.quarter_Kp > 0.0):
+        if not (quarter_K > 0.0 and quarter_Kp > 0.0):
             raise DomainError("quarter periods must be positive")
+        return super().__new__(cls, k, k_prime, quarter_K, quarter_Kp)
 
     @classmethod
     def from_k(cls, k: float) -> "Modulus":
@@ -78,8 +77,7 @@ class Modulus:
         return (1.0 - self.k) / self.k_prime
 
 
-@dataclass(frozen=True)
-class JacobiTriple:
+class JacobiTriple(NamedTuple):
     """Values (sn, cn, dn) at a common real argument and modulus."""
 
     sn: float
@@ -87,8 +85,7 @@ class JacobiTriple:
     dn: float
 
 
-@dataclass(frozen=True)
-class JacobiImag:
+class JacobiImag(NamedTuple):
     """Real representatives on the imaginary axis.
 
     For u = i*t: sn(it,k) = i*sn_im, cn(it,k) = cn, dn(it,k) = dn, with

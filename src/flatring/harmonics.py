@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaln, gammasgn
@@ -60,23 +60,23 @@ class HarmonicKind(enum.Enum):
         return "c" if self in (HarmonicKind.GC, HarmonicKind.HC) else "s"
 
 
-@dataclass(frozen=True)
-class HarmonicIndex:
+class HarmonicIndex(NamedTuple("HarmonicIndex", [("m", int), ("n", int),
+                                                 ("kind", HarmonicKind)])):
     """Azimuthal order m, superscript n, and harmonic kind.
 
     The sine families carry superscripts >= 1; the stored n is the
     superscript itself, and the degree parameter is nu = |m| - 1/2.
     """
 
-    m: int
-    n: int
-    kind: HarmonicKind
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace is checked too
 
-    def __post_init__(self):
-        if self.kind.lame_kind == "s" and self.n < 1:
+    def __new__(cls, m: int, n: int, kind: HarmonicKind):
+        if kind.lame_kind == "s" and n < 1:
             raise DomainError("sine-family harmonics require superscript n >= 1")
-        if self.kind.lame_kind == "c" and self.n < 0:
+        if kind.lame_kind == "c" and n < 0:
             raise DomainError("cosine-family harmonics require superscript n >= 0")
+        return super().__new__(cls, m, n, kind)
 
     @property
     def nu(self) -> float:
@@ -91,22 +91,23 @@ class HarmonicIndex:
         return family_of_superscript(self.kind.lame_kind, self.n)[1]
 
 
-@dataclass(frozen=True)
-class Truncation:
+class Truncation(NamedTuple("Truncation", [("m_max", int), ("n_max", int)])):
     """Double-series limits: orders |m| <= m_max and shells n <= n_max."""
 
-    m_max: int
-    n_max: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace is checked too
 
-    def __post_init__(self):
-        if self.m_max < 0 or self.n_max < 0:
+    def __new__(cls, m_max: int, n_max: int):
+        if m_max < 0 or n_max < 0:
             raise DomainError("truncation limits must be non-negative")
+        return super().__new__(cls, m_max, n_max)
 
 
 def _flatring_of(q: CartesianPoint, m: Modulus) -> tuple[FlatRingPoint, np.ndarray]:
     """V1 coordinates of a point (or of arrays of points) and (x^2+y^2)^(-1/4)."""
     x, y = np.asarray(q.x, dtype=float), np.asarray(q.y, dtype=float)
-    r2 = x * x + y * y
+    with np.errstate(over="ignore"):  # a far point: cartesian_to_flatring refuses it
+        r2 = x * x + y * y
     if np.any(r2 <= _AXIS_GUARD):
         raise DomainError("harmonic undefined on the z-axis")
     return cartesian_to_flatring(q, m, Variant.V1), r2 ** -0.25

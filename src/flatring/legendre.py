@@ -218,17 +218,20 @@ def _corners(z: float):
     return root, e_tau, e_tau / root, b, p, q
 
 
-def _steps(top_m: int, top_n: int) -> tuple:
-    """The z-free coefficients of the tables of orders 0..top_m, degrees 0..top_n:
-    gain, pull of P^m_{k+1/2} = gain z P^m_{k-1/2} - pull P^m_{k-3/2} (DLMF
-    14.10.3, k = 1..top_n - 1), `_order_steps`, Gamma(m+1/2), pi (m-1/2)."""
+def _steps(top_m: int, top_n: int, p_table: bool) -> tuple:
+    """The z-free coefficients that `_p_at` (p_table) or `_q_at` reads: gain, pull of
+    P^m_{k+1/2} = gain z P^m_{k-1/2} - pull P^m_{k-3/2} (DLMF 14.10.3, k = 1..top_n - 1)
+    for m = 0..top_m (0 and 1 for Q), `_order_steps` of the degrees 0..top_n (-1/2 and
+    1/2 for P), and for P Gamma(m+1/2), pi (m-1/2)."""
     k = np.arange(1.0, top_n)[:, None]
-    j = np.arange(top_m + 1.0)
+    j = np.arange(top_m + 1.0 if p_table else 2.0)
     scale = 1.0 / (k - j + 0.5)
+    steps = (2.0 * k * scale, (k + j - 0.5) * scale,
+             _order_steps(np.arange(2 if p_table else top_n + 1) - 0.5, top_m + 1))
+    if not p_table:
+        return steps
     m = np.arange(2, top_m + 1.0)
-    return (2.0 * k * scale, (k + j - 0.5) * scale,
-            _order_steps(np.arange(top_n + 1) - 0.5, top_m + 1),
-            np.exp(gammaln(m + 0.5)), math.pi * (m - 0.5))
+    return (*steps, np.exp(gammaln(m + 0.5)), math.pi * (m - 0.5))
 
 
 def _q_degrees(z: float, e_tau: float, q_seed, top: int) -> list:
@@ -241,8 +244,8 @@ def _q_degrees(z: float, e_tau: float, q_seed, top: int) -> list:
 def _q_at(z: float, top_m: int, top_n: int, steps: tuple) -> np.ndarray:
     """The Q table at one z, orders 0..top_m >= 1 and degrees 0..top_n >= 1."""
     root, e_tau, cm1, _, p_seed, q_seed = _corners(z)
-    gain, pull, across = steps[:3]
-    for row, gains, pulls in zip(p_seed, gain.T[:2].tolist(), pull.T[:2].tolist()):
+    gain, pull, across = steps
+    for row, gains, pulls in zip(p_seed, gain.T.tolist(), pull.T.tolist()):
         for g, h in zip(gains, pulls):  # P^0 and P^1, forward in the degree
             row.append(g * z * row[-1] - h * row[-2])
     q = np.empty((top_m + 1, top_n + 1))
@@ -257,7 +260,7 @@ def _p_at(z: float, top_m: int, top_n: int, steps: tuple) -> np.ndarray:
     root, e_tau, cm1, b, p_seed, q_seed = _corners(z)
     gain, pull, across, g, den = steps
     q = [[q_j] for q_j in _q_degrees(z, e_tau, q_seed, 1)]  # degrees -1/2 and 1/2
-    for j, (col, pulls) in enumerate(zip(q, across.T[:2].tolist())):
+    for j, (col, pulls) in enumerate(zip(q, across.T.tolist())):
         col.append(_casoratian_q1(p_seed[0][j], p_seed[1][j], col[0], root))
         for i, h in enumerate(pulls):  # forward in the order from Q^0 and Q^1
             col.append(-2.0 * (i + 1) * (1.0 + cm1) * col[-1] + h * col[-2])
@@ -283,7 +286,7 @@ def _table(at, z, m_max: int, n_max: int, name: str) -> np.ndarray:
     top_m, top_n = max(m_max, 1), max(n_max, 1)
     # an entry that overflows is refused below, not warned about
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        steps = _steps(top_m, top_n)
+        steps = _steps(top_m, top_n, p_table=at is _p_at)
         for i, zi in enumerate(z.ravel().tolist()):
             table[..., i] = at(zi, top_m, top_n, steps)[:m_max + 1, :n_max + 1]
     if not np.all(np.isfinite(table)):

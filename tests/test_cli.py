@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -292,6 +293,26 @@ def test_malformed_point_exits_2(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ("green", "--toroidal", "--point=1e200,0,1"),
+    ("green", "--point=1e200,0,1"),
+    ("dirichlet", "--probes=1e200,0,1"),
+    ("coords", "inverse", "--point=1e200,0,1"),
+])
+def test_far_point_exits_2_with_one_error_line(capsys, argv):
+    # refused before any square of the point overflows: not an OverflowError
+    # traceback, and no numpy warning ahead of a "(nan, nan)" point
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert code == 2
+    assert err.startswith("error: point at |q| = 1e+200 is too far from the origin")
+    assert err.count("\n") == 1
+    error = json.loads(out)["error"]
+    assert error == {"type": "DomainError", "message": err[len("error: "):].strip(),
+                     "exit_code": 2}
+
+
+@pytest.mark.parametrize("argv", [
     ("dirichlet", "--n-s", "0"),
     ("dirichlet", "--n-s", "-3"),
     ("dirichlet", "--n-phi", "0"),
@@ -450,6 +471,19 @@ def test_json_writer_on_hand_made_rows():
         assert cli._json(obj) == json.dumps(obj, indent=2)
     with pytest.raises(TypeError):
         cli._json([np.int64(1)])
+
+
+def test_json_writer_on_flat_rows_of_every_scalar():
+    # flat rows go through json's C encoder in one pass, nested ones member by member
+    flat = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "zero": -0.0,
+            "denormal": 5e-324, "yes": True, "no": False, "none": None,
+            "big": 10 ** 40, "negative": -(2 ** 70), "é": "ü\u2603", "\u2603\n": 1.5}
+    rows = [flat, list(flat.values()), tuple(flat), {"row": flat, "values": [list(flat.values())]},
+            [[flat], [], {}, [None]], {"é": {"ñ": [5e-324, -0.0]}}, [-0.0], {"x": math.nan}]
+    for obj in (rows, *rows, 10 ** 40, True, -math.inf):
+        assert cli._json(obj) == json.dumps(obj, indent=2)
+    with pytest.raises(TypeError, match="int64 is not JSON serializable"):
+        cli._json({"n": np.int64(1), "x": 1.0})
 
 
 @pytest.mark.parametrize("argv", [

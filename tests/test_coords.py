@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from flatring.coords import (
+    FAR_GUARD,
     AlgebraicFlatRing,
     CartesianPoint,
     FlatRingPoint,
@@ -401,3 +403,44 @@ def test_roundtrip_property_variant1(sf, tf, phi):
     back = cartesian_to_flatring(c, m, Variant.V1)
     assert abs(back.s - s) < 1e-11
     assert abs(back.t - t) < 1e-11
+
+
+@pytest.mark.parametrize("point", [(1e200, 0.0, 1.0), (0.5, 0.0, -1e200), (1e160, 1e160, 0.0),
+                                   (math.inf, 0.0, 1.0)])
+def test_far_points_raise_domain_error_without_warnings(point):
+    # every inversion refuses a point whose squares would leave the double range, before
+    # any of them is taken: no OverflowError, no numpy warning, no (nan, nan) point
+    from flatring.dirichlet import FlatRingDomain, solve_interior, solve_point_source
+    from flatring.harmonics import Truncation, green_expansion, toroidal_green_expansion
+
+    m = Modulus.from_k(0.5)
+    q, near = CartesianPoint(*point), CartesianPoint(0.7, 0.2, 0.15)
+    dom = FlatRingDomain(t0=0.4 * m.quarter_Kp, modulus=m)
+    coeffs = solve_point_source(dom, CartesianPoint(0.1, 0.2, 1.5), Truncation(6, 6), 40, 32)
+    calls = [lambda: cartesian_to_flatring(q, m), lambda: cartesian_to_toroidal(q),
+             lambda: cartesian_to_flatring(CartesianPoint(*np.array([point, near]).T), m),
+             lambda: green_expansion(q, near, Truncation(4, 4), m),
+             lambda: green_expansion(near, q, Truncation(4, 4), m),
+             lambda: toroidal_green_expansion(q, near, Truncation(4, 4)),
+             lambda: solve_interior(dom, coeffs, [near, q])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(DomainError, match="too far from the origin"):
+                call()
+
+
+def test_far_guard_scales_with_the_modulus():
+    # the flat ring refuses |q| >= FAR_GUARD k, where a |q|^2 = (|q|/k)^2 nears overflow;
+    # nearer points keep their formulas and end as they did: here past the chart's t range
+    for k in (0.5, 1e-3):
+        m = Modulus.from_k(k)
+        with pytest.raises(DomainError, match="too far"):
+            cartesian_to_flatring(CartesianPoint(FAR_GUARD * k, 0.0, 1.0), m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="outside the V1 ranges"):
+                cartesian_to_flatring(CartesianPoint(0.5 * FAR_GUARD * k, 0.0, 1.0), m)
+    assert cartesian_to_toroidal(CartesianPoint(2.0, 0.0, 0.5)).tau > 0.0
+    with pytest.raises(DomainError, match="tau <= 0"):
+        cartesian_to_toroidal(CartesianPoint(0.5 * FAR_GUARD, 0.0, 1.0))
