@@ -240,29 +240,25 @@ def coordinate_surface_residual(
     """Scaled residual of the s- or t-coordinate-surface equation at q.
 
     Vanishes iff q lies on the surface {s = value} ("s") or {t = value} ("t").
-    The raw left-hand side is divided by the sum of absolute term magnitudes.
+    The raw left-hand side is divided by the sum of absolute term magnitudes;
+    each term is taken over (|q|^2 + 1)^2 first, so no power of a far point
+    overflows.
     """
     u3 = q.x * q.x + q.y * q.y + q.z * q.z
     k2 = m.k * m.k
+    ratio, z = (u3 - 1.0) / (u3 + 1.0), q.z / (u3 + 1.0)
     if which == "s":
         if not 0.0 < value < 2.0 * m.quarter_K:
             raise DomainError("s-surface parameter must lie in (0, 2K)")
         sn, cn, dn = _sncndn(value, m.k)
         sn2, cn2, dn2 = sn * sn, cn * cn, dn * dn
-        terms = (
-            k2 * (u3 + 1.0) ** 2 / dn2,
-            -((u3 - 1.0) ** 2) / cn2,
-            4.0 * q.z * q.z / sn2,
-        )
+        terms = (k2 / dn2, -ratio * ratio / cn2, 4.0 * z * z / sn2)
     elif which == "t":
         if not 0.0 < value < m.quarter_Kp:
             raise DomainError("t-surface parameter must lie in (0, K')")
         im = jacobi_imag(value, m)
-        terms = (
-            k2 * (u3 + 1.0) ** 2 / (im.dn * im.dn),
-            -((u3 - 1.0) ** 2) / (im.cn * im.cn),
-            -4.0 * q.z * q.z / (im.sn_im * im.sn_im),
-        )
+        terms = (k2 / (im.dn * im.dn), -ratio * ratio / (im.cn * im.cn),
+                 -4.0 * z * z / (im.sn_im * im.sn_im))
     else:
         raise DomainError(f"which must be 's' or 't', got {which!r}")
     scale = sum(abs(t) for t in terms)

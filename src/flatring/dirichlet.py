@@ -13,7 +13,7 @@ quadrature and the truncation: `_surface` builds it once per key (modulus,
 t0, n_s, n_phi, m_max, n_max) and keeps the last one (lru_cache of size 1),
 since a run of solves reads one surface.  It holds read-only arrays alone,
 no basis and no order set, so `lame.clear_caches` need not reach it: a
-rebuilt basis reads bit for bit what the arrays hold.  At the CLI defaults
+rebuilt set reads bit for bit what the arrays hold.  At the CLI defaults
 ((10, 10), 64 x 48 nodes) it holds 0.33 MB, at (40, 40) and 96 x 64 nodes
 5.4 MB; nearly all of it is the projection, one (n_s, 2N+2) block per
 signed order.
@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .coords import CartesianPoint, FlatRingPoint, Variant, cartesian_to_flatring, flatring_to_cartesian
-from .coords import coordinate_surface_residual
+from .coords import FAR_GUARD, _check_far, coordinate_surface_residual
 from .elliptic import Modulus
 from .errors import DomainError, QuadratureWarning
 from .harmonics import HarmonicIndex, Truncation, _gauss_legendre
@@ -264,7 +264,9 @@ def solve_interior(dom: FlatRingDomain, coeffs: CoefficientTable,
 def solve_point_source(dom: FlatRingDomain, r_star: CartesianPoint, tr: Truncation,
                        n_s: int = 96, n_phi: int = 64) -> CoefficientTable:
     """Coefficients for boundary data f = 1 / |. - r*| with r* outside D1,
-    sampled on the cached surface mesh."""
+    sampled on the cached surface mesh.  A source as far as the inversion
+    refuses raises DomainError."""
+    _check_far(math.hypot(*r_star), FAR_GUARD * dom.modulus.k)
     if dom.contains(r_star):
         raise DomainError("point source must lie outside the closed flat-ring")
     data = BoundaryData.from_function(dom, lambda q: _inverse_distance(q, r_star), n_s, n_phi)
@@ -281,6 +283,7 @@ def external_from_boundary(dom: FlatRingDomain, idx: HarmonicIndex,
     """
     if idx.kind.internal:
         raise DomainError("external_from_boundary expects an Hc or Hs index")
+    _check_far(math.hypot(*r_star), FAR_GUARD * dom.modulus.k)
     if dom.contains(r_star):
         raise DomainError("r* must lie outside the closed flat-ring")
     b, cols = basis_for([(idx.family, idx.zero_count)], idx.nu, dom.modulus)

@@ -300,7 +300,7 @@ def addition_theorem_rhs(
         raise DomainError("azimuthal order must be >= 0")
     if not 0.0 < t < t_star < m.quarter_Kp:
         raise OrderingError("addition theorem requires 0 < t < t* < K'")
-    terms = _lame_products(OrderSet([basis(m_order - 0.5, m, n_max)]), s, s_star, t, t_star)
+    terms = _lame_products(basis(m_order - 0.5, m, n_max)._alone, s, s_star, t, t_star)
     return 0.5 * math.pi * float(np.sum(terms))
 
 
@@ -359,7 +359,7 @@ def flatring_summand(
     pref = 0.5 / math.sqrt(h_phi[0] * h_phi[1])
     specs = [family_of_superscript("c", n)] + ([family_of_superscript("s", n)] if n >= 1 else [])
     b, cols = basis_for(specs, abs(m_order) - 0.5, m)
-    return pref * float(np.sum(_lame_products(OrderSet([b]), s, s_star, t, t_star, cols)))
+    return pref * float(np.sum(_lame_products(b._alone, s, s_star, t, t_star, cols)))
 
 
 def toroidal_limit_summand(

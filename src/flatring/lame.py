@@ -20,38 +20,39 @@ full precision up to the pole at K'.
 Solutions grow roughly like exp(int sqrt(q)), so they are represented by
 growth-limited piecewise Chebyshev panels, started from the exact E(0),
 E'(0) of the Fourier sum.  Each panel is one spectral integration
-(Greengard 1991) at its 33 Chebyshev-Lobatto nodes: the unknown W'' = qW
-solves one 33 x 33 linear system per mode, all modes in one batched solve,
-and the node values of W and W' follow from the integration matrices.
-A panel set keeps the coefficients of W and of W' as two (panels, 33,
-modes) arrays; panels are fitted in build order, so panel j runs from
-edges[j] (x = -1) to edges[j+1] (x = +1) whichever way the set grows.  Reads
-go through a stack of panel sets (one set for one basis): the W or W' half
-of every panel of every set in one contiguous block, restacked only when a
-set has grown, and a padded table of edges.  Each set then keeps that half
-as a view of the block, so a panel is held once.  A read finds every
-point's panel in every set at once, gathers those panels of the block once
-and contracts them with one table of T_j(x): within 1e-14 of chebval.
+(Greengard 1991) at its 25 Chebyshev-Lobatto nodes: the unknown W'' = qW
+solves one 25 x 25 linear system per column, and the node values of W and
+W' follow from the integration matrices.  From index 24 on, the
+coefficients of degree-32 panels were at the rounding level, so degree 24
+resolves them.  A panel set keeps the coefficients of W and W' of each
+panel, (panels, 2, 25, columns), fitted in build order, so panel j runs
+from edges[j] (x = -1) to edges[j+1] (x = +1) whichever way the set grows.
+A read finds every point's panel by one searchsorted over the edges and
+contracts it with one row of T_j(x) per point: within 1e-14 of chebval.
 Odd-parity values are stored as the real representative W(t) = E(it)/i with
 W'(0) = E'(0); downstream products always pair matching representatives,
 which reproduces the complex-convention results exactly.
 
 The second-kind function belongs to the exponent nu+1 at the regular
-singular point t = K' (tau = K' - t = 0).  Each basis reads it from the even
-Frobenius series there out to its own hand-off tau0, at most 0.3 of the
-series' radius, and from panels built on demand below K' - tau0.  F is
-scaled so that F(it) dE(it)/dt - E(it) dF(it)/dt = 1 in real-representative
-form, with W at K' - tau0 from a throwaway extension of the first-kind
-panels, so a basis keeps only the panels that its readers reach.
+singular point t = K' (tau = K' - t = 0).  It is read from the even
+Frobenius series there out to a hand-off tau0, at most 0.3 of the series'
+radius, and from panels built on demand below K' - tau0.  F is scaled so
+that F(it) dE(it)/dt - E(it) dF(it)/dt = 1 in real-representative form,
+with W at K' - tau0 from the first-kind panels, or from a throwaway
+extension of them that keeps one panel, so a set keeps only the panels
+that its readers reach.
 
-LameBasis holds everything of one (nu, k) at a shell depth N: the modes
-Ec^0..Ec^N, Es^1..Es^(N+1), their coefficients, certificates and panels.
-basis(nu, m, N) serves them from one bounded LRU cache; a caller that needs
-a few modes takes the basis of least depth that holds them (basis_for).
-OrderSet reads bases of one modulus and depth together, on arrays of
-points: E, W and F (per hand-off tau0) each by one contraction over all of
-them, which sums each value over its terms in order, so a set's read equals
-each basis's own bit for bit; a LameBasis reads through one set of itself.
+LameBasis holds the Galerkin solution of one (nu, k) at a shell depth N:
+the modes Ec^0..Ec^N, Es^1..Es^(N+1), their eigenvalues, coefficients and
+certificates, and no panel.  basis(nu, m, N) serves them from one bounded
+LRU cache; a caller that needs a few modes takes the basis of least depth
+that holds them (basis_for).  OrderSet reads bases of one modulus and depth
+together, on arrays of points, and holds one panel set of each kind over
+every column of every basis, sized by its widest column, and one hand-off
+tau0, the least of its bases' own: E, W and F are each one contraction over
+all of them.  A set's reads at fixed t do not depend on what it read
+before, and agree with each basis's read alone to 1e-13 of each column's
+largest |value|; a LameBasis reads through one set of itself.
 order_set(m, m_max, N) serves the orders 0..m_max of a flat-ring series
 from a small LRU cache of whole sets, which hold their bases, so an
 expansion with more orders than the basis cache holds builds each basis
@@ -60,6 +61,7 @@ once.
 
 from __future__ import annotations
 
+import collections
 import copy
 import enum
 import functools
@@ -76,7 +78,7 @@ _GALERKIN_START = 64
 _GALERKIN_CAP = 1024
 _GALERKIN_TAIL = 1e-15  # trailing quarter of each mode's coefficients, relative
 _TRIM = 1e-17           # coefficients below this share of a mode's largest are dropped
-_PANEL_DEG = 32
+_PANEL_DEG = 24
 _PANEL_LOG_GROWTH = 4.0
 _IMAG_T_CAP = 1.0 - 2e-6    # fraction of K' where imaginary-axis values give up
 _OVERFLOW = 1e250
@@ -170,48 +172,50 @@ def eigenvalue_bracket(family: LameFamily, nu: float, n: int, m: Modulus) -> tup
 
 class _ImagPanels:
     """Growth-limited piecewise Chebyshev panels for a batch of solutions of
-    W'' = (h + c sc^2(t,k')) W, one column per eigenvalue, built from t_start
-    toward t_end as far as requests reach."""
+    W'' = (h + c sc^2(t,k')) W, one column per pair (h, c), built from t0
+    toward t_end as far as requests reach.  The coefficients of W and W' of
+    panel j are coeffs[j], (2, degree + 1, columns): it runs from edges[j]
+    (x = -1) to edges[j+1] (x = +1) whichever way the set grows.  A build
+    solves the systems of width columns (one basis) at a time, which bounds
+    the memory it takes."""
 
-    def __init__(self, m: Modulus, coef: float, h: np.ndarray, t0: float, state0: np.ndarray,
-                 t_end: float):
-        self.m = m
-        self.coef = coef
-        self.h = np.asarray(h, dtype=float)
-        self._h_max = float(np.max(np.abs(self.h)))
-        self.t_start = float(t0)
-        self.t_end = float(t_end)
+    def __init__(self, m: Modulus, h: np.ndarray, c: np.ndarray, t0: float,
+                 state0: np.ndarray, t_end: float, width: int):
+        self.m, self.h, self.c, self.width = m, h, c, width
         self.t_built = float(t0)
-        self.state = np.asarray(state0, dtype=float)  # (2M,) = [W..., W'...]
+        self.t_end = float(t_end)
+        self.sign = 1.0 if t_end > t0 else -1.0
+        self.state = state0  # (2, columns): W and W' at t_built
         self.edges = np.array([float(t0)])
-        # the Chebyshev coefficients of W and of W', (panels, 33, modes) each:
-        # a stacked read gathers whole panels of one half
-        self.halves = [np.empty((0, _PANEL_DEG + 1, self.h.size)) for _ in range(2)]
+        self.coeffs = np.empty((0, 2, _PANEL_DEG + 1, h.size))
+        self._new = []  # panels built since the last read, joined to coeffs by the next
 
     def _lambda(self, t: float) -> float:
-        q = self._h_max + abs(self.coef) * jacobi_imag(abs(t), self.m).sn_im ** 2
-        return math.sqrt(max(q, 1.0))
+        """The largest growth rate sqrt(|h| + |c| sc^2) over the columns at t, at least 1."""
+        sc2 = jacobi_imag(abs(t), self.m).sn_im ** 2
+        return math.sqrt(max(float(np.max(np.abs(self.h) + np.abs(self.c) * sc2)), 1.0))
 
-    def _build_panel(self, t_from: float, t_to: float) -> None:
-        """Spectral integration at the panel's Chebyshev-Lobatto nodes: with
-        half = (t_to - t_from)/2 and sigma = W'' = qW, W = W0 + W0'(t - t_from)
-        + half^2 S2 sigma and W' = W0' + half S1 sigma, so sigma solves
-        (I - half^2 q S2) sigma = q (W0 + W0'(t - t_from)), one solve per mode."""
-        mlen = self.h.size
+    def _build_panel(self, t_to: float) -> None:
+        """Spectral integration at the Chebyshev-Lobatto nodes of the panel
+        from t_built to t_to: with half = (t_to - t_built)/2 and sigma = W'' =
+        qW, W = W0 + W0'(t - t_built) + half^2 S2 sigma and W' = W0' + half S1
+        sigma, so sigma solves (I - half^2 q S2) sigma = q (W0 + W0'(t - t_built)),
+        one solve per column."""
         fit, s1, s2 = _lobatto(_PANEL_DEG)
-        half = 0.5 * (t_to - t_from)
+        t_from, half = self.t_built, 0.5 * (t_to - self.t_built)
         x = t_from + half * (1.0 - np.cos(np.pi * np.arange(_PANEL_DEG + 1) / _PANEL_DEG))
-        q = self.h + self.coef * jacobi_imag(x, self.m).sn_im[:, None] ** 2  # (nodes, M)
-        w0, dw0 = self.state[:mlen], self.state[mlen:]
+        q = self.h + self.c * jacobi_imag(x, self.m).sn_im[:, None] ** 2  # (nodes, columns)
+        w0, dw0 = self.state
         line = w0 + np.multiply.outer(x - t_from, dw0)
-        system = np.eye(_PANEL_DEG + 1) - half * half * q.T[:, :, None] * s2
-        sigma = np.linalg.solve(system, (q * line).T[:, :, None])[..., 0].T
-        ys = np.concatenate([line + half * half * (s2 @ sigma), dw0 + half * (s1 @ sigma)], axis=1)
-        coeffs = fit @ ys  # [W..., W'...]
-        self.halves = [np.concatenate([part, coeffs[None, :, i * mlen:(i + 1) * mlen]])
-                       for i, part in enumerate(self.halves)]
+        rhs, sigma = q * line, np.empty_like(line)
+        for i in range(0, self.h.size, self.width):
+            part = slice(i, i + self.width)
+            system = np.eye(_PANEL_DEG + 1) - half * half * q[:, part].T[:, :, None] * s2
+            sigma[:, part] = np.linalg.solve(system, rhs[:, part].T[:, :, None])[..., 0].T
+        ys = np.stack([line + half * half * (s2 @ sigma), dw0 + half * (s1 @ sigma)])
+        self._new.append(fit @ ys)
         self.edges = np.append(self.edges, t_to)
-        self.state = ys[-1]
+        self.state = ys[:, -1].copy()
         self.t_built = t_to
         if float(np.max(np.abs(self.state))) > _OVERFLOW:
             raise PoleError("imaginary-axis solution overflow approaching K'")
@@ -230,96 +234,48 @@ class _ImagPanels:
         cap = self.m.quarter_Kp * _IMAG_T_CAP
         if t_req < 0.0 or t_req > cap:
             raise PoleError(f"imaginary-axis argument t = {t_req!r} outside [0, {cap!r}]")
-        if self.t_end > self.t_start:
-            while t_req > self.t_built + 1e-15 or self.edges.size == 1:
+        while self.sign * (t_req - self.t_built) > 1e-15 or self.edges.size == 1:
+            t = self.t_built
+            if self.sign > 0.0:
                 # size the panel by the potential at its far end, where it is
                 # largest; no panel reaches past halfway to the end, so none
                 # runs into the pole at K'
-                probe = min(self.t_built + _PANEL_LOG_GROWTH / self._lambda(self.t_built),
-                            0.5 * (self.t_built + self.t_end))
-                self._build_panel(self.t_built, min(
-                    self.t_built + _PANEL_LOG_GROWTH / self._lambda(probe), probe))
-        else:
-            while t_req < self.t_built - 1e-15 or self.edges.size == 1:
-                self._build_panel(self.t_built, max(
-                    self.t_built - _PANEL_LOG_GROWTH / self._lambda(self.t_built), self.t_end))
+                probe = min(t + _PANEL_LOG_GROWTH / self._lambda(t), 0.5 * (t + self.t_end))
+                self._build_panel(min(t + _PANEL_LOG_GROWTH / self._lambda(probe), probe))
+            else:
+                self._build_panel(max(t - _PANEL_LOG_GROWTH / self._lambda(t), self.t_end))
 
-    def values(self, t, derivative: bool = False, cols=slice(None)) -> np.ndarray:
-        """Columns cols of W (or W') at an array of t, growing the set to
-        reach them: (len(t), len(cols)); the one-set case of `_PanelStack`."""
-        return _PanelStack([self]).values(np.asarray(t, dtype=float), derivative, cols)[:, 0]
+    def reach(self, t: float) -> _ImagPanels:
+        """The set itself where it covers t; else a copy grown to t that keeps
+        only the panel covering t, so a read at t grows neither the set nor
+        the memory held beside it."""
+        if self.edges.size > 1 and self.sign * (t - self.t_built) <= 1e-15:
+            return self
+        reach = copy.copy(self)  # each build rebinds what it changes
+        reach._new = collections.deque(maxlen=1)
+        reach.extend_to(t)
+        reach.edges, reach.coeffs, reach._new = reach.edges[-2:], np.stack(reach._new), []
+        return reach
 
-
-class _PanelStack:
-    """Panel sets of one width and direction read together, at the same
-    points: (points x sets x columns).  The panels of every set are stacked,
-    one contiguous (panels, 33, modes) block per half (W or W') that reads
-    use, beside a padded table of each set's edges, and restacked only when
-    some set has grown.  Once a half is stacked, each set keeps its panels of
-    that half as a view of the block, so they are held once.  A read finds
-    every point's panel in every set by one comparison with the table,
-    gathers those panels of the block once and contracts them with one table
-    of T_j(x).  `np.einsum` sums each value over j in order, so it does not
-    depend on the sets or columns read beside it, and it agrees with
-    chebval to <= 1e-14 of each column's largest |value|."""
-
-    def __init__(self, sets: list[_ImagPanels]):
-        self.sets = sets
-        self.sign = 1.0 if sets[0].t_end > sets[0].t_start else -1.0
-        self._counts = None
-        self._restack()
-
-    def _restack(self) -> None:
-        counts = [p.edges.size - 1 for p in self.sets]
-        if counts == self._counts:
-            return
-        self._counts, most = counts, max(counts)
-        # each set's edges in build order, and its inner edges times sign, so
-        # that they ascend; a set with fewer panels is padded past its end
-        self._edges = np.zeros((len(counts), most + 1))
-        self._inner = np.full((len(counts), max(most - 1, 0)), np.inf)
-        for i, p in enumerate(self.sets):
-            self._edges[i, :p.edges.size] = p.edges
-            self._inner[i, :max(p.edges.size - 2, 0)] = self.sign * p.edges[1:-1]
-        self._reach = min(self.sign * p.t_built for p in self.sets)  # all cover sign t <= reach
-        self._at = np.arange(len(counts)) * (most + 1)  # each set's row of the edge table
-        self._first = np.cumsum([0] + counts[:-1])  # each set's first panel in the block
-        self._blocks = {}
-
-    def _block(self, derivative: bool) -> np.ndarray:
-        """The W (or W') half of every panel of every set, (panels, 33, modes).
-        One set's half is read where the set keeps it, never held here: a
-        stack of several sets may re-point it to a view of their block."""
-        if len(self.sets) == 1:
-            return self.sets[0].halves[derivative]
-        if derivative not in self._blocks:
-            block = np.concatenate([p.halves[derivative] for p in self.sets])
-            for p, first, count in zip(self.sets, self._first, self._counts):
-                p.halves[derivative] = block[first:first + count]
-            self._blocks[derivative] = block
-        return self._blocks[derivative]
-
-    def values(self, t: np.ndarray, derivative: bool, cols) -> np.ndarray:
-        """Columns cols of W (or W') of every set at the points t, each set
-        first grown to reach every t: (len(t), sets, columns)."""
+    def values(self, t: np.ndarray, derivative: bool = False) -> np.ndarray:
+        """W (or W') of every column at the points t, the set first grown to
+        reach them: (len(t), columns).  Each point's panel is the one that
+        starts at or before it (an inner edge starts the panel after it), its
+        place x there clipped to [-1, 1] where rounding puts it past an edge;
+        the panels are contracted with one row T_j(x) = cos(j arccos x) per
+        point.  Within 1e-14 of chebval of each column's largest |value|."""
+        t = np.asarray(t, dtype=float)
         if not t.size:
-            return np.empty((0, len(self.sets), self.sets[0].h[cols].size))
-        key = self.sign * t
-        far = float(key.max())
-        if far > self._reach or not all(self._counts):
-            for panels in self.sets:
-                panels.extend_to(self.sign * far)
-        self._restack()
-        # each point's panel in each set, an inner edge in the panel that starts
-        # there; then its place x on that panel, clipped to [-1, 1] where
-        # rounding puts it past an edge, and T_j(x) = cos(j arccos x)
-        j = (self._inner <= key[:, None, None]).sum(axis=2)
-        lo, hi = self._edges.take(self._at + j), self._edges.take(self._at + j + 1)
-        theta = np.arccos(np.clip((2.0 * t[:, None] - (lo + hi)) / (hi - lo), -1.0, 1.0))
+            return np.empty((0, self.h.size))
+        self.extend_to(float(t[np.argmax(self.sign * t)]))
+        if self._new:
+            self.coeffs = np.concatenate([self.coeffs, np.stack(self._new)])
+            self._new = []
+        j = np.searchsorted(self.sign * self.edges[1:-1], self.sign * t, side="right")
+        lo, hi = self.edges[j], self.edges[j + 1]
+        theta = np.arccos(np.clip((2.0 * t - (lo + hi)) / (hi - lo), -1.0, 1.0))
         table = np.cos(np.multiply.outer(theta, np.arange(_PANEL_DEG + 1.0)))
-        # every point's panel in every set, (points, sets, 33, modes), summed
-        c = self._block(derivative)[self._first + j]
-        return np.einsum("psj,psjm->psm", table, c)[..., cols]
+        return np.einsum("pj,pjn->pn", table, self.coeffs[j, int(derivative)])
 
 
 # --- eigensolver -------------------------------------------------------------
@@ -391,56 +347,34 @@ def _galerkin_modes(family: LameFamily, nu: float, m: Modulus, count: int):
 # --- second kind --------------------------------------------------------------
 
 
-def _frobenius_coeffs(nu: float, h, m: Modulus, count: int) -> np.ndarray:
+def _frobenius_coeffs(nu, h, m: Modulus, count: int) -> np.ndarray:
     """Coefficients b_p of the exponent-(nu+1) Frobenius series in tau^(2p),
-    of shape (count,) + shape(h): one column per eigenvalue h."""
-    h = np.asarray(h, dtype=float)
+    of shape (count,) + shape(h): one column per eigenvalue h, with nu
+    broadcast against h."""
+    h, nu = np.asarray(h, dtype=float), np.asarray(nu, dtype=float)
     nn1 = nu * (nu + 1.0)
-    rev = (nn1 * ns2_series_coeffs(m, count))[::-1]
+    rev = ns2_series_coeffs(m, count)[::-1]
     shift = h - nn1  # each eigenvalue adds h - nu(nu+1) to the tau^2 term
     b = np.zeros((count,) + h.shape)
     b[0] = 1.0
     for p in range(1, count):
         j = 2.0 * p
-        acc = rev[count - 1 - p:count - 1] @ b[:p] + shift * b[p - 1]
+        acc = nn1 * np.tensordot(rev[count - 1 - p:count - 1], b[:p], axes=1) + shift * b[p - 1]
         b[p] = acc / (j * (j + 2.0 * nu + 1.0))
     return b
 
 
-def _frobenius_stack(nus, coeffs: list[np.ndarray], derivative: bool) -> np.ndarray:
-    """The coefficients of F = tau^(nu+1) sum_p b_p tau^(2p), or of dF/dtau =
-    tau^nu sum_p (nu+1+2p) b_p tau^(2p), of each nu in nus with its b in
-    coeffs (terms x columns, one width), stacked under zero rows to one
-    length: (terms, len(nus), columns)."""
-    stack = np.zeros((max(map(len, coeffs)), len(coeffs), coeffs[0].shape[1]))
-    for i, b in enumerate(coeffs):
-        stack[:len(b), i] = b
+def _frobenius_series(b: np.ndarray, nu: np.ndarray, tau: np.ndarray,
+                      derivative: bool = False) -> np.ndarray:
+    """F = tau^(nu+1) sum_p b_p tau^(2p), or dF/dtau = tau^nu sum_p
+    (nu+1+2p) b_p tau^(2p), of every column of b (terms first, nu broadcast
+    against the rest) at the points tau: (len(tau),) + b.shape[1:], one
+    product with the powers tau^(2p), within 1e-14 of Horner's rule."""
+    p = 2.0 * np.arange(len(b))
     if derivative:
-        stack *= (np.add.outer(2.0 * np.arange(len(stack)), nus) + 1.0)[:, :, None]
-    return stack
-
-
-def _powers(tau: np.ndarray, exps: np.ndarray) -> np.ndarray:
-    """tau ** e of every e in exps, side by side: (len(tau), len(exps)).  For
-    a lone exponent 1/2 or 2 numpy takes sqrt or square, which can round
-    apart from its power of an array of exponents, so those columns take
-    them too: each equals its basis's power alone."""
-    out = np.power.outer(tau, exps)
-    for e, lone in ((0.5, np.sqrt), (2.0, np.square)):
-        hit = exps == e
-        if hit.any():
-            out[:, hit] = lone(tau)[:, None]
-    return out
-
-
-def _frobenius_series(stack: np.ndarray, exps: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """sum_p stack[p] tau^(2p) times tau^exps[i] in the block of stack[:, i],
-    at the points tau: (len(tau),) + stack.shape[1:], with stack from
-    `_frobenius_stack` and exps its nu + 1 (F) or nu (dF/dtau): one
-    contraction with the powers tau^(2p), within 1e-14 of Horner's rule."""
-    acc = np.einsum("pk,kbn->pbn", np.power.outer(tau, 2.0 * np.arange(len(stack))), stack)
-    acc *= _powers(tau, exps)[:, :, None]
-    return acc
+        b = b * (p.reshape((-1,) + (1,) * (b.ndim - 1)) + nu + 1.0)
+    return (np.tensordot(np.power.outer(tau, p), b, axes=1)
+            * np.power.outer(tau, nu + 1.0 - derivative))
 
 
 # --- the basis of one (nu, k) ---------------------------------------------------
@@ -469,14 +403,12 @@ class LameBasis:
     by shell_specs.
 
     real(s), imag(t) and second(t) return (points x modes) arrays, or the
-    columns cols only: the one-basis case of OrderSet's reads.  E(s) is one
-    contraction of cos and sin over the frequencies j pi/(2K), which hold
-    the Galerkin basis of every family, with the coefficients.  W(t) reads
-    one first-kind panel set; F(t) reads the Frobenius series within tau0 of
-    K' and one continuation panel set below it.  Both panel sets grow toward
-    the t requested, and the second kind is built on the first second() call.
+    columns cols only: they read through the one-basis OrderSet `_alone`.
+    E(s) is one contraction of cos and sin over the frequencies j pi/(2K),
+    which hold the Galerkin basis of every family, with the coefficients.
     Per mode the basis keeps the eigenvalue h, its bracket, the Galerkin
-    tail and the boundary data (E(0), E'(0)).
+    tail and the boundary data (E(0), E'(0)); the panels belong to the sets
+    that read it.
     """
 
     def __init__(self, nu: float, m: Modulus, n_max: int):
@@ -524,8 +456,6 @@ class LameBasis:
         for x in (self.h, self.bracket, self.tail, self.boundary_data, self._even,
                   self._freq, self._coef):
             x.flags.writeable = False  # the cache hands the basis to every caller
-        self._first = _ImagPanels(m, self.nu * (self.nu + 1.0) * m.k * m.k, self.h, 0.0,
-                                  self.boundary_data.T.ravel(), m.quarter_Kp * _IMAG_T_CAP)
 
     @property
     def sup_bound(self) -> float:
@@ -569,60 +499,20 @@ class LameBasis:
     @functools.cached_property
     def _alone(self) -> OrderSet:
         """The one-basis OrderSet that real, imag and second read through,
-        built on the first read and kept, with its stacked panels and
-        Frobenius block.  It holds the basis by a weak proxy, so the two form
+        built on the first read and kept, with its panels and Frobenius
+        block.  It holds the basis by a weak proxy, so the two form
         no reference cycle: a basis is freed as soon as nothing else holds it."""
         return OrderSet([weakref.proxy(self)])
-
-    @functools.cached_property
-    def _second_kind(self) -> tuple[np.ndarray, float, _ImagPanels]:
-        """The second kind, built on first use: the exponent-(nu+1) Frobenius
-        coefficients at K' scaled to unit Wronskian (terms x modes), the
-        hand-off distance tau0, and the continuation panels below it.  tau0 is
-        the largest 0.3 R (1 - j/64), R = 2 min(K, K') the series' radius (so
-        tau0 < 0.6 K'), where in every column the last of 64 terms b_p tau^(2p)
-        is below _TRIM of the sum of their magnitudes, and that sum is at most
-        _FROBENIUS_COND times the magnitude of theirs; only the terms that
-        reach _TRIM there are kept."""
-        m, nu = self.modulus, self.nu
-        kp = m.quarter_Kp
-        b = _frobenius_coeffs(nu, self.h, m, _FROBENIUS_TERMS)
-        for tau0 in 0.6 * min(m.quarter_K, kp) * (1.0 - np.arange(64) / 64):
-            terms = b * (tau0 * tau0) ** np.arange(_FROBENIUS_TERMS)[:, None]
-            size = np.abs(terms).sum(axis=0)
-            big = np.any(np.abs(terms) > _TRIM * size, axis=1)
-            count = _FROBENIUS_TERMS - int(np.argmax(big[::-1]))
-            if count < _FROBENIUS_TERMS and np.all(
-                    np.isfinite(size) & (size <= _FROBENIUS_COND * np.abs(terms.sum(axis=0)))):
-                break
-        else:
-            raise ConvergenceError(f"Frobenius series not converged or ill-conditioned "
-                                   f"within {tau0!r} of K'", attained=float(tau0))
-        tau0, b = float(tau0), b[:count]
-        f_tau, df_tau = (_frobenius_series(_frobenius_stack([nu], [b], d), np.array([nu + 1.0 - d]),
-                                           np.array([tau0]))[0, 0] for d in (False, True))
-        # unit Wronskian F W' - W dF/dt, with dF/dt = -dF/dtau; W(K' - tau0)
-        # comes from a throwaway extension of the first-kind panels, so the
-        # basis keeps only the panels that its readers reach
-        t1 = kp - tau0
-        reach = copy.copy(self._first)  # each build rebinds what it changes
-        w1, dw1 = (reach.values(np.array([t1]), derivative)[0] for derivative in (False, True))
-        scale = 1.0 / (f_tau * dw1 + w1 * df_tau)
-        cont = _ImagPanels(m, self._first.coef, self.h, t1,
-                           np.concatenate([scale * f_tau, -scale * df_tau]), 0.0)
-        frobenius = scale * b
-        frobenius.flags.writeable = False
-        return frobenius, tau0, cont
 
 
 class OrderSet:
     """Lame bases of one modulus and shell depth, checked once, here, read
     together: the orders 0..m_max of a flat-ring series as `order_set`
     serves them, or the one basis of LameBasis.real, .imag and .second.
-    Reads return (points x bases x modes) arrays, each basis's block bit for
-    bit its own read.  The set holds its bases and keeps their read arrays
-    stacked: the first-kind panels in one `_PanelStack`, and per hand-off
-    tau0 (`_Handoff`) the Frobenius block and the continuation panels.
+    Reads return (points x bases x modes) arrays.  The set holds its bases
+    and one panel set of each kind over every column of every basis: the
+    first-kind panels, and the second kind's Frobenius block, hand-off tau0
+    and continuation panels, each built on the first read that needs it.
     """
 
     def __init__(self, bases: list[LameBasis]):
@@ -631,20 +521,32 @@ class OrderSet:
         if any(b.modulus != self.modulus or b.n_max != depth for b in self.bases):
             raise DomainError("an OrderSet reads bases of one modulus and one shell depth")
         self._freq = max((b._freq for b in self.bases), key=len)
+        # (bases, modes), and the columns of the panels, bases one after another
+        self._nu = np.array([[b.nu] for b in self.bases])
+        self._h = np.stack([b.h for b in self.bases])
+        self._even = np.concatenate([b._even for b in self.bases])
+        self._boundary = np.concatenate([b.boundary_data for b in self.bases]).T  # (2, columns)
+
+    def _panels(self, t0: float, state0: np.ndarray, t_end: float) -> _ImagPanels:
+        k = self.modulus.k
+        c = np.broadcast_to(self._nu * (self._nu + 1.0) * k * k, self._h.shape)
+        return _ImagPanels(self.modulus, self._h.ravel(), c.ravel(), t0, state0, t_end,
+                           self._h.shape[1])
 
     @functools.cached_property
-    def _first(self) -> _PanelStack:
-        """The stacked read of the first-kind panels, built on the first W read."""
-        return _PanelStack([b._first for b in self.bases])
+    def _first(self) -> _ImagPanels:
+        """The first-kind panels, from the boundary data at t = 0 up."""
+        return self._panels(0.0, self._boundary, self.modulus.quarter_Kp * _IMAG_T_CAP)
 
-    def _empty(self, points: int, cols) -> np.ndarray:
-        return np.empty((points, len(self.bases), self.bases[0].h[cols].size))
+    def _split(self, values: np.ndarray, cols) -> np.ndarray:
+        """(points, columns) values as (points, bases, modes), modes cols only."""
+        return values.reshape((len(values),) + self._h.shape)[..., cols]
 
     @functools.cached_property
     def _coef(self) -> np.ndarray:
         """The cosine and sine coefficients of several bases on the longest
         grid, (2, rows, bases x modes); each basis keeps its own as a view."""
-        width = self.bases[0].h.size
+        width = self._h.shape[1]
         block = np.zeros((2, self._freq.size, len(self.bases) * width))
         for i, b in enumerate(self.bases):
             block[:, :b._freq.size, i * width:(i + 1) * width] = b._coef
@@ -657,16 +559,18 @@ class OrderSet:
         """E(s) (or E'(s)) of every basis at real s.  Every basis sums over a
         prefix of the frequency grid j pi/(2K), so one table [cos | sin] (or
         [-f sin | f cos] for E') on the longest grid is contracted with the
-        coefficients, each value summed over the cosine, then the sine rows
-        in order (see `_PanelStack`); it agrees with the two matrix products
-        of each basis to <= 1e-14 of each column's largest |value|."""
+        coefficients by `np.einsum`, each value summed over the cosine, then
+        the sine rows in order, so that a zero row changes no bit: each
+        basis's block equals its read alone bit for bit, and agrees with the
+        two matrix products of each basis to <= 1e-14 of each column's
+        largest |value|."""
         x = np.multiply.outer(np.asarray(s, dtype=float).ravel(), self._freq)
         cos_x, sin_x = np.cos(x), np.sin(x)
         table = (np.stack([-self._freq * sin_x, self._freq * cos_x], axis=1) if derivative
                  else np.stack([cos_x, sin_x], axis=1))
         e = np.einsum("ptk,tkn->pn", table,
                       self.bases[0]._coef if len(self.bases) == 1 else self._coef)
-        return e.reshape(len(x), len(self.bases), self.bases[0].h.size)[..., cols]
+        return self._split(e, cols)
 
     def imag(self, t, derivative: bool = False, cols=slice(None)) -> np.ndarray:
         """W(t) (or W'(t)) of every basis, as LameBasis.imag gives it."""
@@ -675,77 +579,73 @@ class OrderSet:
         if not np.all(np.isfinite(at)):
             raise DomainError("imaginary-axis evaluation requires finite t")
         fixed = t == 0.0
-        if fixed.any():
-            out = self._empty(t.size, cols)
-            out[~fixed] = self._first.values(at[~fixed], derivative, cols)
-            out[fixed] = np.stack([b.boundary_data[cols, int(derivative)] for b in self.bases])
-        else:
-            out = self._first.values(at, derivative, cols)
+        out = np.empty((t.size, self._h.size))
+        out[~fixed] = self._first.values(at[~fixed], derivative)
+        out[fixed] = self._boundary[int(derivative)]
         below = t < 0.0
         if below.any():
             # W has the parity of its family, W' the opposite one
-            even = np.stack([b._even[cols] for b in self.bases])
-            out[below] *= np.where(even == derivative, -1.0, 1.0)
-        return out
+            out[below] *= np.where(self._even == derivative, -1.0, 1.0)
+        return self._split(out, cols)
 
     def second(self, t, derivative: bool = False, cols=slice(None)) -> np.ndarray:
         """F(t) (or dF/dt) of every basis for 0 < t < K', as LameBasis.second
-        gives it."""
+        gives it: the Frobenius series where tau = K' - t <= tau0, the
+        continuation panels elsewhere."""
         t = np.asarray(t, dtype=float).ravel()
         kp = self.modulus.quarter_Kp
         if not np.all((0.0 < t) & (t < kp)):
             raise DomainError(f"second-kind evaluation requires 0 < t < K', got {t!r}")
+        frobenius, tau0, cont = self._second_kind
         tau = kp - t
-        if len(self._handoffs) == 1:
-            return self._handoffs[0].values(t, tau, derivative, cols)
-        out = self._empty(t.size, cols)
-        for group in self._handoffs:
-            out[:, group.members] = group.values(t, tau, derivative, cols)
-        return out
-
-    @functools.cached_property
-    def _handoffs(self) -> list[_Handoff]:
-        """The bases grouped by hand-off tau0, each second kind built here."""
-        tau0 = np.array([b._second_kind[1] for b in self.bases])
-        return [_Handoff([self.bases[i] for i in members], members)
-                for members in (np.flatnonzero(tau0 == x) for x in dict.fromkeys(tau0.tolist()))]
-
-
-class _Handoff:
-    """The bases of an OrderSet that hand off at one tau0, members its
-    indices of them: the Frobenius block of their series within tau0 of K',
-    per half read, and the stacked read of their continuation panels below
-    K' - tau0."""
-
-    def __init__(self, bases: list[LameBasis], members: np.ndarray):
-        self._coeffs, tau0, self._conts = zip(*(b._second_kind for b in bases))
-        self.members, self.tau0 = members, tau0[0]
-        self._nus = np.array([b.nu for b in bases])
-        self._stacks = {}
-
-    @functools.cached_property
-    def _panels(self) -> _PanelStack:
-        """The stacked read of the continuation panels, built on the first
-        read below K' - tau0."""
-        return _PanelStack(self._conts)
-
-    def _series(self, tau: np.ndarray, derivative: bool, cols) -> np.ndarray:
-        if derivative not in self._stacks:
-            self._stacks[derivative] = _frobenius_stack(self._nus, self._coeffs, derivative)
-        f = _frobenius_series(self._stacks[derivative], self._nus + 1.0 - derivative, tau)[..., cols]
-        return -f if derivative else f  # dF/dt = -dF/dtau
-
-    def values(self, t: np.ndarray, tau: np.ndarray, derivative: bool, cols) -> np.ndarray:
-        """F (or dF/dt) of the group's bases at t, tau = K' - t: the series
-        where tau <= tau0, the panels elsewhere; (points, members, columns)."""
-        near = tau <= self.tau0
-        if near.all():
-            return self._series(tau, derivative, cols)
-        out = np.empty((t.size, len(self.members), self._coeffs[0][0, cols].size))
-        out[~near] = self._panels.values(t[~near], derivative, cols)
+        near = tau <= tau0
+        out = np.empty((t.size,) + self._h.shape)
         if near.any():
-            out[near] = self._series(tau[near], derivative, cols)
-        return out
+            series = _frobenius_series(frobenius, self._nu, tau[near], derivative)
+            out[near] = -series if derivative else series  # dF/dt = -dF/dtau
+        if not near.all():
+            out[~near] = self._split(cont.values(t[~near], derivative), slice(None))
+        return out[..., cols]
+
+    @functools.cached_property
+    def _second_kind(self) -> tuple[np.ndarray, float, _ImagPanels]:
+        """The second kind, built on first use: the exponent-(nu+1) Frobenius
+        coefficients at K' scaled to unit Wronskian (terms, bases, modes), the
+        hand-off distance tau0, and the continuation panels below it.  tau0 is
+        the largest 0.3 R (1 - j/64), R = 2 min(K, K') the series' radius (so
+        tau0 < 0.6 K'), where in every column the last of 64 terms b_p tau^(2p)
+        is below _TRIM of the sum of their magnitudes, and that sum is at most
+        _FROBENIUS_COND times the magnitude of theirs: the least of the tau0
+        of the bases alone.  Only the terms that reach _TRIM there are kept."""
+        m = self.modulus
+        kp = m.quarter_Kp
+        b = _frobenius_coeffs(self._nu, self._h, m, _FROBENIUS_TERMS)  # (terms, bases, modes)
+        flat = b.reshape(_FROBENIUS_TERMS, -1)
+        for tau0 in 0.6 * min(m.quarter_K, kp) * (1.0 - np.arange(64) / 64):
+            terms = flat * (tau0 * tau0) ** np.arange(_FROBENIUS_TERMS)[:, None]
+            size = np.abs(terms).sum(axis=0)
+            big = np.any(np.abs(terms) > _TRIM * size, axis=1)
+            count = _FROBENIUS_TERMS - int(np.argmax(big[::-1]))
+            if count < _FROBENIUS_TERMS and np.all(
+                    np.isfinite(size) & (size <= _FROBENIUS_COND * np.abs(terms.sum(axis=0)))):
+                break
+        else:
+            raise ConvergenceError(f"Frobenius series not converged or ill-conditioned "
+                                   f"within {tau0!r} of K'", attained=float(tau0))
+        tau0, b = float(tau0), b[:count]
+        f_tau, df_tau = (_frobenius_series(b, self._nu, np.array([tau0]), d).ravel()
+                         for d in (False, True))
+        # unit Wronskian F W' - W dF/dt, with dF/dt = -dF/dtau, and W at
+        # K' - tau0 read where the first-kind panels reach it, or else from a
+        # throwaway extension of them
+        t1 = kp - tau0
+        reach = self._first.reach(t1)
+        w1, dw1 = (reach.values(np.array([t1]), d)[0] for d in (False, True))
+        scale = 1.0 / (f_tau * dw1 + w1 * df_tau)
+        cont = self._panels(t1, np.stack([scale * f_tau, -scale * df_tau]), 0.0)
+        frobenius = scale.reshape(self._h.shape) * b
+        frobenius.flags.writeable = False
+        return frobenius, tau0, cont
 
 
 _BASIS_CACHE_SIZE = 32
@@ -753,11 +653,11 @@ _BASIS_CACHE_SIZE = 32
 OrderSet, which holds its own bases, so this cache need not hold a whole
 expansion: it serves the single-mode callers, one small basis per mode, and
 each basis of a set while the set is built.  At k = 0.5 a depth-20 basis
-read alone takes 0.17 MB with the panels that reads at t <= 0.3K' and
-t* >= 0.6K' build (F there is read from its series alone), and at most
-0.6 MB with both panel sets grown to 0.9K' and 0.05K' (its own set's
-Frobenius block, 0.02 MB, included), so the bound caps what this cache
-holds at about 19 MB."""
+read alone, with its own set, takes 0.11 MB (0.17 MB at nu = 40.5) with the
+panels that reads at t <= 0.3K' and t* >= 0.6K' build (F there is read
+from its series alone), and 0.31 MB (0.7 MB at nu = 40.5) with both panel
+sets grown to 0.9K' and 0.05K', its Frobenius block (0.01 MB) included, so
+the bound caps what this cache holds at about 22 MB."""
 
 
 @functools.lru_cache(maxsize=_BASIS_CACHE_SIZE)
@@ -779,14 +679,13 @@ def basis_for(specs: list[tuple[LameFamily, int]], nu: float,
 _SET_CACHE_SIZE = 2
 """Sets kept by `order_set`: one per (modulus, m_max, n_max).  Each bench
 workload reads one set; two keep a run that reads two truncations in turn
-warm.  A set holds its bases and little else: once it has stacked their
-coefficients or a half of their panels, each basis keeps its part as a view
-of the set's block, so it is held once (twice only for a basis in two sets,
-one depth and two m_max).  At k = 0.5 a (20, 20) set takes at most 3.6 MB
-after reads at t <= 0.3K' and t* >= 0.6K', and 11.5 MB with every panel set
-grown to 0.9K' and 0.05K' and both halves read; a (40, 40) set, the largest
-that the tests read, takes 22 MB and 76 MB.  So the cache holds at most
-23 MB of (20, 20) sets, and 152 MB of (40, 40) sets."""
+warm.  A set holds its bases, whose coefficients it stacks on its first E
+read (each basis then keeps its own as a view of the block), and its
+panels, which no basis holds.  At k = 0.5 a (20, 20) set takes 2.5 MB
+after reads at t <= 0.3K' and t* >= 0.6K', and 8.8 MB with both panel sets
+grown to 0.9K' and 0.05K'; a (40, 40) set, the largest that the tests
+read, takes 18 MB and 69 MB.  So the cache holds about 18 MB of (20, 20)
+sets, and 138 MB of (40, 40) sets."""
 
 
 @functools.lru_cache(maxsize=_SET_CACHE_SIZE)

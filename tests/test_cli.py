@@ -144,6 +144,19 @@ def test_dirichlet_point_source_command(capsys, m05):
     assert "parseval_residual" in err
 
 
+def test_far_source_inside_the_guard_gives_the_direct_value(capsys):
+    # a source at 1e80 is outside the ring and inside the inversion's guard:
+    # no power of it overflows, and the probes read 1/|q - r*| with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run_cli(capsys, "dirichlet", "--source=1e80,0,1", "--n-probes", "3")
+    assert code == 0
+    rows = json.loads(out)
+    assert len(rows) == 3
+    for row in rows:
+        assert row["value"] == pytest.approx(row["direct"], rel=1e-6)
+
+
 @pytest.mark.parametrize("t0", ["0.01", "0.05"])
 def test_dirichlet_small_t0_draws_probes_inside(capsys, m05, t0):
     # below t0 = 1/12 the default probe range [0.05K', 0.6 t0] is empty;
@@ -296,6 +309,7 @@ def test_malformed_point_exits_2(capsys, argv):
     ("green", "--toroidal", "--point=1e200,0,1"),
     ("green", "--point=1e200,0,1"),
     ("dirichlet", "--probes=1e200,0,1"),
+    ("dirichlet", "--source=1e200,0,1"),
     ("coords", "inverse", "--point=1e200,0,1"),
 ])
 def test_far_point_exits_2_with_one_error_line(capsys, argv):

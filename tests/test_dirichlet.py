@@ -45,6 +45,20 @@ def test_domain_membership(m05):
         FlatRingDomain(t0=1.5 * m.quarter_Kp, modulus=m)
 
 
+def test_far_point_is_outside(m05):
+    # no power of a far point overflows in the residual; a source past the
+    # inversion's guard FAR_GUARD k is refused before any is taken
+    dom = FlatRingDomain(t0=0.4 * m05.quarter_Kp, modulus=m05)
+    for far in (1e80, 1e150, -1e120):
+        assert dom.membership(CartesianPoint(far, 0.0, 1.0)) < 0.0
+        assert dom.membership(CartesianPoint(0.0, 1.0, far)) < 0.0
+    r_star = CartesianPoint(1e150, 0.0, 1.0)
+    with pytest.raises(DomainError, match="too far from the origin"):
+        solve_point_source(dom, r_star, Truncation(2, 2))
+    with pytest.raises(DomainError, match="too far from the origin"):
+        external_from_boundary(dom, HarmonicIndex(m=1, n=0, kind=HarmonicKind.HC), r_star)
+
+
 def test_constant_boundary_only_symmetric_modes(m05):
     m = m05
     dom = FlatRingDomain(t0=0.4 * m.quarter_Kp, modulus=m)

@@ -32,6 +32,7 @@ from flatring.harmonics import (
     toroidal_limit_summand,
     toroidal_summand,
 )
+from flatring import lame
 from flatring.lame import basis_for
 from flatring.legendre import gamma_ratio, legendre_q
 
@@ -314,6 +315,24 @@ def test_addition_theorem(m05):
         assert rhs == pytest.approx(lhs, rel=1e-8)
     with pytest.raises(OrderingError):
         addition_theorem_rhs(1, s, ss, ts, t, 10, m)
+
+
+def test_single_order_callers_build_their_panels_once(m05, monkeypatch):
+    # addition_theorem_rhs and flatring_summand read through the kept set of
+    # their cached basis: a second call with the same basis builds no panel
+    m = m05
+    kp = m.quarter_Kp
+    built = []
+    build = lame._ImagPanels._build_panel
+    monkeypatch.setattr(lame._ImagPanels, "_build_panel",
+                        lambda panels, t_to: (built.append(t_to), build(panels, t_to))[1])
+    lame.clear_caches()
+    for call in (lambda: addition_theorem_rhs(2, 0.3, 1.1, 0.25 * kp, 0.8 * kp, 6, m),
+                 lambda: flatring_summand(2, 3, 0.4 * kp, 0.2 * kp, 0.5, 1.0, m)):
+        first = call()
+        count = len(built)
+        assert count > 0
+        assert call() == first and len(built) == count
 
 
 def test_addition_theorem_term_decay(m05):

@@ -14,7 +14,6 @@ from flatring.lame import (
     family_of_superscript,
     _frobenius_coeffs,
     _frobenius_series,
-    _frobenius_stack,
 )
 from flatring.legendre import legendre_p, legendre_q
 
@@ -201,15 +200,15 @@ def test_second_kind_unit_wronskian_across_the_handoff(k, nu):
     t = np.linspace(0.3, 0.95, 27) * m.quarter_Kp
     w = b.second(t) * b.imag(t, derivative=True) - b.imag(t) * b.second(t, derivative=True)
     assert np.max(np.abs(w - 1.0)) <= 1e-13
-    assert t[0] < m.quarter_Kp - b._second_kind[1] < t[-1]
+    assert t[0] < m.quarter_Kp - b._alone._second_kind[1] < t[-1]
 
 
 def test_second_kind_leading_coefficient(m05):
     b, cols = basis_for([(LameFamily.EC_EVEN, 2)], 2.5, m05)
     tau = 1e-4 * m05.quarter_Kp
     lead = b.second(m05.quarter_Kp - tau, cols=cols)[0, 0] / tau ** (b.nu + 1.0)
-    frobenius = b._second_kind[0]  # scaled to unit Wronskian, leading term first
-    assert lead == pytest.approx(frobenius[0, cols[0]], rel=1e-6)
+    frobenius = b._alone._second_kind[0]  # scaled to unit Wronskian, leading term first
+    assert lead == pytest.approx(frobenius[0, 0, cols[0]], rel=1e-6)
 
 
 def test_second_kind_decay_exponent(m05):
@@ -239,8 +238,7 @@ def test_frobenius_series_matches_legendre_p_at_small_k():
         lb, cols = basis_for([(fam, nz)], nu, m)
         b = _frobenius_coeffs(nu, lb.h[cols[0]], m, 64)
         for tau in (0.3, 0.8):
-            stack = _frobenius_stack([nu], [b[:, None]], False)
-            val = _frobenius_series(stack, np.array([nu + 1.0]), np.array([tau]))[0, 0, 0]
+            val = _frobenius_series(b[:, None], np.array([nu]), np.array([tau]))[0, 0]
             limit = (2.0 ** (nu + 0.5) * math.gamma(nu + 1.5)
                      * math.sinh(tau) ** 0.5
                      * legendre_p(sup - 0.5, -nu - 0.5, math.cosh(tau)))

@@ -79,12 +79,12 @@ def test_imaginary_axis_batch_matches_scalar(mixed):
         _close(values, scalar)
         _close(b.imag(t, derivative)[:, cols], scalar)
         assert np.array_equal(values[0], b.boundary_data[cols, int(derivative)])
-    assert len(b._first.edges) - 1 > 3
+    assert len(b._alone._first.edges) - 1 > 3
 
 
 def test_second_kind_batch_matches_scalar_across_handoff(mixed):
     m, b, cols = mixed
-    kp, tau0 = m.quarter_Kp, b._second_kind[1]
+    kp, tau0 = m.quarter_Kp, b._alone._second_kind[1]
     # panel zone, both sides of the Frobenius hand-off, and the series zone
     t = np.concatenate([np.linspace(0.1, 0.85, 12) * kp,
                         kp - tau0 * np.array([1.0 + 1e-3, 1.0 - 1e-3, 0.5, 1e-3])])
@@ -130,33 +130,36 @@ def test_panel_read_matches_clenshaw(mixed):
     # to [-1, 1] as the read clips a rounded edge.
     m, b, _ = mixed
     b.imag(0.85 * m.quarter_Kp), b.second(0.1 * m.quarter_Kp)  # grow both sets
+    first, cont = b._alone._first, b._alone._second_kind[2]
     # and a downward set of two panels, whose one inner edge sets no direction
-    two = _ImagPanels(m, b._first.coef, b.h, 0.5 * m.quarter_Kp, b.boundary_data.T.ravel(), 0.0)
+    two = _ImagPanels(m, first.h, first.c, 0.5 * m.quarter_Kp, b.boundary_data.T, 0.0, b.h.size)
     two.extend_to(0.5 * m.quarter_Kp - 1e-3)
     two.extend_to(two.edges[1] - 1e-3)
     assert len(two.edges) - 1 == 2
-    for panels in (b._first, b._second_kind[2], two):
+    for panels in (first, cont, two):
         edges = panels.edges
-        assert all(len(half) == len(edges) - 1 > 1 for half in panels.halves)
         for j, (a, z) in enumerate(zip(edges[:-1], edges[1:])):
             t = np.concatenate([[a], a + (z - a) * np.linspace(0.01, 0.99, 9),
                                 [z] if j == len(edges) - 2 else []])
             x = np.clip((2.0 * t - (a + z)) / (z - a), -1.0, 1.0)
             for derivative in (False, True):
-                coeffs = panels.halves[derivative][j]
-                _close(panels.values(t, derivative), chebyshev.chebval(x, coeffs).T)
+                read = panels.values(t, derivative)
+                _close(read, chebyshev.chebval(x, panels.coeffs[j, int(derivative)]).T)
+        assert len(panels.coeffs) == len(edges) - 1 > 1
 
 
 def test_multi_basis_read_equals_each_basis_read(m05):
     # one read over several bases against each basis's own read, on fresh
     # bases built in different orders: both kinds, values and derivatives,
     # column subsets, points across several panels, t = 0, t < 0, and both
-    # sides of the Frobenius hand-off
+    # sides of the Frobenius hand-off.  The set's panels are sized by its
+    # widest column, a lone basis's by its own, so the two agree to 1e-13
+    # of each column's largest |value|, and exactly at t = 0
     m = m05
     kp = m.quarter_Kp
     together = [LameBasis(order - 0.5, m, 6) for order in range(5)]
     alone = [LameBasis(order - 0.5, m, 6) for order in range(5)]
-    tau0 = together[0]._second_kind[1]
+    tau0 = OrderSet(together)._second_kind[1]
     t_first = np.concatenate([[0.0], np.linspace(-0.85, 0.85, 23) * kp, [0.0]])
     t_second = np.concatenate([np.linspace(0.1, 0.85, 12) * kp,
                                kp - tau0 * np.array([1.0 + 1e-3, 1.0 - 1e-3, 0.5, 1e-3])])
@@ -168,24 +171,28 @@ def test_multi_basis_read_equals_each_basis_read(m05):
                 assert read.shape[1] == len(together)
                 for b, values in zip(alone, read.transpose(1, 0, 2)):
                     own = (b.second if second else b.imag)(t, derivative, cols)
-                    assert values.shape == own.shape and np.array_equal(values, own)
-    assert len(together[0]._first.edges) - 1 > 3
+                    assert values.shape == own.shape
+                    _close(values, own, 1e-13)
+                    if not second:
+                        assert np.array_equal(values[t == 0.0], own[t == 0.0])
+    assert len(alone[0]._alone._first.edges) - 1 > 3
     with pytest.raises(DomainError):
         OrderSet([together[0], LameBasis(0.5, m, 5)])
 
 
 def test_multi_basis_second_kind_read_across_different_handoffs():
-    # at k = 0.9 the orders 9.5, 19.5 and 40.5 hand off at three distances
-    # tau0: one read over them takes, column block by column block, the
-    # series or the panels by each basis's own tau0, and equals each
-    # basis's own read bit for bit, also between the hand-offs
+    # at k = 0.9 the orders 9.5, 19.5 and 40.5 alone hand off at three
+    # distances tau0; a set of them hands off at the least, so between the
+    # hand-offs it reads F from panels where a lone basis reads its series,
+    # and the two agree to 1e-13 of each column's largest |value|
     m = Modulus.from_k(0.9)
     kp = m.quarter_Kp
     nus = (40.5, 9.5, 19.5)
     together = [LameBasis(nu, m, 6) for nu in nus]
     alone = [LameBasis(nu, m, 6) for nu in reversed(nus)][::-1]
-    tau0 = sorted(b._second_kind[1] for b in together)
+    tau0 = sorted(b._alone._second_kind[1] for b in alone)
     assert tau0[0] < tau0[1] < tau0[2] == 0.6 * kp  # 0.3 R with R = 2K' here
+    assert OrderSet(together)._second_kind[1] == tau0[0]
     t = kp - np.concatenate([[0.5 * tau0[0], tau0[0]], np.linspace(tau0[0], tau0[2], 7)[1:],
                              [1.001 * tau0[2]], np.linspace(0.65, 0.9, 4) * kp])
     for cols in (slice(None), [9, 0, 4]):
@@ -193,23 +200,24 @@ def test_multi_basis_second_kind_read_across_different_handoffs():
             read = OrderSet(together).second(t, derivative, cols)
             for b, values in zip(alone, read.transpose(1, 0, 2)):
                 own = b.second(t, derivative, cols)
-                assert values.shape == own.shape and np.array_equal(values, own)
+                assert values.shape == own.shape
+                _close(values, own, 1e-13)
 
 
 def test_green_region_pair_builds_no_continuation_panel(m05):
     # at k = 0.5 every order of a (20, 20) expansion hands off at 0.3 R, so a
     # pair at t <= 0.3 K' and t* >= 0.6 K' reads F from the series alone, and
-    # the kept first-kind set still ends at the panel that covers t, though
+    # the kept first-kind panels still end at the panel that covers t, though
     # the hand-off read W at K' - tau0 = 0.53 K'
     m = m05
     kp = m.quarter_Kp
-    bases = [LameBasis(order - 0.5, m, 20) for order in range(21)]
-    _lame_products(OrderSet(bases), 0.0, 0.0, 0.3 * kp, 0.6 * kp)
-    for b in bases:
-        assert b._second_kind[1] == 0.6 * min(m.quarter_K, kp)
-        assert len(b._second_kind[2].edges) - 1 == 0
-        edges = b._first.edges
-        assert edges[-2] < 0.3 * kp <= edges[-1] < kp - b._second_kind[1]
+    together = OrderSet([LameBasis(order - 0.5, m, 20) for order in range(21)])
+    _lame_products(together, 0.0, 0.0, 0.3 * kp, 0.6 * kp)
+    _, tau0, cont = together._second_kind
+    assert tau0 == 0.6 * min(m.quarter_K, kp)
+    assert len(cont.edges) - 1 == 0
+    edges = together._first.edges
+    assert edges[-2] < 0.3 * kp <= edges[-1] < kp - tau0
 
 
 def test_multi_basis_real_read_equals_each_basis_read(m05):
@@ -249,14 +257,15 @@ def test_second_kind_keeps_only_the_panels_read(m05):
     kp = m.quarter_Kp
     b = LameBasis(4.5, m, 6)
     b.imag(0.3 * kp)
-    edges = b._first.edges.copy()
+    first = b._alone._first
+    edges = first.edges.copy()
     assert edges[-2] < 0.3 * kp <= edges[-1]
     b.second(0.7 * kp)
-    assert np.array_equal(b._first.edges, edges)
-    assert all(len(half) == len(edges) - 1 for half in b._first.halves)
+    assert np.array_equal(first.edges, edges)
+    assert len(first.coeffs) == len(edges) - 1
     fresh = LameBasis(4.5, m, 6)
     fresh.second(0.7 * kp)
-    assert len(fresh._first.edges) - 1 == 0  # the second kind alone keeps no first-kind panel
+    assert len(fresh._alone._first.edges) - 1 == 0  # the second kind alone keeps no W panel
     high = np.array([0.5, 0.8, 0.85]) * kp
     for derivative in (False, True):
         assert np.array_equal(b.second(high, derivative), fresh.second(high, derivative))
@@ -309,7 +318,8 @@ def test_green_expansion_matches_per_mode_sum(m05):
 
 def test_green_expansion_matches_per_order_products(m05):
     # the (20, 20) series on array pairs, with every order's W and F read
-    # together, against per-order reads: value, tail and shells exactly
+    # together, against per-order reads, whose panels and hand-off are each
+    # order's own: value, tail and shells to 1e-13 of the value
     m = m05
     kp, big_k = m.quarter_Kp, m.quarter_K
     rng = np.random.default_rng(13)
@@ -328,8 +338,9 @@ def test_green_expansion_matches_per_order_products(m05):
     n1 = tr.n_max + 1
     ref_value, ref_tail, ref_shells = _double_series(terms[..., :n1] + terms[..., n1:],
                                                      a.phi - b.phi, scale, (4,))
-    assert np.array_equal(value, ref_value) and np.array_equal(tail, ref_tail)
-    assert len(shells) == n1 and all(map(np.array_equal, shells, ref_shells))
+    for got, ref in zip([value, tail, *shells], [ref_value, ref_tail, *ref_shells]):
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref_value))
+    assert len(shells) == n1
 
 
 @pytest.fixture(scope="module")

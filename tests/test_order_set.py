@@ -1,6 +1,8 @@
-"""The stacked read of an expansion's orders (lame.OrderSet) and its cache:
-reads stay equal to each basis's own read as panel sets grow, and an
-expansion with more orders than the basis cache holds stays warm."""
+"""The read of an expansion's orders (lame.OrderSet) and its cache: a set's
+reads at fixed t do not depend on how far it has grown, they agree with
+each basis read alone, F keeps its unit Wronskian across the set's
+hand-off, each panel resolves its columns, and an expansion with more
+orders than the basis cache holds stays warm."""
 
 import gc
 import weakref
@@ -31,6 +33,21 @@ def _array_bytes(obj, seen=None) -> int:
     return sum(_array_bytes(x, seen) for x in getattr(obj, "__dict__", {}).values())
 
 
+def _reaches(obj, cls, seen=None) -> bool:
+    """Whether an instance of cls is reachable from obj as `_array_bytes` walks it."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return False
+    seen.add(id(obj))
+    if isinstance(obj, cls):
+        return True
+    if isinstance(obj, (list, tuple)):
+        return any(_reaches(x, cls, seen) for x in obj)
+    if isinstance(obj, dict):
+        return any(_reaches(x, cls, seen) for x in obj.values())
+    return any(_reaches(x, cls, seen) for x in getattr(obj, "__dict__", {}).values())
+
+
 def _pair(m: Modulus):
     """A pair of the `green` bench region: t = 0.3K' and t* = 0.6K'."""
     kp, big_k = m.quarter_Kp, m.quarter_K
@@ -38,64 +55,121 @@ def _pair(m: Modulus):
             flatring_to_cartesian(FlatRingPoint(s=-0.5 * big_k, t=0.6 * kp, phi=-0.4, modulus=m)))
 
 
-def _assert_reads_equal(together: OrderSet, alone: list[LameBasis], t, second: bool):
-    """Every read of the set at t equals each lone basis's read, bit for bit:
-    values and derivatives, all columns and a scrambled subset."""
-    for cols in (slice(None), [9, 0, 4, 13]):
-        for derivative in (False, True):
-            read = (together.second if second else together.imag)(t, derivative, cols)
-            assert read.shape[:2] == (t.size, len(alone))
-            for j, b in enumerate(alone):
-                own = (b.second if second else b.imag)(t, derivative, cols)
-                assert np.array_equal(read[:, j], own)
+def _reads(together: OrderSet, t) -> list[np.ndarray]:
+    """W, W', F and F' of every basis of the set at t (F only where 0 < t)."""
+    t = np.asarray(t, dtype=float)
+    return [(together.second if second else together.imag)(t[t > 0.0] if second else t, d)
+            for second in (False, True) for d in (False, True)]
 
 
-def test_reads_stay_exact_as_panel_sets_grow():
-    # at k = 0.9 the orders of a (20, 6) series hand off in four groups,
-    # 0.277R to 0.3R; each read below reaches past the panels that the set
-    # has stacked, so its block must be restacked to stay exact
+def _colmax_err(got, ref) -> float:
+    """Largest difference relative to each column's largest |reference| over the points."""
+    scale = np.max(np.abs(ref), axis=0)
+    return float(np.max(np.abs(got - ref) / np.where(scale > 0.0, scale, 1.0), initial=0.0))
+
+
+@pytest.fixture(scope="module")
+def wide():
+    """The (20, 6) orders at k = 0.9, whose bases alone hand off from 0.553K'
+    to 0.6K' (0.277R to 0.3R), and the least of those."""
     m = Modulus.from_k(0.9)
-    kp = m.quarter_Kp
-    together = OrderSet([LameBasis(order - 0.5, m, 6) for order in range(21)])
-    alone = [LameBasis(order - 0.5, m, 6) for order in range(21)]
-    radius = 2.0 * min(m.quarter_K, kp)
-    tau0 = sorted({g.tau0 for g in together._handoffs})
-    assert len(tau0) == 4 and tau0[0] == pytest.approx(0.277 * radius, abs=1e-3 * radius)
-    assert tau0[-1] == 0.3 * radius
-    for t in (0.2, 0.85):  # W grows up to 0.85K'
-        _assert_reads_equal(together, alone, np.array([t * kp]), second=False)
-    for t in (0.85, 0.35):  # F from the series alone, then from panels down to 0.35K'
-        _assert_reads_equal(together, alone, np.array([t * kp]), second=True)
-    first_edges = [b._first.edges.size for b in together.bases]
-    cont_edges = [b._second_kind[2].edges.size for b in together.bases]
-    # mixed t: past both reaches, t = 0 and t < 0 for W; between the hand-offs,
-    # in every series zone and down to 0.05K' for F, where the high orders
-    # take more panels (one panel spans [0, 0.4K'] for the lowest)
-    mixed = np.array([0.6, 0.05, 0.0, -0.3, 0.97, 0.2]) * kp
-    between = kp - np.linspace(tau0[0], tau0[-1], 5)
-    _assert_reads_equal(together, alone, mixed, second=False)
-    _assert_reads_equal(together, alone, np.concatenate([[0.05 * kp, 0.97 * kp], between,
-                                                         [0.3 * kp]]), second=True)
-    assert all(b._first.edges.size > n for b, n in zip(together.bases, first_edges))
-    assert any(b._second_kind[2].edges.size > n for b, n in zip(together.bases, cont_edges))
+    bases = [LameBasis(order - 0.5, m, 6) for order in range(21)]
+    return m, bases, min(b._alone._second_kind[1] for b in bases)
+
+
+def test_reads_stay_exact_as_panel_sets_grow(wide):
+    # a set's reads at fixed t are bit-identical whether the set is fresh or
+    # was first grown past t: W upward to 0.97K', F downward to 0.05K', or
+    # W past K' - tau0 before F is built, so that F's scale comes from the
+    # kept panels and not from a throwaway extension.  Bases hold no panel,
+    # so each set is fresh
+    for m, bases in ((Modulus.from_k(0.5), [LameBasis(order - 0.5, Modulus.from_k(0.5), 6)
+                                             for order in range(21)]), wide[:2]):
+        kp = m.quarter_Kp
+        tau0 = OrderSet(bases)._second_kind[1]
+        t = np.concatenate([[0.6, 0.05, 0.0, -0.3, 0.85, 0.2, 0.35],
+                            1.0 - np.linspace(0.9, 1.1, 5) * tau0 / kp]) * kp
+        grown = [OrderSet(bases) for _ in range(4)]
+        grown[0].imag(0.97 * kp), grown[1].second(0.05 * kp)
+        grown[2].imag(0.97 * kp), grown[2].second(0.05 * kp), grown[3].second(0.97 * kp)
+        for point in [t[i:i + 1] for i in range(t.size)] + [t]:
+            fresh = _reads(OrderSet(bases), point)
+            for together in grown:
+                assert all(map(np.array_equal, _reads(together, point), fresh))
+        assert grown[0]._first.edges[-1] > 0.97 * kp and grown[1]._second_kind[2].edges[-1] < 0.05 * kp
 
 
 def test_read_exact_after_a_basis_grows_outside_the_set():
-    # the basis of the set whose panels end first grows through its own read:
-    # a set read at its old last edge, which the set has stacked and so does
-    # not extend to, now takes the panel that starts there, as the lone
-    # basis does
+    # a basis read alone grows the panels of its own set, not those of a set
+    # that holds it: that set reads as a fresh set does, bit for bit
     m = Modulus.from_k(0.5)
     kp = m.quarter_Kp
     bases = [LameBasis(order - 0.5, m, 6) for order in range(6)]
     together = OrderSet(bases)
     together.imag(0.3 * kp)
-    first = int(np.argmin([b._first.edges[-1] for b in bases]))
-    edge = bases[first]._first.edges[-1]
-    bases[first].imag(0.6 * kp)
-    alone = [LameBasis(order - 0.5, m, 6) for order in range(6)]
-    alone[first].imag(0.6 * kp)
-    _assert_reads_equal(together, alone, np.array([edge, 0.1 * kp]), second=False)
+    edges = together._first.edges.copy()
+    bases[2].imag(0.6 * kp), bases[2].second(0.1 * kp)
+    assert np.array_equal(together._first.edges, edges)
+    t = np.array([edges[-1], 0.1 * kp])
+    assert all(map(np.array_equal, _reads(together, t), _reads(OrderSet(bases), t)))
+
+
+@pytest.mark.parametrize("k", [1e-3, 0.1, 0.5, 0.9, 0.99])
+def test_set_reads_agree_with_each_basis_alone(k, wide):
+    # panels sized by the set's widest column, and the set's hand-off, the
+    # least of its bases' own, against each basis read alone: to 1e-13 of
+    # each column's largest |value|, W from 0 to 0.9K' and F on both sides
+    # of the set's tau0 and of every basis's own
+    m = Modulus.from_k(k)
+    kp = m.quarter_Kp
+    sets = [[LameBasis(nu, m, 8) for nu in (-0.5, 0.5, 9.5, 19.5, 40.5)]]
+    if k == 0.9:
+        sets.append(wide[1])
+    for bases in sets:
+        together = OrderSet(bases)
+        tau0 = together._second_kind[1]
+        t_w = np.concatenate([[0.0, -0.4], np.linspace(0.02, 0.9, 23)]) * kp
+        t_f = np.concatenate([np.linspace(0.05, 0.95, 23) * kp,
+                              kp - tau0 * np.array([0.5, 1.0 - 1e-9, 1.0 + 1e-9, 1.5])])
+        for derivative in (False, True):
+            for t, read, own in ((t_w, together.imag, LameBasis.imag),
+                                 (t_f, together.second, LameBasis.second)):
+                values = read(t, derivative)
+                for j, b in enumerate(bases):
+                    assert _colmax_err(values[:, j], own(b, t, derivative)) <= 1e-13
+
+
+def test_unit_wronskian_across_the_set_handoff(wide):
+    # F W' - W F' = 1 in every column of the (20, 6) set at k = 0.9, from
+    # panels and series on both sides of its tau0 and of every basis's own
+    m, bases, tau0 = wide
+    kp = m.quarter_Kp
+    together = OrderSet(bases)
+    assert together._second_kind[1] == tau0
+    t = np.concatenate([np.linspace(0.05, 0.95, 37) * kp,
+                        kp - tau0 * np.array([1.0 - 1e-9, 1.0 + 1e-9])])
+    wronskian = (together.second(t) * together.imag(t, True)
+                 - together.imag(t) * together.second(t, True))
+    assert np.max(np.abs(wronskian - 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("k", [1e-3, 0.1, 0.5, 0.9, 0.99])
+def test_panel_tail_is_rounding(k, wide):
+    # at the panel degree, the last Chebyshev coefficient of every W and W'
+    # panel and every continuation panel of F and F' is below 1e-14 of the
+    # largest of its panel, column by column
+    assert lame._PANEL_DEG == 24
+    m = Modulus.from_k(k)
+    kp = m.quarter_Kp
+    sets = [OrderSet([LameBasis(nu, m, 8) for nu in (-0.5, 0.5, 9.5, 19.5, 40.5)])]
+    if k == 0.9:
+        sets.append(OrderSet(wide[1]))
+    for together in sets:
+        together.imag(0.95 * kp), together.second(0.05 * kp)
+        for panels in (together._first, together._second_kind[2]):
+            coeffs = np.abs(panels.coeffs)  # (panels, 2, degree + 1, columns)
+            assert len(coeffs) > 1
+            assert np.all(coeffs[:, :, -1] <= 1e-14 * coeffs.max(axis=2))
 
 
 def test_one_basis_reads_keep_one_set():
@@ -175,9 +249,8 @@ def test_alternating_truncations_stay_warm():
 def test_set_cache_bound():
     # the bound that the _SET_CACHE_SIZE note states: in sets, and in bytes
     # of a (20, 20) and a (40, 40) set at k = 0.5, after a bench-region read
-    # and with every panel set grown to 0.9K' and 0.05K' and both halves
-    # stacked; a stacked panel is held once, so a set holds little more
-    # than its bases
+    # and with both panel sets grown to 0.9K' and 0.05K' and both halves
+    # read; the panels are the set's, and its bases hold none
     m = Modulus.from_k(0.5)
     lame.clear_caches()
     first = order_set(m, 1, 1)
@@ -194,4 +267,4 @@ def test_set_cache_bound():
         for derivative in (False, True):
             full.imag(t, derivative), full.second(t, derivative)
         assert 0.6 * grown < _array_bytes(full) <= grown
-        assert _array_bytes(full) <= 1.05 * _array_bytes(list(full.bases))
+        assert not _reaches(list(full.bases), lame._ImagPanels)  # the bases hold no panel

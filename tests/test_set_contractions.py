@@ -1,16 +1,16 @@
 """The three reads of an OrderSet, each one contraction over every basis of
 the set: E, E' against each basis's own cosine and sine matrix products, W,
 W' and the continuation panels of F, F' against numpy's chebval on the
-stored panel coefficients, and the Frobenius series of F, F' against
-Horner's rule, all to 1e-14 of each column's largest |value|, with points
-on panel edges (x = -1 and x = +1) and empty inputs."""
+stored panel coefficients of the set, and the Frobenius series of F, F'
+against Horner's rule, all to 1e-14 of each column's largest |value|, with
+points on panel edges (x = -1 and x = +1) and empty inputs."""
 
 import numpy as np
 import pytest
 from numpy.polynomial import chebyshev
 
 from flatring.elliptic import Modulus
-from flatring.lame import LameBasis, OrderSet, _PanelStack
+from flatring.lame import LameBasis, OrderSet
 
 KS = [1e-3, 0.1, 0.5, 0.9, 0.99]
 NUS = [-0.5, 0.5, 9.5, 19.5, 40.5]
@@ -65,25 +65,24 @@ def _edge_points(panels):
 
 def _panel_reference(panels, derivative, at, x):
     """chebval on each point's own panel of the set, (points, modes)."""
-    coeffs = panels.halves[derivative]
+    coeffs = panels.coeffs[:, int(derivative)]
     return np.array([chebyshev.chebval(xi, coeffs[j]) for j, xi in zip(at, x)])
 
 
 @pytest.mark.parametrize("second", [False, True])
 def test_panel_read_matches_chebval(bases, second):
-    # the first-kind panels grown upward to 0.85K', and the continuation
-    # panels of the second kind grown downward to 0.05K', read as one stack
+    # the first-kind panels of the set grown upward to 0.85K', and the
+    # continuation panels of its second kind grown downward to 0.05K'
     m, group = bases
     kp = m.quarter_Kp
-    sets = [b._second_kind[2] if second else b._first for b in group]
-    stack = _PanelStack(sets)
-    stack.values(np.array([0.05 if second else 0.85]) * kp, False, slice(None))
-    assert all(len(p.edges) > 1 for p in sets)
-    for i, panels in enumerate(sets):
-        t, at, x = _edge_points(panels)
-        for derivative in (False, True):
-            got = stack.values(t, derivative, slice(None))[:, i]
-            assert _colmax_err(got, _panel_reference(panels, derivative, at, x)) <= RTOL
+    together = OrderSet(group)
+    panels = together._second_kind[2] if second else together._first
+    panels.values(np.array([0.05 if second else 0.85]) * kp)
+    assert len(panels.edges) > 2
+    t, at, x = _edge_points(panels)
+    for derivative in (False, True):
+        got = panels.values(t, derivative)
+        assert _colmax_err(got, _panel_reference(panels, derivative, at, x)) <= RTOL
 
 
 def test_series_read_matches_horner(bases):
@@ -92,13 +91,14 @@ def test_series_read_matches_horner(bases):
     # read takes it (tau^(nu+1) carries the rounding of t by nu + 1)
     m, group = bases
     kp = m.quarter_Kp
-    tau0 = min(b._second_kind[1] for b in group)
+    together = OrderSet(group)
+    frobenius, tau0, _ = together._second_kind
     t = kp - tau0 * np.array([1e-3, 0.1, 0.5, 0.9, 0.999])
     tau = kp - t
     for derivative in (False, True):
-        read = OrderSet(group).second(t, derivative)
-        for b, got in zip(group, read.transpose(1, 0, 2)):
-            coeffs = b._second_kind[0]
+        read = together.second(t, derivative)
+        for i, (b, got) in enumerate(zip(group, read.transpose(1, 0, 2))):
+            coeffs = frobenius[:, i]
             if derivative:
                 coeffs = coeffs * (b.nu + 1.0 + 2.0 * np.arange(len(coeffs)))[:, None]
             acc = np.zeros((tau.size, coeffs.shape[1]))
@@ -128,9 +128,10 @@ def test_read_just_below_the_handoff(k):
     m = Modulus.from_k(k)
     for nu in (0.5, 19.5):
         b = LameBasis(nu, m, 2)
-        t1 = m.quarter_Kp - b._second_kind[1]
+        _, tau0, panels = b._alone._second_kind
+        t1 = m.quarter_Kp - tau0
         below = np.nextafter(t1, 0.0)
-        assert m.quarter_Kp - below > b._second_kind[1]
+        assert m.quarter_Kp - below > tau0
         across = b.second(np.array([below, t1]))
-        assert len(b._second_kind[2].edges) == 2
+        assert len(panels.edges) == 2
         assert np.all(np.abs(across[0] - across[1]) <= 1e-10 * np.abs(across[1]))
