@@ -241,9 +241,13 @@ def coordinate_surface_residual(
 
     Vanishes iff q lies on the surface {s = value} ("s") or {t = value} ("t").
     The raw left-hand side is divided by the sum of absolute term magnitudes;
-    each term is taken over (|q|^2 + 1)^2 first, so no power of a far point
-    overflows.
+    each term is taken over (|q|^2 + 1)^2 first.  Those terms are the same at
+    q and at its inverse q/|q|^2, so a point with |q| > 1 is read at its
+    inverse, formed as (q/|q|)/|q|: no far point is squared.
     """
+    r = math.hypot(q.x, q.y, q.z)
+    if r > 1.0:
+        q = CartesianPoint(*(c / r / r for c in q))
     u3 = q.x * q.x + q.y * q.y + q.z * q.z
     k2 = m.k * m.k
     ratio, z = (u3 - 1.0) / (u3 + 1.0), q.z / (u3 + 1.0)

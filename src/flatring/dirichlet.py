@@ -86,8 +86,9 @@ def _surface_quadrature(m: Modulus, n_s: int, n_phi: int):
 
 
 class _Record:
-    """Keyword repr and value equality over the attributes of a plain class
-    (unhashable, since it defines __eq__); `_unshown` stay out of the repr."""
+    """Keyword repr and value equality over the attributes of a plain class,
+    arrays by np.array_equal (unhashable, since it defines __eq__); `_unshown`
+    stay out of the repr."""
 
     _unshown = ()
 
@@ -96,7 +97,13 @@ class _Record:
         return f"{type(self).__name__}({', '.join(shown)})"
 
     def __eq__(self, other):
-        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+        if type(other) is not type(self):
+            return NotImplemented
+        mine, theirs = vars(self), vars(other)
+        return mine.keys() == theirs.keys() and all(
+            np.array_equal(mine[k], theirs[k])
+            if isinstance(mine[k], np.ndarray) or isinstance(theirs[k], np.ndarray)
+            else mine[k] == theirs[k] for k in mine)
 
 
 class BoundaryData(_Record):
@@ -151,27 +158,18 @@ class CoefficientTable(_Record):
         return self.d[self.m_max + m, n - 1]
 
 
-class _Surface(_Record):
-    """The data-free half of a projection onto the surface harmonics, all
-    read-only, the surface itself frozen; rows j run over the signed orders
-    -m_max..m_max, columns over Ec^0..Ec^N, then Es^1..Es^(N+1).
-
-    s_nodes, s_weights: Gauss-Legendre in s, (n_s,)
-    phi_nodes, dphi: trapezoid in phi, (n_phi,), and its step
-    mesh: the surface at every (s, phi) node, a CartesianPoint of (n_s, n_phi)
-    root_r: (x^2 + y^2)^(1/4) on the mesh
-    phase: Re and Im of e^{-i j phi} dphi, rows (j, part): (2(2M+1), n_phi)
-    edge: W_|j|(t0), (2M+1, 2N+2)
-    projection: w_s E_|j|(s_nodes) / (8 pi W_|j|(t0)), (2M+1, n_s, 2N+2)
-    """
-
-    def __init__(self, **fields):
-        vars(self).update(fields)
-
-    def __setattr__(self, name, *value):
-        raise AttributeError(f"cannot assign to field {name!r} of a cached surface")
-
-    __delattr__ = __setattr__
+# The data-free half of a projection onto the surface harmonics, all
+# read-only, the surface itself a tuple; rows j run over the signed orders
+# -m_max..m_max, columns over Ec^0..Ec^N, then Es^1..Es^(N+1).
+_Surface = NamedTuple("_Surface", [
+    ("s_nodes", np.ndarray), ("s_weights", np.ndarray),  # Gauss-Legendre in s, (n_s,)
+    ("phi_nodes", np.ndarray), ("dphi", float),  # trapezoid in phi, (n_phi,), and its step
+    ("mesh", CartesianPoint),  # the surface at every (s, phi) node, of (n_s, n_phi) arrays
+    ("root_r", np.ndarray),  # (x^2 + y^2)^(1/4) on the mesh
+    ("phase", np.ndarray),  # Re and Im of e^{-i j phi} dphi, rows (j, part): (2(2M+1), n_phi)
+    ("edge", np.ndarray),  # W_|j|(t0), (2M+1, 2N+2)
+    ("projection", np.ndarray),  # w_s E_|j|(s_nodes) / (8 pi W_|j|(t0)), (2M+1, n_s, 2N+2)
+])
 
 
 @functools.lru_cache(maxsize=1)
@@ -191,8 +189,7 @@ def _surface(m: Modulus, t0: float, n_s: int, n_phi: int, m_max: int, n_max: int
         root_r=(mesh.x * mesh.x + mesh.y * mesh.y) ** 0.25,
         phase=np.stack([phase.real, phase.imag], axis=1).reshape(-1, n_phi), edge=edge,
         projection=np.ascontiguousarray(s_weights[:, None] * e / (8.0 * math.pi * edge[:, None, :])))
-    for x in (s_nodes, s_weights, phi_nodes, *mesh, surface.root_r, surface.phase, edge,
-              surface.projection):
+    for x in (v for v in (*surface, *mesh) if isinstance(v, np.ndarray)):
         x.flags.writeable = False  # the cache hands the surface to every caller
     return surface
 

@@ -44,19 +44,19 @@ that its readers reach.
 
 LameBasis holds the Galerkin solution of one (nu, k) at a shell depth N:
 the modes Ec^0..Ec^N, Es^1..Es^(N+1), their eigenvalues, coefficients and
-certificates, and no panel.  basis(nu, m, N) serves them from one bounded
-LRU cache; a caller that needs a few modes takes the basis of least depth
-that holds them (basis_for).  OrderSet reads bases of one modulus and depth
-together, on arrays of points, and holds one panel set of each kind over
-every column of every basis, sized by its widest column, and one hand-off
-tau0, the least of its bases' own: E, W and F are each one contraction over
-all of them.  A set's reads at fixed t do not depend on what it read
-before, and agree with each basis's read alone to 1e-13 of each column's
-largest |value|; a LameBasis reads through one set of itself.
+certificates, and no panel.  basis(nu, m, N) serves them to single-mode
+callers from one bounded LRU cache; a caller that needs a few modes takes
+the basis of least depth that holds them (basis_for).  OrderSet reads bases
+of one modulus and depth together, on arrays of points: it takes their
+data once, holds no basis, and keeps one coefficient block, one panel set
+of each kind over every column of every basis, sized by its widest column,
+and one hand-off tau0, the least of its bases' own: E, W and F are each one
+contraction over all of them.  A set's reads at fixed t do not depend on
+what it read before, and agree with each basis's read alone to 1e-13 of
+each column's largest |value|; a LameBasis reads through one set of itself.
 order_set(m, m_max, N) serves the orders 0..m_max of a flat-ring series
-from a small LRU cache of whole sets, which hold their bases, so an
-expansion with more orders than the basis cache holds builds each basis
-once.
+from a small LRU cache of whole sets, each built from bases that no cache
+keeps, so an expansion builds each basis once, however many orders it has.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ import copy
 import enum
 import functools
 import math
-import weakref
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
@@ -407,8 +406,7 @@ class LameBasis:
     E(s) is one contraction of cos and sin over the frequencies j pi/(2K),
     which hold the Galerkin basis of every family, with the coefficients.
     Per mode the basis keeps the eigenvalue h, its bracket, the Galerkin
-    tail and the boundary data (E(0), E'(0)); the panels belong to the sets
-    that read it.
+    tail and the boundary data (E(0), E'(0)); the panels belong to `_alone`.
     """
 
     def __init__(self, nu: float, m: Modulus, n_max: int):
@@ -500,32 +498,39 @@ class LameBasis:
     def _alone(self) -> OrderSet:
         """The one-basis OrderSet that real, imag and second read through,
         built on the first read and kept, with its panels and Frobenius
-        block.  It holds the basis by a weak proxy, so the two form
-        no reference cycle: a basis is freed as soon as nothing else holds it."""
-        return OrderSet([weakref.proxy(self)])
+        block.  It shares the basis's arrays and holds no basis, so a basis
+        is freed as soon as nothing else holds it."""
+        return OrderSet([self])
 
 
 class OrderSet:
     """Lame bases of one modulus and shell depth, checked once, here, read
     together: the orders 0..m_max of a flat-ring series as `order_set`
     serves them, or the one basis of LameBasis.real, .imag and .second.
-    Reads return (points x bases x modes) arrays.  The set holds its bases
-    and one panel set of each kind over every column of every basis: the
+    Reads return (points x bases x modes) arrays.  The set holds no basis,
+    only what it takes from them when it is built, their coefficients in
+    one block, and one panel set of each kind over every column: the
     first-kind panels, and the second kind's Frobenius block, hand-off tau0
     and continuation panels, each built on the first read that needs it.
     """
 
     def __init__(self, bases: list[LameBasis]):
-        self.bases = tuple(bases)
-        self.modulus, depth = self.bases[0].modulus, self.bases[0].n_max
-        if any(b.modulus != self.modulus or b.n_max != depth for b in self.bases):
+        self.modulus, depth = bases[0].modulus, bases[0].n_max
+        if any(b.modulus != self.modulus or b.n_max != depth for b in bases):
             raise DomainError("an OrderSet reads bases of one modulus and one shell depth")
-        self._freq = max((b._freq for b in self.bases), key=len)
+        self._freq = max((b._freq for b in bases), key=len)
         # (bases, modes), and the columns of the panels, bases one after another
-        self._nu = np.array([[b.nu] for b in self.bases])
-        self._h = np.stack([b.h for b in self.bases])
-        self._even = np.concatenate([b._even for b in self.bases])
-        self._boundary = np.concatenate([b.boundary_data for b in self.bases]).T  # (2, columns)
+        self._nu = np.array([[b.nu] for b in bases])
+        self._h = np.stack([b.h for b in bases])
+        self._even = np.concatenate([b._even for b in bases])
+        self._boundary = np.concatenate([b.boundary_data for b in bases]).T  # (2, columns)
+        self._coef = bases[0]._coef  # (2, rows, columns): one basis shares its own
+        if len(bases) > 1:  # the bases' own, zero-padded to the longest grid
+            width = self._h.shape[1]
+            self._coef = np.zeros((2, self._freq.size, self._h.size))
+            for i, b in enumerate(bases):
+                self._coef[:, :b._freq.size, i * width:(i + 1) * width] = b._coef
+            self._coef.flags.writeable = False
 
     def _panels(self, t0: float, state0: np.ndarray, t_end: float) -> _ImagPanels:
         k = self.modulus.k
@@ -542,19 +547,6 @@ class OrderSet:
         """(points, columns) values as (points, bases, modes), modes cols only."""
         return values.reshape((len(values),) + self._h.shape)[..., cols]
 
-    @functools.cached_property
-    def _coef(self) -> np.ndarray:
-        """The cosine and sine coefficients of several bases on the longest
-        grid, (2, rows, bases x modes); each basis keeps its own as a view."""
-        width = self._h.shape[1]
-        block = np.zeros((2, self._freq.size, len(self.bases) * width))
-        for i, b in enumerate(self.bases):
-            block[:, :b._freq.size, i * width:(i + 1) * width] = b._coef
-        block.flags.writeable = False
-        for i, b in enumerate(self.bases):
-            b._coef = block[:, :b._freq.size, i * width:(i + 1) * width]
-        return block
-
     def real(self, s, derivative: bool = False, cols=slice(None)) -> np.ndarray:
         """E(s) (or E'(s)) of every basis at real s.  Every basis sums over a
         prefix of the frequency grid j pi/(2K), so one table [cos | sin] (or
@@ -568,8 +560,7 @@ class OrderSet:
         cos_x, sin_x = np.cos(x), np.sin(x)
         table = (np.stack([-self._freq * sin_x, self._freq * cos_x], axis=1) if derivative
                  else np.stack([cos_x, sin_x], axis=1))
-        e = np.einsum("ptk,tkn->pn", table,
-                      self.bases[0]._coef if len(self.bases) == 1 else self._coef)
+        e = np.einsum("ptk,tkn->pn", table, self._coef)
         return self._split(e, cols)
 
     def imag(self, t, derivative: bool = False, cols=slice(None)) -> np.ndarray:
@@ -650,14 +641,13 @@ class OrderSet:
 
 _BASIS_CACHE_SIZE = 32
 """Bases kept by `basis`.  An expansion reads its orders through a cached
-OrderSet, which holds its own bases, so this cache need not hold a whole
-expansion: it serves the single-mode callers, one small basis per mode, and
-each basis of a set while the set is built.  At k = 0.5 a depth-20 basis
-read alone, with its own set, takes 0.11 MB (0.17 MB at nu = 40.5) with the
-panels that reads at t <= 0.3K' and t* >= 0.6K' build (F there is read
-from its series alone), and 0.31 MB (0.7 MB at nu = 40.5) with both panel
-sets grown to 0.9K' and 0.05K', its Frobenius block (0.01 MB) included, so
-the bound caps what this cache holds at about 22 MB."""
+OrderSet, built from bases that this cache never sees, so this cache serves
+only the single-mode callers, one small basis per mode.  At k = 0.5 a
+depth-20 basis read alone, with its own set, takes 0.11 MB (0.17 MB at
+nu = 40.5) with the panels that reads at t <= 0.3K' and t* >= 0.6K' build
+(F there is read from its series alone), and 0.31 MB (0.7 MB at nu = 40.5)
+with both panel sets grown to 0.9K' and 0.05K', its Frobenius block
+(0.01 MB) included, so the bound caps what this cache holds at about 22 MB."""
 
 
 @functools.lru_cache(maxsize=_BASIS_CACHE_SIZE)
@@ -679,24 +669,23 @@ def basis_for(specs: list[tuple[LameFamily, int]], nu: float,
 _SET_CACHE_SIZE = 2
 """Sets kept by `order_set`: one per (modulus, m_max, n_max).  Each bench
 workload reads one set; two keep a run that reads two truncations in turn
-warm.  A set holds its bases, whose coefficients it stacks on its first E
-read (each basis then keeps its own as a view of the block), and its
-panels, which no basis holds.  At k = 0.5 a (20, 20) set takes 2.5 MB
-after reads at t <= 0.3K' and t* >= 0.6K', and 8.8 MB with both panel sets
-grown to 0.9K' and 0.05K'; a (40, 40) set, the largest that the tests
-read, takes 18 MB and 69 MB.  So the cache holds about 18 MB of (20, 20)
+warm.  A set holds no basis, only its bases' coefficients, stacked in one
+block when it is built, and its panels.  At k = 0.5 a (20, 20) set takes
+2.5 MB after reads at t <= 0.3K' and t* >= 0.6K', and 8.8 MB with both
+panel sets grown to 0.9K' and 0.05K'; a (40, 40) set, the largest that the
+tests read, takes 18 MB and 69 MB.  So the cache holds about 18 MB of (20, 20)
 sets, and 138 MB of (40, 40) sets."""
 
 
 @functools.lru_cache(maxsize=_SET_CACHE_SIZE)
 def order_set(m: Modulus, m_max: int, n_max: int, /) -> OrderSet:
     """The OrderSet of the orders 0..m_max (nu = order - 1/2) at shell depth
-    n_max, from a small LRU cache of whole sets: its bases come from `basis`
-    once, when the set is built, so an expansion with more orders than the
-    basis cache holds stays warm."""
+    n_max, from a small LRU cache of whole sets: its bases are built once,
+    when the set is built, and are freed once it has taken their data, so
+    the basis cache keeps only what single-mode callers read."""
     if m_max < 0:
         raise DomainError(f"m_max must be >= 0, got {m_max!r}")
-    return OrderSet([basis(order - 0.5, m, n_max) for order in range(m_max + 1)])
+    return OrderSet([LameBasis(order - 0.5, m, n_max) for order in range(m_max + 1)])
 
 
 def clear_caches() -> None:

@@ -357,15 +357,17 @@ def test_reversed_range_exits_2(capsys, text):
     assert err.startswith("error: range") and "reversed" in err and err.count("\n") == 1
 
 
-def test_dirichlet_builds_each_basis_once(capsys):
+def test_dirichlet_builds_each_basis_once(capsys, basis_builds):
     # 33 orders, more than the basis cache holds: the projection and the
-    # probes read one cached set, and a second call builds nothing
+    # probes read one cached set, a second call builds nothing, and the
+    # basis cache keeps none of the set's bases
     argv = ("dirichlet", "--m-max", "32", "--n-max", "6", "--n-probes", "3")
     lame.clear_caches()
     code, first, _ = run_cli(capsys, *argv)
-    assert code == 0 and lame.basis.cache_info().misses == 33
+    assert code == 0 and len(basis_builds) == 33
     assert run_cli(capsys, *argv)[1] == first
-    assert lame.basis.cache_info().misses == 33
+    assert len(basis_builds) == 33
+    assert lame.basis.cache_info().currsize == 0
 
 
 def test_dirichlet_prints_plain_parseval_residual(capsys, m05):
@@ -428,10 +430,9 @@ def test_green_truncation_too_short_to_extrapolate_exits_2(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [("--m-max", "0", "--n-max", "100"), ("--n-max", "0")])
-def test_green_truncation_refused_before_any_basis_is_built(capsys, argv):
-    before = lame.basis.cache_info()
+def test_green_truncation_refused_before_any_basis_is_built(capsys, basis_builds, argv):
     assert main(["green", *argv]) == 2
-    assert lame.basis.cache_info().misses == before.misses
+    assert basis_builds == []
     assert "m_max >= 1 and n_max >= 1" in capsys.readouterr().err
 
 

@@ -266,6 +266,21 @@ def test_coordinate_surface_membership():
     assert abs(coordinate_surface_residual(c0, m, "t", 0.7 * m.quarter_Kp)) > 1e-3
 
 
+def test_surface_residual_is_its_value_at_the_inverse_point():
+    # the residual is invariant under q -> q/|q|^2, where it reads any
+    # point past the unit sphere, on both sides of it
+    m = Modulus.from_k(0.5)
+    points = [CartesianPoint(0.3, 0.1, 0.2), CartesianPoint(0.9, -0.5, 0.4),
+              CartesianPoint(1.5, 0.2, -0.7), CartesianPoint(0.0, 0.0, 3.0),
+              CartesianPoint(-4.0, 2.5, 0.3)]
+    for which, value in (("s", 0.7 * m.quarter_K), ("t", 0.4 * m.quarter_Kp)):
+        for q in points:
+            u3 = q.x * q.x + q.y * q.y + q.z * q.z
+            inverse = CartesianPoint(*(c / u3 for c in q))
+            assert abs(coordinate_surface_residual(q, m, which, value)
+                       - coordinate_surface_residual(inverse, m, which, value)) <= 1e-15
+
+
 def test_surface_residual_on_figure_ring():
     m = Modulus.from_k(0.5)
     t0 = 0.4 * m.quarter_Kp

@@ -46,10 +46,10 @@ def test_domain_membership(m05):
 
 
 def test_far_point_is_outside(m05):
-    # no power of a far point overflows in the residual; a source past the
-    # inversion's guard FAR_GUARD k is refused before any is taken
+    # no power of a far point overflows in the residual, past the inversion's
+    # guard too; a source past the guard FAR_GUARD k is refused before any is taken
     dom = FlatRingDomain(t0=0.4 * m05.quarter_Kp, modulus=m05)
-    for far in (1e80, 1e150, -1e120):
+    for far in (1e80, 1e150, -1e120, 1e155, 1e200, -1e300):
         assert dom.membership(CartesianPoint(far, 0.0, 1.0)) < 0.0
         assert dom.membership(CartesianPoint(0.0, 1.0, far)) < 0.0
     r_star = CartesianPoint(1e150, 0.0, 1.0)
@@ -380,7 +380,7 @@ def test_second_point_source_solve_reads_no_basis(m05, monkeypatch):
 
 def _surface_arrays(surface):
     """Every array of a cached surface, the mesh's three among them."""
-    return [x for v in vars(surface).values() for x in (v if isinstance(v, tuple) else (v,))
+    return [x for v in surface._asdict().values() for x in (v if isinstance(v, tuple) else (v,))
             if isinstance(x, np.ndarray)]
 
 
@@ -393,6 +393,8 @@ def test_cached_surface_is_read_only(m05):
         assert not x.flags.writeable
         with pytest.raises(ValueError):
             x[(0,) * x.ndim] = 1.0
+    with pytest.raises(AttributeError):
+        surface.edge = np.zeros_like(surface.edge)
 
 
 def test_surface_cache_bound(m05):

@@ -199,11 +199,30 @@ def test_one_basis_reads_keep_one_set():
 
 def test_order_set_is_one_object_per_key():
     m = Modulus.from_k(0.5)
+    lame.clear_caches()
     s = order_set(m, 3, 2)
     assert order_set(Modulus.from_k(0.5), 3, 2) is s
-    assert [b.nu for b in s.bases] == [-0.5, 0.5, 1.5, 2.5]
-    assert all(b is lame.basis(b.nu, m, 2) for b in s.bases)
+    assert s._nu.ravel().tolist() == [-0.5, 0.5, 1.5, 2.5]
+    assert lame.basis.cache_info().currsize == 0  # the set's bases are no cache's
     assert order_set(m, 3, 3) is not s
+
+
+def test_evicted_set_is_freed_with_its_block(m05):
+    # the set holds no basis and no basis holds the set's block, so once the
+    # set cache drops the set, both go without the cycle collector
+    lame.clear_caches()
+    s = order_set(m05, 6, 6)
+    t = np.array([0.05, 0.5, 0.9]) * m05.quarter_Kp
+    s.real(t), s.imag(t), s.second(t)
+    freed, block = weakref.ref(s), weakref.ref(s._coef)
+    gc.disable()
+    try:
+        del s
+        for m_max in range(1, 1 + lame._SET_CACHE_SIZE):
+            order_set(m05, m_max, 1)
+        assert freed() is None and block() is None
+    finally:
+        gc.enable()
 
 
 def test_clear_caches_empties_both_caches():
@@ -214,7 +233,7 @@ def test_clear_caches_empties_both_caches():
 
 
 @pytest.mark.parametrize("m_max, n_max", [(32, 6), (40, 40)])
-def test_expansion_past_the_basis_cache_stays_warm(m_max, n_max):
+def test_expansion_past_the_basis_cache_stays_warm(m_max, n_max, basis_builds):
     # more orders than the basis cache holds: the first call builds each
     # basis once, and later calls read the cached set and build nothing
     assert m_max + 1 > lame._BASIS_CACHE_SIZE
@@ -223,15 +242,14 @@ def test_expansion_past_the_basis_cache_stays_warm(m_max, n_max):
     tr = Truncation(m_max, n_max)
     lame.clear_caches()
     first = green_expansion(r, r_star, tr, m)
-    built = lame.basis.cache_info().misses
-    assert built == m_max + 1
+    assert basis_builds == [(order - 0.5, n_max) for order in range(m_max + 1)]
     for _ in range(2):
         assert green_expansion(r, r_star, tr, m) == first
-    assert lame.basis.cache_info().misses == built
+    assert len(basis_builds) == m_max + 1
     assert order_set.cache_info().hits == 2
 
 
-def test_alternating_truncations_stay_warm():
+def test_alternating_truncations_stay_warm(basis_builds):
     # 21 + 31 bases of one modulus, more than the basis cache holds
     m = Modulus.from_k(0.5)
     r, r_star = _pair(m)
@@ -239,11 +257,11 @@ def test_alternating_truncations_stay_warm():
     lame.clear_caches()
     for tr in truncations:
         green_expansion(r, r_star, tr, m)
-    built = lame.basis.cache_info().misses
+    built = len(basis_builds)
     for _ in range(2):
         for tr in truncations:
             green_expansion(r, r_star, tr, m)
-    assert lame.basis.cache_info().misses == built == 52
+    assert len(basis_builds) == built == 52
 
 
 def test_set_cache_bound():
@@ -267,4 +285,4 @@ def test_set_cache_bound():
         for derivative in (False, True):
             full.imag(t, derivative), full.second(t, derivative)
         assert 0.6 * grown < _array_bytes(full) <= grown
-        assert not _reaches(list(full.bases), lame._ImagPanels)  # the bases hold no panel
+        assert not _reaches(full, LameBasis)  # the set holds no basis

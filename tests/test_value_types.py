@@ -17,7 +17,7 @@ import pytest
 import flatring
 from flatring import dirichlet
 from flatring.coords import AlgebraicFlatRing, FlatRingPoint, ToroidalPoint, Variant
-from flatring.dirichlet import BoundaryData, CoefficientTable, FlatRingDomain
+from flatring.dirichlet import BoundaryData, CoefficientTable, FlatRingDomain, coefficients
 from flatring.elliptic import JacobiImag, JacobiTriple, Modulus
 from flatring.errors import DomainError
 from flatring.harmonics import HarmonicIndex, HarmonicKind, Truncation
@@ -119,6 +119,18 @@ def test_mutable_types_compare_by_value_and_are_unhashable():
     for value in (data, CoefficientTable(0, 0, c, c, 0.0)):
         with pytest.raises(TypeError):
             hash(value)
+
+
+def test_tables_of_two_projections_compare_by_value(m05):
+    # equal arrays that are distinct objects compare equal, element by element
+    dom = FlatRingDomain(t0=0.4 * m05.quarter_Kp, modulus=m05)
+    data = BoundaryData(g=lambda s, phi: 1.0, n_s=32, n_phi=16)
+    first, second = (coefficients(dom, data, Truncation(2, 2)) for _ in range(2))
+    assert first.c is not second.c and first == second
+    c = first.c.copy()
+    c[1, 1] += 1e-3
+    assert first != CoefficientTable(first.m_max, first.n_max, c, first.d,
+                                     first.parseval_residual)
 
 
 def test_repr_names_the_fields(m05):
