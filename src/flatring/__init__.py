@@ -62,7 +62,6 @@ from .harmonics import (
     toroidal_limit_summand,
 )
 from .lame import (
-    LameBasis,
     LameFamily,
     OrderSet,
     basis,

@@ -120,12 +120,12 @@ def cmd_eigen(args) -> int:
     specs = [family_of_superscript(kind, n) for n in sups]
     b, cols = basis_for(specs, args.nu, m)
     for sup, (_, n), j in zip(sups, specs, cols):
-        lo, hi = b.bracket[j].tolist()
+        lo, hi = b.bracket[0, j].tolist()
         rows.append({
             "family": "Ec" if kind == "c" else "Es",
             "nu": args.nu,
             "superscript": sup,
-            "eigenvalue": float(b.h[j]),
+            "eigenvalue": float(b.h[0, j]),
             "bracket_lo": lo,
             "bracket_hi": hi,
             "zeros_in_0K": n,
@@ -203,11 +203,11 @@ def cmd_verify(args) -> int:
 
 
 def _read_boundary_grid(path: str):
-    """CSV with header s,phi,g of finite numbers on a full tensor grid; the
-    returned sampler takes (s, phi) arrays."""
+    """CSV with header s,phi,g of finite numbers on a full tensor grid, each
+    node once; the returned sampler takes (s, phi) arrays."""
     from scipy.interpolate import RegularGridInterpolator
 
-    rows = []
+    rows, seen = [], {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -220,6 +220,10 @@ def _read_boundary_grid(path: str):
                 raise DomainError(f"{path}:{lineno}: malformed row {row!r}") from exc
             if not all(map(math.isfinite, rows[-1])):
                 raise DomainError(f"{path}:{lineno}: non-finite value in row {row!r}")
+            node = rows[-1][:2]
+            if seen.setdefault(node, lineno) != lineno:
+                raise DomainError(f"{path}:{lineno}: node (s, phi) = {node!r} repeats line "
+                                  f"{seen[node]}")
     if not rows:
         raise DomainError(f"{path}: no grid rows after the header")
     table = np.array(rows).reshape(-1, 3)
@@ -241,8 +245,9 @@ def cmd_dirichlet(args) -> int:
     kp = m.quarter_Kp
     dom = FlatRingDomain(t0=args.t0 * kp, modulus=m)
     tr = Truncation(args.m_max, args.n_max)
-    if args.n_probes < 0:
-        raise DomainError(f"--n-probes must be >= 0, got {args.n_probes!r}")
+    for flag, value in (("--n-probes", args.n_probes), ("--seed", args.seed)):
+        if value < 0:
+            raise DomainError(f"{flag} must be >= 0, got {value!r}")
 
     r_star = None
     if args.boundary == "point-source":

@@ -286,7 +286,7 @@ def external_from_boundary(dom: FlatRingDomain, idx: HarmonicIndex,
     b, cols = basis_for([(idx.family, idx.zero_count)], idx.nu, dom.modulus)
     s_nodes, s_weights, phi_nodes, dphi = _surface_quadrature(dom.modulus, n_s, n_phi)
     q = dom.surface_point(s_nodes[:, None], phi_nodes[None, :])
-    integrand = (np.sqrt(np.hypot(q.x, q.y)) * b.real(s_nodes, cols=cols)
+    integrand = (np.sqrt(np.hypot(q.x, q.y)) * b.real(s_nodes, cols=cols)[:, 0]
                  * _inverse_distance(q, r_star))  # (n_s, n_phi)
     total = (s_weights @ integrand @ np.exp(1j * idx.m * phi_nodes)) * dphi
-    return complex(total / (4.0 * math.pi * b.imag(dom.t0, cols=cols)[0, 0]))
+    return complex(total / (4.0 * math.pi * b.imag(dom.t0, cols=cols)[0, 0, 0]))

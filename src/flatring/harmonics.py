@@ -124,7 +124,7 @@ def _harmonic(idx: HarmonicIndex, q: CartesianPoint, m: Modulus):
     p, pref = _flatring_of(q, m)
     b, cols = basis_for([(idx.family, idx.zero_count)], idx.nu, m)
     radial = b.imag(p.t, cols=cols) if idx.kind.internal else b.second(p.t, cols=cols)
-    val = (b.real(p.s, cols=cols) * radial)[:, 0].reshape(np.shape(p.s))
+    val = (b.real(p.s, cols=cols) * radial)[:, 0, 0].reshape(np.shape(p.s))
     val = pref * val * np.exp(1j * idx.m * np.asarray(p.phi))
     return complex(val) if val.ndim == 0 else val
 
@@ -300,7 +300,7 @@ def addition_theorem_rhs(
         raise DomainError("azimuthal order must be >= 0")
     if not 0.0 < t < t_star < m.quarter_Kp:
         raise OrderingError("addition theorem requires 0 < t < t* < K'")
-    terms = _lame_products(basis(m_order - 0.5, m, n_max)._alone, s, s_star, t, t_star)
+    terms = _lame_products(basis(m_order - 0.5, m, n_max), s, s_star, t, t_star)
     return 0.5 * math.pi * float(np.sum(terms))
 
 
@@ -329,10 +329,10 @@ def integral_relation_check(
     x, w = _gauss_legendre(n_quad)
     nodes = 2.0 * k_big * x
     chi = flatring_chi(nodes, t, s_star, t_star, m)
-    lhs = float(np.dot(2.0 * k_big * w * b.real(nodes, cols=cols)[:, 0],
+    lhs = float(np.dot(2.0 * k_big * w * b.real(nodes, cols=cols)[:, 0, 0],
                        legendre_q(nu, 0.0, chi)))
-    rhs = 2.0 * math.pi * float(b.real(s_star, cols=cols)[0, 0] * b.imag(t, cols=cols)[0, 0]
-                                * b.second(t_star, cols=cols)[0, 0])
+    rhs = 2.0 * math.pi * float(b.real(s_star, cols=cols)[0, 0, 0] * b.imag(t, cols=cols)[0, 0, 0]
+                                * b.second(t_star, cols=cols)[0, 0, 0])
     return lhs, rhs
 
 
@@ -359,7 +359,7 @@ def flatring_summand(
     pref = 0.5 / math.sqrt(h_phi[0] * h_phi[1])
     specs = [family_of_superscript("c", n)] + ([family_of_superscript("s", n)] if n >= 1 else [])
     b, cols = basis_for(specs, abs(m_order) - 0.5, m)
-    return pref * float(np.sum(_lame_products(b._alone, s, s_star, t, t_star, cols)))
+    return pref * float(np.sum(_lame_products(b, s, s_star, t, t_star, cols)))
 
 
 def toroidal_limit_summand(

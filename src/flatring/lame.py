@@ -42,21 +42,16 @@ with W at K' - tau0 from the first-kind panels, or from a throwaway
 extension of them that keeps one panel, so a set keeps only the panels
 that its readers reach.
 
-LameBasis holds the Galerkin solution of one (nu, k) at a shell depth N:
-the modes Ec^0..Ec^N, Es^1..Es^(N+1), their eigenvalues, coefficients and
-certificates, and no panel.  basis(nu, m, N) serves them to single-mode
-callers from one bounded LRU cache; a caller that needs a few modes takes
-the basis of least depth that holds them (basis_for).  OrderSet reads bases
-of one modulus and depth together, on arrays of points: it takes their
-data once, holds no basis, and keeps one coefficient block, one panel set
-of each kind over every column of every basis, sized by its widest column,
-and one hand-off tau0, the least of its bases' own: E, W and F are each one
-contraction over all of them.  A set's reads at fixed t do not depend on
-what it read before, and agree with each basis's read alone to 1e-13 of
-each column's largest |value|; a LameBasis reads through one set of itself.
-order_set(m, m_max, N) serves the orders 0..m_max of a flat-ring series
-from a small LRU cache of whole sets, each built from bases that no cache
-keeps, so an expansion builds each basis once, however many orders it has.
+OrderSet, the one Lame object, holds the modes Ec^0..Ec^N, Es^1..Es^(N+1)
+of some orders nu of one modulus at a shell depth N, with their eigenvalues,
+coefficients and certificates, one coefficient block, one panel set of each
+kind over every column, sized by its widest, and one hand-off tau0, the
+least of the one-nu sets' own: E, W and F are each one contraction over all
+of them, and agree with each one-nu set's to 1e-13 of each column's largest
+|value|.  basis(nu, m, N) serves one-nu sets to single-mode callers from a
+bounded LRU cache (basis_for: the least depth that holds some modes), and
+order_set(m, m_max, N) the orders 0..m_max of a flat-ring series from a
+small one, so an expansion solves each order once.
 """
 
 from __future__ import annotations
@@ -175,7 +170,7 @@ class _ImagPanels:
     toward t_end as far as requests reach.  The coefficients of W and W' of
     panel j are coeffs[j], (2, degree + 1, columns): it runs from edges[j]
     (x = -1) to edges[j+1] (x = +1) whichever way the set grows.  A build
-    solves the systems of width columns (one basis) at a time, which bounds
+    solves the systems of width columns (one nu) at a time, which bounds
     the memory it takes."""
 
     def __init__(self, m: Modulus, h: np.ndarray, c: np.ndarray, t0: float,
@@ -316,7 +311,7 @@ def _galerkin_start(count: int) -> int:
 
 def check_shell_depth(n_max: int) -> None:
     """Refuse a depth past the Galerkin cap, with no spec built: Ec-even, the
-    family that LameBasis solves first, holds the most modes."""
+    family that the solve of each nu takes first, holds the most modes."""
     count = n_max // 2 + 1
     if _galerkin_start(count) > _GALERKIN_CAP:
         raise DomainError(f"{count} modes of {LameFamily.EC_EVEN.value} need a Galerkin basis "
@@ -376,7 +371,7 @@ def _frobenius_series(b: np.ndarray, nu: np.ndarray, tau: np.ndarray,
             * np.power.outer(tau, nu + 1.0 - derivative))
 
 
-# --- the basis of one (nu, k) ---------------------------------------------------
+# --- the Lame functions of some orders nu at one k ---------------------------
 
 
 def shell_specs(n_max: int) -> list[tuple[LameFamily, int]]:
@@ -396,40 +391,56 @@ def shell_depth(family: LameFamily, n: int) -> int:
     return sup if family.kind == "c" else sup - 1
 
 
-class LameBasis:
-    """The simply-periodic Lame functions of one (nu, k) at shell depth
-    n_max: columns Ec^0 .. Ec^n_max, then Es^1 .. Es^(n_max+1), as listed
-    by shell_specs.
-
-    real(s), imag(t) and second(t) return (points x modes) arrays, or the
-    columns cols only: they read through the one-basis OrderSet `_alone`.
-    E(s) is one contraction of cos and sin over the frequencies j pi/(2K),
-    which hold the Galerkin basis of every family, with the coefficients.
-    Per mode the basis keeps the eigenvalue h, its bracket, the Galerkin
-    tail and the boundary data (E(0), E'(0)); the panels belong to `_alone`.
+class OrderSet:
+    """The Lame functions of the orders nus at one modulus and shell depth
+    n_max, each nu solved when the set is built: (nus, modes) arrays of the
+    eigenvalues h, their brackets, Galerkin tails and boundary data (E(0),
+    E'(0)), modes Ec^0 .. Ec^n_max, then Es^1 .. Es^(n_max+1) (shell_specs).
+    real(s), imag(t) and second(t) return (points, nus, modes) arrays, or
+    the modes cols only; the panels of each kind, the Frobenius block and
+    tau0 are built on the first read that needs them.
     """
 
-    def __init__(self, nu: float, m: Modulus, n_max: int):
-        if not (math.isfinite(nu) and nu >= -0.5):
-            raise DomainError(f"nu must be finite and >= -1/2, got {nu!r}")
+    def __init__(self, nus, m: Modulus, n_max: int):
+        nus = [float(nu) for nu in nus]
+        if not nus:
+            raise DomainError("an OrderSet needs at least one nu")
+        for nu in nus:
+            if not (math.isfinite(nu) and nu >= -0.5):
+                raise DomainError(f"nu must be finite and >= -1/2, got {nu!r}")
         if n_max < 0:
             raise DomainError(f"shell depth must be >= 0, got {n_max!r}")
         check_shell_depth(n_max)
-        self.nu, self.modulus, self.n_max = float(nu), m, int(n_max)
+        self.modulus, self.n_max = m, int(n_max)
         self.specs = shell_specs(self.n_max)
-        counts = {fam: n + 1 for fam, n in self.specs}  # zero counts ascend within a family
-        solved = {fam: _galerkin_modes(fam, self.nu, m, count) for fam, count in counts.items()}
+        shape = (len(nus), len(self.specs))
+        self._nu = np.array(nus)[:, None]
+        self.h, self.tail = np.empty(shape), np.empty(shape)
+        self.bracket = np.empty(shape + (2,))
+        self.boundary_data = np.zeros(shape + (2,))  # (E(0), E'(0)) per mode
+        # the columns of the panels and of the block: the nus one after another
+        self._even = np.tile([fam.even_at_zero for fam, _ in self.specs], len(nus))
+        placed = [p for i in range(len(nus)) for p in self._solve(i)]
+        rows = 1 + max(r[-1] for r, _ in placed)
+        self._freq = 0.5 * np.arange(rows) * (math.pi / m.quarter_K)
+        self._coef = np.zeros((2, rows, self.h.size))  # cosine, then sine coefficients
+        for j, (r, c) in enumerate(placed):
+            self._coef[int(not self._even[j]), r, j] = c
+        self._boundary = self.boundary_data.reshape(-1, 2).T  # (2, columns)
+        for x in (self._nu, self.h, self.bracket, self.tail, self.boundary_data, self._even,
+                  self._freq, self._coef):
+            x.flags.writeable = False  # the caches hand the set to every caller
 
-        width = len(self.specs)
-        self.h = np.empty(width)
-        self.bracket = np.empty((width, 2))
-        self.tail = np.empty(width)
-        self.boundary_data = np.zeros((width, 2))  # (E(0), E'(0)) per mode
-        self._even = np.array([fam.even_at_zero for fam, _ in self.specs])
+    def _solve(self, i: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The Galerkin solve of the i-th nu: writes its row of h, bracket, tail and
+        boundary data, and returns each mode's rows of the grid j pi/(2K) and coefficients."""
+        nu, m = float(self._nu[i, 0]), self.modulus
+        counts = {fam: n + 1 for fam, n in self.specs}  # zero counts ascend within a family
+        solved = {fam: _galerkin_modes(fam, nu, m, count) for fam, count in counts.items()}
         placed = []
         for j, (fam, n) in enumerate(self.specs):
             h_all, vecs, freq, tail = solved[fam]
-            lo, hi = eigenvalue_bracket(fam, self.nu, n, m)
+            lo, hi = eigenvalue_bracket(fam, nu, n, m)
             pad = 1e-12 * (1.0 + abs(lo) + abs(hi))
             if not lo - pad <= h_all[n] <= hi + pad:
                 raise BracketError(f"{fam} nu={nu} n={n}: eigenvalue {float(h_all[n])!r} "
@@ -442,29 +453,18 @@ class LameBasis:
             if at_zero * (-1.0) ** n < 0.0:
                 coef, at_zero = -coef, -at_zero
             keep = 1 + int(np.flatnonzero(np.abs(coef) > _TRIM * np.max(np.abs(coef)))[-1])
-            self.h[j], self.bracket[j], self.tail[j] = h_all[n], (lo, hi), tail[n]
-            self.boundary_data[j, int(not fam.even_at_zero)] = at_zero
+            self.h[i, j], self.bracket[i, j], self.tail[i, j] = h_all[n], (lo, hi), tail[n]
+            self.boundary_data[i, j, int(not fam.even_at_zero)] = at_zero
             # the family's frequency (i + a) pi/K is row 2i + 2a of the grid j pi/(2K)
             placed.append((2 * np.arange(keep) + int(2 * fam.basis_offset), coef[:keep]))
-        rows = 1 + max(r[-1] for r, _ in placed)
-        self._freq = 0.5 * np.arange(rows) * (math.pi / m.quarter_K)
-        self._coef = np.zeros((2, rows, width))  # cosine, then sine coefficients
-        for j, (r, c) in enumerate(placed):
-            self._coef[int(not self._even[j]), r, j] = c
-        for x in (self.h, self.bracket, self.tail, self.boundary_data, self._even,
-                  self._freq, self._coef):
-            x.flags.writeable = False  # the cache hands the basis to every caller
+        return placed
 
     @property
-    def sup_bound(self) -> float:
-        """Uniform bound of every mode: E(s)^2 <= 2/K + 2 k |nu|^(1/2) (nu+1)^(1/2)."""
-        return 2.0 / self.modulus.quarter_K + 2.0 * self.modulus.k * math.sqrt(
-            abs(self.nu) * (self.nu + 1.0))
-
-    @property
-    def indicial_degenerate(self) -> bool:
-        """True at nu = -1/2, where the exponents at K' coincide."""
-        return abs(2.0 * self.nu + 1.0) < 1e-12
+    def sup_bound(self) -> np.ndarray:
+        """Uniform bound of every mode of each nu: E(s)^2 <= 2/K + 2 k |nu|^(1/2) (nu+1)^(1/2)."""
+        nu = self._nu[:, 0]
+        return 2.0 / self.modulus.quarter_K + 2.0 * self.modulus.k * np.sqrt(
+            np.abs(nu) * (nu + 1.0))
 
     def column(self, family: LameFamily, n: int) -> int:
         """Column of the zero-count-n mode of family."""
@@ -473,70 +473,11 @@ class LameBasis:
         sup = family.superscript(n)
         return sup if family.kind == "c" else self.n_max + sup
 
-    def real(self, s, derivative: bool = False, cols=slice(None)) -> np.ndarray:
-        """E(s) (or E'(s)) at real s; the basis carries parity and periodicity.
-        The one-basis case of `OrderSet.real`."""
-        return self._alone.real(s, derivative, cols)[:, 0]
-
-    def imag(self, t, derivative: bool = False, cols=slice(None)) -> np.ndarray:
-        """Real representative W(t) of E(it) (or its t-derivative).
-
-        Even-parity families store W = E(it); odd-parity families store
-        W = E(it)/i, so W(0) = 0 and W'(0) = E'(0).  Extended to t < 0 by
-        parity; t = 0 gives the exact boundary data.  The one-basis case of
-        `OrderSet.imag`.
-        """
-        return self._alone.imag(t, derivative, cols)[:, 0]
-
-    def second(self, t, derivative: bool = False, cols=slice(None)) -> np.ndarray:
-        """Second-kind F(t) (or dF/dt) for 0 < t < K', with unit Wronskian
-        F W' - W F' = 1: the Frobenius series within tau0 of K', the
-        continuation panels below it.  The one-basis case of `OrderSet.second`."""
-        return self._alone.second(t, derivative, cols)[:, 0]
-
-    @functools.cached_property
-    def _alone(self) -> OrderSet:
-        """The one-basis OrderSet that real, imag and second read through,
-        built on the first read and kept, with its panels and Frobenius
-        block.  It shares the basis's arrays and holds no basis, so a basis
-        is freed as soon as nothing else holds it."""
-        return OrderSet([self])
-
-
-class OrderSet:
-    """Lame bases of one modulus and shell depth, checked once, here, read
-    together: the orders 0..m_max of a flat-ring series as `order_set`
-    serves them, or the one basis of LameBasis.real, .imag and .second.
-    Reads return (points x bases x modes) arrays.  The set holds no basis,
-    only what it takes from them when it is built, their coefficients in
-    one block, and one panel set of each kind over every column: the
-    first-kind panels, and the second kind's Frobenius block, hand-off tau0
-    and continuation panels, each built on the first read that needs it.
-    """
-
-    def __init__(self, bases: list[LameBasis]):
-        self.modulus, depth = bases[0].modulus, bases[0].n_max
-        if any(b.modulus != self.modulus or b.n_max != depth for b in bases):
-            raise DomainError("an OrderSet reads bases of one modulus and one shell depth")
-        self._freq = max((b._freq for b in bases), key=len)
-        # (bases, modes), and the columns of the panels, bases one after another
-        self._nu = np.array([[b.nu] for b in bases])
-        self._h = np.stack([b.h for b in bases])
-        self._even = np.concatenate([b._even for b in bases])
-        self._boundary = np.concatenate([b.boundary_data for b in bases]).T  # (2, columns)
-        self._coef = bases[0]._coef  # (2, rows, columns): one basis shares its own
-        if len(bases) > 1:  # the bases' own, zero-padded to the longest grid
-            width = self._h.shape[1]
-            self._coef = np.zeros((2, self._freq.size, self._h.size))
-            for i, b in enumerate(bases):
-                self._coef[:, :b._freq.size, i * width:(i + 1) * width] = b._coef
-            self._coef.flags.writeable = False
-
     def _panels(self, t0: float, state0: np.ndarray, t_end: float) -> _ImagPanels:
         k = self.modulus.k
-        c = np.broadcast_to(self._nu * (self._nu + 1.0) * k * k, self._h.shape)
-        return _ImagPanels(self.modulus, self._h.ravel(), c.ravel(), t0, state0, t_end,
-                           self._h.shape[1])
+        c = np.broadcast_to(self._nu * (self._nu + 1.0) * k * k, self.h.shape)
+        return _ImagPanels(self.modulus, self.h.ravel(), c.ravel(), t0, state0, t_end,
+                           self.h.shape[1])
 
     @functools.cached_property
     def _first(self) -> _ImagPanels:
@@ -544,18 +485,19 @@ class OrderSet:
         return self._panels(0.0, self._boundary, self.modulus.quarter_Kp * _IMAG_T_CAP)
 
     def _split(self, values: np.ndarray, cols) -> np.ndarray:
-        """(points, columns) values as (points, bases, modes), modes cols only."""
-        return values.reshape((len(values),) + self._h.shape)[..., cols]
+        """(points, columns) values as (points, nus, modes), modes cols only."""
+        return values.reshape((len(values),) + self.h.shape)[..., cols]
 
     def real(self, s, derivative: bool = False, cols=slice(None)) -> np.ndarray:
-        """E(s) (or E'(s)) of every basis at real s.  Every basis sums over a
-        prefix of the frequency grid j pi/(2K), so one table [cos | sin] (or
-        [-f sin | f cos] for E') on the longest grid is contracted with the
-        coefficients by `np.einsum`, each value summed over the cosine, then
-        the sine rows in order, so that a zero row changes no bit: each
-        basis's block equals its read alone bit for bit, and agrees with the
-        two matrix products of each basis to <= 1e-14 of each column's
-        largest |value|."""
+        """E(s) (or E'(s)) of every nu at real s; the Galerkin basis carries
+        parity and periodicity.  Every nu sums over a prefix of the frequency
+        grid j pi/(2K), so one table [cos | sin] (or [-f sin | f cos] for E')
+        on the longest grid is contracted with the coefficients by
+        `np.einsum`, each value summed over the cosine, then the sine rows in
+        order, so that a zero row changes no bit: each nu's block equals its
+        read by a one-nu set bit for bit, and agrees with the two matrix
+        products on its own grid to <= 1e-14 of each column's largest
+        |value|."""
         x = np.multiply.outer(np.asarray(s, dtype=float).ravel(), self._freq)
         cos_x, sin_x = np.cos(x), np.sin(x)
         table = (np.stack([-self._freq * sin_x, self._freq * cos_x], axis=1) if derivative
@@ -564,13 +506,15 @@ class OrderSet:
         return self._split(e, cols)
 
     def imag(self, t, derivative: bool = False, cols=slice(None)) -> np.ndarray:
-        """W(t) (or W'(t)) of every basis, as LameBasis.imag gives it."""
+        """Real representative W(t) of E(it) (or its t-derivative) of every nu:
+        W = E(it) (even families) or E(it)/i (odd, so W'(0) = E'(0)), extended
+        to t < 0 by parity; t = 0 gives the exact boundary data."""
         t = np.asarray(t, dtype=float).ravel()
         at = np.abs(t)
         if not np.all(np.isfinite(at)):
             raise DomainError("imaginary-axis evaluation requires finite t")
         fixed = t == 0.0
-        out = np.empty((t.size, self._h.size))
+        out = np.empty((t.size, self.h.size))
         out[~fixed] = self._first.values(at[~fixed], derivative)
         out[fixed] = self._boundary[int(derivative)]
         below = t < 0.0
@@ -580,9 +524,9 @@ class OrderSet:
         return self._split(out, cols)
 
     def second(self, t, derivative: bool = False, cols=slice(None)) -> np.ndarray:
-        """F(t) (or dF/dt) of every basis for 0 < t < K', as LameBasis.second
-        gives it: the Frobenius series where tau = K' - t <= tau0, the
-        continuation panels elsewhere."""
+        """Second-kind F(t) (or dF/dt) of every nu for 0 < t < K', with unit
+        Wronskian F W' - W F' = 1: the Frobenius series where tau = K' - t <=
+        tau0, the continuation panels elsewhere."""
         t = np.asarray(t, dtype=float).ravel()
         kp = self.modulus.quarter_Kp
         if not np.all((0.0 < t) & (t < kp)):
@@ -590,7 +534,7 @@ class OrderSet:
         frobenius, tau0, cont = self._second_kind
         tau = kp - t
         near = tau <= tau0
-        out = np.empty((t.size,) + self._h.shape)
+        out = np.empty((t.size,) + self.h.shape)
         if near.any():
             series = _frobenius_series(frobenius, self._nu, tau[near], derivative)
             out[near] = -series if derivative else series  # dF/dt = -dF/dtau
@@ -601,16 +545,16 @@ class OrderSet:
     @functools.cached_property
     def _second_kind(self) -> tuple[np.ndarray, float, _ImagPanels]:
         """The second kind, built on first use: the exponent-(nu+1) Frobenius
-        coefficients at K' scaled to unit Wronskian (terms, bases, modes), the
+        coefficients at K' scaled to unit Wronskian (terms, nus, modes), the
         hand-off distance tau0, and the continuation panels below it.  tau0 is
         the largest 0.3 R (1 - j/64), R = 2 min(K, K') the series' radius (so
         tau0 < 0.6 K'), where in every column the last of 64 terms b_p tau^(2p)
         is below _TRIM of the sum of their magnitudes, and that sum is at most
         _FROBENIUS_COND times the magnitude of theirs: the least of the tau0
-        of the bases alone.  Only the terms that reach _TRIM there are kept."""
+        of the one-nu sets.  Only the terms that reach _TRIM there are kept."""
         m = self.modulus
         kp = m.quarter_Kp
-        b = _frobenius_coeffs(self._nu, self._h, m, _FROBENIUS_TERMS)  # (terms, bases, modes)
+        b = _frobenius_coeffs(self._nu, self.h, m, _FROBENIUS_TERMS)  # (terms, nus, modes)
         flat = b.reshape(_FROBENIUS_TERMS, -1)
         for tau0 in 0.6 * min(m.quarter_K, kp) * (1.0 - np.arange(64) / 64):
             terms = flat * (tau0 * tau0) ** np.arange(_FROBENIUS_TERMS)[:, None]
@@ -634,33 +578,33 @@ class OrderSet:
         w1, dw1 = (reach.values(np.array([t1]), d)[0] for d in (False, True))
         scale = 1.0 / (f_tau * dw1 + w1 * df_tau)
         cont = self._panels(t1, np.stack([scale * f_tau, -scale * df_tau]), 0.0)
-        frobenius = scale.reshape(self._h.shape) * b
+        frobenius = scale.reshape(self.h.shape) * b
         frobenius.flags.writeable = False
         return frobenius, tau0, cont
 
 
 _BASIS_CACHE_SIZE = 32
-"""Bases kept by `basis`.  An expansion reads its orders through a cached
-OrderSet, built from bases that this cache never sees, so this cache serves
-only the single-mode callers, one small basis per mode.  At k = 0.5 a
-depth-20 basis read alone, with its own set, takes 0.11 MB (0.17 MB at
-nu = 40.5) with the panels that reads at t <= 0.3K' and t* >= 0.6K' build
-(F there is read from its series alone), and 0.31 MB (0.7 MB at nu = 40.5)
-with both panel sets grown to 0.9K' and 0.05K', its Frobenius block
-(0.01 MB) included, so the bound caps what this cache holds at about 22 MB."""
+"""One-nu sets kept by `basis`.  An expansion reads its orders through a
+set of `order_set`, which this cache never sees, so this cache serves only
+the single-mode callers, one small set per mode.  At k = 0.5 a depth-20
+one-nu set takes 0.11 MB (0.17 MB at nu = 40.5) with the panels that reads
+at t <= 0.3K' and t* >= 0.6K' build (F there is read from its series
+alone), and 0.31 MB (0.7 MB at nu = 40.5) with both panel sets grown to
+0.9K' and 0.05K', its Frobenius block (0.01 MB) included, so the bound caps
+what this cache holds at about 22 MB."""
 
 
 @functools.lru_cache(maxsize=_BASIS_CACHE_SIZE)
-def basis(nu: float, m: Modulus, n_max: int, /) -> LameBasis:
-    """The LameBasis of (nu, k) at shell depth n_max, from a bounded LRU
-    cache: one key gives one object until it is evicted, and a rebuild is
-    bit-identical."""
-    return LameBasis(nu, m, n_max)
+def basis(nu: float, m: Modulus, n_max: int, /) -> OrderSet:
+    """The one-nu OrderSet of (nu, k) at shell depth n_max, from a bounded
+    LRU cache: one key gives one object until it is evicted, and a rebuild
+    is bit-identical."""
+    return OrderSet([nu], m, n_max)
 
 
 def basis_for(specs: list[tuple[LameFamily, int]], nu: float,
-              m: Modulus) -> tuple[LameBasis, list[int]]:
-    """The cached basis of least depth that holds every (family, zero count)
+              m: Modulus) -> tuple[OrderSet, list[int]]:
+    """The cached one-nu set of least depth that holds every (family, zero count)
     in specs, and their columns in spec order."""
     b = basis(nu, m, max((shell_depth(fam, n) for fam, n in specs), default=0))
     return b, [b.column(fam, n) for fam, n in specs]
@@ -669,8 +613,8 @@ def basis_for(specs: list[tuple[LameFamily, int]], nu: float,
 _SET_CACHE_SIZE = 2
 """Sets kept by `order_set`: one per (modulus, m_max, n_max).  Each bench
 workload reads one set; two keep a run that reads two truncations in turn
-warm.  A set holds no basis, only its bases' coefficients, stacked in one
-block when it is built, and its panels.  At k = 0.5 a (20, 20) set takes
+warm.  A set fills its coefficient block once, when it is built, and grows
+its panels as it is read.  At k = 0.5 a (20, 20) set takes
 2.5 MB after reads at t <= 0.3K' and t* >= 0.6K', and 8.8 MB with both
 panel sets grown to 0.9K' and 0.05K'; a (40, 40) set, the largest that the
 tests read, takes 18 MB and 69 MB.  So the cache holds about 18 MB of (20, 20)
@@ -680,12 +624,10 @@ sets, and 138 MB of (40, 40) sets."""
 @functools.lru_cache(maxsize=_SET_CACHE_SIZE)
 def order_set(m: Modulus, m_max: int, n_max: int, /) -> OrderSet:
     """The OrderSet of the orders 0..m_max (nu = order - 1/2) at shell depth
-    n_max, from a small LRU cache of whole sets: its bases are built once,
-    when the set is built, and are freed once it has taken their data, so
-    the basis cache keeps only what single-mode callers read."""
-    if m_max < 0:
-        raise DomainError(f"m_max must be >= 0, got {m_max!r}")
-    return OrderSet([LameBasis(order - 0.5, m, n_max) for order in range(m_max + 1)])
+    n_max, from a small LRU cache of whole sets: each order is solved once,
+    when the set is built, and the basis cache never sees it; m_max < 0
+    leaves no order, which the set refuses."""
+    return OrderSet([order - 0.5 for order in range(m_max + 1)], m, n_max)
 
 
 def clear_caches() -> None:

@@ -99,10 +99,10 @@ def suite_lame(seed: int = 0, tol_scale: float = 1.0) -> list[dict]:
     for nu in (-0.5, 0.5, 2.5):
         for fam in lame.LameFamily:
             b, cols = lame.basis_for([(fam, n) for n in range(5)], nu, m)
-            lo, hi = b.bracket[cols].T
-            worst_bracket = max(worst_bracket, float(np.max(lo - b.h[cols])),
-                                float(np.max(b.h[cols] - hi)))
-            sup = np.max(b.real(grid, cols=cols) ** 2, axis=0) - b.sup_bound
+            h = b.h[0, cols]
+            lo, hi = b.bracket[0, cols].T
+            worst_bracket = max(worst_bracket, float(np.max(lo - h)), float(np.max(h - hi)))
+            sup = np.max(b.real(grid, cols=cols)[:, 0] ** 2, axis=0) - b.sup_bound[0]
             worst_sup = max(worst_sup, float(np.max(sup)))
             third = cols[2:3]
             w = (b.second(ts, cols=third) * b.imag(ts, derivative=True, cols=third)
@@ -116,7 +116,7 @@ def suite_lame(seed: int = 0, tol_scale: float = 1.0) -> list[dict]:
     s_nodes = 0.5 * m.quarter_K * (x + 1.0)
     s_w = 0.5 * m.quarter_K * w
     b, cols = lame.basis_for([(lame.LameFamily.ES_ODD, n) for n in range(6)], 0.5, m)
-    vals = b.real(s_nodes, cols=cols).T
+    vals = b.real(s_nodes, cols=cols)[:, 0].T
     gram = (vals * s_w) @ vals.T
     out.append(_check("lame.orthonormal", float(np.max(np.abs(gram - np.eye(6)))),
                       1e-9 * tol_scale))
@@ -214,14 +214,14 @@ def suite_limits(seed: int = 0, tol_scale: float = 1.0) -> list[dict]:
     out = []
     mt = Modulus.from_k(1e-3)
     b, cols = lame.basis_for([lame.family_of_superscript("c", sup) for sup in range(5)], 0.5, mt)
-    worst = float(np.max(np.abs(b.h[cols] - np.arange(5) ** 2)))
+    worst = float(np.max(np.abs(b.h[0, cols] - np.arange(5) ** 2)))
     out.append(_check("limits.eigenvalue", worst, 5e-3 * tol_scale))
 
     fam, nz = lame.family_of_superscript("c", 2)
     grid = np.linspace(0.0, mt.quarter_K, 30)
     lim = math.sqrt(4.0 / math.pi) * np.cos(2.0 * (0.5 * math.pi - grid))
     b, cols = lame.basis_for([(fam, nz)], 1.5, mt)
-    vals = b.real(grid, cols=cols)[:, 0]
+    vals = b.real(grid, cols=cols)[:, 0, 0]
     out.append(_check("limits.eigenfunction", float(np.max(np.abs(vals - lim))),
                       1e-2 * tol_scale))
 
@@ -246,6 +246,8 @@ SUITES = {
 def run_suites(names: list[str], seed: int = 0, tol_scale: float = 1.0) -> list[dict]:
     if not 0.0 < tol_scale < math.inf:
         raise DomainError(f"tolerance scale must be positive and finite, got {tol_scale!r}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed!r}")
     checks = []
     for name in names:
         if name not in SUITES:

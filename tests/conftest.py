@@ -11,12 +11,13 @@ def m05():
 
 @pytest.fixture
 def basis_builds(monkeypatch):
-    """The (nu, n_max) of every LameBasis whose build starts while the test runs."""
-    builds, init = [], lame.LameBasis.__init__
+    """The (nu, n_max) of every Galerkin solve of one nu that an OrderSet
+    starts while the test runs."""
+    builds, solve = [], lame.OrderSet._solve
 
-    def counted(self, nu, m, n_max):
-        builds.append((nu, n_max))
-        init(self, nu, m, n_max)
+    def counted(self, i):
+        builds.append((float(self._nu[i, 0]), self.n_max))
+        return solve(self, i)
 
-    monkeypatch.setattr(lame.LameBasis, "__init__", counted)
+    monkeypatch.setattr(lame.OrderSet, "_solve", counted)
     return builds

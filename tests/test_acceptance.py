@@ -130,12 +130,12 @@ def test_criterion_02_lame_eigen_suite():
                 fam_cols = cols[13 * f:13 * (f + 1)]
                 ref = spectral_eigenvalues(fam, nu, m)
                 for i, j in enumerate(fam_cols):
-                    lo, hi = b.bracket[j]
-                    if not (lo - 1e-8 <= b.h[j] <= hi + 1e-8):
+                    lo, hi = b.bracket[0, j]
+                    if not (lo - 1e-8 <= b.h[0, j] <= hi + 1e-8):
                         bracket_ok = False
                     worst_spec = max(
-                        worst_spec, abs(b.h[j] - ref[i]) / max(1.0, abs(ref[i])))
-                vals = b.real(s_nodes, cols=fam_cols).T
+                        worst_spec, abs(b.h[0, j] - ref[i]) / max(1.0, abs(ref[i])))
+                vals = b.real(s_nodes, cols=fam_cols)[:, 0].T
                 gram = (vals * s_w) @ vals.T
                 worst_gram = max(worst_gram, float(np.max(np.abs(gram - np.eye(13)))))
     elapsed = time.time() - start
@@ -269,12 +269,12 @@ def test_criterion_08_toroidal_limits():
         for kind in ("c", "s"):
             for sup in range(0 if kind == "c" else 1, 5):
                 b, cols = basis_for([family_of_superscript(kind, sup)], nu, m)
-                worst_h = max(worst_h, abs(b.h[cols[0]] - sup * sup))
+                worst_h = max(worst_h, abs(b.h[0, cols[0]] - sup * sup))
     b, cols = basis_for([family_of_superscript("c", 2)], 1.5, m)
     grid = np.linspace(0.0, m.quarter_K, 40)
     limit = math.sqrt(4.0 / math.pi) * np.cos(2.0 * (0.5 * math.pi - grid))
     sup_dist = float(np.max(np.abs(
-        [b.real(float(s), cols=cols)[0, 0] for s in grid] - limit)))
+        [b.real(float(s), cols=cols)[0, 0, 0] for s in grid] - limit)))
     monotone_ok = True
     for mm, n in ((1, 2), (0, 1), (2, 0), (1, 3)):
         rows = limit_comparison(mm, n, 1.2, 0.5, 0.4, 5.38, [0.1, 0.03, 0.01])

@@ -260,7 +260,7 @@ def test_eigen_past_the_galerkin_cap_exits_2(capsys, n_range):
 
 @pytest.mark.parametrize("family", ["Ec", "Es"])
 def test_eigen_past_the_galerkin_cap_builds_no_spec(capsys, monkeypatch, family):
-    # the command and LameBasis both check the depth against the cap before
+    # the command and OrderSet both check the depth against the cap before
     # they build a spec (the command used to build 100,000, and the basis
     # 200,000 more, before the refusal)
     calls = {"family_of_superscript": 0, "shell_specs": 0}
@@ -280,7 +280,7 @@ def test_eigen_past_the_galerkin_cap_builds_no_spec(capsys, monkeypatch, family)
     assert "modes of Ec-even need a Galerkin basis of 131072 functions, over the cap" in err
     assert calls == {"family_of_superscript": 1, "shell_specs": 0}
     with pytest.raises(DomainError, match="over the cap of 1024"):
-        lame.LameBasis(0.5, Modulus.from_k(0.5), 100000)
+        lame.OrderSet([0.5], Modulus.from_k(0.5), 100000)
     assert calls["shell_specs"] == 0
 
 
@@ -333,6 +333,8 @@ def test_far_point_exits_2_with_one_error_line(capsys, argv):
     ("coords", "lines", "--samples", "-1"),
     ("dirichlet", "--n-probes", "-2"),
     ("verify", "--tol", "-1"),
+    ("verify", "--seed", "-1"),
+    ("dirichlet", "--seed", "-1"),
 ])
 def test_bad_count_or_scale_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--format", "json")
@@ -411,6 +413,19 @@ def test_dirichlet_non_finite_grid_file_exits_2(capsys, tmp_path, value):
                              "--m-max", "2", "--n-max", "2", "--format", "json")
     assert code == 2
     assert err.startswith("error: ") and ":3: non-finite" in err
+    assert json.loads(out)["error"] == {"type": "DomainError", "message": err[7:].strip(),
+                                        "exit_code": 2}
+
+
+def test_dirichlet_repeated_grid_node_exits_2(capsys, tmp_path):
+    # a 2 x 2 grid that gives the node (0, 1) twice, with g = 1 and g = 2
+    grid = tmp_path / "grid.csv"
+    grid.write_text("s,phi,g\n0.0,0.0,1.0\n0.0,1.0,1.0\n1.0,0.0,1.0\n1.0,1.0,1.0\n"
+                    "0.0,1.0,2.0\n")
+    code, out, err = run_cli(capsys, "dirichlet", "--boundary", str(grid),
+                             "--m-max", "2", "--n-max", "2", "--format", "json")
+    assert code == 2
+    assert err == f"error: {grid}:6: node (s, phi) = (0.0, 1.0) repeats line 3\n"
     assert json.loads(out)["error"] == {"type": "DomainError", "message": err[7:].strip(),
                                         "exit_code": 2}
 

@@ -368,7 +368,7 @@ def test_normalization_constant_on_full_interval(m05):
     from flatring.lame import LameFamily
     for fam in LameFamily:
         b, cols = basis_for([(fam, 1)], 0.5, m05)
-        total = sum(wi * b.real(float(si), cols=cols)[0, 0] ** 2 for si, wi in zip(s, w))
+        total = sum(wi * b.real(float(si), cols=cols)[0, 0, 0] ** 2 for si, wi in zip(s, w))
         assert total == pytest.approx(4.0, abs=1e-10)
 
 

@@ -1,6 +1,6 @@
-"""Array evaluation of Lame bases: agreement with one-point, one-column
-reads, the panel read against Clenshaw summation, the read over several
-bases against each basis's own, parity on the imaginary axis, the Frobenius
+"""Array evaluation of Lame sets: agreement with one-point, one-column
+reads, the panel read against Clenshaw summation, the read of a set of
+several orders against each order's one-nu set, parity on the imaginary axis, the Frobenius
 hand-off, batched interior probes, and the array forms of the elliptic and
 coordinate maps they rest on."""
 
@@ -23,7 +23,6 @@ from flatring.elliptic import Modulus, _sncndn, jacobi_imag
 from flatring.errors import DomainError, QuadratureWarning
 from flatring.harmonics import Truncation, _double_series, _lame_products, green_expansion
 from flatring.lame import (
-    LameBasis,
     LameFamily,
     OrderSet,
     _ImagPanels,
@@ -62,10 +61,10 @@ def test_real_axis_batch_matches_scalar(mixed):
     m, b, cols = mixed
     s = np.linspace(-3.0, 3.0, 41) * m.quarter_K
     for derivative in (False, True):
-        scalar = np.array([[b.real(float(x), derivative, [j])[0, 0] for j in cols]
+        scalar = np.array([[b.real(float(x), derivative, [j])[0, 0, 0] for j in cols]
                            for x in s])
-        _close(b.real(s, derivative, cols), scalar)
-        _close(b.real(s, derivative)[:, cols], scalar)
+        _close(b.real(s, derivative, cols)[:, 0], scalar)
+        _close(b.real(s, derivative)[:, 0, cols], scalar)
 
 
 def test_imaginary_axis_batch_matches_scalar(mixed):
@@ -73,26 +72,26 @@ def test_imaginary_axis_batch_matches_scalar(mixed):
     # several panels, t = 0 and negative t
     t = np.concatenate([[0.0], np.linspace(-0.85, 0.85, 35) * m.quarter_Kp])
     for derivative in (False, True):
-        values = b.imag(t, derivative, cols)
-        scalar = np.array([[b.imag(float(x), derivative, [j])[0, 0] for j in cols]
+        values = b.imag(t, derivative, cols)[:, 0]
+        scalar = np.array([[b.imag(float(x), derivative, [j])[0, 0, 0] for j in cols]
                            for x in t])
         _close(values, scalar)
-        _close(b.imag(t, derivative)[:, cols], scalar)
-        assert np.array_equal(values[0], b.boundary_data[cols, int(derivative)])
-    assert len(b._alone._first.edges) - 1 > 3
+        _close(b.imag(t, derivative)[:, 0, cols], scalar)
+        assert np.array_equal(values[0], b.boundary_data[0, cols, int(derivative)])
+    assert len(b._first.edges) - 1 > 3
 
 
 def test_second_kind_batch_matches_scalar_across_handoff(mixed):
     m, b, cols = mixed
-    kp, tau0 = m.quarter_Kp, b._alone._second_kind[1]
+    kp, tau0 = m.quarter_Kp, b._second_kind[1]
     # panel zone, both sides of the Frobenius hand-off, and the series zone
     t = np.concatenate([np.linspace(0.1, 0.85, 12) * kp,
                         kp - tau0 * np.array([1.0 + 1e-3, 1.0 - 1e-3, 0.5, 1e-3])])
     for derivative in (False, True):
-        scalar = np.array([[b.second(float(x), derivative, [j])[0, 0] for j in cols]
+        scalar = np.array([[b.second(float(x), derivative, [j])[0, 0, 0] for j in cols]
                            for x in t])
-        _close(b.second(t, derivative, cols), scalar)
-        _close(b.second(t, derivative)[:, cols], scalar)
+        _close(b.second(t, derivative, cols)[:, 0], scalar)
+        _close(b.second(t, derivative)[:, 0, cols], scalar)
     # the two zones join continuously at the hand-off
     across = b.second(kp - tau0 * np.array([1.0 + 1e-9, 1.0 - 1e-9]), cols=cols)
     assert np.all(np.abs(across[0] - across[1]) <= 1e-7 * np.abs(across[0]))
@@ -130,9 +129,9 @@ def test_panel_read_matches_clenshaw(mixed):
     # to [-1, 1] as the read clips a rounded edge.
     m, b, _ = mixed
     b.imag(0.85 * m.quarter_Kp), b.second(0.1 * m.quarter_Kp)  # grow both sets
-    first, cont = b._alone._first, b._alone._second_kind[2]
+    first, cont = b._first, b._second_kind[2]
     # and a downward set of two panels, whose one inner edge sets no direction
-    two = _ImagPanels(m, first.h, first.c, 0.5 * m.quarter_Kp, b.boundary_data.T, 0.0, b.h.size)
+    two = _ImagPanels(m, first.h, first.c, 0.5 * m.quarter_Kp, b._boundary, 0.0, b.h.size)
     two.extend_to(0.5 * m.quarter_Kp - 1e-3)
     two.extend_to(two.edges[1] - 1e-3)
     assert len(two.edges) - 1 == 2
@@ -149,57 +148,54 @@ def test_panel_read_matches_clenshaw(mixed):
 
 
 def test_multi_basis_read_equals_each_basis_read(m05):
-    # one read over several bases against each basis's own read, on fresh
-    # bases built in different orders: both kinds, values and derivatives,
+    # one read of a set of several orders against the read of each order's
+    # one-nu set, every set fresh: both kinds, values and derivatives,
     # column subsets, points across several panels, t = 0, t < 0, and both
     # sides of the Frobenius hand-off.  The set's panels are sized by its
-    # widest column, a lone basis's by its own, so the two agree to 1e-13
+    # widest column, a one-nu set's by its own, so the two agree to 1e-13
     # of each column's largest |value|, and exactly at t = 0
     m = m05
     kp = m.quarter_Kp
-    together = [LameBasis(order - 0.5, m, 6) for order in range(5)]
-    alone = [LameBasis(order - 0.5, m, 6) for order in range(5)]
-    tau0 = OrderSet(together)._second_kind[1]
+    nus = [order - 0.5 for order in range(5)]
+    alone = [OrderSet([nu], m, 6) for nu in nus]
+    tau0 = OrderSet(nus, m, 6)._second_kind[1]
     t_first = np.concatenate([[0.0], np.linspace(-0.85, 0.85, 23) * kp, [0.0]])
     t_second = np.concatenate([np.linspace(0.1, 0.85, 12) * kp,
                                kp - tau0 * np.array([1.0 + 1e-3, 1.0 - 1e-3, 0.5, 1e-3])])
     for cols in (slice(None), [13, 0, 7, 4]):
         for derivative in (False, True):
             for second, t in ((False, t_first), (True, t_second)):
-                read = (OrderSet(together).second if second
-                        else OrderSet(together).imag)(t, derivative, cols)
-                assert read.shape[1] == len(together)
+                read = (OrderSet(nus, m, 6).second if second
+                        else OrderSet(nus, m, 6).imag)(t, derivative, cols)
+                assert read.shape[1] == len(nus)
                 for b, values in zip(alone, read.transpose(1, 0, 2)):
-                    own = (b.second if second else b.imag)(t, derivative, cols)
+                    own = (b.second if second else b.imag)(t, derivative, cols)[:, 0]
                     assert values.shape == own.shape
                     _close(values, own, 1e-13)
                     if not second:
                         assert np.array_equal(values[t == 0.0], own[t == 0.0])
-    assert len(alone[0]._alone._first.edges) - 1 > 3
-    with pytest.raises(DomainError):
-        OrderSet([together[0], LameBasis(0.5, m, 5)])
+    assert len(alone[0]._first.edges) - 1 > 3
 
 
 def test_multi_basis_second_kind_read_across_different_handoffs():
     # at k = 0.9 the orders 9.5, 19.5 and 40.5 alone hand off at three
     # distances tau0; a set of them hands off at the least, so between the
-    # hand-offs it reads F from panels where a lone basis reads its series,
+    # hand-offs it reads F from panels where a one-nu set reads its series,
     # and the two agree to 1e-13 of each column's largest |value|
     m = Modulus.from_k(0.9)
     kp = m.quarter_Kp
     nus = (40.5, 9.5, 19.5)
-    together = [LameBasis(nu, m, 6) for nu in nus]
-    alone = [LameBasis(nu, m, 6) for nu in reversed(nus)][::-1]
-    tau0 = sorted(b._alone._second_kind[1] for b in alone)
+    alone = [OrderSet([nu], m, 6) for nu in nus]
+    tau0 = sorted(b._second_kind[1] for b in alone)
     assert tau0[0] < tau0[1] < tau0[2] == 0.6 * kp  # 0.3 R with R = 2K' here
-    assert OrderSet(together)._second_kind[1] == tau0[0]
+    assert OrderSet(nus, m, 6)._second_kind[1] == tau0[0]
     t = kp - np.concatenate([[0.5 * tau0[0], tau0[0]], np.linspace(tau0[0], tau0[2], 7)[1:],
                              [1.001 * tau0[2]], np.linspace(0.65, 0.9, 4) * kp])
     for cols in (slice(None), [9, 0, 4]):
         for derivative in (False, True):
-            read = OrderSet(together).second(t, derivative, cols)
+            read = OrderSet(nus, m, 6).second(t, derivative, cols)
             for b, values in zip(alone, read.transpose(1, 0, 2)):
-                own = b.second(t, derivative, cols)
+                own = b.second(t, derivative, cols)[:, 0]
                 assert values.shape == own.shape
                 _close(values, own, 1e-13)
 
@@ -211,7 +207,7 @@ def test_green_region_pair_builds_no_continuation_panel(m05):
     # the hand-off read W at K' - tau0 = 0.53 K'
     m = m05
     kp = m.quarter_Kp
-    together = OrderSet([LameBasis(order - 0.5, m, 20) for order in range(21)])
+    together = OrderSet([order - 0.5 for order in range(21)], m, 20)
     _lame_products(together, 0.0, 0.0, 0.3 * kp, 0.6 * kp)
     _, tau0, cont = together._second_kind
     assert tau0 == 0.6 * min(m.quarter_K, kp)
@@ -221,21 +217,22 @@ def test_green_region_pair_builds_no_continuation_panel(m05):
 
 
 def test_multi_basis_real_read_equals_each_basis_read(m05):
-    # one cos/sin table over bases with frequency grids of different lengths
-    # (orders and depths differ) against each basis's own read, bit for bit,
-    # and against the two matrix products on the basis's own grid, to 1e-14
-    # of each column's largest |value|; a set holds one depth, so each depth
-    # is read through its own set
+    # one cos/sin table over orders with frequency grids of different
+    # lengths (orders and depths differ) against each order's one-nu set,
+    # bit for bit, and against the two matrix products on the order's own
+    # grid, to 1e-14 of each column's largest |value|; a set holds one
+    # depth, so each depth is read through its own set
     m = m05
-    bases = [basis(0.5, m, 3), basis(7.5, m, 6), basis(19.5, m, 6), basis(2.5, m, 10)]
+    groups = [([0.5], 3), ([7.5, 19.5], 6), ([2.5], 10)]
+    bases = [basis(nu, m, depth) for nus, depth in groups for nu in nus]
     assert len({b._freq.size for b in bases}) == len(bases)
-    groups = [bases[:1], bases[1:3], bases[3:]]
     s = np.concatenate([np.linspace(-2.0, 2.0, 37) * m.quarter_K, [0.0, 5.3, -9.1]])
     for cols in (slice(None), [3, 0, 2]):
         for derivative in (False, True):
-            for group in groups:
-                read = OrderSet(group).real(s, derivative, cols)
-                assert read.shape[1] == len(group)
+            for nus, depth in groups:
+                read = OrderSet(nus, m, depth).real(s, derivative, cols)
+                assert read.shape[1] == len(nus)
+                group = [basis(nu, m, depth) for nu in nus]
                 for b, values in zip(group, read.transpose(1, 0, 2)):
                     x = np.multiply.outer(s, b._freq)
                     cos_c, sin_c = b._coef[:, :, cols]
@@ -243,10 +240,8 @@ def test_multi_basis_real_read_equals_each_basis_read(m05):
                     own = (np.cos(x) @ (f * sin_c) - np.sin(x) @ (f * cos_c) if derivative
                            else np.cos(x) @ cos_c + np.sin(x) @ sin_c)
                     _close(values, own)
-                    assert np.array_equal(values, b.real(s, derivative, cols))
-    assert OrderSet(groups[1]).real(0.3).shape == (1, 2, bases[1].h.size)
-    with pytest.raises(DomainError):
-        OrderSet([bases[0], basis(0.5, Modulus.from_k(0.3), 3)])
+                    assert np.array_equal(values, b.real(s, derivative, cols)[:, 0])
+    assert OrderSet([7.5, 19.5], m, 6).real(0.3).shape == (1, 2, bases[1].h.size)
 
 
 def test_second_kind_keeps_only_the_panels_read(m05):
@@ -255,17 +250,17 @@ def test_second_kind_keeps_only_the_panels_read(m05):
     # and later reads above it match a fresh basis bit for bit
     m = m05
     kp = m.quarter_Kp
-    b = LameBasis(4.5, m, 6)
+    b = OrderSet([4.5], m, 6)
     b.imag(0.3 * kp)
-    first = b._alone._first
+    first = b._first
     edges = first.edges.copy()
     assert edges[-2] < 0.3 * kp <= edges[-1]
     b.second(0.7 * kp)
     assert np.array_equal(first.edges, edges)
     assert len(first.coeffs) == len(edges) - 1
-    fresh = LameBasis(4.5, m, 6)
+    fresh = OrderSet([4.5], m, 6)
     fresh.second(0.7 * kp)
-    assert len(fresh._alone._first.edges) - 1 == 0  # the second kind alone keeps no W panel
+    assert len(fresh._first.edges) - 1 == 0  # the second kind alone keeps no W panel
     high = np.array([0.5, 0.8, 0.85]) * kp
     for derivative in (False, True):
         assert np.array_equal(b.second(high, derivative), fresh.second(high, derivative))
@@ -302,8 +297,8 @@ def test_green_expansion_matches_per_mode_sum(m05):
             for kind, n in (("c", sup), ("s", sup + 1)):
                 lb = bases[order]
                 col = [lb.column(*family_of_superscript(kind, n))]
-                term += (lb.real(a.s, cols=col)[0, 0] * lb.real(b.s, cols=col)[0, 0]
-                         * lb.imag(a.t, cols=col)[0, 0] * lb.second(b.t, cols=col)[0, 0])
+                term += (lb.real(a.s, cols=col)[0, 0, 0] * lb.real(b.s, cols=col)[0, 0, 0]
+                         * lb.imag(a.t, cols=col)[0, 0, 0] * lb.second(b.t, cols=col)[0, 0, 0])
             shell += (1.0 if order == 0 else 2.0) * math.cos(order * (a.phi - b.phi)) * term
             mags.append(2.0 * abs(term))
         expected.append(pref * shell)
@@ -332,8 +327,8 @@ def test_green_expansion_matches_per_order_products(m05):
     tr = Truncation(20, 20)
     value, tail, shells = green_expansion(r, rs, tr, m)
     a, b = cartesian_to_flatring(r, m), cartesian_to_flatring(rs, m)
-    terms = np.array([_lame_products(OrderSet([basis(order - 0.5, m, tr.n_max)]),
-                                     a.s, b.s, a.t, b.t)[0] for order in range(tr.m_max + 1)])
+    terms = np.array([_lame_products(basis(order - 0.5, m, tr.n_max), a.s, b.s, a.t, b.t)[0]
+                      for order in range(tr.m_max + 1)])
     scale = 0.5 * (r.x ** 2 + r.y ** 2) ** -0.25 * (rs.x ** 2 + rs.y ** 2) ** -0.25
     n1 = tr.n_max + 1
     ref_value, ref_tail, ref_shells = _double_series(terms[..., :n1] + terms[..., n1:],
@@ -436,9 +431,9 @@ def test_coefficients_match_per_mode_projection(m05):
             for sup in sups:
                 lb = basis(abs(order) - 0.5, m, 3)
                 col = [lb.column(*family_of_superscript(kind, sup))]
-                e_s = np.array([lb.real(float(s), cols=col)[0, 0] for s in s_nodes])
+                e_s = np.array([lb.real(float(s), cols=col)[0, 0, 0] for s in s_nodes])
                 expected = (np.sum(s_weights * e_s * g_hat)
-                            / (8.0 * math.pi * lb.imag(dom.t0, cols=col)[0, 0]))
+                            / (8.0 * math.pi * lb.imag(dom.t0, cols=col)[0, 0, 0]))
                 got = table.c_of(order, sup) if kind == "c" else table.d_of(order, sup)
                 assert abs(got - expected) <= 1e-13 * max(abs(expected), 1e-3)
 

@@ -90,7 +90,7 @@ def test_eigenvalues_match_shooting_values(m05, nu):
     got = {}
     b, cols = basis_for(ALL_11, nu, m05)
     for (fam, n), j in zip(ALL_11, cols):
-        got[fam.kind, fam.superscript(n)] = b.h[j]
+        got[fam.kind, fam.superscript(n)] = b.h[0, j]
     for kind, first in (("c", 0), ("s", 1)):
         for sup, ref in enumerate(SHOOTING_K05[nu, kind], start=first):
             assert abs(got[kind, sup] - ref) <= 1e-12 * abs(ref), (kind, sup)
@@ -109,11 +109,11 @@ def test_ode_residual_against_mpmath_sn(k, nu):
         trig = (np.cos if fam.even_at_zero else np.sin)(np.outer(s, b._freq))
         e = trig @ trig_coef
         e_ss = -trig @ (trig_coef * b._freq ** 2)
-        assert np.max(np.abs(e - [b.real(float(x), cols=[j])[0, 0] for x in s])) <= 1e-14
-        resid = -e_ss + (coef * sn2 - b.h[j]) * e
-        scale = (abs(b.h[j]) + coef) * np.max(np.abs(e))
+        assert np.max(np.abs(e - [b.real(float(x), cols=[j])[0, 0, 0] for x in s])) <= 1e-14
+        resid = -e_ss + (coef * sn2 - b.h[0, j]) * e
+        scale = (abs(b.h[0, j]) + coef) * np.max(np.abs(e))
         assert np.max(np.abs(resid)) <= 1e-12 * scale, (fam, n)
-        assert b.tail[j] <= 1e-15
+        assert b.tail[0, j] <= 1e-15
 
 
 def test_sn2_fourier_coefficients_against_scipy():
@@ -143,9 +143,9 @@ def test_orientation_convention(k, nu):
     b, cols = basis_for(ALL_11, nu, m)
     for (fam, _), j in zip(ALL_11, cols):
         if fam.kind == "c":
-            assert b.real(m.quarter_K, cols=[j])[0, 0] > 0.0
+            assert b.real(m.quarter_K, cols=[j])[0, 0, 0] > 0.0
         else:
-            assert b.real(m.quarter_K, derivative=True, cols=[j])[0, 0] < 0.0
+            assert b.real(m.quarter_K, derivative=True, cols=[j])[0, 0, 0] < 0.0
 
 
 def test_clear_caches_rebuild_is_bit_identical(m05):
@@ -154,9 +154,9 @@ def test_clear_caches_rebuild_is_bit_identical(m05):
 
     def build():
         b, cols = basis_for(specs, 2.5, m05)
-        return (b.h[cols].tolist(),
-                [b.imag(t, cols=[j])[0, 0] for j in cols for t in ts],
-                [b.second(t, cols=cols[:1])[0, 0] for t in ts])
+        return (b.h[0, cols].tolist(),
+                [b.imag(t, cols=[j])[0, 0, 0] for j in cols for t in ts],
+                [b.second(t, cols=cols[:1])[0, 0, 0] for t in ts])
 
     lame.clear_caches()
     first = build()

@@ -20,7 +20,7 @@ from scipy.special import ellipj
 import flatring
 from flatring import lame
 from flatring.elliptic import Modulus, jacobi_imag
-from flatring.lame import LameBasis
+from flatring.lame import OrderSet
 
 # (k, nu); at nu = 40.5 the second kind hands off inside 0.3 of the series radius
 CASES = [(0.5, -0.5), (0.5, 19.5), (0.9, 9.5), (0.5, 40.5), (0.9, 40.5)]
@@ -90,7 +90,7 @@ def test_lobatto_integrals_match_mpmath(deg):
 def test_batched_frobenius_columns_match_single_calls():
     m = Modulus.from_k(0.9)
     nu = 9.5
-    h = LameBasis(nu, m, 4).h
+    h = OrderSet([nu], m, 4).h[0]
     batched = lame._frobenius_coeffs(nu, h, m, 64)
     single = np.column_stack([lame._frobenius_coeffs(nu, hi, m, 64) for hi in h])
     assert batched.shape == (64, h.size)
@@ -132,11 +132,11 @@ def _sequential_rk8(panels, state):
 
 @pytest.fixture(scope="module", params=CASES, ids=lambda c: f"k{c[0]}-nu{c[1]}")
 def case(request):
-    """A fresh (uncached) basis of depth 4, all four families, and its second
-    kind, panels built over the checked range."""
+    """A fresh (uncached) one-nu set of depth 4, all four families, and its
+    second kind, panels built over the checked range."""
     k, nu = request.param
     m = Modulus.from_k(k)
-    b = LameBasis(nu, m, 4)
+    b = OrderSet([nu], m, 4)
     kp = m.quarter_Kp
     b.imag([T_HI * kp])
     b.second([T_LO * kp])
@@ -149,38 +149,38 @@ def _in_range(t, kp):
 
 def test_first_kind_panels_match_sequential_stepper(case):
     m, _, batch = case
-    panels = batch._alone._first
+    panels = batch._first
     mlen = len(batch.specs)
-    start = np.concatenate([batch.imag(0.0)[0], batch.imag(0.0, derivative=True)[0]])
+    start = np.concatenate([batch.imag(0.0)[0, 0], batch.imag(0.0, derivative=True)[0, 0]])
     t, ys = _sequential_rk8(panels, start)
     keep = _in_range(t, m.quarter_Kp)
     assert keep.sum() > 2 * lame._PANEL_DEG  # nodes of more than two panels
-    assert _colmax_err(batch.imag(t[keep]), ys[keep, :mlen]) <= 1e-13
-    assert _colmax_err(batch.imag(t[keep], derivative=True), ys[keep, mlen:]) <= 1e-13
+    assert _colmax_err(batch.imag(t[keep])[:, 0], ys[keep, :mlen]) <= 1e-13
+    assert _colmax_err(batch.imag(t[keep], derivative=True)[:, 0], ys[keep, mlen:]) <= 1e-13
 
 
 def test_second_kind_panels_match_sequential_stepper(case):
     # the continuation panels run from K' - tau0 down; at depth 4 two panels
-    # can span all of them, so a fresh depth-16 basis is checked from the
-    # hand-off down to T_LO K'
+    # can span all of them, so a fresh depth-16 one-nu set is checked from
+    # the hand-off down to T_LO K'
     m, nu, _ = case
-    batch = LameBasis(nu, m, 16)
+    batch = OrderSet([nu], m, 16)
     batch.second(T_LO * m.quarter_Kp)
-    _, tau0, panels = batch._alone._second_kind
+    _, tau0, panels = batch._second_kind
     mlen = len(batch.specs)
     t1 = panels.edges[0]  # K' - tau0, where the Frobenius series hands over
     assert t1 == pytest.approx(m.quarter_Kp - tau0)
-    start = np.concatenate([batch.second(t1)[0], batch.second(t1, derivative=True)[0]])
+    start = np.concatenate([batch.second(t1)[0, 0], batch.second(t1, derivative=True)[0, 0]])
     t, ys = _sequential_rk8(panels, start)
     keep = t >= T_LO * m.quarter_Kp
     assert keep.sum() > 2 * lame._PANEL_DEG  # nodes of more than two panels
-    assert _colmax_err(batch.second(t[keep]), ys[keep, :mlen]) <= 1e-13
-    assert _colmax_err(batch.second(t[keep], derivative=True), ys[keep, mlen:]) <= 1e-13
+    assert _colmax_err(batch.second(t[keep])[:, 0], ys[keep, :mlen]) <= 1e-13
+    assert _colmax_err(batch.second(t[keep], derivative=True)[:, 0], ys[keep, mlen:]) <= 1e-13
 
 
 def _reference(m, nu, batch, t_span, start, t_eval):
     """W'' = (h + nu(nu+1) k^2 sc^2(t, k')) W by solve_ivp, sc from scipy's ellipj."""
-    h = batch.h
+    h = batch.h[0]
     coef = nu * (nu + 1.0) * m.k * m.k
     mlen = h.size
 
@@ -198,22 +198,23 @@ def test_first_kind_matches_solve_ivp(case):
     m, nu, batch = case
     kp = m.quarter_Kp
     t = np.linspace(T_LO, T_HI, 33) * kp
-    start = np.concatenate([batch.imag(0.0)[0], batch.imag(0.0, derivative=True)[0]])
+    start = np.concatenate([batch.imag(0.0)[0, 0], batch.imag(0.0, derivative=True)[0, 0]])
     w, wp = _reference(m, nu, batch, (0.0, t[-1]), start, t)
-    assert _colmax_err(batch.imag(t), w) <= 1e-10
-    assert _colmax_err(batch.imag(t, derivative=True), wp) <= 1e-10
+    assert _colmax_err(batch.imag(t)[:, 0], w) <= 1e-10
+    assert _colmax_err(batch.imag(t, derivative=True)[:, 0], wp) <= 1e-10
 
 
 def test_second_kind_matches_solve_ivp_on_both_sides_of_tau0(case):
     m, nu, batch = case
     kp = m.quarter_Kp
-    tau0 = batch._alone._second_kind[1]
+    tau0 = batch._second_kind[1]
     # from tau0/2 (Frobenius series) down through the hand-off at tau0 and
     # the continuation panels to T_LO K'
     t_start = kp - 0.5 * tau0
     series_side = kp - tau0 * np.linspace(0.55, 1.0, 6)
     t = np.concatenate([series_side, np.linspace(kp - tau0, T_LO * kp, 34)[1:]])
-    start = np.concatenate([batch.second(t_start)[0], batch.second(t_start, derivative=True)[0]])
+    start = np.concatenate([batch.second(t_start)[0, 0],
+                            batch.second(t_start, derivative=True)[0, 0]])
     f, fp = _reference(m, nu, batch, (t_start, t[-1]), start, t)
-    assert _colmax_err(batch.second(t), f) <= 1e-10
-    assert _colmax_err(batch.second(t, derivative=True), fp) <= 1e-10
+    assert _colmax_err(batch.second(t)[:, 0], f) <= 1e-10
+    assert _colmax_err(batch.second(t, derivative=True)[:, 0], fp) <= 1e-10

@@ -1,5 +1,6 @@
-"""The three reads of an OrderSet, each one contraction over every basis of
-the set: E, E' against each basis's own cosine and sine matrix products, W,
+"""The three reads of an OrderSet, each one contraction over every nu of
+the set: E, E' against the cosine and sine matrix products on each nu's own
+grid, W,
 W' and the continuation panels of F, F' against numpy's chebval on the
 stored panel coefficients of the set, and the Frobenius series of F, F'
 against Horner's rule, all to 1e-14 of each column's largest |value|, with
@@ -10,7 +11,7 @@ import pytest
 from numpy.polynomial import chebyshev
 
 from flatring.elliptic import Modulus
-from flatring.lame import LameBasis, OrderSet
+from flatring.lame import OrderSet
 
 KS = [1e-3, 0.1, 0.5, 0.9, 0.99]
 NUS = [-0.5, 0.5, 9.5, 19.5, 40.5]
@@ -25,18 +26,19 @@ def _colmax_err(got, ref):
 
 
 @pytest.fixture(scope="module", params=KS)
-def bases(request):
-    """Fresh bases of the five orders at one k, read together by one set."""
-    m = Modulus.from_k(request.param)
-    return m, [LameBasis(nu, m, DEPTH) for nu in NUS]
+def modulus(request):
+    """One k; each test reads the five orders NUS through fresh sets of it."""
+    return Modulus.from_k(request.param)
 
 
-def test_real_read_matches_two_products_per_basis(bases):
-    m, group = bases
+def test_real_read_matches_two_products_per_basis(modulus):
+    # each nu's own grid and coefficients are those of its one-nu set
+    m = modulus
     s = np.concatenate([np.linspace(-2.0, 2.0, 29) * m.quarter_K, [0.0, 5.3, -9.1]])
     for derivative in (False, True):
-        read = OrderSet(group).real(s, derivative)
-        for b, got in zip(group, read.transpose(1, 0, 2)):
+        read = OrderSet(NUS, m, DEPTH).real(s, derivative)
+        for nu, got in zip(NUS, read.transpose(1, 0, 2)):
+            b = OrderSet([nu], m, DEPTH)
             x = np.multiply.outer(s, b._freq)
             cos_c, sin_c = b._coef
             f = b._freq[:, None]
@@ -70,12 +72,12 @@ def _panel_reference(panels, derivative, at, x):
 
 
 @pytest.mark.parametrize("second", [False, True])
-def test_panel_read_matches_chebval(bases, second):
+def test_panel_read_matches_chebval(modulus, second):
     # the first-kind panels of the set grown upward to 0.85K', and the
     # continuation panels of its second kind grown downward to 0.05K'
-    m, group = bases
+    m = modulus
     kp = m.quarter_Kp
-    together = OrderSet(group)
+    together = OrderSet(NUS, m, DEPTH)
     panels = together._second_kind[2] if second else together._first
     panels.values(np.array([0.05 if second else 0.85]) * kp)
     assert len(panels.edges) > 2
@@ -85,38 +87,37 @@ def test_panel_read_matches_chebval(bases, second):
         assert _colmax_err(got, _panel_reference(panels, derivative, at, x)) <= RTOL
 
 
-def test_series_read_matches_horner(bases):
+def test_series_read_matches_horner(modulus):
     # F = tau^(nu+1) sum_p b_p tau^(2p) and dF/dt = -tau^nu sum_p (nu+1+2p)
-    # b_p tau^(2p) inside each basis's hand-off tau0, at tau = K' - t as the
+    # b_p tau^(2p) inside the set's hand-off tau0, at tau = K' - t as the
     # read takes it (tau^(nu+1) carries the rounding of t by nu + 1)
-    m, group = bases
+    m = modulus
     kp = m.quarter_Kp
-    together = OrderSet(group)
+    together = OrderSet(NUS, m, DEPTH)
     frobenius, tau0, _ = together._second_kind
     t = kp - tau0 * np.array([1e-3, 0.1, 0.5, 0.9, 0.999])
     tau = kp - t
     for derivative in (False, True):
         read = together.second(t, derivative)
-        for i, (b, got) in enumerate(zip(group, read.transpose(1, 0, 2))):
+        for i, (nu, got) in enumerate(zip(NUS, read.transpose(1, 0, 2))):
             coeffs = frobenius[:, i]
             if derivative:
-                coeffs = coeffs * (b.nu + 1.0 + 2.0 * np.arange(len(coeffs)))[:, None]
+                coeffs = coeffs * (nu + 1.0 + 2.0 * np.arange(len(coeffs)))[:, None]
             acc = np.zeros((tau.size, coeffs.shape[1]))
             for row in coeffs[::-1]:
                 acc = acc * (tau * tau)[:, None] + row
-            ref = acc * (tau ** (b.nu + 1.0 - derivative))[:, None]
+            ref = acc * (tau ** (nu + 1.0 - derivative))[:, None]
             assert _colmax_err(got, -ref if derivative else ref) <= RTOL
 
 
-def test_empty_reads_keep_their_shape(bases):
-    _, group = bases
-    together = OrderSet(group)
-    width = group[0].h.size
-    for derivative in (False, True):
-        for read in (together.real, together.imag, together.second):
-            assert read([], derivative).shape == (0, len(group), width)
-            assert read(np.empty(0), derivative, [3, 0]).shape == (0, len(group), 2)
-        assert group[0].imag([], derivative).shape == (0, width)
+def test_empty_reads_keep_their_shape(modulus):
+    width = 2 * DEPTH + 2
+    for together in (OrderSet(NUS, modulus, DEPTH), OrderSet(NUS[:1], modulus, DEPTH)):
+        count = together.h.shape[0]
+        for derivative in (False, True):
+            for read in (together.real, together.imag, together.second):
+                assert read([], derivative).shape == (0, count, width)
+                assert read(np.empty(0), derivative, [3, 0]).shape == (0, count, 2)
 
 
 @pytest.mark.parametrize("k", KS)
@@ -127,8 +128,8 @@ def test_read_just_below_the_handoff(k):
     # joins the series value at K' - tau0
     m = Modulus.from_k(k)
     for nu in (0.5, 19.5):
-        b = LameBasis(nu, m, 2)
-        _, tau0, panels = b._alone._second_kind
+        b = OrderSet([nu], m, 2)
+        _, tau0, panels = b._second_kind
         t1 = m.quarter_Kp - tau0
         below = np.nextafter(t1, 0.0)
         assert m.quarter_Kp - below > tau0
