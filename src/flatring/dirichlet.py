@@ -14,9 +14,9 @@ t0, n_s, n_phi, m_max, n_max) and keeps the last one (lru_cache of size 1),
 since a run of solves reads one surface.  It holds read-only arrays alone,
 no basis and no order set, so `lame.clear_caches` need not reach it: a
 rebuilt set reads bit for bit what the arrays hold.  At the CLI defaults
-((10, 10), 64 x 48 nodes) it holds 0.33 MB, at (40, 40) and 96 x 64 nodes
-5.4 MB; nearly all of it is the projection, one (n_s, 2N+2) block per
-signed order.
+((10, 10), 64 x 48 nodes) it holds 0.21 MB, at (40, 40) and 96 x 64 nodes
+2.8 MB; nearly all of it is the projection, one (n_s, 2N+2) block per
+order m = 0..M, which +m and -m share.
 """
 
 from __future__ import annotations
@@ -159,16 +159,16 @@ class CoefficientTable(_Record):
 
 
 # The data-free half of a projection onto the surface harmonics, all
-# read-only, the surface itself a tuple; rows j run over the signed orders
-# -m_max..m_max, columns over Ec^0..Ec^N, then Es^1..Es^(N+1).
+# read-only, the surface itself a tuple; rows m run over the orders
+# 0..m_max, which +m and -m share, columns over Ec^0..Ec^N, then Es^1..Es^(N+1).
 _Surface = NamedTuple("_Surface", [
     ("s_nodes", np.ndarray), ("s_weights", np.ndarray),  # Gauss-Legendre in s, (n_s,)
     ("phi_nodes", np.ndarray), ("dphi", float),  # trapezoid in phi, (n_phi,), and its step
     ("mesh", CartesianPoint),  # the surface at every (s, phi) node, of (n_s, n_phi) arrays
     ("root_r", np.ndarray),  # (x^2 + y^2)^(1/4) on the mesh
-    ("phase", np.ndarray),  # Re and Im of e^{-i j phi} dphi, rows (j, part): (2(2M+1), n_phi)
-    ("edge", np.ndarray),  # W_|j|(t0), (2M+1, 2N+2)
-    ("projection", np.ndarray),  # w_s E_|j|(s_nodes) / (8 pi W_|j|(t0)), (2M+1, n_s, 2N+2)
+    ("phase", np.ndarray),  # rows (m, part): cos(m phi) dphi, -sin(m phi) dphi; (2M+2, n_phi)
+    ("edge", np.ndarray),  # W_m(t0), (M+1, 2N+2)
+    ("projection", np.ndarray),  # w_s E_m(s_nodes) / (8 pi W_m(t0)), (M+1, n_s, 2N+2)
 ])
 
 
@@ -179,15 +179,15 @@ def _surface(m: Modulus, t0: float, n_s: int, n_phi: int, m_max: int, n_max: int
     s_nodes, s_weights, phi_nodes, dphi = _surface_quadrature(m, n_s, n_phi)
     mesh = flatring_to_cartesian(FlatRingPoint(s=s_nodes[:, None], t=t0, phi=phi_nodes[None, :],
                                                modulus=m))
-    orders = np.arange(-m_max, m_max + 1)
-    phase = np.exp(-1j * np.outer(orders, phi_nodes)) * dphi
+    m_phi = np.multiply.outer(np.arange(m_max + 1), phi_nodes)
     bases = order_set(m, m_max, n_max)
-    (edge,) = bases.imag(t0)[:, np.abs(orders)]
-    e = bases.real(s_nodes)[:, np.abs(orders)].transpose(1, 0, 2)  # (2M+1, n_s, 2N+2)
+    (edge,) = bases.imag(t0)
+    e = bases.real(s_nodes).transpose(1, 0, 2)  # (M+1, n_s, 2N+2)
     surface = _Surface(
         s_nodes=s_nodes, s_weights=s_weights, phi_nodes=phi_nodes, dphi=dphi, mesh=mesh,
         root_r=(mesh.x * mesh.x + mesh.y * mesh.y) ** 0.25,
-        phase=np.stack([phase.real, phase.imag], axis=1).reshape(-1, n_phi), edge=edge,
+        phase=np.stack([np.cos(m_phi), -np.sin(m_phi)], axis=1).reshape(-1, n_phi) * dphi,
+        edge=edge,
         projection=np.ascontiguousarray(s_weights[:, None] * e / (8.0 * math.pi * edge[:, None, :])))
     for x in (v for v in (*surface, *mesh) if isinstance(v, np.ndarray)):
         x.flags.writeable = False  # the cache hands the surface to every caller
@@ -199,9 +199,9 @@ def coefficients(dom: FlatRingDomain, data: BoundaryData, tr: Truncation) -> Coe
 
     c_m^n = (1 / (8 pi Ec(i t0))) integral of g(s, phi) Ec(s) e^{-i m phi};
     d_m^(n+1) likewise with Es and the Es(i t0) normalizer.  The phi
-    quadrature of every signed order is one product with the cached phase
-    rows, and the s quadrature one stacked product with the cached
-    projection (`_surface`).
+    quadrature of every order m >= 0 is one product with the cached cosine
+    and sine rows, and the s quadrature one stacked product with the cached
+    projection (`_surface`): C and S, and c_m = C + iS, c_-m = C - iS.
     """
     if data.f is not None and data.dom != dom:
         raise DomainError("boundary data from from_function belong to another domain")
@@ -213,10 +213,12 @@ def coefficients(dom: FlatRingDomain, data: BoundaryData, tr: Truncation) -> Coe
         raise DomainError(f"non-finite boundary data g = {gvals[i, j]} at "
                           f"(s, phi) = ({surface.s_nodes[i]}, {surface.phi_nodes[j]})")
 
-    # columns: Ec^0..Ec^N, then Es^1..Es^(N+1); parts: the Re and Im rows of the phase
+    # columns: Ec^0..Ec^N, then Es^1..Es^(N+1); rows: the orders m = 0..m_max
     parts = (surface.phase @ gvals.T).reshape(-1, 2, data.n_s) @ surface.projection
-    cd = parts[:, 0] + 1j * parts[:, 1]
-    captured = 8.0 * math.pi * float(np.sum(np.abs(cd * surface.edge) ** 2))
+    cos_part, sin_part = parts[:, 0], parts[:, 1]
+    cd = np.concatenate([(cos_part - 1j * sin_part)[:0:-1], cos_part + 1j * sin_part])
+    power = (cos_part ** 2 + sin_part ** 2) * surface.edge ** 2  # |c_m W|^2 = |c_-m W|^2
+    captured = 8.0 * math.pi * float(2.0 * power.sum() - power[0].sum())
 
     # Parseval check against the sampled norm of g
     norm_g2 = float(np.sum(surface.s_weights[:, None] * gvals ** 2) * surface.dphi)
@@ -248,11 +250,14 @@ def solve_interior(dom: FlatRingDomain, coeffs: CoefficientTable,
             f"{_INTERIOR_MARGIN} K'"
         )
     cd = np.hstack([coeffs.c, coeffs.d])
-    orders = np.arange(-coeffs.m_max, coeffs.m_max + 1)
+    # Re(c_m e^{i m phi} + c_-m e^{-i m phi}) = Re((c_m + conj(c_-m)) e^{i m phi}), m >= 0
+    folded = cd[coeffs.m_max:].copy()
+    folded[1:] += np.conj(cd[:coeffs.m_max][::-1])
+    orders = np.arange(coeffs.m_max + 1)
     bases = order_set(m, coeffs.m_max, coeffs.n_max)
     products = (bases.real(s) * bases.imag(t)).transpose(1, 0, 2)  # (orders, points, modes)
-    # every signed order's sum at every point, then one phase product over the orders
-    terms = (products[np.abs(orders)] @ cd[:, :, None])[..., 0]
+    # every order's sum at every point, then one phase product over the orders
+    terms = (products @ folded[:, :, None])[..., 0]
     total = np.sum(terms * np.exp(1j * np.multiply.outer(orders, phi)), axis=0)
     u = (x * x + y * y) ** -0.25 * total.real.reshape(x.shape)
     return float(u) if u.ndim == 0 else u

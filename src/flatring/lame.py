@@ -28,7 +28,8 @@ resolves them.  A panel set keeps the coefficients of W and W' of each
 panel, (panels, 2, 25, columns), fitted in build order, so panel j runs
 from edges[j] (x = -1) to edges[j+1] (x = +1) whichever way the set grows.
 A read finds every point's panel by one searchsorted over the edges and
-contracts it with one row of T_j(x) per point: within 1e-14 of chebval.
+contracts it with one row of T_j(x) per point, 256 points at a time, so
+that it holds little beside its answer: within 1e-14 of chebval.
 Odd-parity values are stored as the real representative W(t) = E(it)/i with
 W'(0) = E'(0); downstream products always pair matching representatives,
 which reproduces the complex-convention results exactly.
@@ -38,9 +39,8 @@ singular point t = K' (tau = K' - t = 0).  It is read from the even
 Frobenius series there out to a hand-off tau0, at most 0.3 of the series'
 radius, and from panels built on demand below K' - tau0.  F is scaled so
 that F(it) dE(it)/dt - E(it) dF(it)/dt = 1 in real-representative form,
-with W at K' - tau0 from the first-kind panels, or from a throwaway
-extension of them that keeps one panel, so a set keeps only the panels
-that its readers reach.
+with W at K' - tau0 read from the first-kind panels: the second kind grows
+them to the hand-off once, and they keep what they built.
 
 OrderSet, the one Lame object, holds the modes Ec^0..Ec^N, Es^1..Es^(N+1)
 of some orders nu of one modulus at a shell depth N, with their eigenvalues,
@@ -56,8 +56,6 @@ small one, so an expansion solves each order once.
 
 from __future__ import annotations
 
-import collections
-import copy
 import enum
 import functools
 import math
@@ -74,6 +72,7 @@ _GALERKIN_TAIL = 1e-15  # trailing quarter of each mode's coefficients, relative
 _TRIM = 1e-17           # coefficients below this share of a mode's largest are dropped
 _PANEL_DEG = 24
 _PANEL_LOG_GROWTH = 4.0
+_READ_BLOCK = 256  # points per contraction of a panel read, which bounds the blocks it gathers
 _IMAG_T_CAP = 1.0 - 2e-6    # fraction of K' where imaginary-axis values give up
 _OVERFLOW = 1e250
 _FROBENIUS_TERMS = 64  # the most that ns2_series_coeffs gives
@@ -170,8 +169,9 @@ class _ImagPanels:
     toward t_end as far as requests reach.  The coefficients of W and W' of
     panel j are coeffs[j], (2, degree + 1, columns): it runs from edges[j]
     (x = -1) to edges[j+1] (x = +1) whichever way the set grows.  A build
-    solves the systems of width columns (one nu) at a time, which bounds
-    the memory it takes."""
+    solves the systems of width columns (one nu) at a time, and a read
+    contracts _READ_BLOCK points at a time, which bounds the memory each
+    takes beside what it keeps or returns."""
 
     def __init__(self, m: Modulus, h: np.ndarray, c: np.ndarray, t0: float,
                  state0: np.ndarray, t_end: float, width: int):
@@ -239,25 +239,14 @@ class _ImagPanels:
             else:
                 self._build_panel(max(t - _PANEL_LOG_GROWTH / self._lambda(t), self.t_end))
 
-    def reach(self, t: float) -> _ImagPanels:
-        """The set itself where it covers t; else a copy grown to t that keeps
-        only the panel covering t, so a read at t grows neither the set nor
-        the memory held beside it."""
-        if self.edges.size > 1 and self.sign * (t - self.t_built) <= 1e-15:
-            return self
-        reach = copy.copy(self)  # each build rebinds what it changes
-        reach._new = collections.deque(maxlen=1)
-        reach.extend_to(t)
-        reach.edges, reach.coeffs, reach._new = reach.edges[-2:], np.stack(reach._new), []
-        return reach
-
     def values(self, t: np.ndarray, derivative: bool = False) -> np.ndarray:
         """W (or W') of every column at the points t, the set first grown to
         reach them: (len(t), columns).  Each point's panel is the one that
         starts at or before it (an inner edge starts the panel after it), its
         place x there clipped to [-1, 1] where rounding puts it past an edge;
         the panels are contracted with one row T_j(x) = cos(j arccos x) per
-        point.  Within 1e-14 of chebval of each column's largest |value|."""
+        point, _READ_BLOCK points at a time, which leaves each point's bits
+        as they are.  Within 1e-14 of chebval of each column's largest |value|."""
         t = np.asarray(t, dtype=float)
         if not t.size:
             return np.empty((0, self.h.size))
@@ -268,8 +257,12 @@ class _ImagPanels:
         j = np.searchsorted(self.sign * self.edges[1:-1], self.sign * t, side="right")
         lo, hi = self.edges[j], self.edges[j + 1]
         theta = np.arccos(np.clip((2.0 * t - (lo + hi)) / (hi - lo), -1.0, 1.0))
-        table = np.cos(np.multiply.outer(theta, np.arange(_PANEL_DEG + 1.0)))
-        return np.einsum("pj,pjn->pn", table, self.coeffs[j, int(derivative)])
+        out = np.empty((t.size, self.h.size))
+        for i in range(0, t.size, _READ_BLOCK):
+            p = slice(i, i + _READ_BLOCK)
+            table = np.cos(np.multiply.outer(theta[p], np.arange(_PANEL_DEG + 1.0)))
+            out[p] = np.einsum("pj,pjn->pn", table, self.coeffs[j[p], int(derivative)])
+        return out
 
 
 # --- eigensolver -------------------------------------------------------------
@@ -406,8 +399,9 @@ class OrderSet:
         if not nus:
             raise DomainError("an OrderSet needs at least one nu")
         for nu in nus:
-            if not (math.isfinite(nu) and nu >= -0.5):
-                raise DomainError(f"nu must be finite and >= -1/2, got {nu!r}")
+            if not (math.isfinite(nu * (nu + 1.0) * m.k * m.k) and nu >= -0.5):
+                raise DomainError(f"nu must be finite and >= -1/2, with nu(nu+1)k^2 finite, got "
+                                  f"{nu!r} at k = {m.k!r}")
         if n_max < 0:
             raise DomainError(f"shell depth must be >= 0, got {n_max!r}")
         check_shell_depth(n_max)
@@ -551,7 +545,8 @@ class OrderSet:
         tau0 < 0.6 K'), where in every column the last of 64 terms b_p tau^(2p)
         is below _TRIM of the sum of their magnitudes, and that sum is at most
         _FROBENIUS_COND times the magnitude of theirs: the least of the tau0
-        of the one-nu sets.  Only the terms that reach _TRIM there are kept."""
+        of the one-nu sets.  Only the terms that reach _TRIM there are kept,
+        and the first-kind panels keep what the read of W at K' - tau0 builds."""
         m = self.modulus
         kp = m.quarter_Kp
         b = _frobenius_coeffs(self._nu, self.h, m, _FROBENIUS_TERMS)  # (terms, nus, modes)
@@ -571,11 +566,9 @@ class OrderSet:
         f_tau, df_tau = (_frobenius_series(b, self._nu, np.array([tau0]), d).ravel()
                          for d in (False, True))
         # unit Wronskian F W' - W dF/dt, with dF/dt = -dF/dtau, and W at
-        # K' - tau0 read where the first-kind panels reach it, or else from a
-        # throwaway extension of them
+        # K' - tau0 from the first-kind panels, which grow to it and keep it
         t1 = kp - tau0
-        reach = self._first.reach(t1)
-        w1, dw1 = (reach.values(np.array([t1]), d)[0] for d in (False, True))
+        w1, dw1 = (self._first.values(np.array([t1]), d)[0] for d in (False, True))
         scale = 1.0 / (f_tau * dw1 + w1 * df_tau)
         cont = self._panels(t1, np.stack([scale * f_tau, -scale * df_tau]), 0.0)
         frobenius = scale.reshape(self.h.shape) * b
@@ -587,11 +580,11 @@ _BASIS_CACHE_SIZE = 32
 """One-nu sets kept by `basis`.  An expansion reads its orders through a
 set of `order_set`, which this cache never sees, so this cache serves only
 the single-mode callers, one small set per mode.  At k = 0.5 a depth-20
-one-nu set takes 0.11 MB (0.17 MB at nu = 40.5) with the panels that reads
+one-nu set takes 0.17 MB (0.31 MB at nu = 40.5) with the panels that reads
 at t <= 0.3K' and t* >= 0.6K' build (F there is read from its series
-alone), and 0.31 MB (0.7 MB at nu = 40.5) with both panel sets grown to
-0.9K' and 0.05K', its Frobenius block (0.01 MB) included, so the bound caps
-what this cache holds at about 22 MB."""
+alone, and W grown to the hand-off), and 0.42 MB (0.69 MB at nu = 40.5)
+with both panel sets grown to 0.9K' and 0.05K', its Frobenius block
+(0.01 MB) included, so the bound caps what this cache holds at about 22 MB."""
 
 
 @functools.lru_cache(maxsize=_BASIS_CACHE_SIZE)
@@ -614,11 +607,11 @@ _SET_CACHE_SIZE = 2
 """Sets kept by `order_set`: one per (modulus, m_max, n_max).  Each bench
 workload reads one set; two keep a run that reads two truncations in turn
 warm.  A set fills its coefficient block once, when it is built, and grows
-its panels as it is read.  At k = 0.5 a (20, 20) set takes
-2.5 MB after reads at t <= 0.3K' and t* >= 0.6K', and 8.8 MB with both
-panel sets grown to 0.9K' and 0.05K'; a (40, 40) set, the largest that the
-tests read, takes 18 MB and 69 MB.  So the cache holds about 18 MB of (20, 20)
-sets, and 138 MB of (40, 40) sets."""
+its panels as it is read.  At k = 0.5 a (20, 20) set takes 3.5 MB after
+reads at t <= 0.3K' and t* >= 0.6K' (W grown to the hand-off), and 8.8 MB
+with both panel sets grown to 0.9K' and 0.05K'; a (40, 40) set, the
+largest that the tests read, takes 31 MB and 69 MB.  So the cache holds
+about 18 MB of (20, 20) sets, and 138 MB of (40, 40) sets."""
 
 
 @functools.lru_cache(maxsize=_SET_CACHE_SIZE)

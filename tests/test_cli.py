@@ -284,12 +284,13 @@ def test_eigen_past_the_galerkin_cap_builds_no_spec(capsys, monkeypatch, family)
     assert calls["shell_specs"] == 0
 
 
-@pytest.mark.parametrize("nu", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("nu", ["nan", "inf", "-inf", "1e200"])
 def test_eigen_non_finite_nu_exits_2(capsys, nu):
+    # at 1e200, nu is finite but nu(nu+1)k^2 is not: refused before any solve
     code, out, err = run_cli(capsys, "eigen", f"--nu={nu}")
     assert code == 2
     assert out == ""
-    assert err.startswith("error: nu must be finite")
+    assert err.startswith("error: nu must be finite") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -261,6 +262,11 @@ def test_invalid_arguments():
         OrderSet([0.5, -0.6], m, 0)
     with pytest.raises(DomainError):
         OrderSet([], m, 0)
+    # nu(nu+1)k^2 overflows to inf: refused before any solve, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"nu\(nu\+1\)k\^2 finite"):
+            OrderSet([0.5, 1e200], m, 0)
     with pytest.raises(DomainError):
         basis_for([(LameFamily.EC_EVEN, -1)], 0.5, m)
     with pytest.raises(DomainError):

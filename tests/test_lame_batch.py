@@ -5,6 +5,7 @@ hand-off, batched interior probes, and the array forms of the elliptic and
 coordinate maps they rest on."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -29,6 +30,7 @@ from flatring.lame import (
     basis,
     basis_for,
     family_of_superscript,
+    order_set,
     shell_specs,
 )
 
@@ -202,9 +204,9 @@ def test_multi_basis_second_kind_read_across_different_handoffs():
 
 def test_green_region_pair_builds_no_continuation_panel(m05):
     # at k = 0.5 every order of a (20, 20) expansion hands off at 0.3 R, so a
-    # pair at t <= 0.3 K' and t* >= 0.6 K' reads F from the series alone, and
-    # the kept first-kind panels still end at the panel that covers t, though
-    # the hand-off read W at K' - tau0 = 0.53 K'
+    # pair at t <= 0.3 K' and t* >= 0.6 K' reads F from the series alone; the
+    # first-kind panels end at the panel that covers the hand-off read of W
+    # at K' - tau0 = 0.53 K', past t
     m = m05
     kp = m.quarter_Kp
     together = OrderSet([order - 0.5 for order in range(21)], m, 20)
@@ -213,7 +215,7 @@ def test_green_region_pair_builds_no_continuation_panel(m05):
     assert tau0 == 0.6 * min(m.quarter_K, kp)
     assert len(cont.edges) - 1 == 0
     edges = together._first.edges
-    assert edges[-2] < 0.3 * kp <= edges[-1] < kp - tau0
+    assert 0.3 * kp < edges[-2] < kp - tau0 <= edges[-1]
 
 
 def test_multi_basis_real_read_equals_each_basis_read(m05):
@@ -245,9 +247,10 @@ def test_multi_basis_real_read_equals_each_basis_read(m05):
 
 
 def test_second_kind_keeps_only_the_panels_read(m05):
-    # the hand-off reads W(K' - tau0) from a throwaway extension: the kept
-    # first-kind set still ends at the panel that covers the highest read,
-    # and later reads above it match a fresh basis bit for bit
+    # the hand-off reads W(K' - tau0) from the set's own first-kind panels:
+    # they grow from the panel that covers the highest read to the one that
+    # covers K' - tau0, keep every panel built before, and later reads above
+    # them match a fresh set's bit for bit
     m = m05
     kp = m.quarter_Kp
     b = OrderSet([4.5], m, 6)
@@ -256,15 +259,73 @@ def test_second_kind_keeps_only_the_panels_read(m05):
     edges = first.edges.copy()
     assert edges[-2] < 0.3 * kp <= edges[-1]
     b.second(0.7 * kp)
-    assert np.array_equal(first.edges, edges)
-    assert len(first.coeffs) == len(edges) - 1
+    t1 = kp - b._second_kind[1]
+    assert np.array_equal(first.edges[:edges.size], edges)
+    assert first.edges[-2] < t1 <= first.edges[-1]
+    assert len(first.coeffs) == len(first.edges) - 1
     fresh = OrderSet([4.5], m, 6)
     fresh.second(0.7 * kp)
-    assert len(fresh._first.edges) - 1 == 0  # the second kind alone keeps no W panel
+    assert len(fresh._second_kind[2].edges) - 1 == 0  # F at 0.7K' is read from its series
+    assert np.array_equal(fresh._first.edges, first.edges)
     high = np.array([0.5, 0.8, 0.85]) * kp
     for derivative in (False, True):
         assert np.array_equal(b.second(high, derivative), fresh.second(high, derivative))
         assert np.array_equal(b.imag(high, derivative), fresh.imag(high, derivative))
+
+
+def test_w_read_after_the_second_kind_builds_no_panel(m05, monkeypatch):
+    # the second kind's hand-off grows the set's first-kind panels to
+    # K' - tau0 and they keep what they built, so a W read up to that panel's
+    # end, past K' - tau0, builds no panel
+    m = m05
+    kp = m.quarter_Kp
+    built = []
+    build = _ImagPanels._build_panel
+    monkeypatch.setattr(_ImagPanels, "_build_panel",
+                        lambda panels, t_to: (built.append(t_to), build(panels, t_to))[1])
+    together = OrderSet([order - 0.5 for order in range(6)], m, 6)
+    together.second(0.7 * kp)
+    count = len(built)
+    assert count > 0
+    t1, end = kp - together._second_kind[1], together._first.edges[-1]
+    assert t1 <= end
+    for derivative in (False, True):
+        together.imag(np.concatenate([np.linspace(0.0, t1, 9), [0.5 * (t1 + end), end]]),
+                      derivative)
+    assert len(built) == count
+
+
+def test_panel_read_in_blocks_equals_its_halves(m05):
+    # a read of more points than one block gives each point the bits of its
+    # read in any other block: W, and F below the hand-off, where it is read
+    # from its continuation panels, and their derivatives
+    m = m05
+    kp = m.quarter_Kp
+    together = OrderSet([order - 0.5 for order in range(4)], m, 4)
+    t = np.random.default_rng(7).uniform(0.02, 0.5, 600) * kp
+    assert t.max() < kp - together._second_kind[1]
+    for read in (together.imag, together.second):
+        for derivative in (False, True):
+            whole = read(t, derivative)
+            assert np.array_equal(whole, np.concatenate([read(t[:300], derivative),
+                                                         read(t[300:], derivative)]))
+
+
+def test_panel_read_memory_is_of_the_order_of_its_answer(m05):
+    # a W read of 20,000 points at (10, 10) holds its answer and blocks of
+    # lame._READ_BLOCK points beside it, not a (points, 25, columns) gather
+    m = m05
+    together = order_set(m, 10, 10)
+    t = np.linspace(0.01, 0.9, 20_000) * m.quarter_Kp
+    together.imag(t[-1:])  # the panels, which the set keeps, built before the count
+    tracemalloc.start()
+    try:
+        answer = together.imag(t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert answer.shape == (t.size,) + together.h.shape
+    assert peak <= 3 * answer.nbytes
 
 
 def test_lame_batch_columns_follow_specs(m05):
