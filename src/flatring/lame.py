@@ -28,8 +28,8 @@ resolves them.  A panel set keeps the coefficients of W and W' of each
 panel, (panels, 2, 25, columns), fitted in build order, so panel j runs
 from edges[j] (x = -1) to edges[j+1] (x = +1) whichever way the set grows.
 A read finds every point's panel by one searchsorted over the edges and
-contracts it with one row of T_j(x) per point, 256 points at a time, so
-that it holds little beside its answer: within 1e-14 of chebval.
+takes one product of the rows T_j(x) of a panel's points with the panel,
+written into the answer: within 1e-14 of chebval.
 Odd-parity values are stored as the real representative W(t) = E(it)/i with
 W'(0) = E'(0); downstream products always pair matching representatives,
 which reproduces the complex-convention results exactly.
@@ -46,12 +46,12 @@ OrderSet, the one Lame object, holds the modes Ec^0..Ec^N, Es^1..Es^(N+1)
 of some orders nu of one modulus at a shell depth N, with their eigenvalues,
 coefficients and certificates, one coefficient block, one panel set of each
 kind over every column, sized by its widest, and one hand-off tau0, the
-least of the one-nu sets' own: E, W and F are each one contraction over all
-of them, and agree with each one-nu set's to 1e-13 of each column's largest
-|value|.  basis(nu, m, N) serves one-nu sets to single-mode callers from a
-bounded LRU cache (basis_for: the least depth that holds some modes), and
-order_set(m, m_max, N) the orders 0..m_max of a flat-ring series from a
-small one, so an expansion solves each order once.
+least of the one-nu sets' own: E, W and F are read by BLAS products over
+all of them, and agree with each one-nu set's to 1e-14 (E) and 1e-13 (W, F)
+of each column's largest |value|.  basis(nu, m, N) serves one-nu sets to
+single-mode callers from a bounded LRU cache (basis_for: the least depth
+that holds some modes), and order_set(m, m_max, N) the orders 0..m_max of
+a flat-ring series from a small one, so an expansion solves each order once.
 """
 
 from __future__ import annotations
@@ -72,7 +72,6 @@ _GALERKIN_TAIL = 1e-15  # trailing quarter of each mode's coefficients, relative
 _TRIM = 1e-17           # coefficients below this share of a mode's largest are dropped
 _PANEL_DEG = 24
 _PANEL_LOG_GROWTH = 4.0
-_READ_BLOCK = 256  # points per contraction of a panel read, which bounds the blocks it gathers
 _IMAG_T_CAP = 1.0 - 2e-6    # fraction of K' where imaginary-axis values give up
 _OVERFLOW = 1e250
 _FROBENIUS_TERMS = 64  # the most that ns2_series_coeffs gives
@@ -170,8 +169,8 @@ class _ImagPanels:
     panel j are coeffs[j], (2, degree + 1, columns): it runs from edges[j]
     (x = -1) to edges[j+1] (x = +1) whichever way the set grows.  A build
     solves the systems of width columns (one nu) at a time, and a read
-    contracts _READ_BLOCK points at a time, which bounds the memory each
-    takes beside what it keeps or returns."""
+    writes one product per panel into its answer, which bounds the memory
+    each takes beside what it keeps or returns."""
 
     def __init__(self, m: Modulus, h: np.ndarray, c: np.ndarray, t0: float,
                  state0: np.ndarray, t_end: float, width: int):
@@ -239,17 +238,19 @@ class _ImagPanels:
             else:
                 self._build_panel(max(t - _PANEL_LOG_GROWTH / self._lambda(t), self.t_end))
 
-    def values(self, t: np.ndarray, derivative: bool = False) -> np.ndarray:
+    def values(self, t: np.ndarray, derivative: bool = False, out=None, rows=None) -> np.ndarray:
         """W (or W') of every column at the points t, the set first grown to
-        reach them: (len(t), columns).  Each point's panel is the one that
-        starts at or before it (an inner edge starts the panel after it), its
-        place x there clipped to [-1, 1] where rounding puts it past an edge;
-        the panels are contracted with one row T_j(x) = cos(j arccos x) per
-        point, _READ_BLOCK points at a time, which leaves each point's bits
-        as they are.  Within 1e-14 of chebval of each column's largest |value|."""
+        reach them, written into out[rows] (by default a new (len(t), columns)
+        array) and returned.  A point's panel starts at or before it (an inner
+        edge starts the panel after it), its place x there clipped to [-1, 1]
+        where rounding puts it past an edge; a panel's points are one (points,
+        25) @ (25, columns) product of their rows T_j(x) = cos(j arccos x) with
+        it, within 1e-14 of chebval of each column's largest |value|."""
         t = np.asarray(t, dtype=float)
+        if out is None:
+            out, rows = np.empty((t.size, self.h.size)), np.arange(t.size)
         if not t.size:
-            return np.empty((0, self.h.size))
+            return out
         self.extend_to(float(t[np.argmax(self.sign * t)]))
         if self._new:
             self.coeffs = np.concatenate([self.coeffs, np.stack(self._new)])
@@ -257,11 +258,10 @@ class _ImagPanels:
         j = np.searchsorted(self.sign * self.edges[1:-1], self.sign * t, side="right")
         lo, hi = self.edges[j], self.edges[j + 1]
         theta = np.arccos(np.clip((2.0 * t - (lo + hi)) / (hi - lo), -1.0, 1.0))
-        out = np.empty((t.size, self.h.size))
-        for i in range(0, t.size, _READ_BLOCK):
-            p = slice(i, i + _READ_BLOCK)
-            table = np.cos(np.multiply.outer(theta[p], np.arange(_PANEL_DEG + 1.0)))
-            out[p] = np.einsum("pj,pjn->pn", table, self.coeffs[j[p], int(derivative)])
+        table = np.cos(np.multiply.outer(theta, np.arange(_PANEL_DEG + 1.0)))
+        for panel in np.unique(j):
+            p = np.flatnonzero(j == panel)
+            out[rows[p]] = table[p] @ self.coeffs[panel, int(derivative)]
         return out
 
 
@@ -360,8 +360,8 @@ def _frobenius_series(b: np.ndarray, nu: np.ndarray, tau: np.ndarray,
     p = 2.0 * np.arange(len(b))
     if derivative:
         b = b * (p.reshape((-1,) + (1,) * (b.ndim - 1)) + nu + 1.0)
-    return (np.tensordot(np.power.outer(tau, p), b, axes=1)
-            * np.power.outer(tau, nu + 1.0 - derivative))
+    series = np.power.outer(tau, p) @ b.reshape(len(b), -1)
+    return series.reshape((len(tau),) + b.shape[1:]) * np.power.outer(tau, nu + 1.0 - derivative)
 
 
 # --- the Lame functions of some orders nu at one k ---------------------------
@@ -483,20 +483,22 @@ class OrderSet:
         return values.reshape((len(values),) + self.h.shape)[..., cols]
 
     def real(self, s, derivative: bool = False, cols=slice(None)) -> np.ndarray:
-        """E(s) (or E'(s)) of every nu at real s; the Galerkin basis carries
-        parity and periodicity.  Every nu sums over a prefix of the frequency
-        grid j pi/(2K), so one table [cos | sin] (or [-f sin | f cos] for E')
-        on the longest grid is contracted with the coefficients by
-        `np.einsum`, each value summed over the cosine, then the sine rows in
-        order, so that a zero row changes no bit: each nu's block equals its
-        read by a one-nu set bit for bit, and agrees with the two matrix
-        products on its own grid to <= 1e-14 of each column's largest
-        |value|."""
-        x = np.multiply.outer(np.asarray(s, dtype=float).ravel(), self._freq)
-        cos_x, sin_x = np.cos(x), np.sin(x)
-        table = (np.stack([-self._freq * sin_x, self._freq * cos_x], axis=1) if derivative
-                 else np.stack([cos_x, sin_x], axis=1))
-        e = np.einsum("ptk,tkn->pn", table, self._coef)
+        """E(s) (or E'(s)) of every nu at finite real s; the Galerkin basis
+        carries parity and periodicity.  Every nu sums over a prefix of the
+        frequency grid j pi/(2K): one (points, 2, rows) table [cos | sin] ([-f
+        sin | f cos] for E') on the longest grid, built in place, times the
+        coefficient block, within 1e-14 of each column's largest |value| of a
+        one-nu set's read and of two matrix products on the nu's own grid."""
+        s = np.asarray(s, dtype=float).ravel()
+        if not np.all(np.isfinite(s)):
+            raise DomainError("real-axis evaluation requires finite s")
+        table = np.empty((s.size, 2, self._freq.size))
+        x = np.multiply.outer(s, self._freq, out=table[:, int(derivative)])  # cosines' slot
+        np.sin(x, out=table[:, 1 - int(derivative)])
+        np.cos(x, out=x)
+        if derivative:
+            table *= self._freq * np.array([[-1.0], [1.0]])
+        e = table.reshape(s.size, 2 * self._freq.size) @ self._coef.reshape(-1, self.h.size)
         return self._split(e, cols)
 
     def imag(self, t, derivative: bool = False, cols=slice(None)) -> np.ndarray:
@@ -507,14 +509,12 @@ class OrderSet:
         at = np.abs(t)
         if not np.all(np.isfinite(at)):
             raise DomainError("imaginary-axis evaluation requires finite t")
-        fixed = t == 0.0
         out = np.empty((t.size, self.h.size))
-        out[~fixed] = self._first.values(at[~fixed], derivative)
-        out[fixed] = self._boundary[int(derivative)]
-        below = t < 0.0
-        if below.any():
-            # W has the parity of its family, W' the opposite one
-            out[below] *= np.where(self._even == derivative, -1.0, 1.0)
+        rows = np.flatnonzero(t)
+        self._first.values(at[rows], derivative, out, rows)
+        out[t == 0.0] = self._boundary[int(derivative)]
+        if np.any(t < 0.0):  # W has the parity of its family, W' the opposite one
+            out[t < 0.0] *= np.where(self._even == derivative, -1.0, 1.0)
         return self._split(out, cols)
 
     def second(self, t, derivative: bool = False, cols=slice(None)) -> np.ndarray:
@@ -533,7 +533,7 @@ class OrderSet:
             series = _frobenius_series(frobenius, self._nu, tau[near], derivative)
             out[near] = -series if derivative else series  # dF/dt = -dF/dtau
         if not near.all():
-            out[~near] = self._split(cont.values(t[~near], derivative), slice(None))
+            cont.values(t[~near], derivative, out.reshape(t.size, -1), np.flatnonzero(~near))
         return out[..., cols]
 
     @functools.cached_property

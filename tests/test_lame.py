@@ -10,6 +10,7 @@ from flatring.errors import DomainError
 from flatring.lame import (
     LameFamily,
     OrderSet,
+    basis,
     basis_for,
     eigenvalue_bracket,
     family_of_superscript,
@@ -273,3 +274,15 @@ def test_invalid_arguments():
         family_of_superscript("s", 0)
     with pytest.raises(DomainError):
         family_of_superscript("x", 1)
+
+
+def test_real_read_refuses_a_non_finite_s():
+    # E at s = nan or +-inf, alone or among finite points, is refused with
+    # no warning, as W is at a non-finite t
+    b = basis(2.5, Modulus.from_k(0.5), 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in (np.nan, np.inf, -np.inf, [0.3, np.nan], [np.inf, 1.0]):
+            for derivative in (False, True):
+                with pytest.raises(DomainError, match="finite s"):
+                    b.real(s, derivative)

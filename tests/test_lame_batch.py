@@ -220,10 +220,10 @@ def test_green_region_pair_builds_no_continuation_panel(m05):
 
 def test_multi_basis_real_read_equals_each_basis_read(m05):
     # one cos/sin table over orders with frequency grids of different
-    # lengths (orders and depths differ) against each order's one-nu set,
-    # bit for bit, and against the two matrix products on the order's own
-    # grid, to 1e-14 of each column's largest |value|; a set holds one
-    # depth, so each depth is read through its own set
+    # lengths (orders and depths differ) against each order's one-nu set
+    # and against the two matrix products on the order's own grid, to 1e-14
+    # of each column's largest |value|; a set holds one depth, so each depth
+    # is read through its own set
     m = m05
     groups = [([0.5], 3), ([7.5, 19.5], 6), ([2.5], 10)]
     bases = [basis(nu, m, depth) for nus, depth in groups for nu in nus]
@@ -242,7 +242,7 @@ def test_multi_basis_real_read_equals_each_basis_read(m05):
                     own = (np.cos(x) @ (f * sin_c) - np.sin(x) @ (f * cos_c) if derivative
                            else np.cos(x) @ cos_c + np.sin(x) @ sin_c)
                     _close(values, own)
-                    assert np.array_equal(values, b.real(s, derivative, cols)[:, 0])
+                    _close(values, b.real(s, derivative, cols)[:, 0])
     assert OrderSet([7.5, 19.5], m, 6).real(0.3).shape == (1, 2, bases[1].h.size)
 
 
@@ -312,8 +312,8 @@ def test_panel_read_in_blocks_equals_its_halves(m05):
 
 
 def test_panel_read_memory_is_of_the_order_of_its_answer(m05):
-    # a W read of 20,000 points at (10, 10) holds its answer and blocks of
-    # lame._READ_BLOCK points beside it, not a (points, 25, columns) gather
+    # a W read of 20,000 points at (10, 10) holds its answer and one panel's
+    # product beside it, not a (points, 25, columns) gather
     m = m05
     together = order_set(m, 10, 10)
     t = np.linspace(0.01, 0.9, 20_000) * m.quarter_Kp
@@ -326,6 +326,53 @@ def test_panel_read_memory_is_of_the_order_of_its_answer(m05):
         tracemalloc.stop()
     assert answer.shape == (t.size,) + together.h.shape
     assert peak <= 3 * answer.nbytes
+
+
+def test_real_and_continuation_read_memory_is_of_the_order_of_their_answer(m05):
+    # an E read of 20,000 points at (10, 10) holds its answer and its
+    # (points, 2, rows) table, and an F read below the hand-off its answer
+    # and one panel's product: values and derivatives
+    m = m05
+    together = order_set(m, 10, 10)
+    s = np.linspace(-2.0, 2.0, 20_000) * m.quarter_K
+    t = np.linspace(0.01, 0.5, 20_000) * m.quarter_Kp
+    assert t[-1] < m.quarter_Kp - together._second_kind[1]
+    together.second(t[:1])  # the continuation panels, built before the count
+    for read, x in ((together.real, s), (together.second, t)):
+        for derivative in (False, True):
+            tracemalloc.start()
+            try:
+                answer = read(x, derivative)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert answer.shape == (x.size,) + together.h.shape
+            assert peak <= 3 * answer.nbytes
+
+
+@pytest.mark.parametrize("k", [1e-3, 0.5, 0.99])
+def test_reads_in_pieces_agree_with_the_whole_read(k):
+    # the same points read one, two and five at a time against one read of
+    # all 610, which spans several first-kind panels (and continuation panels
+    # but at k = 0.99, where one panel reaches t = 0) and both sides of the
+    # hand-off, to 1e-14 of each column's largest |value|: a product's last
+    # bits depend on how many points share it, so they are not kept; and
+    # the empty read keeps its shape
+    m = Modulus.from_k(k)
+    kp = m.quarter_Kp
+    together = OrderSet([order - 0.5 for order in range(4)], m, 4)
+    rng = np.random.default_rng(5)
+    reads = ((together.real, rng.uniform(-2.0, 2.0, 610) * m.quarter_K),
+             (together.imag, rng.uniform(-0.9, 0.9, 610) * kp),
+             (together.second, rng.uniform(0.05, 0.95, 610) * kp))
+    for read, x in reads:
+        for derivative in (False, True):
+            whole = read(x, derivative)
+            assert read(x[:0], derivative).shape == (0,) + whole.shape[1:]
+            for width in (1, 2, 5):
+                pieces = [read(x[i:i + width], derivative) for i in range(0, x.size, width)]
+                _close(np.concatenate(pieces), whole)
+    assert len(together._first.edges) - 1 >= 4 and len(together._second_kind[2].edges) - 1 >= 1
 
 
 def test_lame_batch_columns_follow_specs(m05):

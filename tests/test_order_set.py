@@ -173,7 +173,7 @@ def test_panel_tail_is_rounding(k, wide):
 
 def test_one_basis_reads_keep_one_set():
     # a one-nu set against its slot in a set of several orders: the same
-    # eigenvalues and boundary data, E bit for bit, and W and F to 1e-13 of
+    # eigenvalues and boundary data, E to 1e-14 and W and F to 1e-13 of
     # each column's largest |value|, both reads (points, nus, modes); and a
     # read set that no one holds is freed at once, without the cycle
     # collector
@@ -190,10 +190,7 @@ def test_one_basis_reads_keep_one_set():
                 own = getattr(b, name)(x, derivative, cols)
                 read = getattr(together, name)(x, derivative, cols)
                 assert own.shape == (3, 1, read.shape[2])
-                if name == "real":
-                    assert np.array_equal(own[:, 0], read[:, 1])
-                else:
-                    assert _colmax_err(read[:, 1], own[:, 0]) <= 1e-13
+                assert _colmax_err(read[:, 1], own[:, 0]) <= (1e-14 if name == "real" else 1e-13)
     freed = weakref.ref(b)
     gc.disable()
     try:

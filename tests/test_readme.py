@@ -28,4 +28,5 @@ def test_array_evaluation_example_runs_as_printed():
     own = scope["basis"](2.5, m, 20)
     scale = np.max(np.abs(own.imag(t)), axis=0)
     assert np.all(np.abs(w_all[:, [3]] - own.imag(t)) <= 1e-13 * scale)
-    assert np.array_equal(scope["orders"].real(s)[:, [3]], own.real(s))
+    scale = np.max(np.abs(own.real(s)), axis=0)
+    assert np.all(np.abs(scope["orders"].real(s)[:, [3]] - own.real(s)) <= 1e-14 * scale)
