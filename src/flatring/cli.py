@@ -272,11 +272,11 @@ def cmd_dirichlet(args) -> int:
             raise DomainError(f"--t0 = {args.t0!r} leaves no room for random probes inside "
                               f"the interior margin; give --probes")
         t_lo = 0.05 * kp if 0.05 * kp <= t_hi else 0.5 * t_hi
-        rng = np.random.default_rng(args.seed)
-        probes = [flatring_to_cartesian(FlatRingPoint(
-            s=float(rng.uniform(-2 * m.quarter_K + 0.2, 2 * m.quarter_K - 0.2)),
-            t=float(rng.uniform(t_lo, t_hi)),
-            phi=float(rng.uniform(-math.pi, math.pi)), modulus=m)) for _ in range(args.n_probes)]
+        s_hi = 2 * m.quarter_K - 0.2
+        s, t, phi = np.random.default_rng(args.seed).uniform(
+            [-s_hi, t_lo, -math.pi], [s_hi, t_hi, math.pi], (args.n_probes, 3)).T
+        mapped = flatring_to_cartesian(FlatRingPoint(s=s, t=t, phi=phi, modulus=m))
+        probes = [CartesianPoint(*q) for q in np.column_stack(mapped).tolist()]
     rows = []
     for q, value in zip(probes, solve_interior(dom, coeffs, probes)):
         row = {"x": q.x, "y": q.y, "z": q.z, "value": float(value)}

@@ -64,8 +64,8 @@ class AlgebraicFlatRing(NamedTuple("AlgebraicFlatRing", [("mu", float), ("rho", 
 
 class FlatRingPoint(NamedTuple("FlatRingPoint", [("s", float), ("t", float), ("phi", float),
                                                  ("modulus", Modulus), ("variant", Variant)])):
-    """Transcendental coordinates (s, t, phi) at a fixed modulus; the fields
-    may be arrays of broadcastable shapes, one point per element."""
+    """Transcendental coordinates (s, t, phi), phi finite, at a fixed modulus;
+    the fields may be arrays of broadcastable shapes, one point per element."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace is checked too
@@ -82,19 +82,21 @@ class FlatRingPoint(NamedTuple("FlatRingPoint", [("s", float), ("t", float), ("p
             ok = (0.0 < s) & (s < 4.0 * k_big) & (0.0 < t) & (t < kp)
         if not np.all(ok):
             raise DomainError(f"(s, t) = ({s!r}, {t!r}) outside the {variant.name} ranges")
+        if not np.all(np.isfinite(phi)):
+            raise DomainError(f"phi must be finite, got {phi!r}")
         return super().__new__(cls, s, t, phi, modulus, variant)
 
 
 class ToroidalPoint(NamedTuple("ToroidalPoint", [("tau", float), ("psi", float),
                                                  ("phi", float)])):
-    """Toroidal coordinates (tau, psi, phi), tau > 0."""
+    """Toroidal coordinates (tau, psi, phi), finite, tau > 0."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace is checked too
 
     def __new__(cls, tau: float, psi: float, phi: float):
-        if not tau > 0.0:
-            raise DomainError(f"tau must be positive, got {tau!r}")
+        if not (tau > 0.0 and all(map(math.isfinite, (tau, psi, phi)))):
+            raise DomainError(f"tau must be positive and each field finite: {(tau, psi, phi)!r}")
         return super().__new__(cls, tau, psi, phi)
 
 

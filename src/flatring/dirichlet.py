@@ -6,11 +6,12 @@ data enter as g(s, phi) = (x^2 + y^2)^(1/4) f on the surface; coefficients
 come from tensor-product quadrature (Gauss-Legendre in s, trapezoid in phi,
 which is spectrally accurate for periodic data), and the solution is summed
 from internal harmonics.  Sine-family coefficients are normalized by the
-sine-family edge value Es(i t0).
+sine-family edge value Es(i t0).  An external harmonic's integral
+representation is twice one coefficient of a point source, read likewise.
 
 Everything in a projection but the data depends only on the surface, the
-quadrature and the truncation: `_surface` builds it once per key (modulus,
-t0, n_s, n_phi, m_max, n_max) and keeps the last one (lru_cache of size 1),
+quadrature and the truncation: `_surface` builds it once per key (domain,
+n_s, n_phi, m_max, n_max) and keeps the last one (lru_cache of size 1),
 since a run of solves reads one surface.  It holds read-only arrays alone,
 no basis and no order set, so `lame.clear_caches` need not reach it: a
 rebuilt set reads bit for bit what the arrays hold.  At the CLI defaults
@@ -28,12 +29,12 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .coords import CartesianPoint, FlatRingPoint, Variant, cartesian_to_flatring, flatring_to_cartesian
+from .coords import CartesianPoint, FlatRingPoint, flatring_to_cartesian
 from .coords import FAR_GUARD, _check_far, coordinate_surface_residual
 from .elliptic import Modulus
 from .errors import DomainError, QuadratureWarning
-from .harmonics import HarmonicIndex, Truncation, _gauss_legendre
-from .lame import basis_for, order_set
+from .harmonics import HarmonicIndex, Truncation, _flatring_of, _gauss_legendre
+from .lame import order_set, shell_depth
 
 _INTERIOR_MARGIN = 1e-3  # in units of K': probes must satisfy t <= t0 - margin
 
@@ -71,7 +72,8 @@ class FlatRingDomain(NamedTuple("FlatRingDomain", [("t0", float), ("modulus", Mo
 
 
 def _inverse_distance(q: CartesianPoint, r_star: CartesianPoint):
-    return 1.0 / np.sqrt((q.x - r_star.x) ** 2 + (q.y - r_star.y) ** 2 + (q.z - r_star.z) ** 2)
+    with np.errstate(divide="ignore"):  # inf at r*: coefficients refuses it as non-finite data
+        return 1.0 / np.sqrt((q.x - r_star.x) ** 2 + (q.y - r_star.y) ** 2 + (q.z - r_star.z) ** 2)
 
 
 def _surface_quadrature(m: Modulus, n_s: int, n_phi: int):
@@ -173,15 +175,14 @@ _Surface = NamedTuple("_Surface", [
 
 
 @functools.lru_cache(maxsize=1)
-def _surface(m: Modulus, t0: float, n_s: int, n_phi: int, m_max: int, n_max: int, /) -> _Surface:
-    """The _Surface of one key, from one E read at the s-nodes and one W read
-    at t0 of every order (`lame.order_set`)."""
-    s_nodes, s_weights, phi_nodes, dphi = _surface_quadrature(m, n_s, n_phi)
-    mesh = flatring_to_cartesian(FlatRingPoint(s=s_nodes[:, None], t=t0, phi=phi_nodes[None, :],
-                                               modulus=m))
+def _surface(dom: FlatRingDomain, n_s: int, n_phi: int, m_max: int, n_max: int, /) -> _Surface:
+    """The _Surface of one key, from the mesh of `dom.surface_point`, one E read
+    at the s-nodes and one W read at t0 of every order (`lame.order_set`)."""
+    s_nodes, s_weights, phi_nodes, dphi = _surface_quadrature(dom.modulus, n_s, n_phi)
+    mesh = dom.surface_point(s_nodes[:, None], phi_nodes[None, :])
     m_phi = np.multiply.outer(np.arange(m_max + 1), phi_nodes)
-    bases = order_set(m, m_max, n_max)
-    (edge,) = bases.imag(t0)
+    bases = order_set(dom.modulus, m_max, n_max)
+    (edge,) = bases.imag(dom.t0)
     e = bases.real(s_nodes).transpose(1, 0, 2)  # (M+1, n_s, 2N+2)
     surface = _Surface(
         s_nodes=s_nodes, s_weights=s_weights, phi_nodes=phi_nodes, dphi=dphi, mesh=mesh,
@@ -205,7 +206,7 @@ def coefficients(dom: FlatRingDomain, data: BoundaryData, tr: Truncation) -> Coe
     """
     if data.f is not None and data.dom != dom:
         raise DomainError("boundary data from from_function belong to another domain")
-    surface = _surface(dom.modulus, dom.t0, data.n_s, data.n_phi, tr.m_max, tr.n_max)
+    surface = _surface(dom, data.n_s, data.n_phi, tr.m_max, tr.n_max)
     gvals = (data.sample(surface.s_nodes, surface.phi_nodes) if data.f is None
              else surface.root_r * data.f(surface.mesh))  # g, as from_function's g maps it
     if not np.all(np.isfinite(gvals)):
@@ -242,7 +243,7 @@ def solve_interior(dom: FlatRingDomain, coeffs: CoefficientTable,
         x, y, z = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in q))
     else:
         x, y, z = np.array(list(q), dtype=float).reshape(-1, 3).T
-    p = cartesian_to_flatring(CartesianPoint(x, y, z), m, Variant.V1)
+    p, pref = _flatring_of(CartesianPoint(x, y, z), m)
     s, t, phi = (np.ravel(v) for v in (p.s, p.t, p.phi))
     if np.any(t > dom.t_inner):
         raise DomainError(
@@ -259,7 +260,7 @@ def solve_interior(dom: FlatRingDomain, coeffs: CoefficientTable,
     # every order's sum at every point, then one phase product over the orders
     terms = (products @ folded[:, :, None])[..., 0]
     total = np.sum(terms * np.exp(1j * np.multiply.outer(orders, phi)), axis=0)
-    u = (x * x + y * y) ** -0.25 * total.real.reshape(x.shape)
+    u = pref * total.real.reshape(x.shape)
     return float(u) if u.ndim == 0 else u
 
 
@@ -279,19 +280,16 @@ def external_from_boundary(dom: FlatRingDomain, idx: HarmonicIndex,
                            r_star: CartesianPoint, n_s: int = 128, n_phi: int = 64) -> complex:
     """Integral representation of an external harmonic through internal data.
 
-    Evaluates (1 / (4 pi E(i t0)^2)) times the surface integral of
-    G / (h_s |r - r*|); in (s, phi) parameters the measure weight h_s h_phi
-    cancels h_s, leaving h_phi = R(s).  Equals external_harmonic at r*.
-    """
+    (1 / (4 pi W(t0))) times the integral of (x^2+y^2)^(1/4) E(s) e^{i m phi}
+    / |. - r*| over t = t0 is 2 c_-m^n (Hc) or 2 d_-m^n (Hs) of the point source
+    at r*, read from `solve_point_source` at (|m|, the least depth holding n),
+    whose refusals it shares.  Equals external_harmonic at r*."""
     if idx.kind.internal:
         raise DomainError("external_from_boundary expects an Hc or Hs index")
-    _check_far(math.hypot(*r_star), FAR_GUARD * dom.modulus.k)
-    if dom.contains(r_star):
-        raise DomainError("r* must lie outside the closed flat-ring")
-    b, cols = basis_for([(idx.family, idx.zero_count)], idx.nu, dom.modulus)
-    s_nodes, s_weights, phi_nodes, dphi = _surface_quadrature(dom.modulus, n_s, n_phi)
-    q = dom.surface_point(s_nodes[:, None], phi_nodes[None, :])
-    integrand = (np.sqrt(np.hypot(q.x, q.y)) * b.real(s_nodes, cols=cols)[:, 0]
-                 * _inverse_distance(q, r_star))  # (n_s, n_phi)
-    total = (s_weights @ integrand @ np.exp(1j * idx.m * phi_nodes)) * dphi
-    return complex(total / (4.0 * math.pi * b.imag(dom.t0, cols=cols)[0, 0, 0]))
+    tr = Truncation(abs(idx.m), shell_depth(idx.family, idx.zero_count))
+    with warnings.catch_warnings():
+        # a projection truncated at one mode on purpose: its Parseval residual means nothing
+        warnings.simplefilter("ignore", QuadratureWarning)
+        coeffs = solve_point_source(dom, r_star, tr, n_s, n_phi)
+    coefficient = coeffs.c_of if idx.kind.lame_kind == "c" else coeffs.d_of
+    return complex(2.0 * coefficient(-idx.m, idx.n))

@@ -72,10 +72,7 @@ class HarmonicIndex(NamedTuple("HarmonicIndex", [("m", int), ("n", int),
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace is checked too
 
     def __new__(cls, m: int, n: int, kind: HarmonicKind):
-        if kind.lame_kind == "s" and n < 1:
-            raise DomainError("sine-family harmonics require superscript n >= 1")
-        if kind.lame_kind == "c" and n < 0:
-            raise DomainError("cosine-family harmonics require superscript n >= 0")
+        family_of_superscript(kind.lame_kind, n)  # refuses n below the family's least
         return super().__new__(cls, m, n, kind)
 
     @property
@@ -144,14 +141,10 @@ def internal_harmonic(idx: HarmonicIndex, q: CartesianPoint, m: Modulus):
 
 def external_harmonic(idx: HarmonicIndex, q: CartesianPoint, m: Modulus):
     """External flat-ring harmonic Hc/Hs at a Cartesian point (or a
-    CartesianPoint of arrays) off the closed focal annulus
-    b^2 <= x^2 + y^2 <= 1/b^2, z = 0."""
+    CartesianPoint of arrays) off the V1 cut {z = 0, x^2 + y^2 >= b^2}: the
+    focal annulus and the plane past it, which the inversion refuses."""
     if idx.kind.internal:
         raise DomainError("external_harmonic requires an Hc or Hs index")
-    r = np.hypot(q.x, q.y)
-    b = m.b_ring
-    if np.any((np.abs(q.z) < 1e-10) & (b - 1e-10 <= r) & (r <= 1.0 / b + 1e-10)):
-        raise DomainError("external harmonic undefined on the focal annulus")
     return _harmonic(idx, q, m)
 
 

@@ -137,13 +137,13 @@ def family_of_superscript(kind: str, superscript: int) -> tuple[LameFamily, int]
     """Map ('c'|'s', superscript) to (family, zero count)."""
     if kind == "c":
         if superscript < 0:
-            raise DomainError("Ec superscript must be >= 0")
+            raise DomainError(f"Ec superscripts require n >= 0, got {superscript!r}")
         if superscript % 2 == 0:
             return LameFamily.EC_EVEN, superscript // 2
         return LameFamily.EC_ODD, (superscript - 1) // 2
     if kind == "s":
         if superscript < 1:
-            raise DomainError("Es superscript must be >= 1")
+            raise DomainError(f"Es superscripts require n >= 1, got {superscript!r}")
         if superscript % 2 == 1:
             return LameFamily.ES_ODD, (superscript - 1) // 2
         return LameFamily.ES_EVEN, (superscript - 2) // 2

@@ -327,6 +327,17 @@ def test_far_point_exits_2_with_one_error_line(capsys, argv):
                      "exit_code": 2}
 
 
+def test_dirichlet_source_on_a_quadrature_node_exits_2_with_one_error_line(capsys):
+    # a node of the default 64 x 48 mesh: the refusal of its non-finite data is
+    # the one line on stderr, with no numpy divide-by-zero warning ahead of it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "dirichlet", "--n-probes", "2", "--source="
+                                 "-1.5187906411271317,-1.1654090480267167,-0.4222226652347772")
+    assert code == 2 and out == ""
+    assert err.startswith("error: non-finite boundary data g = inf") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ("dirichlet", "--n-s", "0"),
     ("dirichlet", "--n-s", "-3"),
@@ -336,6 +347,8 @@ def test_far_point_exits_2_with_one_error_line(capsys, argv):
     ("verify", "--tol", "-1"),
     ("verify", "--seed", "-1"),
     ("dirichlet", "--seed", "-1"),
+    ("coords", "forward", "--phi", "nan"),
+    ("coords", "forward", "--phi", "inf"),
 ])
 def test_bad_count_or_scale_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--format", "json")

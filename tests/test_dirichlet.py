@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,9 +14,9 @@ from flatring.dirichlet import (
     solve_interior,
     solve_point_source,
 )
-from flatring.errors import DomainError
+from flatring.errors import DomainError, QuadratureWarning
 from flatring.harmonics import HarmonicIndex, HarmonicKind, Truncation, external_harmonic, internal_harmonic
-from flatring.lame import OrderSet, order_set
+from flatring.lame import OrderSet, order_set, shell_depth
 
 
 @pytest.fixture(scope="module")
@@ -245,11 +246,50 @@ def test_external_from_boundary(setup):
     r_out = flatring_to_cartesian(FlatRingPoint(
         s=0.9 * m.quarter_K, t=0.8 * m.quarter_Kp, phi=0.5, modulus=m))
     for mm, sup, kind in ((1, 0, HarmonicKind.HC), (0, 2, HarmonicKind.HC),
-                          (1, 2, HarmonicKind.HS)):
+                          (1, 2, HarmonicKind.HS), (-2, 3, HarmonicKind.HC),
+                          (-3, 4, HarmonicKind.HS)):
         idx = HarmonicIndex(m=mm, n=sup, kind=kind)
         via = external_from_boundary(dom, idx, r_out)
         direct = external_harmonic(idx, r_out, m)
         assert via == pytest.approx(direct, rel=1e-6)
+
+
+def test_external_from_boundary_is_twice_a_point_source_coefficient(setup):
+    # the integral representation is 2 c_-m^n (Hc) or 2 d_-m^n (Hs) of the point
+    # source at r*, at order |m| and the least depth that holds n, bit for bit;
+    # the Parseval warning of that one-mode projection is not passed on
+    m, dom, _, _ = setup
+    r_out = flatring_to_cartesian(FlatRingPoint(
+        s=0.9 * m.quarter_K, t=0.8 * m.quarter_Kp, phi=0.5, modulus=m))
+    for mm, sup, kind in ((1, 0, HarmonicKind.HC), (-2, 3, HarmonicKind.HC),
+                          (2, 2, HarmonicKind.HS), (0, 1, HarmonicKind.HS),
+                          (-3, 4, HarmonicKind.HS)):
+        idx = HarmonicIndex(m=mm, n=sup, kind=kind)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            via = external_from_boundary(dom, idx, r_out, n_s=96, n_phi=48)
+        with pytest.warns(QuadratureWarning):
+            coeffs = solve_point_source(dom, r_out, Truncation(
+                abs(mm), shell_depth(idx.family, idx.zero_count)), n_s=96, n_phi=48)
+        of = coeffs.c_of if kind is HarmonicKind.HC else coeffs.d_of
+        assert via == 2.0 * of(-mm, sup)
+
+
+def test_source_on_a_quadrature_node_is_refused_without_a_warning(m05):
+    # 1/|q - r*| is inf at the node; the non-finite-data refusal is the one signal,
+    # with no divide-by-zero warning ahead of it.  The first source is the node
+    # (s, phi) = (10, 5) of the CLI's default 64 x 48 mesh at k = 0.5, t0 = 0.4K'
+    m = m05
+    dom = FlatRingDomain(t0=0.4 * m.quarter_Kp, modulus=m)
+    source = CartesianPoint(-1.5187906411271317, -1.1654090480267167, -0.4222226652347772)
+    mesh = dirichlet._surface(dom, 128, 64, 1, 0).mesh  # external_from_boundary's default
+    node = CartesianPoint(*(float(v[5, 7]) for v in mesh))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="non-finite boundary data g = inf"):
+            solve_point_source(dom, source, Truncation(10, 10), n_s=64, n_phi=48)
+        with pytest.raises(DomainError, match="non-finite boundary data g = inf"):
+            external_from_boundary(dom, HarmonicIndex(m=1, n=0, kind=HarmonicKind.HC), node)
 
 
 def test_external_from_boundary_parity_null(setup):
@@ -386,7 +426,7 @@ def _surface_arrays(surface):
 
 def test_cached_surface_is_read_only(m05):
     m = m05
-    surface = dirichlet._surface(m, 0.4 * m.quarter_Kp, 16, 12, 2, 2)
+    surface = dirichlet._surface(FlatRingDomain(0.4 * m.quarter_Kp, m), 16, 12, 2, 2)
     arrays = _surface_arrays(surface)
     assert len(arrays) == 10
     for x in arrays:
@@ -402,7 +442,7 @@ def test_surface_cache_bound(m05):
     # the projection, one block per order m >= 0, takes 0.12 MB of it
     m = m05
     assert dirichlet._surface.cache_info().maxsize == 1
-    surface = dirichlet._surface(m, 0.4 * m.quarter_Kp, 64, 48, 10, 10)
+    surface = dirichlet._surface(FlatRingDomain(0.4 * m.quarter_Kp, m), 64, 48, 10, 10)
     held = {id(x): x for x in (a if a.base is None else a.base for a in _surface_arrays(surface))}
     assert 0.2e6 < sum(x.nbytes for x in held.values()) <= 0.22e6
     assert surface.projection.shape == (11, 64, 22)

@@ -40,7 +40,7 @@ def _frozen_values(m):
 
 def test_frozen_types_refuse_assignment(m05):
     values = _frozen_values(m05)
-    values.append(dirichlet._surface(m05, 0.4 * m05.quarter_Kp, 8, 6, 1, 1))
+    values.append(dirichlet._surface(FlatRingDomain(0.4 * m05.quarter_Kp, m05), 8, 6, 1, 1))
     for value in values:
         names = value._fields if isinstance(value, tuple) else list(vars(value))
         for name in names:
@@ -64,7 +64,13 @@ def test_frozen_types_refuse_assignment(m05):
      "outside the V2 ranges"),
     (lambda m: FlatRingPoint(s=np.array([0.5, 5.0 * m.quarter_K]), t=0.5, phi=0.0, modulus=m,
                              variant=Variant.V3), "outside the V3 ranges"),
+    (lambda m: FlatRingPoint(s=0.5, t=0.5, phi=math.nan, modulus=m), "phi must be finite"),
+    (lambda m: FlatRingPoint(s=0.5, t=0.5, phi=np.array([0.1, math.inf]), modulus=m),
+     "phi must be finite"),
     (lambda m: ToroidalPoint(tau=0.0, psi=0.0, phi=0.0), "tau must be positive"),
+    (lambda m: ToroidalPoint(tau=math.inf, psi=0.0, phi=0.0), "each field finite"),
+    (lambda m: ToroidalPoint(tau=1.0, psi=math.nan, phi=0.0), "each field finite"),
+    (lambda m: ToroidalPoint(tau=1.0, psi=0.0, phi=-math.inf), "each field finite"),
     (lambda m: FlatRingDomain(t0=m.quarter_Kp, modulus=m), r"outside \(0, K'\)"),
     (lambda m: HarmonicIndex(m=0, n=0, kind=HarmonicKind.HS), "n >= 1"),
     (lambda m: HarmonicIndex(m=0, n=-1, kind=HarmonicKind.GC), "n >= 0"),
