@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error
 (including malformed points and unreadable files), 3 numerical
-non-convergence (ConvergenceError, BracketError).  Errors print one
+non-convergence (ConvergenceError, BracketError), 141 (128 + SIGPIPE) when
+a reader closes stdout early, with nothing on stderr.  Errors print one
 "error: ..." line on stderr.  When --format json is given explicitly, exits
 2 and 3 also print {"error": {"type": ..., "message": ..., "exit_code": ...}}
 on stdout; without it stdout stays empty on error.  Usage errors that
@@ -17,6 +18,7 @@ import argparse
 import csv
 import functools
 import math
+import os
 import sys
 from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 
@@ -99,7 +101,7 @@ def _parse_point(text: str) -> CartesianPoint:
     return CartesianPoint(*coords)
 
 
-def _parse_range(text: str) -> list[int]:
+def _parse_range(text: str) -> range:
     try:
         bounds = [int(part) for part in text.split(":")]
     except ValueError:
@@ -108,7 +110,7 @@ def _parse_range(text: str) -> list[int]:
         raise DomainError(f"range must be 'a:b' or 'n' with integers, got {text!r}")
     if bounds[-1] < bounds[0]:
         raise DomainError(f"range {text!r} is reversed: b must be >= a")
-    return list(range(bounds[0], bounds[-1] + 1))
+    return range(bounds[0], bounds[-1] + 1)  # not a list: the depth check may refuse it
 
 
 def cmd_eigen(args) -> int:
@@ -376,6 +378,9 @@ def main(argv=None) -> int:
     args.format = args.format or "json"
     try:
         return args.func(args)
+    except BrokenPipeError:  # stdout closed early: the last flush goes to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (DomainError, OSError) as exc:
         return _fail(exc, 2, json_requested)
     except ConvergenceError as exc:

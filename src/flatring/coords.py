@@ -8,7 +8,9 @@ All imaginary-argument elliptic factors are reduced to real quantities, so
 every formula here is evaluated in real arithmetic.  Both directions of the
 transcendental map are closed forms on arrays: the forward map is a product
 of Jacobi functions, the inverse takes the algebraic coordinates from the
-inversion quadratic and s, t from Carlson's R_F, with no iteration.
+inversion quadratic and s, t from Carlson's R_F, with no iteration.  Each
+inversion refuses the z-axis, for all its callers: the flat ring within
+`AXIS_GUARD` of it after the inversion, the toroidal chart where cosh(tau) = 1.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ CUT_GUARD = 1e-10  # distance to a chart cut below which inversion refuses
 # inversion refuses |q| >= FAR_GUARD k (toroidal: FAR_GUARD), past which its squares,
 # up to a |q|^2 = (|q| / k)^2 on the flat ring, near the double range
 FAR_GUARD = 1e150
+AXIS_GUARD = 1e-14  # flat ring refuses r <= AXIS_GUARD max(1, |q|^2): the axis after the inversion
 
 
 class CartesianPoint(NamedTuple):
@@ -169,6 +172,14 @@ def _check_far(dist: float, bound: float) -> None:
                           f"inversion needs |q| < {bound!r}")
 
 
+def _refuse_first(bad, r, z, where: str) -> None:
+    """Refuse, by its (r, z), the first point that bad marks, which lies where."""
+    i = np.flatnonzero(bad)[:1]
+    if i.size:
+        raise DomainError(f"point (r, z) = ({float(r.flat[i[0]])!r}, {float(z.flat[i[0]])!r}) "
+                          f"lies {where}")
+
+
 def _check_cut(r, z, m: Modulus, variant: Variant) -> None:
     b = m.b_ring
     if variant is Variant.V1:
@@ -177,13 +188,8 @@ def _check_cut(r, z, m: Modulus, variant: Variant) -> None:
         on_cut = (r <= b + CUT_GUARD) | (r >= 1.0 / b - CUT_GUARD)
     else:
         on_cut = r <= 1.0 / b + CUT_GUARD
-    bad = np.flatnonzero(on_cut & (np.abs(z) < CUT_GUARD))
-    if bad.size:
-        i = bad[0]
-        raise DomainError(
-            f"point (r, z) = ({float(r.flat[i])!r}, {float(z.flat[i])!r}) lies on (or within "
-            f"{CUT_GUARD} of) the {variant.name} cut"
-        )
+    _refuse_first(on_cut & (np.abs(z) < CUT_GUARD), r, z,
+                  f"on (or within {CUT_GUARD} of) the {variant.name} cut")
 
 
 def cartesian_to_flatring(
@@ -201,16 +207,17 @@ def cartesian_to_flatring(
     sc(t, k')^2 = -mu = X^2, Carlson's R_F (DLMF 19.25.5) gives
     s = sqrt(rho) R_F(1 - rho, 1 - k^2 rho, 1) and t = X R_F(1, 1 + k^2 X^2, 1 + X^2).
     On z = 0 one root vanishes and on the unit sphere 1 - rho does, so
-    neither needs a branch of its own.
+    neither needs a branch of its own.  Refused, in this order: |q| >= FAR_GUARD k,
+    r <= AXIS_GUARD max(1, |q|^2) (the axis after the inversion) and the cut.
     """
     x, y, z = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in q))
     r = np.hypot(x, y)
-    if not np.all(r > 0.0):
-        raise DomainError("cartesian_to_flatring undefined on the z-axis")
     _check_far(float(np.max(np.hypot(r, z), initial=0.0)), FAR_GUARD * m.k)
+    u = r * r + z * z
+    _refuse_first(r <= AXIS_GUARD * np.maximum(u, 1.0), r, z,
+                  f"within {AXIS_GUARD} of the z-axis after the inversion")
     _check_cut(r, z, m, variant)
 
-    u = r * r + z * z
     inverted = u > 1.0
     r_b = np.where(inverted, r / u, r)
     zeta = np.abs(np.where(inverted, z / u, z))
@@ -292,16 +299,14 @@ def toroidal_to_cartesian(p: ToroidalPoint) -> CartesianPoint:
 def cartesian_to_toroidal(q: CartesianPoint) -> ToroidalPoint:
     r = math.hypot(q.x, q.y)
     z = q.z
-    if r <= 0.0:
-        raise DomainError("toroidal coordinates undefined on the z-axis (tau = 0)")
     _check_far(math.hypot(r, z), FAR_GUARD)
     d_plus = (r + 1.0) ** 2 + z * z
     d_minus = (r - 1.0) ** 2 + z * z
     if d_minus <= 0.0:
         raise DomainError("toroidal coordinates undefined on the unit circle (tau = inf)")
     tau = 0.5 * math.log(d_plus / d_minus)
-    if tau <= 0.0:
-        raise DomainError("point maps to tau <= 0")
+    if math.cosh(tau) <= 1.0:
+        raise DomainError("point maps to tau <= 0 (cosh tau rounds to 1): on or next to the z-axis")
     psi = math.atan2(2.0 * z, r * r + z * z - 1.0)
     return ToroidalPoint(tau=tau, psi=psi, phi=math.atan2(q.y, q.x))
 

@@ -19,6 +19,7 @@ from .errors import DomainError, PoleError
 
 _EPS = float(np.finfo(float).eps)
 POLE_GUARD = 1e-10  # arguments closer than this to a pole raise PoleError
+MIN_MODULUS = 1e-150  # a smaller k is refused: a = 1/k^2 would pass 1e300, near overflow
 _MAX_AGM = 32
 
 
@@ -51,6 +52,8 @@ class Modulus(NamedTuple("Modulus", [("k", float), ("k_prime", float), ("quarter
     def __new__(cls, k: float, k_prime: float, quarter_K: float, quarter_Kp: float):
         if not 0.0 < k < 1.0:
             raise DomainError(f"modulus must satisfy 0 < k < 1, got {k!r}")
+        if k < MIN_MODULUS:
+            raise DomainError(f"modulus k = {k!r} is below {MIN_MODULUS!r}: a = 1/k^2 > 1e300")
         if abs(k * k + k_prime * k_prime - 1.0) > 1e-14:
             raise DomainError("k and k_prime are inconsistent")
         if not (quarter_K > 0.0 and quarter_Kp > 0.0):

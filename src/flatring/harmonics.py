@@ -16,7 +16,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln, gammasgn
 
 from .coords import (
     CartesianPoint,
@@ -32,8 +31,6 @@ from .elliptic import Modulus
 from .errors import DomainError, OrderingError
 from .lame import LameFamily, OrderSet, basis, basis_for, family_of_superscript, order_set
 from .legendre import gamma_ratio, legendre_q, toroidal_p_table, toroidal_q_table
-
-_AXIS_GUARD = 1e-28  # on x^2 + y^2; external harmonics stay bounded near the axis
 
 
 @functools.cache
@@ -101,13 +98,10 @@ class Truncation(NamedTuple("Truncation", [("m_max", int), ("n_max", int)])):
 
 
 def _flatring_of(q: CartesianPoint, m: Modulus) -> tuple[FlatRingPoint, np.ndarray]:
-    """V1 coordinates of a point (or of arrays of points) and (x^2+y^2)^(-1/4)."""
+    """V1 coordinates of a point (or of arrays of points) and (x^2+y^2)^(-1/4);
+    the inversion refuses the z-axis and far points before the factor is taken."""
     x, y = np.asarray(q.x, dtype=float), np.asarray(q.y, dtype=float)
-    with np.errstate(over="ignore"):  # a far point: cartesian_to_flatring refuses it
-        r2 = x * x + y * y
-    if np.any(r2 <= _AXIS_GUARD):
-        raise DomainError("harmonic undefined on the z-axis")
-    return cartesian_to_flatring(q, m, Variant.V1), r2 ** -0.25
+    return cartesian_to_flatring(q, m, Variant.V1), (x * x + y * y) ** -0.25
 
 
 def _stacked(r: CartesianPoint, r_star: CartesianPoint) -> CartesianPoint:
@@ -230,12 +224,13 @@ def toroidal_harmonic(m_order: int, n: int, p: ToroidalPoint, external: bool = F
 
 @functools.lru_cache(maxsize=1)  # one shape per op: an expansion's (m_max, n_max)
 def _toroidal_weights(m_max: int, n_max: int) -> np.ndarray:
-    """(-1)^m Gamma(n-m+1/2) / Gamma(n+m+1/2), m <= m_max, n <= n_max, from
-    gammasgn/gammaln; read-only, since the cache hands it to every caller."""
-    m = np.arange(m_max + 1)[:, None]
-    diff = np.arange(n_max + 1) - m + 0.5
-    weights = (np.where(m % 2, -1.0, 1.0) * gammasgn(diff)
-               * np.exp(gammaln(diff) - gammaln(diff + 2 * m)))
+    """(-1)^m Gamma(n-m+1/2) / Gamma(n+m+1/2), m <= m_max, n <= n_max, as the
+    product over j < m of -1/((n-j-1/2)(n+j+1/2)), to a few roundings; read-only,
+    since the cache hands it to every caller."""
+    half = np.arange(n_max + 1) + 0.5  # n + 1/2
+    j = np.arange(m_max)[:, None]
+    steps = np.vstack([np.ones_like(half), -1.0 / ((half - j - 1.0) * (half + j))])
+    weights = np.cumprod(steps, axis=0)
     weights.flags.writeable = False
     return weights
 
@@ -279,15 +274,8 @@ def toroidal_green_expansion(r: CartesianPoint, r_star: CartesianPoint, tr: Trun
     return _double_series(table[:, None, :], np.array([p.phi - p_star.phi]), np.ones(1), ())
 
 
-def addition_theorem_rhs(
-    m_order: int,
-    s: float,
-    s_star: float,
-    t: float,
-    t_star: float,
-    n_max: int,
-    m: Modulus,
-) -> float:
+def addition_theorem_rhs(m_order: int, s: float, s_star: float, t: float, t_star: float,
+                         n_max: int, m: Modulus) -> float:
     """Lame product series whose limit is Q_{m-1/2}(chi), for 0 < t < t* < K'."""
     if m_order < 0:
         raise DomainError("azimuthal order must be >= 0")
@@ -362,15 +350,8 @@ def toroidal_limit_summand(
     return float(_toroidal_table(tau, tau_star, psi, psi_star, abs(m_order), abs(n))[-1, -1])
 
 
-def limit_comparison(
-    m_order: int,
-    n: int,
-    tau: float,
-    tau_star: float,
-    psi: float,
-    psi_star: float,
-    k_values: list[float],
-) -> list[dict]:
+def limit_comparison(m_order: int, n: int, tau: float, tau_star: float, psi: float,
+                     psi_star: float, k_values: list[float]) -> list[dict]:
     """Table of |A_{m,n}(k) - B_{m,n}| along a sequence of moduli k -> 0."""
     b_val = toroidal_limit_summand(m_order, n, tau, tau_star, psi, psi_star)
     rows = []

@@ -1,7 +1,12 @@
 import gc
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +39,42 @@ def test_eigen_invalid_modulus_exits_2(capsys):
     code, _, err = run_cli(capsys, "eigen", "--k", "1.2")
     assert code == 2
     assert "error" in err
+    # below MIN_MODULUS: refused with one line, not a ZeroDivisionError traceback
+    # or overflow warnings ahead of a Galerkin solve up to the cap
+    for k in ("1e-153", "1e-160", "1e-300"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "eigen", "--k", k)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: modulus k = {float(k)!r} is below") and err.count("\n") == 1
+
+
+def test_eigen_huge_range_is_refused_before_it_is_listed(capsys):
+    # the range is not materialised ahead of the depth check: a list of a
+    # million superscripts alone would take ~40 MB
+    tracemalloc.start()
+    try:
+        code, _, err = run_cli(capsys, "eigen", "--n-range", "0:1000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and "over the cap of 1024" in err
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("fmt", [[], ["--format", "json"], ["--format", "csv"]])
+def test_closed_stdout_exits_141_quietly(fmt):
+    # a reader that takes one byte and closes the pipe: no traceback, no error
+    # line and no JSON error object written to the closed stdout
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "flatring.cli", "coords", "lines",
+                             "--samples", "4000", *fmt], env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    proc.stdout.read(1)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 141
+    assert err == b""
 
 
 def test_coords_forward_inverse_roundtrip(capsys):
@@ -203,6 +244,15 @@ def test_dirichlet_malformed_grid_file(capsys, tmp_path):
                            "--m-max", "2", "--n-max", "2")
     assert code == 2
     assert ":3:" in err  # line number of the malformed row
+    # a wrong header, and a grid with a node missing from the (s, phi) product
+    for text, message in (("s,psi,g\n0.0,0.0,1.0\n", ":1: expected header 's,phi,g'"),
+                          ("s,phi,g\n0.0,0.0,1.0\n0.1,0.0,2.0\n0.0,0.5,3.0\n",
+                           "grid is not a full (s, phi) tensor product")):
+        bad.write_text(text)
+        code, out, err = run_cli(capsys, "dirichlet", "--boundary", str(bad),
+                                 "--m-max", "2", "--n-max", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
 def test_csv_output_format(capsys):
@@ -212,6 +262,20 @@ def test_csv_output_format(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("family,")
     assert len(lines) == 4
+    # green: one row per shell, then the value line
+    for extra in ([], ["--toroidal"]):
+        code, out, _ = run_cli(capsys, "green", *extra, "--format", "csv")
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0] == "n,magnitude" and len(lines) == 1 + 21 + 1
+        fields = dict(f.split("=") for f in lines[-1].removeprefix("# ").split())
+        assert list(fields) == ["value", "direct", "rel"]
+        assert float(fields["value"]) == pytest.approx(float(fields["direct"]), rel=1e-4)
+    # coords lines: one row per sampled point of the nine curves
+    code, out, _ = run_cli(capsys, "coords", "lines", "--samples", "3", "--format", "csv")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "curve,kind,value,x,z" and len(lines) == 1 + 9 * 3
 
 
 def test_eigen_deep_well_solves(capsys):
@@ -304,6 +368,41 @@ def test_malformed_point_exits_2(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("error: point must be 'x,y,z'")
+
+
+AXIS_POINTS = [f"{r},0,0.5" for r in ("0", "1e-200", "1e-155", "1e-20", "1e-16", "1e-14")] + [
+    "1e-4,0,1e6", "1e-3,0,1e6", "1e-2,0,1e7"]
+
+
+@pytest.mark.parametrize("option", ["coords inverse --k 0.5 --point", "green --point",
+                                    "green --point-star", "dirichlet --probes"])
+def test_axis_point_exits_2_with_one_error_line(capsys, option):
+    # within AXIS_GUARD of the z-axis after the inversion: one refusal, from the
+    # inversion, with no numpy warning ahead of it and no silently wrong value
+    *argv, flag = option.split()
+    for point in AXIS_POINTS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, *argv, f"{flag}={point}", "--format", "json")
+        assert code == 2, point
+        assert err.startswith("error: point (r, z) = (") and err.count("\n") == 1
+        assert err.rstrip().endswith("of the z-axis after the inversion")
+        assert json.loads(out)["error"]["type"] == "DomainError"
+
+
+def test_green_next_to_the_axis_guard_solves(capsys):
+    # solved, but not to the digits of the default pair: the inverted point lies
+    # 1e-7 from the axis, where t nears K' and F reads tau = K' - t
+    code, out, _ = run_cli(capsys, "green", "--point-star=1e-1,0,1e6")
+    assert code == 0 and math.isfinite(json.loads(out)["value"])
+
+
+@pytest.mark.parametrize("r", ["0", "1e-12", "1e-9"])
+def test_toroidal_axis_point_is_refused_by_the_inversion(capsys, r):
+    # cosh(tau) rounds to 1: the toroidal chart refuses the point, not a Legendre table
+    code, out, err = run_cli(capsys, "green", "--toroidal", f"--point-star={r},0,0.5")
+    assert code == 2 and out == ""
+    assert err.startswith("error: point maps to tau <= 0") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

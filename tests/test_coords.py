@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flatring.coords import (
+    AXIS_GUARD,
     FAR_GUARD,
     AlgebraicFlatRing,
     CartesianPoint,
@@ -447,15 +448,51 @@ def test_far_points_raise_domain_error_without_warnings(point):
 
 def test_far_guard_scales_with_the_modulus():
     # the flat ring refuses |q| >= FAR_GUARD k, where a |q|^2 = (|q|/k)^2 nears overflow;
-    # nearer points keep their formulas and end as they did: here past the chart's t range
+    # a nearer point on z = 1 lies within AXIS_GUARD of the axis after the inversion,
+    # so it is refused by that rule before any formula runs
     for k in (0.5, 1e-3):
         m = Modulus.from_k(k)
         with pytest.raises(DomainError, match="too far"):
             cartesian_to_flatring(CartesianPoint(FAR_GUARD * k, 0.0, 1.0), m)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DomainError, match="outside the V1 ranges"):
+            with pytest.raises(DomainError, match="of the z-axis after the inversion"):
                 cartesian_to_flatring(CartesianPoint(0.5 * FAR_GUARD * k, 0.0, 1.0), m)
     assert cartesian_to_toroidal(CartesianPoint(2.0, 0.0, 0.5)).tau > 0.0
     with pytest.raises(DomainError, match="tau <= 0"):
         cartesian_to_toroidal(CartesianPoint(0.5 * FAR_GUARD, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("point", [(r, 0.0, 0.5) for r in (0.0, 1e-200, 1e-155, 1e-20, 1e-16,
+                                                          AXIS_GUARD)]
+                         + [(1e-4, 0.0, 1e6), (1e-3, 0.0, 1e6), (1e-2, 0.0, 1e7)])
+def test_axis_guard_holds_after_the_inversion(point):
+    # r <= AXIS_GUARD max(1, |q|^2) is refused before any division: no numpy warning,
+    # no t one ulp below K', and no far point whose inverse sits on the axis; the
+    # harmonics and the Dirichlet layer inherit the rule through the inversion
+    from flatring.dirichlet import FlatRingDomain, solve_interior, solve_point_source
+    from flatring.harmonics import HarmonicIndex, HarmonicKind, Truncation, external_harmonic
+
+    m = Modulus.from_k(0.5)
+    q, near = CartesianPoint(*point), CartesianPoint(0.7, 0.2, 0.15)
+    dom = FlatRingDomain(t0=0.4 * m.quarter_Kp, modulus=m)
+    coeffs = solve_point_source(dom, CartesianPoint(0.1, 0.2, 1.5), Truncation(4, 4), 40, 32)
+    calls = [lambda: cartesian_to_flatring(q, m),
+             lambda: cartesian_to_flatring(CartesianPoint(*np.array([near, point]).T), m),
+             lambda: external_harmonic(HarmonicIndex(1, 0, HarmonicKind.HC), q, m),
+             lambda: solve_interior(dom, coeffs, [near, q])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(DomainError, match="of the z-axis after the inversion"):
+                call()
+
+
+def test_points_just_off_the_axis_guard_still_map():
+    m = Modulus.from_k(0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for point in ((2e-14, 0.0, 0.5), (1.0, 0.0, 1e6), (0.1, 0.0, 1e6)):
+            p = cartesian_to_flatring(CartesianPoint(*point), m)
+            assert 0.0 < p.t < m.quarter_Kp and abs(p.s) < 2.0 * m.quarter_K
+

@@ -131,6 +131,11 @@ def test_gamma_ratio_half_integers_and_poles():
     assert gamma_ratio(2.0, -1.0) == 0.0
     assert gamma_ratio(0.5 - 21.0, 0.5 + 21.0) == pytest.approx(
         math.pi * (-1.0) ** 21 / math.gamma(21.5) ** 2, rel=1e-12)
+    # poles in both: the ratio of residues, Gamma(-3+e)/Gamma(-1+e) -> (-1)^2 1!/3!
+    assert gamma_ratio(-3.0, -1.0) == pytest.approx(1.0 / 6.0, rel=1e-15)
+    # which P^1_{-3} reaches: P^m_{-nu-1} = P^m_nu (DLMF 14.9.5)
+    assert legendre_p(-3.0, 1.0, 1.5) == pytest.approx(legendre_p(2.0, 1.0, 1.5), rel=1e-15)
+    assert legendre_p(2.0, 1.0, 1.5) == pytest.approx(5.031152949374526, rel=1e-15)
 
 
 GRID_NUS = (-0.5, 0.5, 0.75, 2.5, 9.5, 19.5, 24.5)

@@ -126,6 +126,12 @@ def test_cached_weights_are_read_only():
     reference = [[(-1.0) ** m * gamma_ratio(n - m + 0.5, n + m + 0.5) for n in range(21)]
                  for m in range(21)]
     np.testing.assert_allclose(weights, reference, rtol=1e-13, atol=0.0)
+    # the products of half-integers are exact to a few roundings: 40-digit Gamma ratios
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        exact = [[float((-1) ** m * mp.gamma(n - m + mp.mpf(0.5)) / mp.gamma(n + m + mp.mpf(0.5)))
+                  for n in range(21)] for m in range(21)]
+    np.testing.assert_allclose(weights, exact, rtol=2e-15, atol=0.0)
 
 
 def test_expansion_terms_match_the_pair_tables():
